@@ -1,7 +1,7 @@
 """Exact calculators for twist actions on surface homology, norm-ball
 polytope duality, sutured Euler characteristics, and interval holonomy."""
 
-from .matrices import IntMatrix, det_exact
+from .matrices import IntMatrix
 from .homology import (
     Family,
     HomologyClass,
@@ -10,9 +10,7 @@ from .homology import (
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    extended_action_matrix,
     fixed_homology_trivial,
-    genus3_action_matrix,
     image_check,
     mapping_torus_b2,
     transvection_matrix,

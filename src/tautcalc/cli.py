@@ -72,7 +72,8 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 
 def cmd_vmatrix(args) -> int:
-    m = homology.extended_action_matrix(args.genus)
+    system, word = penner.extend_to_genus(args.genus)
+    m = homology.word_action(word, system.generator_map())
     diff = m.minus_identity()
     det_abs = abs(diff.det())
     target = args.genus + 1
@@ -97,13 +98,17 @@ def cmd_candidates(args) -> int:
     else:
         spec = polytope.NormSpec.surgery_family(args.genus)
     ball, dual, classified = polytope.candidate_points(spec, args.genus)
-    tip = 2 * args.genus - 2
-    flagged = [p for p in classified if p.counterexample]
     vertex_ok = all(
         p.realizability is polytope.Realizability.REALIZABLE_VERTEX
         for p in classified
         if p.location is polytope.Location.BOUNDARY_VERTEX
     )
+    checks = []
+    if spec.is_surgery_family(args.genus):
+        tip = 2 * args.genus - 2
+        flagged = any(p.counterexample and p.coords == (0, -tip) for p in classified)
+        checks.append({"name": f"point (0, {-tip}) flagged as the non-realizable candidate", "pass": flagged})
+    checks.append({"name": "all dual-ball vertices classified realizable", "pass": vertex_ok})
     report = {
         "command": "candidates",
         "genus": args.genus,
@@ -111,13 +116,7 @@ def cmd_candidates(args) -> int:
         "ball": jsonio.polytope_to_json(ball),
         "dual_ball": jsonio.polytope_to_json(dual),
         "candidates": [jsonio.candidate_to_json(p) for p in classified],
-        "checks": [
-            {
-                "name": f"point (0, {-tip}) flagged as the non-realizable candidate",
-                "pass": any(p.coords == (0, -tip) for p in flagged),
-            },
-            {"name": "all dual-ball vertices classified realizable", "pass": vertex_ok},
-        ],
+        "checks": checks,
     }
     return _emit(report, args)
 
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default=_default_format())
     common.add_argument("--output", help="write the report to this path instead of stdout")
 
-    p = sub.add_parser("vmatrix", parents=[common], help="extended twist action matrix and its determinant law")
+    p = sub.add_parser("vmatrix", parents=[common], help="action of the genus-g chain word and its determinant law")
     p.add_argument("--genus", type=int, required=True)
     p.set_defaults(func=cmd_vmatrix)
 

@@ -11,10 +11,8 @@ twist flips the sign).  Products of twists are encoded as words and their
 actions computed as exact integer matrices.
 
 Convention: matrices computed here act on coordinate column vectors, so
-column k holds the image of the k-th basis vector.  The two recorded
-action matrices (`genus3_action_matrix`, `extended_action_matrix`) are
-fixture data reproduced verbatim; all checks run against them
-(determinants, kernel ranks) are transpose-invariant.
+column k holds the image of the k-th basis vector.  Every action matrix is
+derived from its twist word by `word_action`; none is stored.
 """
 
 from __future__ import annotations
@@ -192,22 +190,6 @@ class TwistWord:
         return cls(tuple((label, exp) for label, exp in letters))
 
 
-def _twist_power(space: SymplecticSpace, coords: Sequence[int], amount: int) -> IntMatrix:
-    """Matrix of x |-> x + amount * <x, c> c, i.e. the amount-th twist power."""
-    n = space.dimension
-    # row vector c^T J in the block basis
-    ctj = [0] * n
-    for i in range(space.genus):
-        ctj[2 * i + 1] = coords[2 * i]
-        ctj[2 * i] = -coords[2 * i + 1]
-    return IntMatrix(
-        [
-            [(1 if i == j else 0) - amount * coords[i] * ctj[j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
 def transvection_matrix(c: TwistGenerator, sign: int = 1) -> IntMatrix:
     """Homology action of the sign-handed Dehn twist along c.
 
@@ -216,7 +198,7 @@ def transvection_matrix(c: TwistGenerator, sign: int = 1) -> IntMatrix:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _twist_power(c.cls.space, c.cls.coords, sign)
+    return word_action(TwistWord(((c.label, sign),)), (c,))
 
 
 GeneratorSet = Union[Mapping[str, TwistGenerator], Iterable[TwistGenerator]]
@@ -232,96 +214,38 @@ def _as_generator_map(gens: GeneratorSet) -> Mapping[str, TwistGenerator]:
         out[g.label] = g
     return out
 
+
 def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
     """Product of transvection matrices in the word's composition order.
 
     Letters are written outermost first, so the matrix is the product of the
     letter matrices in written order (the rightmost letter acts first on
-    column vectors).
+    column vectors).  The letter c^e is the matrix I - e c (c^T J), so
+    multiplying by it on the right is the rank-one update
+    rows -= e (rows c)(c^T J), which touches only the support of c.
     """
     table = _as_generator_map(gens)
-    space = None
-    for g in table.values():
-        space = g.cls.space
-        break
-    if space is None:
+    spaces = {g.cls.space for g in table.values()}
+    if not spaces:
         raise ValueError("empty generator set")
-    result = IntMatrix.identity(space.dimension)
+    if len(spaces) > 1:
+        raise ValueError("generators live in different spaces")
+    (space,) = spaces
+    n = space.dimension
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for label, exp in word:
         if label not in table:
             raise ValueError(f"unknown twist label {label!r}")
-        gen = table[label]
-        result = result @ _twist_power(space, gen.cls.coords, exp)
-    return result
-
-
-# -- recorded action matrices ------------------------------------------------
-
-_GENUS3_ACTION_ROWS = (
-    (0, 1, 2, -1, -2, 1),
-    (-1, 2, 1, 0, 0, 0),
-    (-2, 4, 4, -2, -2, 1),
-    (1, -2, -2, 2, 2, -2),
-    (0, 0, 0, 1, 2, -3),
-    (0, 0, 0, 0, -1, 2),
-)
-
-_CORE_ROWS = (
-    (0, 1, 2, -1, -2, 2, 1, -1),
-    (-1, 2, 1, 0, 0, 0, 0, 0),
-    (-2, 4, 4, -2, -2, 2, 1, -1),
-    (1, -2, -2, 2, 2, -2, -1, 1),
-    (0, 0, 0, 1, 2, -2, -1, 1),
-    (0, 0, 0, 0, -1, 2, 1, -1),
-)
-
-
-def genus3_action_matrix() -> IntMatrix:
-    """Recorded 6x6 homology action of the genus-3 twist word."""
-    return IntMatrix(_GENUS3_ACTION_ROWS)
-
-
-def extended_action_matrix(genus: int) -> IntMatrix:
-    """Recorded 2g x 2g homology action of the genus-g twist word, g >= 6.
-
-    Layout (1-based; r_i is row/column 2i-1, s_i is 2i):
-      * rows 1..6 are an explicit genus-3 core block in columns 1..8;
-      * rows r_i, s_i for 4 <= i <= g-1 follow the repeating band
-        r_i -> s_{i-1} + r_i - s_i,
-        s_i -> -s_{i-1} - r_i + 3 s_i + r_{i+1} - s_{i+1};
-      * the last handle truncates the band:
-        r_g -> s_{g-1} + r_g - s_g,  s_g -> -s_{g-1} - r_g + 3 s_g;
-      * every r_i row carries an extra -1 in the s_g column.
-
-    |det(M - Id)| = genus + 1 for every genus >= 6.
-    """
-    if not isinstance(genus, int) or genus < 6:
-        raise ValueError("extended action matrix is defined for genus >= 6")
-    n = 2 * genus
-    m = [[0] * n for _ in range(n)]
-    for i, row in enumerate(_CORE_ROWS):
-        for j, e in enumerate(row):
-            m[i][j] = e
-    for i in range(4, genus):
-        r, s = 2 * i - 2, 2 * i - 1
-        m[r][2 * i - 3] += 1      # s_{i-1}
-        m[r][2 * i - 2] += 1      # r_i
-        m[r][2 * i - 1] += -1     # s_i
-        m[s][2 * i - 3] += -1
-        m[s][2 * i - 2] += -1
-        m[s][2 * i - 1] += 3
-        m[s][2 * i] += 1          # r_{i+1}
-        m[s][2 * i + 1] += -1     # s_{i+1}
-    rg, sg = n - 2, n - 1
-    m[rg][2 * genus - 3] += 1
-    m[rg][rg] += 1
-    m[rg][sg] += -1
-    m[sg][2 * genus - 3] += -1
-    m[sg][rg] += -1
-    m[sg][sg] += 3
-    for i in range(genus):
-        m[2 * i][sg] += -1
-    return IntMatrix(m)
+        coords = table[label].cls.coords
+        support = [(k, ck) for k, ck in enumerate(coords) if ck]
+        # (c^T J)_{2i+1} = c_{2i} and (c^T J)_{2i} = -c_{2i+1}
+        ctj = [(k ^ 1, -ck if k & 1 else ck) for k, ck in support]
+        for row in rows:
+            f = exp * sum(row[k] * ck for k, ck in support)
+            if f:
+                for j, v in ctj:
+                    row[j] -= f * v
+    return IntMatrix(rows)
 
 
 # -- mapping-torus homology checks --------------------------------------------

@@ -185,8 +185,3 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(row) for row in self.rows]
-
-
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix."""
-    return m.det()

@@ -10,8 +10,9 @@ Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
 x(F), x(S), x(S+F), x(S-F); their polar duals are the dual-norm balls,
 and integral points of dual norm one are classified for realizability as
-Euler classes (vertices are realizable; the distinguished edge points
-(0, +-(2g-2)) are the known non-realizable candidates).
+Euler classes (vertices are realizable; for the genus-g surgery family
+the distinguished edge points (0, +-(2g-2)) are the known non-realizable
+candidates).
 """
 
 from __future__ import annotations
@@ -188,11 +189,9 @@ class NormSpec:
     chi: Tuple[int, int]
 
     def __post_init__(self):
-        values = {}
         for name in ("x_f", "x_s", "x_sum", "x_diff"):
             v = _frac(getattr(self, name))
             object.__setattr__(self, name, v)
-            values[name] = v
             if v <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.x_sum > self.x_s + self.x_f or self.x_diff > self.x_s + self.x_f:
@@ -214,6 +213,11 @@ class NormSpec:
             x_diff=Fraction(2 * genus),
             chi=(-2, 2 - 2 * genus),
         )
+
+    def is_surgery_family(self, genus: int) -> bool:
+        """True when these are the genus-g family values, the only spec
+        whose points (0, +-(2g-2)) are flagged as non-realizable."""
+        return self == NormSpec.surgery_family(genus)
 
 
 def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
@@ -361,9 +365,12 @@ def covering_pullback(x_val, degree: int) -> Fraction:
 
 def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolytope, List[CandidatePoint]]:
     """Full pipeline: ball, dual ball, and classified parity-passing
-    integral boundary points of the dual ball."""
+    integral boundary points of the dual ball.  Points are flagged only
+    when the spec is the genus-g surgery family."""
     ball = norm_ball_from_values(spec)
     dual = polar_dual(ball)
     points = parity_filter(integral_boundary_points(dual), spec.chi)
     classified = [classify_realizability(p, genus) for p in points]
+    if not spec.is_surgery_family(genus):
+        classified = [replace(p, counterexample=False) for p in classified]
     return ball, dual, classified

@@ -6,12 +6,10 @@ asserted as well.
 """
 
 import itertools
-import json
 import math
 import random
 import time
 from fractions import Fraction as Fr
-from importlib import resources
 
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
@@ -19,11 +17,13 @@ from tautcalc.homology import (
     SymplecticSpace,
     TwistGenerator,
     algebraic_intersection,
-    extended_action_matrix,
-    genus3_action_matrix,
+    fixed_homology_trivial,
+    image_check,
     transvection_matrix,
+    word_action,
 )
 from tautcalc.matrices import IntMatrix
+from tautcalc.penner import extend_to_genus, genus3_marked_classes, genus3_system
 from tautcalc.polytope import (
     Location,
     NormSpec,
@@ -66,23 +66,21 @@ class Criterion:
 
 
 def test_extended_matrix_determinant_law():
-    with Criterion("determinant of extended action matrix minus identity is genus+1, genus 6..16", 1.0):
+    with Criterion("determinant of the chain-word action minus identity is genus+1, genus 6..16", 1.0):
         for genus in range(6, 17):
-            m = extended_action_matrix(genus)
+            system, word = extend_to_genus(genus)
+            m = word_action(word, system.generator_map())
             assert abs(m.minus_identity().det()) == genus + 1
 
 
 def test_genus3_matrix_fixture():
-    with Criterion("genus-3 action matrix matches its fixture and has no fixed class", 0.01):
-        doc = json.loads(
-            resources.files("tautcalc").joinpath("data","genus3_action_matrix.json").read_text()
-        )
-        fixture = IntMatrix([[int(e) for e in row] for row in doc["matrix"]])
-        m = genus3_action_matrix()
-        assert m == fixture
-        assert m.rows[0] == (0, 1, 2, -1, -2, 1)
-        assert m.rows[5] == (0, 0, 0, 0, -1, 2)
-        assert m.minus_identity().det() != 0
+    with Criterion("genus-3 word action sends alpha to beta, det(M - Id) = -4, no fixed class", 0.01):
+        system, word = genus3_system()
+        m = word_action(word, system.generator_map())
+        alpha, beta, _ = genus3_marked_classes()
+        assert image_check(m, alpha, beta).sends_to_target
+        assert m.minus_identity().det() == -4
+        assert fixed_homology_trivial(m)
 
 
 def test_dual_ball_pipeline_genus3():

@@ -21,7 +21,7 @@ def test_vmatrix_pass(capsys):
     assert code == 0
     assert doc["status"] == "PASS"
     assert doc["det_abs"] == "7"
-    assert doc["matrix"][0][:6] == ["0", "1", "2", "-1", "-2", "2"]
+    assert doc["matrix"][0][:6] == ["2", "3", "0", "1", "0", "0"]
 
 
 def test_vmatrix_json_genus12(capsys):
@@ -58,6 +58,17 @@ def test_candidates_custom_spec(tmp_path, capsys):
     code, doc = run_json(capsys, "candidates", "--genus", "3", "--spec", str(path))
     assert code == 0
     assert any(c["counterexample"] for c in doc["candidates"])
+
+
+def test_candidates_spec_outside_family_passes(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps({"x_f": "2", "x_s": "4", "x_sum": "4", "x_diff": "4", "chi": ["-2", "-4"]})
+    )
+    code, doc = run_json(capsys, "candidates", "--genus", "3", "--spec", str(path))
+    assert code == 0
+    assert doc["status"] == "PASS"
+    assert not any(c["counterexample"] for c in doc["candidates"])
 
 
 def test_candidates_genus_bound(capsys):

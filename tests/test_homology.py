@@ -1,25 +1,24 @@
 import json
 import random
-from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from tautcalc import jsonio
 from tautcalc.homology import (
     Family,
     SymplecticSpace,
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    extended_action_matrix,
     fixed_homology_trivial,
-    genus3_action_matrix,
     image_check,
     mapping_torus_b2,
     transvection_matrix,
     word_action,
 )
 from tautcalc.matrices import IntMatrix
+from tautcalc.penner import _chain_system, _chain_word, extend_to_genus, genus3_system
 
 
 def random_class(space, rng, allow_zero=False):
@@ -204,98 +203,124 @@ def test_word_rejects_zero_exponent():
         TwistWord((("a", 0),))
 
 
-# -- recorded matrices -----------------------------------------------------------
+def test_word_action_rejects_mixed_spaces():
+    gens = [
+        TwistGenerator("a", SymplecticSpace(2).basis_r(1), Family.A),
+        TwistGenerator("b", SymplecticSpace(3).basis_s(1), Family.B),
+    ]
+    with pytest.raises(ValueError, match="different spaces"):
+        word_action(TwistWord((("a", 1), ("b", -1))), gens)
+
+
+# -- differential oracle: the dense product of transvections ---------------------
+
+
+def _twist_power(space, coords, amount):
+    """Dense matrix of x |-> x + amount * <x, c> c, i.e. the amount-th twist power."""
+    n = space.dimension
+    # row vector c^T J in the block basis
+    ctj = [0] * n
+    for i in range(space.genus):
+        ctj[2 * i + 1] = coords[2 * i]
+        ctj[2 * i] = -coords[2 * i + 1]
+    return IntMatrix(
+        [
+            [(1 if i == j else 0) - amount * coords[i] * ctj[j] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _dense_word_action(word, gens):
+    space = next(iter(gens.values())).cls.space
+    result = IntMatrix.identity(space.dimension)
+    for label, exp in word:
+        result = result @ _twist_power(space, gens[label].cls.coords, exp)
+    return result
+
+
+def _chain(genus):
+    return _chain_system(genus).generator_map(), _chain_word(genus)
+
+
+@pytest.mark.parametrize("genus", range(2, 13))
+def test_word_action_matches_dense_product(genus):
+    gens, chain_word = _chain(genus)
+    rng = random.Random(genus)
+    labels = sorted(gens)
+    words = [chain_word] + [
+        TwistWord(tuple((rng.choice(labels), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3 * genus)))
+        for _ in range(3)
+    ]
+    for word in words:
+        assert word_action(word, gens) == _dense_word_action(word, gens)
+
+
+@pytest.mark.parametrize("genus", range(2, 13))
+def test_word_action_is_symplectic(genus):
+    gens, word = _chain(genus)
+    J = SymplecticSpace(genus).intersection_matrix()
+    m = word_action(word, gens)
+    assert m.transpose() @ J @ m == J
+
+
+# -- derived chain-word actions ---------------------------------------------------
+
+
+def _genus3_action():
+    system, word = genus3_system()
+    return word_action(word, system.generator_map())
+
+
+def _extended_action(genus):
+    system, word = extend_to_genus(genus)
+    return word_action(word, system.generator_map())
 
 
 def test_genus3_action_matrix_rows():
-    m = genus3_action_matrix()
-    assert m.rows[0] == (0, 1, 2, -1, -2, 1)
-    assert m.rows[-1] == (0, 0, 0, 0, -1, 2)
+    m = _genus3_action()
+    assert m.rows[0] == (2, 3, 0, 1, 0, 0)
+    assert m.rows[-1] == (0, 0, 0, 0, 1, 2)
     assert m.det() == 1
     assert m.minus_identity().det() == -4
 
 
 def test_genus3_action_matrix_matches_bundled_fixture():
     doc = json.loads(
-        resources.files("tautcalc").joinpath("data","genus3_action_matrix.json").read_text()
+        resources.files("tautcalc").joinpath("data", "genus3_curve_system.json").read_text()
     )
-    fixture = IntMatrix([[int(e) for e in row] for row in doc["matrix"]])
-    assert genus3_action_matrix() == fixture
+    system = jsonio.curve_system_from_json(doc, "system")
+    word = jsonio.word_from_json(doc["word"], "word")
+    assert word_action(word, system.generator_map()) == _genus3_action()
 
 
 def test_extended_action_matrix_leading_block():
-    m = extended_action_matrix(6)
     expected = [
-        (0, 1, 2, -1, -2, 2, 1, -1),
-        (-1, 2, 1, 0, 0, 0, 0, 0),
-        (-2, 4, 4, -2, -2, 2, 1, -1),
-        (1, -2, -2, 2, 2, -2, -1, 1),
-        (0, 0, 0, 1, 2, -2, -1, 1),
-        (0, 0, 0, 0, -1, 2, 1, -1),
-        (0, 0, 0, 0, 0, 1, 1, -1),
-        (0, 0, 0, 0, 0, -1, -1, 3),
+        (2, 3, 0, 1, 0, 0, 0, 0),
+        (1, 2, 0, 0, 0, 0, 0, 0),
+        (1, 2, 1, 2, 1, 2, 0, 1),
+        (1, 2, 1, 3, 1, 2, 0, 1),
+        (0, 0, 0, 1, 2, 3, 0, 2),
+        (0, 0, 0, 0, 1, 2, 0, 1),
+        (0, 0, 0, 0, 0, 1, 1, 2),
+        (0, 0, 0, 0, 0, 1, 1, 3),
     ]
-    for i in range(8):
-        assert m.rows[i][:8] == expected[i]
-
-
-def test_extended_action_matrix_g6_matches_bundled_fixture():
-    doc = json.loads(
-        resources.files("tautcalc").joinpath("data","extended_action_matrix_g6.json").read_text()
-    )
-    fixture = IntMatrix([[int(e) for e in row] for row in doc["matrix"]])
-    assert extended_action_matrix(6) == fixture
+    for genus in (6, 7, 9):
+        m = _extended_action(genus)
+        for i in range(8):
+            assert m.rows[i][:8] == expected[i]
 
 
 def test_extended_action_matrix_requires_genus_six():
     with pytest.raises(ValueError):
-        extended_action_matrix(5)
+        extend_to_genus(5)
 
 
 @pytest.mark.parametrize("genus", [6, 8, 11])
 def test_extended_action_determinant_law(genus):
-    m = extended_action_matrix(genus)
+    m = _extended_action(genus)
     assert abs(m.minus_identity().det()) == genus + 1
     assert m.det() == 1
-
-
-def _reduction_recipe_diagonal(genus):
-    """Independent determinant derivation: row-reduce the first eight rows,
-    then run the row moves R_{2i-1} -= R_{2i-2}; R_{2i} += R_{2i-2}; swap;
-    negate, for 5 <= i <= genus.  The result must be upper triangular."""
-    n = 2 * genus
-    m = extended_action_matrix(genus).minus_identity()
-    rows = [[Fraction(e) for e in row] for row in m.rows]
-    pr = 0
-    for c in range(n):
-        if pr == 8:
-            break
-        piv = next((r for r in range(pr, 8) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        pv = rows[pr][c]
-        rows[pr] = [x / pv for x in rows[pr]]
-        for r in range(8):
-            if r != pr and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-    for i in range(5, genus + 1):
-        r1, r2, r0 = 2 * i - 2, 2 * i - 1, 2 * i - 3
-        rows[r1] = [a - b for a, b in zip(rows[r1], rows[r0])]
-        rows[r2] = [a + b for a, b in zip(rows[r2], rows[r0])]
-        rows[r1], rows[r2] = rows[r2], rows[r1]
-        rows[r2] = [-a for a in rows[r2]]
-    assert all(rows[i][j] == 0 for i in range(n) for j in range(i))
-    return [rows[i][i] for i in range(n)]
-
-
-@pytest.mark.parametrize("genus", [6, 7, 9])
-def test_reduction_recipe_reproduces_determinant(genus):
-    diag = _reduction_recipe_diagonal(genus)
-    assert all(abs(d) == 1 for d in diag[:-1])
-    assert abs(diag[-1]) == genus + 1
 
 
 # -- mapping torus checks ----------------------------------------------------------
@@ -311,14 +336,14 @@ def test_mapping_torus_b2_single_transvection():
     assert mapping_torus_b2(transvection_matrix(c, 1)) == 6
 
 
-def test_mapping_torus_b2_recorded_matrix():
-    assert mapping_torus_b2(genus3_action_matrix()) == 1
+def test_mapping_torus_b2_genus3_action():
+    assert mapping_torus_b2(_genus3_action()) == 1
 
 
 def test_fixed_homology_trivial():
     assert not fixed_homology_trivial(IntMatrix.identity(4))
-    assert fixed_homology_trivial(genus3_action_matrix())
-    assert fixed_homology_trivial(extended_action_matrix(7))
+    assert fixed_homology_trivial(_genus3_action())
+    assert fixed_homology_trivial(_extended_action(7))
 
 
 def test_b2_at_least_one_iff_trivial_kernel():

@@ -4,7 +4,7 @@ import pytest
 
 from tautcalc import jsonio
 from tautcalc.holonomy import bundled_shifts
-from tautcalc.homology import genus3_action_matrix, word_action
+from tautcalc.homology import word_action
 from tautcalc.penner import extend_to_genus, genus3_system
 from tautcalc.polytope import NormSpec, norm_ball_from_values
 from tautcalc.sutured import novikov_witness
@@ -26,9 +26,10 @@ def test_scalar_formats():
 
 
 def test_matrix_roundtrip():
-    m = genus3_action_matrix()
+    system, word = genus3_system()
+    m = word_action(word, system.generator_map())
     data = jsonio.matrix_to_json(m)
-    assert data[0] == ["0", "1", "2", "-1", "-2", "1"]
+    assert data[0] == ["2", "3", "0", "1", "0", "0"]
     assert jsonio.matrix_from_json(data) == m
 
 

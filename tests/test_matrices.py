@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.matrices import IntMatrix, det_exact
+from tautcalc.matrices import IntMatrix
 
 
 def det_gauss(rows):
@@ -115,7 +115,3 @@ def test_immutability():
     m = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = ()
-
-
-def test_det_exact_alias():
-    assert det_exact(IntMatrix([[2, 1], [1, 1]])) == 1

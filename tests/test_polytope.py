@@ -324,6 +324,15 @@ def test_candidate_pipeline_flags_tip():
                 assert p.realizability is Realizability.REALIZABLE_VERTEX
 
 
+def test_candidate_pipeline_flags_only_the_family():
+    # same ball as the genus-3 family, but chi(F) = 0: not the surgered manifold
+    spec = NormSpec(x_f=2, x_s=4, x_sum=6, x_diff=6, chi=(0, -4))
+    assert not spec.is_surgery_family(3)
+    _, _, classified = candidate_points(spec, 3)
+    assert (0, -4) in {p.coords for p in classified}
+    assert not any(p.counterexample for p in classified)
+
+
 # -- covering pullback ---------------------------------------------------------------
 
 
