@@ -3,7 +3,8 @@
 Subcommands wrap the library modules one-to-one and emit either a
 human-readable text report or deterministic JSON (choose with --format or
 the TAUTCALC_FORMAT environment variable).  Exit codes: 0 when every check
-in the report passes, 1 when some check fails, 2 for bad input.
+in the report passes, 1 when some check fails, 2 for bad input.  Bad input
+is reported in one line; for an input file it names the field path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ EXIT_INPUT_ERROR = 2
 def _default_format() -> str:
     fmt = os.environ.get("TAUTCALC_FORMAT", "text")
     return fmt if fmt in ("text", "json") else "text"
+
+
+def _load(path, root: str, parse):
+    """parse(doc, root) of the JSON file at path; a file that cannot be read
+    or decoded raises ValueError prefixed with root."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{root}: {exc}") from None
+    return parse(doc, root)
 
 
 def _emit(report: dict, args) -> int:
@@ -93,8 +105,7 @@ def cmd_vmatrix(args) -> int:
 
 def cmd_candidates(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = jsonio.norm_spec_from_json(json.load(fh), "spec")
+        spec = _load(args.spec, "spec", jsonio.norm_spec_from_json)
     else:
         spec = polytope.NormSpec.surgery_family(args.genus)
     ball, dual, classified = polytope.candidate_points(spec, args.genus)
@@ -121,19 +132,9 @@ def cmd_candidates(args) -> int:
     return _emit(report, args)
 
 
-def _bundled_fixture(name: str) -> str:
-    return resources.files("tautcalc").joinpath("data",name).read_text(encoding="utf-8")
-
-
 def cmd_penner(args) -> int:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    else:
-        raw = _bundled_fixture("genus3_curve_system.json")
-    doc = json.loads(raw)
-    system = jsonio.curve_system_from_json(doc, "input")
-    word = jsonio.word_from_json(doc.get("word", []), "input.word")
+    path = args.input or resources.files("tautcalc").joinpath("data", "genus3_curve_system.json")
+    system, word = _load(path, "input", jsonio.penner_input_from_json)
     report_obj = penner.validate_word(word, system)
     action = homology.word_action(word, system.generator_map())
     b2 = homology.mapping_torus_b2(action)
@@ -178,9 +179,7 @@ def cmd_sutured(args) -> int:
             "checks": [],
         }
     elif args.sutured_command == "pairing":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        tangencies = jsonio.tangencies_from_json(doc, "input")
+        tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
         pairing = sutured.euler_pairing(tangencies)
         chi = sutured.poincare_hopf_chi(tangencies)
         report = {
@@ -207,15 +206,14 @@ def cmd_holonomy(args) -> int:
     if args.u or args.v:
         if not (args.u and args.v):
             raise ValueError("provide both --u and --v, or neither")
-        with open(args.u, "r", encoding="utf-8") as fh:
-            u = jsonio.pl_from_json(json.load(fh), "u")
-        with open(args.v, "r", encoding="utf-8") as fh:
-            v = jsonio.pl_from_json(json.load(fh), "v")
+        u = _load(args.u, "u", jsonio.pl_from_json)
+        v = _load(args.v, "v", jsonio.pl_from_json)
     else:
         u, v = holonomy.bundled_shifts()
-    tiles = max(8, args.tiles)
-    per_tile = max(1, -(-args.samples // (2 * tiles)))
-    _, witness = holonomy.solve_conjugacy(u, v, args.case, tiles, per_tile)
+    # Enough points per tile for --samples points in all.  solve_conjugacy
+    # rejects --tiles < 1 itself; the guard only keeps 0 out of the division.
+    per_tile = -(-args.samples // (2 * args.tiles)) if args.tiles else 0
+    _, witness = holonomy.solve_conjugacy(u, v, args.case, args.tiles, per_tile)
     report = {
         "command": "holonomy tau",
         "case": witness.case,
@@ -293,22 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args, parser: argparse.ArgumentParser):
-    if args.command == "vmatrix" and args.genus < 6:
-        parser.error("vmatrix requires --genus >= 6")
-    if args.command == "candidates" and args.genus < 3:
-        parser.error("candidates requires --genus >= 3")
-    if args.command == "sutured" and args.sutured_command == "core-disk" and args.wraps < 1:
-        parser.error("core-disk requires --wraps >= 1")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -393,7 +393,7 @@ def solve_conjugacy(
         raise ValueError(f"case must be one of {', '.join(_CASES)}")
     for name, m in (("u", u), ("v", v)):
         if m.domain != (Fraction(-1), Fraction(1)):
-            raise ValueError(f"{name} must be a homeomorphism of [-1, 1]")
+            raise ValueError(f"{name}: must be a homeomorphism of [-1, 1]")
 
     ident = PLHomeo.identity()
     uses_u = case in "abce"

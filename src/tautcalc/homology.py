@@ -152,6 +152,8 @@ class TwistGenerator:
     family: Family
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError("label must be a string")
         if not self.cls.is_zero and not self.cls.is_primitive:
             raise ValueError(
                 f"curve {self.label!r}: class must be primitive or zero, got {self.cls.coords}"

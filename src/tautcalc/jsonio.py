@@ -2,14 +2,16 @@
 
 All integers and rationals travel as decimal strings ("p/q" for
 non-integral rationals) so consumers never lose precision; matrices are
-row-major arrays of such strings.  Parsers raise ValueError with a field
-path so the CLI can report where an input file went wrong.
+row-major arrays of such strings.  Parsers check only the JSON shape; the
+domain types check everything else.  Either way a parser raises ValueError
+prefixed with the field path, so the CLI can report where an input file
+went wrong.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
@@ -76,6 +78,14 @@ def _get(mapping: Mapping, key: str, field: str) -> Any:
     return mapping[key]
 
 
+def _build(field: str, make: Callable, *args):
+    """make(*args), with a domain type's ValueError prefixed by the field path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 # -- matrices ------------------------------------------------------------------
 
 
@@ -85,11 +95,13 @@ def matrix_to_json(m: IntMatrix) -> List[List[str]]:
 
 def matrix_from_json(data: Any, field: str = "matrix") -> IntMatrix:
     rows = _expect_list(data, field)
-    return IntMatrix(
+    return _build(
+        field,
+        IntMatrix,
         [
             [parse_int(e, f"{field}[{i}][{j}]") for j, e in enumerate(_expect_list(row, f"{field}[{i}]"))]
             for i, row in enumerate(rows)
-        ]
+        ],
     )
 
 
@@ -120,23 +132,23 @@ def word_to_json(word: TwistWord) -> List[dict]:
 def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
     obj = _expect_map(data, field)
     genus = parse_int(_get(obj, "genus", field), f"{field}.genus")
-    space = SymplecticSpace(genus)
+    space = _build(f"{field}.genus", SymplecticSpace, genus)
     curves = []
     for i, entry in enumerate(_expect_list(_get(obj, "curves", field), f"{field}.curves")):
-        e = _expect_map(entry, f"{field}.curves[{i}]")
-        label = _get(e, "label", f"{field}.curves[{i}]")
-        if not isinstance(label, str):
-            raise ValueError(f"{field}.curves[{i}].label: expected a string")
+        at = f"{field}.curves[{i}]"
+        e = _expect_map(entry, at)
+        label = _get(e, "label", at)
         coords = [
-            parse_int(x, f"{field}.curves[{i}].coords[{j}]")
-            for j, x in enumerate(_expect_list(_get(e, "coords", f"{field}.curves[{i}]"), f"{field}.curves[{i}].coords"))
+            parse_int(x, f"{at}.coords[{j}]")
+            for j, x in enumerate(_expect_list(_get(e, "coords", at), f"{at}.coords"))
         ]
-        family_raw = _get(e, "family", f"{field}.curves[{i}]")
+        family_raw = _get(e, "family", at)
         try:
             family = Family(family_raw)
         except ValueError:
-            raise ValueError(f"{field}.curves[{i}].family: expected 'A' or 'B'") from None
-        curves.append(TwistGenerator(label, space.cls(coords), family))
+            raise ValueError(f"{at}.family: expected 'A' or 'B'") from None
+        cls = _build(f"{at}.coords", space.cls, coords)
+        curves.append(_build(at, TwistGenerator, label, cls, family))
     tri = _expect_list(_get(obj, "geo_int", field), f"{field}.geo_int")
     n = len(curves)
     if len(tri) != n:
@@ -152,68 +164,29 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
     if "regions" in obj:
         regions = []
         for i, entry in enumerate(_expect_list(obj["regions"], f"{field}.regions")):
-            e = _expect_map(entry, f"{field}.regions[{i}]")
-            disk = _get(e, "disk", f"{field}.regions[{i}]")
-            if not isinstance(disk, bool):
-                raise ValueError(f"{field}.regions[{i}].disk: expected a boolean")
-            regions.append(Region(disk, e.get("label", "")))
+            at = f"{field}.regions[{i}]"
+            e = _expect_map(entry, at)
+            regions.append(_build(at, Region, _get(e, "disk", at), e.get("label", "")))
         regions = tuple(regions)
-    return CurveSystem(genus, tuple(curves), tuple(tuple(r) for r in geo), regions)
-
-
-def twist_setup_to_json(gens: Sequence[TwistGenerator], word: TwistWord) -> dict:
-    """Bare twist setup: genus, generators and a word, without intersection data."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    return {
-        "genus": gens[0].cls.space.genus,
-        "generators": [
-            {"label": g.label, "coords": [fmt_int(x) for x in g.cls.coords], "family": g.family.value}
-            for g in gens
-        ],
-        "word": word_to_json(word),
-    }
-
-
-def twist_setup_from_json(data: Any, field: str = "setup") -> Tuple[SymplecticSpace, dict, TwistWord]:
-    obj = _expect_map(data, field)
-    genus = parse_int(_get(obj, "genus", field), f"{field}.genus")
-    space = SymplecticSpace(genus)
-    gens = {}
-    for i, entry in enumerate(_expect_list(_get(obj, "generators", field), f"{field}.generators")):
-        e = _expect_map(entry, f"{field}.generators[{i}]")
-        label = _get(e, "label", f"{field}.generators[{i}]")
-        if not isinstance(label, str):
-            raise ValueError(f"{field}.generators[{i}].label: expected a string")
-        coords = [
-            parse_int(x, f"{field}.generators[{i}].coords[{j}]")
-            for j, x in enumerate(
-                _expect_list(_get(e, "coords", f"{field}.generators[{i}]"), f"{field}.generators[{i}].coords")
-            )
-        ]
-        try:
-            family = Family(_get(e, "family", f"{field}.generators[{i}]"))
-        except ValueError:
-            raise ValueError(f"{field}.generators[{i}].family: expected 'A' or 'B'") from None
-        if label in gens:
-            raise ValueError(f"{field}.generators[{i}]: duplicate label {label!r}")
-        gens[label] = TwistGenerator(label, space.cls(coords), family)
-    word = word_from_json(_get(obj, "word", field), f"{field}.word")
-    return space, gens, word
+    return _build(field, CurveSystem, genus, tuple(curves), tuple(tuple(r) for r in geo), regions)
 
 
 def word_from_json(data: Any, field: str = "word") -> TwistWord:
     letters = []
     for i, entry in enumerate(_expect_list(data, field)):
-        e = _expect_map(entry, f"{field}[{i}]")
-        label = _get(e, "label", f"{field}[{i}]")
-        if not isinstance(label, str):
-            raise ValueError(f"{field}[{i}].label: expected a string")
-        exp = parse_int(_get(e, "exp", f"{field}[{i}]"), f"{field}[{i}].exp")
-        if exp == 0:
-            raise ValueError(f"{field}[{i}].exp: must be nonzero")
-        letters.append((label, exp))
-    return TwistWord(tuple(letters))
+        at = f"{field}[{i}]"
+        e = _expect_map(entry, at)
+        letters.append((_get(e, "label", at), parse_int(_get(e, "exp", at), f"{at}.exp")))
+    return _build(field, TwistWord, tuple(letters))
+
+
+def penner_input_from_json(data: Any, field: str = "input") -> Tuple[CurveSystem, TwistWord]:
+    """The penner document: a curve system plus the word over its labels."""
+    system = curve_system_from_json(data, field)
+    word = word_from_json(_get(data, "word", field), f"{field}.word")
+    for i, (label, _) in enumerate(word):
+        _build(f"{field}.word[{i}]", system.index_of, label)
+    return system, word
 
 
 def penner_report_to_json(report: PennerReport) -> dict:
@@ -254,12 +227,11 @@ def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
     chi_raw = _expect_list(_get(obj, "chi", field), f"{field}.chi")
     if len(chi_raw) != 2:
         raise ValueError(f"{field}.chi: expected two entries")
-    return NormSpec(
-        x_f=parse_frac(_get(obj, "x_f", field), f"{field}.x_f"),
-        x_s=parse_frac(_get(obj, "x_s", field), f"{field}.x_s"),
-        x_sum=parse_frac(_get(obj, "x_sum", field), f"{field}.x_sum"),
-        x_diff=parse_frac(_get(obj, "x_diff", field), f"{field}.x_diff"),
-        chi=(parse_int(chi_raw[0], f"{field}.chi[0]"), parse_int(chi_raw[1], f"{field}.chi[1]")),
+    return _build(
+        field,
+        NormSpec,
+        *(parse_frac(_get(obj, k, field), f"{field}.{k}") for k in ("x_f", "x_s", "x_sum", "x_diff")),
+        (parse_int(chi_raw[0], f"{field}.chi[0]"), parse_int(chi_raw[1], f"{field}.chi[1]")),
     )
 
 
@@ -279,16 +251,14 @@ def candidate_to_json(p: CandidatePoint) -> dict:
 def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]:
     out = []
     for i, entry in enumerate(_expect_list(data, field)):
-        e = _expect_map(entry, f"{field}[{i}]")
-        kind_raw = _get(e, "kind", f"{field}[{i}]")
+        at = f"{field}[{i}]"
+        e = _expect_map(entry, at)
+        kind_raw = _get(e, "kind", at)
         try:
             kind = TangencyKind(kind_raw)
         except ValueError:
-            raise ValueError(f"{field}[{i}].kind: expected 'saddle' or 'center'") from None
-        sign = parse_int(_get(e, "sign", f"{field}[{i}]"), f"{field}[{i}].sign")
-        if sign not in (1, -1):
-            raise ValueError(f"{field}[{i}].sign: expected +1 or -1")
-        out.append(Tangency(kind, sign))
+            raise ValueError(f"{at}.kind: expected 'saddle' or 'center'") from None
+        out.append(_build(at, Tangency, kind, parse_int(_get(e, "sign", at), f"{at}.sign")))
     return out
 
 
@@ -335,4 +305,4 @@ def pl_from_json(data: Any, field: str = "map"):
         parse_frac(v, f"{field}.values[{i}]")
         for i, v in enumerate(_expect_list(_get(obj, "values", field), f"{field}.values"))
     ]
-    return PLHomeo(bps, vals)
+    return _build(field, PLHomeo, bps, vals)

@@ -30,6 +30,12 @@ class Region:
     disk: bool
     label: str = ""
 
+    def __post_init__(self):
+        if not isinstance(self.disk, bool):
+            raise ValueError("disk must be a boolean")
+        if not isinstance(self.label, str):
+            raise ValueError("label must be a string")
+
 
 @dataclass(frozen=True)
 class CurveSystem:
@@ -48,6 +54,8 @@ class CurveSystem:
 
     def __post_init__(self):
         n = len(self.curves)
+        if n == 0:
+            raise ValueError("need at least one curve")
         if len(self.geo_int) != n or any(len(row) != n for row in self.geo_int):
             raise ValueError("geo_int must be square of size len(curves)")
         for i in range(n):

@@ -93,12 +93,12 @@ class RatPolytope:
         )
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "halfspaces", halfspaces)
-        self._cross_validate()
+        self._check_representations()
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPolytope is immutable")
 
-    def _cross_validate(self):
+    def _check_representations(self):
         # every vertex satisfies every halfspace, with equality on exactly two
         for v in self.vertices:
             tight = 0
@@ -179,7 +179,8 @@ class NormSpec:
     """Norm data on the rank-two lattice spanned by F and S.
 
     Values are the norms of F, S, S+F and S-F; chi records the Euler
-    characteristics (chi(F), chi(S)) used by the parity filter.
+    characteristics (chi(F), chi(S)) used by the parity filter.  Values
+    that no norm takes and odd chi entries are rejected on construction.
     """
 
     x_f: Fraction
@@ -199,6 +200,9 @@ class NormSpec:
         cf, cs = self.chi
         if isinstance(cf, bool) or isinstance(cs, bool) or not isinstance(cf, int) or not isinstance(cs, int):
             raise ValueError("chi entries must be integers")
+        # The ball and the parity filter own these two rules.
+        norm_ball_from_values(self)
+        parity_filter((), self.chi)
 
     @classmethod
     def surgery_family(cls, genus: int) -> "NormSpec":

@@ -16,6 +16,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _bundled_penner_doc():
+    from importlib import resources
+
+    return json.loads(resources.files("tautcalc").joinpath("data", "genus3_curve_system.json").read_text())
+
+
 def test_vmatrix_pass(capsys):
     code, doc = run_json(capsys, "vmatrix", "--genus", "6")
     assert code == 0
@@ -31,9 +37,9 @@ def test_vmatrix_json_genus12(capsys):
 
 
 def test_vmatrix_small_genus_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["vmatrix", "--genus", "5"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "vmatrix", "--genus", "5")
+    assert code == 2
+    assert err == "error: extension is defined for genus >= 6\n"
 
 
 def test_candidates_genus3(capsys):
@@ -72,9 +78,12 @@ def test_candidates_spec_outside_family_passes(tmp_path, capsys):
 
 
 def test_candidates_genus_bound(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["candidates", "--genus", "2"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "candidates", "--genus", "1")
+    assert code == 2
+    assert err == "error: genus must be an integer >= 2\n"
+    code, doc = run_json(capsys, "candidates", "--genus", "2")
+    assert code == 0
+    assert doc["status"] == "PASS"
 
 
 def test_penner_bundled_fixture(capsys):
@@ -86,11 +95,7 @@ def test_penner_bundled_fixture(capsys):
 
 
 def test_penner_invalid_word_fails_checks(tmp_path, capsys):
-    from importlib import resources
-
-    doc = json.loads(
-        resources.files("tautcalc").joinpath("data","genus3_curve_system.json").read_text()
-    )
+    doc = _bundled_penner_doc()
     doc["word"] = [e for e in doc["word"] if e["label"] != "b1"]
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc))
@@ -104,6 +109,39 @@ def test_penner_malformed_json(tmp_path, capsys):
     code, out, err = run(capsys, "penner", "--input", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_penner_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "penner", "--input", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: input: ")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("word"), "error: input: missing key 'word'\n"),
+        (
+            lambda doc: doc["word"][2].update(label="z9"),
+            "error: input.word[2]: unknown curve label 'z9'\n",
+        ),
+        (
+            lambda doc: doc["curves"][1].update(coords=["0", "2", "0", "0", "0", "0"]),
+            "error: input.curves[1]: curve 'b1': class must be primitive or zero, got (0, 2, 0, 0, 0, 0)\n",
+        ),
+    ],
+)
+def test_penner_error_names_field(tmp_path, capsys, edit, message):
+    doc = _bundled_penner_doc()
+    edit(doc)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "penner", "--input", str(path))
+    assert code == 2
+    assert err == message
 
 
 def test_penner_missing_field_diagnostic(tmp_path, capsys):
@@ -159,6 +197,20 @@ def test_holonomy_tau(capsys):
     assert doc["status"] == "PASS"
     assert len(doc["samples"]) >= 64
     assert all(s["pass"] for s in doc["samples"])
+
+
+def test_holonomy_tiles_used_as_given(capsys):
+    code, doc = run_json(capsys, "holonomy", "tau", "--case", "a", "--tiles", "3", "--samples", "4")
+    assert code == 0
+    assert doc["tiles_per_side"] == 3
+    assert len(doc["samples"]) == 3 + 2 * 3
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--tiles"])
+def test_holonomy_rejects_zero_count(capsys, flag):
+    code, out, err = run(capsys, "holonomy", "tau", "--case", "a", flag, "0")
+    assert code == 2
+    assert err == "error: need at least one tile and one point per tile\n"
 
 
 def test_holonomy_custom_maps(tmp_path, capsys):

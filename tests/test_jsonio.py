@@ -47,29 +47,6 @@ def test_curve_system_roundtrip():
         )
 
 
-def test_twist_setup_roundtrip():
-    system, word = genus3_system()
-    doc = jsonio.twist_setup_to_json(system.curves, word)
-    assert set(doc) == {"genus", "generators", "word"}
-    space, gens, back_word = jsonio.twist_setup_from_json(doc)
-    assert space.genus == 3
-    assert set(gens) == {c.label for c in system.curves}
-    assert back_word == word
-
-
-def test_twist_setup_diagnostics():
-    with pytest.raises(ValueError, match="generators"):
-        jsonio.twist_setup_from_json({"genus": 2, "word": []})
-    with pytest.raises(ValueError, match=r"generators\[0\].family"):
-        jsonio.twist_setup_from_json(
-            {
-                "genus": 2,
-                "generators": [{"label": "a", "coords": ["1", "0", "0", "0"], "family": "Z"}],
-                "word": [],
-            }
-        )
-
-
 def test_norm_spec_roundtrip():
     spec = NormSpec.surgery_family(4)
     doc = jsonio.norm_spec_to_json(spec)

@@ -179,6 +179,18 @@ def test_geo_int_validation():
         CurveSystem(2, curves, ((0, 1), (2, 0)))  # not symmetric
 
 
+def test_field_types_validated():
+    space = SymplecticSpace(2)
+    with pytest.raises(ValueError, match="label must be a string"):
+        Region(True, 5)
+    with pytest.raises(ValueError, match="disk must be a boolean"):
+        Region(1)
+    with pytest.raises(ValueError, match="label must be a string"):
+        TwistGenerator(5, space.basis_r(1), Family.A)
+    with pytest.raises(ValueError, match="at least one curve"):
+        CurveSystem(2, (), ())
+
+
 # -- bundled systems -------------------------------------------------------------
 
 

@@ -182,6 +182,8 @@ def test_norm_spec_validation():
         NormSpec(0, 1, 1, 1, chi=(-2, -2))
     with pytest.raises(ValueError):
         NormSpec(1, 1, 1, 1, chi=(-2, 0.5))
+    with pytest.raises(ValueError, match="even"):
+        NormSpec(1, 1, 1, 1, chi=(-2, -3))
 
 
 # -- dual norm ------------------------------------------------------------------------

@@ -1,0 +1,285 @@
+"""Property tests: every JSON schema round-trips, and every malformed input
+file ends in exit 2 with one error line that names its field path."""
+
+import contextlib
+import copy
+import io
+import itertools
+import json
+import re
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from tautcalc import jsonio
+from tautcalc.cli import main
+from tautcalc.holonomy import PLHomeo, bundled_shifts
+from tautcalc.homology import Family, SymplecticSpace, TwistGenerator, TwistWord
+from tautcalc.matrices import IntMatrix
+from tautcalc.penner import CurveSystem, Region
+from tautcalc.polytope import NormSpec
+from tautcalc.sutured import Tangency, TangencyKind
+
+PROPS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+# -- valid domain objects ------------------------------------------------------------
+
+
+@st.composite
+def penner_inputs(draw):
+    """A curve system of genus 1..3 with up to five curves, and a word over it."""
+    genus = draw(st.integers(1, 3))
+    space = SymplecticSpace(genus)
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    curves = []
+    for label in labels:
+        coords = draw(st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus))
+        g = gcd(*coords) or 1
+        curves.append(TwistGenerator(label, space.cls([c // g for c in coords]), draw(st.sampled_from(Family))))
+    geo = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if curves[i].family != curves[j].family:
+            geo[i][j] = geo[j][i] = draw(st.integers(0, 3))
+    regions = draw(st.none() | st.lists(st.builds(Region, st.booleans(), st.text(max_size=3)), max_size=3).map(tuple))
+    letters = st.tuples(st.sampled_from(labels), st.integers(-3, 3).filter(bool))
+    word = TwistWord(tuple(draw(st.lists(letters, max_size=6))))
+    return CurveSystem(genus, tuple(curves), tuple(map(tuple, geo)), regions), word
+
+
+@st.composite
+def norm_specs(draw):
+    """Values of the norm max_k |<w_k, v>| for spanning integer functionals
+    w_k, scaled by a positive rational, with even chi."""
+    ws = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=4))
+    assume(any(a * d - b * c for (a, b), (c, d) in itertools.combinations(ws, 2)))
+    scale = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=5))
+
+    def x(v):
+        return scale * max(abs(a * v[0] + b * v[1]) for a, b in ws)
+
+    chi = (2 * draw(st.integers(-5, 1)), 2 * draw(st.integers(-5, 1)))
+    return NormSpec(x((1, 0)), x((0, 1)), x((1, 1)), x((-1, 1)), chi)
+
+
+tangency_lists = st.lists(
+    st.builds(Tangency, st.sampled_from(TangencyKind), st.sampled_from((1, -1))), max_size=8
+)
+
+
+@st.composite
+def pl_maps(draw):
+    k = draw(st.integers(0, 4))
+    interior = st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda q: abs(q) < 1)
+    bps = sorted(draw(st.sets(interior, min_size=k, max_size=k)))
+    vals = sorted(draw(st.sets(interior, min_size=k, max_size=k)))
+    return PLHomeo([-1, *bps, 1], [-1, *vals, 1])
+
+
+matrices = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(st.integers(), min_size=w, max_size=w), min_size=1, max_size=4)
+).map(IntMatrix)
+
+
+# -- round trips ---------------------------------------------------------------------
+
+
+def _through_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+def penner_doc(pair):
+    system, word = pair
+    return {**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)}
+
+
+@PROPS
+@given(penner_inputs())
+def test_penner_input_roundtrip(pair):
+    doc = _through_text(penner_doc(pair))
+    assert jsonio.penner_input_from_json(doc) == pair
+    assert jsonio.curve_system_from_json(doc) == pair[0]
+    assert jsonio.word_from_json(doc["word"]) == pair[1]
+
+
+@PROPS
+@given(matrices)
+def test_matrix_roundtrip(m):
+    assert jsonio.matrix_from_json(_through_text(jsonio.matrix_to_json(m))) == m
+
+
+@PROPS
+@given(norm_specs())
+def test_norm_spec_roundtrip(spec):
+    assert jsonio.norm_spec_from_json(_through_text(jsonio.norm_spec_to_json(spec))) == spec
+
+
+@PROPS
+@given(tangency_lists)
+def test_tangencies_roundtrip(ts):
+    assert jsonio.tangencies_from_json(_through_text(jsonio.tangencies_to_json(ts))) == ts
+
+
+@PROPS
+@given(pl_maps())
+def test_pl_roundtrip(f):
+    assert jsonio.pl_from_json(_through_text(jsonio.pl_to_json(f))) == f
+
+
+# -- malformed files -----------------------------------------------------------------
+#
+# Each corruption below makes any valid document invalid, so every fuzzed
+# file must be rejected.
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _nodes(v, path + (i,))
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for p in path[:-1]:
+        parent = parent[p]
+    parent[path[-1]] = value
+    return doc
+
+
+def _optional(path):
+    return path == ("regions",) or (len(path) == 3 and path[0] == "regions" and path[2] == "label")
+
+
+def _penner_semantic(doc):
+    labels = [c["label"] for c in doc["curves"]]
+    fresh = "?" + "".join(labels)
+    n = len(labels)
+    bad = [
+        ("genus", "0"),
+        ("genus", str(doc["genus"] + 1)),
+        ("curves", [{**doc["curves"][0], "family": "C"}] + doc["curves"][1:]),
+        ("curves", [{**doc["curves"][0], "coords": ["2"] + ["0"] * (len(doc["curves"][0]["coords"]) - 1)}]
+         + doc["curves"][1:]),
+        ("word", doc["word"] + [{"label": fresh, "exp": 1}]),
+        ("word", doc["word"] + [{"label": labels[0], "exp": 0}]),
+        ("regions", [{"disk": "yes"}]),
+    ]
+    if n >= 2:
+        bad.append(("curves", [doc["curves"][0], {**doc["curves"][1], "label": labels[0]}] + doc["curves"][2:]))
+        bad.append(("geo_int", doc["geo_int"][:1] + [["-1"]] + doc["geo_int"][2:]))
+    return [{**doc, key: value} for key, value in bad]
+
+
+def _spec_semantic(doc):
+    xs = {k: Fraction(doc[k]) for k in ("x_f", "x_s", "x_sum", "x_diff")}
+    bad = [
+        ("x_f", "-2"),
+        ("x_s", "0"),
+        ("x_s", "1/0"),
+        ("x_sum", jsonio.fmt_frac(xs["x_s"] + xs["x_f"] + 1)),
+        ("x_s", jsonio.fmt_frac(xs["x_sum"] + xs["x_diff"])),  # (0, 1/x_s) inside the ball
+        ("chi", doc["chi"][:1]),
+        ("chi", [str(int(doc["chi"][0]) + 1), doc["chi"][1]]),
+    ]
+    return [{**doc, key: value} for key, value in bad]
+
+
+def _tangency_semantic(doc):
+    return [doc + [bad] for bad in ({"kind": "node", "sign": 1}, {"kind": "saddle", "sign": 0},
+                                    {"kind": "center", "sign": "2"})]
+
+
+def _pl_semantic(doc):
+    bps, vals = doc["breakpoints"], doc["values"]
+
+    def shift(qs):
+        return [jsonio.fmt_frac(Fraction(q) + 1) for q in qs]
+
+    return [
+        {**doc, "breakpoints": ["0"] + bps[1:]},
+        {**doc, "values": [vals[0], "2"] + vals[2:]},
+        {**doc, "values": vals[:-1]},
+        {"breakpoints": shift(bps), "values": shift(vals)},  # a map of [0, 2]
+    ]
+
+
+@st.composite
+def corrupted(draw, valid_docs, semantic):
+    """Text of a valid document broken by one seeded corruption."""
+    doc = draw(valid_docs)
+    op = draw(st.sampled_from(("truncate", "drop", "junk", "nest", "semantic")))
+    if op == "truncate":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if op == "nest":
+        depth = draw(st.integers(1, 3000))
+        return "[" * depth + json.dumps(doc) + "]" * depth
+    nodes = list(_nodes(doc))
+    if op == "drop":
+        keys = [p for p, _ in nodes if p and isinstance(p[-1], str) and not _optional(p)]
+        if keys:
+            path = draw(st.sampled_from(keys))
+            parent = {k: v for k, v in dict(nodes)[path[:-1]].items() if k != path[-1]}
+            return json.dumps(_set(doc, path[:-1], parent))
+    if op == "semantic":
+        return json.dumps(draw(st.sampled_from(semantic(doc))))
+    path = draw(st.sampled_from([p for p, _ in nodes]))
+    return json.dumps(_set(doc, path, draw(st.sampled_from((0.5, None, {})))))
+
+
+ERROR_LINE = re.compile(r"^error: (input|spec|u|v)[.\[:]")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "good.json").write_text(json.dumps(jsonio.pl_to_json(bundled_shifts()[0])))
+    return path
+
+
+def _rejects(workdir, text, argv):
+    (workdir / "bad.json").write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(workdir / a) if a.endswith(".json") else a for a in argv])
+    lines = err.getvalue().splitlines()
+    assert (code, out.getvalue()) == (2, ""), text
+    assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (lines, text)
+
+
+FUZZ = settings(PROPS, max_examples=120)
+
+
+@FUZZ
+@given(corrupted(penner_inputs().map(penner_doc), _penner_semantic))
+def test_malformed_penner_file(workdir, text):
+    _rejects(workdir, text, ["penner", "--input", "bad.json"])
+
+
+@FUZZ
+@given(corrupted(norm_specs().map(jsonio.norm_spec_to_json), _spec_semantic))
+def test_malformed_spec_file(workdir, text):
+    _rejects(workdir, text, ["candidates", "--genus", "3", "--spec", "bad.json"])
+
+
+@FUZZ
+@given(corrupted(tangency_lists.map(jsonio.tangencies_to_json), _tangency_semantic))
+def test_malformed_tangency_file(workdir, text):
+    _rejects(workdir, text, ["sutured", "pairing", "--input", "bad.json"])
+
+
+@FUZZ
+@given(corrupted(pl_maps().map(jsonio.pl_to_json), _pl_semantic), st.booleans())
+def test_malformed_pl_file(workdir, text, bad_is_u):
+    u, v = ("bad.json", "good.json") if bad_is_u else ("good.json", "bad.json")
+    _rejects(workdir, text, ["holonomy", "tau", "--case", "a", "--u", u, "--v", v])
