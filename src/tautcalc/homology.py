@@ -40,7 +40,7 @@ class SymplecticSpace:
     genus: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 1:
+        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
             raise ValueError("genus must be a positive integer")
 
     @property
@@ -51,7 +51,7 @@ class SymplecticSpace:
         return _intersection_matrix(self.genus)
 
     def cls(self, coords: Sequence[int]) -> "HomologyClass":
-        return HomologyClass(self, tuple(int(c) for c in coords))
+        return HomologyClass(self, tuple(coords))
 
     def zero(self) -> "HomologyClass":
         return self.cls([0] * self.dimension)
@@ -256,7 +256,8 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
 def mapping_torus_b2(f_star: IntMatrix) -> int:
     """Rank of H_2 of the mapping torus of a map acting as f_star on H_1.
 
-    Equals 1 + dim ker(f_star - Id), computed exactly over the rationals.
+    Equals 1 + dim ker(f_star - Id).  The rank of f_star - Id comes from the
+    same fraction-free elimination as its determinant, so it is exact.
     """
     if not f_star.is_square:
         raise ValueError("matrix must be square")

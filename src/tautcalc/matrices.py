@@ -2,13 +2,12 @@
 
 Everything downstream (twist actions, determinant tests, Betti numbers)
 needs exact answers, so all arithmetic here is arbitrary-precision integer
-or rational.  Determinants use fraction-free (Bareiss) elimination; ranks
-are computed over the rationals.  No floating point anywhere.
+or rational.  One fraction-free (Bareiss) elimination gives both the rank
+and the determinant.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -110,20 +109,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
-    def pow(self, k: int) -> "IntMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative powers are not defined for integer matrices")
-        result = IntMatrix.identity(self.n_rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def minus_identity(self) -> "IntMatrix":
         if not self.is_square:
             raise ValueError("matrix must be square")
@@ -131,54 +116,51 @@ class IntMatrix:
 
     # -- exact linear algebra ----------------------------------------------
 
+    def _echelon(self) -> tuple:
+        """Bareiss (fraction-free) row echelon pass over a copy of the rows.
+
+        Returns (rank, sign, pivot): the rank, the sign of the row swaps and
+        the last pivot.  Columns without a pivot are skipped.  Every entry
+        below the pivot rows stays a minor of the input, so each division is
+        exact, and for a square matrix of full rank sign * pivot is the
+        determinant.
+        """
+        m = [list(row) for row in self.rows]
+        n_rows, n_cols = len(m), len(m[0])
+        rank = 0
+        sign = 1
+        prev = 1
+        for c in range(n_cols):
+            p = next((r for r in range(rank, n_rows) if m[r][c] != 0), None)
+            if p is None:
+                continue
+            if p != rank:
+                m[rank], m[p] = m[p], m[rank]
+                sign = -sign
+            row_k = m[rank]
+            pivot = row_k[c]
+            for i in range(rank + 1, n_rows):
+                row_i = m[i]
+                mic = row_i[c]
+                for j in range(c + 1, n_cols):
+                    row_i[j] = (row_i[j] * pivot - mic * row_k[j]) // prev
+                row_i[c] = 0
+            prev = pivot
+            rank += 1
+            if rank == n_rows:
+                break
+        return rank, sign, prev
+
     def det(self) -> int:
         """Exact determinant by fraction-free elimination."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.rows]
-        n = len(m)
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-                row_i[k] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
+        rank, sign, pivot = self._echelon()
+        return sign * pivot if rank == self.n_rows else 0
 
     def rank(self) -> int:
-        """Rank over the rationals."""
-        m = [[Fraction(e) for e in row] for row in self.rows]
-        n_rows, n_cols = len(m), len(m[0])
-        rank = 0
-        for c in range(n_cols):
-            pivot = next((r for r in range(rank, n_rows) if m[r][c] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            pv = m[rank][c]
-            m[rank] = [x / pv for x in m[rank]]
-            for r in range(n_rows):
-                if r != rank and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-            if rank == n_rows:
-                break
-        return rank
+        """Rank over the rationals, from the same elimination as det()."""
+        return self._echelon()[0]
 
     def nullity(self) -> int:
         return self.n_cols - self.rank()

@@ -67,8 +67,13 @@ class CurveSystem:
                     raise ValueError("geo_int entries must be nonnegative integers")
                 if e != self.geo_int[j][i]:
                     raise ValueError("geo_int must be symmetric")
+        space = self.space
         seen = set()
         for c in self.curves:
+            if c.cls.space != space:
+                raise ValueError(
+                    f"curve {c.label!r}: class lies in genus {c.cls.space.genus}, not {self.genus}"
+                )
             if c.label in seen:
                 raise ValueError(f"duplicate curve label {c.label!r}")
             seen.add(c.label)

@@ -19,6 +19,7 @@ from tautcalc.homology import (
     algebraic_intersection,
     fixed_homology_trivial,
     image_check,
+    mapping_torus_b2,
     transvection_matrix,
     word_action,
 )
@@ -71,6 +72,13 @@ def test_extended_matrix_determinant_law():
             system, word = extend_to_genus(genus)
             m = word_action(word, system.generator_map())
             assert abs(m.minus_identity().det()) == genus + 1
+
+
+def test_extended_mapping_torus_b2():
+    with Criterion("mapping torus of the chain-word action has b2 = 1, genus 6..40", 1.0):
+        for genus in range(6, 41):
+            system, word = extend_to_genus(genus)
+            assert mapping_torus_b2(word_action(word, system.generator_map())) == 1
 
 
 def test_genus3_matrix_fixture():

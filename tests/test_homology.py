@@ -78,6 +78,20 @@ def test_null_homologous_twist_is_identity():
     assert transvection_matrix(c, -1) == IntMatrix.identity(4)
 
 
+def test_class_coordinates_are_not_coerced():
+    space = SymplecticSpace(2)
+    for coords in ([1.5, 0, 0, True], ["3", 0, 0, 0], [1.0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            space.cls(coords)
+    assert space.cls((3, 0, -1, 0)).coords == (3, 0, -1, 0)
+
+
+def test_genus_must_be_a_positive_int():
+    for genus in (True, False, 0, -1, 2.0, "2"):
+        with pytest.raises(ValueError, match="genus must be a positive integer"):
+            SymplecticSpace(genus)
+
+
 def test_non_primitive_class_rejected():
     space = SymplecticSpace(2)
     with pytest.raises(ValueError):

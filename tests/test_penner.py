@@ -179,6 +179,16 @@ def test_geo_int_validation():
         CurveSystem(2, curves, ((0, 1), (2, 0)))  # not symmetric
 
 
+def test_curves_from_another_genus_rejected():
+    base = genus2_example()
+    with pytest.raises(ValueError, match="curve 'a1': class lies in genus 2, not 3"):
+        CurveSystem(3, base.curves, base.geo_int)
+    space = SymplecticSpace(3)
+    mixed = (TwistGenerator("r", space.basis_r(1), Family.A),) + base.curves[1:]
+    with pytest.raises(ValueError, match="curve 'b1': class lies in genus 2, not 3"):
+        CurveSystem(3, mixed, base.geo_int)
+
+
 def test_field_types_validated():
     space = SymplecticSpace(2)
     with pytest.raises(ValueError, match="label must be a string"):
