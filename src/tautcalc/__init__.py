@@ -34,13 +34,10 @@ from .polytope import (
     RatPolytope,
     Realizability,
     candidate_points,
-    classify_realizability,
     covering_pullback,
     dual_norm_value,
     integral_boundary_points,
-    locate,
     norm_ball_from_values,
-    parity_filter,
     polar_dual,
 )
 from .sutured import (

@@ -240,7 +240,7 @@ def candidate_to_json(p: CandidatePoint) -> dict:
         "coords": [fmt_int(p.coords[0]), fmt_int(p.coords[1])],
         "location": p.location.value,
         "parity_ok": p.parity_ok,
-        "realizability": p.realizability.value if p.realizability else None,
+        "realizability": p.realizability.value,
         "counterexample": p.counterexample,
     }
 

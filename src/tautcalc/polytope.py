@@ -8,17 +8,20 @@ cross-validated at construction.
 
 Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
-x(F), x(S), x(S+F), x(S-F); their polar duals are the dual-norm balls,
-and integral points of dual norm one are classified for realizability as
-Euler classes (vertices are realizable; for the genus-g surgery family
-the distinguished edge points (0, +-(2g-2)) are the known non-realizable
-candidates).
+x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
+3-manifolds", 1986); their polar duals are the dual-norm balls.  The
+integral points of dual norm one are found by walking the dual ball's
+edges, and each point whose coordinates match the Euler characteristics
+mod 2 is classified in one pass: vertices are realizable as Euler
+classes, other points are candidates, and for the genus-g surgery family
+the edge points (0, +-(2g-2)) are flagged as the known non-realizable
+ones.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional, Sequence, Tuple
@@ -120,24 +123,6 @@ class RatPolytope:
     def __repr__(self):
         return f"RatPolytope({[tuple(map(str, v)) for v in self.vertices]})"
 
-    def contains(self, p) -> bool:
-        x, y = _point(p)
-        return all(a * x + b * y <= c for (a, b), c in self.halfspaces)
-
-    def on_boundary(self, p) -> bool:
-        x, y = _point(p)
-        tight = False
-        for (a, b), c in self.halfspaces:
-            val = a * x + b * y
-            if val > c:
-                return False
-            if val == c:
-                tight = True
-        return tight
-
-    def is_vertex(self, p) -> bool:
-        return _point(p) in self.vertices
-
     @property
     def origin_interior(self) -> bool:
         return all(c > 0 for _, c in self.halfspaces)
@@ -173,14 +158,20 @@ def polar_dual(p: RatPolytope) -> RatPolytope:
 
 # -- norm balls ---------------------------------------------------------------
 
+# The dual ball lies in the box |x| <= x(F), |y| <= x(S), and a report lists
+# every integral point on its boundary, so the values are capped.
+MAX_NORM_VALUE = 4096
+
 
 @dataclass(frozen=True)
 class NormSpec:
     """Norm data on the rank-two lattice spanned by F and S.
 
-    Values are the norms of F, S, S+F and S-F; chi records the Euler
-    characteristics (chi(F), chi(S)) used by the parity filter.  Values
-    that no norm takes and odd chi entries are rejected on construction.
+    Values are the norms of F, S, S+F and S-F, each at most MAX_NORM_VALUE;
+    chi records the Euler characteristics (chi(F), chi(S)) that candidate
+    points must match mod 2.  Values that no norm takes and odd chi entries
+    (closed orientable surfaces have even Euler characteristic) are
+    rejected on construction.
     """
 
     x_f: Fraction
@@ -195,14 +186,16 @@ class NormSpec:
             object.__setattr__(self, name, v)
             if v <= 0:
                 raise ValueError(f"{name} must be positive")
+            if v > MAX_NORM_VALUE:
+                raise ValueError(f"{name} must be at most {MAX_NORM_VALUE}")
         if self.x_sum > self.x_s + self.x_f or self.x_diff > self.x_s + self.x_f:
             raise ValueError("triangle inequality violated: x(S±F) <= x(S) + x(F)")
         cf, cs = self.chi
         if isinstance(cf, bool) or isinstance(cs, bool) or not isinstance(cf, int) or not isinstance(cs, int):
             raise ValueError("chi entries must be integers")
-        # The ball and the parity filter own these two rules.
-        norm_ball_from_values(self)
-        parity_filter((), self.chi)
+        norm_ball_from_values(self)  # the ball owns the rule that a norm takes these values
+        if cf % 2 or cs % 2:
+            raise ValueError("chi entries must be even")
 
     @classmethod
     def surgery_family(cls, genus: int) -> "NormSpec":
@@ -262,22 +255,23 @@ def dual_norm_value(ball: RatPolytope, u) -> Fraction:
 
 
 class Location(enum.Enum):
-    INTERIOR = "interior"
     BOUNDARY_VERTEX = "boundary-vertex"
     BOUNDARY_NONVERTEX = "boundary-nonvertex"
-    EXTERIOR = "exterior"
 
 
 class Realizability(enum.Enum):
     REALIZABLE_VERTEX = "realizable-vertex"
     CANDIDATE = "candidate"
-    INTERIOR_UNKNOWN = "interior-unknown"
-    EXCLUDED = "excluded"
 
 
 @dataclass(frozen=True)
 class CandidatePoint:
-    """An integral cohomology point moving through the classification flow."""
+    """An integral point on the boundary of the dual ball.
+
+    `integral_boundary_points` gives the coordinates and the location;
+    `candidate_points` keeps the points that pass parity and adds the
+    realizability verdict and the counterexample flag.
+    """
 
     coords: Tuple[int, int]
     location: Location
@@ -286,78 +280,33 @@ class CandidatePoint:
     counterexample: bool = False
 
 
-def locate(dual_ball: RatPolytope, coords: Tuple[int, int]) -> CandidatePoint:
-    """Classify an integer point against the dual ball."""
-    x, y = coords
-    if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
-        raise ValueError("coords must be integers")
-    if not dual_ball.contains(coords):
-        loc = Location.EXTERIOR
-    elif dual_ball.is_vertex(coords):
-        loc = Location.BOUNDARY_VERTEX
-    elif dual_ball.on_boundary(coords):
-        loc = Location.BOUNDARY_NONVERTEX
-    else:
-        loc = Location.INTERIOR
-    return CandidatePoint((x, y), loc)
-
-
 def integral_boundary_points(dual_ball: RatPolytope) -> List[CandidatePoint]:
-    """All integer points of dual norm exactly one, i.e. on the boundary.
+    """All integer points of dual norm exactly one, sorted by (x, y).
 
-    Enumerated by an exact scan of the integer bounding box.
+    Walks each edge a*x + b*y = c between consecutive vertices, one integer
+    x per step, keeping the x where b divides c - a*x; a vertical edge
+    (b == 0) steps over integer y instead.
     """
-    x0, x1, y0, y1 = dual_ball.bounding_box()
-    out = []
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            pt = locate(dual_ball, (x, y))
-            if pt.location in (Location.BOUNDARY_VERTEX, Location.BOUNDARY_NONVERTEX):
-                out.append(pt)
-    return out
-
-
-def parity_filter(points: Sequence[CandidatePoint], chi: Tuple[int, int]) -> List[CandidatePoint]:
-    """Keep the points whose coordinates match (chi(F), chi(S)) mod 2.
-
-    chi entries must be even (closed orientable surfaces have even Euler
-    characteristic).
-    """
-    cf, cs = chi
-    if cf % 2 != 0 or cs % 2 != 0:
-        raise ValueError("chi entries must be even")
-    kept = []
-    for p in points:
-        ok = (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
-        if ok:
-            kept.append(replace(p, parity_ok=True))
-    return kept
-
-
-def classify_realizability(p: CandidatePoint, genus: int) -> CandidatePoint:
-    """Attach the realizability verdict to a located, parity-checked point.
-
-    Vertices of the dual ball that pass parity are realizable as Euler
-    classes of taut foliations.  Parity-passing boundary points that are
-    not vertices remain candidates; among them (0, +-(2g-2)) is flagged,
-    being the point that no taut foliation realizes on the surgered
-    manifolds.
-    """
-    if not isinstance(genus, int) or genus < 2:
-        raise ValueError("genus must be an integer >= 2")
-    if p.location == Location.EXTERIOR:
-        raise ValueError("point is outside the dual ball")
-    if p.parity_ok is None and p.location != Location.INTERIOR:
-        raise ValueError("run the parity filter before classifying boundary points")
-    if p.location == Location.INTERIOR:
-        return replace(p, realizability=Realizability.INTERIOR_UNKNOWN)
-    if not p.parity_ok:
-        return replace(p, realizability=Realizability.EXCLUDED)
-    if p.location == Location.BOUNDARY_VERTEX:
-        return replace(p, realizability=Realizability.REALIZABLE_VERTEX)
-    tip = 2 * genus - 2
-    flagged = p.coords in ((0, tip), (0, -tip))
-    return replace(p, realizability=Realizability.CANDIDATE, counterexample=flagged)
+    vertices = dual_ball.vertices
+    found = set()
+    for i, ((a, b), c) in enumerate(dual_ball.halfspaces):
+        p, q = vertices[i], vertices[(i + 1) % len(vertices)]
+        if b == 0:
+            x, r = divmod(c, a)
+            if r == 0:
+                lo, hi = sorted((p[1], q[1]))
+                found.update((x, y) for y in range(ceil(lo), floor(hi) + 1))
+            continue
+        lo, hi = sorted((p[0], q[0]))
+        for x in range(ceil(lo), floor(hi) + 1):
+            y, r = divmod(c - a * x, b)
+            if r == 0:
+                found.add((x, y))
+    corners = set(vertices)
+    return [
+        CandidatePoint(pt, Location.BOUNDARY_VERTEX if pt in corners else Location.BOUNDARY_NONVERTEX)
+        for pt in sorted(found)
+    ]
 
 
 def covering_pullback(x_val, degree: int) -> Fraction:
@@ -368,13 +317,27 @@ def covering_pullback(x_val, degree: int) -> Fraction:
 
 
 def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolytope, List[CandidatePoint]]:
-    """Full pipeline: ball, dual ball, and classified parity-passing
-    integral boundary points of the dual ball.  Points are flagged only
-    when the spec is the genus-g surgery family."""
+    """Ball, dual ball, and the classified integral boundary points of the
+    dual ball whose coordinates match (chi(F), chi(S)) mod 2.
+
+    Vertices are realizable as Euler classes of taut foliations; every
+    other point is a candidate.  Only when the spec is the genus-g surgery
+    family are its points (0, +-(2g-2)) flagged, being the points that no
+    taut foliation realizes on the surgered manifolds.
+    """
+    family = spec.is_surgery_family(genus)
+    tips = ((0, 2 * genus - 2), (0, 2 - 2 * genus))
     ball = norm_ball_from_values(spec)
     dual = polar_dual(ball)
-    points = parity_filter(integral_boundary_points(dual), spec.chi)
-    classified = [classify_realizability(p, genus) for p in points]
-    if not spec.is_surgery_family(genus):
-        classified = [replace(p, counterexample=False) for p in classified]
+    cf, cs = spec.chi
+    classified = []
+    for p in integral_boundary_points(dual):
+        x, y = p.coords
+        if (x - cf) % 2 or (y - cs) % 2:
+            continue
+        if p.location is Location.BOUNDARY_VERTEX:
+            classified.append(CandidatePoint(p.coords, p.location, True, Realizability.REALIZABLE_VERTEX))
+        else:
+            flagged = family and p.coords in tips
+            classified.append(CandidatePoint(p.coords, p.location, True, Realizability.CANDIDATE, flagged))
     return ball, dual, classified

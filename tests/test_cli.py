@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tautcalc.cli import main
+from tautcalc.polytope import MAX_NORM_VALUE
 
 
 def run(capsys, *argv):
@@ -84,6 +85,27 @@ def test_candidates_genus_bound(capsys):
     code, doc = run_json(capsys, "candidates", "--genus", "2")
     assert code == 0
     assert doc["status"] == "PASS"
+
+
+def test_candidates_genus_bound_with_spec(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"x_f": "2", "x_s": "4", "x_sum": "4", "x_diff": "4", "chi": ["-2", "-4"]}))
+    code, out, err = run(capsys, "candidates", "--genus", "1", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: genus must be an integer >= 2\n"
+
+
+def test_candidates_norm_value_cap(tmp_path, capsys):
+    cap = MAX_NORM_VALUE
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"x_f": "2", "x_s": str(cap + 1), "x_sum": str(cap + 1), "x_diff": str(cap + 1),
+                                "chi": ["-2", "-4"]}))
+    code, out, err = run(capsys, "candidates", "--genus", "3", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: spec: x_s must be at most {cap}\n"
+    code, out, err = run(capsys, "candidates", "--genus", str(cap // 2 + 2))
+    assert (code, out) == (2, "")
+    assert err == f"error: x_s must be at most {cap}\n"
 
 
 def test_penner_bundled_fixture(capsys):

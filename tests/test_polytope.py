@@ -1,22 +1,20 @@
 import random
 from fractions import Fraction as Fr
+from math import floor
 
 import pytest
 
 from tautcalc.polytope import (
-    CandidatePoint,
+    MAX_NORM_VALUE,
     Location,
     NormSpec,
     RatPolytope,
     Realizability,
     candidate_points,
-    classify_realizability,
     covering_pullback,
     dual_norm_value,
     integral_boundary_points,
-    locate,
     norm_ball_from_values,
-    parity_filter,
     polar_dual,
 )
 
@@ -40,6 +38,43 @@ def pl_norm_oracle(spec, p, q):
     if -p >= q:
         return (-p - q) * spec.x_f + q * spec.x_diff
     return (q + p) * spec.x_s + (-p) * spec.x_diff
+
+
+def boundary_points_by_scan(polygon):
+    """(coords, is_vertex) of every integer point on the polygon's boundary,
+    by an exact scan of the integer bounding box in (x, y) order."""
+    x0, x1, y0, y1 = polygon.bounding_box()
+    out = []
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
+            values = [a * x + b * y - c for (a, b), c in polygon.halfspaces]
+            if max(values) == 0:
+                out.append(((x, y), (x, y) in polygon.vertices))
+    return out
+
+
+def walked(polygon):
+    return [(p.coords, p.location is Location.BOUNDARY_VERTEX) for p in integral_boundary_points(polygon)]
+
+
+def random_polygon(rng):
+    """A polygon with rational vertices around a random centre, so the origin
+    may lie outside; about a third of the samples get a vertical edge."""
+    while True:
+        cx, cy = Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))
+        pts = [
+            (cx + Fr(rng.randint(-10, 10), rng.randint(1, 4)), cy + Fr(rng.randint(-10, 10), rng.randint(1, 4)))
+            for _ in range(rng.randint(3, 7))
+        ]
+        if rng.random() < 0.35:
+            x = min(p[0] for p in pts) - rng.randint(0, 2)
+            if rng.random() < 0.5:
+                x = Fr(floor(x))
+            pts += [(x, cy - rng.randint(1, 6)), (x, cy + rng.randint(1, 6))]
+        try:
+            return RatPolytope(pts)
+        except ValueError:
+            continue  # degenerate sample, try again
 
 
 def random_symmetric_polygon(rng):
@@ -78,13 +113,11 @@ def test_floats_rejected():
 
 def test_membership_and_boundary():
     square = RatPolytope([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    assert square.contains((0, 0))
-    assert square.contains((1, 0))
-    assert square.on_boundary((1, 0))
-    assert not square.on_boundary((0, 0))
-    assert not square.contains((2, 0))
-    assert square.is_vertex((1, 1))
-    assert not square.is_vertex((1, 0))
+    located = {p.coords: p.location for p in integral_boundary_points(square)}
+    assert located[(1, 0)] is Location.BOUNDARY_NONVERTEX
+    assert located[(1, 1)] is Location.BOUNDARY_VERTEX
+    assert (0, 0) not in located and (2, 0) not in located
+    assert len(located) == 8
 
 
 def test_gauge_on_square():
@@ -186,6 +219,18 @@ def test_norm_spec_validation():
         NormSpec(1, 1, 1, 1, chi=(-2, -3))
 
 
+def test_norm_values_capped():
+    cap = MAX_NORM_VALUE
+    NormSpec(cap, cap, cap, cap, chi=(-2, -2))
+    for i in range(4):
+        values = [cap, cap, cap, cap]
+        values[i] = cap + 1
+        with pytest.raises(ValueError, match=f"at most {cap}"):
+            NormSpec(*values, chi=(-2, -2))
+    with pytest.raises(ValueError, match=f"at most {cap}"):
+        NormSpec(1, Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), chi=(-2, -2))
+
+
 # -- dual norm ------------------------------------------------------------------------
 
 
@@ -215,12 +260,17 @@ def test_dual_norm_agrees_with_polar_gauge():
 
 
 def test_boundary_iff_dual_norm_one():
-    ball = norm_ball_from_values(NormSpec.surgery_family(3))
-    dual = polar_dual(ball)
-    x0, x1, y0, y1 = dual.bounding_box()
-    for x in range(x0 - 1, x1 + 2):
-        for y in range(y0 - 1, y1 + 2):
-            assert (dual_norm_value(ball, (x, y)) == 1) == dual.on_boundary((x, y))
+    for spec in (NormSpec.surgery_family(3), NormSpec(2, 3, 4, 5, chi=(-2, -2)), NormSpec(3, 4, 5, 6, chi=(0, 0))):
+        ball = norm_ball_from_values(spec)
+        dual = polar_dual(ball)
+        x0, x1, y0, y1 = dual.bounding_box()
+        norm_one = [
+            (x, y)
+            for x in range(x0 - 1, x1 + 2)
+            for y in range(y0 - 1, y1 + 2)
+            if dual_norm_value(ball, (x, y)) == 1
+        ]
+        assert [p.coords for p in integral_boundary_points(dual)] == norm_one
 
 
 # -- integral points and classification --------------------------------------------------
@@ -249,54 +299,70 @@ def test_integral_boundary_points_diamond():
     assert all(p.location is Location.BOUNDARY_VERTEX for p in pts)
 
 
+def test_walk_matches_box_scan_on_random_polygons():
+    rng = random.Random(127)
+    vertical = outside = 0
+    for _ in range(150):
+        for p in (random_polygon(rng), random_symmetric_polygon(rng)):
+            assert walked(p) == boundary_points_by_scan(p), p
+            vertical += any(b == 0 for (_, b), _ in p.halfspaces)
+            if p.origin_interior:
+                d = polar_dual(p)
+                assert walked(d) == boundary_points_by_scan(d), d
+            else:
+                outside += 1
+    assert vertical >= 30 and outside >= 30
+
+
+def test_walk_matches_box_scan_on_surgery_families():
+    for genus in range(2, 41):
+        dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(genus)))
+        assert walked(dual) == boundary_points_by_scan(dual)
+
+
 def test_genus4_tip_is_nonvertex():
-    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(4)))
-    assert locate(dual, (0, -6)).location is Location.BOUNDARY_NONVERTEX
+    _, _, classified = candidate_points(NormSpec.surgery_family(4), 4)
+    tip = {p.coords: p for p in classified}[(0, -6)]
+    assert tip.location is Location.BOUNDARY_NONVERTEX
 
 
-def test_locate_interior_and_exterior():
-    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(3)))
-    assert locate(dual, (0, 0)).location is Location.INTERIOR
-    assert locate(dual, (5, 5)).location is Location.EXTERIOR
+def test_interior_and_exterior_points_not_listed():
+    _, dual, classified = candidate_points(NormSpec.surgery_family(3), 3)
+    listed = {p.coords for p in integral_boundary_points(dual)} | {p.coords for p in classified}
+    assert (0, 0) not in listed and (5, 5) not in listed
 
 
 def test_parity_filter():
-    chi = (-2, -4)
-    keep = CandidatePoint((0, -4), Location.BOUNDARY_NONVERTEX)
-    drop = CandidatePoint((1, 4), Location.BOUNDARY_NONVERTEX)
-    kept = parity_filter([keep, drop], chi)
-    assert [p.coords for p in kept] == [(0, -4)]
-    assert kept[0].parity_ok is True
+    # (1, 4) lies on the boundary but its x does not match chi(F) = -2 mod 2
+    _, dual, classified = candidate_points(NormSpec.surgery_family(3), 3)
+    assert (1, 4) in {p.coords for p in integral_boundary_points(dual)}
+    table = {p.coords: p for p in classified}
+    assert (1, 4) not in table
+    assert table[(0, -4)].parity_ok is True
 
 
 def test_parity_filter_requires_even_chi():
-    with pytest.raises(ValueError):
-        parity_filter([], (-2, -3))
+    with pytest.raises(ValueError, match="even"):
+        NormSpec(2, 4, 6, 6, chi=(-2, -3))
 
 
 def test_parity_filter_keeps_even_points():
-    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(3)))
-    kept = parity_filter(integral_boundary_points(dual), (-2, -4))
-    assert all(x % 2 == 0 and y % 2 == 0 for x, y in (p.coords for p in kept))
-    assert len(kept) == 12
+    _, _, classified = candidate_points(NormSpec.surgery_family(3), 3)
+    assert all(x % 2 == 0 and y % 2 == 0 for x, y in (p.coords for p in classified))
+    assert len(classified) == 12
 
 
 def test_classification_examples():
     genus = 3
-    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(genus)))
-    vertex = classify_realizability(
-        parity_filter([locate(dual, (2, 4))], (-2, -4))[0], genus
-    )
-    assert vertex.realizability is Realizability.REALIZABLE_VERTEX
-    tip = classify_realizability(parity_filter([locate(dual, (0, -4))], (-2, -4))[0], genus)
+    _, _, classified = candidate_points(NormSpec.surgery_family(genus), genus)
+    table = {p.coords: p for p in classified}
+    assert table[(2, 4)].realizability is Realizability.REALIZABLE_VERTEX
+    assert not table[(2, 4)].counterexample
+    tip = table[(0, -4)]
     assert tip.realizability is Realizability.CANDIDATE
     assert tip.counterexample
-    interior = classify_realizability(locate(dual, (0, 0)), genus)
-    assert interior.realizability is Realizability.INTERIOR_UNKNOWN
-    excluded = classify_realizability(
-        CandidatePoint((1, 4), Location.BOUNDARY_NONVERTEX, parity_ok=False), genus
-    )
-    assert excluded.realizability is Realizability.EXCLUDED
+    assert table[(2, 0)].realizability is Realizability.CANDIDATE
+    assert not table[(2, 0)].counterexample
 
 
 def test_classification_symmetric_under_negation():
@@ -310,9 +376,24 @@ def test_classification_symmetric_under_negation():
 
 
 def test_classify_requires_parity_on_boundary():
-    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(3)))
-    with pytest.raises(ValueError):
-        classify_realizability(locate(dual, (0, -4)), 3)
+    for genus in (3, 6):
+        spec = NormSpec.surgery_family(genus)
+        ball, dual, classified = candidate_points(spec, genus)
+        cf, cs = spec.chi
+        for p in classified:
+            assert dual_norm_value(ball, p.coords) == 1
+            assert p.parity_ok is True
+            assert (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
+            vertex = p.coords in dual.vertices
+            assert p.location is (Location.BOUNDARY_VERTEX if vertex else Location.BOUNDARY_NONVERTEX)
+            assert p.realizability is (Realizability.REALIZABLE_VERTEX if vertex else Realizability.CANDIDATE)
+
+
+def test_candidate_points_checks_genus():
+    spec = NormSpec(x_f=2, x_s=4, x_sum=4, x_diff=4, chi=(-2, -4))
+    for genus in (1, 0, "3"):
+        with pytest.raises(ValueError, match="genus must be an integer >= 2"):
+            candidate_points(spec, genus)
 
 
 def test_candidate_pipeline_flags_tip():

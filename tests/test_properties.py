@@ -1,5 +1,6 @@
-"""Property tests: every JSON schema round-trips, and every malformed input
-file ends in exit 2 with one error line that names its field path."""
+"""Property tests: every JSON schema round-trips, every malformed input
+file ends in exit 2 with one error line that names its field path, and the
+dual ball's edge walk finds the points of a box scan."""
 
 import contextlib
 import copy
@@ -19,8 +20,9 @@ from tautcalc.holonomy import PLHomeo, bundled_shifts
 from tautcalc.homology import Family, SymplecticSpace, TwistGenerator, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region
-from tautcalc.polytope import NormSpec
+from tautcalc.polytope import NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
+from test_polytope import boundary_points_by_scan
 
 PROPS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -127,6 +129,18 @@ def test_tangencies_roundtrip(ts):
 @given(pl_maps())
 def test_pl_roundtrip(f):
     assert jsonio.pl_from_json(_through_text(jsonio.pl_to_json(f))) == f
+
+
+# -- candidate points ----------------------------------------------------------------
+
+
+@PROPS
+@given(norm_specs())
+def test_candidate_points_match_box_scan(spec):
+    _, dual, classified = candidate_points(spec, 2)
+    cf, cs = spec.chi
+    scanned = [(x, y) for (x, y), _ in boundary_points_by_scan(dual) if (x - cf) % 2 == 0 and (y - cs) % 2 == 0]
+    assert [p.coords for p in classified] == scanned
 
 
 # -- malformed files -----------------------------------------------------------------
