@@ -200,21 +200,22 @@ class NormSpec:
     @classmethod
     def surgery_family(cls, genus: int) -> "NormSpec":
         """Norm values (2, 2g-2, 2g, 2g) of the genus-g surgered fibrations,
-        with chi = (-2, 2-2g)."""
-        if not isinstance(genus, int) or genus < 2:
-            raise ValueError("genus must be an integer >= 2")
-        return cls(
-            x_f=Fraction(2),
-            x_s=Fraction(2 * genus - 2),
-            x_sum=Fraction(2 * genus),
-            x_diff=Fraction(2 * genus),
-            chi=(-2, 2 - 2 * genus),
-        )
+        with chi = (-2, 2-2g).  The cap on 2g bounds the genus."""
+        x_f, x_s, x_sum, x_diff, chi = _family_values(genus)
+        if x_sum > MAX_NORM_VALUE:
+            raise ValueError(f"genus must be at most {MAX_NORM_VALUE // 2}")
+        return cls(x_f=x_f, x_s=x_s, x_sum=x_sum, x_diff=x_diff, chi=chi)
 
     def is_surgery_family(self, genus: int) -> bool:
         """True when these are the genus-g family values, the only spec
         whose points (0, +-(2g-2)) are flagged as non-realizable."""
-        return self == NormSpec.surgery_family(genus)
+        return (self.x_f, self.x_s, self.x_sum, self.x_diff, self.chi) == _family_values(genus)
+
+
+def _family_values(genus: int):
+    if not isinstance(genus, int) or genus < 2:
+        raise ValueError("genus must be an integer >= 2")
+    return Fraction(2), Fraction(2 * genus - 2), Fraction(2 * genus), Fraction(2 * genus), (-2, 2 - 2 * genus)
 
 
 def norm_ball_from_values(spec: NormSpec) -> RatPolytope:

@@ -103,9 +103,21 @@ def test_candidates_norm_value_cap(tmp_path, capsys):
     code, out, err = run(capsys, "candidates", "--genus", "3", "--spec", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: spec: x_s must be at most {cap}\n"
-    code, out, err = run(capsys, "candidates", "--genus", str(cap // 2 + 2))
+    code, out, err = run(capsys, "candidates", "--genus", str(cap // 2 + 1))
     assert (code, out) == (2, "")
-    assert err == f"error: x_s must be at most {cap}\n"
+    assert err == f"error: genus must be at most {cap // 2}\n"
+    code, doc = run_json(capsys, "candidates", "--genus", str(cap // 2))
+    assert (code, doc["status"]) == (0, "PASS")
+
+
+def test_candidates_large_genus_with_small_spec(tmp_path, capsys):
+    # the genus only decides whether the spec is the family; a large one is no error
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"x_f": "2", "x_s": "4", "x_sum": "6", "x_diff": "6", "chi": ["-2", "-4"]}))
+    code, doc = run_json(capsys, "candidates", "--genus", "3000", "--spec", str(path))
+    assert (code, doc["status"]) == (0, "PASS")
+    assert [c["name"] for c in doc["checks"]] == ["all dual-ball vertices classified realizable"]
+    assert not any(c["counterexample"] for c in doc["candidates"])
 
 
 def test_penner_bundled_fixture(capsys):

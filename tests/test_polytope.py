@@ -231,6 +231,18 @@ def test_norm_values_capped():
         NormSpec(1, Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), chi=(-2, -2))
 
 
+def test_surgery_family_genus_capped():
+    top = MAX_NORM_VALUE // 2
+    assert NormSpec.surgery_family(top).x_sum == MAX_NORM_VALUE
+    with pytest.raises(ValueError, match=f"genus must be at most {top}"):
+        NormSpec.surgery_family(top + 1)
+    # a spec below the cap is compared with a large genus, not rejected by it
+    spec = NormSpec.surgery_family(3)
+    assert not spec.is_surgery_family(3 * top)
+    _, _, classified = candidate_points(spec, 3 * top)
+    assert classified and not any(p.counterexample for p in classified)
+
+
 # -- dual norm ------------------------------------------------------------------------
 
 
