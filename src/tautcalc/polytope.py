@@ -10,21 +10,20 @@ Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
 x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
 3-manifolds", 1986); their polar duals are the dual-norm balls.  The
+dual norm of a batch of points is read off the ball's vertices.  The
 integral points of dual norm one are found by walking the dual ball's
 edges, and each point whose coordinates match the Euler characteristics
-mod 2 is classified in one pass: vertices are realizable as Euler
-classes, other points are candidates, and for the genus-g surgery family
-the edge points (0, +-(2g-2)) are flagged as the known non-realizable
-ones.
+mod 2 is kept with one flag: vertices are realizable as Euler classes,
+other points are candidates, and for the genus-g surgery family the edge
+points (0, +-(2g-2)) are flagged as the known non-realizable ones.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import List, Optional, Sequence, Tuple
+from math import ceil, floor, gcd, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 Vec2 = Tuple[Fraction, Fraction]
 Halfspace = Tuple[Tuple[int, int], int]  # ((a, b), c) meaning a*x + b*y <= c
@@ -126,10 +125,6 @@ class RatPolytope:
     @property
     def origin_interior(self) -> bool:
         return all(c > 0 for _, c in self.halfspaces)
-
-    @property
-    def centrally_symmetric(self) -> bool:
-        return set(self.vertices) == {(-x, -y) for x, y in self.vertices}
 
     def gauge(self, p) -> Fraction:
         """Minkowski gauge: least t >= 0 with p in t * polytope (origin interior)."""
@@ -246,38 +241,36 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     return ball
 
 
-def dual_norm_value(ball: RatPolytope, u) -> Fraction:
-    """Dual norm x*(u) = max over vertices v of the ball of <u, v>."""
-    x, y = _point(u)
-    return max(x * vx + y * vy for vx, vy in ball.vertices)
+def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
+    """Dual norm x*(u) = max over vertices v of the ball of <u, v>, for each
+    point u.  The vertices are scaled to their common denominator once per
+    call, so an integral point costs only integer arithmetic, and each
+    distinct value becomes a Fraction once."""
+    d = lcm(*(c.denominator for v in ball.vertices for c in v))
+    scaled = [(int(vx * d), int(vy * d)) for vx, vy in ball.vertices]
+    seen = {}
+    values = []
+    for p in points:
+        x, y = p
+        if type(x) is not int or type(y) is not int:
+            x, y = _point(p)
+        n = max(x * a + y * b for a, b in scaled)
+        if n not in seen:
+            seen[n] = Fraction(n, d)
+        values.append(seen[n])
+    return values
 
 
 # -- integral points and realizability ----------------------------------------
 
 
-class Location(enum.Enum):
-    BOUNDARY_VERTEX = "boundary-vertex"
-    BOUNDARY_NONVERTEX = "boundary-nonvertex"
-
-
-class Realizability(enum.Enum):
-    REALIZABLE_VERTEX = "realizable-vertex"
-    CANDIDATE = "candidate"
-
-
 @dataclass(frozen=True)
 class CandidatePoint:
-    """An integral point on the boundary of the dual ball.
-
-    `integral_boundary_points` gives the coordinates and the location;
-    `candidate_points` keeps the points that pass parity and adds the
-    realizability verdict and the counterexample flag.
-    """
+    """An integral point on the boundary of the dual ball, with whether it
+    is a vertex; `candidate_points` adds the counterexample flag."""
 
     coords: Tuple[int, int]
-    location: Location
-    parity_ok: Optional[bool] = None
-    realizability: Optional[Realizability] = None
+    vertex: bool
     counterexample: bool = False
 
 
@@ -304,22 +297,12 @@ def integral_boundary_points(dual_ball: RatPolytope) -> List[CandidatePoint]:
             if r == 0:
                 found.add((x, y))
     corners = set(vertices)
-    return [
-        CandidatePoint(pt, Location.BOUNDARY_VERTEX if pt in corners else Location.BOUNDARY_NONVERTEX)
-        for pt in sorted(found)
-    ]
-
-
-def covering_pullback(x_val, degree: int) -> Fraction:
-    """Norm of the pullback class under a degree-d covering: d times the norm."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ValueError("degree must be a positive integer")
-    return _frac(x_val) * degree
+    return [CandidatePoint(pt, pt in corners) for pt in sorted(found)]
 
 
 def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolytope, List[CandidatePoint]]:
-    """Ball, dual ball, and the classified integral boundary points of the
-    dual ball whose coordinates match (chi(F), chi(S)) mod 2.
+    """Ball, dual ball, and the integral boundary points of the dual ball
+    whose coordinates match (chi(F), chi(S)) mod 2.
 
     Vertices are realizable as Euler classes of taut foliations; every
     other point is a candidate.  Only when the spec is the genus-g surgery
@@ -331,14 +314,9 @@ def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolyto
     ball = norm_ball_from_values(spec)
     dual = polar_dual(ball)
     cf, cs = spec.chi
-    classified = []
-    for p in integral_boundary_points(dual):
-        x, y = p.coords
-        if (x - cf) % 2 or (y - cs) % 2:
-            continue
-        if p.location is Location.BOUNDARY_VERTEX:
-            classified.append(CandidatePoint(p.coords, p.location, True, Realizability.REALIZABLE_VERTEX))
-        else:
-            flagged = family and p.coords in tips
-            classified.append(CandidatePoint(p.coords, p.location, True, Realizability.CANDIDATE, flagged))
+    classified = [
+        CandidatePoint(p.coords, p.vertex, family and p.coords in tips)
+        for p in integral_boundary_points(dual)
+        if (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
+    ]
     return ball, dual, classified

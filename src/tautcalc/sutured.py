@@ -42,16 +42,6 @@ def sutured_chi(s: CorneredSurface) -> Fraction:
     return Fraction(s.base_chi) - Fraction(s.convex, 2) + Fraction(s.concave, 2)
 
 
-def disjoint_union(*surfaces: CorneredSurface) -> CorneredSurface:
-    if not surfaces:
-        raise ValueError("need at least one surface")
-    return CorneredSurface(
-        sum(s.base_chi for s in surfaces),
-        sum(s.convex for s in surfaces),
-        sum(s.concave for s in surfaces),
-    )
-
-
 @dataclass(frozen=True)
 class SuturedSolidTorus:
     """Solid torus whose sutures wind p times longitudinally, once meridionally."""

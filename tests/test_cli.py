@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
+from tautcalc import jsonio, polytope
 from tautcalc.cli import main
+from tautcalc.penner import MAX_EXTENSION_GENUS, _chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
 
 
@@ -41,6 +44,31 @@ def test_vmatrix_small_genus_usage_error(capsys):
     code, out, err = run(capsys, "vmatrix", "--genus", "5")
     assert code == 2
     assert err == "error: extension is defined for genus >= 6\n"
+
+
+def test_candidates_point_off_the_boundary_fails(monkeypatch, capsys):
+    # the dual-norm check reads the ball, not the walk that lists the points
+    walk = polytope.integral_boundary_points
+    monkeypatch.setattr(polytope, "integral_boundary_points",
+                        lambda dual: walk(dual) + [polytope.CandidatePoint((0, 0), False)])
+    code, doc = run_json(capsys, "candidates", "--genus", "3")
+    assert code == 1
+    assert ["0", "0"] in [c["coords"] for c in doc["candidates"]]
+    checks = {c["name"]: c["pass"] for c in doc["checks"]}
+    assert checks == {"point (0, -4) flagged as the non-realizable candidate": True,
+                      "every listed point has dual norm one": False}
+
+
+def test_vmatrix_genus_capped(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "vmatrix", "--genus", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: genus must be at most {MAX_EXTENSION_GENUS}\n"
+    assert peak < 1_000_000
 
 
 def test_candidates_genus3(capsys):
@@ -116,7 +144,7 @@ def test_candidates_large_genus_with_small_spec(tmp_path, capsys):
     path.write_text(json.dumps({"x_f": "2", "x_s": "4", "x_sum": "6", "x_diff": "6", "chi": ["-2", "-4"]}))
     code, doc = run_json(capsys, "candidates", "--genus", "3000", "--spec", str(path))
     assert (code, doc["status"]) == (0, "PASS")
-    assert [c["name"] for c in doc["checks"]] == ["all dual-ball vertices classified realizable"]
+    assert [c["name"] for c in doc["checks"]] == ["every listed point has dual norm one"]
     assert not any(c["counterexample"] for c in doc["candidates"])
 
 
@@ -126,6 +154,19 @@ def test_penner_bundled_fixture(capsys):
     assert doc["report"]["word_valid"] is True
     assert doc["mapping_torus_b2"] == 1
     assert doc["fixed_homology_trivial"] is True
+
+
+def test_penner_fixed_class_fails(tmp_path, capsys):
+    # a single twist fixes every class that pairs to zero with its curve
+    doc = {**jsonio.curve_system_to_json(_chain_system(2)), "word": [{"label": "a1", "exp": 1}]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, doc = run_json(capsys, "penner", "--input", str(path))
+    assert code == 1
+    assert doc["mapping_torus_b2"] == 4
+    assert doc["fixed_homology_trivial"] is False
+    checks = {c["name"]: c["pass"] for c in doc["checks"]}
+    assert checks["no nonzero fixed homology class"] is False
 
 
 def test_penner_invalid_word_fails_checks(tmp_path, capsys):

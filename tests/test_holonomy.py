@@ -8,8 +8,6 @@ from tautcalc.holonomy import (
     TilePattern,
     TiledHomeo,
     bundled_shifts,
-    compose,
-    is_shift,
     solve_conjugacy,
     witness_samples,
 )
@@ -71,32 +69,11 @@ def test_compose_with_identity_and_inverse():
     ident = PLHomeo.identity()
     for _ in range(20):
         f = random_plhomeo(rng)
-        assert compose(f, ident) == f
-        assert compose(ident, f) == f
-        assert compose(f, f.inverse()) == ident
-
-
-def test_compose_matches_pointwise_evaluation():
-    u, v = bundled_shifts()
-    c = compose(u, v)
-    # two one-breakpoint maps: at most three interior breakpoints
-    assert len(c.breakpoints) <= 5
-    for q in rationals_in_domain(50):
-        assert c.eval(q) == u.eval(v.eval(q))
-
-
-def test_compose_associative():
-    rng = random.Random(71)
-    for _ in range(20):
-        f, g, h = (random_plhomeo(rng) for _ in range(3))
-        assert compose(compose(f, g), h) == compose(f, compose(g, h))
-
-
-def test_compose_requires_common_domain():
-    f = PLHomeo.identity(-1, 1)
-    g = PLHomeo.identity(0, 1)
-    with pytest.raises(ValueError):
-        compose(f, g)
+        inv = f.inverse()
+        for q in set(f.breakpoints) | set(f.values) | set(rationals_in_domain(20)):
+            assert ident.eval(q) == q
+            assert f.eval(inv.eval(q)) == q
+            assert inv.eval(f.eval(q)) == q
 
 
 def test_rescaled():
@@ -106,18 +83,23 @@ def test_rescaled():
     assert f.eval(Fr(1, 2)) == Fr(3, 4)  # chart image of u(0) = 1/2
 
 
+def displacements(f):
+    """f(b) - b at the interior breakpoints of f.  Between breakpoints the
+    displacement is affine and it vanishes at the endpoints, so f has no
+    interior fixed point exactly when these are nonzero and of one sign."""
+    return [v - b for b, v in zip(f.breakpoints[1:-1], f.values[1:-1])]
+
+
 def test_is_shift():
     u, v = bundled_shifts()
-    assert is_shift(u) and is_shift(v)
-    assert not is_shift(PLHomeo.identity())
+    for f in (u, v):
+        assert displacements(f) and all(d > 0 for d in displacements(f))
+        assert all(f.eval(q) > q for q in rationals_in_domain(50)[1:-1])
+    assert displacements(PLHomeo.identity()) == []
     crossing = PLHomeo([-1, Fr(-1, 2), Fr(1, 2), 1], [-1, Fr(-1, 4), Fr(1, 4), 1])
-    # fixed point at 0 in the middle segment
+    # fixed point at 0 in the middle segment, where the displacement changes sign
     assert crossing.eval(0) == 0
-    assert not is_shift(crossing)
-    touching = PLHomeo([-1, Fr(1, 2), 1], [-1, Fr(1, 2), 1])
-    assert not is_shift(touching)
-    down = PLHomeo([-1, 0, 1], [-1, Fr(-1, 2), 1])
-    assert is_shift(down)
+    assert displacements(crossing) == [Fr(1, 4), Fr(-1, 4)]
 
 
 def test_shift_composition_same_direction():
@@ -126,13 +108,12 @@ def test_shift_composition_same_direction():
     while count < 20:
         f = random_plhomeo(rng)
         g = random_plhomeo(rng)
-        up = all(f.eval(q) >= q for q in rationals_in_domain(24)) and all(
-            g.eval(q) >= q for q in rationals_in_domain(24)
-        )
-        if not (is_shift(f) and is_shift(g) and up):
-            continue
+        ds = displacements(f), displacements(g)
+        if not all(d and min(d) > 0 for d in ds):
+            continue  # not two upward shifts
         count += 1
-        assert is_shift(compose(f, g))
+        for q in rationals_in_domain(24)[1:-1]:
+            assert f.eval(g.eval(q)) > g.eval(q) > q
 
 
 # -- tiled homeomorphisms ---------------------------------------------------------------
@@ -175,6 +156,16 @@ def test_tiled_strictly_increasing_on_batch():
     xs = sorted(witness_samples(10, 5))
     ys = [t.eval(x) for x in xs]
     assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+def test_tile_pattern_inverse_built_once():
+    u, _ = bundled_shifts()
+    pattern = TilePattern(u, True)
+    assert pattern.tile_map(1) is u
+    assert pattern.tile_map(2) == u.inverse()
+    assert pattern.tile_map(2) is pattern.tile_map(4)
+    assert pattern.inverted().base is pattern.tile_map(2)
+    assert TilePattern(u, False).tile_map(2) is u
 
 
 def test_tiled_inverse():

@@ -11,8 +11,6 @@ from tautcalc.homology import (
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    fixed_homology_trivial,
-    image_check,
     mapping_torus_b2,
     transvection_matrix,
     word_action,
@@ -355,9 +353,14 @@ def test_mapping_torus_b2_genus3_action():
 
 
 def test_fixed_homology_trivial():
-    assert not fixed_homology_trivial(IntMatrix.identity(4))
-    assert fixed_homology_trivial(_genus3_action())
-    assert fixed_homology_trivial(_extended_action(7))
+    # no nonzero fixed class means det(M - Id) != 0, and then b2 = 1
+    assert IntMatrix.identity(4).minus_identity().det() == 0
+    assert mapping_torus_b2(IntMatrix.identity(4)) == 5
+    for m in (_genus3_action(), _extended_action(7)):
+        assert m.minus_identity().det() != 0
+        assert mapping_torus_b2(m) == 1
+    with pytest.raises(ValueError, match="matrix must be square"):
+        mapping_torus_b2(IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_b2_at_least_one_iff_trivial_kernel():
@@ -368,17 +371,16 @@ def test_b2_at_least_one_iff_trivial_kernel():
         m = transvection_matrix(c, rng.choice((1, -1)))
         b2 = mapping_torus_b2(m)
         assert b2 >= 1
-        assert (b2 == 1) == fixed_homology_trivial(m)
+        assert (b2 == 1) == (m.minus_identity().det() != 0)
 
 
 def test_image_check_identity():
     space = SymplecticSpace(2)
     alpha = space.basis_r(1)
-    result = image_check(IntMatrix.identity(4), alpha, alpha)
-    assert result.sends_to_target and not result.targets_distinct
+    assert IntMatrix.identity(4).apply(alpha.coords) == alpha.coords
     beta = space.basis_s(1)
-    result = image_check(IntMatrix.identity(4), alpha, beta)
-    assert not result.sends_to_target and result.targets_distinct
+    assert IntMatrix.identity(4).apply(alpha.coords) != beta.coords
+    assert not (alpha - beta).is_zero
 
 
 def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
@@ -390,9 +392,9 @@ def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
         if algebraic_intersection(alpha, gamma) != -1:
             continue
         t = transvection_matrix(TwistGenerator("g", gamma, Family.A), 1)
-        assert image_check(t, alpha, alpha - gamma).sends_to_target
+        assert t.apply(alpha.coords) == (alpha - gamma).coords
 
 
 def test_image_check_dimension_mismatch():
     with pytest.raises(ValueError):
-        image_check(IntMatrix.identity(4), SymplecticSpace(3).basis_r(1), SymplecticSpace(3).basis_r(1))
+        IntMatrix.identity(4).apply(SymplecticSpace(3).basis_r(1).coords)

