@@ -3,11 +3,19 @@
 Everything downstream (twist actions, determinant tests, Betti numbers)
 needs exact answers, so all arithmetic here is arbitrary-precision integer
 or rational.  One fraction-free (Bareiss) elimination gives both the rank
-and the determinant.  No floating point anywhere.
+and the determinant.  It is sparse: each pivot rewrites only the rows with
+a nonzero in its column, so on the banded twist actions M - Id it does
+about O(n) row updates, not O(n^3) entry updates.  Every other row keeps a
+lazy scale (its true entries are the stored ones times the latest pivot
+over the pivot of the step that last rewrote it), and a rewritten row
+divides by its own last pivot.  Every stored entry is then a minor of the
+input, so every division is exact and entries grow no larger than those
+minors.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -17,7 +25,12 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        data = tuple(tuple(self._as_int(e) for e in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        # one C-level pass over the entry types; the per-entry check only
+        # runs to name the offending entry or to admit an int subclass
+        if not {*map(type, chain.from_iterable(data))} <= {int}:
+            for e in chain.from_iterable(data):
+                self._as_int(e)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
@@ -112,44 +125,83 @@ class IntMatrix:
     def minus_identity(self) -> "IntMatrix":
         if not self.is_square:
             raise ValueError("matrix must be square")
-        return self - IntMatrix.identity(self.n_rows)
+        return IntMatrix([[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(self.rows)])
 
     # -- exact linear algebra ----------------------------------------------
 
     def _echelon(self) -> tuple:
-        """Bareiss (fraction-free) row echelon pass over a copy of the rows.
+        """Sparse Bareiss (fraction-free) elimination over a copy of the rows.
 
-        Returns (rank, sign, pivot): the rank, the sign of the row swaps and
-        the last pivot.  Columns without a pivot are skipped.  Every entry
-        below the pivot rows stays a minor of the input, so each division is
-        exact, and for a square matrix of full rank sign * pivot is the
-        determinant.
+        Returns (rank, sign, pivot): the rank, the sign of the order in which
+        rows became pivots, and the last pivot.  For a square matrix of full
+        rank sign * pivot is the determinant.
+
+        Each row is a dict of its nonzeros, and `holders[c]` is the set of
+        rows not yet used as a pivot that have a nonzero in column c.  Columns
+        are taken in order; a column no such row reaches is skipped.  At
+        column c the pivot is the row of `holders[c]` with the fewest
+        nonzeros, the lowest index on ties (Markowitz), and only the other
+        rows of `holders[c]` are rewritten.
+
+        Lazy scale: P[k] is the pivot of step k, P[0] = 1, and last[i] is the
+        step at which row i was last rewritten.  Bareiss step k multiplies a
+        row that is zero in the pivot column by P[k] / P[k-1], so after an
+        untouched stretch the true row is stored * P[now] / P[last[i]], by
+        telescoping, and nothing is stored for it.  Substituting that into
+        the Bareiss update of row i at step k gives
+
+            new[j] = (piv * v[j] - v[c] * prow[j]) // P[last[i]]
+
+        with v the stored row and prow the pivot row scaled to step k - 1.
+        The result is the true entry, a minor of the input (Sylvester's
+        identity), so the division by the row's own last pivot is exact; the
+        latest pivot would not divide it.
         """
-        m = [list(row) for row in self.rows]
-        n_rows, n_cols = len(m), len(m[0])
-        rank = 0
-        sign = 1
-        prev = 1
+        n_rows, n_cols = self.n_rows, self.n_cols
+        rows = [dict(zip(compress(range(n_cols), row), filter(None, row))) for row in self.rows]
+        holders = [set() for _ in range(n_cols)]
+        for i, row in enumerate(rows):
+            for j in row:
+                holders[j].add(i)
+        P = [1]
+        last = [0] * n_rows
+        order = []
         for c in range(n_cols):
-            p = next((r for r in range(rank, n_rows) if m[r][c] != 0), None)
-            if p is None:
+            if not holders[c]:
                 continue
-            if p != rank:
-                m[rank], m[p] = m[p], m[rank]
-                sign = -sign
-            row_k = m[rank]
-            pivot = row_k[c]
-            for i in range(rank + 1, n_rows):
-                row_i = m[i]
-                mic = row_i[c]
-                for j in range(c + 1, n_cols):
-                    row_i[j] = (row_i[j] * pivot - mic * row_k[j]) // prev
-                row_i[c] = 0
-            prev = pivot
-            rank += 1
-            if rank == n_rows:
+            r = min(holders[c], key=lambda i: (len(rows[i]), i))
+            prev, scale = P[-1], P[last[r]]
+            prow = rows[r]
+            if scale != prev:
+                prow = {j: v * prev // scale for j, v in prow.items()}
+            for j in prow:
+                holders[j].discard(r)
+            piv = prow.pop(c)  # rows[r] is never read again
+            step = len(P)
+            for i in holders[c]:
+                row = rows[i]
+                f = row.pop(c)
+                div = P[last[i]]
+                new = {j: v * piv for j, v in row.items()}
+                for j, pv in prow.items():
+                    if j in new:
+                        new[j] -= f * pv
+                    else:
+                        new[j] = -f * pv
+                        holders[j].add(i)
+                for j, v in new.items():
+                    if v:
+                        row[j] = v // div
+                    else:
+                        row.pop(j, None)
+                        holders[j].discard(i)
+                last[i] = step
+            holders[c] = ()
+            P.append(piv)
+            order.append(r)
+            if len(order) == n_rows:
                 break
-        return rank, sign, prev
+        return len(order), _order_sign(order, n_rows), P[-1]
 
     def det(self) -> int:
         """Exact determinant by fraction-free elimination."""
@@ -167,3 +219,20 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(row) for row in self.rows]
+
+
+def _order_sign(order: list, n: int) -> int:
+    """Sign of the permutation of range(n) that lists `order` first and the
+    other rows after it in increasing order: (-1) ** (n - number of cycles)."""
+    seen = set(order)
+    perm = order + [i for i in range(n) if i not in seen]
+    visited = [False] * n
+    cycles = 0
+    for start in range(n):
+        if not visited[start]:
+            cycles += 1
+            i = start
+            while not visited[i]:
+                visited[i] = True
+                i = perm[i]
+    return -1 if (n - cycles) % 2 else 1

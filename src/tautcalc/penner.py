@@ -274,8 +274,10 @@ def genus3_system() -> Tuple[CurveSystem, TwistWord]:
     return _chain_system(3), _chain_word(3)
 
 
-# The action of the genus-g word is a dense 2g x 2g matrix; at g = 240 it
-# and the determinant of M - Id already take seconds, so the genus is capped.
+# The action of the genus-g word is a dense 2g x 2g matrix.  The sparse
+# determinant of M - Id takes under 10 ms at g = 240, but building the dense
+# word_action lists and printing them (vmatrix prints M and M - Id) grow as
+# g^2 and dominate from there on, so the genus is capped.
 MAX_EXTENSION_GENUS = 240
 
 

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction as Fr
 
+import pytest
+
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
     Family,
@@ -75,6 +77,14 @@ def test_extended_mapping_torus_b2():
         for genus in range(6, 41):
             system, word = extend_to_genus(genus)
             assert mapping_torus_b2(word_action(word, system.generator_map())) == 1
+
+
+@pytest.mark.parametrize("genus", [120, 240])
+def test_chain_word_determinant_time(genus):
+    system, word = extend_to_genus(genus)
+    diff = word_action(word, system.generator_map()).minus_identity()
+    with Criterion(f"det of the chain-word action minus identity is (-1)^g (g+1) at genus {genus}", 0.1):
+        assert diff.det() == (-1) ** genus * (genus + 1)
 
 
 def test_genus3_matrix_fixture():

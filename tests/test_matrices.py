@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tautcalc.homology import word_action
+from tautcalc.homology import TwistWord, word_action
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import _chain_system, _chain_word
 
@@ -50,6 +51,52 @@ def rank_gauss(rows):
     return rank
 
 
+def echelon_dense(rows):
+    """Dense Bareiss oracle: (rank, sign, pivot) as IntMatrix._echelon returns.
+
+    Takes the first nonzero row at each column and rescales every row below
+    the pivot, so it costs O(n^3) whatever the sparsity.
+    """
+    m = [list(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    sign = 1
+    prev = 1
+    for c in range(n_cols):
+        p = next((r for r in range(rank, n_rows) if m[r][c] != 0), None)
+        if p is None:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
+        row_k = m[rank]
+        pivot = row_k[c]
+        for i in range(rank + 1, n_rows):
+            row_i = m[i]
+            mic = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (row_i[j] * pivot - mic * row_k[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank, sign, prev
+
+
+def det_dense(rows):
+    rank, sign, pivot = echelon_dense(rows)
+    return sign * pivot if rank == len(rows) else 0
+
+
+def assert_matches_dense(rows):
+    m = IntMatrix(rows)
+    rank, sign, pivot = echelon_dense(rows)
+    assert m.rank() == rank, rows
+    if m.is_square:
+        assert m.det() == (sign * pivot if rank == m.n_rows else 0), rows
+
+
 def test_identity_det():
     assert IntMatrix.identity(5).det() == 1
 
@@ -74,7 +121,7 @@ def test_det_matches_gauss_oracle():
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert IntMatrix(rows).det() == det_gauss(rows)
+        assert IntMatrix(rows).det() == det_gauss(rows) == det_dense(rows)
 
 
 def test_det_needs_pivot_swap():
@@ -147,6 +194,95 @@ def test_rank_matches_gauss_oracle(kind):
         assert m.rank() == rank_gauss(rows), rows
         if m.is_square:
             assert (m.det() != 0) == (m.rank() == m.n_rows), rows
+        assert_matches_dense(rows)
+
+
+def _seeded_chain_word(rng, genus):
+    """Opposite-twist word over the chain curves: each curve once, as many
+    random extra letters, shuffled; a-curves one sign, b-curves the other."""
+    labels = [f"a{i}" for i in range(1, genus + 2)] + [f"b{i}" for i in range(1, genus + 1)]
+    picks = labels + [rng.choice(labels) for _ in labels]
+    rng.shuffle(picks)
+    sign_a = rng.choice((1, -1))
+    return TwistWord(tuple((lbl, (sign_a if lbl[0] == "a" else -sign_a) * rng.randint(1, 2)) for lbl in picks))
+
+
+def test_chain_and_seeded_words_match_dense_bareiss():
+    rng = random.Random("seeded-words")
+    for genus in range(2, 61):
+        generators = _chain_system(genus).generator_map()
+        for word in (_chain_word(genus), _seeded_chain_word(rng, genus)):
+            assert_matches_dense(word_action(word, generators).minus_identity().to_lists())
+
+
+def _perm_sign(perm):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_permutation_matrix_det_is_its_sign():
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            m = IntMatrix([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+            assert m.det() == _perm_sign(perm), perm
+            assert m.rank() == n
+
+
+def test_wide_tall_and_zero_lines():
+    rng = random.Random("shapes")
+    for _ in range(100):
+        short, long = rng.randint(1, 4), rng.randint(5, 9)
+        wide = [[rng.randint(-3, 3) for _ in range(long)] for _ in range(short)]
+        tall = [list(col) for col in zip(*wide)]
+        assert_matches_dense(wide)
+        assert_matches_dense(tall)
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        zero_row = [row[:] for row in rows]
+        zero_row[rng.randrange(n)] = [0] * n
+        zero_col = [row[:] for row in rows]
+        c = rng.randrange(n)
+        for row in zero_col:
+            row[c] = 0
+        for m in (zero_row, zero_col):
+            assert IntMatrix(m).det() == 0
+            assert IntMatrix(m).rank() == rank_gauss(m) < n
+            assert_matches_dense(m)
+    assert IntMatrix.zero(3, 5).rank() == 0
+    assert IntMatrix.zero(4, 4).det() == 0
+
+
+def _block_triangular(rng, k, m):
+    """[[A, B], [0, C]] with 10^20-sized entries, rows shuffled: the rows of
+    C stay untouched while A's k pivots are taken, then are eliminated."""
+    big = 10**20
+    n = k + m
+
+    def entry():
+        return rng.randint(-big, big)
+
+    a = [[entry() for _ in range(k)] for _ in range(k)]
+    c = [[entry() for _ in range(m)] for _ in range(m)]
+    rows = [a[i] + [entry() for _ in range(m)] for i in range(k)]
+    rows += [[0] * k + c[i] for i in range(m)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [rows[p] for p in perm], _perm_sign(perm) * det_gauss(a) * det_gauss(c)
+
+
+def test_block_triangular_rows_untouched_across_pivots():
+    rng = random.Random("blocks")
+    for k in (2, 3, 4):
+        for m in (2, 3):
+            for _ in range(20):
+                rows, det = _block_triangular(rng, k, m)
+                assert IntMatrix(rows).det() == det == det_dense(rows)
+                assert IntMatrix(rows).rank() == k + m
+                # a singular corner: the last row of C repeats the one above
+                lower = [i for i, row in enumerate(rows) if not any(row[:k])]
+                rows[lower[-1]] = rows[lower[-2]][:]
+                assert IntMatrix(rows).det() == 0
+                assert IntMatrix(rows).rank() == k + m - 1 == rank_gauss(rows)
 
 
 def test_chain_word_minus_identity_has_full_rank():

@@ -1,6 +1,7 @@
 """Property tests: every JSON schema round-trips, every malformed input
-file ends in exit 2 with one error line that names its field path, and the
-dual ball's edge walk finds the points of a box scan."""
+file ends in exit 2 with one error line that names its field path, the
+dual ball's edge walk finds the points of a box scan, and the sparse
+elimination agrees with dense Bareiss on banded matrices."""
 
 import contextlib
 import copy
@@ -22,6 +23,7 @@ from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region
 from tautcalc.polytope import NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
+from test_matrices import assert_matches_dense
 from test_polytope import boundary_points_by_scan
 
 PROPS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -141,6 +143,24 @@ def test_candidate_points_match_box_scan(spec):
     cf, cs = spec.chi
     scanned = [(pt, v) for pt, v in boundary_points_by_scan(dual) if (pt[0] - cf) % 2 == 0 and (pt[1] - cs) % 2 == 0]
     assert [(p.coords, p.vertex) for p in classified] == scanned
+
+
+# -- sparse elimination --------------------------------------------------------------
+
+
+@st.composite
+def banded_rows(draw):
+    """An n x n matrix, n <= 12, zero outside lower and upper bandwidths 0..3."""
+    n = draw(st.integers(1, 12))
+    lower, upper = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.integers(-3, 3)
+    return [[draw(entry) if -lower <= j - i <= upper else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(PROPS, max_examples=200)
+@given(banded_rows())
+def test_banded_rank_and_det_match_dense_bareiss(rows):
+    assert_matches_dense(rows)
 
 
 # -- malformed files -----------------------------------------------------------------
