@@ -51,7 +51,6 @@ from .holonomy import (
     Concatenation,
     ConjugacyWitness,
     PLHomeo,
-    TilePattern,
     TiledHomeo,
     TileShiftMap,
     bundled_shifts,

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy", parents=[], help="interval holonomy constructions")
     hsub = p.add_subparsers(dest="holonomy_command", required=True)
     q = hsub.add_parser("tau", parents=[common])
-    q.add_argument("--case", choices=tuple("abcdef"), required=True)
+    q.add_argument("--case", choices=tuple(holonomy.EXPRESSIONS), required=True)
     q.add_argument("--samples", type=int, default=64, help="minimum number of sample points")
     q.add_argument("--tiles", type=int, default=8, help="tiles per side to sample across")
     q.add_argument("--u", help="JSON file for the first map (default: bundled shift)")

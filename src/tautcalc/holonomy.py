@@ -14,21 +14,22 @@ subintervals.  The solution tiles [-1, 1] by the intervals
 
     [-1, -1/2], [-1/2, -1/3], ... -> 0 <- ..., [1/3, 1/2], [1/2, 1]
 
-and puts an affinely rescaled copy of u (or u^-1, alternating, depending
-on the case) on each negative tile and of v likewise on each positive
-tile, with t(0) = 0.  The conjugating map h carries each tile onto the
-next one outward, into the prepended/appended pieces of the concatenation;
-everything is affine on tiles, so the conjugacy identity
-h(t(x)) = expr(h(x)) can be checked exactly at rational points.  The
-tiling is stored as a rule, never materialized, so evaluation is exact at
-every rational.
+and holds, per side, a tuple of one or two maps of [-1, 1]: tile n carries
+an affinely rescaled copy of maps[(n - 1) % len(maps)], with t(0) = 0.
+The negative side holds (u,) or, when t enters the expression inverted,
+(u, u^-1); the positive side holds v likewise, and a side whose map is
+absent from the expression holds the identity.  The conjugating map h
+carries each tile onto the next one outward, into the prepended/appended
+pieces of the concatenation; everything is affine on tiles, so the
+conjugacy identity h(t(x)) = expr(h(x)) can be checked exactly at
+rational points.  The tiling is stored as a rule, never materialized, so
+evaluation is exact at every rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
 
@@ -153,44 +154,37 @@ def _tile_index(q: Fraction) -> Tuple[int, int]:
     return side, n
 
 
-@dataclass(frozen=True)
-class TilePattern:
-    """Assignment of a map to every tile on one side: `base` on odd tiles
-    and, when alternating, base^-1 on even tiles.  The inverse is built
-    once per pattern, not once per evaluation."""
+# Both charts take lo + hi and hi - lo, which are ints on the unit pieces
+# [i, i + 1] of a concatenation; there each chart costs three Fraction
+# operations, as many as the unit-width formula would.
 
-    base: PLHomeo
-    alternating: bool
 
-    @cached_property
-    def _inverse(self) -> PLHomeo:
-        return self.base.inverse()
+def _chart_in(q: Fraction, lo, hi) -> Fraction:
+    """The affine map of [lo, hi] onto [-1, 1] at q."""
+    return (2 * q - (lo + hi)) / (hi - lo)
 
-    def tile_map(self, n: int) -> PLHomeo:
-        if self.alternating and n % 2 == 0:
-            return self._inverse
-        return self.base
 
-    def inverted(self) -> "TilePattern":
-        return TilePattern(self._inverse, self.alternating)
+def _chart_out(y: Fraction, lo, hi) -> Fraction:
+    """The affine map of [-1, 1] onto [lo, hi] at y."""
+    return (lo + hi + y * (hi - lo)) / 2
 
 
 @dataclass(frozen=True)
 class TiledHomeo:
-    """Homeomorphism of [-1, 1] assembled from rescaled copies of the
-    pattern maps on the standard tiles, fixing 0."""
+    """Homeomorphism of [-1, 1] assembled from rescaled copies of the tile
+    maps on the standard tiles, fixing 0.
 
-    negative: TilePattern
-    positive: TilePattern
+    Each side holds one or two maps of [-1, 1]; tile n on that side carries
+    `maps[(n - 1) % len(maps)]`, so two maps alternate from tile 1 outward.
+    """
+
+    negative: Tuple[PLHomeo, ...]
+    positive: Tuple[PLHomeo, ...]
 
     def __post_init__(self):
-        for pattern in (self.negative, self.positive):
-            if pattern.base.domain != (Fraction(-1), Fraction(1)):
-                raise ValueError("pattern maps must live on [-1, 1]")
-
-    @property
-    def domain(self) -> Tuple[Fraction, Fraction]:
-        return (Fraction(-1), Fraction(1))
+        for maps in (self.negative, self.positive):
+            if not maps or any(m.domain != (-1, 1) for m in maps):
+                raise ValueError("each side needs one or more maps of [-1, 1]")
 
     def eval(self, q) -> Fraction:
         q = _frac(q)
@@ -200,13 +194,15 @@ class TiledHomeo:
             return Fraction(0)
         side, n = _tile_index(q)
         lo, hi = _tile(side, n)
-        pattern = self.negative if side < 0 else self.positive
-        w = pattern.tile_map(n)
-        t = -1 + 2 * (q - lo) / (hi - lo)
-        return lo + (w.eval(t) + 1) * (hi - lo) / 2
+        maps = self.negative if side < 0 else self.positive
+        w = maps[(n - 1) % len(maps)]
+        return _chart_out(w.eval(_chart_in(q, lo, hi)), lo, hi)
 
     def inverse(self) -> "TiledHomeo":
-        return TiledHomeo(self.negative.inverted(), self.positive.inverted())
+        return TiledHomeo(
+            tuple(m.inverse() for m in self.negative),
+            tuple(m.inverse() for m in self.positive),
+        )
 
 
 # -- concatenations and the conjugacy witness -------------------------------------
@@ -219,77 +215,49 @@ class Concatenation:
 
     pieces: tuple
 
-    @property
-    def domain(self) -> Tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(len(self.pieces)))
-
     def eval(self, q) -> Fraction:
         q = _frac(q)
         k = len(self.pieces)
         if not 0 <= q <= k:
             raise ValueError(f"{q} outside [0, {k}]")
         i = min(int(q), k - 1)
-        t = -1 + 2 * (q - i)
-        return i + (self.pieces[i].eval(t) + 1) / 2
+        return _chart_out(self.pieces[i].eval(_chart_in(q, i, i + 1)), i, i + 1)
 
 
 @dataclass(frozen=True)
 class TileShiftMap:
     """The conjugator h: [-1, 1] -> concatenation domain.
 
-    On a side with a prepended (appended) piece, tile 1 is carried onto
-    that piece and tile n onto the image of tile n-1 inside the middle
-    piece; on a side without one, h is just the affine chart onto the
-    middle piece.  Affine on every tile, with h(0) at the chart image of 0.
+    The end piece on the negative (positive) side is piece middle_index - 1
+    (middle_index + 1).  Where it exists, tile 1 on that side is carried
+    onto it and tile n onto the chart image of tile n-1 in the middle
+    piece; on a side without one, h is the affine chart onto the middle
+    piece.  Affine on every tile, with h(0) at the chart image of 0.
     """
 
     middle_index: int
     piece_count: int
 
-    def _chart(self, x: Fraction) -> Fraction:
-        return self.middle_index + (x + 1) / 2
-
-    @property
-    def has_prepend(self) -> bool:
-        return self.middle_index == 1
-
-    @property
-    def has_append(self) -> bool:
-        return self.piece_count > self.middle_index + 1
-
     def eval(self, q) -> Fraction:
         q = _frac(q)
         if not -1 <= q <= 1:
             raise ValueError(f"{q} outside [-1, 1]")
-        if q == 0:
-            return self._chart(Fraction(0))
-        side, n = _tile_index(q)
+        m = self.middle_index
+        side = -1 if q < 0 else 1
+        end = m + side
+        if q == 0 or not 0 <= end < self.piece_count:
+            return _chart_out(q, m, m + 1)
+        _, n = _tile_index(q)
         lo, hi = _tile(side, n)
-        if side < 0:
-            if self.has_prepend:
-                if n == 1:
-                    tlo, thi = Fraction(0), Fraction(1)
-                else:
-                    prev_lo, prev_hi = _tile(side, n - 1)
-                    tlo, thi = self._chart(prev_lo), self._chart(prev_hi)
-            else:
-                tlo, thi = self._chart(lo), self._chart(hi)
-        else:
-            if self.has_append:
-                if n == 1:
-                    tlo = Fraction(self.middle_index + 1)
-                    thi = Fraction(self.middle_index + 2)
-                else:
-                    prev_lo, prev_hi = _tile(side, n - 1)
-                    tlo, thi = self._chart(prev_lo), self._chart(prev_hi)
-            else:
-                tlo, thi = self._chart(lo), self._chart(hi)
-        return tlo + (q - lo) * (thi - tlo) / (hi - lo)
+        if n == 1:
+            return end + (q - lo) / (hi - lo)
+        plo, phi = _tile(side, n - 1)
+        return _chart_out(plo + (q - lo) * (phi - plo) / (hi - lo), m, m + 1)
 
 
-_CASES = "abcdef"
-
-_EXPRESSIONS = {
+# The six cases and the concatenation each makes t conjugate to;
+# `solve_conjugacy` reads the whole construction off these letters.
+EXPRESSIONS = {
     "a": "u t^-1 v",
     "b": "u t v",
     "c": "u t",
@@ -341,44 +309,35 @@ def solve_conjugacy(
     tiles_per_side: int = 8,
     per_tile: int = 4,
 ) -> Tuple[TiledHomeo, ConjugacyWitness]:
-    """Build the tiled homeomorphism for the selected case and certify the
-    conjugacy at rational sample points.
-
-    Cases with the inverse in the expression (a, e, f) alternate the tile
-    maps with their inverses; cases missing u (d, f) or v (c, e) put the
-    identity on the corresponding side.
-    """
-    if case not in _CASES:
-        raise ValueError(f"case must be one of {', '.join(_CASES)}")
+    """Build the tiled homeomorphism for the selected case (a key of
+    `EXPRESSIONS`) and certify the conjugacy at rational sample points."""
+    if case not in EXPRESSIONS:
+        raise ValueError(f"case must be one of {', '.join(EXPRESSIONS)}")
     for name, m in (("u", u), ("v", v)):
-        if m.domain != (Fraction(-1), Fraction(1)):
+        if m.domain != (-1, 1):
             raise ValueError(f"{name}: must be a homeomorphism of [-1, 1]")
 
+    letters = EXPRESSIONS[case].split()
+    inverse_middle = "t^-1" in letters
     ident = PLHomeo.identity()
-    uses_u = case in "abce"
-    uses_v = case in "abdf"
-    inverse_middle = case in "aef"
-    neg = TilePattern(u if uses_u else ident, inverse_middle and uses_u)
-    pos = TilePattern(v if uses_v else ident, inverse_middle and uses_v)
-    tiled = TiledHomeo(neg, pos)
 
+    def tile_maps(m: PLHomeo, letter: str) -> Tuple[PLHomeo, ...]:
+        if letter not in letters:
+            return (ident,)
+        return (m, m.inverse()) if inverse_middle else (m,)
+
+    tiled = TiledHomeo(tile_maps(u, "u"), tile_maps(v, "v"))
     middle = tiled.inverse() if inverse_middle else tiled
-    pieces: List = []
-    if uses_u:
-        pieces.append(u)
-    middle_index = len(pieces)
-    pieces.append(middle)
-    if uses_v:
-        pieces.append(v)
-    expr = Concatenation(tuple(pieces))
-    h = TileShiftMap(middle_index, len(pieces))
+    pieces = tuple({"u": u, "v": v}.get(letter, middle) for letter in letters)
+    expr = Concatenation(pieces)
+    h = TileShiftMap(letters.index("t^-1" if inverse_middle else "t"), len(pieces))
 
     checks = []
     for q in witness_samples(tiles_per_side, per_tile):
         lhs = h.eval(tiled.eval(q))
         rhs = expr.eval(h.eval(q))
         checks.append(SampleCheck(q, lhs == rhs))
-    witness = ConjugacyWitness(case, _EXPRESSIONS[case], tuple(checks), tiles_per_side)
+    witness = ConjugacyWitness(case, EXPRESSIONS[case], tuple(checks), tiles_per_side)
     return tiled, witness
 
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
+from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
 
 
 class FillingStatus(enum.Enum):
@@ -106,17 +106,18 @@ class CurveSystem:
 
 @dataclass(frozen=True)
 class PennerReport:
-    """Validation outcome; word fields are None when only filling was assessed."""
+    """Outcome of validating a word over a curve system."""
 
-    word_valid: Optional[bool]
-    all_curves_used: Optional[bool]
-    sign_discipline: Optional[bool]
+    word_valid: bool
+    all_curves_used: bool
+    sign_discipline: bool
     filling_status: FillingStatus
     messages: Tuple[str, ...] = ()
 
 
-def filling_check(sys: CurveSystem) -> PennerReport:
-    """Check the filling conditions decidable from the given data.
+def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
+    """Check the filling conditions decidable from the given data, returning
+    the status and the messages that explain it.
 
     Necessary conditions: the intersection graph is connected, and every
     curve meets the opposite family.  With a region certificate (every
@@ -171,7 +172,7 @@ def filling_check(sys: CurveSystem) -> PennerReport:
             )
         else:
             status = FillingStatus.VERIFIED
-    return PennerReport(None, None, None, status, tuple(messages))
+    return status, tuple(messages)
 
 
 def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
@@ -205,13 +206,13 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
     if not sign_ok:
         messages.append("twist signs are not one family positive, the other negative")
 
-    filling = filling_check(sys)
+    filling_status, filling_messages = filling_check(sys)
     return PennerReport(
         word_valid=all_used and sign_ok,
         all_curves_used=all_used,
         sign_discipline=sign_ok,
-        filling_status=filling.filling_status,
-        messages=tuple(messages) + filling.messages,
+        filling_status=filling_status,
+        messages=tuple(messages) + filling_messages,
     )
 
 
@@ -225,30 +226,21 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 
 def _chain_system(genus: int) -> CurveSystem:
     space = SymplecticSpace(genus)
-
-    def r(i: int) -> HomologyClass:
-        return space.basis_r(i) if 1 <= i <= genus else space.zero()
-
     curves = []
     for i in range(1, genus + 2):
-        curves.append(TwistGenerator(f"a{i}", r(i - 1) + r(i), Family.A))
-    for i in range(1, genus + 1):
-        curves.append(TwistGenerator(f"b{i}", space.basis_s(i), Family.B))
+        coords = [0] * space.dimension
+        for j in (2 * i - 4, 2 * i - 2):  # the r_{i-1} and r_i coordinates
+            if 0 <= j < space.dimension:
+                coords[j] = 1
+        curves.append(TwistGenerator(f"a{i}", space.cls(coords), Family.A))
+        if i <= genus:
+            curves.append(TwistGenerator(f"b{i}", space.basis_s(i), Family.B))
 
-    # chain order: a_1, b_1, a_2, b_2, ..., b_g, a_{g+1}
-    order = []
-    for i in range(1, genus + 1):
-        order.append(f"a{i}")
-        order.append(f"b{i}")
-    order.append(f"a{genus + 1}")
-    by_label = {c.label: c for c in curves}
-    chained = tuple(by_label[lbl] for lbl in order)
-
-    n = len(chained)
+    n = len(curves)
     geo = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         geo[i][i + 1] = geo[i + 1][i] = 1
-    return CurveSystem(genus, chained, tuple(tuple(row) for row in geo))
+    return CurveSystem(genus, tuple(curves), tuple(tuple(row) for row in geo))
 
 
 def _chain_word(genus: int) -> TwistWord:

@@ -5,8 +5,8 @@ import pytest
 
 from tautcalc.holonomy import (
     PLHomeo,
-    TilePattern,
     TiledHomeo,
+    TileShiftMap,
     bundled_shifts,
     solve_conjugacy,
     witness_samples,
@@ -121,7 +121,7 @@ def test_shift_composition_same_direction():
 
 def test_tiled_eval_fixes_center_and_endpoints():
     u, v = bundled_shifts()
-    t = TiledHomeo(TilePattern(u, True), TilePattern(v, True))
+    t = TiledHomeo((u, u.inverse()), (v, v.inverse()))
     assert t.eval(0) == 0
     assert t.eval(-1) == -1
     assert t.eval(1) == 1
@@ -131,7 +131,7 @@ def test_tiled_eval_fixes_center_and_endpoints():
 
 def test_tiled_eval_matches_manual_chart():
     u, v = bundled_shifts()
-    t = TiledHomeo(TilePattern(u, False), TilePattern(v, False))
+    t = TiledHomeo((u,), (v,))
     # q = -3/4 lies in the first negative tile [-1, -1/2]; the chart sends it
     # to 0, u(0) = 1/2, and back: -1 + (1/2 + 1) * (1/2) / 2 = -5/8
     assert t.eval(Fr(-3, 4)) == Fr(-5, 8)
@@ -144,7 +144,7 @@ def test_tiled_eval_matches_manual_chart():
 
 def test_tiled_tile_boundaries_fixed():
     u, v = bundled_shifts()
-    t = TiledHomeo(TilePattern(u, True), TilePattern(v, False))
+    t = TiledHomeo((u, u.inverse()), (v,))
     for n in range(1, 12):
         assert t.eval(Fr(-1, n)) == Fr(-1, n)
         assert t.eval(Fr(1, n)) == Fr(1, n)
@@ -152,28 +152,59 @@ def test_tiled_tile_boundaries_fixed():
 
 def test_tiled_strictly_increasing_on_batch():
     u, v = bundled_shifts()
-    t = TiledHomeo(TilePattern(u, True), TilePattern(v, True))
+    t = TiledHomeo((u, u.inverse()), (v, v.inverse()))
     xs = sorted(witness_samples(10, 5))
     ys = [t.eval(x) for x in xs]
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
-def test_tile_pattern_inverse_built_once():
-    u, _ = bundled_shifts()
-    pattern = TilePattern(u, True)
-    assert pattern.tile_map(1) is u
-    assert pattern.tile_map(2) == u.inverse()
-    assert pattern.tile_map(2) is pattern.tile_map(4)
-    assert pattern.inverted().base is pattern.tile_map(2)
-    assert TilePattern(u, False).tile_map(2) is u
+def test_tile_maps_alternate_by_parity():
+    u, v = bundled_shifts()
+    t = TiledHomeo((u, u.inverse()), (v,))
+    for n in range(1, 7):
+        neg = u if n % 2 else u.inverse()
+        for (lo, hi), w in (((-Fr(1, n), -Fr(1, n + 1)), neg), ((Fr(1, n + 1), Fr(1, n)), v)):
+            # the tile midpoint is the chart image of 0
+            assert t.eval((lo + hi) / 2) == lo + (w.eval(0) + 1) * (hi - lo) / 2
+    assert t.inverse().negative == (u.inverse(), u)
+    assert t.inverse().positive == (v.inverse(),)
 
 
 def test_tiled_inverse():
     u, v = bundled_shifts()
-    t = TiledHomeo(TilePattern(u, True), TilePattern(v, False))
+    t = TiledHomeo((u, u.inverse()), (v,))
     ti = t.inverse()
     for q in witness_samples(6, 3):
         assert ti.eval(t.eval(q)) == q
+
+
+# h at tile boundaries and tile midpoints.  Case a has end pieces on both
+# sides (u t^-1 v: middle 1 of 3), case c only on the negative side (u t),
+# case d only on the positive side (t v).  With an end piece, tile 1 goes
+# onto it and tile n onto the chart image m + (x + 1)/2 of tile n-1; without
+# one, h is that chart.
+TILE_SHIFT_VALUES = {
+    (1, 3): {
+        Fr(-1): 0, Fr(-3, 4): Fr(1, 2), Fr(-1, 2): 1, Fr(-5, 12): Fr(9, 8), Fr(-1, 3): Fr(5, 4),
+        Fr(-1, 4): Fr(4, 3), 0: Fr(3, 2), Fr(1, 4): Fr(5, 3), Fr(1, 3): Fr(7, 4),
+        Fr(5, 12): Fr(15, 8), Fr(1, 2): 2, Fr(3, 4): Fr(5, 2), Fr(1): 3,
+    },
+    (1, 2): {
+        Fr(-1): 0, Fr(-3, 4): Fr(1, 2), Fr(-1, 2): 1, Fr(-5, 12): Fr(9, 8), Fr(-1, 3): Fr(5, 4),
+        0: Fr(3, 2), Fr(1, 3): Fr(5, 3), Fr(1, 2): Fr(7, 4), Fr(3, 4): Fr(15, 8), Fr(1): 2,
+    },
+    (0, 2): {
+        Fr(-1): 0, Fr(-3, 4): Fr(1, 8), Fr(-1, 2): Fr(1, 4), Fr(-1, 3): Fr(1, 3), 0: Fr(1, 2),
+        Fr(1, 3): Fr(3, 4), Fr(5, 12): Fr(7, 8), Fr(1, 2): 1, Fr(3, 4): Fr(3, 2), Fr(1): 2,
+    },
+}
+
+
+@pytest.mark.parametrize("shape", list(TILE_SHIFT_VALUES), ids=["a", "c", "d"])
+def test_tile_shift_map_values(shape):
+    h = TileShiftMap(*shape)
+    for q, expected in TILE_SHIFT_VALUES[shape].items():
+        assert h.eval(q) == expected, q
 
 
 # -- conjugacy construction ----------------------------------------------------------------
@@ -229,8 +260,9 @@ def test_random_maps_verify():
 
 def test_invalid_case_rejected():
     u, v = bundled_shifts()
-    with pytest.raises(ValueError):
-        solve_conjugacy(u, v, "g")
+    for case in ("g", "ab", "", "cde"):
+        with pytest.raises(ValueError):
+            solve_conjugacy(u, v, case)
 
 
 def test_domain_must_be_standard():

@@ -113,9 +113,9 @@ def test_unknown_label_raises():
 
 def test_chain_passes_necessary_conditions():
     system, _ = genus3_system()
-    report = filling_check(system)
-    assert report.filling_status is FillingStatus.NECESSARY_ONLY
-    assert report.word_valid is None
+    status, messages = filling_check(system)
+    assert status is FillingStatus.NECESSARY_ONLY
+    assert messages == ("no region certificate supplied; filling not fully verified",)
 
 
 def test_isolated_curve_fails():
@@ -127,8 +127,8 @@ def test_isolated_curve_fails():
     )
     geo = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     system = CurveSystem(2, curves, tuple(tuple(r) for r in geo))
-    report = filling_check(system)
-    assert report.filling_status is FillingStatus.FAILED
+    status, _ = filling_check(system)
+    assert status is FillingStatus.FAILED
 
 
 def test_disk_region_certificate_verifies():
@@ -137,23 +137,23 @@ def test_disk_region_certificate_verifies():
     expected_regions = (2 - 2 * base.genus) + base.total_intersections
     assert expected_regions == 2
     system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True), Region(True)))
-    assert filling_check(system).filling_status is FillingStatus.VERIFIED
+    assert filling_check(system) == (FillingStatus.VERIFIED, ())
     assert validate_word(word, system).filling_status is FillingStatus.VERIFIED
 
 
 def test_non_disk_region_fails():
     base, _ = genus3_system()
     system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True), Region(False)))
-    report = filling_check(system)
-    assert report.filling_status is FillingStatus.FAILED
+    status, _ = filling_check(system)
+    assert status is FillingStatus.FAILED
 
 
 def test_miscounted_certificate_fails():
     base, _ = genus3_system()
     system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True),) * 5)
-    report = filling_check(system)
-    assert report.filling_status is FillingStatus.FAILED
-    assert any("inconsistent" in m for m in report.messages)
+    status, messages = filling_check(system)
+    assert status is FillingStatus.FAILED
+    assert any("inconsistent" in m for m in messages)
 
 
 def test_same_family_intersection_rejected():
