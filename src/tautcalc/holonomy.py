@@ -24,16 +24,28 @@ pieces of the concatenation; everything is affine on tiles, so the
 conjugacy identity h(t(x)) = expr(h(x)) can be checked exactly at
 rational points.  The tiling is stored as a rule, never materialized, so
 evaluation is exact at every rational.
+
+Every chart is in closed form, an affine map y = k*q - m of an interval
+onto [-1, 1] with integers k and m, and its inverse q = (m + y)/k.  Tile n
+on side s (s = +-1) is [1/(n + 1), 1/n], mirrored for s = -1, with
+k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q is
+n = q.denominator // |q.numerator|.  Piece i of a concatenation is
+[i, i + 1], with k = 2 and m = 2i + 1.  Each chart builds one Fraction
+from the numerator and denominator of its argument, and `PLHomeo.eval`
+is one slope-intercept step per call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 
 def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise ValueError("floats are not allowed; use Fraction, int, or 'p/q' strings")
     return Fraction(x)
@@ -43,10 +55,11 @@ class PLHomeo:
     """Increasing piecewise-linear homeomorphism fixing the endpoints.
 
     Stored as matching breakpoint/value sequences; collinear interior
-    breakpoints are dropped, so equal maps have equal data.
+    breakpoints are dropped, so equal maps have equal data.  Each segment's
+    (slope, intercept) pair is derived from them once, for `eval`.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_pieces")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         bps = [_frac(b) for b in breakpoints]
@@ -62,6 +75,11 @@ class PLHomeo:
         bps, vals = self._normalized(bps, vals)
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "values", tuple(vals))
+        pieces = []
+        for x0, x1, y0, y1 in zip(bps, bps[1:], vals, vals[1:]):
+            slope = (y1 - y0) / (x1 - x0)
+            pieces.append((slope, y0 - slope * x0))
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     @staticmethod
     def _normalized(bps, vals):
@@ -99,74 +117,51 @@ class PLHomeo:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     @classmethod
-    def identity(cls, lo=-1, hi=1) -> "PLHomeo":
-        return cls([lo, hi], [lo, hi])
+    def identity(cls) -> "PLHomeo":
+        """The identity of [-1, 1]."""
+        return cls([-1, 1], [-1, 1])
 
     def eval(self, q) -> Fraction:
         q = _frac(q)
         bps = self.breakpoints
         if not bps[0] <= q <= bps[-1]:
             raise ValueError(f"{q} outside domain [{bps[0]}, {bps[-1]}]")
-        lo, hi = 0, len(bps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bps[mid] <= q:
-                lo = mid
-            else:
-                hi = mid
-        x0, x1 = bps[lo], bps[lo + 1]
-        y0, y1 = self.values[lo], self.values[lo + 1]
-        return y0 + (q - x0) * (y1 - y0) / (x1 - x0)
+        # segment i spans bps[i]..bps[i + 1]; the right endpoint takes the last
+        slope, intercept = self._pieces[bisect_right(bps, q, 1, len(bps) - 1) - 1]
+        return slope * q + intercept
 
     def inverse(self) -> "PLHomeo":
         return PLHomeo(self.values, self.breakpoints)
 
-    def rescaled(self, lo, hi) -> "PLHomeo":
-        """Affine conjugate onto the interval [lo, hi]."""
-        lo, hi = _frac(lo), _frac(hi)
-        if lo >= hi:
-            raise ValueError("need lo < hi")
-        a, b = self.domain
-        scale = (hi - lo) / (b - a)
-        return PLHomeo(
-            [lo + (x - a) * scale for x in self.breakpoints],
-            [lo + (y - a) * scale for y in self.values],
-        )
-
 
 # -- lazy tiled homeomorphisms ----------------------------------------------------
 
-_ONE = Fraction(1)
+
+def _chart_in(q: Fraction, k: int, m: int) -> Fraction:
+    """k*q - m: the chart of the interval at q, onto [-1, 1]."""
+    return Fraction(k * q.numerator - m * q.denominator, q.denominator)
 
 
-def _tile(side: int, n: int) -> Tuple[Fraction, Fraction]:
-    """Tile n (1-based, outermost first) on the given side of [-1, 1]."""
-    if side < 0:
-        return (-Fraction(1, n), -Fraction(1, n + 1))
-    return (Fraction(1, n + 1), Fraction(1, n))
+def _chart_out(y: Fraction, k: int, m: int) -> Fraction:
+    """(m + y)/k: the chart back from [-1, 1] at y."""
+    return Fraction(m * y.denominator + y.numerator, k * y.denominator)
+
+
+def _tile_chart(side: int, n: int) -> Tuple[int, int]:
+    """(k, m) of tile n (1-based, outermost first) on the given side."""
+    return 2 * n * (n + 1), side * (2 * n + 1)
 
 
 def _tile_index(q: Fraction) -> Tuple[int, int]:
     """(side, n) for a nonzero q in [-1, 1]; boundary points may go to either
     neighbouring tile, which agree there."""
-    side = -1 if q < 0 else 1
-    n = int(_ONE / abs(q))  # floor, since the argument is positive
-    return side, n
+    side = -1 if q.numerator < 0 else 1
+    return side, q.denominator // abs(q.numerator)
 
 
-# Both charts take lo + hi and hi - lo, which are ints on the unit pieces
-# [i, i + 1] of a concatenation; there each chart costs three Fraction
-# operations, as many as the unit-width formula would.
-
-
-def _chart_in(q: Fraction, lo, hi) -> Fraction:
-    """The affine map of [lo, hi] onto [-1, 1] at q."""
-    return (2 * q - (lo + hi)) / (hi - lo)
-
-
-def _chart_out(y: Fraction, lo, hi) -> Fraction:
-    """The affine map of [-1, 1] onto [lo, hi] at y."""
-    return (lo + hi + y * (hi - lo)) / 2
+def _check_unit(q: Fraction) -> None:
+    if abs(q.numerator) > q.denominator:
+        raise ValueError(f"{q} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -188,15 +183,14 @@ class TiledHomeo:
 
     def eval(self, q) -> Fraction:
         q = _frac(q)
-        if not -1 <= q <= 1:
-            raise ValueError(f"{q} outside [-1, 1]")
+        _check_unit(q)
         if q == 0:
-            return Fraction(0)
+            return q
         side, n = _tile_index(q)
-        lo, hi = _tile(side, n)
+        k, m = _tile_chart(side, n)
         maps = self.negative if side < 0 else self.positive
         w = maps[(n - 1) % len(maps)]
-        return _chart_out(w.eval(_chart_in(q, lo, hi)), lo, hi)
+        return _chart_out(w.eval(_chart_in(q, k, m)), k, m)
 
     def inverse(self) -> "TiledHomeo":
         return TiledHomeo(
@@ -218,10 +212,10 @@ class Concatenation:
     def eval(self, q) -> Fraction:
         q = _frac(q)
         k = len(self.pieces)
-        if not 0 <= q <= k:
+        if not 0 <= q.numerator <= k * q.denominator:
             raise ValueError(f"{q} outside [0, {k}]")
-        i = min(int(q), k - 1)
-        return _chart_out(self.pieces[i].eval(_chart_in(q, i, i + 1)), i, i + 1)
+        i = min(q.numerator // q.denominator, k - 1)
+        return _chart_out(self.pieces[i].eval(_chart_in(q, 2, 2 * i + 1)), 2, 2 * i + 1)
 
 
 @dataclass(frozen=True)
@@ -240,19 +234,17 @@ class TileShiftMap:
 
     def eval(self, q) -> Fraction:
         q = _frac(q)
-        if not -1 <= q <= 1:
-            raise ValueError(f"{q} outside [-1, 1]")
+        _check_unit(q)
         m = self.middle_index
-        side = -1 if q < 0 else 1
+        side = -1 if q.numerator < 0 else 1
         end = m + side
         if q == 0 or not 0 <= end < self.piece_count:
-            return _chart_out(q, m, m + 1)
+            return _chart_out(q, 2, 2 * m + 1)
         _, n = _tile_index(q)
-        lo, hi = _tile(side, n)
+        c = _chart_in(q, *_tile_chart(side, n))
         if n == 1:
-            return end + (q - lo) / (hi - lo)
-        plo, phi = _tile(side, n - 1)
-        return _chart_out(plo + (q - lo) * (phi - plo) / (hi - lo), m, m + 1)
+            return _chart_out(c, 2, 2 * end + 1)
+        return _chart_out(_chart_out(c, *_tile_chart(side, n - 1)), 2, 2 * m + 1)
 
 
 # The six cases and the concatenation each makes t conjugate to;
@@ -292,13 +284,14 @@ def witness_samples(tiles_per_side: int = 8, per_tile: int = 4) -> List[Fraction
     plus the endpoints and the center."""
     if tiles_per_side < 1 or per_tile < 1:
         raise ValueError("need at least one tile and one point per tile")
-    offsets = [Fraction(i + 1, per_tile + 1) for i in range(per_tile)]
     pts = [Fraction(-1), Fraction(0), Fraction(1)]
     for n in range(1, tiles_per_side + 1):
-        for side in (-1, 1):
-            lo, hi = _tile(side, n)
-            for t in offsets:
-                pts.append(lo + t * (hi - lo))
+        # tile n is [lo, lo + 1/(n(n + 1))] with lo = 1/(n + 1) or -1/n; over
+        # the denominator n(n + 1)(per_tile + 1), lo is `base` and the j-th
+        # of per_tile evenly spaced interior points is base + j
+        den = n * (n + 1) * (per_tile + 1)
+        for base in (-(n + 1) * (per_tile + 1), n * (per_tile + 1)):
+            pts.extend(Fraction(base + j, den) for j in range(1, per_tile + 1))
     return pts
 
 

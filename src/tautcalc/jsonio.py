@@ -28,7 +28,7 @@ def fmt_int(n: int) -> str:
 
 
 def fmt_frac(x: Fraction) -> str:
-    x = Fraction(x)
+    """'p/q', or 'p' for an integer; takes an int or a Fraction as is."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

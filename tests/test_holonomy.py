@@ -1,12 +1,17 @@
+import functools
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautcalc.holonomy import (
+    EXPRESSIONS,
+    Concatenation,
     PLHomeo,
     TiledHomeo,
     TileShiftMap,
+    _frac,
     bundled_shifts,
     solve_conjugacy,
     witness_samples,
@@ -49,6 +54,14 @@ def test_eval_interpolates():
         f.eval(2)
 
 
+def test_frac_passes_fractions_through():
+    q = Fr(-3, 7)
+    assert _frac(q) is q
+    assert _frac(2) == Fr(2) and _frac("1/3") == Fr(1, 3)
+    with pytest.raises(ValueError):
+        _frac(0.5)
+
+
 def test_collinear_breakpoints_normalized():
     f = PLHomeo([-1, 0, 1], [-1, 0, 1])
     assert f == PLHomeo.identity()
@@ -74,13 +87,6 @@ def test_compose_with_identity_and_inverse():
             assert ident.eval(q) == q
             assert f.eval(inv.eval(q)) == q
             assert inv.eval(f.eval(q)) == q
-
-
-def test_rescaled():
-    u, _ = bundled_shifts()
-    f = u.rescaled(0, 1)
-    assert f.domain == (Fr(0), Fr(1))
-    assert f.eval(Fr(1, 2)) == Fr(3, 4)  # chart image of u(0) = 1/2
 
 
 def displacements(f):
@@ -268,7 +274,7 @@ def test_invalid_case_rejected():
 def test_domain_must_be_standard():
     u, _ = bundled_shifts()
     with pytest.raises(ValueError):
-        solve_conjugacy(u.rescaled(0, 1), u, "a")
+        solve_conjugacy(PLHomeo([0, Fr(1, 2), 1], [0, Fr(3, 4), 1]), u, "a")
 
 
 def test_witness_samples_spread():
@@ -276,3 +282,148 @@ def test_witness_samples_spread():
     assert len(pts) == 8 * 4 * 2 + 3
     assert len(set(pts)) == len(pts)
     assert all(-1 <= p <= 1 for p in pts)
+
+
+# -- closed-form charts against the Fraction reference ----------------------------------
+# The tile bounds, Fraction charts, two-point interpolation and lo + t(hi - lo)
+# sample points that the closed forms replace, kept as their oracle.
+
+
+def ref_tile(side, n):
+    if side < 0:
+        return (-Fr(1, n), -Fr(1, n + 1))
+    return (Fr(1, n + 1), Fr(1, n))
+
+
+def ref_tile_index(q):
+    return (-1 if q < 0 else 1), int(1 / abs(Fr(q)))
+
+
+def ref_chart_in(q, lo, hi):
+    return (2 * q - (lo + hi)) / (hi - lo)
+
+
+def ref_chart_out(y, lo, hi):
+    return (lo + hi + y * (hi - lo)) / 2
+
+
+def ref_eval(f, q):
+    """f(q) by the reference formulas, recursively through every piece."""
+    q = Fr(q)
+    if isinstance(f, PLHomeo):
+        bps, vals = f.breakpoints, f.values
+        if not bps[0] <= q <= bps[-1]:
+            raise ValueError(q)
+        i = max(j for j in range(len(bps) - 1) if bps[j] <= q)
+        x0, x1, y0, y1 = bps[i], bps[i + 1], vals[i], vals[i + 1]
+        return y0 + (q - x0) * (y1 - y0) / (x1 - x0)
+    if isinstance(f, Concatenation):
+        k = len(f.pieces)
+        if not 0 <= q <= k:
+            raise ValueError(q)
+        i = min(int(q), k - 1)
+        return ref_chart_out(ref_eval(f.pieces[i], ref_chart_in(q, i, i + 1)), i, i + 1)
+    if not -1 <= q <= 1:
+        raise ValueError(q)
+    if isinstance(f, TiledHomeo):
+        if q == 0:
+            return Fr(0)
+        side, n = ref_tile_index(q)
+        lo, hi = ref_tile(side, n)
+        maps = f.negative if side < 0 else f.positive
+        return ref_chart_out(ref_eval(maps[(n - 1) % len(maps)], ref_chart_in(q, lo, hi)), lo, hi)
+    m = f.middle_index  # TileShiftMap
+    side = -1 if q < 0 else 1
+    end = m + side
+    if q == 0 or not 0 <= end < f.piece_count:
+        return ref_chart_out(q, m, m + 1)
+    _, n = ref_tile_index(q)
+    lo, hi = ref_tile(side, n)
+    if n == 1:
+        return end + (q - lo) / (hi - lo)
+    plo, phi = ref_tile(side, n - 1)
+    return ref_chart_out(plo + (q - lo) * (phi - plo) / (hi - lo), m, m + 1)
+
+
+def ref_samples(tiles_per_side, per_tile):
+    offsets = [Fr(i + 1, per_tile + 1) for i in range(per_tile)]
+    pts = [Fr(-1), Fr(0), Fr(1)]
+    for n in range(1, tiles_per_side + 1):
+        for side in (-1, 1):
+            lo, hi = ref_tile(side, n)
+            pts.extend(lo + t * (hi - lo) for t in offsets)
+    return pts
+
+
+@functools.cache
+def construction(case):
+    """Seeded u and v with the case's t, h and concatenation, built as
+    `solve_conjugacy` builds them."""
+    rng = random.Random(1000 + list(EXPRESSIONS).index(case))
+    u, v = random_plhomeo(rng, 4), random_plhomeo(rng, 4)
+    letters = EXPRESSIONS[case].split()
+    middle = "t^-1" if "t^-1" in letters else "t"
+    sides = [(f, f.inverse()) if middle == "t^-1" else (f,) for f in (u, v)]
+    tiled = TiledHomeo(*(s if x in letters else (PLHomeo.identity(),) for s, x in zip(sides, "uv")))
+    inner = tiled.inverse() if middle == "t^-1" else tiled
+    expr = Concatenation(tuple({"u": u, "v": v}.get(x, inner) for x in letters))
+    return (u, v, u.inverse(), v.inverse()), tiled, TileShiftMap(letters.index(middle), len(letters)), expr
+
+
+def unit_points(maps):
+    """0, +-1/n for n <= 40 and, on both sides of each of those tiles, the
+    chart images of every breakpoint and value of the tile maps."""
+    marks = sorted({x for f in maps for x in f.breakpoints + f.values})
+    pts = {Fr(0)}
+    for n in range(1, 41):
+        for side in (-1, 1):
+            lo, hi = ref_tile(side, n)
+            pts.update(ref_chart_out(x, lo, hi) for x in marks)
+            pts.add(Fr(side, n))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("case", list(EXPRESSIONS))
+def test_evaluation_matches_reference(case):
+    maps, tiled, h, expr = construction(case)
+    for f in maps:
+        for q in unit_points([f])[::7] + sorted(set(f.breakpoints + f.values)):
+            assert f.eval(q) == ref_eval(f, q), (f, q)
+    for q in unit_points(maps):
+        assert tiled.eval(q) == ref_eval(tiled, q), q
+        assert h.eval(q) == ref_eval(h, q), q
+        x = ref_eval(h, q)
+        assert expr.eval(x) == ref_eval(expr, x), x
+    k = len(expr.pieces)
+    for q in [Fr(i, 4) for i in range(4 * k + 1)]:
+        assert expr.eval(q) == ref_eval(expr, q), q
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(EXPRESSIONS)),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**12),
+)
+def test_evaluation_matches_reference_at_rationals(case, q):
+    maps, tiled, h, expr = construction(case)
+    for f in maps:
+        assert f.eval(q) == ref_eval(f, q)
+    assert tiled.eval(q) == ref_eval(tiled, q)
+    assert h.eval(q) == ref_eval(h, q)
+    assert expr.eval(h.eval(q)) == ref_eval(expr, ref_eval(h, q))
+
+
+def test_witness_samples_match_reference():
+    for tiles in (1, 2, 7, 40):
+        for per_tile in (1, 2, 5, 8):
+            assert witness_samples(tiles, per_tile) == ref_samples(tiles, per_tile)
+
+
+def test_unit_maps_take_endpoints_and_reject_beyond():
+    u, v = bundled_shifts()
+    past = Fr(10**30 + 1, 10**30)
+    for f in (TiledHomeo((u, u.inverse()), (v,)), TileShiftMap(1, 3), TileShiftMap(0, 2)):
+        assert f.eval(-1) == ref_eval(f, -1) and f.eval(1) == ref_eval(f, 1)
+        for q in (past, -past):
+            with pytest.raises(ValueError):
+                f.eval(q)
