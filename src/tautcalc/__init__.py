@@ -18,9 +18,8 @@ from .penner import (
     FillingStatus,
     PennerReport,
     Region,
-    extend_to_genus,
+    chain_system,
     filling_check,
-    genus3_system,
     validate_word,
 )
 from .polytope import (

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from . import holonomy, homology, jsonio, penner, polytope, sutured
 
@@ -84,7 +83,7 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 
 def cmd_vmatrix(args) -> int:
-    system, word = penner.extend_to_genus(args.genus)
+    system, word = penner.chain_system(args.genus)
     m = homology.word_action(word, system.generator_map())
     diff = m.minus_identity()
     det_abs = abs(diff.det())
@@ -94,8 +93,8 @@ def cmd_vmatrix(args) -> int:
         "genus": args.genus,
         "matrix": jsonio.matrix_to_json(m),
         "matrix_minus_identity": jsonio.matrix_to_json(diff),
-        "det_abs": jsonio.fmt_int(det_abs),
-        "target": jsonio.fmt_int(target),
+        "det_abs": str(det_abs),
+        "target": str(target),
         "checks": [
             {"name": "abs-det-minus-identity-equals-genus-plus-one", "pass": det_abs == target}
         ],
@@ -130,8 +129,10 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_penner(args) -> int:
-    path = args.input or resources.files("tautcalc").joinpath("data", "genus3_curve_system.json")
-    system, word = _load(path, "input", jsonio.penner_input_from_json)
+    if args.input:
+        system, word = _load(args.input, "input", jsonio.penner_input_from_json)
+    else:
+        system, word = penner.chain_system(3)
     report_obj = penner.validate_word(word, system)
     action = homology.word_action(word, system.generator_map())
     b2 = homology.mapping_torus_b2(action)
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("penner", parents=[common], help="validate a twist word over a curve system")
-    p.add_argument("--input", help="JSON file with the curve system and word (default: bundled genus-3 system)")
+    p.add_argument("--input", help="JSON file with the curve system and word (default: the genus-3 chain system)")
     p.set_defaults(func=cmd_penner)
 
     p = sub.add_parser("sutured", parents=[], help="sutured Euler characteristic and witnesses")

@@ -23,10 +23,6 @@ from .sutured import NovikovWitness, Tangency, TangencyKind
 # -- scalar encoding -----------------------------------------------------------
 
 
-def fmt_int(n: int) -> str:
-    return str(n)
-
-
 def fmt_frac(x: Fraction) -> str:
     """'p/q', or 'p' for an integer; takes an int or a Fraction as is."""
     if x.denominator == 1:
@@ -90,21 +86,20 @@ def _build(field: str, make: Callable, *args):
 
 
 def matrix_to_json(m: IntMatrix) -> List[List[str]]:
-    return [[fmt_int(e) for e in row] for row in m.rows]
+    return [list(map(str, row)) for row in m.rows]
 
 
 # -- curve systems and words ---------------------------------------------------
 
 
 def curve_system_to_json(sys: CurveSystem) -> dict:
-    n = len(sys.curves)
     return {
         "genus": sys.genus,
         "curves": [
-            {"label": c.label, "coords": [fmt_int(x) for x in c.cls.coords], "family": c.family.value}
+            {"label": c.label, "coords": [str(x) for x in c.cls.coords], "family": c.family.value}
             for c in sys.curves
         ],
-        "geo_int": [[sys.geo_int[i][j] for j in range(i)] for i in range(n)],
+        "geo_int": [list(row) for row in sys.geo_int],
         **(
             {"regions": [{"disk": r.disk, "label": r.label} for r in sys.regions]}
             if sys.regions is not None
@@ -137,17 +132,13 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
             raise ValueError(f"{at}.family: expected 'A' or 'B'") from None
         cls = _build(f"{at}.coords", space.cls, coords)
         curves.append(_build(at, TwistGenerator, label, cls, family))
-    tri = _expect_list(_get(obj, "geo_int", field), f"{field}.geo_int")
-    n = len(curves)
-    if len(tri) != n:
-        raise ValueError(f"{field}.geo_int: expected {n} rows, got {len(tri)}")
-    geo = [[0] * n for _ in range(n)]
-    for i, row in enumerate(tri):
-        row = _expect_list(row, f"{field}.geo_int[{i}]")
-        if len(row) != i:
-            raise ValueError(f"{field}.geo_int[{i}]: expected {i} entries (strict lower triangle)")
-        for j, e in enumerate(row):
-            geo[i][j] = geo[j][i] = parse_int(e, f"{field}.geo_int[{i}][{j}]")
+    geo = tuple(
+        tuple(
+            parse_int(e, f"{field}.geo_int[{i}][{j}]")
+            for j, e in enumerate(_expect_list(row, f"{field}.geo_int[{i}]"))
+        )
+        for i, row in enumerate(_expect_list(_get(obj, "geo_int", field), f"{field}.geo_int"))
+    )
     regions = None
     if "regions" in obj:
         regions = []
@@ -156,7 +147,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
             e = _expect_map(entry, at)
             regions.append(_build(at, Region, _get(e, "disk", at), e.get("label", "")))
         regions = tuple(regions)
-    return _build(field, CurveSystem, genus, tuple(curves), tuple(tuple(r) for r in geo), regions)
+    return _build(field, CurveSystem, genus, tuple(curves), geo, regions)
 
 
 def word_from_json(data: Any, field: str = "word") -> TwistWord:
@@ -172,8 +163,10 @@ def penner_input_from_json(data: Any, field: str = "input") -> Tuple[CurveSystem
     """The penner document: a curve system plus the word over its labels."""
     system = curve_system_from_json(data, field)
     word = word_from_json(_get(data, "word", field), f"{field}.word")
+    labels = system.generator_map()
     for i, (label, _) in enumerate(word):
-        _build(f"{field}.word[{i}]", system.index_of, label)
+        if label not in labels:
+            raise ValueError(f"{field}.word[{i}]: unknown curve label {label!r}")
     return system, word
 
 
@@ -194,7 +187,7 @@ def polytope_to_json(p: RatPolytope) -> dict:
     return {
         "vertices": [[fmt_frac(x), fmt_frac(y)] for x, y in p.vertices],
         "halfspaces": [
-            {"normal": [fmt_int(a), fmt_int(b)], "offset": fmt_int(c)}
+            {"normal": [str(a), str(b)], "offset": str(c)}
             for (a, b), c in p.halfspaces
         ],
     }
@@ -206,7 +199,7 @@ def norm_spec_to_json(spec: NormSpec) -> dict:
         "x_s": fmt_frac(spec.x_s),
         "x_sum": fmt_frac(spec.x_sum),
         "x_diff": fmt_frac(spec.x_diff),
-        "chi": [fmt_int(spec.chi[0]), fmt_int(spec.chi[1])],
+        "chi": [str(spec.chi[0]), str(spec.chi[1])],
     }
 
 
@@ -227,7 +220,7 @@ def candidate_to_json(p: CandidatePoint) -> dict:
     # every listed point lies on the dual ball's boundary and passed parity;
     # the vertices are the realizable ones
     return {
-        "coords": [fmt_int(p.coords[0]), fmt_int(p.coords[1])],
+        "coords": [str(p.coords[0]), str(p.coords[1])],
         "location": "boundary-vertex" if p.vertex else "boundary-nonvertex",
         "parity_ok": True,
         "realizability": "realizable-vertex" if p.vertex else "candidate",
@@ -258,18 +251,18 @@ def tangencies_to_json(tangencies: Sequence[Tangency]) -> List[dict]:
 
 def witness_to_json(w: NovikovWitness) -> dict:
     return {
-        "k": fmt_int(w.k),
-        "m": fmt_int(w.m),
-        "initial_exponent": fmt_int(w.initial_exponent),
+        "k": str(w.k),
+        "m": str(w.m),
+        "initial_exponent": str(w.initial_exponent),
         "steps": [
             {
                 "op": s.op,
-                "exponent_added": fmt_int(s.exponent_added),
-                "running_total": fmt_int(s.running_total),
+                "exponent_added": str(s.exponent_added),
+                "running_total": str(s.running_total),
             }
             for s in w.steps
         ],
-        "final_exponent": fmt_int(w.final_exponent),
+        "final_exponent": str(w.final_exponent),
     }
 
 

@@ -5,7 +5,10 @@ second, with every curve used at least once, is pseudo-Anosov whenever the
 two multicurves jointly fill the surface.  This module validates the word
 conditions, checks the filling conditions that are decidable from
 intersection data (plus an optional region certificate), and builds the
-chain systems used by the rest of the package.
+one chain system the rest of the package uses: `chain_system(g)` for genus
+2..240 derives the chain curves a_1, b_1, ..., b_g, a_{g+1} and their
+opposite-twist word (Penner 1988).  `vmatrix --genus g` reports on it, and
+`penner` without an input file reports on `chain_system(3)`.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ class Region:
 class CurveSystem:
     """Two multicurves on a genus-g surface with pairwise intersection counts.
 
-    `geo_int` is the symmetric matrix of geometric intersection numbers in
-    the order of `curves`.  Curves within one family must be disjoint
-    (that is what makes each family a multicurve).  `regions` is an
-    optional certificate describing the complementary regions.
+    `geo_int` is the strict lower triangle of the geometric intersection
+    numbers in the order of `curves`: row i holds the counts of curve i with
+    curves 0..i-1.  Curves within one family must be disjoint (that is what
+    makes each family a multicurve).  `regions` is an optional certificate
+    describing the complementary regions.
     """
 
     genus: int
@@ -56,17 +60,6 @@ class CurveSystem:
         n = len(self.curves)
         if n == 0:
             raise ValueError("need at least one curve")
-        if len(self.geo_int) != n or any(len(row) != n for row in self.geo_int):
-            raise ValueError("geo_int must be square of size len(curves)")
-        for i in range(n):
-            if self.geo_int[i][i] != 0:
-                raise ValueError("geo_int diagonal must be zero")
-            for j in range(n):
-                e = self.geo_int[i][j]
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise ValueError("geo_int entries must be nonnegative integers")
-                if e != self.geo_int[j][i]:
-                    raise ValueError("geo_int must be symmetric")
         space = self.space
         seen = set()
         for c in self.curves:
@@ -77,24 +70,24 @@ class CurveSystem:
             if c.label in seen:
                 raise ValueError(f"duplicate curve label {c.label!r}")
             seen.add(c.label)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.curves[i].family == self.curves[j].family and self.geo_int[i][j] != 0:
+        if len(self.geo_int) != n:
+            raise ValueError(f"geo_int must have length {n}, one row per curve")
+        for i, row in enumerate(self.geo_int):
+            if len(row) != i:
+                raise ValueError(f"geo_int[{i}] must have length {i} (strict lower triangle)")
+            family = self.curves[i].family
+            for j, e in enumerate(row):
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                    raise ValueError(f"geo_int[{i}][{j}] must be a nonnegative integer")
+                if e and self.curves[j].family == family:
                     raise ValueError(
-                        f"curves {self.curves[i].label!r} and {self.curves[j].label!r} are in "
+                        f"curves {self.curves[j].label!r} and {self.curves[i].label!r} are in "
                         "the same family but intersect"
                     )
 
-    def index_of(self, label: str) -> int:
-        for i, c in enumerate(self.curves):
-            if c.label == label:
-                return i
-        raise ValueError(f"unknown curve label {label!r}")
-
     @property
     def total_intersections(self) -> int:
-        n = len(self.curves)
-        return sum(self.geo_int[i][j] for i in range(n) for j in range(i + 1, n))
+        return sum(map(sum, self.geo_int))
 
     @property
     def space(self) -> SymplecticSpace:
@@ -129,28 +122,31 @@ def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
     messages = []
     ok = True
 
-    for i, c in enumerate(sys.curves):
-        hits_opposite = any(
-            sys.geo_int[i][j] > 0 and sys.curves[j].family != c.family for j in range(n)
-        )
-        if not hits_opposite:
+    # the intersection graph; every edge joins opposite families, since a
+    # CurveSystem rejects intersecting curves of one family
+    neighbours = [[] for _ in range(n)]
+    for i, row in enumerate(sys.geo_int):
+        for j, e in enumerate(row):
+            if e:
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+
+    for c, near in zip(sys.curves, neighbours):
+        if not near:
             ok = False
             messages.append(f"curve {c.label!r} does not meet the opposite family")
 
-    # connectivity of the intersection graph
-    if n > 0:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and sys.geo_int[i][j] > 0:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
-            ok = False
-            isolated = [sys.curves[i].label for i in range(n) if i not in seen]
-            messages.append(f"intersection graph is disconnected (unreached: {isolated})")
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in neighbours[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != n:
+        ok = False
+        isolated = [sys.curves[i].label for i in range(n) if i not in seen]
+        messages.append(f"intersection graph is disconnected (unreached: {isolated})")
 
     if not ok:
         status = FillingStatus.FAILED
@@ -218,13 +214,26 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 
 # -- chain systems -------------------------------------------------------------
 #
-# The curve systems are chains a_1, b_1, a_2, b_2, ..., b_g, a_{g+1} in which
-# consecutive curves meet once and all other pairs are disjoint.  Homology
-# classes consistent with that pattern: a_i = r_{i-1} + r_i (with r_0 and
-# r_{g+1} read as zero) and b_i = s_i.
+# The chain a_1, b_1, a_2, b_2, ..., b_g, a_{g+1}: consecutive curves meet once
+# and all other pairs are disjoint.  Homology classes consistent with that
+# pattern: a_i = r_{i-1} + r_i (with r_0 and r_{g+1} read as zero) and
+# b_i = s_i.  The action of the genus-g word is a dense 2g x 2g matrix; the
+# sparse determinant of M - Id takes under 10 ms at g = 240, but building the
+# dense word_action lists and printing them (vmatrix prints M and M - Id) grow
+# as g^2 and dominate from there on, so the genus is capped.
+MAX_CHAIN_GENUS = 240
 
 
-def _chain_system(genus: int) -> CurveSystem:
+def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
+    """The (2g+1)-curve chain system and its three-phase word, for genus
+    2..240.  The word twists negatively along the a-curves except a_2, a_3;
+    then positively along the b-curves except b_2; then a_3, a_2 negatively
+    and b_2 positively.  At genus 3 this is the word
+    b2 a2^- a3^- b1 b3 a1^- a4^- (outermost letter first)."""
+    if not isinstance(genus, int) or genus < 2:
+        raise ValueError("genus must be an integer >= 2")
+    if genus > MAX_CHAIN_GENUS:
+        raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")
     space = SymplecticSpace(genus)
     curves = []
     for i in range(1, genus + 2):
@@ -235,48 +244,10 @@ def _chain_system(genus: int) -> CurveSystem:
         curves.append(TwistGenerator(f"a{i}", space.cls(coords), Family.A))
         if i <= genus:
             curves.append(TwistGenerator(f"b{i}", space.basis_s(i), Family.B))
+    geo = ((),) + tuple((0,) * i + (1,) for i in range(len(curves) - 1))  # curve i meets curve i - 1 only
 
-    n = len(curves)
-    geo = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        geo[i][i + 1] = geo[i + 1][i] = 1
-    return CurveSystem(genus, tuple(curves), tuple(tuple(row) for row in geo))
-
-
-def _chain_word(genus: int) -> TwistWord:
-    """Three-phase word: negative twists along the a-curves except a_2, a_3;
-    then positive twists along the b-curves except b_2; then a_3, a_2
-    negative and b_2 positive.  At genus 3 this is the word
-    b2 a2^- a3^- b1 b3 a1^- a4^- (outermost letter first)."""
-    applied = []  # in application order, first applied first
-    for i in range(genus + 1, 3, -1):
-        applied.append((f"a{i}", -1))
+    applied = [(f"a{i}", -1) for i in range(genus + 1, 3, -1)]  # first applied first
     applied.append(("a1", -1))
-    for i in range(genus, 2, -1):
-        applied.append((f"b{i}", 1))
-    applied.append(("b1", 1))
-    applied.append(("a3", -1))
-    applied.append(("a2", -1))
-    applied.append(("b2", 1))
-    return TwistWord(tuple(reversed(applied)))
-
-
-def genus3_system() -> Tuple[CurveSystem, TwistWord]:
-    """The 7-curve genus-3 chain system and its twist word."""
-    return _chain_system(3), _chain_word(3)
-
-
-# The action of the genus-g word is a dense 2g x 2g matrix.  The sparse
-# determinant of M - Id takes under 10 ms at g = 240, but building the dense
-# word_action lists and printing them (vmatrix prints M and M - Id) grow as
-# g^2 and dominate from there on, so the genus is capped.
-MAX_EXTENSION_GENUS = 240
-
-
-def extend_to_genus(genus: int) -> Tuple[CurveSystem, TwistWord]:
-    """The (2g+1)-curve chain system and three-phase word for genus 6..240."""
-    if not isinstance(genus, int) or genus < 6:
-        raise ValueError("extension is defined for genus >= 6")
-    if genus > MAX_EXTENSION_GENUS:
-        raise ValueError(f"genus must be at most {MAX_EXTENSION_GENUS}")
-    return _chain_system(genus), _chain_word(genus)
+    applied += [(f"b{i}", 1) for i in range(genus, 2, -1)]
+    applied += [("b1", 1), ("a3", -1), ("a2", -1), ("b2", 1)]
+    return CurveSystem(genus, tuple(curves), geo), TwistWord(tuple(reversed(applied)))

@@ -24,7 +24,7 @@ from tautcalc.homology import (
     word_action,
 )
 from tautcalc.matrices import IntMatrix
-from tautcalc.penner import extend_to_genus, genus3_system
+from tautcalc.penner import chain_system
 from tautcalc.polytope import (
     NormSpec,
     RatPolytope,
@@ -65,23 +65,23 @@ class Criterion:
 
 
 def test_extended_matrix_determinant_law():
-    with Criterion("determinant of the chain-word action minus identity is genus+1, genus 6..16", 1.0):
-        for genus in range(6, 17):
-            system, word = extend_to_genus(genus)
+    with Criterion("determinant of the chain-word action minus identity is genus+1, genus 2..16", 1.0):
+        for genus in range(2, 17):
+            system, word = chain_system(genus)
             m = word_action(word, system.generator_map())
             assert abs(m.minus_identity().det()) == genus + 1
 
 
 def test_extended_mapping_torus_b2():
-    with Criterion("mapping torus of the chain-word action has b2 = 1, genus 6..40", 1.0):
-        for genus in range(6, 41):
-            system, word = extend_to_genus(genus)
+    with Criterion("mapping torus of the chain-word action has b2 = 1, genus 2..40", 1.0):
+        for genus in range(2, 41):
+            system, word = chain_system(genus)
             assert mapping_torus_b2(word_action(word, system.generator_map())) == 1
 
 
 @pytest.mark.parametrize("genus", [120, 240])
 def test_chain_word_determinant_time(genus):
-    system, word = extend_to_genus(genus)
+    system, word = chain_system(genus)
     diff = word_action(word, system.generator_map()).minus_identity()
     with Criterion(f"det of the chain-word action minus identity is (-1)^g (g+1) at genus {genus}", 0.1):
         assert diff.det() == (-1) ** genus * (genus + 1)
@@ -89,7 +89,7 @@ def test_chain_word_determinant_time(genus):
 
 def test_genus3_matrix_fixture():
     with Criterion("genus-3 word action sends alpha to beta, det(M - Id) = -4, no fixed class", 0.01):
-        system, word = genus3_system()
+        system, word = chain_system(3)
         m = word_action(word, system.generator_map())
         alpha, beta = (0, 0, 0, 1, 0, 0), (1, 0, 2, 3, 1, 0)
         assert m.apply(alpha) == beta

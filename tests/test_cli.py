@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from tautcalc import jsonio, polytope
 from tautcalc.cli import main
-from tautcalc.penner import MAX_EXTENSION_GENUS, _chain_system
+from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
 
 
@@ -21,9 +24,9 @@ def run_json(capsys, *argv):
 
 
 def _bundled_penner_doc():
-    from importlib import resources
-
-    return json.loads(resources.files("tautcalc").joinpath("data", "genus3_curve_system.json").read_text())
+    """The input document of the genus-3 chain system that `penner` reports on by default."""
+    system, word = chain_system(3)
+    return {**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)}
 
 
 def test_vmatrix_pass(capsys):
@@ -41,9 +44,18 @@ def test_vmatrix_json_genus12(capsys):
 
 
 def test_vmatrix_small_genus_usage_error(capsys):
-    code, out, err = run(capsys, "vmatrix", "--genus", "5")
-    assert code == 2
-    assert err == "error: extension is defined for genus >= 6\n"
+    for genus, message in ((1, "genus must be an integer >= 2"),
+                           (MAX_CHAIN_GENUS + 1, f"genus must be at most {MAX_CHAIN_GENUS}")):
+        code, out, err = run(capsys, "vmatrix", "--genus", str(genus))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("genus", range(2, 6))
+def test_vmatrix_small_genera_pass(capsys, genus):
+    code, doc = run_json(capsys, "vmatrix", "--genus", str(genus))
+    assert code == 0
+    assert doc["status"] == "PASS"
+    assert doc["det_abs"] == str(genus + 1)
 
 
 def test_candidates_point_off_the_boundary_fails(monkeypatch, capsys):
@@ -67,7 +79,7 @@ def test_vmatrix_genus_capped(capsys):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == f"error: genus must be at most {MAX_EXTENSION_GENUS}\n"
+    assert err == f"error: genus must be at most {MAX_CHAIN_GENUS}\n"
     assert peak < 1_000_000
 
 
@@ -156,9 +168,18 @@ def test_penner_bundled_fixture(capsys):
     assert doc["fixed_homology_trivial"] is True
 
 
+def test_penner_default_matches_chain_system_input(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_bundled_penner_doc()))
+    for fmt in ("text", "json"):
+        default = run(capsys, "penner", "--format", fmt)
+        assert default == run(capsys, "penner", "--input", str(path), "--format", fmt)
+        assert default[0] == 0
+
+
 def test_penner_fixed_class_fails(tmp_path, capsys):
     # a single twist fixes every class that pairs to zero with its curve
-    doc = {**jsonio.curve_system_to_json(_chain_system(2)), "word": [{"label": "a1", "exp": 1}]}
+    doc = {**jsonio.curve_system_to_json(chain_system(2)[0]), "word": [{"label": "a1", "exp": 1}]}
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc))
     code, doc = run_json(capsys, "penner", "--input", str(path))
@@ -217,6 +238,16 @@ def test_penner_error_names_field(tmp_path, capsys, edit, message):
     code, out, err = run(capsys, "penner", "--input", str(path))
     assert code == 2
     assert err == message
+
+
+def test_penner_negative_intersection_names_entry(tmp_path, capsys):
+    doc = _bundled_penner_doc()
+    doc["geo_int"][1][0] = "-1"
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "penner", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: input: geo_int[1][0] must be a nonnegative integer\n"
 
 
 def test_penner_missing_field_diagnostic(tmp_path, capsys):
@@ -327,3 +358,16 @@ def test_format_env_default(monkeypatch, capsys):
     parser = cli.build_parser()
     args = parser.parse_args(["vmatrix", "--genus", "6"])
     assert args.format == "json"
+
+
+def test_imports_only_the_standard_library():
+    # -S as well as -I: the interpreter's site hooks may import third-party
+    # modules of their own before any tautcalc code runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tautcalc, tautcalc.cli; "
+            "print(*{m.partition('.')[0] for m in sys.modules})")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "tautcalc" in loaded
+    extra = loaded - set(sys.stdlib_module_names) - {"tautcalc", "__main__"}
+    assert not extra, f"non-stdlib modules imported: {sorted(extra)}"

@@ -1,10 +1,7 @@
-import json
 import random
-from importlib import resources
 
 import pytest
 
-from tautcalc import jsonio
 from tautcalc.homology import (
     Family,
     SymplecticSpace,
@@ -16,7 +13,7 @@ from tautcalc.homology import (
     word_action,
 )
 from tautcalc.matrices import IntMatrix
-from tautcalc.penner import _chain_system, _chain_word, extend_to_genus, genus3_system
+from tautcalc.penner import chain_system
 
 
 def random_class(space, rng, allow_zero=False):
@@ -252,7 +249,8 @@ def _dense_word_action(word, gens):
 
 
 def _chain(genus):
-    return _chain_system(genus).generator_map(), _chain_word(genus)
+    system, word = chain_system(genus)
+    return system.generator_map(), word
 
 
 @pytest.mark.parametrize("genus", range(2, 13))
@@ -279,31 +277,17 @@ def test_word_action_is_symplectic(genus):
 # -- derived chain-word actions ---------------------------------------------------
 
 
-def _genus3_action():
-    system, word = genus3_system()
-    return word_action(word, system.generator_map())
-
-
-def _extended_action(genus):
-    system, word = extend_to_genus(genus)
+def _chain_action(genus):
+    system, word = chain_system(genus)
     return word_action(word, system.generator_map())
 
 
 def test_genus3_action_matrix_rows():
-    m = _genus3_action()
+    m = _chain_action(3)
     assert m.rows[0] == (2, 3, 0, 1, 0, 0)
     assert m.rows[-1] == (0, 0, 0, 0, 1, 2)
     assert m.det() == 1
     assert m.minus_identity().det() == -4
-
-
-def test_genus3_action_matrix_matches_bundled_fixture():
-    doc = json.loads(
-        resources.files("tautcalc").joinpath("data", "genus3_curve_system.json").read_text()
-    )
-    system = jsonio.curve_system_from_json(doc, "system")
-    word = jsonio.word_from_json(doc["word"], "word")
-    assert word_action(word, system.generator_map()) == _genus3_action()
 
 
 def test_extended_action_matrix_leading_block():
@@ -318,19 +302,23 @@ def test_extended_action_matrix_leading_block():
         (0, 0, 0, 0, 0, 1, 1, 3),
     ]
     for genus in (6, 7, 9):
-        m = _extended_action(genus)
+        m = _chain_action(genus)
         for i in range(8):
             assert m.rows[i][:8] == expected[i]
 
 
-def test_extended_action_matrix_requires_genus_six():
-    with pytest.raises(ValueError):
-        extend_to_genus(5)
+def test_chain_action_determinant_at_small_genera():
+    # the law det(M_g - I) = (-1)^g (g + 1) already holds below the interior's genus 6
+    for genus, d in ((2, 3), (3, -4), (4, 5), (5, -6)):
+        m = _chain_action(genus)
+        assert (m.minus_identity().det(), m.det()) == (d, 1)
+    with pytest.raises(ValueError, match="^genus must be an integer >= 2$"):
+        chain_system(1)
 
 
 @pytest.mark.parametrize("genus", [6, 8, 11])
 def test_extended_action_determinant_law(genus):
-    m = _extended_action(genus)
+    m = _chain_action(genus)
     assert abs(m.minus_identity().det()) == genus + 1
     assert m.det() == 1
 
@@ -349,14 +337,14 @@ def test_mapping_torus_b2_single_transvection():
 
 
 def test_mapping_torus_b2_genus3_action():
-    assert mapping_torus_b2(_genus3_action()) == 1
+    assert mapping_torus_b2(_chain_action(3)) == 1
 
 
 def test_fixed_homology_trivial():
     # no nonzero fixed class means det(M - Id) != 0, and then b2 = 1
     assert IntMatrix.identity(4).minus_identity().det() == 0
     assert mapping_torus_b2(IntMatrix.identity(4)) == 5
-    for m in (_genus3_action(), _extended_action(7)):
+    for m in (_chain_action(3), _chain_action(7)):
         assert m.minus_identity().det() != 0
         assert mapping_torus_b2(m) == 1
     with pytest.raises(ValueError, match="matrix must be square"):

@@ -6,7 +6,7 @@ from tautcalc import jsonio
 from tautcalc.holonomy import bundled_shifts
 from tautcalc.homology import word_action
 from tautcalc.matrices import IntMatrix
-from tautcalc.penner import extend_to_genus, genus3_system
+from tautcalc.penner import chain_system
 from tautcalc.polytope import NormSpec, norm_ball_from_values
 from tautcalc.sutured import novikov_witness
 
@@ -14,7 +14,6 @@ from tautcalc.sutured import novikov_witness
 def test_scalar_formats():
     from fractions import Fraction
 
-    assert jsonio.fmt_int(-7) == "-7"
     assert jsonio.fmt_frac(Fraction(1, 2)) == "1/2"
     assert jsonio.fmt_frac(Fraction(-4)) == "-4"
     assert jsonio.parse_frac("1/2", "x") == Fraction(1, 2)
@@ -27,7 +26,7 @@ def test_scalar_formats():
 
 
 def test_matrix_roundtrip():
-    system, word = genus3_system()
+    system, word = chain_system(3)
     m = word_action(word, system.generator_map())
     data = json.loads(json.dumps(jsonio.matrix_to_json(m)))
     assert data[0] == ["2", "3", "0", "1", "0", "0"]
@@ -35,7 +34,7 @@ def test_matrix_roundtrip():
 
 
 def test_curve_system_roundtrip():
-    for system, word in (genus3_system(), extend_to_genus(6)):
+    for system, word in (chain_system(3), chain_system(6)):
         doc = jsonio.curve_system_to_json(system)
         doc["word"] = jsonio.word_to_json(word)
         raw = json.dumps(doc)
@@ -71,7 +70,7 @@ def test_pl_roundtrip():
 
 
 def test_geo_int_lower_triangle_shape():
-    system, _ = genus3_system()
+    system, _ = chain_system(3)
     doc = jsonio.curve_system_to_json(system)
     assert [len(row) for row in doc["geo_int"]] == list(range(len(system.curves)))
     bad = dict(doc)

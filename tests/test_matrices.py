@@ -6,7 +6,7 @@ import pytest
 
 from tautcalc.homology import TwistWord, word_action
 from tautcalc.matrices import IntMatrix
-from tautcalc.penner import _chain_system, _chain_word
+from tautcalc.penner import chain_system
 
 
 def det_gauss(rows):
@@ -210,8 +210,9 @@ def _seeded_chain_word(rng, genus):
 def test_chain_and_seeded_words_match_dense_bareiss():
     rng = random.Random("seeded-words")
     for genus in range(2, 61):
-        generators = _chain_system(genus).generator_map()
-        for word in (_chain_word(genus), _seeded_chain_word(rng, genus)):
+        system, chain_word = chain_system(genus)
+        generators = system.generator_map()
+        for word in (chain_word, _seeded_chain_word(rng, genus)):
             assert_matches_dense(word_action(word, generators).minus_identity().to_lists())
 
 
@@ -287,7 +288,8 @@ def test_block_triangular_rows_untouched_across_pivots():
 
 def test_chain_word_minus_identity_has_full_rank():
     for genus in range(2, 31):
-        m = word_action(_chain_word(genus), _chain_system(genus).generator_map())
+        system, word = chain_system(genus)
+        m = word_action(word, system.generator_map())
         assert m.minus_identity().rank() == 2 * genus
 
 

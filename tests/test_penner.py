@@ -12,25 +12,20 @@ from tautcalc.homology import (
     word_action,
 )
 from tautcalc.penner import (
-    MAX_EXTENSION_GENUS,
+    MAX_CHAIN_GENUS,
     CurveSystem,
     FillingStatus,
     Region,
-    extend_to_genus,
+    chain_system,
     filling_check,
-    genus3_system,
     validate_word,
 )
 
 
-def chain_system(genus, labels_and_families):
-    """Small helper: chain with consecutive intersection one."""
-    space = SymplecticSpace(genus)
-    n = len(labels_and_families)
-    geo = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        geo[i][i + 1] = geo[i + 1][i] = 1
-    return CurveSystem(genus, tuple(labels_and_families), tuple(tuple(r) for r in geo))
+def path_system(genus, curves):
+    """Small helper: the curves in order, consecutive ones meeting once."""
+    geo = tuple(tuple(int(j == i - 1) for j in range(i)) for i in range(len(curves)))
+    return CurveSystem(genus, tuple(curves), geo)
 
 
 def genus2_example():
@@ -43,7 +38,7 @@ def genus2_example():
         TwistGenerator("b2", space.basis_s(2), Family.B),
         TwistGenerator("a3", space.basis_r(2), Family.A),
     )
-    return chain_system(2, curves)
+    return path_system(2, curves)
 
 
 GENUS2_WORD = TwistWord.of(
@@ -59,7 +54,7 @@ def test_genus2_example_word_valid():
 
 
 def test_genus3_word_valid():
-    system, word = genus3_system()
+    system, word = chain_system(3)
     report = validate_word(word, system)
     assert report.word_valid
 
@@ -112,7 +107,7 @@ def test_unknown_label_raises():
 
 
 def test_chain_passes_necessary_conditions():
-    system, _ = genus3_system()
+    system, _ = chain_system(3)
     status, messages = filling_check(system)
     assert status is FillingStatus.NECESSARY_ONLY
     assert messages == ("no region certificate supplied; filling not fully verified",)
@@ -125,14 +120,15 @@ def test_isolated_curve_fails():
         TwistGenerator("b1", space.basis_s(1), Family.B),
         TwistGenerator("a2", space.basis_r(2), Family.A),
     )
-    geo = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
-    system = CurveSystem(2, curves, tuple(tuple(r) for r in geo))
-    status, _ = filling_check(system)
+    system = CurveSystem(2, curves, ((), (1,), (0, 0)))
+    status, messages = filling_check(system)
     assert status is FillingStatus.FAILED
+    assert messages == ("curve 'a2' does not meet the opposite family",
+                        "intersection graph is disconnected (unreached: ['a2'])")
 
 
 def test_disk_region_certificate_verifies():
-    base, word = genus3_system()
+    base, word = chain_system(3)
     # chain on genus 3: chi = -4, intersections = 6, so 2 disk regions
     expected_regions = (2 - 2 * base.genus) + base.total_intersections
     assert expected_regions == 2
@@ -142,14 +138,14 @@ def test_disk_region_certificate_verifies():
 
 
 def test_non_disk_region_fails():
-    base, _ = genus3_system()
+    base, _ = chain_system(3)
     system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True), Region(False)))
     status, _ = filling_check(system)
     assert status is FillingStatus.FAILED
 
 
 def test_miscounted_certificate_fails():
-    base, _ = genus3_system()
+    base, _ = chain_system(3)
     system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True),) * 5)
     status, messages = filling_check(system)
     assert status is FillingStatus.FAILED
@@ -163,7 +159,7 @@ def test_same_family_intersection_rejected():
         TwistGenerator("a2", space.basis_s(1), Family.A),
     )
     with pytest.raises(ValueError):
-        CurveSystem(2, curves, ((0, 1), (1, 0)))
+        CurveSystem(2, curves, ((), (1,)))
 
 
 def test_geo_int_validation():
@@ -172,10 +168,20 @@ def test_geo_int_validation():
         TwistGenerator("a1", space.basis_r(1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
     )
-    with pytest.raises(ValueError):
-        CurveSystem(2, curves, ((1, 1), (1, 0)))  # nonzero diagonal
-    with pytest.raises(ValueError):
-        CurveSystem(2, curves, ((0, 1), (2, 0)))  # not symmetric
+    assert CurveSystem(2, curves, ((), (2,))).total_intersections == 2
+    with pytest.raises(ValueError, match=r"^geo_int must have length 2, one row per curve$"):
+        CurveSystem(2, curves, ((),))
+    with pytest.raises(ValueError, match=r"^geo_int\[1\] must have length 1 \(strict lower triangle\)$"):
+        CurveSystem(2, curves, ((), (1, 0)))
+    with pytest.raises(ValueError, match=r"^geo_int\[0\] must have length 0 "):
+        CurveSystem(2, curves, ((0,), (1,)))
+    for bad in (-1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match=r"^geo_int\[1\]\[0\] must be a nonnegative integer$"):
+            CurveSystem(2, curves, ((), (bad,)))
+    same = curves + (TwistGenerator("a2", space.basis_r(2), Family.A),)
+    assert CurveSystem(2, same, ((), (1,), (0, 1))).total_intersections == 2
+    with pytest.raises(ValueError, match="^curves 'a1' and 'a2' are in the same family but intersect$"):
+        CurveSystem(2, same, ((), (1,), (1, 1)))
 
 
 def test_curves_from_another_genus_rejected():
@@ -200,11 +206,11 @@ def test_field_types_validated():
         CurveSystem(2, (), ())
 
 
-# -- bundled systems -------------------------------------------------------------
+# -- chain systems ---------------------------------------------------------------
 
 
 def test_genus3_system_shape():
-    system, word = genus3_system()
+    system, word = chain_system(3)
     assert system.genus == 3
     assert len(system.curves) == 7
     labels = [c.label for c in system.curves]
@@ -216,7 +222,7 @@ def test_genus3_system_shape():
 
 
 def test_genus3_action_has_trivial_fixed_homology():
-    system, word = genus3_system()
+    system, word = chain_system(3)
     action = word_action(word, system.generator_map())
     assert mapping_torus_b2(action) == 1
     assert action.det() == 1
@@ -224,7 +230,7 @@ def test_genus3_action_has_trivial_fixed_homology():
 
 
 def test_genus3_marked_classes_carried_by_action():
-    system, word = genus3_system()
+    system, word = chain_system(3)
     action = word_action(word, system.generator_map())
     space = SymplecticSpace(3)
     alpha = space.cls([0, 0, 0, 1, 0, 0])
@@ -236,33 +242,35 @@ def test_genus3_marked_classes_carried_by_action():
 
 
 def test_extend_to_genus_shapes():
-    for genus in (6, 8):
-        system, word = extend_to_genus(genus)
+    for genus in (2, 5, 6, 8):
+        system, word = chain_system(genus)
         assert len(system.curves) == 2 * genus + 1
         assert validate_word(word, system).word_valid
         assert len(word) == 2 * genus + 1
 
 
 def test_extend_to_genus_action():
-    system, word = extend_to_genus(6)
+    system, word = chain_system(6)
     action = word_action(word, system.generator_map())
     assert mapping_torus_b2(action) == 1
     assert abs(action.minus_identity().det()) == 7
 
 
-def test_extend_requires_genus_six():
-    with pytest.raises(ValueError):
-        extend_to_genus(5)
+def test_chain_system_genus_floor():
+    assert chain_system(2)[0].genus == 2
+    for genus in (1, 0, -3, True, 2.0, "3"):
+        with pytest.raises(ValueError, match="^genus must be an integer >= 2$"):
+            chain_system(genus)
 
 
 def test_extend_to_genus_capped():
-    system, word = extend_to_genus(MAX_EXTENSION_GENUS)
-    assert system.genus == MAX_EXTENSION_GENUS and len(word) == 2 * MAX_EXTENSION_GENUS + 1
+    system, word = chain_system(MAX_CHAIN_GENUS)
+    assert system.genus == MAX_CHAIN_GENUS and len(word) == 2 * MAX_CHAIN_GENUS + 1
     tracemalloc.start()
     try:
-        for genus in (MAX_EXTENSION_GENUS + 1, 10**9):
-            with pytest.raises(ValueError, match=f"^genus must be at most {MAX_EXTENSION_GENUS}$"):
-                extend_to_genus(genus)
+        for genus in (MAX_CHAIN_GENUS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^genus must be at most {MAX_CHAIN_GENUS}$"):
+                chain_system(genus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,7 +280,7 @@ def test_extend_to_genus_capped():
 def test_bundled_generators_commute_iff_disjoint():
     from tautcalc.homology import algebraic_intersection, transvection_matrix
 
-    system, _ = genus3_system()
+    system, _ = chain_system(3)
     curves = system.curves
     mats = [transvection_matrix(c, 1) for c in curves]
     for i in range(len(curves)):
@@ -286,8 +294,12 @@ def test_bundled_generators_commute_iff_disjoint():
 
 def test_chain_intersection_graph_is_path():
     for genus in (6, 9):
-        system, _ = extend_to_genus(genus)
-        n = len(system.curves)
-        degrees = [sum(1 for j in range(n) if system.geo_int[i][j] > 0) for i in range(n)]
+        system, _ = chain_system(genus)
+        degrees = [0] * len(system.curves)
+        for i, row in enumerate(system.geo_int):
+            for j, e in enumerate(row):
+                if e:
+                    degrees[i] += 1
+                    degrees[j] += 1
         assert sorted(degrees)[:2] == [1, 1]
         assert all(d == 2 for d in sorted(degrees)[2:])

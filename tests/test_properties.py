@@ -44,10 +44,10 @@ def penner_inputs(draw):
         coords = draw(st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus))
         g = gcd(*coords) or 1
         curves.append(TwistGenerator(label, space.cls([c // g for c in coords]), draw(st.sampled_from(Family))))
-    geo = [[0] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
+    geo = [[0] * i for i in range(n)]
+    for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:
-            geo[i][j] = geo[j][i] = draw(st.integers(0, 3))
+            geo[i][j] = draw(st.integers(0, 3))
     regions = draw(st.none() | st.lists(st.builds(Region, st.booleans(), st.text(max_size=3)), max_size=3).map(tuple))
     letters = st.tuples(st.sampled_from(labels), st.integers(-3, 3).filter(bool))
     word = TwistWord(tuple(draw(st.lists(letters, max_size=6))))
