@@ -10,7 +10,6 @@ from .homology import (
     TwistWord,
     algebraic_intersection,
     mapping_torus_b2,
-    transvection_matrix,
     word_action,
 )
 from .penner import (

@@ -129,7 +129,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_penner(args) -> int:
-    if args.input:
+    if args.input is not None:
         system, word = _load(args.input, "input", jsonio.penner_input_from_json)
     else:
         system, word = penner.chain_system(3)
@@ -201,8 +201,8 @@ def cmd_sutured(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
-    if args.u or args.v:
-        if not (args.u and args.v):
+    if args.u is not None or args.v is not None:
+        if args.u is None or args.v is None:
             raise ValueError("provide both --u and --v, or neither")
         u = _load(args.u, "u", jsonio.pl_from_json)
         v = _load(args.v, "v", jsonio.pl_from_json)

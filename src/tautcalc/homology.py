@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -49,39 +49,19 @@ class SymplecticSpace:
     def dimension(self) -> int:
         return 2 * self.genus
 
-    def intersection_matrix(self) -> IntMatrix:
-        return _intersection_matrix(self.genus)
-
     def cls(self, coords: Sequence[int]) -> "HomologyClass":
         return HomologyClass(self, tuple(coords))
 
     def zero(self) -> "HomologyClass":
         return self.cls([0] * self.dimension)
 
-    def basis_r(self, i: int) -> "HomologyClass":
-        """The class r_i, 1-based."""
-        return self._basis(2 * i - 2)
-
     def basis_s(self, i: int) -> "HomologyClass":
         """The class s_i, 1-based."""
-        return self._basis(2 * i - 1)
-
-    def _basis(self, index: int) -> "HomologyClass":
-        if not 0 <= index < self.dimension:
+        if not 1 <= i <= self.genus:
             raise ValueError("basis index out of range")
         coords = [0] * self.dimension
-        coords[index] = 1
+        coords[2 * i - 1] = 1
         return self.cls(coords)
-
-
-@lru_cache(maxsize=None)
-def _intersection_matrix(genus: int) -> IntMatrix:
-    n = 2 * genus
-    m = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        m[2 * i][2 * i + 1] = 1
-        m[2 * i + 1][2 * i] = -1
-    return IntMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -94,7 +74,11 @@ class HomologyClass:
     def __post_init__(self):
         if len(self.coords) != self.space.dimension:
             raise ValueError("coordinate length must equal 2*genus")
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in self.coords):
+        # one C-level pass over the types; the per-entry check only runs to
+        # admit an int subclass
+        if not {*map(type, self.coords)} <= {int} and any(
+            isinstance(c, bool) or not isinstance(c, int) for c in self.coords
+        ):
             raise ValueError("coordinates must be integers")
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
@@ -119,14 +103,12 @@ class HomologyClass:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_primitive(self) -> bool:
-        g = 0
-        for c in self.coords:
-            g = gcd(g, c)
-        return g == 1
+        # math.gcd of many arguments only checks the rest once it reaches 1
+        return gcd(*self.coords) == 1
 
 
 def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
@@ -161,10 +143,6 @@ class TwistGenerator:
                 f"curve {self.label!r}: class must be primitive or zero, got {self.cls.coords}"
             )
 
-    @property
-    def null_homologous(self) -> bool:
-        return self.cls.is_zero
-
 
 @dataclass(frozen=True)
 class TwistWord:
@@ -185,24 +163,6 @@ class TwistWord:
 
     def __len__(self):
         return len(self.letters)
-
-    def concat(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
-
-    @classmethod
-    def of(cls, *letters) -> "TwistWord":
-        return cls(tuple((label, exp) for label, exp in letters))
-
-
-def transvection_matrix(c: TwistGenerator, sign: int = 1) -> IntMatrix:
-    """Homology action of the sign-handed Dehn twist along c.
-
-    The result fixes c, has determinant 1, and does not change if c is
-    replaced by -c.  A null-homologous curve gives the identity.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return word_action(TwistWord(((c.label, sign),)), (c,))
 
 
 GeneratorSet = Union[Mapping[str, TwistGenerator], Iterable[TwistGenerator]]
@@ -226,7 +186,14 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
     letter matrices in written order (the rightmost letter acts first on
     column vectors).  The letter c^e is the matrix I - e c (c^T J), so
     multiplying by it on the right is the rank-one update
-    rows -= e (rows c)(c^T J), which touches only the support of c.
+    rows -= e (rows c)(c^T J), which changes only the rows with a nonzero on
+    the support of c, and in them only the columns of c^T J.
+
+    The rows are dicts of their nonzeros, and `holders[k]` is the set of
+    rows with a nonzero in column k, kept up to date as entries appear and
+    cancel.  Each letter reads the holders of its support and rewrites only
+    those rows, so a word over curves of bounded support costs in proportion
+    to the nonzeros it reaches, not to n^2.
     """
     table = _as_generator_map(gens)
     spaces = {g.cls.space for g in table.values()}
@@ -236,20 +203,36 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
         raise ValueError("generators live in different spaces")
     (space,) = spaces
     n = space.dimension
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [{i: 1} for i in range(n)]
+    holders = [{i} for i in range(n)]
     for label, exp in word:
         if label not in table:
             raise ValueError(f"unknown twist label {label!r}")
         coords = table[label].cls.coords
-        support = [(k, ck) for k, ck in enumerate(coords) if ck]
-        # (c^T J)_{2i+1} = c_{2i} and (c^T J)_{2i} = -c_{2i+1}
-        ctj = [(k ^ 1, -ck if k & 1 else ck) for k, ck in support]
-        for row in rows:
-            f = exp * sum(row[k] * ck for k, ck in support)
-            if f:
-                for j, v in ctj:
-                    row[j] -= f * v
-    return IntMatrix(rows)
+        support = [(k, coords[k]) for k in compress(range(n), coords)]
+        # row += f * e (c^T J), f = row . c, with (c^T J)_{2i+1} = c_{2i}
+        # and (c^T J)_{2i} = -c_{2i+1}
+        update = [(k ^ 1, exp * ck if k & 1 else -exp * ck) for k, ck in support]
+        for i in set().union(*[holders[k] for k, _ in support]):
+            row = rows[i]
+            f = 0
+            for k, ck in support:
+                if k in row:
+                    f += row[k] * ck
+            if not f:
+                continue
+            for j, v in update:
+                if j in row:
+                    x = row[j] + f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+                else:
+                    row[j] = f * v
+                    holders[j].add(i)
+    return IntMatrix._from_nonzeros(rows, n)
 
 
 # -- mapping-torus homology checks --------------------------------------------

@@ -86,7 +86,13 @@ def _build(field: str, make: Callable, *args):
 
 
 def matrix_to_json(m: IntMatrix) -> List[List[str]]:
-    return [list(map(str, row)) for row in m.rows]
+    n, out = m.n_cols, []
+    for row in m.nonzeros:
+        line = ["0"] * n
+        for j, v in row.items():
+            line[j] = str(v)
+        out.append(line)
+    return out
 
 
 # -- curve systems and words ---------------------------------------------------

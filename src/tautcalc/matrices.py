@@ -2,7 +2,15 @@
 
 Everything downstream (twist actions, determinant tests, Betti numbers)
 needs exact answers, so all arithmetic here is arbitrary-precision integer
-or rational.  One fraction-free (Bareiss) elimination gives both the rank
+or rational.
+
+A matrix stores each row as a dict of its nonzero entries, column ->
+entry, and never stores a zero; the dense rows are built only when a caller
+asks for them.  The twist actions this package builds have O(n) nonzeros
+in n x n; M - Id, products and the elimination below touch only stored
+entries.
+
+One fraction-free (Bareiss) elimination gives both the rank
 and the determinant.  It is sparse: each pivot rewrites only the rows with
 a nonzero in its column, so on the banded twist actions M - Id it does
 about O(n) row updates, not O(n^3) entry updates.  Every other row keeps a
@@ -20,9 +28,14 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable matrix with arbitrary-precision integer entries."""
+    """Immutable matrix with arbitrary-precision integer entries.
 
-    __slots__ = ("rows",)
+    `nonzeros` holds one dict per row, column -> entry, with no zero entry
+    ever stored; treat it as read-only.  `rows` is the dense view, built on
+    each access.
+    """
+
+    __slots__ = ("nonzeros", "n_cols")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = tuple(map(tuple, rows))
@@ -36,7 +49,18 @@ class IntMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
+        nonzeros = tuple(dict(zip(compress(range(width), row), filter(None, row))) for row in data)
+        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "n_cols", width)
+
+    @classmethod
+    def _from_nonzeros(cls, rows: Sequence[dict], n_cols: int) -> "IntMatrix":
+        """Wrap dicts of nonzero int entries that the caller built and hands
+        over; nothing is copied or checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "nonzeros", tuple(rows))
+        object.__setattr__(m, "n_cols", n_cols)
+        return m
 
     @staticmethod
     def _as_int(e) -> int:
@@ -50,93 +74,71 @@ class IntMatrix:
     # -- shape ------------------------------------------------------------
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        n, dense = self.n_cols, []
+        for row in self.nonzeros:
+            line = [0] * n
+            for j, v in row.items():
+                line[j] = v
+            dense.append(tuple(line))
+        return tuple(dense)
 
     @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
+    def n_rows(self) -> int:
+        return len(self.nonzeros)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and self.n_cols == other.n_cols and self.nonzeros == other.nonzeros
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n_cols, tuple(frozenset(row.items()) for row in self.nonzeros)))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n_rows: int, n_cols: int) -> "IntMatrix":
-        return cls([[0] * n_cols for _ in range(n_rows)])
 
     # -- algebra ----------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in product")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.rows])
-
-    def _require_same_shape(self, other: "IntMatrix"):
-        if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
-            raise ValueError("shape mismatch")
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.rows)])
-
-    def apply(self, vec: Sequence[int]) -> tuple:
-        """Matrix times column vector."""
-        if len(vec) != self.n_cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        out = []
+        for row in self.nonzeros:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.nonzeros[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix._from_nonzeros(out, other.n_cols)
 
     def minus_identity(self) -> "IntMatrix":
         if not self.is_square:
             raise ValueError("matrix must be square")
-        return IntMatrix([[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(self.rows)])
+        out = []
+        for i, row in enumerate(self.nonzeros):
+            row = dict(row)
+            v = row.get(i, 0) - 1
+            if v:
+                row[i] = v
+            else:
+                del row[i]
+            out.append(row)
+        return IntMatrix._from_nonzeros(out, self.n_cols)
 
     # -- exact linear algebra ----------------------------------------------
 
     def _echelon(self) -> tuple:
-        """Sparse Bareiss (fraction-free) elimination over a copy of the rows.
+        """Sparse Bareiss (fraction-free) elimination over a copy of the
+        stored row dicts.
 
         Returns (rank, sign, pivot): the rank, the sign of the order in which
         rows became pivots, and the last pivot.  For a square matrix of full
         rank sign * pivot is the determinant.
 
-        Each row is a dict of its nonzeros, and `holders[c]` is the set of
+        Each row is a copy of its stored dict, and `holders[c]` is the set of
         rows not yet used as a pivot that have a nonzero in column c.  Columns
         are taken in order; a column no such row reaches is skipped.  At
         column c the pivot is the row of `holders[c]` with the fewest
@@ -158,7 +160,7 @@ class IntMatrix:
         latest pivot would not divide it.
         """
         n_rows, n_cols = self.n_rows, self.n_cols
-        rows = [dict(zip(compress(range(n_cols), row), filter(None, row))) for row in self.rows]
+        rows = list(map(dict, self.nonzeros))
         holders = [set() for _ in range(n_cols)]
         for i, row in enumerate(rows):
             for j in row:
@@ -216,9 +218,6 @@ class IntMatrix:
 
     def nullity(self) -> int:
         return self.n_cols - self.rank()
-
-    def to_lists(self) -> list:
-        return [list(row) for row in self.rows]
 
 
 def _order_sign(order: list, n: int) -> int:

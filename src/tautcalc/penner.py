@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Tuple
 
 from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
@@ -76,7 +77,14 @@ class CurveSystem:
             if len(row) != i:
                 raise ValueError(f"geo_int[{i}] must have length {i} (strict lower triangle)")
             family = self.curves[i].family
-            for j, e in enumerate(row):
+            # the types in one C-level pass; then only the nonzeros can be
+            # negative or break the family rule, so only they are walked
+            if {*map(type, row)} <= {int}:
+                hits = compress(range(i), row)
+            else:
+                hits = range(i)
+            for j in hits:
+                e = row[j]
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"geo_int[{i}][{j}] must be a nonnegative integer")
                 if e and self.curves[j].family == family:
@@ -126,10 +134,9 @@ def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
     # CurveSystem rejects intersecting curves of one family
     neighbours = [[] for _ in range(n)]
     for i, row in enumerate(sys.geo_int):
-        for j, e in enumerate(row):
-            if e:
-                neighbours[i].append(j)
-                neighbours[j].append(i)
+        for j in compress(range(i), row):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
 
     for c, near in zip(sys.curves, neighbours):
         if not near:
@@ -217,10 +224,10 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # The chain a_1, b_1, a_2, b_2, ..., b_g, a_{g+1}: consecutive curves meet once
 # and all other pairs are disjoint.  Homology classes consistent with that
 # pattern: a_i = r_{i-1} + r_i (with r_0 and r_{g+1} read as zero) and
-# b_i = s_i.  The action of the genus-g word is a dense 2g x 2g matrix; the
-# sparse determinant of M - Id takes under 10 ms at g = 240, but building the
-# dense word_action lists and printing them (vmatrix prints M and M - Id) grow
-# as g^2 and dominate from there on, so the genus is capped.
+# b_i = s_i.  The action of the genus-g word has 8g nonzeros, and building
+# it, M - Id and the determinant cost in proportion to them; only the dense
+# rendering of M and M - Id in the vmatrix report grows as g^2, so the genus
+# is capped until that report changes form.
 MAX_CHAIN_GENUS = 240
 
 

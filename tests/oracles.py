@@ -1,0 +1,80 @@
+"""Dense reference operations that only the tests use.
+
+The library keeps what its reports need: products, M - Id, det and rank
+over sparse rows.  These helpers rebuild the rest from the dense `rows`
+view and the public constructors, so the tests can state identities such
+as t^T J t = J without the library carrying code no report runs.
+"""
+
+from tautcalc.homology import TwistGenerator, TwistWord, word_action
+from tautcalc.matrices import IntMatrix
+
+
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero(n_rows, n_cols):
+    return IntMatrix([[0] * n_cols for _ in range(n_rows)])
+
+
+def add(a, b):
+    _same_shape(a, b)
+    return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def sub(a, b):
+    _same_shape(a, b)
+    return IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def neg(a):
+    return IntMatrix([[-x for x in row] for row in a.rows])
+
+
+def _same_shape(a, b):
+    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
+        raise ValueError("shape mismatch")
+
+
+def transpose(a):
+    return IntMatrix([list(col) for col in zip(*a.rows)])
+
+
+def apply(a, vec):
+    """Matrix times column vector."""
+    if len(vec) != a.n_cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(x * v for x, v in zip(row, vec)) for row in a.rows)
+
+
+def to_lists(a):
+    return [list(row) for row in a.rows]
+
+
+def intersection_matrix(genus):
+    """J, block diagonal with g blocks [[0, 1], [-1, 0]]."""
+    n = 2 * genus
+    m = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        m[i][i + 1], m[i + 1][i] = 1, -1
+    return IntMatrix(m)
+
+
+def basis_r(space, i):
+    """The class r_i, 1-based."""
+    if not 1 <= i <= space.genus:
+        raise ValueError("basis index out of range")
+    coords = [0] * space.dimension
+    coords[2 * i - 2] = 1
+    return space.cls(coords)
+
+
+def twist_word(*letters):
+    """TwistWord from (label, exponent) pairs, outermost letter first."""
+    return TwistWord(tuple(letters))
+
+
+def transvection_matrix(c: TwistGenerator, sign=1):
+    """Homology action of the sign-handed Dehn twist along c: the one-letter word."""
+    return word_action(twist_word((c.label, sign)), (c,))

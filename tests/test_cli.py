@@ -250,6 +250,12 @@ def test_penner_negative_intersection_names_entry(tmp_path, capsys):
     assert err == "error: input: geo_int[1][0] must be a nonnegative integer\n"
 
 
+def test_penner_empty_input_path_is_an_error(capsys):
+    code, out, err = run(capsys, "penner", "--input", "")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: input: ")
+
+
 def test_penner_missing_field_diagnostic(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"genus": 3, "curves": [{"label": "a1"}], "geo_int": [[]]}))
@@ -335,6 +341,12 @@ def test_holonomy_rejects_bad_map(tmp_path, capsys):
     path.write_text(json.dumps({"breakpoints": ["-1", "1"], "values": ["-1", "2"]}))
     code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--u", str(path), "--v", str(path))
     assert code == 2
+
+
+def test_holonomy_empty_map_paths_are_an_error(capsys):
+    code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--u", "", "--v", "")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: u: ")
 
 
 def test_json_output_deterministic(capsys):

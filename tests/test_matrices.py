@@ -8,6 +8,8 @@ from tautcalc.homology import TwistWord, word_action
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import chain_system
 
+from oracles import add, apply, identity, neg, sub, to_lists, transpose, zero
+
 
 def det_gauss(rows):
     """Independent determinant oracle: rational Gaussian elimination."""
@@ -98,7 +100,7 @@ def assert_matches_dense(rows):
 
 
 def test_identity_det():
-    assert IntMatrix.identity(5).det() == 1
+    assert identity(5).det() == 1
 
 
 def test_diagonal_det():
@@ -137,30 +139,39 @@ def test_big_integer_entries():
 
 def test_matmul_and_identity():
     a = IntMatrix([[1, 2], [3, 4]])
-    assert a @ IntMatrix.identity(2) == a
+    assert a @ identity(2) == a
     b = IntMatrix([[0, 1], [1, 0]])
     assert (a @ b).rows == ((2, 1), (4, 3))
+    rng = random.Random("matmul")
+    for _ in range(100):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        x = [[rng.choice((0, 0, 0, -2, 1, 3)) for _ in range(k)] for _ in range(n)]
+        y = [[rng.choice((0, 0, 0, -1, 2, 2)) for _ in range(m)] for _ in range(k)]
+        dense = [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+        assert (IntMatrix(x) @ IntMatrix(y)).rows == tuple(map(tuple, dense))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a @ IntMatrix([[1, 2]])
 
 
 def test_apply_vector():
     a = IntMatrix([[1, 2], [3, 4]])
-    assert a.apply((1, 1)) == (3, 7)
+    assert apply(a, (1, 1)) == (3, 7)
     with pytest.raises(ValueError):
-        a.apply((1, 2, 3))
+        apply(a, (1, 2, 3))
 
 
 def test_transpose_add_sub_neg():
     a = IntMatrix([[1, 2], [3, 4]])
-    assert a.transpose().rows == ((1, 3), (2, 4))
-    assert (a + a).rows == ((2, 4), (6, 8))
-    assert (a - a) == IntMatrix.zero(2, 2)
-    assert (-a).rows == ((-1, -2), (-3, -4))
+    assert transpose(a).rows == ((1, 3), (2, 4))
+    assert add(a, a).rows == ((2, 4), (6, 8))
+    assert sub(a, a) == zero(2, 2)
+    assert neg(a).rows == ((-1, -2), (-3, -4))
 
 
 def test_rank_and_nullity():
     assert IntMatrix([[1, 2], [2, 4]]).nullity() == 1
-    assert IntMatrix.identity(4).nullity() == 0
-    assert IntMatrix.zero(3, 3).nullity() == 3
+    assert identity(4).nullity() == 0
+    assert zero(3, 3).nullity() == 3
     assert IntMatrix([[1, 0, 1], [0, 1, 1]]).rank() == 2
 
 
@@ -171,7 +182,7 @@ def _random_rows(rng, kind):
         k = rng.randint(1, min(n_rows, n_cols))
         a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n_rows)]
         b = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(k)]
-        return (IntMatrix(a) @ IntMatrix(b)).to_lists()
+        return to_lists(IntMatrix(a) @ IntMatrix(b))
     bound = 10**20 if kind == "big" else 9
     density = rng.choice((0.3, 0.7, 1.0))
     rows = [
@@ -213,7 +224,7 @@ def test_chain_and_seeded_words_match_dense_bareiss():
         system, chain_word = chain_system(genus)
         generators = system.generator_map()
         for word in (chain_word, _seeded_chain_word(rng, genus)):
-            assert_matches_dense(word_action(word, generators).minus_identity().to_lists())
+            assert_matches_dense(to_lists(word_action(word, generators).minus_identity()))
 
 
 def _perm_sign(perm):
@@ -249,8 +260,8 @@ def test_wide_tall_and_zero_lines():
             assert IntMatrix(m).det() == 0
             assert IntMatrix(m).rank() == rank_gauss(m) < n
             assert_matches_dense(m)
-    assert IntMatrix.zero(3, 5).rank() == 0
-    assert IntMatrix.zero(4, 4).det() == 0
+    assert zero(3, 5).rank() == 0
+    assert zero(4, 4).det() == 0
 
 
 def _block_triangular(rng, k, m):
@@ -293,6 +304,43 @@ def test_chain_word_minus_identity_has_full_rank():
         assert m.minus_identity().rank() == 2 * genus
 
 
+def test_minus_identity_stores_no_zero():
+    m = IntMatrix([[1, 2, 0], [0, 3, 0], [4, 0, 1]]).minus_identity()
+    assert m.nonzeros == ({1: 2}, {1: 2}, {0: 4})
+    assert m == IntMatrix([[0, 2, 0], [0, 2, 0], [4, 0, 0]])
+    assert hash(m) == hash(IntMatrix([[0, 2, 0], [0, 2, 0], [4, 0, 0]]))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        IntMatrix([[1, 0]]).minus_identity()
+
+
+def test_rows_is_a_dense_tuple_view():
+    system, word = chain_system(4)
+    action = word_action(word, system.generator_map())
+    for m in (IntMatrix([[0, 2, 0], [0, 0, 0]]), action, action @ action, action.minus_identity()):
+        rows = m.rows
+        assert type(rows) is tuple and len(rows) == m.n_rows
+        assert all(type(row) is tuple and len(row) == m.n_cols for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert IntMatrix(rows) == m
+    assert IntMatrix([[0, 2, 0], [0, 0, 0]]).rows == ((0, 2, 0), (0, 0, 0))
+    assert action.rows[0] == (2, 3, 0, 1, 0, 0, 0, 0)
+
+
+def test_constructor_keeps_its_messages_and_stores_nonzeros():
+    for rows, message in (
+        ([[1, 0], [0, True]], "entries must be integers, got True"),
+        ([[1.0, 0], [0, 1]], "entries must be integers, got 1.0"),
+        ([[1, 2], [3]], "ragged rows"),
+        ([], "matrix must have at least one row and column"),
+        ([[]], "matrix must have at least one row and column"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IntMatrix(rows)
+    m = IntMatrix([[0, 5, 0], [0, 0, 0], [-1, 0, 10**30]])
+    assert m.nonzeros == ({1: 5}, {}, {0: -1, 2: 10**30})
+    assert (m.n_rows, m.n_cols) == (3, 3)
+
+
 def test_rejects_non_integer_entries():
     with pytest.raises(ValueError):
         IntMatrix([[1.5, 0], [0, 1]])
@@ -306,6 +354,6 @@ def test_rejects_ragged_rows():
 
 
 def test_immutability():
-    m = IntMatrix.identity(2)
+    m = identity(2)
     with pytest.raises(AttributeError):
         m.rows = ()

@@ -21,6 +21,8 @@ from tautcalc.penner import (
     validate_word,
 )
 
+from oracles import apply, basis_r, transvection_matrix, twist_word
+
 
 def path_system(genus, curves):
     """Small helper: the curves in order, consecutive ones meeting once."""
@@ -32,16 +34,16 @@ def genus2_example():
     """Five-curve chain on a genus-2 surface: a1, b1, a2, b2, a3."""
     space = SymplecticSpace(2)
     curves = (
-        TwistGenerator("a1", space.basis_r(1), Family.A),
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
-        TwistGenerator("a2", space.basis_r(1) + space.basis_r(2), Family.A),
+        TwistGenerator("a2", basis_r(space, 1) + basis_r(space, 2), Family.A),
         TwistGenerator("b2", space.basis_s(2), Family.B),
-        TwistGenerator("a3", space.basis_r(2), Family.A),
+        TwistGenerator("a3", basis_r(space, 2), Family.A),
     )
     return path_system(2, curves)
 
 
-GENUS2_WORD = TwistWord.of(
+GENUS2_WORD = twist_word(
     ("a1", 2), ("a2", 1), ("b2", -3), ("a3", 1), ("b1", -1), ("a1", 1)
 )
 
@@ -71,7 +73,7 @@ def test_unused_curve_invalidates():
 
 def test_mixed_signs_invalidate():
     system = genus2_example()
-    mixed = GENUS2_WORD.concat(TwistWord.of(("a1", -1)))
+    mixed = twist_word(*GENUS2_WORD, ("a1", -1))
     report = validate_word(mixed, system)
     assert report.sign_discipline is False
     assert not report.word_valid
@@ -79,7 +81,7 @@ def test_mixed_signs_invalidate():
 
 def test_same_sign_families_invalidate():
     system = genus2_example()
-    word = TwistWord.of(("a1", 1), ("a2", 1), ("a3", 1), ("b1", 2), ("b2", 1))
+    word = twist_word(("a1", 1), ("a2", 1), ("a3", 1), ("b1", 2), ("b2", 1))
     assert validate_word(word, system).sign_discipline is False
 
 
@@ -100,7 +102,7 @@ def test_validity_is_order_independent():
 
 def test_unknown_label_raises():
     with pytest.raises(ValueError):
-        validate_word(TwistWord.of(("zz", 1)), genus2_example())
+        validate_word(twist_word(("zz", 1)), genus2_example())
 
 
 # -- filling checks ------------------------------------------------------------
@@ -116,9 +118,9 @@ def test_chain_passes_necessary_conditions():
 def test_isolated_curve_fails():
     space = SymplecticSpace(2)
     curves = (
-        TwistGenerator("a1", space.basis_r(1), Family.A),
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
-        TwistGenerator("a2", space.basis_r(2), Family.A),
+        TwistGenerator("a2", basis_r(space, 2), Family.A),
     )
     system = CurveSystem(2, curves, ((), (1,), (0, 0)))
     status, messages = filling_check(system)
@@ -155,7 +157,7 @@ def test_miscounted_certificate_fails():
 def test_same_family_intersection_rejected():
     space = SymplecticSpace(2)
     curves = (
-        TwistGenerator("a1", space.basis_r(1), Family.A),
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("a2", space.basis_s(1), Family.A),
     )
     with pytest.raises(ValueError):
@@ -165,7 +167,7 @@ def test_same_family_intersection_rejected():
 def test_geo_int_validation():
     space = SymplecticSpace(2)
     curves = (
-        TwistGenerator("a1", space.basis_r(1), Family.A),
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
     )
     assert CurveSystem(2, curves, ((), (2,))).total_intersections == 2
@@ -178,7 +180,7 @@ def test_geo_int_validation():
     for bad in (-1, True, 1.0, "1"):
         with pytest.raises(ValueError, match=r"^geo_int\[1\]\[0\] must be a nonnegative integer$"):
             CurveSystem(2, curves, ((), (bad,)))
-    same = curves + (TwistGenerator("a2", space.basis_r(2), Family.A),)
+    same = curves + (TwistGenerator("a2", basis_r(space, 2), Family.A),)
     assert CurveSystem(2, same, ((), (1,), (0, 1))).total_intersections == 2
     with pytest.raises(ValueError, match="^curves 'a1' and 'a2' are in the same family but intersect$"):
         CurveSystem(2, same, ((), (1,), (1, 1)))
@@ -189,7 +191,7 @@ def test_curves_from_another_genus_rejected():
     with pytest.raises(ValueError, match="curve 'a1': class lies in genus 2, not 3"):
         CurveSystem(3, base.curves, base.geo_int)
     space = SymplecticSpace(3)
-    mixed = (TwistGenerator("r", space.basis_r(1), Family.A),) + base.curves[1:]
+    mixed = (TwistGenerator("r", basis_r(space, 1), Family.A),) + base.curves[1:]
     with pytest.raises(ValueError, match="curve 'b1': class lies in genus 2, not 3"):
         CurveSystem(3, mixed, base.geo_int)
 
@@ -201,7 +203,7 @@ def test_field_types_validated():
     with pytest.raises(ValueError, match="disk must be a boolean"):
         Region(1)
     with pytest.raises(ValueError, match="label must be a string"):
-        TwistGenerator(5, space.basis_r(1), Family.A)
+        TwistGenerator(5, basis_r(space, 1), Family.A)
     with pytest.raises(ValueError, match="at least one curve"):
         CurveSystem(2, (), ())
 
@@ -238,7 +240,7 @@ def test_genus3_marked_classes_carried_by_action():
     beta = alpha - gamma
     assert beta.coords == (1, 0, 2, 3, 1, 0)
     assert alpha.is_primitive and beta.is_primitive and gamma.is_primitive
-    assert action.apply(alpha.coords) == beta.coords
+    assert apply(action, alpha.coords) == beta.coords
 
 
 def test_extend_to_genus_shapes():
@@ -278,7 +280,7 @@ def test_extend_to_genus_capped():
 
 
 def test_bundled_generators_commute_iff_disjoint():
-    from tautcalc.homology import algebraic_intersection, transvection_matrix
+    from tautcalc.homology import algebraic_intersection
 
     system, _ = chain_system(3)
     curves = system.curves
