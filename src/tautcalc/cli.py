@@ -2,9 +2,11 @@
 
 Subcommands wrap the library modules one-to-one and emit either a
 human-readable text report or deterministic JSON (choose with --format or
-the TAUTCALC_FORMAT environment variable).  Exit codes: 0 when every check
-in the report passes, 1 when some check fails, 2 for bad input.  Bad input
-is reported in one line; for an input file it names the field path.
+the TAUTCALC_FORMAT environment variable).  The JSON output is byte for
+byte `json.dumps(report, indent=2)`, written by `jsonio.dumps_report`.
+Exit codes: 0 when every check in the report passes, 1 when some check
+fails, 2 for bad input.  Bad input is reported in one line; for an input
+file it names the field path.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _emit(report: dict, args) -> int:
     ok = all(c["pass"] for c in checks)
     report["status"] = "PASS" if ok else "FAIL"
     if args.format == "json":
-        text = json.dumps(report, indent=2)
+        text = jsonio.dumps_report(report)
     else:
         text = _render_text(report)
     if args.output:

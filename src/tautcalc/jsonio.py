@@ -5,12 +5,15 @@ non-integral rationals) so consumers never lose precision; matrices are
 row-major arrays of such strings.  Parsers check only the JSON shape; the
 domain types check everything else.  Either way a parser raises ValueError
 prefixed with the field path, so the CLI can report where an input file
-went wrong.
+went wrong.  Reports are written by `dumps_report`, which returns exactly
+what `json.dumps(report, indent=2)` returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
@@ -43,16 +46,30 @@ def parse_int(value: Any, field: str) -> int:
     raise ValueError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
+def _parse_int_list(value: Any, field: str) -> List[int]:
+    """parse_int of every entry of a list, in one C-level pass when every
+    entry is a decimal string; otherwise the per-entry walk, which either
+    returns the same list or raises with the bad entry's path."""
+    raw = _expect_list(value, field)
+    try:
+        return list(map(int, raw, repeat(10)))
+    except (TypeError, ValueError):
+        return [parse_int(x, f"{field}[{j}]") for j, x in enumerate(raw)]
+
+
 def parse_frac(value: Any, field: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"{field}: expected an exact rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{field}: not a rational 'p/q' string: {value!r}") from None
+        # Fraction would expand an exponent such as 1e-3000000 digit by digit
+        if "e" not in value and "E" not in value:
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f"{field}: not a rational 'p/q' string: {value!r}")
     raise ValueError(f"{field}: expected an exact rational, got {type(value).__name__}")
 
 
@@ -80,6 +97,71 @@ def _build(field: str, make: Callable, *args):
         return make(*args)
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}") from None
+
+
+# -- reports -------------------------------------------------------------------
+
+
+def dumps_report(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte, for a tree of dicts with
+    str keys, lists, strings, ints, bools and None.
+
+    The stdlib falls back to its pure-Python encoder when indent is set.
+    Here a string or bool in a dict is written inline with its key, every
+    string goes through the C string encoder, and a list of strings (a
+    matrix row, a coordinate pair) is written in one join."""
+    parts: List[str] = []
+    _write(report, "\n", parts)
+    return "".join(parts)
+
+
+def _write(o: Any, nl: str, parts: List[str]) -> None:
+    """Append the parts of o; a closing bracket goes after nl, a newline
+    and o's own indent."""
+    if isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            if isinstance(value, str):
+                parts.append(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
+            elif value is True or value is False:
+                parts.append(f"{sep}{_encode_str(key)}: {'true' if value else 'false'}")
+            else:
+                parts.append(f"{sep}{_encode_str(key)}: ")
+                _write(value, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(o, list):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            parts.append(f"[{inner}{(',' + inner).join(map(_encode_str, o))}{nl}]")
+            return
+        except TypeError:  # not all strings
+            pass
+        sep = "[" + inner
+        for value in o:
+            parts.append(sep)
+            _write(value, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(o, str):
+        parts.append(_encode_str(o))
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif o is None:
+        parts.append("null")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # -- matrices ------------------------------------------------------------------
@@ -127,10 +209,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
         at = f"{field}.curves[{i}]"
         e = _expect_map(entry, at)
         label = _get(e, "label", at)
-        coords = [
-            parse_int(x, f"{at}.coords[{j}]")
-            for j, x in enumerate(_expect_list(_get(e, "coords", at), f"{at}.coords"))
-        ]
+        coords = _parse_int_list(_get(e, "coords", at), f"{at}.coords")
         family_raw = _get(e, "family", at)
         try:
             family = Family(family_raw)
@@ -139,10 +218,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
         cls = _build(f"{at}.coords", space.cls, coords)
         curves.append(_build(at, TwistGenerator, label, cls, family))
     geo = tuple(
-        tuple(
-            parse_int(e, f"{field}.geo_int[{i}][{j}]")
-            for j, e in enumerate(_expect_list(row, f"{field}.geo_int[{i}]"))
-        )
+        tuple(_parse_int_list(row, f"{field}.geo_int[{i}]"))
         for i, row in enumerate(_expect_list(_get(obj, "geo_int", field), f"{field}.geo_int"))
     )
     regions = None

@@ -20,7 +20,7 @@ points (0, +-(2g-2)) are flagged as the known non-realizable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
@@ -166,7 +166,7 @@ class NormSpec:
     chi records the Euler characteristics (chi(F), chi(S)) that candidate
     points must match mod 2.  Values that no norm takes and odd chi entries
     (closed orientable surfaces have even Euler characteristic) are
-    rejected on construction.
+    rejected on construction; `ball` is the unit ball built to check them.
     """
 
     x_f: Fraction
@@ -174,6 +174,7 @@ class NormSpec:
     x_sum: Fraction
     x_diff: Fraction
     chi: Tuple[int, int]
+    ball: RatPolytope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_f", "x_s", "x_sum", "x_diff"):
@@ -188,7 +189,8 @@ class NormSpec:
         cf, cs = self.chi
         if isinstance(cf, bool) or isinstance(cs, bool) or not isinstance(cf, int) or not isinstance(cs, int):
             raise ValueError("chi entries must be integers")
-        norm_ball_from_values(self)  # the ball owns the rule that a norm takes these values
+        # the ball owns the rule that a norm takes these values
+        object.__setattr__(self, "ball", norm_ball_from_values(self))
         if cf % 2 or cs % 2:
             raise ValueError("chi entries must be even")
 
@@ -311,7 +313,7 @@ def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolyto
     """
     family = spec.is_surgery_family(genus)
     tips = ((0, 2 * genus - 2), (0, 2 - 2 * genus))
-    ball = norm_ball_from_values(spec)
+    ball = spec.ball
     dual = polar_dual(ball)
     cf, cs = spec.chi
     classified = [

@@ -6,6 +6,7 @@ asserted as well.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from tautcalc import jsonio
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
     Family,
@@ -92,6 +94,15 @@ def test_chain_pipeline_time_at_genus_240():
         system, word = chain_system(240)
         diff = word_action(word, system.generator_map()).minus_identity()
         assert diff.det() == 241
+
+
+def test_vmatrix_json_report_write_time_at_genus_240():
+    system, word = chain_system(240)
+    m = word_action(word, system.generator_map())
+    report = {"matrix": jsonio.matrix_to_json(m), "matrix_minus_identity": jsonio.matrix_to_json(m.minus_identity())}
+    with Criterion("the two 480x480 matrices of the genus-240 vmatrix report written as JSON", 0.1):
+        text = jsonio.dumps_report(report)
+    assert text == json.dumps(report, indent=2)
 
 
 def test_genus3_matrix_fixture():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -343,6 +344,23 @@ def test_holonomy_rejects_bad_map(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["1e-3000000", "1E-30000"])
+def test_exponent_notation_is_an_input_error(tmp_path, capsys, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"x_f": value, "x_s": "4", "x_sum": "6", "x_diff": "6", "chi": ["-2", "-4"]}))
+    pl = tmp_path / "u.json"
+    pl.write_text(json.dumps({"breakpoints": ["-1", value, "1"], "values": ["-1", "0", "1"]}))
+    for argv, message in (
+        (("candidates", "--genus", "3", "--spec", str(spec)), f"spec.x_f: not a rational 'p/q' string: {value!r}"),
+        (("holonomy", "tau", "--case", "a", "--u", str(pl), "--v", str(pl)),
+         f"u.breakpoints[1]: not a rational 'p/q' string: {value!r}"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_holonomy_empty_map_paths_are_an_error(capsys):
     code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--u", "", "--v", "")
     assert (code, out) == (2, "")
@@ -353,6 +371,36 @@ def test_json_output_deterministic(capsys):
     _, first, _ = run(capsys, "candidates", "--genus", "4", "--format", "json")
     _, second, _ = run(capsys, "candidates", "--genus", "4", "--format", "json")
     assert first == second
+
+
+_REPORT_INPUTS = {
+    "spec": {"x_f": "2", "x_s": "4", "x_sum": "6", "x_diff": "6", "chi": ["-2", "-4"]},
+    "tangencies": [{"kind": "saddle", "sign": 1}, {"kind": "saddle", "sign": -1}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vmatrix", "--genus", "2"],
+        ["vmatrix", "--genus", "120"],
+        ["candidates", "--genus", "30"],
+        ["candidates", "--genus", "3", "--spec", "@spec"],
+        ["penner"],
+        ["sutured", "chi", "--base-chi", "1", "--convex", "4", "--concave", "1"],
+        ["sutured", "core-disk", "--wraps", "3"],
+        ["sutured", "pairing", "--input", "@tangencies"],
+        ["sutured", "witness", "--k", "2", "--m", "3"],
+        ["holonomy", "tau", "--case", "c"],
+    ],
+)
+def test_json_report_is_stdlib_indent_2(tmp_path, capsys, argv):
+    for name, doc in _REPORT_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautcalc import jsonio
 from tautcalc.holonomy import bundled_shifts
@@ -12,8 +14,6 @@ from tautcalc.sutured import novikov_witness
 
 
 def test_scalar_formats():
-    from fractions import Fraction
-
     assert jsonio.fmt_frac(Fraction(1, 2)) == "1/2"
     assert jsonio.fmt_frac(Fraction(-4)) == "-4"
     assert jsonio.parse_frac("1/2", "x") == Fraction(1, 2)
@@ -77,3 +77,80 @@ def test_geo_int_lower_triangle_shape():
     bad["geo_int"] = doc["geo_int"][:-1]
     with pytest.raises(ValueError, match="geo_int"):
         jsonio.curve_system_from_json(bad, "sys")
+
+
+@pytest.mark.parametrize("value", ["1e-3000000", "1E5", "2.5e0", "1/2e3"])
+def test_parse_frac_rejects_exponent_notation(value):
+    with pytest.raises(ValueError) as exc:
+        jsonio.parse_frac(value, "x")
+    assert str(exc.value) == f"x: not a rational 'p/q' string: {value!r}"
+
+
+def test_parse_frac_accepts_fractions_decimals_and_long_digits():
+    assert jsonio.parse_frac("1.5", "x") == Fraction(3, 2)
+    p, q = 10**3999 + 1, 10**3999 + 3
+    assert jsonio.parse_frac(f"{p}/{q}", "x") == Fraction(p, q)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "expected an integer, got a boolean"),
+        (0.0, "expected an integer, got float"),
+        ("1/2", "not an integer: '1/2'"),
+        (None, "expected an integer, got NoneType"),
+    ],
+)
+def test_integer_lists_name_the_bad_entry(entry, message):
+    system, _ = chain_system(3)
+    doc = jsonio.curve_system_to_json(system)
+    doc["curves"][1]["coords"][2] = entry
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == f"sys.curves[1].coords[2]: {message}"
+    doc = jsonio.curve_system_to_json(system)
+    doc["geo_int"][3][1] = entry
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == f"sys.geo_int[3][1]: {message}"
+
+
+def test_integer_lists_take_json_numbers():
+    system, _ = chain_system(3)
+    doc = jsonio.curve_system_to_json(system)
+    for curve in doc["curves"]:
+        curve["coords"] = [int(x) for x in curve["coords"]]
+    doc["geo_int"][3][1] = str(doc["geo_int"][3][1])  # one row mixes strings and numbers
+    assert jsonio.curve_system_from_json(doc, "sys") == system
+
+
+# -- the report writer against the stdlib oracle --------------------------------
+
+_specials = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800", "/"]
+)
+_text = st.text(st.characters(exclude_categories=()) | _specials, max_size=8)
+_scalars = (
+    _text
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.booleans()
+    | st.none()
+)
+# a list of strings takes the one-join path; the recursion mixes them with other values
+_reports = st.recursive(
+    _scalars | st.lists(_text, max_size=4),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_text, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_reports)
+def test_dumps_report_matches_stdlib_indent_2(report):
+    assert jsonio.dumps_report(report) == json.dumps(report, indent=2)
+
+
+def test_dumps_report_rejects_inexact_values():
+    with pytest.raises(TypeError):
+        jsonio.dumps_report({"x": [0.5]})

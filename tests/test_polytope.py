@@ -4,6 +4,7 @@ from math import floor
 
 import pytest
 
+from tautcalc import polytope
 from tautcalc.polytope import (
     MAX_NORM_VALUE,
     NormSpec,
@@ -446,3 +447,21 @@ def test_covering_rescale_property():
     rng = random.Random(113)
     pts = [(Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(50)]
     assert dual_norm_value(scaled_ball, [(degree * x, degree * y) for x, y in pts]) == dual_norm_value(ball, pts)
+
+
+def test_norm_spec_keeps_its_validated_ball(monkeypatch):
+    made = []
+
+    class Counted(RatPolytope):
+        def __init__(self, points):
+            made.append(points)
+            super().__init__(points)
+
+    monkeypatch.setattr(polytope, "RatPolytope", Counted)
+    spec = NormSpec(2, 4, 6, 6, chi=(-2, -4))
+    ball, dual, _ = candidate_points(spec, 3)
+    assert len(made) == 2  # the spec's ball and its dual
+    assert ball is spec.ball and ball == norm_ball_from_values(spec)
+    twin = NormSpec(2, 4, 6, 6, chi=(-2, -4))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert "ball" not in repr(spec)
