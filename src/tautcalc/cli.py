@@ -210,10 +210,7 @@ def cmd_holonomy(args) -> int:
         v = _load(args.v, "v", jsonio.pl_from_json)
     else:
         u, v = holonomy.bundled_shifts()
-    # Enough points per tile for --samples points in all.  solve_conjugacy
-    # rejects --tiles < 1 itself; the guard only keeps 0 out of the division.
-    per_tile = -(-args.samples // (2 * args.tiles)) if args.tiles else 0
-    _, witness = holonomy.solve_conjugacy(u, v, args.case, args.tiles, per_tile)
+    _, witness = holonomy.solve_conjugacy(u, v, args.case, args.tiles, args.samples)
     report = {
         "command": "holonomy tau",
         "case": witness.case,

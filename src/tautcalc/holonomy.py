@@ -1,7 +1,7 @@
 """Exact piecewise-linear interval homeomorphisms and conjugacy constructions.
 
-`PLHomeo` is an increasing PL self-map of a rational interval fixing both
-endpoints; inversion and evaluation are exact.
+`PLHomeo` is an increasing PL self-map of [-1, 1]; its breakpoints and
+values go through `exact.frac`, and inversion and evaluation are exact.
 
 `solve_conjugacy` builds, for endpoint-fixing homeomorphisms u and v of
 [-1, 1], a homeomorphism t of [-1, 1] conjugate to a chosen concatenation
@@ -42,17 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise ValueError("floats are not allowed; use Fraction, int, or 'p/q' strings")
-    return Fraction(x)
+from .exact import frac
 
 
 class PLHomeo:
-    """Increasing piecewise-linear homeomorphism fixing the endpoints.
+    """Increasing piecewise-linear homeomorphism of [-1, 1].
 
     Stored as matching breakpoint/value sequences; collinear interior
     breakpoints are dropped, so equal maps have equal data.  Each segment's
@@ -62,8 +56,8 @@ class PLHomeo:
     __slots__ = ("breakpoints", "values", "_pieces")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
-        bps = [_frac(b) for b in breakpoints]
-        vals = [_frac(v) for v in values]
+        bps = [frac(b) for b in breakpoints]
+        vals = [frac(v) for v in values]
         if len(bps) != len(vals) or len(bps) < 2:
             raise ValueError("need matching breakpoint/value sequences of length >= 2")
         if any(a >= b for a, b in zip(bps, bps[1:])):
@@ -72,6 +66,8 @@ class PLHomeo:
             raise ValueError("values must be strictly increasing")
         if vals[0] != bps[0] or vals[-1] != bps[-1]:
             raise ValueError("endpoints must be fixed")
+        if bps[0] != -1 or bps[-1] != 1:
+            raise ValueError("must be a homeomorphism of [-1, 1]")
         bps, vals = self._normalized(bps, vals)
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "values", tuple(vals))
@@ -112,20 +108,15 @@ class PLHomeo:
         pairs = ", ".join(f"{b}->{v}" for b, v in zip(self.breakpoints, self.values))
         return f"PLHomeo({pairs})"
 
-    @property
-    def domain(self) -> Tuple[Fraction, Fraction]:
-        return (self.breakpoints[0], self.breakpoints[-1])
-
     @classmethod
     def identity(cls) -> "PLHomeo":
         """The identity of [-1, 1]."""
         return cls([-1, 1], [-1, 1])
 
     def eval(self, q) -> Fraction:
-        q = _frac(q)
+        q = frac(q)
+        _check_unit(q)
         bps = self.breakpoints
-        if not bps[0] <= q <= bps[-1]:
-            raise ValueError(f"{q} outside domain [{bps[0]}, {bps[-1]}]")
         # segment i spans bps[i]..bps[i + 1]; the right endpoint takes the last
         slope, intercept = self._pieces[bisect_right(bps, q, 1, len(bps) - 1) - 1]
         return slope * q + intercept
@@ -177,12 +168,11 @@ class TiledHomeo:
     positive: Tuple[PLHomeo, ...]
 
     def __post_init__(self):
-        for maps in (self.negative, self.positive):
-            if not maps or any(m.domain != (-1, 1) for m in maps):
-                raise ValueError("each side needs one or more maps of [-1, 1]")
+        if not self.negative or not self.positive:
+            raise ValueError("each side needs one or more maps of [-1, 1]")
 
     def eval(self, q) -> Fraction:
-        q = _frac(q)
+        q = frac(q)
         _check_unit(q)
         if q == 0:
             return q
@@ -210,7 +200,7 @@ class Concatenation:
     pieces: tuple
 
     def eval(self, q) -> Fraction:
-        q = _frac(q)
+        q = frac(q)
         k = len(self.pieces)
         if not 0 <= q.numerator <= k * q.denominator:
             raise ValueError(f"{q} outside [0, {k}]")
@@ -233,7 +223,7 @@ class TileShiftMap:
     piece_count: int
 
     def eval(self, q) -> Fraction:
-        q = _frac(q)
+        q = frac(q)
         _check_unit(q)
         m = self.middle_index
         side = -1 if q.numerator < 0 else 1
@@ -282,8 +272,6 @@ class ConjugacyWitness:
 def witness_samples(tiles_per_side: int = 8, per_tile: int = 4) -> List[Fraction]:
     """Rational sample points spread over the outermost tiles of both sides,
     plus the endpoints and the center."""
-    if tiles_per_side < 1 or per_tile < 1:
-        raise ValueError("need at least one tile and one point per tile")
     pts = [Fraction(-1), Fraction(0), Fraction(1)]
     for n in range(1, tiles_per_side + 1):
         # tile n is [lo, lo + 1/(n(n + 1))] with lo = 1/(n + 1) or -1/n; over
@@ -295,20 +283,31 @@ def witness_samples(tiles_per_side: int = 8, per_tile: int = 4) -> List[Fraction
     return pts
 
 
+# A report lists every sample point, so the layout is capped; the largest
+# allowed one has under MAX_SAMPLES + 2 * MAX_TILES + 3 points.
+MAX_TILES = 4096
+MAX_SAMPLES = 16384
+
+
 def solve_conjugacy(
     u: PLHomeo,
     v: PLHomeo,
     case: str,
     tiles_per_side: int = 8,
-    per_tile: int = 4,
+    samples: int = 64,
 ) -> Tuple[TiledHomeo, ConjugacyWitness]:
     """Build the tiled homeomorphism for the selected case (a key of
-    `EXPRESSIONS`) and certify the conjugacy at rational sample points."""
+    `EXPRESSIONS`) and certify the conjugacy at `samples` or more rational
+    points, as many in each of the tiles_per_side outermost tiles per side."""
     if case not in EXPRESSIONS:
         raise ValueError(f"case must be one of {', '.join(EXPRESSIONS)}")
-    for name, m in (("u", u), ("v", v)):
-        if m.domain != (-1, 1):
-            raise ValueError(f"{name}: must be a homeomorphism of [-1, 1]")
+    if tiles_per_side < 1 or samples < 1:
+        raise ValueError("need at least one tile and one point per tile")
+    if tiles_per_side > MAX_TILES:
+        raise ValueError(f"tiles must be at most {MAX_TILES}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}")
+    per_tile = -(-samples // (2 * tiles_per_side))
 
     letters = EXPRESSIONS[case].split()
     inverse_middle = "t^-1" in letters

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .matrices import IntMatrix
 
@@ -165,21 +165,7 @@ class TwistWord:
         return len(self.letters)
 
 
-GeneratorSet = Union[Mapping[str, TwistGenerator], Iterable[TwistGenerator]]
-
-
-def _as_generator_map(gens: GeneratorSet) -> Mapping[str, TwistGenerator]:
-    if isinstance(gens, Mapping):
-        return gens
-    out = {}
-    for g in gens:
-        if g.label in out:
-            raise ValueError(f"duplicate generator label {g.label!r}")
-        out[g.label] = g
-    return out
-
-
-def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
+def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatrix:
     """Product of transvection matrices in the word's composition order.
 
     Letters are written outermost first, so the matrix is the product of the
@@ -195,8 +181,7 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
     those rows, so a word over curves of bounded support costs in proportion
     to the nonzeros it reaches, not to n^2.
     """
-    table = _as_generator_map(gens)
-    spaces = {g.cls.space for g in table.values()}
+    spaces = {g.cls.space for g in gens.values()}
     if not spaces:
         raise ValueError("empty generator set")
     if len(spaces) > 1:
@@ -206,9 +191,9 @@ def word_action(word: TwistWord, gens: GeneratorSet) -> IntMatrix:
     rows = [{i: 1} for i in range(n)]
     holders = [{i} for i in range(n)]
     for label, exp in word:
-        if label not in table:
+        if label not in gens:
             raise ValueError(f"unknown twist label {label!r}")
-        coords = table[label].cls.coords
+        coords = gens[label].cls.coords
         support = [(k, coords[k]) for k in compress(range(n), coords)]
         # row += f * e (c^T J), f = row . c, with (c^T J)_{2i+1} = c_{2i}
         # and (c^T J)_{2i} = -c_{2i+1}

@@ -16,6 +16,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
+from .exact import frac
 from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
 from .penner import CurveSystem, PennerReport, Region
@@ -58,19 +59,8 @@ def _parse_int_list(value: Any, field: str) -> List[int]:
 
 
 def parse_frac(value: Any, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"{field}: expected an exact rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction would expand an exponent such as 1e-3000000 digit by digit
-        if "e" not in value and "E" not in value:
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise ValueError(f"{field}: not a rational 'p/q' string: {value!r}")
-    raise ValueError(f"{field}: expected an exact rational, got {type(value).__name__}")
+    """exact.frac(value), with its error prefixed by the field path."""
+    return _build(field, frac, value)
 
 
 def _expect_list(value: Any, field: str) -> list:

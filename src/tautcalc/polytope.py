@@ -9,12 +9,14 @@ cross-validated at construction.
 Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
 x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
-3-manifolds", 1986); their polar duals are the dual-norm balls.  The
-dual norm of a batch of points is read off the ball's vertices.  The
-integral points of dual norm one are found by walking the dual ball's
-edges, and each point whose coordinates match the Euler characteristics
-mod 2 is kept with one flag: vertices are realizable as Euler classes,
-other points are candidates, and for the genus-g surgery family the edge
+3-manifolds", 1986); their polar duals are the dual-norm balls.  Values
+and coordinates go through `exact.frac`, so a library call rejects a
+bool, float or exponent string just as an input file does.  The dual
+norm of a batch of points is read off the ball's vertices.  The integral
+points of dual norm one are found by walking the dual ball's edges, and
+each point whose coordinates match the Euler characteristics mod 2 is
+kept with one flag: vertices are realizable as Euler classes, other
+points are candidates, and for the genus-g surgery family the edge
 points (0, +-(2g-2)) are flagged as the known non-realizable ones.
 """
 
@@ -25,19 +27,15 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
+from .exact import frac
+
 Vec2 = Tuple[Fraction, Fraction]
 Halfspace = Tuple[Tuple[int, int], int]  # ((a, b), c) meaning a*x + b*y <= c
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise ValueError("floats are not allowed; use Fraction, int, or 'p/q' strings")
-    return Fraction(x)
-
-
 def _point(p) -> Vec2:
     x, y = p
-    return (_frac(x), _frac(y))
+    return (frac(x), frac(y))
 
 
 def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
@@ -178,7 +176,7 @@ class NormSpec:
 
     def __post_init__(self):
         for name in ("x_f", "x_s", "x_sum", "x_diff"):
-            v = _frac(getattr(self, name))
+            v = frac(getattr(self, name))
             object.__setattr__(self, name, v)
             if v <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -48,15 +48,12 @@ class SuturedSolidTorus:
 
     longitude_wraps: int
     suture_count: int = 2
-    meridian_wraps: int = 1
 
     def __post_init__(self):
-        for name in ("longitude_wraps", "suture_count", "meridian_wraps"):
+        for name in ("longitude_wraps", "suture_count"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.meridian_wraps != 1:
-            raise ValueError("only single meridian wrapping is supported")
 
 
 def core_disk(t: SuturedSolidTorus) -> CorneredSurface:
@@ -82,7 +79,7 @@ class Tangency:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if isinstance(self.sign, bool) or not isinstance(self.sign, int) or self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
     @property
@@ -143,12 +140,18 @@ class NovikovWitness:
         return self.steps[-1].running_total if self.steps else self.initial_exponent
 
 
+# The witness has |k| steps and a report lists each one.
+MAX_WITNESS_K = 4096
+
+
 def novikov_witness(k: int, m: int) -> NovikovWitness:
     """Build the contradiction certificate for generator exponent k and
-    transversal exponent m (both nonzero integers)."""
+    transversal exponent m (both nonzero integers, |k| <= MAX_WITNESS_K)."""
     for name, v in (("k", k), ("m", m)):
         if isinstance(v, bool) or not isinstance(v, int) or v == 0:
             raise ValueError(f"{name} must be a nonzero integer")
+    if abs(k) > MAX_WITNESS_K:
+        raise ValueError(f"k must be at most {MAX_WITNESS_K}")
     # a negative generator exponent is replaced by the inverse generator
     reps = abs(k)
     steps = []

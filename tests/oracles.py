@@ -77,4 +77,4 @@ def twist_word(*letters):
 
 def transvection_matrix(c: TwistGenerator, sign=1):
     """Homology action of the sign-handed Dehn twist along c: the one-letter word."""
-    return word_action(twist_word((c.label, sign)), (c,))
+    return word_action(twist_word((c.label, sign)), {c.label: c})

@@ -9,8 +9,10 @@ import pytest
 
 from tautcalc import jsonio, polytope
 from tautcalc.cli import main
+from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
+from tautcalc.sutured import MAX_WITNESS_K
 
 
 def run(capsys, *argv):
@@ -81,6 +83,26 @@ def test_vmatrix_genus_capped(capsys):
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err == f"error: genus must be at most {MAX_CHAIN_GENUS}\n"
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("holonomy", "tau", "--case", "a", "--tiles", str(10**18)), f"tiles must be at most {MAX_TILES}"),
+        (("holonomy", "tau", "--case", "a", "--samples", str(10**18)), f"samples must be at most {MAX_SAMPLES}"),
+        (("sutured", "witness", "--k", str(10**18), "--m", "1"), f"k must be at most {MAX_WITNESS_K}"),
+        (("sutured", "witness", "--k", str(-10**18), "--m", "1"), f"k must be at most {MAX_WITNESS_K}"),
+    ],
+)
+def test_report_sizes_capped(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert peak < 1_000_000
 
 

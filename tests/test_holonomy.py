@@ -5,13 +5,15 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautcalc.exact import frac
 from tautcalc.holonomy import (
     EXPRESSIONS,
+    MAX_SAMPLES,
+    MAX_TILES,
     Concatenation,
     PLHomeo,
     TiledHomeo,
     TileShiftMap,
-    _frac,
     bundled_shifts,
     solve_conjugacy,
     witness_samples,
@@ -56,10 +58,10 @@ def test_eval_interpolates():
 
 def test_frac_passes_fractions_through():
     q = Fr(-3, 7)
-    assert _frac(q) is q
-    assert _frac(2) == Fr(2) and _frac("1/3") == Fr(1, 3)
+    assert frac(q) is q
+    assert frac(2) == Fr(2) and frac("1/3") == Fr(1, 3)
     with pytest.raises(ValueError):
-        _frac(0.5)
+        frac(0.5)
 
 
 def test_collinear_breakpoints_normalized():
@@ -260,7 +262,7 @@ def test_random_maps_verify():
     for case in "abcdef":
         u = random_plhomeo(rng)
         v = random_plhomeo(rng)
-        _, witness = solve_conjugacy(u, v, case, tiles_per_side=5, per_tile=2)
+        _, witness = solve_conjugacy(u, v, case, tiles_per_side=5, samples=20)
         assert witness.all_passed, case
 
 
@@ -272,9 +274,38 @@ def test_invalid_case_rejected():
 
 
 def test_domain_must_be_standard():
-    u, _ = bundled_shifts()
-    with pytest.raises(ValueError):
-        solve_conjugacy(PLHomeo([0, Fr(1, 2), 1], [0, Fr(3, 4), 1]), u, "a")
+    # the map itself is refused, before any conjugacy is set up
+    with pytest.raises(ValueError) as exc:
+        PLHomeo([0, Fr(1, 2), 1], [0, Fr(3, 4), 1])
+    assert str(exc.value) == "must be a homeomorphism of [-1, 1]"
+    with pytest.raises(ValueError, match=r"must be a homeomorphism of \[-1, 1\]"):
+        PLHomeo([-2, 1], [-2, 1])
+
+
+def test_sample_layout_owned_by_solve():
+    u, v = bundled_shifts()
+    for tiles, samples, count in ((8, 64, 67), (3, 4, 9), (5, 21, 33), (1, 1, 5)):
+        _, witness = solve_conjugacy(u, v, "c", tiles, samples)
+        per_tile = (count - 3) // (2 * tiles)
+        assert [c.point for c in witness.checks] == witness_samples(tiles, per_tile)
+        assert len(witness.checks) == count >= samples
+
+
+@pytest.mark.parametrize(
+    "tiles, samples, message",
+    [
+        (0, 64, "need at least one tile and one point per tile"),
+        (-1, 64, "need at least one tile and one point per tile"),
+        (8, 0, "need at least one tile and one point per tile"),
+        (MAX_TILES + 1, 64, f"tiles must be at most {MAX_TILES}"),
+        (8, MAX_SAMPLES + 1, f"samples must be at most {MAX_SAMPLES}"),
+    ],
+)
+def test_sample_layout_bounds(tiles, samples, message):
+    u, v = bundled_shifts()
+    with pytest.raises(ValueError) as exc:
+        solve_conjugacy(u, v, "a", tiles, samples)
+    assert str(exc.value) == message
 
 
 def test_witness_samples_spread():

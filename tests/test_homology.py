@@ -179,7 +179,7 @@ def test_word_action_cancelled_word_is_the_dense_identity():
     # c c^-1 creates off-diagonal entries and cancels them; none may stay stored
     space = SymplecticSpace(3)
     c = TwistGenerator("c", space.cls((1, -2, 0, 1, 1, 0)), Family.A)
-    m = word_action(TwistWord((("c", 1), ("c", -1))), (c,))
+    m = word_action(TwistWord((("c", 1), ("c", -1))), {c.label: c})
     dense = IntMatrix([[int(i == j) for j in range(6)] for i in range(6)])
     assert m == dense and hash(m) == hash(dense)
     assert m.nonzeros == tuple({i: 1} for i in range(6))
@@ -225,10 +225,10 @@ def test_word_rejects_zero_exponent():
 
 
 def test_word_action_rejects_mixed_spaces():
-    gens = [
-        TwistGenerator("a", basis_r(SymplecticSpace(2), 1), Family.A),
-        TwistGenerator("b", SymplecticSpace(3).basis_s(1), Family.B),
-    ]
+    gens = {
+        "a": TwistGenerator("a", basis_r(SymplecticSpace(2), 1), Family.A),
+        "b": TwistGenerator("b", SymplecticSpace(3).basis_s(1), Family.B),
+    }
     with pytest.raises(ValueError, match="different spaces"):
         word_action(TwistWord((("a", 1), ("b", -1))), gens)
 

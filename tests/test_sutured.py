@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tautcalc.sutured import (
+    MAX_WITNESS_K,
     CorneredSurface,
     SuturedSolidTorus,
     Tangency,
@@ -65,8 +66,6 @@ def test_solid_torus_validation():
         SuturedSolidTorus(0)
     with pytest.raises(ValueError):
         SuturedSolidTorus(3, suture_count=0)
-    with pytest.raises(ValueError):
-        SuturedSolidTorus(3, meridian_wraps=2)
 
 
 def test_euler_pairing_examples():
@@ -121,9 +120,10 @@ def test_fully_marked_rejects_centers():
         is_fully_marked([Tangency(CENTER, 1)])
 
 
-def test_tangency_sign_validation():
-    with pytest.raises(ValueError):
-        Tangency(SADDLE, 2)
+@pytest.mark.parametrize("sign", [2, 0, 1.0, -1.0, True, Fraction(1), "1", None])
+def test_tangency_sign_validation(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        Tangency(SADDLE, sign)
 
 
 # -- transversal witness -----------------------------------------------------------
@@ -177,3 +177,11 @@ def test_witness_rejects_zero():
         novikov_witness(0, 3)
     with pytest.raises(ValueError):
         novikov_witness(2, 0)
+
+
+def test_witness_k_capped():
+    for k in (MAX_WITNESS_K, -MAX_WITNESS_K):
+        assert len(novikov_witness(k, 1).steps) == MAX_WITNESS_K
+    for k in (MAX_WITNESS_K + 1, -MAX_WITNESS_K - 1):
+        with pytest.raises(ValueError, match=f"k must be at most {MAX_WITNESS_K}"):
+            novikov_witness(k, 1)
