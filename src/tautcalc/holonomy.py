@@ -28,18 +28,26 @@ evaluation is exact at every rational.
 Every chart is in closed form, an affine map y = k*q - m of an interval
 onto [-1, 1] with integers k and m, and its inverse q = (m + y)/k.  Tile n
 on side s (s = +-1) is [1/(n + 1), 1/n], mirrored for s = -1, with
-k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q is
-n = q.denominator // |q.numerator|.  Piece i of a concatenation is
-[i, i + 1], with k = 2 and m = 2i + 1.  Each chart builds one Fraction
-from the numerator and denominator of its argument, and `PLHomeo.eval`
-is one slope-intercept step per call.
+k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q = a/d is
+n = d // |a|.  Piece i of a concatenation is [i, i + 1], with k = 2 and
+m = 2i + 1.
+
+Each map evaluates in one kernel, `_eval_pair(a, d)`, on an unreduced
+integer pair a/d with d > 0: the chart in is (k*a - m*d, d), the chart out
+(m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
+not change when a and d are scaled, so nothing is reduced on the way.  A
+`PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own, and
+the segment search compares a/d with each breakpoint by cross-multiplying.
+The public `eval` reduces the kernel's pair to one Fraction, and
+`solve_conjugacy` compares both sides of the identity as pairs, so no
+Fraction is built between a sample point and its verdict.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exact import frac
@@ -49,11 +57,13 @@ class PLHomeo:
     """Increasing piecewise-linear homeomorphism of [-1, 1].
 
     Stored as matching breakpoint/value sequences; collinear interior
-    breakpoints are dropped, so equal maps have equal data.  Each segment's
-    (slope, intercept) pair is derived from them once, for `eval`.
+    breakpoints are dropped, so equal maps have equal data.  Each segment is
+    derived from them once, for `_eval_pair`: its interior left breakpoint as
+    an integer pair (bn, bd), and y = (A*x + C)/D as integers (A, C, D)
+    from its slope and intercept.
     """
 
-    __slots__ = ("breakpoints", "values", "_pieces")
+    __slots__ = ("breakpoints", "values", "_cuts", "_segments")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         bps = [frac(b) for b in breakpoints]
@@ -71,11 +81,18 @@ class PLHomeo:
         bps, vals = self._normalized(bps, vals)
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "values", tuple(vals))
-        pieces = []
+        object.__setattr__(self, "_cuts", tuple((b.numerator, b.denominator) for b in bps[1:-1]))
+        segments = []
         for x0, x1, y0, y1 in zip(bps, bps[1:], vals, vals[1:]):
             slope = (y1 - y0) / (x1 - x0)
-            pieces.append((slope, y0 - slope * x0))
-        object.__setattr__(self, "_pieces", tuple(pieces))
+            intercept = y0 - slope * x0
+            den = lcm(slope.denominator, intercept.denominator)
+            segments.append((
+                slope.numerator * (den // slope.denominator),
+                intercept.numerator * (den // intercept.denominator),
+                den,
+            ))
+        object.__setattr__(self, "_segments", tuple(segments))
 
     @staticmethod
     def _normalized(bps, vals):
@@ -115,11 +132,24 @@ class PLHomeo:
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        _check_unit(q)
-        bps = self.breakpoints
-        # segment i spans bps[i]..bps[i + 1]; the right endpoint takes the last
-        slope, intercept = self._pieces[bisect_right(bps, q, 1, len(bps) - 1) - 1]
-        return slope * q + intercept
+        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+
+    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
+        if abs(a) > d:
+            raise _outside_unit(a, d)
+        # the last segment whose left breakpoint is <= a/d; the right
+        # endpoint 1 takes the last segment
+        cuts = self._cuts
+        lo, hi = 0, len(cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            bn, bd = cuts[mid]
+            if a * bd < bn * d:
+                hi = mid
+            else:
+                lo = mid + 1
+        A, C, D = self._segments[lo]
+        return A * a + C * d, D * d
 
     def inverse(self) -> "PLHomeo":
         return PLHomeo(self.values, self.breakpoints)
@@ -128,31 +158,8 @@ class PLHomeo:
 # -- lazy tiled homeomorphisms ----------------------------------------------------
 
 
-def _chart_in(q: Fraction, k: int, m: int) -> Fraction:
-    """k*q - m: the chart of the interval at q, onto [-1, 1]."""
-    return Fraction(k * q.numerator - m * q.denominator, q.denominator)
-
-
-def _chart_out(y: Fraction, k: int, m: int) -> Fraction:
-    """(m + y)/k: the chart back from [-1, 1] at y."""
-    return Fraction(m * y.denominator + y.numerator, k * y.denominator)
-
-
-def _tile_chart(side: int, n: int) -> Tuple[int, int]:
-    """(k, m) of tile n (1-based, outermost first) on the given side."""
-    return 2 * n * (n + 1), side * (2 * n + 1)
-
-
-def _tile_index(q: Fraction) -> Tuple[int, int]:
-    """(side, n) for a nonzero q in [-1, 1]; boundary points may go to either
-    neighbouring tile, which agree there."""
-    side = -1 if q.numerator < 0 else 1
-    return side, q.denominator // abs(q.numerator)
-
-
-def _check_unit(q: Fraction) -> None:
-    if abs(q.numerator) > q.denominator:
-        raise ValueError(f"{q} outside [-1, 1]")
+def _outside_unit(a: int, d: int) -> ValueError:
+    return ValueError(f"{Fraction(a, d)} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,14 +180,22 @@ class TiledHomeo:
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        _check_unit(q)
-        if q == 0:
-            return q
-        side, n = _tile_index(q)
-        k, m = _tile_chart(side, n)
-        maps = self.negative if side < 0 else self.positive
-        w = maps[(n - 1) % len(maps)]
-        return _chart_out(w.eval(_chart_in(q, k, m)), k, m)
+        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+
+    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
+        if abs(a) > d:
+            raise _outside_unit(a, d)
+        if a == 0:
+            return a, d
+        if a < 0:
+            n = d // -a
+            maps, m = self.negative, -(2 * n + 1)
+        else:
+            n = d // a
+            maps, m = self.positive, 2 * n + 1
+        k = 2 * n * (n + 1)
+        ya, yd = maps[(n - 1) % len(maps)]._eval_pair(k * a - m * d, d)
+        return m * yd + ya, k * yd
 
     def inverse(self) -> "TiledHomeo":
         return TiledHomeo(
@@ -201,11 +216,16 @@ class Concatenation:
 
     def eval(self, q) -> Fraction:
         q = frac(q)
+        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+
+    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
         k = len(self.pieces)
-        if not 0 <= q.numerator <= k * q.denominator:
-            raise ValueError(f"{q} outside [0, {k}]")
-        i = min(q.numerator // q.denominator, k - 1)
-        return _chart_out(self.pieces[i].eval(_chart_in(q, 2, 2 * i + 1)), 2, 2 * i + 1)
+        if not 0 <= a <= k * d:
+            raise ValueError(f"{Fraction(a, d)} outside [0, {k}]")
+        i = min(a // d, k - 1)
+        m = 2 * i + 1
+        ya, yd = self.pieces[i]._eval_pair(2 * a - m * d, d)
+        return m * yd + ya, 2 * yd
 
 
 @dataclass(frozen=True)
@@ -224,17 +244,24 @@ class TileShiftMap:
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        _check_unit(q)
-        m = self.middle_index
-        side = -1 if q.numerator < 0 else 1
-        end = m + side
-        if q == 0 or not 0 <= end < self.piece_count:
-            return _chart_out(q, 2, 2 * m + 1)
-        _, n = _tile_index(q)
-        c = _chart_in(q, *_tile_chart(side, n))
+        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+
+    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
+        if abs(a) > d:
+            raise _outside_unit(a, d)
+        m = 2 * self.middle_index + 1
+        side = -1 if a < 0 else 1
+        end = self.middle_index + side
+        if a == 0 or not 0 <= end < self.piece_count:
+            return m * d + a, 2 * d
+        n = d // abs(a)
+        # the chart of tile n onto [-1, 1]
+        c = 2 * n * (n + 1) * a - side * (2 * n + 1) * d
         if n == 1:
-            return _chart_out(c, 2, 2 * end + 1)
-        return _chart_out(_chart_out(c, *_tile_chart(side, n - 1)), 2, 2 * m + 1)
+            return (2 * end + 1) * d + c, 2 * d
+        # back out through the chart of tile n - 1, then onto the middle piece
+        k = 2 * (n - 1) * n
+        return m * k * d + side * (2 * n - 1) * d + c, 2 * k * d
 
 
 # The six cases and the concatenation each makes t conjugate to;
@@ -326,9 +353,11 @@ def solve_conjugacy(
 
     checks = []
     for q in witness_samples(tiles_per_side, per_tile):
-        lhs = h.eval(tiled.eval(q))
-        rhs = expr.eval(h.eval(q))
-        checks.append(SampleCheck(q, lhs == rhs))
+        a, d = q.numerator, q.denominator
+        la, ld = h._eval_pair(*tiled._eval_pair(a, d))
+        ra, rd = expr._eval_pair(*h._eval_pair(a, d))
+        # both denominators are positive, so this is lhs == rhs
+        checks.append(SampleCheck(q, la * rd == ra * ld))
     witness = ConjugacyWitness(case, EXPRESSIONS[case], tuple(checks), tiles_per_side)
     return tiled, witness
 

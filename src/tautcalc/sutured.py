@@ -140,18 +140,23 @@ class NovikovWitness:
         return self.steps[-1].running_total if self.steps else self.initial_exponent
 
 
-# The witness has |k| steps and a report lists each one.
+# The witness has |k| steps and a report lists each one; its running totals
+# reach |k| * |m|, so capping |m| keeps each total under 23 digits.
 MAX_WITNESS_K = 4096
+MAX_WITNESS_M = 10**18
 
 
 def novikov_witness(k: int, m: int) -> NovikovWitness:
     """Build the contradiction certificate for generator exponent k and
-    transversal exponent m (both nonzero integers, |k| <= MAX_WITNESS_K)."""
+    transversal exponent m (both nonzero integers, |k| <= MAX_WITNESS_K and
+    |m| <= MAX_WITNESS_M)."""
     for name, v in (("k", k), ("m", m)):
         if isinstance(v, bool) or not isinstance(v, int) or v == 0:
             raise ValueError(f"{name} must be a nonzero integer")
     if abs(k) > MAX_WITNESS_K:
         raise ValueError(f"k must be at most {MAX_WITNESS_K}")
+    if abs(m) > MAX_WITNESS_M:
+        raise ValueError(f"m must be at most {MAX_WITNESS_M}")
     # a negative generator exponent is replaced by the inverse generator
     reps = abs(k)
     steps = []

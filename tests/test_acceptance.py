@@ -233,6 +233,15 @@ def test_holonomy_conjugacy_witnesses():
         assert all(tiled.eval(q) == q for q in witness_samples(10, 4))
 
 
+def test_holonomy_witnesses_at_256_tiles():
+    u, v = bundled_shifts()
+    with Criterion("conjugacy witnesses exact for all six cases at 4096 samples over 256 tiles per side", 0.5):
+        for case in "abcdef":
+            _, witness = solve_conjugacy(u, v, case, 256, 4096)
+            assert len(witness.checks) == 4096 + 3
+            assert witness.all_passed, case
+
+
 def test_novikov_witness_grid():
     with Criterion("transversal witnesses reach exponent zero for all |k|,|m| <= 20"):
         for k in range(-20, 21):

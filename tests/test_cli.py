@@ -12,7 +12,7 @@ from tautcalc.cli import main
 from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
-from tautcalc.sutured import MAX_WITNESS_K
+from tautcalc.sutured import MAX_WITNESS_K, MAX_WITNESS_M
 
 
 def run(capsys, *argv):
@@ -93,6 +93,9 @@ def test_vmatrix_genus_capped(capsys):
         (("holonomy", "tau", "--case", "a", "--samples", str(10**18)), f"samples must be at most {MAX_SAMPLES}"),
         (("sutured", "witness", "--k", str(10**18), "--m", "1"), f"k must be at most {MAX_WITNESS_K}"),
         (("sutured", "witness", "--k", str(-10**18), "--m", "1"), f"k must be at most {MAX_WITNESS_K}"),
+        # a 4299-digit m parses, but |k| * |m| would pass the 4300-digit str() limit
+        (("sutured", "witness", "--k", "4096", "--m", "9" * 4299), f"m must be at most {MAX_WITNESS_M}"),
+        (("sutured", "witness", "--k", "1", "--m", str(-MAX_WITNESS_M - 1)), f"m must be at most {MAX_WITNESS_M}"),
     ],
 )
 def test_report_sizes_capped(capsys, argv, message):

@@ -1,10 +1,13 @@
 import functools
 import random
+import time
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautcalc import holonomy
 from tautcalc.exact import frac
 from tautcalc.holonomy import (
     EXPRESSIONS,
@@ -458,3 +461,71 @@ def test_unit_maps_take_endpoints_and_reject_beyond():
         for q in (past, -past):
             with pytest.raises(ValueError):
                 f.eval(q)
+
+
+# -- the integer-pair kernels -------------------------------------------------------------
+
+
+def test_verdicts_fail_with_a_wrong_conjugator(monkeypatch):
+    # h with the middle index moved by one is not a conjugacy for the bundled
+    # shifts, so some sample must come out False in every case; for identity
+    # maps every h conjugates t = id to expr = id, so all samples still pass
+    shift = TileShiftMap
+    monkeypatch.setattr(holonomy, "TileShiftMap", lambda m, k: shift((m + 1) % k, k))
+    u, v = bundled_shifts()
+    ident = PLHomeo.identity()
+    for case in EXPRESSIONS:
+        _, witness = solve_conjugacy(u, v, case)
+        assert not all(c.passed for c in witness.checks), case
+        _, witness = solve_conjugacy(ident, ident, case)
+        assert witness.all_passed, case
+
+
+@pytest.mark.parametrize("case", list(EXPRESSIONS))
+def test_eval_pair_is_scale_invariant(case):
+    maps, tiled, h, expr = construction(case)
+    unit = unit_points(maps) + [Fr(-1), Fr(1)]
+    k = len(expr.pieces)
+    domain = [Fr(i, 4) for i in range(4 * k + 1)] + [ref_eval(h, q) for q in unit]
+    for f, points in [(f, unit) for f in maps + (tiled, h)] + [(expr, domain)]:
+        for q in points:
+            a, d = q.numerator, q.denominator
+            y = f.eval(q)
+            for s in (2, 3, 77, 10**20 + 1):
+                ya, yd = f._eval_pair(a * s, d * s)
+                assert yd > 0 and Fr(ya, yd) == y, (f, q, s)
+
+
+def primes_from(lo, count):
+    sieve = bytearray([1]) * (lo + 20 * count)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    return [p for p in range(lo, len(sieve)) if sieve[p]][:count]
+
+
+def test_many_coprime_breakpoints_stay_cheap():
+    # breakpoints and values with 2 * 2000 distinct prime denominators: a
+    # common denominator over the whole map would have about 4000 prime
+    # factors, so the pieces are stored and evaluated one segment at a time
+    count = 2000
+    primes = primes_from(10_000, 2 * count)
+    marks = [Fr(2 * (i + 1), count + 1) - 1 for i in range(count)]
+    xs = [Fr(round(c * p), p) for c, p in zip(marks, primes[:count])]
+    ys = [Fr(round(c * p), p) for c, p in zip(marks, primes[count:])]
+    points = [Fr(j, 401) - Fr(j % 7, 4999) for j in range(-400, 401, 3)]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        f = PLHomeo([-1] + xs + [1], [-1] + ys + [1])
+        images = [f.eval(q) for q in points]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.breakpoints) == count + 2
+    assert {b.denominator for b in f.breakpoints[1:-1]} == set(primes[:count])
+    assert peak < 4_000_000
+    assert elapsed < 2.0
+    for q, y in list(zip(points, images))[::20]:
+        assert y == ref_eval(f, q)

@@ -6,6 +6,7 @@ import pytest
 
 from tautcalc.sutured import (
     MAX_WITNESS_K,
+    MAX_WITNESS_M,
     CorneredSurface,
     SuturedSolidTorus,
     Tangency,
@@ -185,3 +186,13 @@ def test_witness_k_capped():
     for k in (MAX_WITNESS_K + 1, -MAX_WITNESS_K - 1):
         with pytest.raises(ValueError, match=f"k must be at most {MAX_WITNESS_K}"):
             novikov_witness(k, 1)
+
+
+def test_witness_m_capped():
+    for m in (MAX_WITNESS_M, -MAX_WITNESS_M):
+        w = novikov_witness(-MAX_WITNESS_K, m)
+        assert w.steps[-2].running_total == MAX_WITNESS_K * m
+        assert w.final_exponent == 0
+    for m in (MAX_WITNESS_M + 1, -MAX_WITNESS_M - 1):
+        with pytest.raises(ValueError, match=f"m must be at most {MAX_WITNESS_M}"):
+            novikov_witness(1, m)
