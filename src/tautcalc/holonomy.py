@@ -18,12 +18,14 @@ and holds, per side, a tuple of one or two maps of [-1, 1]: tile n carries
 an affinely rescaled copy of maps[(n - 1) % len(maps)], with t(0) = 0.
 The negative side holds (u,) or, when t enters the expression inverted,
 (u, u^-1); the positive side holds v likewise, and a side whose map is
-absent from the expression holds the identity.  The conjugating map h
-carries each tile onto the next one outward, into the prepended/appended
-pieces of the concatenation; everything is affine on tiles, so the
-conjugacy identity h(t(x)) = expr(h(x)) can be checked exactly at
-rational points.  The tiling is stored as a rule, never materialized, so
-evaluation is exact at every rational.
+absent from the expression holds the identity.  When t enters inverted,
+t^-1 holds t's tile maps in turn, (u^-1, u) and (v^-1, v), so each map is
+inverted once per construction.  The conjugating map h carries each tile
+onto the next one outward, into the prepended/appended pieces of the
+concatenation; everything is affine on tiles, so the conjugacy identity
+h(t(x)) = expr(h(x)) can be checked exactly at rational points.  The
+tiling is stored as a rule, never materialized, so evaluation is exact at
+every rational.
 
 Every chart is in closed form, an affine map y = k*q - m of an interval
 onto [-1, 1] with integers k and m, and its inverse q = (m + y)/k.  Tile n
@@ -197,12 +199,6 @@ class TiledHomeo:
         ya, yd = maps[(n - 1) % len(maps)]._eval_pair(k * a - m * d, d)
         return m * yd + ya, k * yd
 
-    def inverse(self) -> "TiledHomeo":
-        return TiledHomeo(
-            tuple(m.inverse() for m in self.negative),
-            tuple(m.inverse() for m in self.positive),
-        )
-
 
 # -- concatenations and the conjugacy witness -------------------------------------
 
@@ -346,7 +342,8 @@ def solve_conjugacy(
         return (m, m.inverse()) if inverse_middle else (m,)
 
     tiled = TiledHomeo(tile_maps(u, "u"), tile_maps(v, "v"))
-    middle = tiled.inverse() if inverse_middle else tiled
+    # each side is (m, m^-1) or (identity,), so t^-1 holds the same maps in turn
+    middle = TiledHomeo(tiled.negative[::-1], tiled.positive[::-1]) if inverse_middle else tiled
     pieces = tuple({"u": u, "v": v}.get(letter, middle) for letter in letters)
     expr = Concatenation(pieces)
     h = TileShiftMap(letters.index("t^-1" if inverse_middle else "t"), len(pieces))

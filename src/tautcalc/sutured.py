@@ -33,6 +33,8 @@ class CorneredSurface:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"{name} must be an integer")
+            if abs(v) > MAX_SURFACE_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_SURFACE_COUNT}")
         if self.convex < 0 or self.concave < 0:
             raise ValueError("corner counts must be nonnegative")
 
@@ -54,6 +56,8 @@ class SuturedSolidTorus:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
+            if v > MAX_TORUS_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_TORUS_COUNT}")
 
 
 def core_disk(t: SuturedSolidTorus) -> CorneredSurface:
@@ -132,8 +136,11 @@ class NovikovWitness:
 
     k: int
     m: int
-    initial_exponent: int
     steps: Tuple[WitnessStep, ...]
+
+    @property
+    def initial_exponent(self) -> int:
+        return self.m
 
     @property
     def final_exponent(self) -> int:
@@ -144,6 +151,11 @@ class NovikovWitness:
 # reach |k| * |m|, so capping |m| keeps each total under 23 digits.
 MAX_WITNESS_K = 4096
 MAX_WITNESS_M = 10**18
+# The chi and core-disk reports print every field and chi exactly, so each
+# field has at most 19 digits.  A core disk has suture_count * wraps convex
+# corners, so each torus count is capped at the square root of that cap.
+MAX_SURFACE_COUNT = 10**18
+MAX_TORUS_COUNT = 10**9
 
 
 def novikov_witness(k: int, m: int) -> NovikovWitness:
@@ -168,4 +180,4 @@ def novikov_witness(k: int, m: int) -> NovikovWitness:
     total += added
     steps.append(WitnessStep("pi1", added, total))
     assert total == 0
-    return NovikovWitness(k, m, m, tuple(steps))
+    return NovikovWitness(k, m, tuple(steps))

@@ -12,7 +12,7 @@ from tautcalc.cli import main
 from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
-from tautcalc.sutured import MAX_WITNESS_K, MAX_WITNESS_M
+from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
 
 
 def run(capsys, *argv):
@@ -96,6 +96,15 @@ def test_vmatrix_genus_capped(capsys):
         # a 4299-digit m parses, but |k| * |m| would pass the 4300-digit str() limit
         (("sutured", "witness", "--k", "4096", "--m", "9" * 4299), f"m must be at most {MAX_WITNESS_M}"),
         (("sutured", "witness", "--k", "1", "--m", str(-MAX_WITNESS_M - 1)), f"m must be at most {MAX_WITNESS_M}"),
+        # 20 sutures of 4299-digit wraps, or chi from 4300-digit fields, would pass the str() limit
+        (("sutured", "core-disk", "--wraps", "9" * 4299, "--sutures", "20"),
+         f"longitude_wraps must be at most {MAX_TORUS_COUNT}"),
+        (("sutured", "core-disk", "--wraps", "1", "--sutures", str(MAX_TORUS_COUNT + 1)),
+         f"suture_count must be at most {MAX_TORUS_COUNT}"),
+        (("sutured", "chi", "--base-chi", "-" + "9" * 4300, "--convex", "9" * 4300),
+         f"base_chi must be at most {MAX_SURFACE_COUNT}"),
+        (("sutured", "chi", "--base-chi", "0", "--concave", str(MAX_SURFACE_COUNT + 1)),
+         f"concave must be at most {MAX_SURFACE_COUNT}"),
     ],
 )
 def test_report_sizes_capped(capsys, argv, message):

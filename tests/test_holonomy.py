@@ -177,16 +177,21 @@ def test_tile_maps_alternate_by_parity():
         for (lo, hi), w in (((-Fr(1, n), -Fr(1, n + 1)), neg), ((Fr(1, n + 1), Fr(1, n)), v)):
             # the tile midpoint is the chart image of 0
             assert t.eval((lo + hi) / 2) == lo + (w.eval(0) + 1) * (hi - lo) / 2
-    assert t.inverse().negative == (u.inverse(), u)
-    assert t.inverse().positive == (v.inverse(),)
+    # reversing the side (u, u^-1) inverts the map on every tile
+    assert t.negative[::-1] == tuple(m.inverse() for m in t.negative) == (u.inverse(), u)
 
 
 def test_tiled_inverse():
+    # with each side (m, m^-1) or (identity,), reversing the sides inverts t
     u, v = bundled_shifts()
-    t = TiledHomeo((u, u.inverse()), (v,))
-    ti = t.inverse()
-    for q in witness_samples(6, 3):
-        assert ti.eval(t.eval(q)) == q
+    ident = PLHomeo.identity()
+    for neg, pos in (((u, u.inverse()), (v, v.inverse())), ((u, u.inverse()), (ident,)),
+                     ((ident,), (v, v.inverse()))):
+        t = TiledHomeo(neg, pos)
+        ti = TiledHomeo(neg[::-1], pos[::-1])
+        for q in witness_samples(6, 3) + [Fr(-1, n) for n in range(1, 9)] + [Fr(1, n) for n in range(1, 9)]:
+            assert ti.eval(t.eval(q)) == q
+            assert t.eval(ti.eval(q)) == q
 
 
 # h at tile boundaries and tile midpoints.  Case a has end pieces on both
@@ -242,6 +247,21 @@ def test_witness_checks_both_sides_of_many_tiles():
         elif c.point > 0:
             pos_tiles.add(int(Fr(1) / c.point))
     assert len(neg_tiles) >= 8 and len(pos_tiles) >= 8
+
+
+def test_each_map_inverted_once(monkeypatch):
+    # t^-1 reuses the maps t holds, so only the maps that t enters inverted
+    # with are inverted, once each
+    calls = []
+    invert = PLHomeo.inverse
+    monkeypatch.setattr(PLHomeo, "inverse", lambda self: calls.append(self) or invert(self))
+    u, v = bundled_shifts()
+    expected = {"a": [u, v], "b": [], "c": [], "d": [], "e": [u], "f": [v]}
+    for case in EXPRESSIONS:
+        calls.clear()
+        _, witness = solve_conjugacy(u, v, case, 8, 64)
+        assert witness.all_passed, case
+        assert calls == expected[case], (case, len(calls))
 
 
 def test_identity_degenerate_case():
@@ -399,7 +419,9 @@ def construction(case):
     middle = "t^-1" if "t^-1" in letters else "t"
     sides = [(f, f.inverse()) if middle == "t^-1" else (f,) for f in (u, v)]
     tiled = TiledHomeo(*(s if x in letters else (PLHomeo.identity(),) for s, x in zip(sides, "uv")))
-    inner = tiled.inverse() if middle == "t^-1" else tiled
+    # t^-1 inverts each tile map on its own, not by reversing t's sides
+    inverted = TiledHomeo(*(tuple(m.inverse() for m in side) for side in (tiled.negative, tiled.positive)))
+    inner = inverted if middle == "t^-1" else tiled
     expr = Concatenation(tuple({"u": u, "v": v}.get(x, inner) for x in letters))
     return (u, v, u.inverse(), v.inverse()), tiled, TileShiftMap(letters.index(middle), len(letters)), expr
 

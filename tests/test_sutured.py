@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tautcalc.sutured import (
+    MAX_SURFACE_COUNT,
+    MAX_TORUS_COUNT,
     MAX_WITNESS_K,
     MAX_WITNESS_M,
     CorneredSurface,
@@ -67,6 +70,26 @@ def test_solid_torus_validation():
         SuturedSolidTorus(0)
     with pytest.raises(ValueError):
         SuturedSolidTorus(3, suture_count=0)
+
+
+def test_counts_capped():
+    cap = MAX_SURFACE_COUNT
+    assert sutured_chi(CorneredSurface(-cap, cap, cap)) == -cap
+    disk = core_disk(SuturedSolidTorus(MAX_TORUS_COUNT, MAX_TORUS_COUNT))
+    assert disk.convex == cap
+    for args, name in (((cap + 1,), "base_chi"), ((-cap - 1,), "base_chi"), ((0, cap + 1), "convex"),
+                       ((0, 0, cap + 1), "concave")):
+        with pytest.raises(ValueError, match=f"{name} must be at most {cap}"):
+            CorneredSurface(*args)
+    for args, name in (((MAX_TORUS_COUNT + 1,), "longitude_wraps"), ((1, MAX_TORUS_COUNT + 1), "suture_count")):
+        with pytest.raises(ValueError, match=f"{name} must be at most {MAX_TORUS_COUNT}"):
+            SuturedSolidTorus(*args)
+
+
+def test_witness_stores_one_exponent():
+    w = novikov_witness(-3, 5)
+    assert w.initial_exponent == w.m == 5
+    assert "initial_exponent" not in {f.name for f in dataclasses.fields(w)}
 
 
 def test_euler_pairing_examples():
