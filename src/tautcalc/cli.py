@@ -2,16 +2,22 @@
 
 Subcommands wrap the library modules one-to-one and emit either a
 human-readable text report or deterministic JSON (choose with --format or
-the TAUTCALC_FORMAT environment variable).  The JSON output is byte for
-byte `json.dumps(report, indent=2)`, written by `jsonio.dumps_report`.
+the TAUTCALC_FORMAT environment variable).  `main` reads the variable on
+every call, and --format takes precedence over it; a value other than
+text or json is bad input.  The JSON output is byte for byte
+`json.dumps(report, indent=2)`, written by `jsonio.dumps_report`.
 Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later call; it holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,9 +29,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("TAUTCALC_FORMAT", "text")
-    return fmt if fmt in ("text", "json") else "text"
+FORMATS = ("text", "json")
+
+
+def _env_format() -> str:
+    """The report format TAUTCALC_FORMAT names; text when it is unset or empty."""
+    fmt = os.environ.get("TAUTCALC_FORMAT") or "text"
+    if fmt not in FORMATS:
+        raise ValueError(f"TAUTCALC_FORMAT must be text or json, got {fmt!r}")
+    return fmt
 
 
 def _load(path, root: str, parse):
@@ -229,7 +241,10 @@ def cmd_holonomy(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; --format defaults to
+    None so that `main` resolves TAUTCALC_FORMAT when it parses."""
     parser = argparse.ArgumentParser(
         prog="tautcalc",
         description="Exact twist-action, norm-polytope, sutured and holonomy calculators",
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default=_default_format())
+    common.add_argument("--format", choices=FORMATS, help="report format (default: TAUTCALC_FORMAT, else text)")
     common.add_argument("--output", help="write the report to this path instead of stdout")
 
     p = sub.add_parser("vmatrix", parents=[common], help="action of the genus-g chain word and its determinant law")
@@ -285,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format is None:
+            args.format = _env_format()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,9 +144,15 @@ class TwistGenerator:
             )
 
 
+# Action-matrix entries grow as products of the exponents, and every report
+# prints them exactly, so each |exponent| is capped as the witness |k| is.
+MAX_TWIST_EXPONENT = 4096
+
+
 @dataclass(frozen=True)
 class TwistWord:
-    """Word in the twist generators; the rightmost letter is applied first."""
+    """Word in the twist generators; the rightmost letter is applied first.
+    Each exponent is a nonzero integer with |exponent| <= MAX_TWIST_EXPONENT."""
 
     letters: tuple
 
@@ -157,6 +163,8 @@ class TwistWord:
                 raise ValueError("letter labels must be strings")
             if isinstance(exp, bool) or not isinstance(exp, int) or exp == 0:
                 raise ValueError(f"letter {label!r}: exponent must be a nonzero integer")
+            if abs(exp) > MAX_TWIST_EXPONENT:
+                raise ValueError(f"letter {label!r}: exponent must be at most {MAX_TWIST_EXPONENT}")
 
     def __iter__(self):
         return iter(self.letters)

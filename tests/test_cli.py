@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from tautcalc import jsonio, polytope
+from tautcalc import cli, jsonio, polytope
 from tautcalc.cli import main
+from tautcalc.homology import MAX_TWIST_EXPONENT
 from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
@@ -263,6 +265,11 @@ def test_penner_deeply_nested_json(tmp_path, capsys):
             lambda doc: doc["curves"][1].update(coords=["0", "2", "0", "0", "0", "0"]),
             "error: input.curves[1]: curve 'b1': class must be primitive or zero, got (0, 2, 0, 0, 0, 0)\n",
         ),
+        (
+            # entries of the action grow as products of the exponents, past the str() digit limit
+            lambda doc: doc["word"][0].update(exp=int("9" * 4000)),
+            f"error: input.word: letter 'b2': exponent must be at most {MAX_TWIST_EXPONENT}\n",
+        ),
     ],
 )
 def test_penner_error_names_field(tmp_path, capsys, edit, message):
@@ -445,13 +452,56 @@ def test_output_file(tmp_path, capsys):
     assert doc["status"] == "PASS"
 
 
-def test_format_env_default(monkeypatch, capsys):
+def test_format_env_read_per_call(monkeypatch, capsys):
+    argv = ("sutured", "chi", "--base-chi", "1", "--convex", "4")
     monkeypatch.setenv("TAUTCALC_FORMAT", "json")
-    from tautcalc import cli
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["command"] == "sutured chi"
+    monkeypatch.setenv("TAUTCALC_FORMAT", "text")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("command: sutured chi\n")
+    monkeypatch.setenv("TAUTCALC_FORMAT", "xml")
+    assert run(capsys, *argv) == (2, "", "error: TAUTCALC_FORMAT must be text or json, got 'xml'\n")
+    monkeypatch.setenv("TAUTCALC_FORMAT", "json")
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out.startswith("command: sutured chi\n")
 
-    parser = cli.build_parser()
-    args = parser.parse_args(["vmatrix", "--genus", "6"])
-    assert args.format == "json"
+
+def test_parser_built_once_and_not_poisoned(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+    argv = ("sutured", "chi", "--base-chi", "1", "--convex", "4")
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    for bad in (["vmatrix"], ["nope"]):  # missing --genus, unknown subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+    path = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_text() == fresh[1]
+    assert run(capsys, *argv) == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["penner"],
+        ["vmatrix", "--genus", "6"],
+        ["candidates", "--genus", "3"],
+        ["sutured", "chi", "--base-chi", "1", "--convex", "4", "--concave", "1"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_in_process_report_matches_subprocess(monkeypatch, capsys, argv, fmt):
+    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "tautcalc.cli", *argv, "--format", fmt],
+                          capture_output=True, env=env)
+    assert (code, out.encode(), err.encode()) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_imports_only_the_standard_library():

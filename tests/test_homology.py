@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tautcalc.homology import (
+    MAX_TWIST_EXPONENT,
     Family,
     SymplecticSpace,
     TwistGenerator,
@@ -222,6 +223,13 @@ def test_word_action_unknown_label():
 def test_word_rejects_zero_exponent():
     with pytest.raises(ValueError):
         TwistWord((("a", 0),))
+
+
+def test_word_exponent_capped():
+    TwistWord((("a", MAX_TWIST_EXPONENT), ("b", -MAX_TWIST_EXPONENT)))
+    for exp in (MAX_TWIST_EXPONENT + 1, -MAX_TWIST_EXPONENT - 1):
+        with pytest.raises(ValueError, match=f"letter 'a': exponent must be at most {MAX_TWIST_EXPONENT}"):
+            TwistWord((("a", exp),))
 
 
 def test_word_action_rejects_mixed_spaces():
