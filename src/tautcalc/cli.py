@@ -148,7 +148,10 @@ def cmd_penner(args) -> int:
     else:
         system, word = penner.chain_system(3)
     report_obj = penner.validate_word(word, system)
-    action = homology.word_action(word, system.generator_map())
+    try:
+        action = homology.word_action(word, system.generator_map())
+    except ValueError as exc:  # the action-size cap; only an input word can reach it
+        raise ValueError(f"input.word: {exc}") from None
     b2 = homology.mapping_torus_b2(action)
     trivial = b2 == 1  # b2 = 1 + dim ker(M - Id), so 1 exactly when det(M - Id) != 0
     report = {

@@ -12,6 +12,11 @@ actions computed as exact integer matrices.  The mapping torus of a map
 acting as M on H_1 has b2 = 1 + dim ker(M - Id); b2 = 1 is the statement
 that M fixes no nonzero class.
 
+A class is stored by its nonzero coordinates, as sorted (index, value)
+pairs; its dense 2g coordinates are a derived view, which only the JSON
+schema and error messages read.  So a curve of bounded support costs the
+same at every genus, to build, to pair and to twist along.
+
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
 derived from its twist word by `word_action`; none is stored.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -50,75 +55,87 @@ class SymplecticSpace:
         return 2 * self.genus
 
     def cls(self, coords: Sequence[int]) -> "HomologyClass":
-        return HomologyClass(self, tuple(coords))
-
-    def zero(self) -> "HomologyClass":
-        return self.cls([0] * self.dimension)
+        """The class with these 2g dense coordinates."""
+        coords = tuple(coords)
+        if len(coords) != self.dimension:
+            raise ValueError("coordinate length must equal 2*genus")
+        # one C-level pass over the types; the per-entry check only runs to
+        # admit an int subclass
+        if not {*map(type, coords)} <= {int} and any(
+            isinstance(c, bool) or not isinstance(c, int) for c in coords
+        ):
+            raise ValueError("coordinates must be integers")
+        return HomologyClass(self, tuple(zip(compress(range(len(coords)), coords), filter(None, coords))))
 
     def basis_s(self, i: int) -> "HomologyClass":
         """The class s_i, 1-based."""
         if not 1 <= i <= self.genus:
             raise ValueError("basis index out of range")
-        coords = [0] * self.dimension
-        coords[2 * i - 1] = 1
-        return self.cls(coords)
+        return HomologyClass(self, ((2 * i - 1, 1),))
 
 
 @dataclass(frozen=True)
 class HomologyClass:
-    """Integer homology class in the symplectic basis of its space."""
+    """Integer homology class in the symplectic basis of its space.
+
+    `nonzeros` is the one stored copy: the (index, value) pairs of the
+    nonzero coordinates, in increasing index order, so equal classes have
+    equal pairs and `==` and `hash` compare classes.  A chain curve has at
+    most two pairs whatever the genus, and every check here costs in
+    proportion to the pairs.  `coords` is the dense view of all 2g
+    coordinates, derived on each read.
+    """
 
     space: SymplecticSpace
-    coords: tuple
+    nonzeros: tuple
 
     def __post_init__(self):
-        if len(self.coords) != self.space.dimension:
-            raise ValueError("coordinate length must equal 2*genus")
-        # one C-level pass over the types; the per-entry check only runs to
-        # admit an int subclass
-        if not {*map(type, self.coords)} <= {int} and any(
-            isinstance(c, bool) or not isinstance(c, int) for c in self.coords
-        ):
-            raise ValueError("coordinates must be integers")
+        if type(self.nonzeros) is not tuple:
+            raise ValueError("nonzeros must be a tuple of (index, value) pairs")
+        n, last = self.space.dimension, -1
+        for pair in self.nonzeros:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise ValueError("nonzeros must be a tuple of (index, value) pairs")
+            k, v = pair
+            # exact ints pass on the type test; the isinstance tests only run
+            # to admit an int subclass
+            if (type(k) is not int and (isinstance(k, bool) or not isinstance(k, int))) or not last < k < n:
+                raise ValueError("nonzero indices must increase within range(2*genus)")
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ValueError("coordinates must be integers")
+            if not v:
+                raise ValueError("nonzeros must not hold a zero coordinate")
+            last = k
 
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        self._require_same_space(other)
-        return HomologyClass(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        self._require_same_space(other)
-        return HomologyClass(self.space, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.space, tuple(-a for a in self.coords))
-
-    def __rmul__(self, k: int) -> "HomologyClass":
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValueError("scalar must be an integer")
-        return HomologyClass(self.space, tuple(k * a for a in self.coords))
-
-    def _require_same_space(self, other: "HomologyClass"):
-        if self.space != other.space:
-            raise ValueError("classes live in different spaces")
+    @property
+    def coords(self) -> tuple:
+        dense = [0] * self.space.dimension
+        for k, v in self.nonzeros:
+            dense[k] = v
+        return tuple(dense)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.nonzeros
 
     @property
     def is_primitive(self) -> bool:
         # math.gcd of many arguments only checks the rest once it reaches 1
-        return gcd(*self.coords) == 1
+        return gcd(*[v for _, v in self.nonzeros]) == 1
 
 
 def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
-    """Symplectic pairing <x, y> = x^T J y."""
+    """Symplectic pairing <x, y> = x^T J y.
+
+    J pairs coordinate k with k ^ 1, with sign + for even k, so the sum
+    runs over the nonzeros of x against those of y."""
     if x.space != y.space:
         raise ValueError("classes live in different spaces")
+    other = dict(y.nonzeros)
     total = 0
-    coords_x, coords_y = x.coords, y.coords
-    for i in range(x.space.genus):
-        total += coords_x[2 * i] * coords_y[2 * i + 1] - coords_x[2 * i + 1] * coords_y[2 * i]
+    for k, v in x.nonzeros:
+        w = other.get(k ^ 1, 0)
+        total += -v * w if k & 1 else v * w
     return total
 
 
@@ -145,8 +162,11 @@ class TwistGenerator:
 
 
 # Action-matrix entries grow as products of the exponents, and every report
-# prints them exactly, so each |exponent| is capped as the witness |k| is.
+# prints them exactly, so each |exponent| is capped as the witness |k| is,
+# and so is the length of every entry of the action a word reaches: 8192
+# bits is about 2467 decimal digits, under the 4300-digit limit of str().
 MAX_TWIST_EXPONENT = 4096
+MAX_ACTION_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -188,6 +208,9 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     cancel.  Each letter reads the holders of its support and rewrites only
     those rows, so a word over curves of bounded support costs in proportion
     to the nonzeros it reaches, not to n^2.
+
+    Raises ValueError when an entry of the product is longer than
+    MAX_ACTION_BITS bits, which one pass over the nonzeros finds.
     """
     spaces = {g.cls.space for g in gens.values()}
     if not spaces:
@@ -201,8 +224,7 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     for label, exp in word:
         if label not in gens:
             raise ValueError(f"unknown twist label {label!r}")
-        coords = gens[label].cls.coords
-        support = [(k, coords[k]) for k in compress(range(n), coords)]
+        support = gens[label].cls.nonzeros
         # row += f * e (c^T J), f = row . c, with (c^T J)_{2i+1} = c_{2i}
         # and (c^T J)_{2i} = -c_{2i+1}
         update = [(k ^ 1, exp * ck if k & 1 else -exp * ck) for k, ck in support]
@@ -225,6 +247,8 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
                 else:
                     row[j] = f * v
                     holders[j].add(i)
+    if max(map(abs, chain.from_iterable(map(dict.values, rows)))).bit_length() > MAX_ACTION_BITS:
+        raise ValueError(f"action entries must be at most {MAX_ACTION_BITS} bits long")
     return IntMatrix._from_nonzeros(rows, n)
 
 

@@ -5,8 +5,21 @@ non-integral rationals) so consumers never lose precision; matrices are
 row-major arrays of such strings.  Parsers check only the JSON shape; the
 domain types check everything else.  Either way a parser raises ValueError
 prefixed with the field path, so the CLI can report where an input file
-went wrong.  Reports are written by `dumps_report`, which returns exactly
-what `json.dumps(report, indent=2)` returns.
+went wrong.  A curve system keeps only its nonzeros (class pairs and
+crossings).  Its dense coordinates and lower triangle are the schema's
+form: they are written here and read through `SymplecticSpace.cls` and
+`CurveSystem.from_triangle`.
+
+Reports are written by `dumps_report`, which returns exactly what
+`json.dumps(report, indent=2)` returns.  A list of strings, such as a
+matrix row, is written in one join.  When the items joined with no
+separator are ASCII, printable and hold no '"' or '\\', no item needs an
+escape, and the row is the items joined by '",', newline, indent and '"',
+inside one pair of quotes.  That test is exact: the stdlib's ASCII string
+encoder leaves alone precisely the characters ' ' to '~' other than '"'
+and '\\', and `isascii() and isprintable()` holds for precisely the
+strings made of ' ' to '~'.  Any other row goes through that encoder item
+by item.
 """
 
 from __future__ import annotations
@@ -97,9 +110,10 @@ def dumps_report(report: dict) -> str:
     str keys, lists, strings, ints, bools and None.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
-    Here a string or bool in a dict is written inline with its key, every
-    string goes through the C string encoder, and a list of strings (a
-    matrix row, a coordinate pair) is written in one join."""
+    Here a string or bool in a dict is written inline with its key, and a
+    list of strings (a matrix row, a coordinate pair) is written in one
+    join, by the rule in the module docstring; every other string goes
+    through the C string encoder."""
     parts: List[str] = []
     _write(report, "\n", parts)
     return "".join(parts)
@@ -130,10 +144,16 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
             return
         inner = nl + "  "
         try:
-            parts.append(f"[{inner}{(',' + inner).join(map(_encode_str, o))}{nl}]")
-            return
+            flat = "".join(o)
         except TypeError:  # not all strings
             pass
+        else:
+            if flat.isascii() and flat.isprintable() and '"' not in flat and "\\" not in flat:
+                quoted = '",' + inner + '"'
+                parts.append(f'[{inner}"{quoted.join(o)}"{nl}]')
+            else:
+                parts.append(f"[{inner}{(',' + inner).join(map(_encode_str, o))}{nl}]")
+            return
         sep = "[" + inner
         for value in o:
             parts.append(sep)
@@ -177,13 +197,21 @@ def curve_system_to_json(sys: CurveSystem) -> dict:
             {"label": c.label, "coords": [str(x) for x in c.cls.coords], "family": c.family.value}
             for c in sys.curves
         ],
-        "geo_int": [list(row) for row in sys.geo_int],
+        "geo_int": _triangle(sys),
         **(
             {"regions": [{"disk": r.disk, "label": r.label} for r in sys.regions]}
             if sys.regions is not None
             else {}
         ),
     }
+
+
+def _triangle(sys: CurveSystem) -> List[List[int]]:
+    """The strict lower triangle of intersection numbers, zeros included."""
+    rows = [[0] * i for i in range(len(sys.curves))]
+    for i, j, count in sys.crossings:
+        rows[i][j] = count
+    return rows
 
 
 def word_to_json(word: TwistWord) -> List[dict]:
@@ -219,7 +247,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
             e = _expect_map(entry, at)
             regions.append(_build(at, Region, _get(e, "disk", at), e.get("label", "")))
         regions = tuple(regions)
-    return _build(field, CurveSystem, genus, tuple(curves), geo, regions)
+    return _build(field, CurveSystem.from_triangle, genus, tuple(curves), geo, regions)
 
 
 def word_from_json(data: Any, field: str = "word") -> TwistWord:

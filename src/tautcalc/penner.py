@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional, Tuple
 
-from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
+from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 
 
 class FillingStatus(enum.Enum):
@@ -45,16 +45,19 @@ class Region:
 class CurveSystem:
     """Two multicurves on a genus-g surface with pairwise intersection counts.
 
-    `geo_int` is the strict lower triangle of the geometric intersection
-    numbers in the order of `curves`: row i holds the counts of curve i with
-    curves 0..i-1.  Curves within one family must be disjoint (that is what
-    makes each family a multicurve).  `regions` is an optional certificate
-    describing the complementary regions.
+    `crossings` holds the nonzero geometric intersection numbers: one
+    (i, j, count) triple, with j < i and count > 0, for each pair of curves
+    (indices into `curves`) that meet, in increasing order of (i, j).  Pairs
+    not listed are disjoint, so the chain of 2g + 1 curves stores 2g
+    triples.  Curves within one family must be disjoint (that is what makes
+    each family a multicurve).  `regions` is an optional certificate
+    describing the complementary regions.  `from_triangle` reads the dense
+    lower triangle that the JSON schema writes.
     """
 
     genus: int
     curves: Tuple[TwistGenerator, ...]
-    geo_int: Tuple[Tuple[int, ...], ...]
+    crossings: Tuple[Tuple[int, int, int], ...]
     regions: Optional[Tuple[Region, ...]] = None
 
     def __post_init__(self):
@@ -71,31 +74,63 @@ class CurveSystem:
             if c.label in seen:
                 raise ValueError(f"duplicate curve label {c.label!r}")
             seen.add(c.label)
-        if len(self.geo_int) != n:
+        crossings = self.crossings
+        if type(crossings) is not tuple:
+            raise ValueError("crossings must be a tuple of (i, j, count) triples")
+        # the shapes and types in C-level passes; the per-entry test only runs
+        # to name a bad entry or to admit an int subclass
+        if not (
+            {*map(type, crossings)} <= {tuple}
+            and {*map(len, crossings)} <= {3}
+            and {*map(type, chain.from_iterable(crossings))} <= {int}
+        ):
+            for k, entry in enumerate(crossings):
+                if not (
+                    type(entry) is tuple
+                    and len(entry) == 3
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+                ):
+                    raise ValueError(f"crossings[{k}] must be an (i, j, count) triple of integers")
+        last = (0, -1)
+        for k, (i, j, count) in enumerate(crossings):
+            if not (0 <= j < i < n and (i, j) > last):
+                raise ValueError(
+                    f"crossings[{k}]: need 0 <= j < i < {n}, in increasing order of (i, j)"
+                )
+            if count <= 0:
+                raise ValueError(f"crossings[{k}]: count must be positive")
+            if self.curves[j].family == self.curves[i].family:
+                raise ValueError(
+                    f"curves {self.curves[j].label!r} and {self.curves[i].label!r} are in "
+                    "the same family but intersect"
+                )
+            last = (i, j)
+
+    @classmethod
+    def from_triangle(cls, genus, curves, geo_int, regions=None) -> "CurveSystem":
+        """The system whose intersection numbers are the strict lower
+        triangle `geo_int`: row i holds the counts of curve i with curves
+        0..i-1.  Only the nonzero entries are kept."""
+        n = len(curves)
+        if len(geo_int) != n:
             raise ValueError(f"geo_int must have length {n}, one row per curve")
-        for i, row in enumerate(self.geo_int):
+        crossings = []
+        for i, row in enumerate(geo_int):
             if len(row) != i:
                 raise ValueError(f"geo_int[{i}] must have length {i} (strict lower triangle)")
-            family = self.curves[i].family
             # the types in one C-level pass; then only the nonzeros can be
-            # negative or break the family rule, so only they are walked
-            if {*map(type, row)} <= {int}:
-                hits = compress(range(i), row)
-            else:
-                hits = range(i)
-            for j in hits:
+            # negative, so only they are walked
+            for j in compress(range(i), row) if {*map(type, row)} <= {int} else range(i):
                 e = row[j]
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"geo_int[{i}][{j}] must be a nonnegative integer")
-                if e and self.curves[j].family == family:
-                    raise ValueError(
-                        f"curves {self.curves[j].label!r} and {self.curves[i].label!r} are in "
-                        "the same family but intersect"
-                    )
+                if e:
+                    crossings.append((i, j, e))
+        return cls(genus, tuple(curves), tuple(crossings), regions)
 
     @property
     def total_intersections(self) -> int:
-        return sum(map(sum, self.geo_int))
+        return sum(count for _, _, count in self.crossings)
 
     @property
     def space(self) -> SymplecticSpace:
@@ -133,10 +168,9 @@ def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
     # the intersection graph; every edge joins opposite families, since a
     # CurveSystem rejects intersecting curves of one family
     neighbours = [[] for _ in range(n)]
-    for i, row in enumerate(sys.geo_int):
-        for j in compress(range(i), row):
-            neighbours[i].append(j)
-            neighbours[j].append(i)
+    for i, j, _ in sys.crossings:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
 
     for c, near in zip(sys.curves, neighbours):
         if not near:
@@ -224,10 +258,11 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # The chain a_1, b_1, a_2, b_2, ..., b_g, a_{g+1}: consecutive curves meet once
 # and all other pairs are disjoint.  Homology classes consistent with that
 # pattern: a_i = r_{i-1} + r_i (with r_0 and r_{g+1} read as zero) and
-# b_i = s_i.  The action of the genus-g word has 8g nonzeros, and building
-# it, M - Id and the determinant cost in proportion to them; only the dense
-# rendering of M and M - Id in the vmatrix report grows as g^2, so the genus
-# is capped until that report changes form.
+# b_i = s_i.  The system stores 2g + 1 classes of at most two nonzeros and 2g
+# crossings, and the action of the genus-g word has 8g nonzeros; building
+# them, M - Id and the determinant cost in proportion to those.  Only the
+# dense rendering of M and M - Id in the vmatrix report is still O(g^2), so
+# the genus is capped until that report changes form.
 MAX_CHAIN_GENUS = 240
 
 
@@ -242,19 +277,19 @@ def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
     if genus > MAX_CHAIN_GENUS:
         raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")
     space = SymplecticSpace(genus)
+    # a_i = r_{i-1} + r_i, at coordinates 2i - 4 and 2i - 2, and b_i = s_i, at
+    # 2i - 1; a_1 and a_{g+1} each have one of the two
+    supports = [((0, 1),)] + [((2 * i - 4, 1), (2 * i - 2, 1)) for i in range(2, genus + 1)]
+    supports.append(((2 * genus - 2, 1),))
     curves = []
-    for i in range(1, genus + 2):
-        coords = [0] * space.dimension
-        for j in (2 * i - 4, 2 * i - 2):  # the r_{i-1} and r_i coordinates
-            if 0 <= j < space.dimension:
-                coords[j] = 1
-        curves.append(TwistGenerator(f"a{i}", space.cls(coords), Family.A))
+    for i, support in enumerate(supports, 1):
+        curves.append(TwistGenerator(f"a{i}", HomologyClass(space, support), Family.A))
         if i <= genus:
-            curves.append(TwistGenerator(f"b{i}", space.basis_s(i), Family.B))
-    geo = ((),) + tuple((0,) * i + (1,) for i in range(len(curves) - 1))  # curve i meets curve i - 1 only
+            curves.append(TwistGenerator(f"b{i}", HomologyClass(space, ((2 * i - 1, 1),)), Family.B))
+    crossings = tuple((i, i - 1, 1) for i in range(1, len(curves)))  # curve i meets curve i - 1 only
 
     applied = [(f"a{i}", -1) for i in range(genus + 1, 3, -1)]  # first applied first
     applied.append(("a1", -1))
     applied += [(f"b{i}", 1) for i in range(genus, 2, -1)]
     applied += [("b1", 1), ("a3", -1), ("a2", -1), ("b2", 1)]
-    return CurveSystem(genus, tuple(curves), geo), TwistWord(tuple(reversed(applied)))
+    return CurveSystem(genus, tuple(curves), crossings), TwistWord(tuple(reversed(applied)))

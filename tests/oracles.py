@@ -1,9 +1,11 @@
 """Dense reference operations that only the tests use.
 
 The library keeps what its reports need: products, M - Id, det and rank
-over sparse rows.  These helpers rebuild the rest from the dense `rows`
-view and the public constructors, so the tests can state identities such
-as t^T J t = J without the library carrying code no report runs.
+over sparse rows, and classes by their nonzeros.  These helpers rebuild
+the rest from the dense `rows` and `coords` views and the public
+constructors, so the tests can state identities such as t^T J t = J and
+<x + y, z> = <x, z> + <y, z> without the library carrying code no report
+runs.
 """
 
 from tautcalc.homology import TwistGenerator, TwistWord, word_action
@@ -68,6 +70,29 @@ def basis_r(space, i):
     coords = [0] * space.dimension
     coords[2 * i - 2] = 1
     return space.cls(coords)
+
+
+def class_sum(x, y):
+    _same_space(x, y)
+    return x.space.cls([a + b for a, b in zip(x.coords, y.coords)])
+
+
+def class_difference(x, y):
+    _same_space(x, y)
+    return x.space.cls([a - b for a, b in zip(x.coords, y.coords)])
+
+
+def class_negation(x):
+    return x.space.cls([-a for a in x.coords])
+
+
+def _same_space(x, y):
+    if x.space != y.space:
+        raise ValueError("classes live in different spaces")
+
+
+def zero_class(space):
+    return space.cls([0] * space.dimension)
 
 
 def twist_word(*letters):

@@ -10,7 +10,7 @@ import pytest
 
 from tautcalc import cli, jsonio, polytope
 from tautcalc.cli import main
-from tautcalc.homology import MAX_TWIST_EXPONENT
+from tautcalc.homology import MAX_ACTION_BITS, MAX_TWIST_EXPONENT
 from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
@@ -269,6 +269,11 @@ def test_penner_deeply_nested_json(tmp_path, capsys):
             # entries of the action grow as products of the exponents, past the str() digit limit
             lambda doc: doc["word"][0].update(exp=int("9" * 4000)),
             f"error: input.word: letter 'b2': exponent must be at most {MAX_TWIST_EXPONENT}\n",
+        ),
+        (
+            # small exponents, but a long word: the entries reach about 20 000 bits
+            lambda doc: doc.update(word=[{"label": "a1", "exp": -3}, {"label": "b1", "exp": 3}] * 6000),
+            f"error: input.word: action entries must be at most {MAX_ACTION_BITS} bits long\n",
         ),
     ],
 )

@@ -5,6 +5,7 @@ import pytest
 from tautcalc.homology import (
     MAX_TWIST_EXPONENT,
     Family,
+    HomologyClass,
     SymplecticSpace,
     TwistGenerator,
     TwistWord,
@@ -15,7 +16,19 @@ from tautcalc.homology import (
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import chain_system
 
-from oracles import apply, basis_r, identity, intersection_matrix, neg, transpose, transvection_matrix
+from oracles import (
+    apply,
+    basis_r,
+    class_difference,
+    class_negation,
+    class_sum,
+    identity,
+    intersection_matrix,
+    neg,
+    transpose,
+    transvection_matrix,
+    zero_class,
+)
 
 
 def random_class(space, rng, allow_zero=False):
@@ -57,7 +70,7 @@ def test_pairing_antisymmetric_and_bilinear():
         z = random_class(space, rng)
         assert algebraic_intersection(x, x) == 0
         assert algebraic_intersection(x, y) == -algebraic_intersection(y, x)
-        assert algebraic_intersection(x + y, z) == algebraic_intersection(
+        assert algebraic_intersection(class_sum(x, y), z) == algebraic_intersection(
             x, z
         ) + algebraic_intersection(y, z)
 
@@ -69,7 +82,7 @@ def test_pairing_dimension_mismatch():
 
 def test_null_homologous_twist_is_identity():
     space = SymplecticSpace(2)
-    c = TwistGenerator("sep", space.zero(), Family.A)
+    c = TwistGenerator("sep", zero_class(space), Family.A)
     assert c.cls.is_zero
     assert transvection_matrix(c, 1) == identity(4)
     assert transvection_matrix(c, -1) == identity(4)
@@ -81,6 +94,42 @@ def test_class_coordinates_are_not_coerced():
         with pytest.raises(ValueError, match="coordinates must be integers"):
             space.cls(coords)
     assert space.cls((3, 0, -1, 0)).coords == (3, 0, -1, 0)
+
+
+def test_class_stores_its_nonzeros():
+    space = SymplecticSpace(2)
+    x = space.cls((3, 0, -1, 0))
+    assert x.nonzeros == ((0, 3), (2, -1))
+    same = HomologyClass(space, ((0, 3), (2, -1)))
+    assert x == same and hash(x) == hash(same)
+    assert zero_class(space).nonzeros == () and zero_class(space).is_zero
+    for bad, message in (
+        ([(0, 3)], "^nonzeros must be a tuple of"),
+        (((0, 3, 1),), "^nonzeros must be a tuple of"),
+        (((2, 1), (0, 3)), r"^nonzero indices must increase within range\(2\*genus\)$"),
+        (((0, 1), (0, 2)), "^nonzero indices must increase"),
+        (((4, 1),), "^nonzero indices must increase"),
+        (((-1, 1),), "^nonzero indices must increase"),
+        (((True, 1),), "^nonzero indices must increase"),
+        (((0, 1.0),), "^coordinates must be integers$"),
+        (((0, False),), "^coordinates must be integers$"),
+        (((0, 0),), "^nonzeros must not hold a zero coordinate$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            HomologyClass(space, bad)
+
+
+def test_class_costs_its_nonzeros_at_any_genus():
+    # a dense view of 2 * 10**12 coordinates could not be built, so each of
+    # these reads only the stored pairs
+    genus = 10**12
+    space = SymplecticSpace(genus)
+    r1, s1 = HomologyClass(space, ((0, 1),)), space.basis_s(1)
+    c = TwistGenerator("c", HomologyClass(space, ((0, 1), (2 * genus - 1, -1))), Family.A)
+    assert algebraic_intersection(r1, s1) == 1
+    assert algebraic_intersection(s1, c.cls) == -1
+    assert algebraic_intersection(c.cls, space.basis_s(genus)) == 0
+    assert c.cls.is_primitive and not c.cls.is_zero
 
 
 def test_genus_must_be_a_positive_int():
@@ -102,7 +151,7 @@ def test_transvection_along_r1():
     r1, s1 = basis_r(space, 1), space.basis_s(1)
     assert apply(t, r1.coords) == r1.coords
     # s1 maps to s1 + <s1, r1> r1 = s1 - r1
-    assert apply(t, s1.coords) == (s1 - r1).coords
+    assert apply(t, s1.coords) == class_difference(s1, r1).coords
 
 
 def test_transvection_sign_independence_of_orientation():
@@ -111,7 +160,7 @@ def test_transvection_sign_independence_of_orientation():
     for _ in range(20):
         cls = random_class(space, rng)
         a = TwistGenerator("c", cls, Family.A)
-        b = TwistGenerator("c", -cls, Family.A)
+        b = TwistGenerator("c", class_negation(cls), Family.A)
         assert transvection_matrix(a, 1) == transvection_matrix(b, 1)
 
 
@@ -205,7 +254,7 @@ def test_word_action_determinant_one():
         for lbl, cls, fam in (
             ("a", basis_r(space, 1), Family.A),
             ("b", space.basis_s(2), Family.B),
-            ("c", basis_r(space, 3) + basis_r(space, 2), Family.A),
+            ("c", class_sum(basis_r(space, 3), basis_r(space, 2)), Family.A),
         )
     }
     rng = random.Random(31)
@@ -388,7 +437,7 @@ def test_image_check_identity():
     assert apply(identity(4), alpha.coords) == alpha.coords
     beta = space.basis_s(1)
     assert apply(identity(4), alpha.coords) != beta.coords
-    assert not (alpha - beta).is_zero
+    assert not class_difference(alpha, beta).is_zero
 
 
 def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
@@ -400,7 +449,7 @@ def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
         if algebraic_intersection(alpha, gamma) != -1:
             continue
         t = transvection_matrix(TwistGenerator("g", gamma, Family.A), 1)
-        assert apply(t, alpha.coords) == (alpha - gamma).coords
+        assert apply(t, alpha.coords) == class_difference(alpha, gamma).coords
 
 
 def test_image_check_dimension_mismatch():

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tautcalc import jsonio
 from tautcalc.holonomy import bundled_shifts
@@ -45,6 +45,12 @@ def test_curve_system_roundtrip():
         assert word_action(back_word, back.generator_map()) == word_action(
             word, system.generator_map()
         )
+
+
+def test_curve_system_json_is_a_fixed_point():
+    for genus in (3, 30):
+        doc = jsonio.curve_system_to_json(chain_system(genus)[0])
+        assert jsonio.curve_system_to_json(jsonio.curve_system_from_json(doc)) == doc
 
 
 def test_norm_spec_roundtrip():
@@ -147,6 +153,16 @@ _reports = st.recursive(
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_reports)
+# a matrix row of decimal strings takes the unescaped join; a row in which
+# one item needs an escape, or is empty, must match too
+@example({"matrix": [[str(7919 * k - 10**6) for k in range(240)]] * 2})
+@example({"row": ["12", "-3", '"', "0"]})
+@example({"row": ["12", "-3", "\\", "0"]})
+@example({"row": ["12", "-3", "\n", "0"]})
+@example({"row": ["12", "-3", "\x7f", "0"]})
+@example({"row": ["12", "-3", "\u00e9", "0"]})
+@example({"row": ["12", "-3", "\u2028", "0"]})
+@example({"row": ["12", "-3", "", "0"]})
 def test_dumps_report_matches_stdlib_indent_2(report):
     assert jsonio.dumps_report(report) == json.dumps(report, indent=2)
 

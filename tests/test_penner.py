@@ -21,13 +21,12 @@ from tautcalc.penner import (
     validate_word,
 )
 
-from oracles import apply, basis_r, transvection_matrix, twist_word
+from oracles import apply, basis_r, class_difference, class_sum, transvection_matrix, twist_word
 
 
 def path_system(genus, curves):
     """Small helper: the curves in order, consecutive ones meeting once."""
-    geo = tuple(tuple(int(j == i - 1) for j in range(i)) for i in range(len(curves)))
-    return CurveSystem(genus, tuple(curves), geo)
+    return CurveSystem(genus, tuple(curves), tuple((i, i - 1, 1) for i in range(1, len(curves))))
 
 
 def genus2_example():
@@ -36,7 +35,7 @@ def genus2_example():
     curves = (
         TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
-        TwistGenerator("a2", basis_r(space, 1) + basis_r(space, 2), Family.A),
+        TwistGenerator("a2", class_sum(basis_r(space, 1), basis_r(space, 2)), Family.A),
         TwistGenerator("b2", space.basis_s(2), Family.B),
         TwistGenerator("a3", basis_r(space, 2), Family.A),
     )
@@ -122,7 +121,7 @@ def test_isolated_curve_fails():
         TwistGenerator("b1", space.basis_s(1), Family.B),
         TwistGenerator("a2", basis_r(space, 2), Family.A),
     )
-    system = CurveSystem(2, curves, ((), (1,), (0, 0)))
+    system = CurveSystem(2, curves, ((1, 0, 1),))
     status, messages = filling_check(system)
     assert status is FillingStatus.FAILED
     assert messages == ("curve 'a2' does not meet the opposite family",
@@ -134,21 +133,21 @@ def test_disk_region_certificate_verifies():
     # chain on genus 3: chi = -4, intersections = 6, so 2 disk regions
     expected_regions = (2 - 2 * base.genus) + base.total_intersections
     assert expected_regions == 2
-    system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True), Region(True)))
+    system = CurveSystem(base.genus, base.curves, base.crossings, (Region(True), Region(True)))
     assert filling_check(system) == (FillingStatus.VERIFIED, ())
     assert validate_word(word, system).filling_status is FillingStatus.VERIFIED
 
 
 def test_non_disk_region_fails():
     base, _ = chain_system(3)
-    system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True), Region(False)))
+    system = CurveSystem(base.genus, base.curves, base.crossings, (Region(True), Region(False)))
     status, _ = filling_check(system)
     assert status is FillingStatus.FAILED
 
 
 def test_miscounted_certificate_fails():
     base, _ = chain_system(3)
-    system = CurveSystem(base.genus, base.curves, base.geo_int, (Region(True),) * 5)
+    system = CurveSystem(base.genus, base.curves, base.crossings, (Region(True),) * 5)
     status, messages = filling_check(system)
     assert status is FillingStatus.FAILED
     assert any("inconsistent" in m for m in messages)
@@ -161,7 +160,7 @@ def test_same_family_intersection_rejected():
         TwistGenerator("a2", space.basis_s(1), Family.A),
     )
     with pytest.raises(ValueError):
-        CurveSystem(2, curves, ((), (1,)))
+        CurveSystem(2, curves, ((1, 0, 1),))
 
 
 def test_geo_int_validation():
@@ -170,30 +169,56 @@ def test_geo_int_validation():
         TwistGenerator("a1", basis_r(space, 1), Family.A),
         TwistGenerator("b1", space.basis_s(1), Family.B),
     )
-    assert CurveSystem(2, curves, ((), (2,))).total_intersections == 2
+    assert CurveSystem.from_triangle(2, curves, ((), (2,))).total_intersections == 2
     with pytest.raises(ValueError, match=r"^geo_int must have length 2, one row per curve$"):
-        CurveSystem(2, curves, ((),))
+        CurveSystem.from_triangle(2, curves, ((),))
     with pytest.raises(ValueError, match=r"^geo_int\[1\] must have length 1 \(strict lower triangle\)$"):
-        CurveSystem(2, curves, ((), (1, 0)))
+        CurveSystem.from_triangle(2, curves, ((), (1, 0)))
     with pytest.raises(ValueError, match=r"^geo_int\[0\] must have length 0 "):
-        CurveSystem(2, curves, ((0,), (1,)))
+        CurveSystem.from_triangle(2, curves, ((0,), (1,)))
     for bad in (-1, True, 1.0, "1"):
         with pytest.raises(ValueError, match=r"^geo_int\[1\]\[0\] must be a nonnegative integer$"):
-            CurveSystem(2, curves, ((), (bad,)))
+            CurveSystem.from_triangle(2, curves, ((), (bad,)))
     same = curves + (TwistGenerator("a2", basis_r(space, 2), Family.A),)
-    assert CurveSystem(2, same, ((), (1,), (0, 1))).total_intersections == 2
+    assert CurveSystem.from_triangle(2, same, ((), (1,), (0, 1))).total_intersections == 2
     with pytest.raises(ValueError, match="^curves 'a1' and 'a2' are in the same family but intersect$"):
-        CurveSystem(2, same, ((), (1,), (1, 1)))
+        CurveSystem.from_triangle(2, same, ((), (1,), (1, 1)))
+
+
+def test_crossings_validation():
+    space = SymplecticSpace(2)
+    curves = (
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
+        TwistGenerator("b1", space.basis_s(1), Family.B),
+        TwistGenerator("a2", basis_r(space, 2), Family.A),
+    )
+    assert CurveSystem(2, curves, ((1, 0, 2), (2, 1, 1))).total_intersections == 3
+    shape = r"^crossings\[0\] must be an \(i, j, count\) triple of integers$"
+    order = r": need 0 <= j < i < 3, in increasing order of \(i, j\)$"
+    for bad, message in (
+        ([(1, 0, 1)], r"^crossings must be a tuple of \(i, j, count\) triples$"),
+        (((1, 0),), shape),
+        (((1, 0, True),), shape),
+        (((1, 0, 1.0),), shape),
+        (((0, 1, 1),), r"^crossings\[0\]" + order),
+        (((3, 1, 1),), r"^crossings\[0\]" + order),
+        (((2, 1, 1), (1, 0, 1)), r"^crossings\[1\]" + order),
+        (((1, 0, 1), (1, 0, 1)), r"^crossings\[1\]" + order),
+        (((1, 0, 0),), r"^crossings\[0\]: count must be positive$"),
+        (((2, 0, 1),), "^curves 'a1' and 'a2' are in the same family but intersect$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CurveSystem(2, curves, bad)
 
 
 def test_curves_from_another_genus_rejected():
     base = genus2_example()
     with pytest.raises(ValueError, match="curve 'a1': class lies in genus 2, not 3"):
-        CurveSystem(3, base.curves, base.geo_int)
+        CurveSystem(3, base.curves, base.crossings)
     space = SymplecticSpace(3)
     mixed = (TwistGenerator("r", basis_r(space, 1), Family.A),) + base.curves[1:]
     with pytest.raises(ValueError, match="curve 'b1': class lies in genus 2, not 3"):
-        CurveSystem(3, mixed, base.geo_int)
+        CurveSystem(3, mixed, base.crossings)
 
 
 def test_field_types_validated():
@@ -237,7 +262,7 @@ def test_genus3_marked_classes_carried_by_action():
     space = SymplecticSpace(3)
     alpha = space.cls([0, 0, 0, 1, 0, 0])
     gamma = space.cls([-1, 0, -2, -2, -1, 0])
-    beta = alpha - gamma
+    beta = class_difference(alpha, gamma)
     assert beta.coords == (1, 0, 2, 3, 1, 0)
     assert alpha.is_primitive and beta.is_primitive and gamma.is_primitive
     assert apply(action, alpha.coords) == beta.coords
@@ -279,6 +304,14 @@ def test_extend_to_genus_capped():
     assert peak < 100_000
 
 
+def test_chain_system_stores_its_nonzeros():
+    genus = MAX_CHAIN_GENUS
+    system, _ = chain_system(genus)
+    assert all(1 <= len(c.cls.nonzeros) <= 2 for c in system.curves)
+    assert system.crossings == tuple((i, i - 1, 1) for i in range(1, 2 * genus + 1))
+    assert system.total_intersections == 2 * genus
+
+
 def test_bundled_generators_commute_iff_disjoint():
     from tautcalc.homology import algebraic_intersection
 
@@ -298,10 +331,8 @@ def test_chain_intersection_graph_is_path():
     for genus in (6, 9):
         system, _ = chain_system(genus)
         degrees = [0] * len(system.curves)
-        for i, row in enumerate(system.geo_int):
-            for j, e in enumerate(row):
-                if e:
-                    degrees[i] += 1
-                    degrees[j] += 1
+        for i, j, _ in system.crossings:
+            degrees[i] += 1
+            degrees[j] += 1
         assert sorted(degrees)[:2] == [1, 1]
         assert all(d == 2 for d in sorted(degrees)[2:])

@@ -44,14 +44,16 @@ def penner_inputs(draw):
         coords = draw(st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus))
         g = gcd(*coords) or 1
         curves.append(TwistGenerator(label, space.cls([c // g for c in coords]), draw(st.sampled_from(Family))))
-    geo = [[0] * i for i in range(n)]
+    crossings = []
     for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:
-            geo[i][j] = draw(st.integers(0, 3))
+            count = draw(st.integers(0, 3))
+            if count:
+                crossings.append((i, j, count))
     regions = draw(st.none() | st.lists(st.builds(Region, st.booleans(), st.text(max_size=3)), max_size=3).map(tuple))
     letters = st.tuples(st.sampled_from(labels), st.integers(-3, 3).filter(bool))
     word = TwistWord(tuple(draw(st.lists(letters, max_size=6))))
-    return CurveSystem(genus, tuple(curves), tuple(map(tuple, geo)), regions), word
+    return CurveSystem(genus, tuple(curves), tuple(sorted(crossings)), regions), word
 
 
 @st.composite
@@ -107,6 +109,13 @@ def test_penner_input_roundtrip(pair):
     assert jsonio.penner_input_from_json(doc) == pair
     assert jsonio.curve_system_from_json(doc) == pair[0]
     assert jsonio.word_from_json(doc["word"]) == pair[1]
+
+
+@PROPS
+@given(penner_inputs())
+def test_curve_system_json_is_a_fixed_point(pair):
+    doc = _through_text(jsonio.curve_system_to_json(pair[0]))
+    assert jsonio.curve_system_to_json(jsonio.curve_system_from_json(doc)) == doc
 
 
 @PROPS
