@@ -13,9 +13,8 @@ acting as M on H_1 has b2 = 1 + dim ker(M - Id); b2 = 1 is the statement
 that M fixes no nonzero class.
 
 A class is stored by its nonzero coordinates, as sorted (index, value)
-pairs; its dense 2g coordinates are a derived view, which only the JSON
-schema and error messages read.  So a curve of bounded support costs the
-same at every genus, to build, to pair and to twist along.
+pairs, so a curve of bounded support costs the same at every genus, to
+build, to pair and to twist along.
 
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
@@ -26,9 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .matrices import IntMatrix
 
@@ -54,25 +53,6 @@ class SymplecticSpace:
     def dimension(self) -> int:
         return 2 * self.genus
 
-    def cls(self, coords: Sequence[int]) -> "HomologyClass":
-        """The class with these 2g dense coordinates."""
-        coords = tuple(coords)
-        if len(coords) != self.dimension:
-            raise ValueError("coordinate length must equal 2*genus")
-        # one C-level pass over the types; the per-entry check only runs to
-        # admit an int subclass
-        if not {*map(type, coords)} <= {int} and any(
-            isinstance(c, bool) or not isinstance(c, int) for c in coords
-        ):
-            raise ValueError("coordinates must be integers")
-        return HomologyClass(self, tuple(zip(compress(range(len(coords)), coords), filter(None, coords))))
-
-    def basis_s(self, i: int) -> "HomologyClass":
-        """The class s_i, 1-based."""
-        if not 1 <= i <= self.genus:
-            raise ValueError("basis index out of range")
-        return HomologyClass(self, ((2 * i - 1, 1),))
-
 
 @dataclass(frozen=True)
 class HomologyClass:
@@ -82,8 +62,7 @@ class HomologyClass:
     nonzero coordinates, in increasing index order, so equal classes have
     equal pairs and `==` and `hash` compare classes.  A chain curve has at
     most two pairs whatever the genus, and every check here costs in
-    proportion to the pairs.  `coords` is the dense view of all 2g
-    coordinates, derived on each read.
+    proportion to the pairs.
     """
 
     space: SymplecticSpace
@@ -106,13 +85,6 @@ class HomologyClass:
             if not v:
                 raise ValueError("nonzeros must not hold a zero coordinate")
             last = k
-
-    @property
-    def coords(self) -> tuple:
-        dense = [0] * self.space.dimension
-        for k, v in self.nonzeros:
-            dense[k] = v
-        return tuple(dense)
 
     @property
     def is_zero(self) -> bool:
@@ -157,7 +129,7 @@ class TwistGenerator:
             raise ValueError("label must be a string")
         if not self.cls.is_zero and not self.cls.is_primitive:
             raise ValueError(
-                f"curve {self.label!r}: class must be primitive or zero, got {self.cls.coords}"
+                f"curve {self.label!r}: class must be primitive or zero, got nonzeros {self.cls.nonzeros}"
             )
 
 

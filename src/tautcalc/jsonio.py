@@ -7,8 +7,9 @@ domain types check everything else.  Either way a parser raises ValueError
 prefixed with the field path, so the CLI can report where an input file
 went wrong.  A curve system keeps only its nonzeros (class pairs and
 crossings).  Its dense coordinates and lower triangle are the schema's
-form: they are written here and read through `SymplecticSpace.cls` and
-`CurveSystem.from_triangle`.
+form, read and written only here: `curve_system_from_json` checks their
+lengths and that the counts are nonnegative, then hands the nonzeros to
+`HomologyClass` and `CurveSystem`.
 
 Reports are written by `dumps_report`, which returns exactly what
 `json.dumps(report, indent=2)` returns.  A list of strings, such as a
@@ -25,12 +26,13 @@ by item.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 from .exact import frac
-from .homology import Family, SymplecticSpace, TwistGenerator, TwistWord
+from .holonomy import PLHomeo
+from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
 from .penner import CurveSystem, PennerReport, Region
 from .polytope import CandidatePoint, NormSpec, RatPolytope
@@ -177,24 +179,28 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
 # -- matrices ------------------------------------------------------------------
 
 
+def _dense_row(nonzeros, n: int) -> List[str]:
+    """The n decimal strings of a row given by its (index, value) nonzeros."""
+    line = ["0"] * n
+    for j, v in nonzeros:
+        line[j] = str(v)
+    return line
+
+
 def matrix_to_json(m: IntMatrix) -> List[List[str]]:
-    n, out = m.n_cols, []
-    for row in m.nonzeros:
-        line = ["0"] * n
-        for j, v in row.items():
-            line[j] = str(v)
-        out.append(line)
-    return out
+    n = m.n_cols
+    return [_dense_row(row.items(), n) for row in m.nonzeros]
 
 
 # -- curve systems and words ---------------------------------------------------
 
 
 def curve_system_to_json(sys: CurveSystem) -> dict:
+    n = sys.space.dimension
     return {
         "genus": sys.genus,
         "curves": [
-            {"label": c.label, "coords": [str(x) for x in c.cls.coords], "family": c.family.value}
+            {"label": c.label, "coords": _dense_row(c.cls.nonzeros, n), "family": c.family.value}
             for c in sys.curves
         ],
         "geo_int": _triangle(sys),
@@ -206,12 +212,12 @@ def curve_system_to_json(sys: CurveSystem) -> dict:
     }
 
 
-def _triangle(sys: CurveSystem) -> List[List[int]]:
+def _triangle(sys: CurveSystem) -> List[List[str]]:
     """The strict lower triangle of intersection numbers, zeros included."""
-    rows = [[0] * i for i in range(len(sys.curves))]
+    rows = [[] for _ in sys.curves]
     for i, j, count in sys.crossings:
-        rows[i][j] = count
-    return rows
+        rows[i].append((j, count))
+    return [_dense_row(row, i) for i, row in enumerate(rows)]
 
 
 def word_to_json(word: TwistWord) -> List[dict]:
@@ -222,6 +228,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
     obj = _expect_map(data, field)
     genus = parse_int(_get(obj, "genus", field), f"{field}.genus")
     space = _build(f"{field}.genus", SymplecticSpace, genus)
+    n = space.dimension
     curves = []
     for i, entry in enumerate(_expect_list(_get(obj, "curves", field), f"{field}.curves")):
         at = f"{field}.curves[{i}]"
@@ -233,12 +240,14 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
             family = Family(family_raw)
         except ValueError:
             raise ValueError(f"{at}.family: expected 'A' or 'B'") from None
-        cls = _build(f"{at}.coords", space.cls, coords)
+        if len(coords) != n:
+            raise ValueError(f"{at}.coords: coordinate length must equal 2*genus")
+        cls = HomologyClass(space, tuple(zip(compress(range(n), coords), filter(None, coords))))
         curves.append(_build(at, TwistGenerator, label, cls, family))
-    geo = tuple(
-        tuple(_parse_int_list(row, f"{field}.geo_int[{i}]"))
+    geo = [
+        _parse_int_list(row, f"{field}.geo_int[{i}]")
         for i, row in enumerate(_expect_list(_get(obj, "geo_int", field), f"{field}.geo_int"))
-    )
+    ]
     regions = None
     if "regions" in obj:
         regions = []
@@ -247,7 +256,19 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
             e = _expect_map(entry, at)
             regions.append(_build(at, Region, _get(e, "disk", at), e.get("label", "")))
         regions = tuple(regions)
-    return _build(field, CurveSystem.from_triangle, genus, tuple(curves), geo, regions)
+    # row i of the strict lower triangle holds the counts of curve i with
+    # curves 0..i-1; only the nonzeros become crossings
+    if len(geo) != len(curves):
+        raise ValueError(f"{field}: geo_int must have length {len(curves)}, one row per curve")
+    crossings = []
+    for i, row in enumerate(geo):
+        if len(row) != i:
+            raise ValueError(f"{field}: geo_int[{i}] must have length {i} (strict lower triangle)")
+        for j in compress(range(i), row):
+            if row[j] < 0:
+                raise ValueError(f"{field}: geo_int[{i}][{j}] must be a nonnegative integer")
+            crossings.append((i, j, row[j]))
+    return _build(field, CurveSystem, genus, tuple(curves), tuple(crossings), regions)
 
 
 def word_from_json(data: Any, field: str = "word") -> TwistWord:
@@ -369,16 +390,14 @@ def witness_to_json(w: NovikovWitness) -> dict:
 # -- PL homeomorphisms ----------------------------------------------------------
 
 
-def pl_to_json(f) -> dict:
+def pl_to_json(f: PLHomeo) -> dict:
     return {
         "breakpoints": [fmt_frac(b) for b in f.breakpoints],
         "values": [fmt_frac(v) for v in f.values],
     }
 
 
-def pl_from_json(data: Any, field: str = "map"):
-    from .holonomy import PLHomeo
-
+def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
     obj = _expect_map(data, field)
     bps = [
         parse_frac(b, f"{field}.breakpoints[{i}]")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Optional, Tuple
 
 from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
@@ -51,8 +51,7 @@ class CurveSystem:
     not listed are disjoint, so the chain of 2g + 1 curves stores 2g
     triples.  Curves within one family must be disjoint (that is what makes
     each family a multicurve).  `regions` is an optional certificate
-    describing the complementary regions.  `from_triangle` reads the dense
-    lower triangle that the JSON schema writes.
+    describing the complementary regions.
     """
 
     genus: int
@@ -105,28 +104,6 @@ class CurveSystem:
                     "the same family but intersect"
                 )
             last = (i, j)
-
-    @classmethod
-    def from_triangle(cls, genus, curves, geo_int, regions=None) -> "CurveSystem":
-        """The system whose intersection numbers are the strict lower
-        triangle `geo_int`: row i holds the counts of curve i with curves
-        0..i-1.  Only the nonzero entries are kept."""
-        n = len(curves)
-        if len(geo_int) != n:
-            raise ValueError(f"geo_int must have length {n}, one row per curve")
-        crossings = []
-        for i, row in enumerate(geo_int):
-            if len(row) != i:
-                raise ValueError(f"geo_int[{i}] must have length {i} (strict lower triangle)")
-            # the types in one C-level pass; then only the nonzeros can be
-            # negative, so only they are walked
-            for j in compress(range(i), row) if {*map(type, row)} <= {int} else range(i):
-                e = row[j]
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise ValueError(f"geo_int[{i}][{j}] must be a nonnegative integer")
-                if e:
-                    crossings.append((i, j, e))
-        return cls(genus, tuple(curves), tuple(crossings), regions)
 
     @property
     def total_intersections(self) -> int:

@@ -2,13 +2,13 @@
 
 The library keeps what its reports need: products, M - Id, det and rank
 over sparse rows, and classes by their nonzeros.  These helpers rebuild
-the rest from the dense `rows` and `coords` views and the public
-constructors, so the tests can state identities such as t^T J t = J and
-<x + y, z> = <x, z> + <y, z> without the library carrying code no report
-runs.
+the rest from the dense `rows` view, the dense coordinates of
+`dense_coords` and the public constructors, so the tests can state
+identities such as t^T J t = J and <x + y, z> = <x, z> + <y, z> without
+the library carrying code no report runs.
 """
 
-from tautcalc.homology import TwistGenerator, TwistWord, word_action
+from tautcalc.homology import HomologyClass, TwistGenerator, TwistWord, word_action
 from tautcalc.matrices import IntMatrix
 
 
@@ -63,27 +63,47 @@ def intersection_matrix(genus):
     return IntMatrix(m)
 
 
+def dense_class(space, coords):
+    """The class with these 2g dense coordinates."""
+    if len(coords) != space.dimension:
+        raise ValueError("coordinate length must equal 2*genus")
+    return HomologyClass(space, tuple((k, v) for k, v in enumerate(coords) if v))
+
+
+def dense_coords(x):
+    """The 2g dense coordinates of a class."""
+    dense = [0] * x.space.dimension
+    for k, v in x.nonzeros:
+        dense[k] = v
+    return tuple(dense)
+
+
 def basis_r(space, i):
     """The class r_i, 1-based."""
     if not 1 <= i <= space.genus:
         raise ValueError("basis index out of range")
-    coords = [0] * space.dimension
-    coords[2 * i - 2] = 1
-    return space.cls(coords)
+    return HomologyClass(space, ((2 * i - 2, 1),))
+
+
+def basis_s(space, i):
+    """The class s_i, 1-based."""
+    if not 1 <= i <= space.genus:
+        raise ValueError("basis index out of range")
+    return HomologyClass(space, ((2 * i - 1, 1),))
 
 
 def class_sum(x, y):
     _same_space(x, y)
-    return x.space.cls([a + b for a, b in zip(x.coords, y.coords)])
+    return dense_class(x.space, [a + b for a, b in zip(dense_coords(x), dense_coords(y))])
 
 
 def class_difference(x, y):
     _same_space(x, y)
-    return x.space.cls([a - b for a, b in zip(x.coords, y.coords)])
+    return dense_class(x.space, [a - b for a, b in zip(dense_coords(x), dense_coords(y))])
 
 
 def class_negation(x):
-    return x.space.cls([-a for a in x.coords])
+    return dense_class(x.space, [-a for a in dense_coords(x)])
 
 
 def _same_space(x, y):
@@ -92,7 +112,7 @@ def _same_space(x, y):
 
 
 def zero_class(space):
-    return space.cls([0] * space.dimension)
+    return HomologyClass(space, ())
 
 
 def twist_word(*letters):

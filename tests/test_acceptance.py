@@ -44,7 +44,7 @@ from tautcalc.sutured import (
     sutured_chi,
 )
 
-from oracles import apply, identity, intersection_matrix, transpose, transvection_matrix
+from oracles import apply, dense_class, identity, intersection_matrix, transpose, transvection_matrix
 
 
 class Criterion:
@@ -162,7 +162,7 @@ def _random_generator(space, rng):
             g = math.gcd(g, c)
         if g == 0:
             continue
-        return TwistGenerator("c", space.cls([c // g for c in coords]), Family.A)
+        return TwistGenerator("c", dense_class(space, [c // g for c in coords]), Family.A)
 
 
 def test_symplectic_property_suite():

@@ -263,7 +263,11 @@ def test_penner_deeply_nested_json(tmp_path, capsys):
         ),
         (
             lambda doc: doc["curves"][1].update(coords=["0", "2", "0", "0", "0", "0"]),
-            "error: input.curves[1]: curve 'b1': class must be primitive or zero, got (0, 2, 0, 0, 0, 0)\n",
+            "error: input.curves[1]: curve 'b1': class must be primitive or zero, got nonzeros ((1, 2),)\n",
+        ),
+        (
+            lambda doc: doc["curves"][1].update(coords=["0", "1"]),
+            "error: input.curves[1].coords: coordinate length must equal 2*genus\n",
         ),
         (
             # entries of the action grow as products of the exponents, past the str() digit limit

@@ -13,15 +13,19 @@ from tautcalc.homology import (
     mapping_torus_b2,
     word_action,
 )
+from tautcalc.jsonio import curve_system_from_json, curve_system_to_json
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import chain_system
 
 from oracles import (
     apply,
     basis_r,
+    basis_s,
     class_difference,
     class_negation,
     class_sum,
+    dense_class,
+    dense_coords,
     identity,
     intersection_matrix,
     neg,
@@ -34,7 +38,7 @@ from oracles import (
 def random_class(space, rng, allow_zero=False):
     while True:
         coords = [rng.randint(-3, 3) for _ in range(space.dimension)]
-        cls = space.cls(coords)
+        cls = dense_class(space, coords)
         if cls.is_zero:
             if allow_zero:
                 return cls
@@ -42,7 +46,7 @@ def random_class(space, rng, allow_zero=False):
         g = 0
         for c in coords:
             g = __import__("math").gcd(g, c)
-        return space.cls([c // g for c in coords])
+        return dense_class(space, [c // g for c in coords])
 
 
 def test_intersection_form_shape():
@@ -54,7 +58,7 @@ def test_intersection_form_shape():
 
 def test_basis_pairings():
     space = SymplecticSpace(2)
-    r1, s1 = basis_r(space, 1), space.basis_s(1)
+    r1, s1 = basis_r(space, 1), basis_s(space, 1)
     r2 = basis_r(space, 2)
     assert algebraic_intersection(r1, s1) == 1
     assert algebraic_intersection(s1, r1) == -1
@@ -89,16 +93,27 @@ def test_null_homologous_twist_is_identity():
 
 
 def test_class_coordinates_are_not_coerced():
-    space = SymplecticSpace(2)
-    for coords in ([1.5, 0, 0, True], ["3", 0, 0, 0], [1.0, 0, 0, 0]):
-        with pytest.raises(ValueError, match="coordinates must be integers"):
-            space.cls(coords)
-    assert space.cls((3, 0, -1, 0)).coords == (3, 0, -1, 0)
+    # dense coordinates are read only from a curve-system document; a string
+    # value handed to HomologyClass itself is in test_class_stores_its_nonzeros
+    def read(coords):
+        curve = {"label": "c", "coords": coords, "family": "A"}
+        return curve_system_from_json({"genus": 2, "curves": [curve], "geo_int": [[]]})
+
+    for coords, message in (
+        ([1.5, 0, 0, True], r"coords\[0\]: expected an integer, got float$"),
+        ([1, 0, 0, True], r"coords\[3\]: expected an integer, got a boolean$"),
+        ([1.0, 0, 0, 0], r"coords\[0\]: expected an integer, got float$"),
+    ):
+        with pytest.raises(ValueError, match=r"^system\.curves\[0\]\." + message):
+            read(coords)
+    system = read([3, 0, -1, 0])
+    assert system.curves[0].cls.nonzeros == ((0, 3), (2, -1))
+    assert curve_system_to_json(system)["curves"][0]["coords"] == ["3", "0", "-1", "0"]
 
 
 def test_class_stores_its_nonzeros():
     space = SymplecticSpace(2)
-    x = space.cls((3, 0, -1, 0))
+    x = dense_class(space, (3, 0, -1, 0))
     assert x.nonzeros == ((0, 3), (2, -1))
     same = HomologyClass(space, ((0, 3), (2, -1)))
     assert x == same and hash(x) == hash(same)
@@ -112,6 +127,7 @@ def test_class_stores_its_nonzeros():
         (((-1, 1),), "^nonzero indices must increase"),
         (((True, 1),), "^nonzero indices must increase"),
         (((0, 1.0),), "^coordinates must be integers$"),
+        (((0, "3"),), "^coordinates must be integers$"),
         (((0, False),), "^coordinates must be integers$"),
         (((0, 0),), "^nonzeros must not hold a zero coordinate$"),
     ):
@@ -124,12 +140,15 @@ def test_class_costs_its_nonzeros_at_any_genus():
     # these reads only the stored pairs
     genus = 10**12
     space = SymplecticSpace(genus)
-    r1, s1 = HomologyClass(space, ((0, 1),)), space.basis_s(1)
+    r1, s1 = HomologyClass(space, ((0, 1),)), basis_s(space, 1)
     c = TwistGenerator("c", HomologyClass(space, ((0, 1), (2 * genus - 1, -1))), Family.A)
     assert algebraic_intersection(r1, s1) == 1
     assert algebraic_intersection(s1, c.cls) == -1
-    assert algebraic_intersection(c.cls, space.basis_s(genus)) == 0
+    assert algebraic_intersection(c.cls, basis_s(space, genus)) == 0
     assert c.cls.is_primitive and not c.cls.is_zero
+    # the rejection names the class by its pairs, not by 2 * 10**12 coordinates
+    with pytest.raises(ValueError, match=r"^curve 'x': class must be primitive or zero, got nonzeros \(\(0, 2\),\)$"):
+        TwistGenerator("x", HomologyClass(space, ((0, 2),)), Family.A)
 
 
 def test_genus_must_be_a_positive_int():
@@ -141,17 +160,17 @@ def test_genus_must_be_a_positive_int():
 def test_non_primitive_class_rejected():
     space = SymplecticSpace(2)
     with pytest.raises(ValueError):
-        TwistGenerator("bad", space.cls([2, 0, 0, 0]), Family.A)
+        TwistGenerator("bad", dense_class(space, [2, 0, 0, 0]), Family.A)
 
 
 def test_transvection_along_r1():
     space = SymplecticSpace(2)
     c = TwistGenerator("a1", basis_r(space, 1), Family.A)
     t = transvection_matrix(c, 1)
-    r1, s1 = basis_r(space, 1), space.basis_s(1)
-    assert apply(t, r1.coords) == r1.coords
+    r1, s1 = basis_r(space, 1), basis_s(space, 1)
+    assert apply(t, dense_coords(r1)) == dense_coords(r1)
     # s1 maps to s1 + <s1, r1> r1 = s1 - r1
-    assert apply(t, s1.coords) == class_difference(s1, r1).coords
+    assert apply(t, dense_coords(s1)) == dense_coords(class_difference(s1, r1))
 
 
 def test_transvection_sign_independence_of_orientation():
@@ -200,7 +219,7 @@ def test_commutation_iff_pairing_vanishes():
 def _generators(space):
     return {
         "a": TwistGenerator("a", basis_r(space, 1), Family.A),
-        "b": TwistGenerator("b", space.basis_s(1), Family.B),
+        "b": TwistGenerator("b", basis_s(space, 1), Family.B),
         "c": TwistGenerator("c", basis_r(space, 2), Family.A),
     }
 
@@ -228,7 +247,7 @@ def test_word_action_exponent_collapse():
 def test_word_action_cancelled_word_is_the_dense_identity():
     # c c^-1 creates off-diagonal entries and cancels them; none may stay stored
     space = SymplecticSpace(3)
-    c = TwistGenerator("c", space.cls((1, -2, 0, 1, 1, 0)), Family.A)
+    c = TwistGenerator("c", dense_class(space, (1, -2, 0, 1, 1, 0)), Family.A)
     m = word_action(TwistWord((("c", 1), ("c", -1))), {c.label: c})
     dense = IntMatrix([[int(i == j) for j in range(6)] for i in range(6)])
     assert m == dense and hash(m) == hash(dense)
@@ -253,7 +272,7 @@ def test_word_action_determinant_one():
         lbl: TwistGenerator(lbl, cls, fam)
         for lbl, cls, fam in (
             ("a", basis_r(space, 1), Family.A),
-            ("b", space.basis_s(2), Family.B),
+            ("b", basis_s(space, 2), Family.B),
             ("c", class_sum(basis_r(space, 3), basis_r(space, 2)), Family.A),
         )
     }
@@ -284,7 +303,7 @@ def test_word_exponent_capped():
 def test_word_action_rejects_mixed_spaces():
     gens = {
         "a": TwistGenerator("a", basis_r(SymplecticSpace(2), 1), Family.A),
-        "b": TwistGenerator("b", SymplecticSpace(3).basis_s(1), Family.B),
+        "b": TwistGenerator("b", basis_s(SymplecticSpace(3), 1), Family.B),
     }
     with pytest.raises(ValueError, match="different spaces"):
         word_action(TwistWord((("a", 1), ("b", -1))), gens)
@@ -313,7 +332,7 @@ def _dense_word_action(word, gens):
     space = next(iter(gens.values())).cls.space
     result = identity(space.dimension)
     for label, exp in word:
-        result = result @ _twist_power(space, gens[label].cls.coords, exp)
+        result = result @ _twist_power(space, dense_coords(gens[label].cls), exp)
     return result
 
 
@@ -434,9 +453,9 @@ def test_b2_at_least_one_iff_trivial_kernel():
 def test_image_check_identity():
     space = SymplecticSpace(2)
     alpha = basis_r(space, 1)
-    assert apply(identity(4), alpha.coords) == alpha.coords
-    beta = space.basis_s(1)
-    assert apply(identity(4), alpha.coords) != beta.coords
+    assert apply(identity(4), dense_coords(alpha)) == dense_coords(alpha)
+    beta = basis_s(space, 1)
+    assert apply(identity(4), dense_coords(alpha)) != dense_coords(beta)
     assert not class_difference(alpha, beta).is_zero
 
 
@@ -449,9 +468,9 @@ def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
         if algebraic_intersection(alpha, gamma) != -1:
             continue
         t = transvection_matrix(TwistGenerator("g", gamma, Family.A), 1)
-        assert apply(t, alpha.coords) == class_difference(alpha, gamma).coords
+        assert apply(t, dense_coords(alpha)) == dense_coords(class_difference(alpha, gamma))
 
 
 def test_image_check_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply(identity(4), basis_r(SymplecticSpace(3), 1).coords)
+        apply(identity(4), dense_coords(basis_r(SymplecticSpace(3), 1)))

@@ -126,8 +126,13 @@ def test_integer_lists_take_json_numbers():
     doc = jsonio.curve_system_to_json(system)
     for curve in doc["curves"]:
         curve["coords"] = [int(x) for x in curve["coords"]]
+    doc["geo_int"] = [[int(x) for x in row] for row in doc["geo_int"]]
     doc["geo_int"][3][1] = str(doc["geo_int"][3][1])  # one row mixes strings and numbers
     assert jsonio.curve_system_from_json(doc, "sys") == system
+    doc["geo_int"][4][2] = True  # a bool among numbers is still named
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == "sys.geo_int[4][2]: expected an integer, got a boolean"
 
 
 # -- the report writer against the stdlib oracle --------------------------------

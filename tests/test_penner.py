@@ -11,6 +11,7 @@ from tautcalc.homology import (
     mapping_torus_b2,
     word_action,
 )
+from tautcalc.jsonio import curve_system_from_json
 from tautcalc.penner import (
     MAX_CHAIN_GENUS,
     CurveSystem,
@@ -21,7 +22,17 @@ from tautcalc.penner import (
     validate_word,
 )
 
-from oracles import apply, basis_r, class_difference, class_sum, transvection_matrix, twist_word
+from oracles import (
+    apply,
+    basis_r,
+    basis_s,
+    class_difference,
+    class_sum,
+    dense_class,
+    dense_coords,
+    transvection_matrix,
+    twist_word,
+)
 
 
 def path_system(genus, curves):
@@ -34,9 +45,9 @@ def genus2_example():
     space = SymplecticSpace(2)
     curves = (
         TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", space.basis_s(1), Family.B),
+        TwistGenerator("b1", basis_s(space, 1), Family.B),
         TwistGenerator("a2", class_sum(basis_r(space, 1), basis_r(space, 2)), Family.A),
-        TwistGenerator("b2", space.basis_s(2), Family.B),
+        TwistGenerator("b2", basis_s(space, 2), Family.B),
         TwistGenerator("a3", basis_r(space, 2), Family.A),
     )
     return path_system(2, curves)
@@ -118,7 +129,7 @@ def test_isolated_curve_fails():
     space = SymplecticSpace(2)
     curves = (
         TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", space.basis_s(1), Family.B),
+        TwistGenerator("b1", basis_s(space, 1), Family.B),
         TwistGenerator("a2", basis_r(space, 2), Family.A),
     )
     system = CurveSystem(2, curves, ((1, 0, 1),))
@@ -157,39 +168,47 @@ def test_same_family_intersection_rejected():
     space = SymplecticSpace(2)
     curves = (
         TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("a2", space.basis_s(1), Family.A),
+        TwistGenerator("a2", basis_s(space, 1), Family.A),
     )
     with pytest.raises(ValueError):
         CurveSystem(2, curves, ((1, 0, 1),))
 
 
 def test_geo_int_validation():
-    space = SymplecticSpace(2)
-    curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", space.basis_s(1), Family.B),
-    )
-    assert CurveSystem.from_triangle(2, curves, ((), (2,))).total_intersections == 2
-    with pytest.raises(ValueError, match=r"^geo_int must have length 2, one row per curve$"):
-        CurveSystem.from_triangle(2, curves, ((),))
-    with pytest.raises(ValueError, match=r"^geo_int\[1\] must have length 1 \(strict lower triangle\)$"):
-        CurveSystem.from_triangle(2, curves, ((), (1, 0)))
-    with pytest.raises(ValueError, match=r"^geo_int\[0\] must have length 0 "):
-        CurveSystem.from_triangle(2, curves, ((0,), (1,)))
-    for bad in (-1, True, 1.0, "1"):
-        with pytest.raises(ValueError, match=r"^geo_int\[1\]\[0\] must be a nonnegative integer$"):
-            CurveSystem.from_triangle(2, curves, ((), (bad,)))
-    same = curves + (TwistGenerator("a2", basis_r(space, 2), Family.A),)
-    assert CurveSystem.from_triangle(2, same, ((), (1,), (0, 1))).total_intersections == 2
-    with pytest.raises(ValueError, match="^curves 'a1' and 'a2' are in the same family but intersect$"):
-        CurveSystem.from_triangle(2, same, ((), (1,), (1, 1)))
+    curves = [
+        {"label": "a1", "coords": ["1", "0", "0", "0"], "family": "A"},
+        {"label": "b1", "coords": ["0", "1", "0", "0"], "family": "B"},
+    ]
+
+    def read(curves, geo_int):
+        return curve_system_from_json({"genus": 2, "curves": curves, "geo_int": geo_int})
+
+    assert read(curves, [[], [2]]).total_intersections == 2
+    with pytest.raises(ValueError, match=r"^system: geo_int must have length 2, one row per curve$"):
+        read(curves, [[]])
+    with pytest.raises(ValueError, match=r"^system: geo_int\[1\] must have length 1 \(strict lower triangle\)$"):
+        read(curves, [[], [1, 0]])
+    with pytest.raises(ValueError, match=r"^system: geo_int\[0\] must have length 0 "):
+        read(curves, [[0], [1]])
+    for bad in (-1, "-1"):
+        with pytest.raises(ValueError, match=r"^system: geo_int\[1\]\[0\] must be a nonnegative integer$"):
+            read(curves, [[], [bad]])
+    # the parser names an entry that is no integer before the triangle is read
+    for bad, message in ((True, "a boolean"), (1.0, "float")):
+        with pytest.raises(ValueError, match=rf"^system\.geo_int\[1\]\[0\]: expected an integer, got {message}$"):
+            read(curves, [[], [bad]])
+    assert read(curves, [[], ["1"]]).total_intersections == 1
+    same = curves + [{"label": "a2", "coords": ["0", "0", "1", "0"], "family": "A"}]
+    assert read(same, [[], [1], [0, 1]]).total_intersections == 2
+    with pytest.raises(ValueError, match="^system: curves 'a1' and 'a2' are in the same family but intersect$"):
+        read(same, [[], [1], [1, 1]])
 
 
 def test_crossings_validation():
     space = SymplecticSpace(2)
     curves = (
         TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", space.basis_s(1), Family.B),
+        TwistGenerator("b1", basis_s(space, 1), Family.B),
         TwistGenerator("a2", basis_r(space, 2), Family.A),
     )
     assert CurveSystem(2, curves, ((1, 0, 2), (2, 1, 1))).total_intersections == 3
@@ -260,12 +279,12 @@ def test_genus3_marked_classes_carried_by_action():
     system, word = chain_system(3)
     action = word_action(word, system.generator_map())
     space = SymplecticSpace(3)
-    alpha = space.cls([0, 0, 0, 1, 0, 0])
-    gamma = space.cls([-1, 0, -2, -2, -1, 0])
+    alpha = dense_class(space, [0, 0, 0, 1, 0, 0])
+    gamma = dense_class(space, [-1, 0, -2, -2, -1, 0])
     beta = class_difference(alpha, gamma)
-    assert beta.coords == (1, 0, 2, 3, 1, 0)
+    assert dense_coords(beta) == (1, 0, 2, 3, 1, 0)
     assert alpha.is_primitive and beta.is_primitive and gamma.is_primitive
-    assert apply(action, alpha.coords) == beta.coords
+    assert apply(action, dense_coords(alpha)) == dense_coords(beta)
 
 
 def test_extend_to_genus_shapes():

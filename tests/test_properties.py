@@ -23,6 +23,7 @@ from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region
 from tautcalc.polytope import NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
+from oracles import dense_class
 from test_matrices import assert_matches_dense
 from test_polytope import boundary_points_by_scan
 
@@ -43,7 +44,7 @@ def penner_inputs(draw):
     for label in labels:
         coords = draw(st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus))
         g = gcd(*coords) or 1
-        curves.append(TwistGenerator(label, space.cls([c // g for c in coords]), draw(st.sampled_from(Family))))
+        curves.append(TwistGenerator(label, dense_class(space, [c // g for c in coords]), draw(st.sampled_from(Family))))
     crossings = []
     for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:
