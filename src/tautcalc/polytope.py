@@ -3,8 +3,14 @@
 The homology rank in play is two, so all polytopes here are convex polygons
 over the rationals.  A polygon carries both representations: the canonical
 vertex list (counter-clockwise, starting at the lexicographically smallest
-vertex) and the facet halfspaces with integer-normalized data; the two are
+vertex) and the facet halfspaces as primitive integer triples; the two are
 cross-validated at construction.
+
+A polygon is built on one integer scale: its input points are multiplied
+once by their common denominator d, the hull, the halfspaces and the
+cross-check run on plain ints (a scaled vertex (X, Y) is on the facet
+a*x + b*y <= c when a*X + b*Y == c*d), and only the final vertices become
+Fractions.  Any positive d gives the same primitive halfspaces.
 
 Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
@@ -12,24 +18,29 @@ x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
 3-manifolds", 1986); their polar duals are the dual-norm balls.  Values
 and coordinates go through `exact.frac`, so a library call rejects a
 bool, float or exponent string just as an input file does.  The dual
-norm of a batch of points is read off the ball's vertices.  The integral
-points of dual norm one are found by walking the dual ball's edges, and
-each point whose coordinates match the Euler characteristics mod 2 is
-kept with one flag: vertices are realizable as Euler classes, other
-points are candidates, and for the genus-g surgery family the edge
-points (0, +-(2g-2)) are flagged as the known non-realizable ones.
+norm of a batch of points is read off the ball's vertices, one column of
+integer pairings per vertex.  The integral points of dual norm one are
+found by walking the dual ball's edges, on each of which they form an
+arithmetic progression, and each is one `CandidatePoint`, a named tuple.
+A point whose coordinates match the Euler characteristics mod 2 is kept
+with one flag: vertices are realizable as Euler classes, other points are
+candidates, and for the genus-g surgery family the edge points
+(0, +-(2g-2)) are flagged as the known non-realizable ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import ceil, floor, gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exact import frac
 
 Vec2 = Tuple[Fraction, Fraction]
+IntPair = Tuple[int, int]
 Halfspace = Tuple[Tuple[int, int], int]  # ((a, b), c) meaning a*x + b*y <= c
 
 
@@ -38,21 +49,28 @@ def _point(p) -> Vec2:
     return (frac(x), frac(y))
 
 
-def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
+def _scale(points: Sequence[Vec2]) -> Tuple[List[IntPair], int]:
+    """The points times their common denominator d, as int pairs, and d."""
+    d = lcm(*(c.denominator for p in points for c in p))
+    return [(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)) for x, y in points], d
+
+
+def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _convex_hull(points: Sequence[Vec2]) -> List[Vec2]:
-    """Andrew monotone chain; strict turns only, so collinear points drop out."""
+def _convex_hull(points: Sequence[IntPair]) -> List[IntPair]:
+    """Andrew monotone chain; strict turns only, so collinear points drop out.
+    Counter-clockwise, starting at the lexicographically smallest point."""
     pts = sorted(set(points))
     if len(pts) < 3:
         raise ValueError("polygon needs at least three distinct points")
-    lower: List[Vec2] = []
+    lower: List[IntPair] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: List[Vec2] = []
+    upper: List[IntPair] = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -63,19 +81,33 @@ def _convex_hull(points: Sequence[Vec2]) -> List[Vec2]:
     return hull
 
 
-def _edge_halfspace(p: Vec2, q: Vec2) -> Halfspace:
-    """Outward halfspace of the edge p -> q of a counter-clockwise polygon."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    a, b = dy, -dx
-    c = a * p[0] + b * p[1]
-    denom = a.denominator * b.denominator * c.denominator
-    ai = int(a * denom)
-    bi = int(b * denom)
-    ci = int(c * denom)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    if g:
-        ai, bi, ci = ai // g, bi // g, ci // g
-    return ((ai, bi), ci)
+def _edge_halfspace(p: IntPair, q: IntPair, d: int) -> Halfspace:
+    """Outward halfspace of the edge p/d -> q/d of a counter-clockwise
+    polygon, as the primitive integer triple.  With (a, b) primitive the
+    edge line is a*x + b*y = n/d, so (a, b, n/d) cleared of the reduced
+    denominator of n/d is primitive."""
+    a, b = q[1] - p[1], p[0] - q[0]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    n = a * p[0] + b * p[1]
+    k = gcd(n, d)
+    return ((a * (d // k), b * (d // k)), n // k)
+
+
+def _check_representations(vertices: Sequence[IntPair], halfspaces: Sequence[Halfspace], d: int):
+    # every vertex satisfies every halfspace, with equality on exactly two;
+    # the vertices are scaled by d, so a*x + b*y <= c reads a*X + b*Y <= c*d
+    facets = [(a, b, c * d) for (a, b), c in halfspaces]
+    for x, y in vertices:
+        tight = 0
+        for a, b, cd in facets:
+            val = a * x + b * y
+            if val > cd:
+                raise AssertionError("vertex violates a facet halfspace")
+            if val == cd:
+                tight += 1
+        if tight != 2:
+            raise AssertionError("vertex/halfspace representations disagree")
 
 
 class RatPolytope:
@@ -84,32 +116,15 @@ class RatPolytope:
     __slots__ = ("vertices", "halfspaces")
 
     def __init__(self, points: Sequence):
-        hull = _convex_hull([_point(p) for p in points])
-        start = min(range(len(hull)), key=lambda i: hull[i])
-        vertices = tuple(hull[start:] + hull[:start])
-        halfspaces = tuple(
-            _edge_halfspace(vertices[i], vertices[(i + 1) % len(vertices)])
-            for i in range(len(vertices))
-        )
-        object.__setattr__(self, "vertices", vertices)
+        scaled, d = _scale([_point(p) for p in points])
+        hull = _convex_hull(scaled)
+        halfspaces = tuple(_edge_halfspace(p, q, d) for p, q in zip(hull, hull[1:] + hull[:1]))
+        _check_representations(hull, halfspaces, d)
+        object.__setattr__(self, "vertices", tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull))
         object.__setattr__(self, "halfspaces", halfspaces)
-        self._check_representations()
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPolytope is immutable")
-
-    def _check_representations(self):
-        # every vertex satisfies every halfspace, with equality on exactly two
-        for v in self.vertices:
-            tight = 0
-            for (a, b), c in self.halfspaces:
-                val = a * v[0] + b * v[1]
-                if val > c:
-                    raise AssertionError("vertex violates a facet halfspace")
-                if val == c:
-                    tight += 1
-            if tight != 2:
-                raise AssertionError("vertex/halfspace representations disagree")
 
     def __eq__(self, other):
         return isinstance(other, RatPolytope) and self.vertices == other.vertices
@@ -123,13 +138,6 @@ class RatPolytope:
     @property
     def origin_interior(self) -> bool:
         return all(c > 0 for _, c in self.halfspaces)
-
-    def gauge(self, p) -> Fraction:
-        """Minkowski gauge: least t >= 0 with p in t * polytope (origin interior)."""
-        if not self.origin_interior:
-            raise ValueError("gauge requires the origin in the interior")
-        x, y = _point(p)
-        return max(Fraction(a * x + b * y, c) for (a, b), c in self.halfspaces)
 
     def bounding_box(self) -> Tuple[int, int, int, int]:
         xs = [v[0] for v in self.vertices]
@@ -224,48 +232,39 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     edge midpoints and the ball is the diamond with vertices
     (+-1/x(F), 0), (0, +-1/x(S)).
     """
-    directions = [
-        ((Fraction(1), Fraction(0)), spec.x_f),
-        ((Fraction(0), Fraction(1)), spec.x_s),
-        ((Fraction(1), Fraction(1)), spec.x_sum),
-        ((Fraction(-1), Fraction(1)), spec.x_diff),
-    ]
+    directions = [((1, 0), spec.x_f), ((0, 1), spec.x_s), ((1, 1), spec.x_sum), ((-1, 1), spec.x_diff)]
     pts = []
     for (dx, dy), value in directions:
-        pts.append((dx / value, dy / value))
-        pts.append((-dx / value, -dy / value))
+        r = 1 / value
+        pts += [(dx * r, dy * r), (-dx * r, -dy * r)]
     ball = RatPolytope(pts)
-    for pt in pts:
-        if ball.gauge(pt) != 1:
+    # each point lies in the ball, so it is on the boundary iff some facet is tight
+    scaled, d = _scale(pts)
+    facets = [(a, b, c * d) for (a, b), c in ball.halfspaces]
+    for x, y in scaled:
+        if not any(a * x + b * y == cd for a, b, cd in facets):
             raise ValueError("norm values are inconsistent (some value is too large)")
     return ball
 
 
 def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
     """Dual norm x*(u) = max over vertices v of the ball of <u, v>, for each
-    point u.  The vertices are scaled to their common denominator once per
-    call, so an integral point costs only integer arithmetic, and each
-    distinct value becomes a Fraction once."""
-    d = lcm(*(c.denominator for v in ball.vertices for c in v))
-    scaled = [(int(vx * d), int(vy * d)) for vx, vy in ball.vertices]
-    seen = {}
-    values = []
-    for p in points:
-        x, y = p
-        if type(x) is not int or type(y) is not int:
-            x, y = _point(p)
-        n = max(x * a + y * b for a, b in scaled)
-        if n not in seen:
-            seen[n] = Fraction(n, d)
-        values.append(seen[n])
-    return values
+    point u.  The vertices are scaled to their common denominator d once per
+    call and the pairings are taken one vertex (one column) at a time, so an
+    integral point costs only integer arithmetic, and each distinct value
+    becomes a Fraction once."""
+    scaled, d = _scale(ball.vertices)
+    pts = [p if type(p[0]) is int and type(p[1]) is int else _point(p) for p in points]
+    columns = [[x * a + y * b for x, y in pts] for a, b in scaled]
+    maxima = list(map(max, *columns))
+    value = {n: Fraction(n, d) for n in set(maxima)}
+    return [value[n] for n in maxima]
 
 
 # -- integral points and realizability ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidatePoint:
+class CandidatePoint(NamedTuple):
     """An integral point on the boundary of the dual ball, with whether it
     is a vertex; `candidate_points` adds the counterexample flag."""
 
@@ -274,30 +273,48 @@ class CandidatePoint:
     counterexample: bool = False
 
 
+# builds a point from its (coords, vertex, counterexample) tuple, with no
+# Python-level call per point
+_new_point = partial(tuple.__new__, CandidatePoint)
+
+
+def _open_range(lo: Fraction, hi: Fraction) -> range:
+    """The integers strictly between lo and hi."""
+    return range(floor(lo) + 1, ceil(hi))
+
+
 def integral_boundary_points(dual_ball: RatPolytope) -> List[CandidatePoint]:
     """All integer points of dual norm exactly one, sorted by (x, y).
 
-    Walks each edge a*x + b*y = c between consecutive vertices, one integer
-    x per step, keeping the x where b divides c - a*x; a vertical edge
-    (b == 0) steps over integer y instead.
+    The integral vertices are listed once each.  Inside each edge
+    a*x + b*y = c the lattice points form an arithmetic progression: none
+    when gcd(a, b) does not divide c, otherwise x steps by |b| / gcd(a, b)
+    from the least solution of a*x = c mod |b| past the edge's left end; a
+    vertical edge (b == 0) steps over integer y instead.  Each edge is one
+    ascending run, so the final sort only merges runs.
     """
     vertices = dual_ball.vertices
-    found = set()
-    for i, ((a, b), c) in enumerate(dual_ball.halfspaces):
-        p, q = vertices[i], vertices[(i + 1) % len(vertices)]
+    corners = {(int(x), int(y)) for x, y in vertices if x.denominator == y.denominator == 1}
+    found = list(corners)
+    for p, q, ((a, b), c) in zip(vertices, vertices[1:] + vertices[:1], dual_ball.halfspaces):
         if b == 0:
             x, r = divmod(c, a)
             if r == 0:
-                lo, hi = sorted((p[1], q[1]))
-                found.update((x, y) for y in range(ceil(lo), floor(hi) + 1))
+                found += zip(repeat(x), _open_range(*sorted((p[1], q[1]))))
             continue
-        lo, hi = sorted((p[0], q[0]))
-        for x in range(ceil(lo), floor(hi) + 1):
-            y, r = divmod(c - a * x, b)
-            if r == 0:
-                found.add((x, y))
-    corners = set(vertices)
-    return [CandidatePoint(pt, pt in corners) for pt in sorted(found)]
+        g = gcd(a, b)
+        if c % g:
+            continue
+        a, b, c = a // g, b // g, c // g
+        step = abs(b)
+        inside = _open_range(*sorted((p[0], q[0])))
+        first = inside.start + (c * pow(a, -1, step) - inside.start) % step
+        xs = range(first, inside.stop, step)
+        y = (c - a * first) // b
+        dy = -a if b > 0 else a
+        found += zip(xs, range(y, y + dy * len(xs), dy) if dy else repeat(y))
+    found.sort()
+    return list(map(_new_point, zip(found, map(corners.__contains__, found), repeat(False))))
 
 
 def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolytope, List[CandidatePoint]]:
@@ -310,13 +327,14 @@ def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolyto
     taut foliation realizes on the surgered manifolds.
     """
     family = spec.is_surgery_family(genus)
-    tips = ((0, 2 * genus - 2), (0, 2 - 2 * genus))
     ball = spec.ball
     dual = polar_dual(ball)
     cf, cs = spec.chi
     classified = [
-        CandidatePoint(p.coords, p.vertex, family and p.coords in tips)
-        for p in integral_boundary_points(dual)
+        p for p in integral_boundary_points(dual)
         if (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
     ]
+    if family:
+        tips = ((0, 2 * genus - 2), (0, 2 - 2 * genus))
+        classified = [p._replace(counterexample=True) if p.coords in tips else p for p in classified]
     return ball, dual, classified

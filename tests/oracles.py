@@ -6,8 +6,16 @@ the rest from the dense `rows` view, the dense coordinates of
 `dense_coords` and the public constructors, so the tests can state
 identities such as t^T J t = J and <x + y, z> = <x, z> + <y, z> without
 the library carrying code no report runs.
+
+The polygon helpers keep the Fraction construction of a polygon, from
+before `RatPolytope` moved to one integer scale, and the Minkowski gauge,
+which no report reads.
 """
 
+from fractions import Fraction
+from math import gcd
+
+from tautcalc.exact import frac
 from tautcalc.homology import HomologyClass, TwistGenerator, TwistWord, word_action
 from tautcalc.matrices import IntMatrix
 
@@ -123,3 +131,58 @@ def twist_word(*letters):
 def transvection_matrix(c: TwistGenerator, sign=1):
     """Homology action of the sign-handed Dehn twist along c: the one-letter word."""
     return word_action(twist_word((c.label, sign)), {c.label: c})
+
+
+# -- polygons -------------------------------------------------------------------
+
+
+def _fraction_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _fraction_edge_halfspace(p, q):
+    """Outward halfspace of the edge p -> q of a counter-clockwise polygon."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    a, b = dy, -dx
+    c = a * p[0] + b * p[1]
+    denom = a.denominator * b.denominator * c.denominator
+    ai = int(a * denom)
+    bi = int(b * denom)
+    ci = int(c * denom)
+    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
+    if g:
+        ai, bi, ci = ai // g, bi // g, ci // g
+    return ((ai, bi), ci)
+
+
+def fraction_polygon(points):
+    """(vertices, halfspaces) of the hull of the points, computed on
+    Fractions: Andrew's monotone chain with strict turns, the vertices
+    counter-clockwise from the lexicographically smallest, and each edge's
+    primitive integer halfspace."""
+    pts = sorted({(frac(x), frac(y)) for x, y in points})
+    if len(pts) < 3:
+        raise ValueError("polygon needs at least three distinct points")
+    lower, upper = [], []
+    for chain, seq in ((lower, pts), (upper, reversed(pts))):
+        for p in seq:
+            while len(chain) >= 2 and _fraction_cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise ValueError("points are collinear; polygon is degenerate")
+    start = min(range(len(hull)), key=lambda i: hull[i])
+    vertices = tuple(hull[start:] + hull[:start])
+    halfspaces = tuple(
+        _fraction_edge_halfspace(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))
+    )
+    return vertices, halfspaces
+
+
+def gauge(polygon, p):
+    """Minkowski gauge: least t >= 0 with p in t * polygon (origin interior)."""
+    if not polygon.origin_interior:
+        raise ValueError("gauge requires the origin in the interior")
+    x, y = frac(p[0]), frac(p[1])
+    return max(Fraction(a * x + b * y, c) for (a, b), c in polygon.halfspaces)

@@ -44,7 +44,7 @@ from tautcalc.sutured import (
     sutured_chi,
 )
 
-from oracles import apply, dense_class, identity, intersection_matrix, transpose, transvection_matrix
+from oracles import apply, dense_class, gauge, identity, intersection_matrix, transpose, transvection_matrix
 
 
 class Criterion:
@@ -215,7 +215,7 @@ def test_polar_duality_involution_and_dual_norm():
             )
             brute = max(u[0] * vx + u[1] * vy for vx, vy in ball.vertices)
             assert dual_norm_value(ball, [u]) == [brute]
-            assert dual.gauge(u) == brute
+            assert gauge(dual, u) == brute
 
 
 def test_holonomy_conjugacy_witnesses():

@@ -15,6 +15,7 @@ from tautcalc.polytope import (
     norm_ball_from_values,
     polar_dual,
 )
+from oracles import fraction_polygon, gauge
 
 
 def pl_norm_oracle(spec, p, q):
@@ -55,22 +56,26 @@ def walked(polygon):
     return [(p.coords, p.vertex) for p in integral_boundary_points(polygon)]
 
 
+def random_points(rng):
+    """Rational points around a random centre, so the origin may lie outside
+    their hull; about a third of the samples get a vertical edge."""
+    cx, cy = Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))
+    pts = [
+        (cx + Fr(rng.randint(-10, 10), rng.randint(1, 4)), cy + Fr(rng.randint(-10, 10), rng.randint(1, 4)))
+        for _ in range(rng.randint(3, 7))
+    ]
+    if rng.random() < 0.35:
+        x = min(p[0] for p in pts) - rng.randint(0, 2)
+        if rng.random() < 0.5:
+            x = Fr(floor(x))
+        pts += [(x, cy - rng.randint(1, 6)), (x, cy + rng.randint(1, 6))]
+    return pts
+
+
 def random_polygon(rng):
-    """A polygon with rational vertices around a random centre, so the origin
-    may lie outside; about a third of the samples get a vertical edge."""
     while True:
-        cx, cy = Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))
-        pts = [
-            (cx + Fr(rng.randint(-10, 10), rng.randint(1, 4)), cy + Fr(rng.randint(-10, 10), rng.randint(1, 4)))
-            for _ in range(rng.randint(3, 7))
-        ]
-        if rng.random() < 0.35:
-            x = min(p[0] for p in pts) - rng.randint(0, 2)
-            if rng.random() < 0.5:
-                x = Fr(floor(x))
-            pts += [(x, cy - rng.randint(1, 6)), (x, cy + rng.randint(1, 6))]
         try:
-            return RatPolytope(pts)
+            return RatPolytope(random_points(rng))
         except ValueError:
             continue  # degenerate sample, try again
 
@@ -120,10 +125,10 @@ def test_membership_and_boundary():
 
 def test_gauge_on_square():
     square = RatPolytope([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    assert square.gauge((1, 1)) == 1
-    assert square.gauge((Fr(1, 2), 0)) == Fr(1, 2)
-    assert square.gauge((0, 0)) == 0
-    assert square.gauge((3, 0)) == 3
+    assert gauge(square, (1, 1)) == 1
+    assert gauge(square, (Fr(1, 2), 0)) == Fr(1, 2)
+    assert gauge(square, (0, 0)) == 0
+    assert gauge(square, (3, 0)) == 3
 
 
 def test_square_diamond_polarity():
@@ -154,6 +159,54 @@ def test_dual_vertices_match_facet_count():
         d = polar_dual(p)
         assert len(d.vertices) == len(p.halfspaces)
         assert len(d.halfspaces) == len(p.vertices)
+
+
+def test_integer_scale_matches_fraction_construction():
+    # RatPolytope builds the hull and the halfspaces on the points scaled to
+    # one common denominator; they must equal the Fraction construction
+    rng = random.Random(139)
+    vertical = outside = duals = 0
+    for i in range(2400):
+        pts = random_points(rng) if i % 3 else random_symmetric_polygon(rng).vertices
+        try:
+            expected = fraction_polygon(pts)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                RatPolytope(pts)
+            assert str(caught.value) == str(exc)
+            continue
+        p = RatPolytope(pts)
+        assert (p.vertices, p.halfspaces) == expected, pts
+        vertical += any(b == 0 for (_, b), _ in p.halfspaces)
+        if p.origin_interior:
+            facets = [(Fr(a, c), Fr(b, c)) for (a, b), c in p.halfspaces]
+            d = polar_dual(p)
+            assert (d.vertices, d.halfspaces) == fraction_polygon(facets)
+            duals += 1
+        else:
+            outside += 1
+    assert vertical >= 400 and outside >= 400 and duals >= 800
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [],
+        [(0, 0)],
+        [(Fr(1, 3), 2), (Fr(1, 3), 2), (Fr(2, 3), 1)],
+        [(0, 0), (Fr(1, 2), Fr(1, 3)), (Fr(3, 2), 1), (-3, -2)],
+        [(Fr(5, 7), -1), (Fr(5, 7), Fr(1, 2)), (Fr(5, 7), 9)],
+        [(1, Fr(-1, 4)), (-2, Fr(-1, 4)), (1, Fr(-1, 4))],
+        [(Fr(1, 2), 0), (0, 1), (-1, 0.5)],
+        [(Fr(1, 2), 0), (0, 1), (-1, "1e3")],
+    ],
+)
+def test_rejected_inputs_fail_as_the_fraction_construction(pts):
+    with pytest.raises(ValueError) as expected:
+        fraction_polygon(pts)
+    with pytest.raises(ValueError) as caught:
+        RatPolytope(pts)
+    assert str(caught.value) == str(expected.value)
 
 
 # -- norm balls ---------------------------------------------------------------------
@@ -198,7 +251,7 @@ def test_ball_gauge_matches_pl_norm_oracle(values):
     for i in range(-8, 9):
         for j in range(-8, 9):
             p, q = Fr(i, 2), Fr(j, 2)
-            assert ball.gauge((p, q)) == pl_norm_oracle(spec, p, q)
+            assert gauge(ball, (p, q)) == pl_norm_oracle(spec, p, q)
 
 
 def test_inconsistent_values_rejected():
@@ -279,7 +332,7 @@ def test_dual_norm_agrees_with_polar_gauge():
     ball = norm_ball_from_values(NormSpec.surgery_family(5))
     dual = polar_dual(ball)
     pts = [(Fr(rng.randint(-20, 20), rng.randint(1, 5)), Fr(rng.randint(-20, 20), rng.randint(1, 5))) for _ in range(200)]
-    assert dual_norm_value(ball, pts) == [dual.gauge(u) for u in pts]
+    assert dual_norm_value(ball, pts) == [gauge(dual, u) for u in pts]
 
 
 def test_boundary_iff_dual_norm_one():
@@ -337,6 +390,36 @@ def test_walk_matches_box_scan_on_surgery_families():
     for genus in range(2, 41):
         dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(genus)))
         assert walked(dual) == boundary_points_by_scan(dual)
+
+
+@pytest.mark.parametrize(
+    "pts, facet",
+    [
+        # 2x + 4y = 3: gcd(2, 4) does not divide 3, so the edge has no lattice point
+        ([(Fr(3, 2), 0), (Fr(-5, 2), 2), (-3, -3)], ((2, 4), 3)),
+        # x + 3y = 1 between rational ends, with b = 3 and with b = -3
+        ([(Fr(-7, 2), Fr(3, 2)), (Fr(11, 2), Fr(-3, 2)), (-4, -4)], ((1, 3), 1)),
+        ([(Fr(-7, 2), Fr(3, 2)), (Fr(11, 2), Fr(-3, 2)), (5, 5)], ((-1, -3), -1)),
+        # 2x - 5y = 1 from (-7/3, -17/15) to (33/4, 31/10)
+        ([(Fr(-7, 3), Fr(-17, 15)), (Fr(33, 4), Fr(31, 10)), (-1, 5)], ((2, -5), 1)),
+        # vertical edges at x = 3/2 and at x = 2 with rational ends
+        ([(Fr(3, 2), -2), (Fr(3, 2), Fr(5, 2)), (-1, 0)], ((2, 0), 3)),
+        ([(2, Fr(-5, 2)), (2, Fr(7, 3)), (-1, 0)], ((1, 0), 2)),
+    ],
+)
+def test_walk_edge_cases(pts, facet):
+    polygon = RatPolytope(pts)
+    assert facet in polygon.halfspaces
+    assert walked(polygon) == boundary_points_by_scan(polygon)
+
+
+def test_walk_on_extreme_specs():
+    rational = NormSpec(Fr(4095, 4096), Fr(4094, 4095), Fr(4093, 2047), Fr(4093, 2047), chi=(0, 0))
+    thin = NormSpec(Fr(1, 10**1000), 1, 1, 1, chi=(0, 0))
+    for spec in (rational, thin):
+        dual = polar_dual(spec.ball)
+        assert walked(dual) == boundary_points_by_scan(dual)
+    assert [p.coords for p in integral_boundary_points(polar_dual(thin.ball))] == [(0, -1), (0, 1)]
 
 
 def test_genus4_tip_is_nonvertex():
