@@ -78,6 +78,11 @@ def _render_text(report: dict, indent: int = 0) -> str:
         elif isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
+        elif isinstance(value, jsonio.Table) and len(value):
+            lines.append(f"{pad}{key}:")
+            lines.append(_render_table(value, pad + "  "))
+        elif isinstance(value, jsonio.Table):
+            lines.append(f"{pad}{key}: []")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{pad}{key}:")
             for item in value:
@@ -91,6 +96,17 @@ def _render_text(report: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
+
+
+def _render_table(table: jsonio.Table, pad: str) -> str:
+    """The lines `_render_text` gives the table's list of records, one
+    "key: value" line per cell and a "-" line between records, in one join."""
+    columns = table.columns
+    seps = [f"\n{pad}{key}: " for key in columns]
+    seps[0] = f"\n{pad}-" + seps[0]
+    # a tuple shows as the list it stands for; a str or bool as itself
+    cells = [map(str, map(list, c) if isinstance(c[0], tuple) else c) for c in columns.values()]
+    return jsonio.interleave(seps + [""], cells, len(table))[len(pad) + 3:]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -136,7 +152,7 @@ def cmd_candidates(args) -> int:
         "norm_spec": jsonio.norm_spec_to_json(spec),
         "ball": jsonio.polytope_to_json(ball),
         "dual_ball": jsonio.polytope_to_json(dual),
-        "candidates": [jsonio.candidate_to_json(p) for p in classified],
+        "candidates": jsonio.candidates_to_json(classified),
         "checks": checks,
     }
     return _emit(report, args)
@@ -233,9 +249,7 @@ def cmd_holonomy(args) -> int:
         "u": jsonio.pl_to_json(u),
         "v": jsonio.pl_to_json(v),
         "tiles_per_side": witness.tiles_per_side,
-        "samples": [
-            {"point": jsonio.fmt_frac(c.point), "pass": c.passed} for c in witness.checks
-        ],
+        "samples": jsonio.conjugacy_samples_to_json(witness),
         "checks": [{"name": "conjugacy identity exact at all samples", "pass": witness.all_passed}],
     }
     return _emit(report, args)

@@ -41,18 +41,40 @@ not change when a and d are scaled, so nothing is reduced on the way.  A
 `PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own, and
 the segment search compares a/d with each breakpoint by cross-multiplying.
 The public `eval` reduces the kernel's pair to one Fraction, and
-`solve_conjugacy` compares both sides of the identity as pairs, so no
-Fraction is built between a sample point and its verdict.
+`solve_conjugacy` compares both sides of the identity as pairs.
+
+The sample layout is integer columns: tile n holds per_tile numerators
+over the one denominator n(n + 1)(per_tile + 1), reduced by gcd in one
+pass over the columns.  `solve_conjugacy` feeds each reduced pair to the
+per-point kernels and keeps the pairs and the verdicts as columns in
+`ConjugacyWitness`, so no Fraction, `SampleCheck` or other per-sample
+object is built between a sample point and its verdict; `witness_samples`
+is the Fraction view of the same columns, and `ConjugacyWitness.checks`
+builds its `SampleCheck`s on demand.  A map has at most MAX_BREAKPOINTS
+breakpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import floordiv
 from typing import List, Sequence, Tuple
 
 from .exact import frac
+
+
+# A map is read and inverted in time and memory that grow with its
+# breakpoints, so their number is capped.
+MAX_BREAKPOINTS = 4096
+
+
+def check_breakpoint_count(count: int) -> None:
+    """Refuse a map with more than MAX_BREAKPOINTS breakpoints or values."""
+    if count > MAX_BREAKPOINTS:
+        raise ValueError(f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {count}")
 
 
 class PLHomeo:
@@ -68,6 +90,7 @@ class PLHomeo:
     __slots__ = ("breakpoints", "values", "_cuts", "_segments")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
+        check_breakpoint_count(max(len(breakpoints), len(values)))
         bps = [frac(b) for b in breakpoints]
         vals = [frac(v) for v in values]
         if len(bps) != len(vals) or len(bps) < 2:
@@ -280,30 +303,48 @@ class SampleCheck:
 
 @dataclass(frozen=True)
 class ConjugacyWitness:
-    """Exact verification data for h(t(x)) = expr(h(x)) at sampled rationals."""
+    """Exact verification data for h(t(x)) = expr(h(x)) at sampled rationals:
+    the reduced sample points as two integer columns, in `witness_samples`
+    order, and the verdict at each point."""
 
     case: str
     expression: str
-    checks: Tuple[SampleCheck, ...]
+    numerators: Tuple[int, ...]
+    denominators: Tuple[int, ...]
+    verdicts: Tuple[bool, ...]
     tiles_per_side: int
 
     @property
+    def checks(self) -> Tuple[SampleCheck, ...]:
+        """The samples as `SampleCheck`s, built on each call."""
+        return tuple(map(SampleCheck, map(Fraction, self.numerators, self.denominators), self.verdicts))
+
+    @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.verdicts)
+
+
+def _sample_layout(tiles_per_side: int, per_tile: int) -> Tuple[List[int], List[int]]:
+    """The sample points as reduced (numerators, denominators) columns: the
+    endpoints and the center, then per_tile points in each tile, negative
+    side first, from tile 1 inward."""
+    nums, dens = [-1, 0, 1], [1, 1, 1]
+    step = per_tile + 1
+    for n in range(1, tiles_per_side + 1):
+        # tile n is [lo, lo + 1/(n(n + 1))] with lo = 1/(n + 1) or -1/n; over
+        # the denominator n(n + 1)(per_tile + 1), lo is `base` and the j-th
+        # of per_tile evenly spaced interior points is base + j
+        for base in (-(n + 1) * step, n * step):
+            nums += range(base + 1, base + step)
+        dens += repeat(n * (n + 1) * step, 2 * per_tile)
+    common = list(map(gcd, nums, dens))
+    return list(map(floordiv, nums, common)), list(map(floordiv, dens, common))
 
 
 def witness_samples(tiles_per_side: int = 8, per_tile: int = 4) -> List[Fraction]:
     """Rational sample points spread over the outermost tiles of both sides,
     plus the endpoints and the center."""
-    pts = [Fraction(-1), Fraction(0), Fraction(1)]
-    for n in range(1, tiles_per_side + 1):
-        # tile n is [lo, lo + 1/(n(n + 1))] with lo = 1/(n + 1) or -1/n; over
-        # the denominator n(n + 1)(per_tile + 1), lo is `base` and the j-th
-        # of per_tile evenly spaced interior points is base + j
-        den = n * (n + 1) * (per_tile + 1)
-        for base in (-(n + 1) * (per_tile + 1), n * (per_tile + 1)):
-            pts.extend(Fraction(base + j, den) for j in range(1, per_tile + 1))
-    return pts
+    return list(map(Fraction, *_sample_layout(tiles_per_side, per_tile)))
 
 
 # A report lists every sample point, so the layout is capped; the largest
@@ -348,14 +389,18 @@ def solve_conjugacy(
     expr = Concatenation(pieces)
     h = TileShiftMap(letters.index("t^-1" if inverse_middle else "t"), len(pieces))
 
-    checks = []
-    for q in witness_samples(tiles_per_side, per_tile):
-        a, d = q.numerator, q.denominator
-        la, ld = h._eval_pair(*tiled._eval_pair(a, d))
-        ra, rd = expr._eval_pair(*h._eval_pair(a, d))
+    nums, dens = _sample_layout(tiles_per_side, per_tile)
+    t_at, h_at, expr_at = tiled._eval_pair, h._eval_pair, expr._eval_pair
+    verdicts = []
+    passed = verdicts.append
+    for a, d in zip(nums, dens):
+        la, ld = h_at(*t_at(a, d))
+        ra, rd = expr_at(*h_at(a, d))
         # both denominators are positive, so this is lhs == rhs
-        checks.append(SampleCheck(q, la * rd == ra * ld))
-    witness = ConjugacyWitness(case, EXPRESSIONS[case], tuple(checks), tiles_per_side)
+        passed(la * rd == ra * ld)
+    witness = ConjugacyWitness(
+        case, EXPRESSIONS[case], tuple(nums), tuple(dens), tuple(verdicts), tiles_per_side
+    )
     return tiled, witness
 
 

@@ -21,17 +21,30 @@ encoder leaves alone precisely the characters ' ' to '~' other than '"'
 and '\\', and `isascii() and isprintable()` holds for precisely the
 strings made of ' ' to '~'.  Any other row goes through that encoder item
 by item.
+
+A record list that grows with the input (the holonomy samples, the
+candidate points) travels as a `Table`, one column per key, so no dict is
+built per record.  A column holds strs, bools, or tuples of strs of one
+width.  In `json.dumps(records, indent=2)` everything between two cells is
+fixed by the indent and the keys alone: a comma, a newline, spaces, a
+brace, a key, and the quotes around a string cell.  So the whole list is
+those literals interleaved with the cells, in one join.  A bool cell is
+"true" or "false", a tuple cell spreads into one string cell per
+position, and a string column is written bare inside its literal quotes
+when it passes the clean test above, or item by item through the string
+encoder when it does not, which is the same rule a list of strings takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import frac
-from .holonomy import PLHomeo
+from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
 from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
 from .penner import CurveSystem, PennerReport, Region
@@ -107,18 +120,48 @@ def _build(field: str, make: Callable, *args):
 # -- reports -------------------------------------------------------------------
 
 
+class Table:
+    """A list of records stored by column, for `dumps_report`: record i is
+    {key: column[i] for each key}, in key order.  A column holds strs,
+    bools, or tuples of strs that all have one length."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Mapping[str, Sequence]):
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("table columns must have equal lengths")
+        self.columns = dict(columns)
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+
+def interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int) -> str:
+    """seps[0] + columns[0][0] + seps[1] + columns[1][0] + ... + seps[-1],
+    then the same for rows 1 to rows - 1, in one join; len(seps) is one
+    more than len(columns)."""
+    cells = [x for sep, column in zip(seps, columns) for x in (repeat(sep), column)]
+    return "".join(chain.from_iterable(zip(*cells, repeat(seps[-1], rows))))
+
+
 def dumps_report(report: dict) -> str:
     """json.dumps(report, indent=2), byte for byte, for a tree of dicts with
-    str keys, lists, strings, ints, bools and None.
+    str keys, lists, strings, ints, bools, None and `Table`s, a Table being
+    written as its list of records.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
     Here a string or bool in a dict is written inline with its key, and a
-    list of strings (a matrix row, a coordinate pair) is written in one
-    join, by the rule in the module docstring; every other string goes
-    through the C string encoder."""
+    list of strings (a matrix row, a coordinate pair) or a Table is written
+    in one join, by the rule in the module docstring; every other string
+    goes through the C string encoder."""
     parts: List[str] = []
     _write(report, "\n", parts)
     return "".join(parts)
+
+
+def _clean(flat: str) -> bool:
+    """Whether no item of a join that makes flat needs an escape."""
+    return flat.isascii() and flat.isprintable() and '"' not in flat and "\\" not in flat
 
 
 def _write(o: Any, nl: str, parts: List[str]) -> None:
@@ -150,7 +193,7 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         except TypeError:  # not all strings
             pass
         else:
-            if flat.isascii() and flat.isprintable() and '"' not in flat and "\\" not in flat:
+            if _clean(flat):
                 quoted = '",' + inner + '"'
                 parts.append(f'[{inner}"{quoted.join(o)}"{nl}]')
             else:
@@ -162,6 +205,8 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
             _write(value, inner, parts)
             sep = "," + inner
         parts.append(nl + "]")
+    elif isinstance(o, Table):
+        _write_table(o, nl, parts)
     elif isinstance(o, str):
         parts.append(_encode_str(o))
     elif o is True:
@@ -174,6 +219,54 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         parts.append(int.__repr__(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_BOOLS = ("false", "true")
+
+
+def _write_table(table: Table, nl: str, parts: List[str]) -> None:
+    """Append the table as its list of records, all of them in one join.
+
+    Between two cells of a record, and around it, stand only literals: the
+    newlines and indents, the braces, the keys, and the quotes of a clean
+    column.  So the list is the columns `interleave`d with those literals,
+    a tuple column giving one column per position.  A column of strings
+    that fails the clean test goes through the string encoder item by item."""
+    if not len(table):
+        parts.append("[]")
+        return
+    inner = nl + "  "
+    field = inner + "  "
+    item = field + "  "
+    seps, cells = [], []
+    sep, lead = "," + inner + "{", field  # the first record drops the comma
+    for key, column in table.columns.items():
+        sep += f"{lead}{_encode_str(key)}: "
+        lead = "," + field
+        kinds = set(map(type, column))
+        if kinds == {bool}:
+            seps.append(sep)
+            cells.append(map(_BOOLS.__getitem__, column))
+            sep = ""
+            continue
+        if kinds == {str}:
+            subs, flat, start, end = [column], "".join(column), "", ""
+        elif kinds == {tuple} and len(widths := set(map(len, column))) == 1:
+            (width,) = widths
+            subs = [map(itemgetter(j), column) for j in range(width)]
+            flat = "".join(chain.from_iterable(column))
+            start, end = ("[" + item, field + "]") if width else ("[]", "")
+        else:
+            raise TypeError(f"table column {key!r} must hold strs, bools or tuples of strs of one length")
+        quote = '"' if _clean(flat) else ""
+        sep += start
+        for j, sub in enumerate(subs):
+            seps.append(f"{sep}{',' + item if j else ''}{quote}")
+            cells.append(sub if quote else map(_encode_str, sub))
+            sep = quote
+        sep += end
+    seps.append(sep + inner + "}")
+    parts.append("[" + interleave(seps, cells, len(table))[1:] + nl + "]")
 
 
 # -- matrices ------------------------------------------------------------------
@@ -337,16 +430,17 @@ def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
     )
 
 
-def candidate_to_json(p: CandidatePoint) -> dict:
+def candidates_to_json(points: Sequence[CandidatePoint]) -> Table:
     # every listed point lies on the dual ball's boundary and passed parity;
     # the vertices are the realizable ones
-    return {
-        "coords": [str(p.coords[0]), str(p.coords[1])],
-        "location": "boundary-vertex" if p.vertex else "boundary-nonvertex",
-        "parity_ok": True,
-        "realizability": "realizable-vertex" if p.vertex else "candidate",
-        "counterexample": p.counterexample,
-    }
+    vertex = [p.vertex for p in points]
+    return Table({
+        "coords": [(str(x), str(y)) for (x, y), _, _ in points],
+        "location": ["boundary-vertex" if v else "boundary-nonvertex" for v in vertex],
+        "parity_ok": [True] * len(points),
+        "realizability": ["realizable-vertex" if v else "candidate" for v in vertex],
+        "counterexample": [p.counterexample for p in points],
+    })
 
 
 # -- sutured -------------------------------------------------------------------
@@ -399,12 +493,20 @@ def pl_to_json(f: PLHomeo) -> dict:
 
 def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
     obj = _expect_map(data, field)
-    bps = [
-        parse_frac(b, f"{field}.breakpoints[{i}]")
-        for i, b in enumerate(_expect_list(_get(obj, "breakpoints", field), f"{field}.breakpoints"))
-    ]
-    vals = [
-        parse_frac(v, f"{field}.values[{i}]")
-        for i, v in enumerate(_expect_list(_get(obj, "values", field), f"{field}.values"))
-    ]
+    bps, vals = (_rational_list(obj, key, field) for key in ("breakpoints", "values"))
     return _build(field, PLHomeo, bps, vals)
+
+
+def _rational_list(obj: Mapping, key: str, field: str) -> List[Fraction]:
+    """The rationals of a map's breakpoints or values; their count is checked
+    before any of them is parsed."""
+    at = f"{field}.{key}"
+    raw = _expect_list(_get(obj, key, field), at)
+    _build(field, check_breakpoint_count, len(raw))
+    return [parse_frac(x, f"{at}[{i}]") for i, x in enumerate(raw)]
+
+
+def conjugacy_samples_to_json(w: ConjugacyWitness) -> Table:
+    """The sample points as 'p/q' (or 'p') strings beside their verdicts."""
+    points = [f"{a}/{d}" if d != 1 else str(a) for a, d in zip(w.numerators, w.denominators)]
+    return Table({"point": points, "pass": w.verdicts})

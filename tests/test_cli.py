@@ -4,14 +4,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tautcalc import cli, jsonio, polytope
+from tautcalc import cli, holonomy, jsonio, polytope
 from tautcalc.cli import main
 from tautcalc.homology import MAX_ACTION_BITS, MAX_TWIST_EXPONENT
-from tautcalc.holonomy import MAX_SAMPLES, MAX_TILES
+from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_SAMPLES, MAX_TILES
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
 from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
@@ -385,6 +386,39 @@ def test_holonomy_custom_maps(tmp_path, capsys):
         capsys, "holonomy", "tau", "--case", "b", "--u", str(path_u), "--v", str(path_v)
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("key", ["breakpoints", "values"])
+def test_holonomy_map_size_capped(tmp_path, capsys, key):
+    # 200 001 entries: before the cap this ran seconds of Fraction work and
+    # passed; the count is refused before any entry is parsed
+    count = 200_001
+    doc = {"breakpoints": ["-1", "0", "1"], "values": ["-1", "1/2", "1"]}
+    doc[key] = ["-1"] + [f"{i}/{count}" for i in range(2 - count, count - 2, 2)] + ["1"]
+    (tmp_path / "u.json").write_text(json.dumps(doc))
+    (tmp_path / "v.json").write_text(json.dumps({"breakpoints": ["-1", "1"], "values": ["-1", "1"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "holonomy", "tau", "--case", "a",
+                         "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: u: a map has at most {MAX_BREAKPOINTS} breakpoints, got {count}\n"
+
+
+def test_holonomy_builds_nothing_per_sample(monkeypatch, capsys):
+    # the report reads the witness's columns: no SampleCheck, and as many
+    # holonomy-module Fractions at 4099 samples as at 67
+    made = []
+    monkeypatch.setattr(holonomy, "SampleCheck", lambda *a: pytest.fail("SampleCheck built"))
+    monkeypatch.setattr(holonomy, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+    counts = []
+    for tiles, samples in ((8, 64), (256, 4096)):
+        made.clear()
+        code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--tiles", str(tiles),
+                             "--samples", str(samples), "--format", "json")
+        assert code == 0
+        counts.append(len(made))
+    assert counts[0] == counts[1]
 
 
 def test_holonomy_rejects_bad_map(tmp_path, capsys):

@@ -11,6 +11,7 @@ from tautcalc import holonomy
 from tautcalc.exact import frac
 from tautcalc.holonomy import (
     EXPRESSIONS,
+    MAX_BREAKPOINTS,
     MAX_SAMPLES,
     MAX_TILES,
     Concatenation,
@@ -310,8 +311,28 @@ def test_sample_layout_owned_by_solve():
     for tiles, samples, count in ((8, 64, 67), (3, 4, 9), (5, 21, 33), (1, 1, 5)):
         _, witness = solve_conjugacy(u, v, "c", tiles, samples)
         per_tile = (count - 3) // (2 * tiles)
-        assert [c.point for c in witness.checks] == witness_samples(tiles, per_tile)
-        assert len(witness.checks) == count >= samples
+        points = witness_samples(tiles, per_tile)
+        # the stored columns are the reduced points, and `checks` is their view
+        assert list(zip(witness.numerators, witness.denominators)) == [(q.numerator, q.denominator) for q in points]
+        assert [c.point for c in witness.checks] == points
+        assert [c.passed for c in witness.checks] == list(witness.verdicts)
+        assert len(witness.checks) == len(witness.verdicts) == count >= samples
+
+
+@pytest.mark.parametrize("case", list(EXPRESSIONS))
+@pytest.mark.parametrize("shift", [0, 1])
+def test_verdicts_match_reference(monkeypatch, case, shift):
+    # with the conjugator's middle piece moved by one, most cases get False
+    # verdicts; each must still be the reference's verdict at its point
+    maps, tiled, h, expr = construction(case)
+    h = TileShiftMap((h.middle_index + shift) % h.piece_count, h.piece_count)
+    monkeypatch.setattr(holonomy, "TileShiftMap", lambda m, k: h)
+    _, witness = solve_conjugacy(maps[0], maps[1], case, 5, 30)
+    expected = [
+        ref_eval(h, ref_eval(tiled, q)) == ref_eval(expr, ref_eval(h, q)) for q in witness_samples(5, 3)
+    ]
+    assert list(witness.verdicts) == expected
+    assert all(expected) or shift
 
 
 @pytest.mark.parametrize(
@@ -551,3 +572,15 @@ def test_many_coprime_breakpoints_stay_cheap():
     assert elapsed < 2.0
     for q, y in list(zip(points, images))[::20]:
         assert y == ref_eval(f, q)
+
+
+def test_breakpoint_count_capped():
+    grid = [Fr(2 * i, MAX_BREAKPOINTS - 1) - 1 for i in range(MAX_BREAKPOINTS)]
+    f = PLHomeo(grid, grid[:1] + [(x + 1) / 2 for x in grid[1:-1]] + grid[-1:])
+    assert len(f.breakpoints) == 3  # collinear runs collapse
+    message = f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {MAX_BREAKPOINTS + 1}"
+    longer = grid + [Fr(2)]
+    for bps, vals in ((longer, grid), (grid, longer)):
+        with pytest.raises(ValueError) as exc:
+            PLHomeo(bps, vals)
+        assert str(exc.value) == message

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tautcalc import jsonio
+from tautcalc import cli, jsonio
 from tautcalc.holonomy import bundled_shifts
 from tautcalc.homology import word_action
 from tautcalc.matrices import IntMatrix
@@ -175,3 +175,62 @@ def test_dumps_report_matches_stdlib_indent_2(report):
 def test_dumps_report_rejects_inexact_values():
     with pytest.raises(TypeError):
         jsonio.dumps_report({"x": [0.5]})
+
+
+# -- tables ------------------------------------------------------------------------
+
+
+@st.composite
+def _table_columns(draw):
+    """Columns of one length: strs, bools, or tuples of strs of one width.
+    A record key "checks" means a list of checks to the text renderer, so
+    it is left out."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    keys = draw(st.lists(_text.filter(lambda k: k != "checks"), unique=True, max_size=4))
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from(["str", "bool", "tuple"]))
+        if kind == "tuple":
+            cell = st.tuples(*[_text] * draw(st.integers(min_value=0, max_value=3)))
+        else:
+            cell = _text if kind == "str" else st.booleans()
+        columns[key] = draw(st.lists(cell, min_size=rows, max_size=rows))
+    return columns
+
+
+def _records(columns):
+    """The table's list of records, a tuple cell as the list it stands for."""
+    return [
+        {key: list(x) if isinstance(x, tuple) else x for key, x in zip(columns, values)}
+        for values in zip(*columns.values())
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_table_columns())
+@example({"point": ["1/2", '"', "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "\\", "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "\n", "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "\x7f", "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "\u00e9", "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "\u2028", "0"], "pass": [True, False, True]})
+@example({"point": ["1/2", "", "0"], "pass": [True, False, True]})
+@example({"point": [], "pass": []})
+@example({"coords": [("1", "-4")], "location": ["boundary-vertex"], "counterexample": [False]})
+# a column that fails the clean test beside columns that pass it
+@example({"a": ["1", "\n"], "b": ["2", "3"], "c": [("\u00e9", "4"), ("5", "6")], "d": [("7",), ("8",)]})
+@example({"empty": [(), ()], "b": [True, False]})
+def test_table_writes_as_its_records(columns):
+    table = jsonio.Table(columns)
+    records = _records(columns)
+    assert len(table) == len(records)
+    assert jsonio.dumps_report({"k": table}) == json.dumps({"k": records}, indent=2)
+    assert cli._render_text({"k": table}) == cli._render_text({"k": records})
+
+
+def test_table_rejects_ragged_or_mixed_columns():
+    with pytest.raises(ValueError, match="equal lengths"):
+        jsonio.Table({"a": ["1", "2"], "b": [True]})
+    for column in (["1", True], [("1",), ("2", "3")], [1, 2], [("1",), "2"]):
+        with pytest.raises(TypeError):
+            jsonio.dumps_report({"k": jsonio.Table({"a": column})})
