@@ -2,6 +2,8 @@
 
 `PLHomeo` is an increasing PL self-map of [-1, 1]; its breakpoints and
 values go through `exact.frac`, and inversion and evaluation are exact.
+Its set-up runs on their integer (numerator, denominator) pairs, with no
+Fraction arithmetic, and `inverse` is read off the stored segments.
 
 `solve_conjugacy` builds, for endpoint-fixing homeomorphisms u and v of
 [-1, 1], a homeomorphism t of [-1, 1] conjugate to a chosen concatenation
@@ -38,8 +40,10 @@ Each map evaluates in one kernel, `_eval_pair(a, d)`, on an unreduced
 integer pair a/d with d > 0: the chart in is (k*a - m*d, d), the chart out
 (m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
 not change when a and d are scaled, so nothing is reduced on the way.  A
-`PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own, and
-the segment search compares a/d with each breakpoint by cross-multiplying.
+`PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own,
+computed from the cross products of its ends and reduced by gcd(A, C, D),
+and the segment search compares a/d with each breakpoint by
+cross-multiplying.  The inverse segment is x = (D*y - C)/A.
 The public `eval` reduces the kernel's pair to one Fraction, and
 `solve_conjugacy` compares both sides of the identity as pairs.
 
@@ -58,9 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
-from operator import floordiv
+from itertools import compress, repeat
+from math import gcd
+from operator import floordiv, mul, ne, sub
 from typing import List, Sequence, Tuple
 
 from .exact import frac
@@ -83,55 +87,56 @@ class PLHomeo:
     Stored as matching breakpoint/value sequences; collinear interior
     breakpoints are dropped, so equal maps have equal data.  Each segment is
     derived from them once, for `_eval_pair`: its interior left breakpoint as
-    an integer pair (bn, bd), and y = (A*x + C)/D as integers (A, C, D)
-    from its slope and intercept.
+    an integer pair (bn, bd), and y = (A*x + C)/D as integers (A, C, D) with
+    D > 0 and gcd(A, C, D) = 1, the one such triple of its line.
+
+    Set-up runs on the (numerator, denominator) pairs of the inputs: the
+    order and endpoint checks cross-multiply, each input segment's triple
+    comes from the four cross products of its ends, and a breakpoint is
+    collinear with its neighbours exactly when the segments on either side
+    have equal triples.  `inverse` reads its data off the stored segments.
     """
 
     __slots__ = ("breakpoints", "values", "_cuts", "_segments")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         check_breakpoint_count(max(len(breakpoints), len(values)))
-        bps = [frac(b) for b in breakpoints]
-        vals = [frac(v) for v in values]
+        bps = list(map(frac, breakpoints))
+        vals = list(map(frac, values))
         if len(bps) != len(vals) or len(bps) < 2:
             raise ValueError("need matching breakpoint/value sequences of length >= 2")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        bn, bd = [b.numerator for b in bps], [b.denominator for b in bps]
+        vn, vd = [v.numerator for v in vals], [v.denominator for v in vals]
+        # segment i runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0
+        # to y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
+        # y = (A*x + C)/D with D = (a1*b0 - a0*b1)*e0*e1,
+        # A = (c1*e0 - c0*e1)*b0*b1 and C = c0*e1*a1*b0 - c1*e0*a0*b1
+        ab, ba = list(map(mul, bn[1:], bd)), list(map(mul, bn, bd[1:]))
+        ce, ec = list(map(mul, vn[1:], vd)), list(map(mul, vn, vd[1:]))
+        dx, dy = list(map(sub, ab, ba)), list(map(sub, ce, ec))
+        if min(dx) <= 0:
             raise ValueError("breakpoints must be strictly increasing")
-        if any(a >= b for a, b in zip(vals, vals[1:])):
+        if min(dy) <= 0:
             raise ValueError("values must be strictly increasing")
-        if vals[0] != bps[0] or vals[-1] != bps[-1]:
+        ends = (bn[0], bd[0], bn[-1], bd[-1])
+        if (vn[0], vd[0], vn[-1], vd[-1]) != ends:
             raise ValueError("endpoints must be fixed")
-        if bps[0] != -1 or bps[-1] != 1:
+        if ends != (-1, 1, 1, 1):
             raise ValueError("must be a homeomorphism of [-1, 1]")
-        bps, vals = self._normalized(bps, vals)
-        object.__setattr__(self, "breakpoints", tuple(bps))
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_cuts", tuple((b.numerator, b.denominator) for b in bps[1:-1]))
-        segments = []
-        for x0, x1, y0, y1 in zip(bps, bps[1:], vals, vals[1:]):
-            slope = (y1 - y0) / (x1 - x0)
-            intercept = y0 - slope * x0
-            den = lcm(slope.denominator, intercept.denominator)
-            segments.append((
-                slope.numerator * (den // slope.denominator),
-                intercept.numerator * (den // intercept.denominator),
-                den,
-            ))
-        object.__setattr__(self, "_segments", tuple(segments))
-
-    @staticmethod
-    def _normalized(bps, vals):
-        out_b, out_v = [bps[0]], [vals[0]]
-        for i in range(1, len(bps) - 1):
-            x0, x1, x2 = out_b[-1], bps[i], bps[i + 1]
-            y0, y1, y2 = out_v[-1], vals[i], vals[i + 1]
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                continue  # collinear, skip
-            out_b.append(x1)
-            out_v.append(y1)
-        out_b.append(bps[-1])
-        out_v.append(vals[-1])
-        return out_b, out_v
+        A = list(map(mul, dy, map(mul, bd, bd[1:])))
+        C = list(map(sub, map(mul, ec, ab), map(mul, ce, ba)))
+        D = list(map(mul, dx, map(mul, vd, vd[1:])))
+        g = list(map(gcd, A, C, D))
+        lines = list(zip(map(floordiv, A, g), map(floordiv, C, g), map(floordiv, D, g)))
+        # interior breakpoint i is kept when segments i - 1 and i differ
+        kept = list(map(ne, lines, lines[1:]))
+        _fill(
+            self,
+            (bps[0], *compress(bps[1:-1], kept), bps[-1]),
+            (vals[0], *compress(vals[1:-1], kept), vals[-1]),
+            tuple(compress(zip(bn[1:-1], bd[1:-1]), kept)),
+            (lines[0], *compress(lines[1:], kept)),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("PLHomeo is immutable")
@@ -177,7 +182,24 @@ class PLHomeo:
         return A * a + C * d, D * d
 
     def inverse(self) -> "PLHomeo":
-        return PLHomeo(self.values, self.breakpoints)
+        """The inverse map, from the stored data: y = (A*x + C)/D inverts to
+        x = (D*y - C)/A, and A > 0 since the map increases."""
+        inv = object.__new__(PLHomeo)
+        _fill(
+            inv,
+            self.values,
+            self.breakpoints,
+            tuple((v.numerator, v.denominator) for v in self.values[1:-1]),
+            tuple((D, -C, A) for A, C, D in self._segments),
+        )
+        return inv
+
+
+def _fill(f: PLHomeo, breakpoints: tuple, values: tuple, cuts: tuple, segments: tuple) -> None:
+    object.__setattr__(f, "breakpoints", breakpoints)
+    object.__setattr__(f, "values", values)
+    object.__setattr__(f, "_cuts", cuts)
+    object.__setattr__(f, "_segments", segments)
 
 
 # -- lazy tiled homeomorphisms ----------------------------------------------------

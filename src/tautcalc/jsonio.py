@@ -498,12 +498,16 @@ def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
 
 
 def _rational_list(obj: Mapping, key: str, field: str) -> List[Fraction]:
-    """The rationals of a map's breakpoints or values; their count is checked
-    before any of them is parsed."""
+    """The rationals of a map's breakpoints or values, in one pass of frac;
+    their count is checked before any of them is parsed, and a bad entry is
+    found again by the per-entry walk, which names its path."""
     at = f"{field}.{key}"
     raw = _expect_list(_get(obj, key, field), at)
     _build(field, check_breakpoint_count, len(raw))
-    return [parse_frac(x, f"{at}[{i}]") for i, x in enumerate(raw)]
+    try:
+        return list(map(frac, raw))
+    except ValueError:
+        return [parse_frac(x, f"{at}[{i}]") for i, x in enumerate(raw)]
 
 
 def conjugacy_samples_to_json(w: ConjugacyWitness) -> Table:

@@ -9,11 +9,12 @@ the library carrying code no report runs.
 
 The polygon helpers keep the Fraction construction of a polygon, from
 before `RatPolytope` moved to one integer scale, and the Minkowski gauge,
-which no report reads.
+which no report reads.  `fraction_plhomeo` keeps the Fraction set-up of a
+`PLHomeo`, from before it moved to integer pairs.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from tautcalc.exact import frac
 from tautcalc.homology import HomologyClass, TwistGenerator, TwistWord, word_action
@@ -186,3 +187,35 @@ def gauge(polygon, p):
         raise ValueError("gauge requires the origin in the interior")
     x, y = frac(p[0]), frac(p[1])
     return max(Fraction(a * x + b * y, c) for (a, b), c in polygon.halfspaces)
+
+
+# -- PL maps --------------------------------------------------------------------
+
+
+def fraction_plhomeo(breakpoints, values):
+    """(breakpoints, values, cuts, segments) of a valid PL map, computed on
+    Fractions: collinear interior breakpoints dropped left to right, then
+    each segment's slope and intercept over their lcm denominator."""
+    bps, vals = [frac(b) for b in breakpoints], [frac(v) for v in values]
+    out_b, out_v = [bps[0]], [vals[0]]
+    for i in range(1, len(bps) - 1):
+        x0, x1, x2 = out_b[-1], bps[i], bps[i + 1]
+        y0, y1, y2 = out_v[-1], vals[i], vals[i + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue  # collinear, skip
+        out_b.append(x1)
+        out_v.append(y1)
+    out_b.append(bps[-1])
+    out_v.append(vals[-1])
+    segments = []
+    for x0, x1, y0, y1 in zip(out_b, out_b[1:], out_v, out_v[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        intercept = y0 - slope * x0
+        den = lcm(slope.denominator, intercept.denominator)
+        segments.append((
+            slope.numerator * (den // slope.denominator),
+            intercept.numerator * (den // intercept.denominator),
+            den,
+        ))
+    cuts = tuple((b.numerator, b.denominator) for b in out_b[1:-1])
+    return tuple(out_b), tuple(out_v), cuts, tuple(segments)

@@ -428,6 +428,51 @@ def test_holonomy_rejects_bad_map(tmp_path, capsys):
     assert code == 2
 
 
+GOOD_MAP = {"breakpoints": ["-1", "0", "1/2", "1"], "values": ["-1", "1/3", "1/2", "1"]}
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ({**GOOD_MAP, "breakpoints": ["-1", "1/2", "1/2", "1"]}, GOOD_MAP,
+     "u: breakpoints must be strictly increasing"),
+    (GOOD_MAP, {**GOOD_MAP, "values": ["-1", "1/2", "1/3", "1"]}, "v: values must be strictly increasing"),
+    ({**GOOD_MAP, "values": ["-1", "1/3", "1/2", "2/3"]}, GOOD_MAP, "u: endpoints must be fixed"),
+    ({"breakpoints": ["0", "1"], "values": ["0", "1"]}, GOOD_MAP, "u: must be a homeomorphism of [-1, 1]"),
+    ({**GOOD_MAP, "values": ["-1", "1"]}, GOOD_MAP,
+     "u: need matching breakpoint/value sequences of length >= 2"),
+    ({**GOOD_MAP, "values": ["-1", "1/3", "1/2", "x"]}, GOOD_MAP, "u.values[3]: not a rational 'p/q' string: 'x'"),
+    (GOOD_MAP, {**GOOD_MAP, "breakpoints": ["-1", 0.5, "1/2", "1"]},
+     "v.breakpoints[1]: expected an exact rational, got 0.5"),
+    ({**GOOD_MAP, "breakpoints": ["-1", "0", None, "1"]}, GOOD_MAP,
+     "u.breakpoints[2]: expected an exact rational, got NoneType"),
+    ({**GOOD_MAP, "breakpoints": ["-1", "0", True, "1"]}, GOOD_MAP,
+     "u.breakpoints[2]: expected an exact rational, got True"),
+    ({**GOOD_MAP, "breakpoints": ["-1", "0", "1/0", "1"]}, GOOD_MAP,
+     "u.breakpoints[2]: not a rational 'p/q' string: '1/0'"),
+    ({"breakpoints": ["-1", "0", "1/2", "1"]}, GOOD_MAP, "u: missing key 'values'"),
+    ({**GOOD_MAP, "values": "1/2"}, GOOD_MAP, "u.values: expected a list"),
+    ([], GOOD_MAP, "u: expected an object"),
+    # two rules broken: the bad entry comes first in a list, and the
+    # breakpoints are read before the values, u before v
+    ({**GOOD_MAP, "values": ["-1", "y", "x", "1"]}, GOOD_MAP, "u.values[1]: not a rational 'p/q' string: 'y'"),
+    ({"breakpoints": ["-1", "x", "1"], "values": ["y", "1"]}, GOOD_MAP,
+     "u.breakpoints[1]: not a rational 'p/q' string: 'x'"),
+    ({"breakpoints": ["-1", "x", "1"], "values": ["-1"] * (MAX_BREAKPOINTS + 1)}, GOOD_MAP,
+     "u.breakpoints[1]: not a rational 'p/q' string: 'x'"),
+    ({"breakpoints": ["-1"] * (MAX_BREAKPOINTS + 1), "values": ["x"]}, GOOD_MAP,
+     f"u: a map has at most {MAX_BREAKPOINTS} breakpoints, got {MAX_BREAKPOINTS + 1}"),
+    ({**GOOD_MAP, "values": ["-1", "1/2", "1/3", "1/2"]}, {"breakpoints": ["x"], "values": []},
+     "u: values must be strictly increasing"),
+    ({"breakpoints": ["1", "0"], "values": ["0", "1"]}, GOOD_MAP, "u: breakpoints must be strictly increasing"),
+    ({"breakpoints": ["0", "1/2"], "values": ["0", "1"]}, GOOD_MAP, "u: endpoints must be fixed"),
+])
+def test_holonomy_map_error_messages(tmp_path, capsys, u, v, message):
+    for name, doc in (("u", u), ("v", v)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "holonomy", "tau", "--case", "a",
+                         "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["1e-3000000", "1E-30000"])
 def test_exponent_notation_is_an_input_error(tmp_path, capsys, value):
     spec = tmp_path / "spec.json"

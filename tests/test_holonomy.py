@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import fraction_plhomeo
 
 from tautcalc import holonomy
 from tautcalc.exact import frac
@@ -39,15 +40,53 @@ def rationals_in_domain(n=50):
 # -- PLHomeo basics ------------------------------------------------------------------
 
 
+LENGTHS = "need matching breakpoint/value sequences of length >= 2"
+BREAKPOINTS = "breakpoints must be strictly increasing"
+VALUES = "values must be strictly increasing"
+ENDPOINTS = "endpoints must be fixed"
+DOMAIN = "must be a homeomorphism of [-1, 1]"
+
+
+VALIDATION_CASES = [
+    # one rule broken
+    ([-1, 1], [-1, 0, 1], LENGTHS),
+    ([-1], [-1], LENGTHS),
+    ([], [], LENGTHS),
+    ([-1, 0, 0, 1], [-1, 0, Fr(1, 2), 1], BREAKPOINTS),
+    ([-1, Fr(1, 2), Fr(1, 3), 1], [-1, 0, Fr(1, 2), 1], BREAKPOINTS),
+    ([-1, 0, 1], [-1, Fr(1, 2), Fr(1, 2)], VALUES),
+    ([-1, 0, 1], [-1, 0, Fr(1, 2)], ENDPOINTS),
+    ([-1, 0, 1], [Fr(-1, 2), 0, 1], ENDPOINTS),
+    ([0, 1], [0, 1], DOMAIN),
+    ([-1, 2], [-1, 2], DOMAIN),
+    ([-1, Fr(1, 10**9 + 7)], [-1, Fr(1, 10**9 + 7)], DOMAIN),
+    ([-1, "x", 1], [-1, 0, 1], "not a rational 'p/q' string: 'x'"),
+    ([-1, "1/0", 1], [-1, 0, 1], "not a rational 'p/q' string: '1/0'"),
+    ([-1, 0, 1], [-1, "1e3", 1], "not a rational 'p/q' string: '1e3'"),
+    ([-1, 0.5, 1], [-1, 0, 1], "expected an exact rational, got 0.5"),
+    ([-1, True, 1], [-1, 0, 1], "expected an exact rational, got True"),
+    ([-1, [0], 1], [-1, 0, 1], "expected an exact rational, got list"),
+    # two rules broken: the one listed first in the constructor wins
+    ([0.0, 1.0], [0.0, 1.0], "expected an exact rational, got 0.0"),
+    ([-1, "x", 1], [-1, "y", 1], "not a rational 'p/q' string: 'x'"),
+    ([-1, 1], [-1, "y", 0, 1], "not a rational 'p/q' string: 'y'"),
+    ([-1, "x"] + [1] * MAX_BREAKPOINTS, [-1, 1], f"a map has at most {MAX_BREAKPOINTS} breakpoints, "
+                                                 f"got {MAX_BREAKPOINTS + 2}"),
+    ([1, -1], [0, 1, 2], LENGTHS),
+    ([1, -1], [1, 0], BREAKPOINTS),
+    ([0, 1, 1], [0, Fr(1, 2), 1], BREAKPOINTS),
+    ([-1, 0, 1], [-1, 1, 0], VALUES),
+    ([0, 1], [1, 0], VALUES),
+    ([0, 1], [0, 2], ENDPOINTS),
+    ([-2, 2], [-1, 2], ENDPOINTS),
+]
+
+
 def test_validation():
-    with pytest.raises(ValueError):
-        PLHomeo([0, 1], [0, 2])  # endpoint moves
-    with pytest.raises(ValueError):
-        PLHomeo([0, 1, 1], [0, Fr(1, 2), 1])  # not strictly increasing
-    with pytest.raises(ValueError):
-        PLHomeo([0, 1], [1, 0])
-    with pytest.raises(ValueError):
-        PLHomeo([0.0, 1.0], [0.0, 1.0])  # floats banned
+    for bps, vals, message in VALIDATION_CASES:
+        with pytest.raises(ValueError) as exc:
+            PLHomeo(bps, vals)
+        assert str(exc.value) == message, (bps, vals)
 
 
 def test_eval_interpolates():
@@ -72,6 +111,126 @@ def test_collinear_breakpoints_normalized():
     f = PLHomeo([-1, 0, 1], [-1, 0, 1])
     assert f == PLHomeo.identity()
     assert f.breakpoints == (Fr(-1), Fr(1))
+
+
+PRIMES = (2, 3, 7, 97, 10_007, 65_537, 998_244_353, 999_999_937, 1_000_000_007)
+
+
+def corners(rng, count):
+    """`count` distinct sorted rationals in (-1, 1) over denominators drawn
+    from PRIMES, 12 and 10**9."""
+    out = set()
+    while len(out) < count:
+        p = rng.choice(PRIMES + (12, 10**9))
+        out.add(Fr(rng.randrange(1 - p, p), p))
+    return sorted(out)
+
+
+def with_collinear_points(xs, ys, rng, share):
+    """The breakpoints and values of the PL map through the corners (xs, ys),
+    with one to four collinear points inserted in about `share` of its
+    segments."""
+    bps, vals = xs[:1], ys[:1]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if rng.random() < share:
+            m = rng.choice((2, 3, 5, 101, 10**9 + 7))
+            for j in sorted(rng.sample(range(1, m), min(m - 1, rng.randint(1, 4)))):
+                bps.append(x0 + (x1 - x0) * j / m)
+                vals.append(y0 + (y1 - y0) * j / m)
+        bps.append(x1)
+        vals.append(y1)
+    return bps, vals
+
+
+def seeded_map_data(rng):
+    """Breakpoints and values of a random PL map of [-1, 1], given as
+    Fractions, ints or 'p/q' strings."""
+    k = rng.randint(0, 12)
+    xs, ys = [Fr(-1), *corners(rng, k), Fr(1)], [Fr(-1), *corners(rng, k), Fr(1)]
+    bps, vals = with_collinear_points(xs, ys, rng, rng.choice((0, 0.3, 1)))
+    form = rng.choice((lambda q: q, str, lambda q: int(q) if q.denominator == 1 else q))
+    return list(map(form, bps)), list(map(form, vals))
+
+
+def largest_map_data(rng):
+    """Two maps of MAX_BREAKPOINTS breakpoints: coprime corners, and 2047
+    corners with a collinear point in all segments but one."""
+    full = [Fr(-1), *corners(rng, MAX_BREAKPOINTS - 2), Fr(1)]
+    yield full, [Fr(-1), *corners(rng, MAX_BREAKPOINTS - 2), Fr(1)]
+    half = MAX_BREAKPOINTS // 2
+    xs, ys = [Fr(-1), *corners(rng, half - 1), Fr(1)], [Fr(-1), *corners(rng, half - 1), Fr(1)]
+    bps, vals = xs[:1], ys[:1]
+    for i, (x0, x1, y0, y1) in enumerate(zip(xs, xs[1:], ys, ys[1:])):
+        if i:
+            bps.append((x0 + x1) / 2)
+            vals.append((y0 + y1) / 2)
+        bps.append(x1)
+        vals.append(y1)
+    assert len(bps) == MAX_BREAKPOINTS
+    yield bps, vals
+
+
+def fields(f):
+    return f.breakpoints, f.values, f._cuts, f._segments
+
+
+def test_integer_setup_matches_fraction_construction():
+    rng = random.Random(2201)
+    maps = [seeded_map_data(rng) for _ in range(1500)]
+    maps += largest_map_data(rng)
+    maps.append(([-1, Fr(-1, 2), 0, 1], [-1, Fr(-1, 2), 0, 1]))  # the identity
+    dropped = 0
+    for bps, vals in maps:
+        f = PLHomeo(bps, vals)
+        assert fields(f) == fraction_plhomeo(bps, vals), (bps, vals)
+        assert all(type(q) is Fr for q in f.breakpoints + f.values)
+        dropped += len(bps) - len(f.breakpoints)
+    assert dropped > 1000
+
+
+def test_inverse_matches_constructor():
+    rng = random.Random(2202)
+    maps = [seeded_map_data(rng) for _ in range(300)] + list(largest_map_data(rng))
+    for bps, vals in maps:
+        f = PLHomeo(bps, vals)
+        inv = f.inverse()
+        assert fields(inv) == fields(PLHomeo(f.values, f.breakpoints))
+        assert fields(inv.inverse()) == fields(f)
+        assert inv.inverse() == f and hash(inv.inverse()) == hash(f)
+
+
+def test_inverse_reuses_stored_data(monkeypatch):
+    rng = random.Random(2203)
+    maps = [PLHomeo(*seeded_map_data(rng)) for _ in range(50)]
+    expected = [fields(PLHomeo(f.values, f.breakpoints)) for f in maps]
+
+    def refuse(*args):
+        raise AssertionError("inverse parsed or validated again")
+
+    monkeypatch.setattr(holonomy, "frac", refuse)
+    monkeypatch.setattr(PLHomeo, "__init__", refuse)
+    for f, want in zip(maps, expected):
+        assert fields(f.inverse()) == want
+        assert type(f.inverse()) is PLHomeo
+
+
+def test_setup_does_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(2204)
+    maps = [seeded_map_data(rng) for _ in range(50)]
+    inputs = [([Fr(q) for q in bps], [Fr(q) for q in vals]) for bps, vals in maps]
+    expected = [fraction_plhomeo(bps, vals) for bps, vals in inputs]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in PLHomeo set-up")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__floordiv__", "__mod__", "__neg__", "__abs__", "__lt__", "__le__",
+                 "__gt__", "__ge__"):
+        monkeypatch.setattr(Fr, name, refuse)
+    for (bps, vals), want in zip(inputs, expected):
+        f = PLHomeo(bps, vals)
+        assert fields(f) == want
+        assert fields(f.inverse().inverse()) == want
 
 
 def test_inverse_roundtrip():

@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the `holonomy tau` report.
 
 The digests were taken when each sample was still carried as a Fraction, a
-`SampleCheck` and a {"point", "pass"} dict on its way to the writer; any
+`SampleCheck` and a {"point", "pass"} dict on its way to the writer, and
+the collinear-map ones when `PLHomeo` was still set up on Fractions; any
 change to the bytes of these reports shows up here first.
 """
 
@@ -49,6 +50,11 @@ LARGE = {
 SEEDED = {"json": "14d3d419c587b0d1cf79e4d7f347a16d54822efe7e1e9e96d1becadb684e6d33",
           "text": "3a3180be1ad8d826f9f3eee800cfa51f639e380b83c0e82548a12b2b69dfeeef"}
 
+# maps with runs of collinear interior breakpoints and large or prime
+# denominators; the report lists them after the collinear points are dropped
+NORMALIZED = {"json": "0ea3437555769c56271c6d6d4163c4fe2138ccae7b34c34369e79399ceec6b7d",
+              "text": "b59103ce2eee6c82aca5cf7cd030ef6b8c5f5e9b8b2d89ea24f00af0c97131e7"}
+
 # the bundled shifts with the conjugator's middle piece moved by one
 WRONG_CONJUGATOR = {"json": "8336e068db1cd14fd10306e27e140531ab7bd2fc11af7becf8c75943064ca1a8",
                     "text": "d15c50bbd7c9c0ae24a8a65f3441a2673381364e930764601803c6d3a0c76595"}
@@ -66,6 +72,34 @@ def seeded_map(rng, breaks):
     ys = sorted(rng.sample(range(-96, 97), breaks))
     fmt = lambda n: str(Fraction(n, 97))
     return {"breakpoints": ["-1", *map(fmt, xs), "1"], "values": ["-1", *map(fmt, ys), "1"]}
+
+
+PRIMES = (3, 97, 10_007, 65_537, 998_244_353, 999_999_937, 1_000_000_007, 1_000_000_009)
+
+
+def collinear_map(rng, breaks):
+    """An increasing PL map of [-1, 1] with `breaks` corners whose
+    coordinates have denominators from PRIMES (or 10**9), and with one to
+    three collinear points inserted in about half of its segments, the
+    first and last segments always among them."""
+    def corners():
+        cs = set()
+        while len(cs) < breaks:
+            p = rng.choice(PRIMES + (10**9,))
+            cs.add(Fraction(rng.randrange(1 - p, p), p))
+        return sorted(cs)
+
+    xs, ys = [Fraction(-1), *corners(), Fraction(1)], [Fraction(-1), *corners(), Fraction(1)]
+    bps, vals = [xs[0]], [ys[0]]
+    for i, (x0, x1, y0, y1) in enumerate(zip(xs, xs[1:], ys, ys[1:])):
+        if i in (0, breaks) or rng.random() < 0.5:
+            m = rng.choice((2, 3, 4, 7, 10**9 + 7))
+            for k in sorted(rng.sample(range(1, m), min(3, m - 1))):
+                bps.append(x0 + (x1 - x0) * k / m)
+                vals.append(y0 + (y1 - y0) * k / m)
+        bps.append(x1)
+        vals.append(y1)
+    return {"breakpoints": list(map(str, bps)), "values": list(map(str, vals))}
 
 
 @pytest.mark.parametrize("case, fmt", sorted(DEFAULT))
@@ -87,6 +121,16 @@ def test_seeded_maps_bytes(capsys, tmp_path, fmt):
     argv = ("holonomy", "tau", "--case", "a", "--tiles", "24", "--samples", "300",
             "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"), "--format", fmt)
     assert digest(capsys, 0, *argv) == SEEDED[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(NORMALIZED))
+def test_collinear_prime_maps_bytes(capsys, tmp_path, fmt):
+    rng = random.Random(21)
+    for name, breaks in (("u", 9), ("v", 14)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(collinear_map(rng, breaks)))
+    argv = ("holonomy", "tau", "--case", "a", "--tiles", "16", "--samples", "200",
+            "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"), "--format", fmt)
+    assert digest(capsys, 0, *argv) == NORMALIZED[fmt]
 
 
 @pytest.mark.parametrize("fmt", sorted(WRONG_CONJUGATOR))
