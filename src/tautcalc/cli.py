@@ -21,8 +21,10 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 
 from . import holonomy, homology, jsonio, penner, polytope, sutured
+from .matrices import IntMatrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,7 +63,9 @@ def _emit(report: dict, args) -> int:
         text = _render_text(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            # two writes, since text + "\n" would copy the whole report
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -83,6 +87,9 @@ def _render_text(report: dict, indent: int = 0) -> str:
             lines.append(_render_table(value, pad + "  "))
         elif isinstance(value, jsonio.Table):
             lines.append(f"{pad}{key}: []")
+        elif isinstance(value, IntMatrix):
+            lines.append(f"{pad}{key}:")
+            lines.append(_render_matrix(value, pad + "  "))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{pad}{key}:")
             for item in value:
@@ -109,6 +116,19 @@ def _render_table(table: jsonio.Table, pad: str) -> str:
     return jsonio.interleave(seps + [""], cells, len(table))[len(pad) + 3:]
 
 
+def _render_matrix(m: IntMatrix, pad: str) -> str:
+    """The lines `_render_text` gives the matrix's rows of decimal strings,
+    each entry right-aligned in a cell of five characters and the cells
+    split by a space, every row spliced into one row of zero cells."""
+    template, fmt = " ".join(repeat("    0", m.n_cols)), "{:>5}".format
+    parts, lead, nl = [], pad, "\n" + pad
+    for row in m.nonzeros:
+        parts.append(lead)
+        jsonio.splice(parts, template, 6, 5, row, fmt)
+        lead = nl
+    return "".join(parts)
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -121,8 +141,8 @@ def cmd_vmatrix(args) -> int:
     report = {
         "command": "vmatrix",
         "genus": args.genus,
-        "matrix": jsonio.matrix_to_json(m),
-        "matrix_minus_identity": jsonio.matrix_to_json(diff),
+        "matrix": m,
+        "matrix_minus_identity": diff,
         "det_abs": str(det_abs),
         "target": str(target),
         "checks": [
@@ -174,7 +194,7 @@ def cmd_penner(args) -> int:
         "command": "penner",
         "genus": system.genus,
         "report": jsonio.penner_report_to_json(report_obj),
-        "action_matrix": jsonio.matrix_to_json(action),
+        "action_matrix": action,
         "mapping_torus_b2": b2,
         "fixed_homology_trivial": trivial,
         "checks": [

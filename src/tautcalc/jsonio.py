@@ -22,6 +22,18 @@ and '\\', and `isascii() and isprintable()` holds for precisely the
 strings made of ' ' to '~'.  Any other row goes through that encoder item
 by item.
 
+A matrix reaches the writer as the `IntMatrix` itself and is written as its
+rows of decimal strings, straight from its nonzeros.  A decimal string
+always passes the clean test, so a row of n entries is n cells joined by
+'",', newline, indent and '"', and those separators depend on the indent
+alone.  The writer builds that row once with every cell "0"; cell j then
+starts at j times the separator's length plus one, and a row is the
+template's slices between its nonzero columns, in increasing order, with
+str(v) in place of each "0" cell.  The text renderer in `cli` splices the
+same way into cells of "    0" joined by " ", with f"{v:>5}" in place of a
+cell, so an entry wider than five characters widens only its own cell.
+Python work per row grows with its nonzeros; the rest is C-level slicing.
+
 A record list that grows with the input (the holonomy samples, the
 candidate points) travels as a `Table`, one column per key, so no dict is
 built per record.  A column holds strs, bools, or tuples of strs of one
@@ -146,14 +158,15 @@ def interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int)
 
 def dumps_report(report: dict) -> str:
     """json.dumps(report, indent=2), byte for byte, for a tree of dicts with
-    str keys, lists, strings, ints, bools, None and `Table`s, a Table being
-    written as its list of records.
+    str keys, lists, strings, ints, bools, None, `Table`s and `IntMatrix`es,
+    a Table being written as its list of records and a matrix as its rows
+    of decimal strings.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
-    Here a string or bool in a dict is written inline with its key, and a
-    list of strings (a matrix row, a coordinate pair) or a Table is written
-    in one join, by the rule in the module docstring; every other string
-    goes through the C string encoder."""
+    Here a string or bool in a dict is written inline with its key, a list
+    of strings (a coordinate pair) or a Table is written in one join and a
+    matrix row by row into one template, by the rules in the module
+    docstring; every other string goes through the C string encoder."""
     parts: List[str] = []
     _write(report, "\n", parts)
     return "".join(parts)
@@ -207,6 +220,8 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         parts.append(nl + "]")
     elif isinstance(o, Table):
         _write_table(o, nl, parts)
+    elif isinstance(o, IntMatrix):
+        _write_matrix(o, nl, parts)
     elif isinstance(o, str):
         parts.append(_encode_str(o))
     elif o is True:
@@ -280,9 +295,32 @@ def _dense_row(nonzeros, n: int) -> List[str]:
     return line
 
 
-def matrix_to_json(m: IntMatrix) -> List[List[str]]:
-    n = m.n_cols
-    return [_dense_row(row.items(), n) for row in m.nonzeros]
+def splice(parts: List[str], template: str, stride: int, width: int, row: Mapping[int, int],
+           fmt: Callable[[int], str]) -> None:
+    """Append to parts the pieces of template, a row of zero cells, with the
+    `width` characters of cell j, which start at j * stride, replaced by
+    fmt(row[j]) for each column j of row, in increasing order."""
+    at = 0
+    for j in sorted(row):
+        start = j * stride
+        parts += (template[at:start], fmt(row[j]))
+        at = start + width
+    parts.append(template[at:])
+
+
+def _write_matrix(m: IntMatrix, nl: str, parts: List[str]) -> None:
+    """Append m as its rows of decimal strings, each row spliced into one
+    row of "0" cells by the rule in the module docstring."""
+    inner = nl + "  "
+    item = inner + "  "
+    sep = '",' + item + '"'
+    template, stride = sep.join(repeat("0", m.n_cols)), len(sep) + 1
+    lead, between = "[" + inner + "[" + item + '"', '"' + inner + "]," + inner + "[" + item + '"'
+    for row in m.nonzeros:
+        parts.append(lead)
+        splice(parts, template, stride, 1, row, str)
+        lead = between
+    parts.append('"' + inner + "]" + nl + "]")
 
 
 # -- curve systems and words ---------------------------------------------------

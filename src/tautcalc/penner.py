@@ -237,9 +237,11 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # pattern: a_i = r_{i-1} + r_i (with r_0 and r_{g+1} read as zero) and
 # b_i = s_i.  The system stores 2g + 1 classes of at most two nonzeros and 2g
 # crossings, and the action of the genus-g word has 8g nonzeros; building
-# them, M - Id and the determinant cost in proportion to those.  Only the
-# dense rendering of M and M - Id in the vmatrix report is still O(g^2), so
-# the genus is capped until that report changes form.
+# them, M - Id and the determinant cost in proportion to those.  The vmatrix
+# report still prints M and M - Id densely: each row is spliced from its
+# nonzeros into one zero row, so the Python work is O(g), but the report's
+# bytes are O(g^2) (5 MB of JSON at g = 240).  The genus is capped until the
+# report prints only the nonzeros.
 MAX_CHAIN_GENUS = 240
 
 

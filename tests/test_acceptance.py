@@ -15,6 +15,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from tautcalc import jsonio
+from tautcalc.cli import _render_text
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
     Family,
@@ -96,13 +97,27 @@ def test_chain_pipeline_time_at_genus_240():
         assert diff.det() == 241
 
 
-def test_vmatrix_json_report_write_time_at_genus_240():
+def _vmatrix_matrices_at_genus_240():
+    """The two matrices of the genus-240 vmatrix report, and the same report
+    with each matrix as its rows of decimal strings."""
     system, word = chain_system(240)
     m = word_action(word, system.generator_map())
-    report = {"matrix": jsonio.matrix_to_json(m), "matrix_minus_identity": jsonio.matrix_to_json(m.minus_identity())}
+    report = {"matrix": m, "matrix_minus_identity": m.minus_identity()}
+    return report, {key: [list(map(str, row)) for row in x.rows] for key, x in report.items()}
+
+
+def test_vmatrix_json_report_write_time_at_genus_240():
+    report, dense = _vmatrix_matrices_at_genus_240()
     with Criterion("the two 480x480 matrices of the genus-240 vmatrix report written as JSON", 0.1):
         text = jsonio.dumps_report(report)
-    assert text == json.dumps(report, indent=2)
+    assert text == json.dumps(dense, indent=2)
+
+
+def test_vmatrix_text_report_render_time_at_genus_240():
+    report, dense = _vmatrix_matrices_at_genus_240()
+    with Criterion("the two 480x480 matrices of the genus-240 vmatrix report rendered as text", 0.05):
+        text = _render_text(report)
+    assert text == _render_text(dense)
 
 
 def test_genus3_matrix_fixture():

@@ -28,7 +28,7 @@ def test_scalar_formats():
 def test_matrix_roundtrip():
     system, word = chain_system(3)
     m = word_action(word, system.generator_map())
-    data = json.loads(json.dumps(jsonio.matrix_to_json(m)))
+    data = json.loads(jsonio.dumps_report({"m": m}))["m"]
     assert data[0] == ["2", "3", "0", "1", "0", "0"]
     assert IntMatrix([[int(e) for e in row] for row in data]) == m
 
@@ -175,6 +175,68 @@ def test_dumps_report_matches_stdlib_indent_2(report):
 def test_dumps_report_rejects_inexact_values():
     with pytest.raises(TypeError):
         jsonio.dumps_report({"x": [0.5]})
+
+
+# -- matrices ----------------------------------------------------------------------
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """An IntMatrix of 1..6 by 1..6, mostly zeros, some rows all zero, with
+    entries of up to 31 digits and either sign; each row's nonzeros are
+    stored in a drawn column order, not necessarily increasing."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.just(0) | st.just(0) | st.integers(-9, 9) | st.integers(-(10**30), 10**30)
+    zero_rows = draw(st.sets(st.integers(0, n_rows - 1)))
+    rows = []
+    for i in range(n_rows):
+        values = [0] * n_cols if i in zero_rows else draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+        order = draw(st.permutations(range(n_cols)))
+        rows.append({j: values[j] for j in order if values[j]})
+    return IntMatrix._from_nonzeros(rows, n_cols)
+
+
+def _nest(report, depth):
+    """report inside `depth` dicts, with a sibling key after each level."""
+    for _ in range(depth):
+        report = {"inner": report, "after": "1"}
+    return report
+
+
+def _dense(report):
+    """The report with every IntMatrix as its rows of decimal strings."""
+    if isinstance(report, IntMatrix):
+        return [list(map(str, row)) for row in report.rows]
+    if isinstance(report, dict):
+        return {key: _dense(value) for key, value in report.items()}
+    return report
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_sparse_matrices(), st.integers(0, 2))
+@example(IntMatrix([[0]]), 0)
+@example(IntMatrix([[7]]), 2)
+@example(IntMatrix([[0, 0, 0], [1, 0, -123456]]), 1)
+@example(IntMatrix([[-99999], [100000], [0]]), 0)
+def test_matrix_writes_as_its_dense_rows(m, depth):
+    report = _nest({"m": m, "n": m, "after": "1"}, depth)
+    assert jsonio.dumps_report(report) == json.dumps(_dense(report), indent=2)
+    assert cli._render_text(report) == cli._render_text(_dense(report))
+
+
+def test_matrix_reports_never_build_dense_rows(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("dense rows built for a matrix")
+
+    system, word = chain_system(4)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)}))
+    monkeypatch.setattr(IntMatrix, "rows", property(refuse))
+    monkeypatch.setattr(jsonio, "_dense_row", refuse)
+    for fmt in ("json", "text"):
+        assert cli.main(["vmatrix", "--genus", "30", "--format", fmt]) == 0
+        assert cli.main(["penner", "--format", fmt]) == 0
+        assert cli.main(["penner", "--input", str(path), "--format", fmt]) == 0
 
 
 # -- tables ------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def test_curve_system_json_is_a_fixed_point(pair):
 @PROPS
 @given(matrices)
 def test_matrix_roundtrip(m):
-    assert IntMatrix([[int(e, 10) for e in row] for row in _through_text(jsonio.matrix_to_json(m))]) == m
+    rows = json.loads(jsonio.dumps_report({"m": m}))["m"]
+    assert IntMatrix([[int(e, 10) for e in row] for row in rows]) == m
 
 
 @PROPS
