@@ -9,7 +9,7 @@ from .homology import (
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    mapping_torus_b2,
+    mapping_torus,
     word_action,
 )
 from .penner import (

@@ -132,21 +132,27 @@ def _render_matrix(m: IntMatrix, pad: str) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _twist_action(system, word) -> tuple:
+    """(M, M - Id, det(M - Id), b2) for the action M of the word on H_1."""
+    try:
+        m = homology.word_action(word, system.generator_map())
+    except ValueError as exc:  # the action-size cap; only an input word can reach it
+        raise ValueError(f"input.word: {exc}") from None
+    return (m, *homology.mapping_torus(m))
+
+
 def cmd_vmatrix(args) -> int:
-    system, word = penner.chain_system(args.genus)
-    m = homology.word_action(word, system.generator_map())
-    diff = m.minus_identity()
-    det_abs = abs(diff.det())
+    m, diff, det, _ = _twist_action(*penner.chain_system(args.genus))
     target = args.genus + 1
     report = {
         "command": "vmatrix",
         "genus": args.genus,
         "matrix": m,
         "matrix_minus_identity": diff,
-        "det_abs": str(det_abs),
+        "det_abs": str(abs(det)),
         "target": str(target),
         "checks": [
-            {"name": "abs-det-minus-identity-equals-genus-plus-one", "pass": det_abs == target}
+            {"name": "abs-det-minus-identity-equals-genus-plus-one", "pass": abs(det) == target}
         ],
     }
     return _emit(report, args)
@@ -184,12 +190,8 @@ def cmd_penner(args) -> int:
     else:
         system, word = penner.chain_system(3)
     report_obj = penner.validate_word(word, system)
-    try:
-        action = homology.word_action(word, system.generator_map())
-    except ValueError as exc:  # the action-size cap; only an input word can reach it
-        raise ValueError(f"input.word: {exc}") from None
-    b2 = homology.mapping_torus_b2(action)
-    trivial = b2 == 1  # b2 = 1 + dim ker(M - Id), so 1 exactly when det(M - Id) != 0
+    action, _, _, b2 = _twist_action(system, word)
+    trivial = b2 == 1
     report = {
         "command": "penner",
         "genus": system.genus,

@@ -9,8 +9,8 @@ A Dehn twist along a simple closed curve c acts on homology as the
 transvection x |-> x + <x, c> c (for the right-handed twist; the inverse
 twist flips the sign).  Products of twists are encoded as words and their
 actions computed as exact integer matrices.  The mapping torus of a map
-acting as M on H_1 has b2 = 1 + dim ker(M - Id); b2 = 1 is the statement
-that M fixes no nonzero class.
+acting as M on H_1 has b2 = 1 + dim ker(M - Id), which is 1 (M fixes no
+nonzero class) exactly when det(M - Id) != 0.
 
 A class is stored by its nonzero coordinates, as sorted (index, value)
 pairs, so a curve of bounded support costs the same at every genus, to
@@ -227,11 +227,11 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
 # -- mapping-torus homology checks --------------------------------------------
 
 
-def mapping_torus_b2(f_star: IntMatrix) -> int:
-    """Rank of H_2 of the mapping torus of a map acting as f_star on H_1.
-
-    Equals 1 + dim ker(f_star - Id), so it is 1 exactly when f_star fixes
-    no nonzero class, i.e. det(f_star - Id) != 0.  The rank of f_star - Id
-    comes from a fraction-free elimination, so it is exact.
+def mapping_torus(f_star: IntMatrix) -> tuple:
+    """(f_star - Id, its signed determinant, b2) for a map acting as f_star
+    on H_1.  b2 = 1 + dim ker(f_star - Id) is 1 exactly when the determinant
+    is nonzero; only otherwise does a second elimination find the rank.
     """
-    return 1 + f_star.minus_identity().nullity()
+    diff = f_star.minus_identity()
+    det = diff.det()
+    return diff, det, 1 if det else 1 + diff.n_rows - diff.rank()

@@ -216,9 +216,6 @@ class IntMatrix:
         """Rank over the rationals, from the same elimination as det()."""
         return self._echelon()[0]
 
-    def nullity(self) -> int:
-        return self.n_cols - self.rank()
-
 
 def _order_sign(order: list, n: int) -> int:
     """Sign of the permutation of range(n) that lists `order` first and the

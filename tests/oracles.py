@@ -63,6 +63,48 @@ def to_lists(a):
     return [list(row) for row in a.rows]
 
 
+def echelon_dense(rows):
+    """Dense Bareiss oracle: (rank, sign, pivot) as IntMatrix._echelon returns.
+
+    Takes the first nonzero row at each column and rescales every row below
+    the pivot, so it costs O(n^3) whatever the sparsity.
+    """
+    m = [list(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    sign = 1
+    prev = 1
+    for c in range(n_cols):
+        p = next((r for r in range(rank, n_rows) if m[r][c] != 0), None)
+        if p is None:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
+        row_k = m[rank]
+        pivot = row_k[c]
+        for i in range(rank + 1, n_rows):
+            row_i = m[i]
+            mic = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (row_i[j] * pivot - mic * row_k[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank, sign, prev
+
+
+def mapping_torus_dense(m):
+    """(M - Id, det(M - Id), b2) of a square M from its dense rows, with
+    det and rank from one dense Bareiss pass and b2 = 1 + n - rank."""
+    n = m.n_rows
+    diff = sub(m, identity(n))
+    rank, sign, pivot = echelon_dense(diff.rows)
+    return diff, sign * pivot if rank == n else 0, 1 + n - rank
+
+
 def intersection_matrix(genus):
     """J, block diagonal with g blocks [[0, 1], [-1, 0]]."""
     n = 2 * genus

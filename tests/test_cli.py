@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from tautcalc import cli, holonomy, jsonio, polytope
+from tautcalc import cli, holonomy, homology, jsonio, polytope
 from tautcalc.cli import main
 from tautcalc.homology import MAX_ACTION_BITS, MAX_TWIST_EXPONENT
 from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_SAMPLES, MAX_TILES
+from tautcalc.matrices import IntMatrix
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
 from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
@@ -226,6 +227,31 @@ def test_penner_fixed_class_fails(tmp_path, capsys):
     assert doc["fixed_homology_trivial"] is False
     checks = {c["name"]: c["pass"] for c in doc["checks"]}
     assert checks["no nonzero fixed homology class"] is False
+
+
+def test_twist_action_built_once_per_report(tmp_path, monkeypatch, capsys):
+    # M and M - Id are built once per report; det(M - Id) != 0 settles b2 in
+    # one elimination, and only det = 0 runs a second one for the rank
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(homology, "word_action", counted("word_action", homology.word_action))
+    for name in ("minus_identity", "_echelon"):
+        monkeypatch.setattr(IntMatrix, name, counted(name, getattr(IntMatrix, name)))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**jsonio.curve_system_to_json(chain_system(2)[0]),
+                                "word": [{"label": "a1", "exp": 1}]}))
+    for argv, code, echelons in ((["vmatrix", "--genus", "30"], 0, 1),
+                                 (["penner"], 0, 1),
+                                 (["penner", "--input", str(path)], 1, 2)):
+        counts.update(word_action=0, minus_identity=0, _echelon=0)
+        assert run(capsys, *argv)[0] == code
+        assert counts == {"word_action": 1, "minus_identity": 1, "_echelon": echelons}, argv
 
 
 def test_penner_invalid_word_fails_checks(tmp_path, capsys):

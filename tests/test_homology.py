@@ -10,7 +10,7 @@ from tautcalc.homology import (
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
-    mapping_torus_b2,
+    mapping_torus,
     word_action,
 )
 from tautcalc.jsonio import curve_system_from_json, curve_system_to_json
@@ -28,6 +28,7 @@ from oracles import (
     dense_coords,
     identity,
     intersection_matrix,
+    mapping_torus_dense,
     neg,
     transpose,
     transvection_matrix,
@@ -415,28 +416,30 @@ def test_extended_action_determinant_law(genus):
 
 
 def test_mapping_torus_b2_identity():
-    assert mapping_torus_b2(identity(6)) == 7
+    assert mapping_torus(identity(6)) == (identity(6).minus_identity(), 0, 7)
 
 
 def test_mapping_torus_b2_single_transvection():
     space = SymplecticSpace(3)
     c = TwistGenerator("c", basis_r(space, 2), Family.A)
-    assert mapping_torus_b2(transvection_matrix(c, 1)) == 6
+    assert mapping_torus(transvection_matrix(c, 1))[1:] == (0, 6)
 
 
 def test_mapping_torus_b2_genus3_action():
-    assert mapping_torus_b2(_chain_action(3)) == 1
+    assert mapping_torus(_chain_action(3))[1:] == (-4, 1)
 
 
 def test_fixed_homology_trivial():
     # no nonzero fixed class means det(M - Id) != 0, and then b2 = 1
-    assert identity(4).minus_identity().det() == 0
-    assert mapping_torus_b2(identity(4)) == 5
+    torus = mapping_torus(identity(4))
+    assert torus == mapping_torus_dense(identity(4))
+    assert torus[1:] == (0, 5)
     for m in (_chain_action(3), _chain_action(7)):
-        assert m.minus_identity().det() != 0
-        assert mapping_torus_b2(m) == 1
+        torus = mapping_torus(m)
+        assert torus == mapping_torus_dense(m)
+        assert torus[1] != 0 and torus[2] == 1
     with pytest.raises(ValueError, match="matrix must be square"):
-        mapping_torus_b2(IntMatrix([[1, 0, 0], [0, 1, 0]]))
+        mapping_torus(IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_b2_at_least_one_iff_trivial_kernel():
@@ -445,9 +448,11 @@ def test_b2_at_least_one_iff_trivial_kernel():
         space = SymplecticSpace(rng.randint(2, 4))
         c = TwistGenerator("c", random_class(space, rng), Family.A)
         m = transvection_matrix(c, rng.choice((1, -1)))
-        b2 = mapping_torus_b2(m)
+        torus = mapping_torus(m)
+        assert torus == mapping_torus_dense(m)
+        _, det, b2 = torus
         assert b2 >= 1
-        assert (b2 == 1) == (m.minus_identity().det() != 0)
+        assert (b2 == 1) == (det != 0)
 
 
 def test_image_check_identity():

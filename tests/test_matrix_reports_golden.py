@@ -39,6 +39,16 @@ BUNDLED = {"json": "ec26260f616c9cdeb8249067559aa727e93afb41c0b5e08a26a6d4c28713
 SEEDED = {"json": "91b6b27720c20fb677a1cdc8d093fda7c6b45e6081766dfccb0ad83576bb97ca",
           "text": "63f051f5ff8f5a04fd472e5641a41b4d0d342261dfb53e11950200857a90febf"}
 
+# two words whose action fixes a nonzero class, so det(M - Id) = 0 and the
+# report prints b2 > 1: one a1 twist on the genus-2 chain (b2 = 4), and the
+# empty word on the genus-3 chain, whose action is the identity (b2 = 7)
+FIXED_CLASS = {
+    (2, "a1", "json"): "89329b2adfbda52c937a93370e9eda9709685dcc075903f4ae64b8b5565523e9",
+    (2, "a1", "text"): "196fb0feb4d6d3da0a8c6c0830c60fac7baa20d3e854212ac8d92cf5a2397c85",
+    (3, "", "json"): "d1030fdfc8afe5628004d653ba4018a32146291b54770cf86d0bf1c739759bc5",
+    (3, "", "text"): "1a030f0e75c73be6d89c31b9a240f8ca0b880bbccacd8ade8490a20e8a137dff",
+}
+
 
 def digest(capsys, *argv):
     assert main(list(argv)) == 0
@@ -84,3 +94,14 @@ def test_output_file_holds_the_printed_bytes(tmp_path, fmt):
     path = tmp_path / "report"
     assert main(["vmatrix", "--genus", "120", "--format", fmt, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VMATRIX[120, fmt]
+
+
+@pytest.mark.parametrize("genus,label,fmt", sorted(FIXED_CLASS))
+def test_fixed_class_penner_bytes(capsys, tmp_path, genus, label, fmt):
+    system, _ = penner.chain_system(genus)
+    word = [{"label": label, "exp": 1}] if label else []
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**jsonio.curve_system_to_json(system), "word": word}))
+    # the word is not an opposite-twist word and fixes a class, so the report fails
+    assert main(["penner", "--input", str(path), "--format", fmt]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FIXED_CLASS[genus, label, fmt]
