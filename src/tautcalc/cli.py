@@ -4,8 +4,9 @@ Subcommands wrap the library modules one-to-one and emit either a
 human-readable text report or deterministic JSON (choose with --format or
 the TAUTCALC_FORMAT environment variable).  `main` reads the variable on
 every call, and --format takes precedence over it; a value other than
-text or json is bad input.  The JSON output is byte for byte
-`json.dumps(report, indent=2)`, written by `jsonio.dumps_report`.
+text or json is bad input.  A subcommand builds the report and `jsonio`
+writes it: `jsonio.render_text` as text, and `jsonio.dumps_report` as
+JSON, byte for byte `json.dumps(report, indent=2)`.
 Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
@@ -21,10 +22,8 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
 
 from . import holonomy, homology, jsonio, penner, polytope, sutured
-from .matrices import IntMatrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,7 +59,7 @@ def _emit(report: dict, args) -> int:
     if args.format == "json":
         text = jsonio.dumps_report(report)
     else:
-        text = _render_text(report)
+        text = jsonio.render_text(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             # two writes, since text + "\n" would copy the whole report
@@ -71,69 +70,14 @@ def _emit(report: dict, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
-    lines = []
-    pad = "  " * indent
-    for key, value in report.items():
-        if key == "checks":
-            for c in value:
-                mark = "PASS" if c["pass"] else "FAIL"
-                lines.append(f"{pad}[{mark}] {c['name']}")
-        elif isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, jsonio.Table) and len(value):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_table(value, pad + "  "))
-        elif isinstance(value, jsonio.Table):
-            lines.append(f"{pad}{key}: []")
-        elif isinstance(value, IntMatrix):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_matrix(value, pad + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{pad}{key}:")
-            for item in value:
-                lines.append(_render_text(item, indent + 1))
-                lines.append(f"{pad}  -")
-            lines.pop()
-        elif isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{pad}{key}:")
-            for row in value:
-                lines.append(f"{pad}  " + " ".join(f"{e:>5}" for e in row))
-        else:
-            lines.append(f"{pad}{key}: {value}")
-    return "\n".join(lines)
-
-
-def _render_table(table: jsonio.Table, pad: str) -> str:
-    """The lines `_render_text` gives the table's list of records, one
-    "key: value" line per cell and a "-" line between records, in one join."""
-    columns = table.columns
-    seps = [f"\n{pad}{key}: " for key in columns]
-    seps[0] = f"\n{pad}-" + seps[0]
-    # a tuple shows as the list it stands for; a str or bool as itself
-    cells = [map(str, map(list, c) if isinstance(c[0], tuple) else c) for c in columns.values()]
-    return jsonio.interleave(seps + [""], cells, len(table))[len(pad) + 3:]
-
-
-def _render_matrix(m: IntMatrix, pad: str) -> str:
-    """The lines `_render_text` gives the matrix's rows of decimal strings,
-    each entry right-aligned in a cell of five characters and the cells
-    split by a space, every row spliced into one row of zero cells."""
-    template, fmt = " ".join(repeat("    0", m.n_cols)), "{:>5}".format
-    parts, lead, nl = [], pad, "\n" + pad
-    for row in m.nonzeros:
-        parts.append(lead)
-        jsonio.splice(parts, template, 6, 5, row, fmt)
-        lead = nl
-    return "".join(parts)
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def _twist_action(system, word) -> tuple:
     """(M, M - Id, det(M - Id), b2) for the action M of the word on H_1."""
+    # the report prints M densely; only an input system can pass the cap
+    if system.genus > penner.MAX_CHAIN_GENUS:
+        raise ValueError(f"input.genus: genus must be at most {penner.MAX_CHAIN_GENUS}")
     try:
         m = homology.word_action(word, system.generator_map())
     except ValueError as exc:  # the action-size cap; only an input word can reach it

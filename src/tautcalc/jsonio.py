@@ -1,4 +1,4 @@
-"""JSON encoding and decoding for the domain types.
+"""JSON encoding and decoding for the domain types, and the report writers.
 
 All integers and rationals travel as decimal strings ("p/q" for
 non-integral rationals) so consumers never lose precision; matrices are
@@ -22,17 +22,18 @@ and '\\', and `isascii() and isprintable()` holds for precisely the
 strings made of ' ' to '~'.  Any other row goes through that encoder item
 by item.
 
-A matrix reaches the writer as the `IntMatrix` itself and is written as its
-rows of decimal strings, straight from its nonzeros.  A decimal string
-always passes the clean test, so a row of n entries is n cells joined by
-'",', newline, indent and '"', and those separators depend on the indent
-alone.  The writer builds that row once with every cell "0"; cell j then
-starts at j times the separator's length plus one, and a row is the
-template's slices between its nonzero columns, in increasing order, with
-str(v) in place of each "0" cell.  The text renderer in `cli` splices the
-same way into cells of "    0" joined by " ", with f"{v:>5}" in place of a
-cell, so an entry wider than five characters widens only its own cell.
-Python work per row grows with its nonzeros; the rest is C-level slicing.
+A matrix reaches the writers as the `IntMatrix` itself and is written as
+its rows, straight from its nonzeros, by one routine, `_write_rows`.  A
+decimal string always passes the clean test, so a JSON row of n entries
+is n cells joined by '",', newline, indent and '"', and those separators
+depend on the indent alone.  `_write_rows` builds that row once with
+every cell "0"; cell j then starts at j times the separator's length plus
+one, and a row is the template's slices between its nonzero columns, in
+increasing order, with str(v) in place of each "0" cell.  The text
+report, which `render_text` writes, takes the same call with cells of
+"    0" joined by " " and f"{v:>5}" in place of a cell, so an entry wider
+than five characters widens only its own cell.  Python work per row
+grows with its nonzeros; the rest is C-level slicing.
 
 A record list that grows with the input (the holonomy samples, the
 candidate points) travels as a `Table`, one column per key, so no dict is
@@ -148,7 +149,7 @@ class Table:
         return len(next(iter(self.columns.values()), ()))
 
 
-def interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int) -> str:
+def _interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int) -> str:
     """seps[0] + columns[0][0] + seps[1] + columns[1][0] + ... + seps[-1],
     then the same for rows 1 to rows - 1, in one join; len(seps) is one
     more than len(columns)."""
@@ -221,7 +222,10 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
     elif isinstance(o, Table):
         _write_table(o, nl, parts)
     elif isinstance(o, IntMatrix):
-        _write_matrix(o, nl, parts)
+        inner = nl + "  "
+        item = inner + "  "
+        _write_rows(parts, o, "0", f'",{item}"', str, f'[{inner}[{item}"', f'"{inner}],{inner}[{item}"',
+                    f'"{inner}]{nl}]')
     elif isinstance(o, str):
         parts.append(_encode_str(o))
     elif o is True:
@@ -244,7 +248,7 @@ def _write_table(table: Table, nl: str, parts: List[str]) -> None:
 
     Between two cells of a record, and around it, stand only literals: the
     newlines and indents, the braces, the keys, and the quotes of a clean
-    column.  So the list is the columns `interleave`d with those literals,
+    column.  So the list is the columns `_interleave`d with those literals,
     a tuple column giving one column per position.  A column of strings
     that fails the clean test goes through the string encoder item by item."""
     if not len(table):
@@ -281,7 +285,7 @@ def _write_table(table: Table, nl: str, parts: List[str]) -> None:
             sep = quote
         sep += end
     seps.append(sep + inner + "}")
-    parts.append("[" + interleave(seps, cells, len(table))[1:] + nl + "]")
+    parts.append("[" + _interleave(seps, cells, len(table))[1:] + nl + "]")
 
 
 # -- matrices ------------------------------------------------------------------
@@ -295,32 +299,76 @@ def _dense_row(nonzeros, n: int) -> List[str]:
     return line
 
 
-def splice(parts: List[str], template: str, stride: int, width: int, row: Mapping[int, int],
-           fmt: Callable[[int], str]) -> None:
-    """Append to parts the pieces of template, a row of zero cells, with the
-    `width` characters of cell j, which start at j * stride, replaced by
-    fmt(row[j]) for each column j of row, in increasing order."""
-    at = 0
-    for j in sorted(row):
-        start = j * stride
-        parts += (template[at:start], fmt(row[j]))
-        at = start + width
-    parts.append(template[at:])
-
-
-def _write_matrix(m: IntMatrix, nl: str, parts: List[str]) -> None:
-    """Append m as its rows of decimal strings, each row spliced into one
-    row of "0" cells by the rule in the module docstring."""
-    inner = nl + "  "
-    item = inner + "  "
-    sep = '",' + item + '"'
-    template, stride = sep.join(repeat("0", m.n_cols)), len(sep) + 1
-    lead, between = "[" + inner + "[" + item + '"', '"' + inner + "]," + inner + "[" + item + '"'
+def _write_rows(parts: List[str], m: IntMatrix, zero: str, sep: str, fmt: Callable[[int], str],
+                lead: str, between: str, end: str) -> None:
+    """Append m's rows to parts, lead before the first, between two rows
+    and end after the last.  A row is m.n_cols cells of `zero` joined by
+    sep, written as that template's slices with fmt(v) in place of the
+    cell of each nonzero v, which starts at j * (len(sep) + len(zero)) for
+    column j; the columns are taken in increasing order."""
+    template, stride, width = sep.join(repeat(zero, m.n_cols)), len(sep) + len(zero), len(zero)
     for row in m.nonzeros:
         parts.append(lead)
-        splice(parts, template, stride, 1, row, str)
+        at = 0
+        for j in sorted(row):
+            start = j * stride
+            parts += (template[at:start], fmt(row[j]))
+            at = start + width
+        parts.append(template[at:])
         lead = between
-    parts.append('"' + inner + "]" + nl + "]")
+    parts.append(end)
+
+
+# -- text reports ----------------------------------------------------------------
+
+
+def render_text(report: dict, indent: int = 0) -> str:
+    """The text report: one "key: value" line per entry, a nested dict or a
+    list of records indented under its key, a check as a "[PASS]" or
+    "[FAIL]" line, and a matrix as its rows of five-character cells."""
+    lines = []
+    pad = "  " * indent
+    for key, value in report.items():
+        if key == "checks":
+            for c in value:
+                mark = "PASS" if c["pass"] else "FAIL"
+                lines.append(f"{pad}[{mark}] {c['name']}")
+        elif isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            lines.append(render_text(value, indent + 1))
+        elif isinstance(value, Table) and len(value):
+            lines.append(f"{pad}{key}:")
+            lines.append(_render_table(value, pad + "  "))
+        elif isinstance(value, Table):
+            lines.append(f"{pad}{key}: []")
+        elif isinstance(value, IntMatrix):
+            rows: List[str] = []
+            _write_rows(rows, value, "    0", " ", "{:>5}".format, f"{pad}{key}:\n{pad}  ", f"\n{pad}  ", "")
+            lines.append("".join(rows))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                lines.append(render_text(item, indent + 1))
+                lines.append(f"{pad}  -")
+            lines.pop()
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            lines.append(f"{pad}{key}:")
+            for row in value:
+                lines.append(f"{pad}  " + " ".join(f"{e:>5}" for e in row))
+        else:
+            lines.append(f"{pad}{key}: {value}")
+    return "\n".join(lines)
+
+
+def _render_table(table: Table, pad: str) -> str:
+    """The lines `render_text` gives the table's list of records, one
+    "key: value" line per cell and a "-" line between records, in one join."""
+    columns = table.columns
+    seps = [f"\n{pad}{key}: " for key in columns]
+    seps[0] = f"\n{pad}-" + seps[0]
+    # a tuple shows as the list it stands for; a str or bool as itself
+    cells = [map(str, map(list, c) if isinstance(c[0], tuple) else c) for c in columns.values()]
+    return _interleave(seps + [""], cells, len(table))[len(pad) + 3:]
 
 
 # -- curve systems and words ---------------------------------------------------

@@ -238,18 +238,19 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # b_i = s_i.  The system stores 2g + 1 classes of at most two nonzeros and 2g
 # crossings, and the action of the genus-g word has 8g nonzeros; building
 # them, M - Id and the determinant cost in proportion to those.  The vmatrix
-# report still prints M and M - Id densely: each row is spliced from its
-# nonzeros into one zero row, so the Python work is O(g), but the report's
-# bytes are O(g^2) (5 MB of JSON at g = 240).  The genus is capped until the
-# report prints only the nonzeros.
+# and penner reports still print their matrices densely: each row is spliced
+# from its nonzeros into one zero row, so the Python work is O(g), but the
+# report's bytes are O(g^2) (5 MB of JSON at g = 240).  Until the reports
+# print only the nonzeros, the genus is capped here for the chain systems and
+# in `cli._twist_action` for a `penner --input` system.
 MAX_CHAIN_GENUS = 240
 
 
 def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
     """The (2g+1)-curve chain system and its three-phase word, for genus
-    2..240.  The word twists negatively along the a-curves except a_2, a_3;
-    then positively along the b-curves except b_2; then a_3, a_2 negatively
-    and b_2 positively.  At genus 3 this is the word
+    2..MAX_CHAIN_GENUS.  The word twists negatively along the a-curves
+    except a_2, a_3; then positively along the b-curves except b_2; then
+    a_3, a_2 negatively and b_2 positively.  At genus 3 this is the word
     b2 a2^- a3^- b1 b3 a1^- a4^- (outermost letter first)."""
     if not isinstance(genus, int) or genus < 2:
         raise ValueError("genus must be an integer >= 2")

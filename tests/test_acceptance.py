@@ -15,7 +15,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from tautcalc import jsonio
-from tautcalc.cli import _render_text
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
     Family,
@@ -132,8 +131,8 @@ def test_vmatrix_json_report_write_time_at_genus_240():
 def test_vmatrix_text_report_render_time_at_genus_240():
     report, dense = _vmatrix_matrices_at_genus_240()
     with Criterion("the two 480x480 matrices of the genus-240 vmatrix report rendered as text", 0.05):
-        text = _render_text(report)
-    assert text == _render_text(dense)
+        text = jsonio.render_text(report)
+    assert text == jsonio.render_text(dense)
 
 
 def test_genus3_matrix_fixture():

@@ -254,6 +254,27 @@ def test_twist_action_built_once_per_report(tmp_path, monkeypatch, capsys):
         assert counts == {"word_action": 1, "minus_identity": 1, "_echelon": echelons}, argv
 
 
+def test_penner_input_genus_capped(tmp_path, monkeypatch, capsys):
+    # one curve over a genus above the cap: the report would print M densely
+    def one_curve(genus):
+        curve = {"label": "c", "coords": ["1"] + ["0"] * (2 * genus - 1), "family": "A"}
+        return {"genus": genus, "curves": [curve], "geo_int": [[]], "word": [{"label": "c", "exp": -1}]}
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(one_curve(MAX_CHAIN_GENUS)))
+    code, doc = run_json(capsys, "penner", "--input", str(path))
+    assert (code, doc["genus"], len(doc["action_matrix"])) == (1, MAX_CHAIN_GENUS, 2 * MAX_CHAIN_GENUS)
+
+    def refuse(*args):
+        raise AssertionError("action built above the genus cap")
+
+    monkeypatch.setattr(homology, "word_action", refuse)
+    path.write_text(json.dumps(one_curve(MAX_CHAIN_GENUS + 1)))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "penner", "--input", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: input.genus: genus must be at most {MAX_CHAIN_GENUS}\n")
+
+
 def test_penner_invalid_word_fails_checks(tmp_path, capsys):
     doc = _bundled_penner_doc()
     doc["word"] = [e for e in doc["word"] if e["label"] != "b1"]

@@ -221,7 +221,7 @@ def _dense(report):
 def test_matrix_writes_as_its_dense_rows(m, depth):
     report = _nest({"m": m, "n": m, "after": "1"}, depth)
     assert jsonio.dumps_report(report) == json.dumps(_dense(report), indent=2)
-    assert cli._render_text(report) == cli._render_text(_dense(report))
+    assert jsonio.render_text(report) == jsonio.render_text(_dense(report))
 
 
 def test_matrix_reports_never_build_dense_rows(monkeypatch, tmp_path):
@@ -287,7 +287,7 @@ def test_table_writes_as_its_records(columns):
     records = _records(columns)
     assert len(table) == len(records)
     assert jsonio.dumps_report({"k": table}) == json.dumps({"k": records}, indent=2)
-    assert cli._render_text({"k": table}) == cli._render_text({"k": records})
+    assert jsonio.render_text({"k": table}) == jsonio.render_text({"k": records})
 
 
 def test_table_rejects_ragged_or_mixed_columns():
