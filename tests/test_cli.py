@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -476,6 +477,47 @@ def test_holonomy_rejects_bad_map(tmp_path, capsys):
 
 
 GOOD_MAP = {"breakpoints": ["-1", "0", "1/2", "1"], "values": ["-1", "1/3", "1/2", "1"]}
+LONG_ENTRY = "1/1" + "0" * 4300
+
+
+def _map_with(entry):
+    return {"breakpoints": ["-1", entry, "1"], "values": ["-1", "1/5", "1"]}
+
+
+# entries that a map file may hold besides plain 'p/q' and 'p', each with
+# the sha256 of the JSON report; the digests were taken when every entry
+# was still parsed by Fraction(str)
+ACCEPTED_ENTRIES = [
+    pytest.param(_map_with(" 0 "),
+                 "f5f1d2fd172187d9948fac948f2af01e5f79c64600ebc3fd27540edd3dc3da69", id="spaces"),
+    pytest.param(_map_with("\t1/2\n"),
+                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="tab-newline"),
+    pytest.param(_map_with("1_0/2_0"),
+                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="underscores"),
+    pytest.param(_map_with(".5"),
+                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="decimal"),
+    pytest.param(_map_with("+1/3"),
+                 "00dae8b4d9963efeed488846a838a28f4c534503635312cda54f2737b27bbee2", id="plus-sign"),
+    pytest.param(_map_with("٣/4"),
+                 "ade28439f1ed41f350c3f7fff295462412ea68de4c9608c63f6dd7c9737d10fe", id="arabic-indic-digit"),
+    pytest.param(_map_with("007/8"),
+                 "923537b951202e02de4d5d6738ae3c60dc53cfb6f051e24c904f44f3cf00e9e0", id="leading-zeros"),
+    pytest.param({"breakpoints": ["-2/2", "1/7", "1"], "values": ["-2/2", "1/5", "1"]},
+                 "f35a82bc559f52213fd3a270d265ac11b2396871d7ad446196ee88dfe9925a7a", id="minus-two-halves"),
+    # a denominator of 4299 digits, one under int()'s default limit
+    pytest.param(_map_with("1/1" + "0" * 4298),
+                 "6660a3fc433b7b89c4f162acc249745bd74b7c1f8433910860ef8dbc372d0c87", id="4299-digit-denominator"),
+]
+
+
+@pytest.mark.parametrize("u, sha", ACCEPTED_ENTRIES)
+def test_holonomy_map_entries_accepted(tmp_path, capsys, u, sha):
+    for name, doc in (("u", u), ("v", GOOD_MAP)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--tiles", "2", "--samples", "8",
+                         "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("u, v, message", [
@@ -511,6 +553,17 @@ GOOD_MAP = {"breakpoints": ["-1", "0", "1/2", "1"], "values": ["-1", "1/3", "1/2
      "u: values must be strictly increasing"),
     ({"breakpoints": ["1", "0"], "values": ["0", "1"]}, GOOD_MAP, "u: breakpoints must be strictly increasing"),
     ({"breakpoints": ["0", "1/2"], "values": ["0", "1"]}, GOOD_MAP, "u: endpoints must be fixed"),
+    # entries outside the plain 'p/q' form, each refused with the message it
+    # had when Fraction(str) read every entry
+    ({**GOOD_MAP, "breakpoints": ["-1", "1e-3", "1/2", "1"]}, GOOD_MAP,
+     "u.breakpoints[1]: not a rational 'p/q' string: '1e-3'"),
+    ({**GOOD_MAP, "breakpoints": ["-1", "1/-2", "1/2", "1"]}, GOOD_MAP,
+     "u.breakpoints[1]: not a rational 'p/q' string: '1/-2'"),
+    (GOOD_MAP, {**GOOD_MAP, "values": ["-1", "1 / 2", "1/2", "1"]},
+     "v.values[1]: not a rational 'p/q' string: '1 / 2'"),
+    # a denominator of 4301 digits is past int()'s default limit on string conversion
+    pytest.param({**GOOD_MAP, "breakpoints": ["-1", "0", LONG_ENTRY, "1"]}, GOOD_MAP,
+                 f"u.breakpoints[2]: not a rational 'p/q' string: {LONG_ENTRY!r}", id="4301-digit-denominator"),
 ])
 def test_holonomy_map_error_messages(tmp_path, capsys, u, v, message):
     for name, doc in (("u", u), ("v", v)):
