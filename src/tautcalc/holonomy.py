@@ -1,9 +1,11 @@
 """Exact piecewise-linear interval homeomorphisms and conjugacy constructions.
 
 `PLHomeo` is an increasing PL self-map of [-1, 1]; its breakpoints and
-values go through `exact.frac`, and inversion and evaluation are exact.
-Its set-up runs on their integer (numerator, denominator) pairs, with no
-Fraction arithmetic, and `inverse` is read off the stored segments.
+values go through `exact.frac_pair` to lowest-terms integer (numerator,
+denominator) pairs, and inversion and evaluation are exact.  It is stored
+and set up on those pairs, with no Fraction per entry and no Fraction
+arithmetic; `breakpoints` and `values` are Fraction views of them, and
+`inverse` is read off the stored segments.
 
 `solve_conjugacy` builds, for endpoint-fixing homeomorphisms u and v of
 [-1, 1], a homeomorphism t of [-1, 1] conjugate to a chosen concatenation
@@ -36,16 +38,33 @@ k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q = a/d is
 n = d // |a|.  Piece i of a concatenation is [i, i + 1], with k = 2 and
 m = 2i + 1.
 
-Each map evaluates in one kernel, `_eval_pair(a, d)`, on an unreduced
-integer pair a/d with d > 0: the chart in is (k*a - m*d, d), the chart out
+Each map evaluates in one kernel, `_eval_pair`, on an unreduced integer
+pair a/d with d > 0: the chart in is (k*a - m*d, d), the chart out
 (m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
-not change when a and d are scaled, so nothing is reduced on the way.  A
-`PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own,
-computed from the cross products of its ends and reduced by gcd(A, C, D),
-and the segment search compares a/d with each breakpoint by
-cross-multiplying.  The inverse segment is x = (D*y - C)/A.
-The public `eval` reduces the kernel's pair to one Fraction, and
-`solve_conjugacy` compares both sides of the identity as pairs.
+not change when a and d are scaled, so no chart reduces its pair.  The
+one reduction is at a `PLHomeo`: its kernel divides the point by
+gcd(a, d) and looks it up in `memo`, a dict keyed on (id of the map,
+numerator, denominator) of the point in lowest terms, with the map's value
+there as a pair; only on a miss does it search the segments and store the
+result.  A `PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of
+its own, computed from the cross products of its ends and reduced by
+gcd(A, C, D), and the segment search compares a/d with each breakpoint by
+cross-multiplying.  The inverse segment is x = (D*y - C)/A.  `TiledHomeo`
+and `Concatenation` pass `memo` down to their maps; `TileShiftMap` holds
+no map and takes none, and reads its chart constants off two fields
+computed once.
+
+The caller owns `memo` and sets its scope: each public `eval` passes a
+new one and reduces the kernel's pair to one Fraction, and
+`solve_conjugacy` makes one per call, drops it on return, and compares
+both sides of the identity as pairs.  The chart of tile n sends the j-th
+sample point of that tile to -1 + 2j/(per_tile + 1), for every n and on
+both sides, and h sends it to the same chart point of tile n - 1 in the
+middle piece.  So in one solve each tile map is searched at about
+per_tile + 2 points, however many tiles there are; the memo holds one
+entry per map and distinct point, and every id in it names a map that the
+call keeps alive.  A layout that repeats no chart point (one tile per
+side) pays for the lookups and gains nothing.
 
 The sample layout is integer columns: tile n holds per_tile numerators
 over the one denominator n(n + 1)(per_tile + 1), reduced by gcd in one
@@ -60,14 +79,14 @@ breakpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
 from math import gcd
-from operator import floordiv, mul, ne, sub
-from typing import List, Sequence, Tuple
+from operator import floordiv, itemgetter, mul, ne, sub
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import frac
+from .exact import frac, frac_pair
 
 
 # A map is read and inverted in time and memory that grow with its
@@ -84,72 +103,65 @@ def check_breakpoint_count(count: int) -> None:
 class PLHomeo:
     """Increasing piecewise-linear homeomorphism of [-1, 1].
 
-    Stored as matching breakpoint/value sequences; collinear interior
-    breakpoints are dropped, so equal maps have equal data.  Each segment is
-    derived from them once, for `_eval_pair`: its interior left breakpoint as
-    an integer pair (bn, bd), and y = (A*x + C)/D as integers (A, C, D) with
-    D > 0 and gcd(A, C, D) = 1, the one such triple of its line.
+    Stored as the lowest-terms integer pairs (numerator, denominator) of its
+    interior breakpoints and their values, the ends being -1 and 1; collinear
+    interior breakpoints are dropped, so equal maps have equal data.
+    `breakpoints` and `values` are Fraction views of the pairs, ends
+    included.  Each segment is derived once, for the kernels:
+    y = (A*x + C)/D as integers (A, C, D) with D > 0 and gcd(A, C, D) = 1,
+    the one such triple of its line.
 
-    Set-up runs on the (numerator, denominator) pairs of the inputs: the
-    order and endpoint checks cross-multiply, each input segment's triple
-    comes from the four cross products of its ends, and a breakpoint is
-    collinear with its neighbours exactly when the segments on either side
-    have equal triples.  `inverse` reads its data off the stored segments.
+    Set-up runs on the pairs of the inputs (`exact.frac_pair`): the order
+    and endpoint checks cross-multiply, each input segment's triple comes
+    from the four cross products of its ends, and a breakpoint is collinear
+    with its neighbours exactly when the segments on either side have equal
+    triples.  `inverse` reads its data off the stored segments.
     """
 
-    __slots__ = ("breakpoints", "values", "_cuts", "_segments")
+    __slots__ = ("_cuts", "_cut_values", "_segments")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         check_breakpoint_count(max(len(breakpoints), len(values)))
-        bps = list(map(frac, breakpoints))
-        vals = list(map(frac, values))
-        if len(bps) != len(vals) or len(bps) < 2:
-            raise ValueError("need matching breakpoint/value sequences of length >= 2")
-        bn, bd = [b.numerator for b in bps], [b.denominator for b in bps]
-        vn, vd = [v.numerator for v in vals], [v.denominator for v in vals]
-        # segment i runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0
-        # to y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
-        # y = (A*x + C)/D with D = (a1*b0 - a0*b1)*e0*e1,
-        # A = (c1*e0 - c0*e1)*b0*b1 and C = c0*e1*a1*b0 - c1*e0*a0*b1
-        ab, ba = list(map(mul, bn[1:], bd)), list(map(mul, bn, bd[1:]))
-        ce, ec = list(map(mul, vn[1:], vd)), list(map(mul, vn, vd[1:]))
-        dx, dy = list(map(sub, ab, ba)), list(map(sub, ce, ec))
-        if min(dx) <= 0:
-            raise ValueError("breakpoints must be strictly increasing")
-        if min(dy) <= 0:
-            raise ValueError("values must be strictly increasing")
-        ends = (bn[0], bd[0], bn[-1], bd[-1])
-        if (vn[0], vd[0], vn[-1], vd[-1]) != ends:
-            raise ValueError("endpoints must be fixed")
-        if ends != (-1, 1, 1, 1):
-            raise ValueError("must be a homeomorphism of [-1, 1]")
-        A = list(map(mul, dy, map(mul, bd, bd[1:])))
-        C = list(map(sub, map(mul, ec, ab), map(mul, ce, ba)))
-        D = list(map(mul, dx, map(mul, vd, vd[1:])))
-        g = list(map(gcd, A, C, D))
-        lines = list(zip(map(floordiv, A, g), map(floordiv, C, g), map(floordiv, D, g)))
-        # interior breakpoint i is kept when segments i - 1 and i differ
-        kept = list(map(ne, lines, lines[1:]))
-        _fill(
-            self,
-            (bps[0], *compress(bps[1:-1], kept), bps[-1]),
-            (vals[0], *compress(vals[1:-1], kept), vals[-1]),
-            tuple(compress(zip(bn[1:-1], bd[1:-1]), kept)),
-            (lines[0], *compress(lines[1:], kept)),
-        )
+        _setup(self, list(map(frac_pair, breakpoints)), list(map(frac_pair, values)))
+
+    @classmethod
+    def from_pairs(cls, breakpoints: List[Tuple[int, int]], values: List[Tuple[int, int]]) -> "PLHomeo":
+        """The map through breakpoints and values given as lowest-terms
+        (numerator, denominator) pairs with positive denominators, as
+        `exact.frac_pair` returns them."""
+        check_breakpoint_count(max(len(breakpoints), len(values)))
+        f = object.__new__(cls)
+        _setup(f, breakpoints, values)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("PLHomeo is immutable")
 
+    @property
+    def breakpoint_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return ((-1, 1), *self._cuts, (1, 1))
+
+    @property
+    def value_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return ((-1, 1), *self._cut_values, (1, 1))
+
+    @property
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        return tuple(starmap(Fraction, self.breakpoint_pairs))
+
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple(starmap(Fraction, self.value_pairs))
+
     def __eq__(self, other):
         return (
             isinstance(other, PLHomeo)
-            and self.breakpoints == other.breakpoints
-            and self.values == other.values
+            and self._cuts == other._cuts
+            and self._cut_values == other._cut_values
         )
 
     def __hash__(self):
-        return hash((self.breakpoints, self.values))
+        return hash((self._cuts, self._cut_values))
 
     def __repr__(self):
         pairs = ", ".join(f"{b}->{v}" for b, v in zip(self.breakpoints, self.values))
@@ -157,14 +169,27 @@ class PLHomeo:
 
     @classmethod
     def identity(cls) -> "PLHomeo":
-        """The identity of [-1, 1]."""
-        return cls([-1, 1], [-1, 1])
+        """The identity of [-1, 1]: no interior breakpoint, and the one
+        segment y = (1*x + 0)/1."""
+        f = object.__new__(cls)
+        _fill(f, (), (), ((1, 0, 1),))
+        return f
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
 
-    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
+    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
+        """The value at a/d, d > 0, as a pair whose denominator is D times
+        that of a/d in lowest terms.  memo holds the values found so far,
+        keyed on (id(self), numerator, denominator) of the point in lowest
+        terms; the caller owns it and keeps the maps alive while it does."""
+        g = gcd(a, d)
+        a, d = a // g, d // g
+        key = (id(self), a, d)
+        y = memo.get(key)
+        if y is not None:
+            return y
         if abs(a) > d:
             raise _outside_unit(a, d)
         # the last segment whose left breakpoint is <= a/d; the right
@@ -179,26 +204,56 @@ class PLHomeo:
             else:
                 lo = mid + 1
         A, C, D = self._segments[lo]
-        return A * a + C * d, D * d
+        y = memo[key] = A * a + C * d, D * d
+        return y
 
     def inverse(self) -> "PLHomeo":
         """The inverse map, from the stored data: y = (A*x + C)/D inverts to
         x = (D*y - C)/A, and A > 0 since the map increases."""
         inv = object.__new__(PLHomeo)
-        _fill(
-            inv,
-            self.values,
-            self.breakpoints,
-            tuple((v.numerator, v.denominator) for v in self.values[1:-1]),
-            tuple((D, -C, A) for A, C, D in self._segments),
-        )
+        _fill(inv, self._cut_values, self._cuts, tuple((D, -C, A) for A, C, D in self._segments))
         return inv
 
 
-def _fill(f: PLHomeo, breakpoints: tuple, values: tuple, cuts: tuple, segments: tuple) -> None:
-    object.__setattr__(f, "breakpoints", breakpoints)
-    object.__setattr__(f, "values", values)
+def _setup(f: PLHomeo, bps: List[Tuple[int, int]], vals: List[Tuple[int, int]]) -> None:
+    if len(bps) != len(vals) or len(bps) < 2:
+        raise ValueError("need matching breakpoint/value sequences of length >= 2")
+    bn, bd = list(map(itemgetter(0), bps)), list(map(itemgetter(1), bps))
+    vn, vd = list(map(itemgetter(0), vals)), list(map(itemgetter(1), vals))
+    # segment i runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0
+    # to y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
+    # y = (A*x + C)/D with D = (a1*b0 - a0*b1)*e0*e1,
+    # A = (c1*e0 - c0*e1)*b0*b1 and C = c0*e1*a1*b0 - c1*e0*a0*b1
+    ab, ba = list(map(mul, bn[1:], bd)), list(map(mul, bn, bd[1:]))
+    ce, ec = list(map(mul, vn[1:], vd)), list(map(mul, vn, vd[1:]))
+    dx, dy = list(map(sub, ab, ba)), list(map(sub, ce, ec))
+    if min(dx) <= 0:
+        raise ValueError("breakpoints must be strictly increasing")
+    if min(dy) <= 0:
+        raise ValueError("values must be strictly increasing")
+    ends = (bn[0], bd[0], bn[-1], bd[-1])
+    if (vn[0], vd[0], vn[-1], vd[-1]) != ends:
+        raise ValueError("endpoints must be fixed")
+    if ends != (-1, 1, 1, 1):
+        raise ValueError("must be a homeomorphism of [-1, 1]")
+    A = list(map(mul, dy, map(mul, bd, bd[1:])))
+    C = list(map(sub, map(mul, ec, ab), map(mul, ce, ba)))
+    D = list(map(mul, dx, map(mul, vd, vd[1:])))
+    g = list(map(gcd, A, C, D))
+    lines = list(zip(map(floordiv, A, g), map(floordiv, C, g), map(floordiv, D, g)))
+    # interior breakpoint i is kept when segments i - 1 and i differ
+    kept = list(map(ne, lines, lines[1:]))
+    _fill(
+        f,
+        tuple(compress(bps[1:-1], kept)),
+        tuple(compress(vals[1:-1], kept)),
+        (lines[0], *compress(lines[1:], kept)),
+    )
+
+
+def _fill(f: PLHomeo, cuts: tuple, cut_values: tuple, segments: tuple) -> None:
     object.__setattr__(f, "_cuts", cuts)
+    object.__setattr__(f, "_cut_values", cut_values)
     object.__setattr__(f, "_segments", segments)
 
 
@@ -227,21 +282,23 @@ class TiledHomeo:
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
 
-    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
-        if abs(a) > d:
-            raise _outside_unit(a, d)
-        if a == 0:
-            return a, d
+    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         if a < 0:
+            if -a > d:
+                raise _outside_unit(a, d)
             n = d // -a
             maps, m = self.negative, -(2 * n + 1)
-        else:
+        elif a:
+            if a > d:
+                raise _outside_unit(a, d)
             n = d // a
             maps, m = self.positive, 2 * n + 1
+        else:
+            return a, d
         k = 2 * n * (n + 1)
-        ya, yd = maps[(n - 1) % len(maps)]._eval_pair(k * a - m * d, d)
+        ya, yd = maps[(n - 1) % len(maps)]._eval_pair(k * a - m * d, d, memo)
         return m * yd + ya, k * yd
 
 
@@ -254,18 +311,24 @@ class Concatenation:
     own domain [-1, 1]."""
 
     pieces: tuple
+    _count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_count", len(self.pieces))
 
     def eval(self, q) -> Fraction:
         q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
 
-    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
-        k = len(self.pieces)
+    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
+        k = self._count
         if not 0 <= a <= k * d:
             raise ValueError(f"{Fraction(a, d)} outside [0, {k}]")
-        i = min(a // d, k - 1)
+        i = a // d
+        if i == k:
+            i -= 1
         m = 2 * i + 1
-        ya, yd = self.pieces[i]._eval_pair(2 * a - m * d, d)
+        ya, yd = self.pieces[i]._eval_pair(2 * a - m * d, d, memo)
         return m * yd + ya, 2 * yd
 
 
@@ -282,27 +345,42 @@ class TileShiftMap:
 
     middle_index: int
     piece_count: int
+    # read off the two fields once: the middle piece's chart constant
+    # 2*middle_index + 1, and per side the chart constant 2*end + 1 of its
+    # end piece, or None where that side has none
+    _middle: int = field(init=False, repr=False, compare=False)
+    _negative_end: Optional[int] = field(init=False, repr=False, compare=False)
+    _positive_end: Optional[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_middle", 2 * self.middle_index + 1)
+        for name, end in (("_negative_end", self.middle_index - 1), ("_positive_end", self.middle_index + 1)):
+            object.__setattr__(self, name, 2 * end + 1 if 0 <= end < self.piece_count else None)
 
     def eval(self, q) -> Fraction:
         q = frac(q)
         return Fraction(*self._eval_pair(q.numerator, q.denominator))
 
     def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
-        if abs(a) > d:
-            raise _outside_unit(a, d)
-        m = 2 * self.middle_index + 1
-        side = -1 if a < 0 else 1
-        end = self.middle_index + side
-        if a == 0 or not 0 <= end < self.piece_count:
+        if a < 0:
+            if -a > d:
+                raise _outside_unit(a, d)
+            side, end = -1, self._negative_end
+        else:
+            if a > d:
+                raise _outside_unit(a, d)
+            side, end = 1, self._positive_end
+        m = self._middle
+        if a == 0 or end is None:
             return m * d + a, 2 * d
-        n = d // abs(a)
-        # the chart of tile n onto [-1, 1]
-        c = 2 * n * (n + 1) * a - side * (2 * n + 1) * d
+        n = d // (side * a)
         if n == 1:
-            return (2 * end + 1) * d + c, 2 * d
-        # back out through the chart of tile n - 1, then onto the middle piece
-        k = 2 * (n - 1) * n
-        return m * k * d + side * (2 * n - 1) * d + c, 2 * k * d
+            # the chart of tile 1 onto [-1, 1], y = 4x - 3*side, then onto the end piece
+            return end * d + 4 * a - 3 * side * d, 2 * d
+        # tile n onto tile n - 1 is x -> (n(n + 1)x - side)/(n(n - 1)), then
+        # the middle piece's chart y -> (m + y)/2; over 2n(n - 1)d that is
+        p = n * (n - 1)
+        return m * p * d + n * (n + 1) * a - side * d, 2 * p * d
 
 
 # The six cases and the concatenation each makes t conjugate to;
@@ -413,11 +491,13 @@ def solve_conjugacy(
 
     nums, dens = _sample_layout(tiles_per_side, per_tile)
     t_at, h_at, expr_at = tiled._eval_pair, h._eval_pair, expr._eval_pair
+    # the tile maps' values at the chart points seen so far in this call
+    memo = {}
     verdicts = []
     passed = verdicts.append
     for a, d in zip(nums, dens):
-        la, ld = h_at(*t_at(a, d))
-        ra, rd = expr_at(*h_at(a, d))
+        la, ld = h_at(*t_at(a, d, memo))
+        ra, rd = expr_at(*h_at(a, d), memo)
         # both denominators are positive, so this is lhs == rhs
         passed(la * rd == ra * ld)
     witness = ConjugacyWitness(

@@ -56,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple
 
-from .exact import frac
+from .exact import frac, frac_pair
 from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
 from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
@@ -571,32 +571,33 @@ def witness_to_json(w: NovikovWitness) -> dict:
 
 
 def pl_to_json(f: PLHomeo) -> dict:
-    return {
-        "breakpoints": [fmt_frac(b) for b in f.breakpoints],
-        "values": [fmt_frac(v) for v in f.values],
-    }
+    return {"breakpoints": _pair_strs(f.breakpoint_pairs), "values": _pair_strs(f.value_pairs)}
 
 
 def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
     obj = _expect_map(data, field)
     bps, vals = (_rational_list(obj, key, field) for key in ("breakpoints", "values"))
-    return _build(field, PLHomeo, bps, vals)
+    return _build(field, PLHomeo.from_pairs, bps, vals)
 
 
-def _rational_list(obj: Mapping, key: str, field: str) -> List[Fraction]:
-    """The rationals of a map's breakpoints or values, in one pass of frac;
-    their count is checked before any of them is parsed, and a bad entry is
-    found again by the per-entry walk, which names its path."""
+def _rational_list(obj: Mapping, key: str, field: str) -> List[Tuple[int, int]]:
+    """The lowest-terms pairs of a map's breakpoints or values, in one pass
+    of frac_pair; their count is checked before any of them is parsed, and
+    a bad entry is found again by the per-entry walk, which names its path."""
     at = f"{field}.{key}"
     raw = _expect_list(_get(obj, key, field), at)
     _build(field, check_breakpoint_count, len(raw))
     try:
-        return list(map(frac, raw))
+        return list(map(frac_pair, raw))
     except ValueError:
-        return [parse_frac(x, f"{at}[{i}]") for i, x in enumerate(raw)]
+        return [_build(f"{at}[{i}]", frac_pair, x) for i, x in enumerate(raw)]
+
+
+def _pair_strs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
+    """Each (numerator, denominator) pair as 'p/q', or 'p' over 1."""
+    return [f"{a}/{d}" if d != 1 else str(a) for a, d in pairs]
 
 
 def conjugacy_samples_to_json(w: ConjugacyWitness) -> Table:
     """The sample points as 'p/q' (or 'p') strings beside their verdicts."""
-    points = [f"{a}/{d}" if d != 1 else str(a) for a, d in zip(w.numerators, w.denominators)]
-    return Table({"point": points, "pass": w.verdicts})
+    return Table({"point": _pair_strs(zip(w.numerators, w.denominators)), "pass": w.verdicts})

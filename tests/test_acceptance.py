@@ -15,6 +15,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from tautcalc import jsonio
+from tautcalc.cli import main
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
 from tautcalc.homology import (
     Family,
@@ -269,6 +270,39 @@ def test_holonomy_witnesses_at_256_tiles():
             _, witness = solve_conjugacy(u, v, case, 256, 4096)
             assert len(witness.checks) == 4096 + 3
             assert witness.all_passed, case
+
+
+def _seeded_map_doc(rng, count=16):
+    """A map file with `count` breakpoints in all; each interior breakpoint
+    and value is p/q with q <= 16."""
+    def marks():
+        out = set()
+        while len(out) < count - 2:
+            q = rng.randint(2, 16)
+            out.add(Fr(rng.randint(1 - q, q - 1), q))
+        return ["-1", *map(jsonio.fmt_frac, sorted(out)), "1"]
+
+    return {"breakpoints": marks(), "values": marks()}
+
+
+def test_holonomy_report_time_at_256_tiles(tmp_path):
+    rng = random.Random(2027)
+    argvs = []
+    for case in "abcdef":
+        paths = {name: tmp_path / f"{case}-{name}.json" for name in ("u", "v", "report")}
+        for name in "uv":
+            paths[name].write_text(json.dumps(_seeded_map_doc(rng)))
+        argvs.append(["holonomy", "tau", "--case", case, "--tiles", "256", "--samples", "4096",
+                      "--u", str(paths["u"]), "--v", str(paths["v"]), "--format", "json",
+                      "--output", str(paths["report"])])
+    name = "holonomy tau JSON reports at 256 tiles and 4096 samples, six cases on seeded 16-breakpoint maps"
+    with Criterion(name, 0.5):
+        codes = [main(argv) for argv in argvs]
+    assert codes == [0] * 6
+    for case in "abcdef":
+        doc = json.loads((tmp_path / f"{case}-report.json").read_text())
+        assert len(doc["samples"]) == 4096 + 3 and all(s["pass"] for s in doc["samples"])
+        assert [c["pass"] for c in doc["checks"]] == [True]
 
 
 def test_novikov_witness_grid():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import fraction_plhomeo
 
 from tautcalc import holonomy
-from tautcalc.exact import frac
+from tautcalc.exact import frac, frac_pair
 from tautcalc.holonomy import (
     EXPRESSIONS,
     MAX_BREAKPOINTS,
@@ -186,6 +186,23 @@ def test_integer_setup_matches_fraction_construction():
         assert all(type(q) is Fr for q in f.breakpoints + f.values)
         dropped += len(bps) - len(f.breakpoints)
     assert dropped > 1000
+
+
+def test_pairs_setup_matches_constructor():
+    # from_pairs takes the pairs exact.frac_pair returns and builds the map
+    # the constructor builds; identity() is built directly, with the same data
+    rng = random.Random(2205)
+    for bps, vals in [seeded_map_data(rng) for _ in range(200)]:
+        f = PLHomeo(bps, vals)
+        g = PLHomeo.from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))
+        assert fields(g) == fields(f) and g == f and hash(g) == hash(f)
+        assert f.breakpoint_pairs == tuple((q.numerator, q.denominator) for q in f.breakpoints)
+        assert f.value_pairs == tuple((q.numerator, q.denominator) for q in f.values)
+    assert fields(PLHomeo.identity()) == fields(PLHomeo([-1, 1], [-1, 1]))
+    longer = [(-1, 1)] * (MAX_BREAKPOINTS + 1)
+    with pytest.raises(ValueError) as exc:
+        PLHomeo.from_pairs(longer, longer)
+    assert str(exc.value) == f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {MAX_BREAKPOINTS + 1}"
 
 
 def test_inverse_matches_constructor():
@@ -478,20 +495,75 @@ def test_sample_layout_owned_by_solve():
         assert len(witness.checks) == len(witness.verdicts) == count >= samples
 
 
+# (tiles, samples) with 3, 4 and 20 points per tile: each chart point comes
+# back in every one of 5 or 32 tiles per side, or in one tile only
+LAYOUTS = ((5, 30), (32, 256), (1, 40))
+
+# the chart points of those layouts, -1 + 2j/(per_tile + 1)
+SAMPLE_GRID = sorted({Fr(2 * j, p + 1) - 1 for p in (3, 4, 20) for j in range(1, p + 1)})
+
+
+def grid_plhomeo(rng, breaks):
+    """A PL map with `breaks` interior breakpoints, each breakpoint and each
+    value on SAMPLE_GRID, so the segment search of the map and of its inverse
+    meets chart points equal to a breakpoint."""
+    xs, ys = sorted(rng.sample(SAMPLE_GRID, breaks)), sorted(rng.sample(SAMPLE_GRID, breaks))
+    return PLHomeo([-1, *xs, 1], [-1, *ys, 1])
+
+
 @pytest.mark.parametrize("case", list(EXPRESSIONS))
 @pytest.mark.parametrize("shift", [0, 1])
 def test_verdicts_match_reference(monkeypatch, case, shift):
     # with the conjugator's middle piece moved by one, most cases get False
-    # verdicts; each must still be the reference's verdict at its point
-    maps, tiled, h, expr = construction(case)
-    h = TileShiftMap((h.middle_index + shift) % h.piece_count, h.piece_count)
-    monkeypatch.setattr(holonomy, "TileShiftMap", lambda m, k: h)
-    _, witness = solve_conjugacy(maps[0], maps[1], case, 5, 30)
-    expected = [
-        ref_eval(h, ref_eval(tiled, q)) == ref_eval(expr, ref_eval(h, q)) for q in witness_samples(5, 3)
-    ]
-    assert list(witness.verdicts) == expected
-    assert all(expected) or shift
+    # verdicts; each must still be the reference's verdict at its point, for
+    # seeded maps and for maps with breakpoints on the chart points
+    rng = random.Random(1100 + list(EXPRESSIONS).index(case))
+    for maps, tiled, h, expr in (construction(case), build(case, grid_plhomeo(rng, 6), grid_plhomeo(rng, 9))):
+        h = TileShiftMap((h.middle_index + shift) % h.piece_count, h.piece_count)
+        monkeypatch.setattr(holonomy, "TileShiftMap", lambda m, k, h=h: h)
+        for tiles, samples in LAYOUTS:
+            _, witness = solve_conjugacy(maps[0], maps[1], case, tiles, samples)
+            expected = [
+                ref_eval(h, ref_eval(tiled, q)) == ref_eval(expr, ref_eval(h, q))
+                for q in witness_samples(tiles, -(-samples // (2 * tiles)))
+            ]
+            assert list(witness.verdicts) == expected, (tiles, samples)
+            assert all(expected) or shift
+
+
+def test_memo_scoped_to_one_solve(monkeypatch):
+    # a solve reuses only values it found itself: its memo is new and empty,
+    # no other solve sees it, it holds exact integer pairs, one per map and
+    # distinct chart point, and the tiled map it returns still evaluates as
+    # the reference does after the solve
+    memos = {}  # id -> memo; holding each memo keeps its id from being reused
+    kernel = PLHomeo._eval_pair
+
+    def spy(self, a, d, memo):
+        if id(memo) not in memos:
+            assert memo == {}
+            memos[id(memo)] = memo
+        return kernel(self, a, d, memo)
+
+    monkeypatch.setattr(PLHomeo, "_eval_pair", spy)
+    rng = random.Random(2701)
+    fresh = [Fr(j, 211) for j in range(-211, 212, 5)]
+    for case in EXPRESSIONS:
+        u, v = grid_plhomeo(rng, 6), grid_plhomeo(rng, 9)
+        maps, ref_tiled, _, _ = build(case, u, v)
+        for tiles, samples in LAYOUTS:
+            count = len(memos)
+            tiled, witness = solve_conjugacy(u, v, case, tiles, samples)
+            assert len(memos) == count + 1 and witness.all_passed, (case, tiles)
+            memo = list(memos.values())[-1]
+            assert all(type(x) is int for key, y in memo.items() for x in key + y)
+            per_tile = -(-samples // (2 * tiles))
+            points = {(-1, 1), (1, 1)} | {(q.numerator, q.denominator) for q in SAMPLE_GRID
+                                          if (q * (per_tile + 1)).denominator == 1}
+            assert {key[1:] for key in memo} <= points
+            assert len(memo) <= (len(maps) + 1) * len(points)
+            assert tiled == ref_tiled
+            assert [tiled.eval(q) for q in fresh] == [ref_eval(ref_tiled, q) for q in fresh]
 
 
 @pytest.mark.parametrize(
@@ -591,10 +663,14 @@ def ref_samples(tiles_per_side, per_tile):
 
 @functools.cache
 def construction(case):
-    """Seeded u and v with the case's t, h and concatenation, built as
-    `solve_conjugacy` builds them."""
+    """Seeded u and v with the case's t, h and concatenation."""
     rng = random.Random(1000 + list(EXPRESSIONS).index(case))
-    u, v = random_plhomeo(rng, 4), random_plhomeo(rng, 4)
+    return build(case, random_plhomeo(rng, 4), random_plhomeo(rng, 4))
+
+
+def build(case, u, v):
+    """u, v, their inverses, and the case's t, h and concatenation, built as
+    `solve_conjugacy` builds them."""
     letters = EXPRESSIONS[case].split()
     middle = "t^-1" if "t^-1" in letters else "t"
     sides = [(f, f.inverse()) if middle == "t^-1" else (f,) for f in (u, v)]
@@ -690,11 +766,14 @@ def test_eval_pair_is_scale_invariant(case):
     k = len(expr.pieces)
     domain = [Fr(i, 4) for i in range(4 * k + 1)] + [ref_eval(h, q) for q in unit]
     for f, points in [(f, unit) for f in maps + (tiled, h)] + [(expr, domain)]:
+        # the conjugator takes no memo; every other kernel shares one memo
+        # over all scales, so each scale after the first may read a stored value
+        memo = () if f is h else ({},)
         for q in points:
             a, d = q.numerator, q.denominator
             y = f.eval(q)
             for s in (2, 3, 77, 10**20 + 1):
-                ya, yd = f._eval_pair(a * s, d * s)
+                ya, yd = f._eval_pair(a * s, d * s, *memo)
                 assert yd > 0 and Fr(ya, yd) == y, (f, q, s)
 
 
