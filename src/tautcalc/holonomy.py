@@ -51,8 +51,8 @@ its own, computed from the cross products of its ends and reduced by
 gcd(A, C, D), and the segment search compares a/d with each breakpoint by
 cross-multiplying.  The inverse segment is x = (D*y - C)/A.  `TiledHomeo`
 and `Concatenation` pass `memo` down to their maps; `TileShiftMap` holds
-no map and takes none, and reads its chart constants off two fields
-computed once.
+no map and takes none; it computes its chart constants from its two
+fields once, when it is built.
 
 The caller owns `memo` and sets its scope: each public `eval` passes a
 new one and reduces the kernel's pair to one Fraction, and
