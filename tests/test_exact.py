@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc import exact, jsonio
+from tautcalc import exact, jsonio, penner
 from tautcalc.holonomy import PLHomeo
+from tautcalc.homology import HomologyClass, SymplecticSpace, TwistWord
+from tautcalc.matrices import IntMatrix
 from tautcalc.polytope import NormSpec
+from tautcalc.sutured import CorneredSurface, SuturedSolidTorus, Tangency, TangencyKind, novikov_witness
 
 
 # a library call and an input file get the same answer, the file's with its field path
@@ -90,3 +93,60 @@ def test_frac_dispatch_keeps_subclasses_on_their_branches():
         with pytest.raises(ValueError) as exc:
             exact.frac(x)
         assert str(exc.value) == message
+
+
+# -- the integer rule ------------------------------------------------------------
+
+_CHAIN2 = penner.chain_system(2)[0]
+
+
+def _crossing_count(x):
+    return penner.CurveSystem(2, _CHAIN2.curves, ((1, 0, x),) + _CHAIN2.crossings[1:])
+
+
+# Every integer field: how to build it from x, a value the field accepts, and
+# the outcome of True, 1.0 and "1" in turn, a message or None for accepted.
+INT_FIELDS = [
+    ("SymplecticSpace.genus", SymplecticSpace, 2, ("genus must be a positive integer",) * 3),
+    ("HomologyClass index", lambda x: HomologyClass(SymplecticSpace(2), ((x, 5),)), 1,
+     ("nonzero indices must increase within range(2*genus)",) * 3),
+    ("HomologyClass coordinate", lambda x: HomologyClass(SymplecticSpace(2), ((0, x),)), -2,
+     ("coordinates must be integers",) * 3),
+    ("TwistWord exponent", lambda x: TwistWord((("a", x),)), -3,
+     ("letter 'a': exponent must be a nonzero integer",) * 3),
+    ("IntMatrix entry", lambda x: IntMatrix([[x, 0]]), 7,
+     ("entries must be integers, got True", "entries must be integers, got 1.0",
+      "entries must be integers, got '1'")),
+    ("CurveSystem crossing count", _crossing_count, 3,
+     ("crossings[0] must be an (i, j, count) triple of integers",) * 3),
+    ("chain_system genus", penner.chain_system, 3, ("genus must be an integer >= 2",) * 3),
+    ("NormSpec.chi[0]", lambda x: NormSpec(2, 2, 4, 4, (x, -2)), -2, ("chi entries must be integers",) * 3),
+    ("NormSpec.chi[1]", lambda x: NormSpec(2, 2, 4, 4, (-2, x)), -2, ("chi entries must be integers",) * 3),
+    ("NormSpec.surgery_family genus", NormSpec.surgery_family, 3, ("genus must be an integer >= 2",) * 3),
+    ("NormSpec.is_surgery_family genus", NormSpec.surgery_family(3).is_surgery_family, 3,
+     ("genus must be an integer >= 2",) * 3),
+    ("CorneredSurface.base_chi", CorneredSurface, -1, ("base_chi must be an integer",) * 3),
+    ("CorneredSurface.convex", lambda x: CorneredSurface(1, x), 2, ("convex must be an integer",) * 3),
+    ("CorneredSurface.concave", lambda x: CorneredSurface(1, 0, x), 2, ("concave must be an integer",) * 3),
+    ("SuturedSolidTorus.longitude_wraps", SuturedSolidTorus, 3,
+     ("longitude_wraps must be a positive integer",) * 3),
+    ("SuturedSolidTorus.suture_count", lambda x: SuturedSolidTorus(1, x), 4,
+     ("suture_count must be a positive integer",) * 3),
+    ("Tangency.sign", lambda x: Tangency(TangencyKind.SADDLE, x), -1, ("sign must be +1 or -1",) * 3),
+    ("novikov_witness k", lambda x: novikov_witness(x, 1), -3, ("k must be a nonzero integer",) * 3),
+    ("novikov_witness m", lambda x: novikov_witness(1, x), 5, ("m must be a nonzero integer",) * 3),
+    ("jsonio.parse_int", lambda x: jsonio.parse_int(x, "f"), 9,
+     ("f: expected an integer, got a boolean", "f: expected an integer, got float", None)),
+]
+
+
+@pytest.mark.parametrize("name, make, good, messages", INT_FIELDS, ids=[f[0] for f in INT_FIELDS])
+def test_integer_fields_share_one_rule(name, make, good, messages):
+    # an int subclass is an integer and a bool is not, whatever the field
+    for x, message in ((True, messages[0]), (1.0, messages[1]), ("1", messages[2]), (_Int(good), None)):
+        if message is None:
+            assert make(x) == make(int(x)), (name, x)
+        else:
+            with pytest.raises(ValueError) as exc:
+                make(x)
+            assert str(exc.value) == message, (name, x)
