@@ -151,51 +151,55 @@ def cmd_penner(args) -> int:
     return _emit(report, args)
 
 
-def cmd_sutured(args) -> int:
-    if args.sutured_command == "chi":
-        s = sutured.CorneredSurface(args.base_chi, args.convex, args.concave)
-        chi = sutured.sutured_chi(s)
-        report = {
-            "command": "sutured chi",
-            "base_chi": args.base_chi,
-            "convex": args.convex,
-            "concave": args.concave,
-            "chi": jsonio.fmt_frac(chi),
-            "checks": [],
-        }
-    elif args.sutured_command == "core-disk":
-        torus = sutured.SuturedSolidTorus(args.wraps, args.sutures)
-        disk = sutured.core_disk(torus)
-        chi = sutured.sutured_chi(disk)
-        report = {
-            "command": "sutured core-disk",
-            "longitude_wraps": args.wraps,
-            "suture_count": args.sutures,
-            "convex_corners": disk.convex,
-            "chi": jsonio.fmt_frac(chi),
-            "checks": [],
-        }
-    elif args.sutured_command == "pairing":
-        tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
-        pairing = sutured.euler_pairing(tangencies)
-        chi = sutured.poincare_hopf_chi(tangencies)
-        report = {
-            "command": "sutured pairing",
-            "tangencies": jsonio.tangencies_to_json(tangencies),
-            "euler_pairing": pairing,
-            "poincare_hopf_chi": chi,
-            "checks": [{"name": "pairing and chi share parity", "pass": (pairing - chi) % 2 == 0}],
-        }
-        saddle_only = all(t.kind is sutured.TangencyKind.SADDLE for t in tangencies)
-        if saddle_only:
-            report["fully_marked"] = sutured.is_fully_marked(tangencies)
-    else:  # witness
-        w = sutured.novikov_witness(args.k, args.m)
-        report = {
-            "command": "sutured witness",
-            "witness": jsonio.witness_to_json(w),
-            "checks": [{"name": "witness terminates at exponent zero", "pass": w.final_exponent == 0}],
-        }
+def cmd_sutured_chi(args) -> int:
+    s = sutured.CorneredSurface(args.base_chi, args.convex, args.concave)
+    report = {
+        "command": "sutured chi",
+        "base_chi": args.base_chi,
+        "convex": args.convex,
+        "concave": args.concave,
+        "chi": jsonio.fmt_frac(sutured.sutured_chi(s)),
+        "checks": [],
+    }
+    return _emit(report, args)
+
+
+def cmd_sutured_core_disk(args) -> int:
+    disk = sutured.core_disk(sutured.SuturedSolidTorus(args.wraps, args.sutures))
+    report = {
+        "command": "sutured core-disk",
+        "longitude_wraps": args.wraps,
+        "suture_count": args.sutures,
+        "convex_corners": disk.convex,
+        "chi": jsonio.fmt_frac(sutured.sutured_chi(disk)),
+        "checks": [],
+    }
+    return _emit(report, args)
+
+
+def cmd_sutured_pairing(args) -> int:
+    tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
+    pairing = sutured.euler_pairing(tangencies)
+    chi = sutured.poincare_hopf_chi(tangencies)
+    report = {
+        "command": "sutured pairing",
+        "tangencies": jsonio.tangencies_to_json(tangencies),
+        "euler_pairing": pairing,
+        "poincare_hopf_chi": chi,
+        "checks": [{"name": "pairing and chi share parity", "pass": (pairing - chi) % 2 == 0}],
+    }
+    if all(t.kind is sutured.TangencyKind.SADDLE for t in tangencies):
+        report["fully_marked"] = sutured.is_fully_marked(tangencies)
+    return _emit(report, args)
+
+
+def cmd_sutured_witness(args) -> int:
+    w = sutured.novikov_witness(args.k, args.m)
+    report = {
+        "command": "sutured witness",
+        "witness": jsonio.witness_to_json(w),
+        "checks": [{"name": "witness terminates at exponent zero", "pass": w.final_exponent == 0}],
+    }
     return _emit(report, args)
 
 
@@ -257,15 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--base-chi", type=int, required=True, dest="base_chi")
     q.add_argument("--convex", type=int, default=0)
     q.add_argument("--concave", type=int, default=0)
+    q.set_defaults(func=cmd_sutured_chi)
     q = ssub.add_parser("core-disk", parents=[common])
     q.add_argument("--wraps", type=int, required=True, help="longitudinal wraps of each suture")
     q.add_argument("--sutures", type=int, default=2)
+    q.set_defaults(func=cmd_sutured_core_disk)
     q = ssub.add_parser("pairing", parents=[common])
     q.add_argument("--input", required=True, help="JSON file with a tangency list")
+    q.set_defaults(func=cmd_sutured_pairing)
     q = ssub.add_parser("witness", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_sutured)
+    q.set_defaults(func=cmd_sutured_witness)
 
     p = sub.add_parser("holonomy", parents=[], help="interval holonomy constructions")
     hsub = p.add_subparsers(dest="holonomy_command", required=True)

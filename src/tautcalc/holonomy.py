@@ -86,7 +86,7 @@ from math import gcd
 from operator import floordiv, itemgetter, mul, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import frac, frac_pair
+from .exact import frac_pair
 
 
 # A map is read and inverted in time and memory that grow with its
@@ -176,8 +176,7 @@ class PLHomeo:
         return f
 
     def eval(self, q) -> Fraction:
-        q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
+        return Fraction(*self._eval_pair(*frac_pair(q), {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         """The value at a/d, d > 0, as a pair whose denominator is D times
@@ -281,8 +280,7 @@ class TiledHomeo:
             raise ValueError("each side needs one or more maps of [-1, 1]")
 
     def eval(self, q) -> Fraction:
-        q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
+        return Fraction(*self._eval_pair(*frac_pair(q), {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         if a < 0:
@@ -317,8 +315,7 @@ class Concatenation:
         object.__setattr__(self, "_count", len(self.pieces))
 
     def eval(self, q) -> Fraction:
-        q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator, {}))
+        return Fraction(*self._eval_pair(*frac_pair(q), {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         k = self._count
@@ -358,8 +355,7 @@ class TileShiftMap:
             object.__setattr__(self, name, 2 * end + 1 if 0 <= end < self.piece_count else None)
 
     def eval(self, q) -> Fraction:
-        q = frac(q)
-        return Fraction(*self._eval_pair(q.numerator, q.denominator))
+        return Fraction(*self._eval_pair(*frac_pair(q)))
 
     def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
         if a < 0:

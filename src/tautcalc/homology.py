@@ -29,6 +29,7 @@ from itertools import chain
 from math import gcd
 from typing import Mapping
 
+from .exact import is_int
 from .matrices import IntMatrix
 
 
@@ -46,7 +47,7 @@ class SymplecticSpace:
     genus: int
 
     def __post_init__(self):
-        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
+        if not is_int(self.genus) or self.genus < 1:
             raise ValueError("genus must be a positive integer")
 
     @property
@@ -76,11 +77,9 @@ class HomologyClass:
             if type(pair) is not tuple or len(pair) != 2:
                 raise ValueError("nonzeros must be a tuple of (index, value) pairs")
             k, v = pair
-            # exact ints pass on the type test; the isinstance tests only run
-            # to admit an int subclass
-            if (type(k) is not int and (isinstance(k, bool) or not isinstance(k, int))) or not last < k < n:
+            if not is_int(k) or not last < k < n:
                 raise ValueError("nonzero indices must increase within range(2*genus)")
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            if not is_int(v):
                 raise ValueError("coordinates must be integers")
             if not v:
                 raise ValueError("nonzeros must not hold a zero coordinate")
@@ -153,7 +152,7 @@ class TwistWord:
             label, exp = letter
             if not isinstance(label, str):
                 raise ValueError("letter labels must be strings")
-            if isinstance(exp, bool) or not isinstance(exp, int) or exp == 0:
+            if not is_int(exp) or exp == 0:
                 raise ValueError(f"letter {label!r}: exponent must be a nonzero integer")
             if abs(exp) > MAX_TWIST_EXPONENT:
                 raise ValueError(f"letter {label!r}: exponent must be at most {MAX_TWIST_EXPONENT}")

@@ -56,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple
 
-from .exact import frac, frac_pair
+from .exact import frac, frac_pair, is_int
 from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
 from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 from .matrices import IntMatrix
@@ -68,23 +68,26 @@ from .sutured import NovikovWitness, Tangency, TangencyKind
 # -- scalar encoding -----------------------------------------------------------
 
 
+def _pair_strs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
+    """Each (numerator, denominator) pair as 'p/q', or 'p' over 1."""
+    return [f"{a}/{d}" if d != 1 else str(a) for a, d in pairs]
+
+
 def fmt_frac(x: Fraction) -> str:
-    """'p/q', or 'p' for an integer; takes an int or a Fraction as is."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """_pair_strs of one value; takes an int or a Fraction as is."""
+    return _pair_strs(((x.numerator, x.denominator),))[0]
 
 
 def parse_int(value: Any, field: str) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{field}: expected an integer, got a boolean")
-    if isinstance(value, int):
+    if is_int(value):
         return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
             raise ValueError(f"{field}: not an integer: {value!r}") from None
+    if isinstance(value, bool):
+        raise ValueError(f"{field}: expected an integer, got a boolean")
     raise ValueError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
@@ -591,11 +594,6 @@ def _rational_list(obj: Mapping, key: str, field: str) -> List[Tuple[int, int]]:
         return list(map(frac_pair, raw))
     except ValueError:
         return [_build(f"{at}[{i}]", frac_pair, x) for i, x in enumerate(raw)]
-
-
-def _pair_strs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
-    """Each (numerator, denominator) pair as 'p/q', or 'p' over 1."""
-    return [f"{a}/{d}" if d != 1 else str(a) for a, d in pairs]
 
 
 def conjugacy_samples_to_json(w: ConjugacyWitness) -> Table:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
+from .exact import is_int
+
 
 class IntMatrix:
     """Immutable matrix with arbitrary-precision integer entries.
@@ -43,7 +45,8 @@ class IntMatrix:
         # runs to name the offending entry or to admit an int subclass
         if not {*map(type, chain.from_iterable(data))} <= {int}:
             for e in chain.from_iterable(data):
-                self._as_int(e)
+                if not is_int(e):
+                    raise ValueError(f"entries must be integers, got {e!r}")
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
@@ -61,12 +64,6 @@ class IntMatrix:
         object.__setattr__(m, "nonzeros", tuple(rows))
         object.__setattr__(m, "n_cols", n_cols)
         return m
-
-    @staticmethod
-    def _as_int(e) -> int:
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise ValueError(f"entries must be integers, got {e!r}")
-        return e
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Tuple
 
+from .exact import is_int
 from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
 
 
@@ -84,11 +85,7 @@ class CurveSystem:
             and {*map(type, chain.from_iterable(crossings))} <= {int}
         ):
             for k, entry in enumerate(crossings):
-                if not (
-                    type(entry) is tuple
-                    and len(entry) == 3
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-                ):
+                if not (type(entry) is tuple and len(entry) == 3 and all(map(is_int, entry))):
                     raise ValueError(f"crossings[{k}] must be an (i, j, count) triple of integers")
         last = (0, -1)
         for k, (i, j, count) in enumerate(crossings):
@@ -252,7 +249,7 @@ def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
     except a_2, a_3; then positively along the b-curves except b_2; then
     a_3, a_2 negatively and b_2 positively.  At genus 3 this is the word
     b2 a2^- a3^- b1 b3 a1^- a4^- (outermost letter first)."""
-    if not isinstance(genus, int) or genus < 2:
+    if not is_int(genus) or genus < 2:
         raise ValueError("genus must be an integer >= 2")
     if genus > MAX_CHAIN_GENUS:
         raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")

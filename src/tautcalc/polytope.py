@@ -37,7 +37,7 @@ from itertools import repeat
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .exact import frac
+from .exact import frac, is_int
 
 Vec2 = Tuple[Fraction, Fraction]
 IntPair = Tuple[int, int]
@@ -193,7 +193,7 @@ class NormSpec:
         if self.x_sum > self.x_s + self.x_f or self.x_diff > self.x_s + self.x_f:
             raise ValueError("triangle inequality violated: x(S±F) <= x(S) + x(F)")
         cf, cs = self.chi
-        if isinstance(cf, bool) or isinstance(cs, bool) or not isinstance(cf, int) or not isinstance(cs, int):
+        if not (is_int(cf) and is_int(cs)):
             raise ValueError("chi entries must be integers")
         # the ball owns the rule that a norm takes these values
         object.__setattr__(self, "ball", norm_ball_from_values(self))
@@ -216,7 +216,7 @@ class NormSpec:
 
 
 def _family_values(genus: int):
-    if not isinstance(genus, int) or genus < 2:
+    if not is_int(genus) or genus < 2:
         raise ValueError("genus must be an integer >= 2")
     return Fraction(2), Fraction(2 * genus - 2), Fraction(2 * genus), Fraction(2 * genus), (-2, 2 - 2 * genus)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
+from .exact import is_int
+
 
 @dataclass(frozen=True)
 class CorneredSurface:
@@ -31,7 +33,7 @@ class CorneredSurface:
     def __post_init__(self):
         for name in ("base_chi", "convex", "concave"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not is_int(v):
                 raise ValueError(f"{name} must be an integer")
             if abs(v) > MAX_SURFACE_COUNT:
                 raise ValueError(f"{name} must be at most {MAX_SURFACE_COUNT}")
@@ -54,7 +56,7 @@ class SuturedSolidTorus:
     def __post_init__(self):
         for name in ("longitude_wraps", "suture_count"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            if not is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
             if v > MAX_TORUS_COUNT:
                 raise ValueError(f"{name} must be at most {MAX_TORUS_COUNT}")
@@ -83,7 +85,7 @@ class Tangency:
     sign: int
 
     def __post_init__(self):
-        if isinstance(self.sign, bool) or not isinstance(self.sign, int) or self.sign not in (1, -1):
+        if not is_int(self.sign) or self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
     @property
@@ -163,7 +165,7 @@ def novikov_witness(k: int, m: int) -> NovikovWitness:
     transversal exponent m (both nonzero integers, |k| <= MAX_WITNESS_K and
     |m| <= MAX_WITNESS_M)."""
     for name, v in (("k", k), ("m", m)):
-        if isinstance(v, bool) or not isinstance(v, int) or v == 0:
+        if not is_int(v) or v == 0:
             raise ValueError(f"{name} must be a nonzero integer")
     if abs(k) > MAX_WITNESS_K:
         raise ValueError(f"k must be at most {MAX_WITNESS_K}")

@@ -254,7 +254,7 @@ def test_holonomy_conjugacy_witnesses():
         assert len(u.breakpoints) == 3 and len(v.breakpoints) == 3  # one breakpoint each
         for case in "abcdef":
             _, witness = solve_conjugacy(u, v, case)
-            assert len(witness.checks) >= 64
+            assert len(witness.verdicts) >= 64
             assert witness.tiles_per_side >= 8
             assert witness.all_passed
         ident = PLHomeo.identity()
@@ -268,7 +268,7 @@ def test_holonomy_witnesses_at_256_tiles():
     with Criterion("conjugacy witnesses exact for all six cases at 4096 samples over 256 tiles per side", 0.5):
         for case in "abcdef":
             _, witness = solve_conjugacy(u, v, case, 256, 4096)
-            assert len(witness.checks) == 4096 + 3
+            assert len(witness.verdicts) == 4096 + 3
             assert witness.all_passed, case
 
 

@@ -1,4 +1,7 @@
+import ast
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +153,27 @@ def test_integer_fields_share_one_rule(name, make, good, messages):
             with pytest.raises(ValueError) as exc:
                 make(x)
             assert str(exc.value) == message, (name, x)
+
+
+def _isinstance_tests(path):
+    """For each expression that a module passes to isinstance, the type
+    names it is tested against anywhere in that module."""
+    tested = defaultdict(set)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            value, types = node.args
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            tested[ast.unparse(value)].update(n.id for n in names if isinstance(n, ast.Name))
+    return tested
+
+
+def test_integer_rule_has_one_owner():
+    # the integer rule (an int, never a bool) is spelled in exact.is_int
+    # alone; no other module tests one value against both bool and int
+    modules = sorted(Path(exact.__file__).parent.glob("*.py"))
+    spelled = {
+        path.name: [expr for expr, names in _isinstance_tests(path).items() if {"bool", "int"} <= names]
+        for path in modules
+    }
+    assert spelled.pop("exact.py") == ["x"]
+    assert len(spelled) >= 9 and not any(spelled.values()), spelled

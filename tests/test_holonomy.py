@@ -224,7 +224,7 @@ def test_inverse_reuses_stored_data(monkeypatch):
     def refuse(*args):
         raise AssertionError("inverse parsed or validated again")
 
-    monkeypatch.setattr(holonomy, "frac", refuse)
+    monkeypatch.setattr(holonomy, "frac_pair", refuse)
     monkeypatch.setattr(PLHomeo, "__init__", refuse)
     for f, want in zip(maps, expected):
         assert fields(f.inverse()) == want
