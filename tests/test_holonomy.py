@@ -741,6 +741,28 @@ def test_unit_maps_take_endpoints_and_reject_beyond():
                 f.eval(q)
 
 
+@pytest.mark.parametrize(
+    "f, q, message",
+    [
+        (PLHomeo.identity(), Fr(3, 2), "3/2 outside [-1, 1]"),
+        (bundled_shifts()[0], "-6/4", "-3/2 outside [-1, 1]"),
+        (bundled_shifts()[1].inverse(), 2, "2 outside [-1, 1]"),
+        (TiledHomeo((PLHomeo.identity(),), (PLHomeo.identity(),)), "-1.25", "-5/4 outside [-1, 1]"),
+        (TiledHomeo((PLHomeo.identity(),), (PLHomeo.identity(),)), Fr(10**30 + 1, 10**30), f"{10**30 + 1}/{10**30} outside [-1, 1]"),
+        (TileShiftMap(1, 3), -2, "-2 outside [-1, 1]"),
+        (TileShiftMap(0, 2), Fr(9, 8), "9/8 outside [-1, 1]"),
+        (TileShiftMap(0, 1), Fr(-9, 8), "-9/8 outside [-1, 1]"),
+        (Concatenation((PLHomeo.identity(),) * 2), Fr(-1, 7), "-1/7 outside [0, 2]"),
+        (Concatenation((PLHomeo.identity(),) * 3), "10/3", "10/3 outside [0, 3]"),
+    ],
+)
+def test_eval_refuses_points_past_domain(f, q, message):
+    # each map's public eval names the point, in lowest terms, and the domain
+    with pytest.raises(ValueError) as exc:
+        f.eval(q)
+    assert str(exc.value) == message
+
+
 # -- the integer-pair kernels -------------------------------------------------------------
 
 
