@@ -53,7 +53,6 @@ from .holonomy import (
     TileShiftMap,
     bundled_shifts,
     solve_conjugacy,
-    witness_samples,
 )
 
 __version__ = "0.1.0"

@@ -75,9 +75,6 @@ def _emit(report: dict, args) -> int:
 
 def _twist_action(system, word) -> tuple:
     """(M, M - Id, det(M - Id), b2) for the action M of the word on H_1."""
-    # the report prints M densely; only an input system can pass the cap
-    if system.genus > penner.MAX_CHAIN_GENUS:
-        raise ValueError(f"input.genus: genus must be at most {penner.MAX_CHAIN_GENUS}")
     try:
         m = homology.word_action(word, system.generator_map())
     except ValueError as exc:  # the action-size cap; only an input word can reach it
@@ -131,6 +128,10 @@ def cmd_candidates(args) -> int:
 def cmd_penner(args) -> int:
     if args.input is not None:
         system, word = _load(args.input, "input", jsonio.penner_input_from_json)
+        try:  # the report prints M densely, as for a chain system
+            penner.check_genus_cap(system.genus)
+        except ValueError as exc:
+            raise ValueError(f"input.genus: {exc}") from None
     else:
         system, word = penner.chain_system(3)
     report_obj = penner.validate_word(word, system)
@@ -259,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="sutured_command", required=True)
     q = ssub.add_parser("chi", parents=[common])
     q.add_argument("--base-chi", type=int, required=True, dest="base_chi")
-    q.add_argument("--convex", type=int, default=0)
-    q.add_argument("--concave", type=int, default=0)
+    q.add_argument("--convex", type=int, default=sutured.CorneredSurface.convex)
+    q.add_argument("--concave", type=int, default=sutured.CorneredSurface.concave)
     q.set_defaults(func=cmd_sutured_chi)
     q = ssub.add_parser("core-disk", parents=[common])
     q.add_argument("--wraps", type=int, required=True, help="longitudinal wraps of each suture")
-    q.add_argument("--sutures", type=int, default=2)
+    q.add_argument("--sutures", type=int, default=sutured.SuturedSolidTorus.suture_count)
     q.set_defaults(func=cmd_sutured_core_disk)
     q = ssub.add_parser("pairing", parents=[common])
     q.add_argument("--input", required=True, help="JSON file with a tangency list")
@@ -278,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = p.add_subparsers(dest="holonomy_command", required=True)
     q = hsub.add_parser("tau", parents=[common])
     q.add_argument("--case", choices=tuple(holonomy.EXPRESSIONS), required=True)
-    q.add_argument("--samples", type=int, default=64, help="minimum number of sample points")
-    q.add_argument("--tiles", type=int, default=8, help="tiles per side to sample across")
+    q.add_argument("--samples", type=int, default=holonomy.DEFAULT_SAMPLES, help="minimum number of sample points")
+    q.add_argument("--tiles", type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across")
     q.add_argument("--u", help="JSON file for the first map (default: bundled shift)")
     q.add_argument("--v", help="JSON file for the second map (default: bundled shift)")
     p.set_defaults(func=cmd_holonomy)

@@ -39,7 +39,10 @@ n = d // |a|.  Piece i of a concatenation is [i, i + 1], with k = 2 and
 m = 2i + 1.
 
 Each map evaluates in one kernel, `_eval_pair`, on an unreduced integer
-pair a/d with d > 0: the chart in is (k*a - m*d, d), the chart out
+pair a/d with d > 0 in its domain, which no kernel checks: the public
+`eval` refuses a point outside it, and `solve_conjugacy` lays its samples
+out in [-1, 1], where each chart and map sends its domain into the next
+by construction.  The chart in is (k*a - m*d, d), the chart out
 (m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
 not change when a and d are scaled, so no chart reduces its pair.  The
 one reduction is at a `PLHomeo`: its kernel divides the point by
@@ -71,10 +74,9 @@ over the one denominator n(n + 1)(per_tile + 1), reduced by gcd in one
 pass over the columns.  `solve_conjugacy` feeds each reduced pair to the
 per-point kernels and keeps the pairs and the verdicts as columns in
 `ConjugacyWitness`, so no Fraction, `SampleCheck` or other per-sample
-object is built between a sample point and its verdict; `witness_samples`
-is the Fraction view of the same columns, and `ConjugacyWitness.checks`
-builds its `SampleCheck`s on demand.  A map has at most MAX_BREAKPOINTS
-breakpoints.
+object is built between a sample point and its verdict;
+`ConjugacyWitness.checks` builds its `SampleCheck`s on demand.  A map has
+at most MAX_BREAKPOINTS breakpoints.
 """
 
 from __future__ import annotations
@@ -98,6 +100,14 @@ def check_breakpoint_count(count: int) -> None:
     """Refuse a map with more than MAX_BREAKPOINTS breakpoints or values."""
     if count > MAX_BREAKPOINTS:
         raise ValueError(f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {count}")
+
+
+def _unit_pair(q) -> Tuple[int, int]:
+    """q as a lowest-terms pair (`exact.frac_pair`), refused outside [-1, 1]."""
+    a, d = frac_pair(q)
+    if abs(a) > d:
+        raise ValueError(f"{Fraction(a, d)} outside [-1, 1]")
+    return a, d
 
 
 class PLHomeo:
@@ -176,21 +186,20 @@ class PLHomeo:
         return f
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*frac_pair(q), {}))
+        return Fraction(*self._eval_pair(*_unit_pair(q), {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
-        """The value at a/d, d > 0, as a pair whose denominator is D times
-        that of a/d in lowest terms.  memo holds the values found so far,
-        keyed on (id(self), numerator, denominator) of the point in lowest
-        terms; the caller owns it and keeps the maps alive while it does."""
+        """The value at a/d in [-1, 1], d > 0, as a pair whose denominator
+        is D times that of a/d in lowest terms.  memo holds the values found
+        so far, keyed on (id(self), numerator, denominator) of the point in
+        lowest terms; the caller owns it and keeps the maps alive while it
+        does."""
         g = gcd(a, d)
         a, d = a // g, d // g
         key = (id(self), a, d)
         y = memo.get(key)
         if y is not None:
             return y
-        if abs(a) > d:
-            raise _outside_unit(a, d)
         # the last segment whose left breakpoint is <= a/d; the right
         # endpoint 1 takes the last segment
         cuts = self._cuts
@@ -259,10 +268,6 @@ def _fill(f: PLHomeo, cuts: tuple, cut_values: tuple, segments: tuple) -> None:
 # -- lazy tiled homeomorphisms ----------------------------------------------------
 
 
-def _outside_unit(a: int, d: int) -> ValueError:
-    return ValueError(f"{Fraction(a, d)} outside [-1, 1]")
-
-
 @dataclass(frozen=True)
 class TiledHomeo:
     """Homeomorphism of [-1, 1] assembled from rescaled copies of the tile
@@ -280,17 +285,13 @@ class TiledHomeo:
             raise ValueError("each side needs one or more maps of [-1, 1]")
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*frac_pair(q), {}))
+        return Fraction(*self._eval_pair(*_unit_pair(q), {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         if a < 0:
-            if -a > d:
-                raise _outside_unit(a, d)
             n = d // -a
             maps, m = self.negative, -(2 * n + 1)
         elif a:
-            if a > d:
-                raise _outside_unit(a, d)
             n = d // a
             maps, m = self.positive, 2 * n + 1
         else:
@@ -315,12 +316,13 @@ class Concatenation:
         object.__setattr__(self, "_count", len(self.pieces))
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*frac_pair(q), {}))
+        a, d = frac_pair(q)
+        if not 0 <= a <= self._count * d:
+            raise ValueError(f"{Fraction(a, d)} outside [0, {self._count}]")
+        return Fraction(*self._eval_pair(a, d, {}))
 
     def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
         k = self._count
-        if not 0 <= a <= k * d:
-            raise ValueError(f"{Fraction(a, d)} outside [0, {k}]")
         i = a // d
         if i == k:
             i -= 1
@@ -355,17 +357,10 @@ class TileShiftMap:
             object.__setattr__(self, name, 2 * end + 1 if 0 <= end < self.piece_count else None)
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*frac_pair(q)))
+        return Fraction(*self._eval_pair(*_unit_pair(q)))
 
     def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
-        if a < 0:
-            if -a > d:
-                raise _outside_unit(a, d)
-            side, end = -1, self._negative_end
-        else:
-            if a > d:
-                raise _outside_unit(a, d)
-            side, end = 1, self._positive_end
+        side, end = (-1, self._negative_end) if a < 0 else (1, self._positive_end)
         m = self._middle
         if a == 0 or end is None:
             return m * d + a, 2 * d
@@ -400,7 +395,7 @@ class SampleCheck:
 @dataclass(frozen=True)
 class ConjugacyWitness:
     """Exact verification data for h(t(x)) = expr(h(x)) at sampled rationals:
-    the reduced sample points as two integer columns, in `witness_samples`
+    the reduced sample points as two integer columns, in `_sample_layout`
     order, and the verdict at each point."""
 
     case: str
@@ -437,24 +432,21 @@ def _sample_layout(tiles_per_side: int, per_tile: int) -> Tuple[List[int], List[
     return list(map(floordiv, nums, common)), list(map(floordiv, dens, common))
 
 
-def witness_samples(tiles_per_side: int = 8, per_tile: int = 4) -> List[Fraction]:
-    """Rational sample points spread over the outermost tiles of both sides,
-    plus the endpoints and the center."""
-    return list(map(Fraction, *_sample_layout(tiles_per_side, per_tile)))
-
-
 # A report lists every sample point, so the layout is capped; the largest
 # allowed one has under MAX_SAMPLES + 2 * MAX_TILES + 3 points.
 MAX_TILES = 4096
 MAX_SAMPLES = 16384
+# the layout of `holonomy tau` without --tiles and --samples
+DEFAULT_TILES = 8
+DEFAULT_SAMPLES = 64
 
 
 def solve_conjugacy(
     u: PLHomeo,
     v: PLHomeo,
     case: str,
-    tiles_per_side: int = 8,
-    samples: int = 64,
+    tiles_per_side: int = DEFAULT_TILES,
+    samples: int = DEFAULT_SAMPLES,
 ) -> Tuple[TiledHomeo, ConjugacyWitness]:
     """Build the tiled homeomorphism for the selected case (a key of
     `EXPRESSIONS`) and certify the conjugacy at `samples` or more rational

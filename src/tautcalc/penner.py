@@ -238,9 +238,15 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # and penner reports still print their matrices densely: each row is spliced
 # from its nonzeros into one zero row, so the Python work is O(g), but the
 # report's bytes are O(g^2) (5 MB of JSON at g = 240).  Until the reports
-# print only the nonzeros, the genus is capped here for the chain systems and
-# in `cli._twist_action` for a `penner --input` system.
+# print only the nonzeros, `check_genus_cap` caps the genus of the chain
+# systems and of a `penner --input` system.
 MAX_CHAIN_GENUS = 240
+
+
+def check_genus_cap(genus: int) -> None:
+    """Refuse a genus above MAX_CHAIN_GENUS."""
+    if genus > MAX_CHAIN_GENUS:
+        raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")
 
 
 def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
@@ -251,8 +257,7 @@ def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
     b2 a2^- a3^- b1 b3 a1^- a4^- (outermost letter first)."""
     if not is_int(genus) or genus < 2:
         raise ValueError("genus must be an integer >= 2")
-    if genus > MAX_CHAIN_GENUS:
-        raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")
+    check_genus_cap(genus)
     space = SymplecticSpace(genus)
     # a_i = r_{i-1} + r_i, at coordinates 2i - 4 and 2i - 2, and b_i = s_i, at
     # 2i - 1; a_1 and a_{g+1} each have one of the two

@@ -16,7 +16,7 @@ import pytest
 
 from tautcalc import jsonio
 from tautcalc.cli import main
-from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy, witness_samples
+from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy
 from tautcalc.homology import (
     Family,
     SymplecticSpace,
@@ -258,9 +258,10 @@ def test_holonomy_conjugacy_witnesses():
             assert witness.tiles_per_side >= 8
             assert witness.all_passed
         ident = PLHomeo.identity()
-        tiled, witness = solve_conjugacy(ident, ident, "a")
+        # 10 tiles per side, 4 points in each
+        tiled, witness = solve_conjugacy(ident, ident, "a", 10, 80)
         assert witness.all_passed
-        assert all(tiled.eval(q) == q for q in witness_samples(10, 4))
+        assert all(tiled.eval(Fr(a, d)) == Fr(a, d) for a, d in zip(witness.numerators, witness.denominators))
 
 
 def test_holonomy_witnesses_at_256_tiles():

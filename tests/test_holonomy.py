@@ -21,7 +21,6 @@ from tautcalc.holonomy import (
     TileShiftMap,
     bundled_shifts,
     solve_conjugacy,
-    witness_samples,
 )
 
 
@@ -341,7 +340,7 @@ def test_tiled_tile_boundaries_fixed():
 def test_tiled_strictly_increasing_on_batch():
     u, v = bundled_shifts()
     t = TiledHomeo((u, u.inverse()), (v, v.inverse()))
-    xs = sorted(witness_samples(10, 5))
+    xs = sorted(ref_samples(10, 5))
     ys = [t.eval(x) for x in xs]
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
@@ -366,7 +365,7 @@ def test_tiled_inverse():
                      ((ident,), (v, v.inverse()))):
         t = TiledHomeo(neg, pos)
         ti = TiledHomeo(neg[::-1], pos[::-1])
-        for q in witness_samples(6, 3) + [Fr(-1, n) for n in range(1, 9)] + [Fr(1, n) for n in range(1, 9)]:
+        for q in ref_samples(6, 3) + [Fr(-1, n) for n in range(1, 9)] + [Fr(1, n) for n in range(1, 9)]:
             assert ti.eval(t.eval(q)) == q
             assert t.eval(ti.eval(q)) == q
 
@@ -445,7 +444,7 @@ def test_identity_degenerate_case():
     ident = PLHomeo.identity()
     tiled, witness = solve_conjugacy(ident, ident, "a")
     assert witness.all_passed
-    for q in witness_samples(9, 4):
+    for q in ref_samples(9, 4):
         assert tiled.eval(q) == q
 
 
@@ -453,7 +452,7 @@ def test_case_c_with_identity_u():
     _, v = bundled_shifts()
     tiled, witness = solve_conjugacy(PLHomeo.identity(), v, "c")
     assert witness.all_passed
-    for q in witness_samples(6, 3):
+    for q in ref_samples(6, 3):
         assert tiled.eval(q) == q
 
 
@@ -487,7 +486,7 @@ def test_sample_layout_owned_by_solve():
     for tiles, samples, count in ((8, 64, 67), (3, 4, 9), (5, 21, 33), (1, 1, 5)):
         _, witness = solve_conjugacy(u, v, "c", tiles, samples)
         per_tile = (count - 3) // (2 * tiles)
-        points = witness_samples(tiles, per_tile)
+        points = ref_samples(tiles, per_tile)
         # the stored columns are the reduced points, and `checks` is their view
         assert list(zip(witness.numerators, witness.denominators)) == [(q.numerator, q.denominator) for q in points]
         assert [c.point for c in witness.checks] == points
@@ -525,7 +524,7 @@ def test_verdicts_match_reference(monkeypatch, case, shift):
             _, witness = solve_conjugacy(maps[0], maps[1], case, tiles, samples)
             expected = [
                 ref_eval(h, ref_eval(tiled, q)) == ref_eval(expr, ref_eval(h, q))
-                for q in witness_samples(tiles, -(-samples // (2 * tiles)))
+                for q in ref_samples(tiles, -(-samples // (2 * tiles)))
             ]
             assert list(witness.verdicts) == expected, (tiles, samples)
             assert all(expected) or shift
@@ -584,8 +583,11 @@ def test_sample_layout_bounds(tiles, samples, message):
 
 
 def test_witness_samples_spread():
-    pts = witness_samples(8, 4)
-    assert len(pts) == 8 * 4 * 2 + 3
+    # the default layout: 8 tiles per side, 4 points in each
+    u, v = bundled_shifts()
+    _, witness = solve_conjugacy(u, v, "a")
+    pts = list(map(Fr, witness.numerators, witness.denominators))
+    assert witness.tiles_per_side == 8 and len(pts) == 8 * 4 * 2 + 3
     assert len(set(pts)) == len(pts)
     assert all(-1 <= p <= 1 for p in pts)
 
@@ -726,9 +728,12 @@ def test_evaluation_matches_reference_at_rationals(case, q):
 
 
 def test_witness_samples_match_reference():
+    u, v = bundled_shifts()
     for tiles in (1, 2, 7, 40):
         for per_tile in (1, 2, 5, 8):
-            assert witness_samples(tiles, per_tile) == ref_samples(tiles, per_tile)
+            _, witness = solve_conjugacy(u, v, "a", tiles, 2 * tiles * per_tile)
+            points = ref_samples(tiles, per_tile)
+            assert list(zip(witness.numerators, witness.denominators)) == [(q.numerator, q.denominator) for q in points]
 
 
 def test_unit_maps_take_endpoints_and_reject_beyond():
