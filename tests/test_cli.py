@@ -673,6 +673,67 @@ def test_parser_built_once_and_not_poisoned(tmp_path, monkeypatch, capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+# argv that argparse answers with help (exit 0) or a usage error (exit 2)
+ARGPARSE_ANSWERS = [
+    ["-h"],
+    ["--help"],
+    ["sutured", "-h"],
+    ["holonomy", "-h"],
+    ["vmatrix", "-h"],
+    ["candidates", "-h"],
+    ["penner", "-h"],
+    ["sutured", "chi", "-h"],
+    ["sutured", "core-disk", "-h"],
+    ["sutured", "pairing", "-h"],
+    ["sutured", "witness", "-h"],
+    ["holonomy", "tau", "-h"],
+    ["vmatrix", "--genus", "6", "-h"],
+    ["vmatrix"],
+    ["candidates"],
+    ["sutured", "chi"],
+    ["sutured", "core-disk"],
+    ["sutured", "pairing"],
+    ["sutured", "witness", "--k", "2"],
+    ["holonomy", "tau"],
+    ["vmatrix", "--genus", "x"],
+    ["vmatrix", "--genus", ""],
+    ["vmatrix", "--genus=", "6"],
+    ["vmatrix", "--genus", "6", "--format", "xml"],
+    ["holonomy", "tau", "--case", "g"],
+    ["vmatrix", "--genus"],
+    ["vmatrix", "--genus", "-h"],
+    ["vmatrix", "--genus", "6", "extra"],
+    ["vmatrix", "--genus", "6", "--spec", "s.json"],
+    ["vmatrix", "--", "--genus", "6"],
+    ["nope"],
+    ["sutured"],
+    ["sutured", "nope"],
+    [],
+]
+
+
+def _argparse_outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), which argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ANSWERS, ids=" ".join)
+def test_help_and_usage_errors_are_argparse_own(capsys, argv):
+    # compared with argparse on the running interpreter, whose wording differs by version
+    expected = _argparse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert expected[0] in (0, 2)
+    assert _argparse_outcome(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [["vmatrix", "--gen", "6"], ["vmatrix", "--genus=6"]])
+def test_option_spellings_argparse_accepts(monkeypatch, capsys, argv):
+    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+    assert run(capsys, *argv) == run(capsys, "vmatrix", "--genus", "6")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
