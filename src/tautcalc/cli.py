@@ -12,7 +12,14 @@ fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later call; it holds no per-call state.
+and reused by every later call; it holds no per-call state.  `main` reads
+a well-formed argv -- the route to one leaf parser, then pairs of an exact
+option string and its value -- off that leaf's own actions, and builds the
+Namespace argparse would.  Every other argv, including -h and every usage
+error, goes to argparse, which stays the one definition of the command
+line and the only producer of help, usage and error text.  The routes,
+each leaf parser with the subcommand words that reach it, are kept on the
+cached parser as `routes`, and every leaf parser sets its own `func`.
 """
 
 from __future__ import annotations
@@ -283,13 +290,79 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tiles", type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across")
     q.add_argument("--u", help="JSON file for the first map (default: bundled shift)")
     q.add_argument("--v", help="JSON file for the second map (default: bundled shift)")
-    p.set_defaults(func=cmd_holonomy)
+    q.set_defaults(func=cmd_holonomy)
 
+    parser.routes = dict(_routes(parser))
     return parser
 
 
+# `_routes` and `_read` read argparse's private names `_actions`,
+# `_option_string_actions`, `_StoreAction`, `_negative_number_matcher` and
+# `_has_negative_number_optionals`; the tests that compare `_read` with
+# `parse_args` on every supported Python fail if one of them changes.
+
+
+def _routes(parser, tokens=(), dests=()):
+    """(route tokens, (leaf parser, the dests the route sets)) for each leaf
+    below parser, read off its subparser actions."""
+    for action in parser._actions:
+        if action.nargs == argparse.PARSER:
+            for name, child in action.choices.items():
+                yield from _routes(child, (*tokens, name), (*dests, (action.dest, name)))
+            return
+    yield tokens, (parser, dict(dests))
+
+
+def _read(argv):
+    """The Namespace `build_parser().parse_args(argv)` returns when argv is a
+    route followed by (exact option string, value) pairs; None otherwise."""
+    if not all(type(token) is str for token in argv):
+        return None
+    routes = build_parser().routes
+    for n in range(1, len(argv) + 1):
+        if (route := routes.get(tuple(argv[:n]))) is not None:
+            break
+    else:
+        return None
+    leaf, dests = route
+    pairs = argv[n:]
+    if len(pairs) % 2:
+        return None
+    values, seen = {}, set()
+    for option, value in zip(pairs[::2], pairs[1::2]):
+        action = leaf._option_string_actions.get(option)
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        # a value starting with "-" is one only if argparse reads it as a negative number
+        if value.startswith("-") and (leaf._has_negative_number_optionals
+                                      or not leaf._negative_number_matcher.match(value)):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    args = dict(dests, func=leaf.get_default("func"))
+    for action in leaf._actions:
+        if action.required and action not in seen:
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            if isinstance(action.default, str):
+                return None  # argparse would convert it with action.type
+            args.setdefault(action.dest, action.default)
+    args.update(values)
+    return argparse.Namespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:  # help, or a usage error
+        args = build_parser().parse_args(argv)
     try:
         if args.format is None:
             args.format = _env_format()

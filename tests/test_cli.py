@@ -702,6 +702,7 @@ ARGPARSE_ANSWERS = [
     ["holonomy", "tau", "--case", "g"],
     ["vmatrix", "--genus"],
     ["vmatrix", "--genus", "-h"],
+    ["vmatrix", "--genus", "6", "--output", "--format"],
     ["vmatrix", "--genus", "6", "extra"],
     ["vmatrix", "--genus", "6", "--spec", "s.json"],
     ["vmatrix", "--", "--genus", "6"],
@@ -726,6 +727,49 @@ def test_help_and_usage_errors_are_argparse_own(capsys, argv):
     expected = _argparse_outcome(capsys, cli.build_parser().parse_args, argv)
     assert expected[0] in (0, 2)
     assert _argparse_outcome(capsys, main, argv) == expected
+
+
+# argv that `main` reads without argparse: a route, then (option, value) pairs
+READER_ACCEPTS = [
+    ["vmatrix", "--genus", "6"],
+    ["vmatrix", "--genus", "6", "--format", "json", "--output", "r.json"],
+    ["vmatrix", "--format", "text", "--genus", "6"],
+    ["vmatrix", "--genus", " 7 "],
+    ["vmatrix", "--genus", "1_000"],
+    ["vmatrix", "--genus", "6", "--genus", "7"],
+    ["vmatrix", "--genus", "6", "--output", ""],
+    ["vmatrix", "--genus", "6", "--output", "-5"],
+    ["vmatrix", "--genus", "6", "--output", "a=b"],
+    ["candidates", "--genus", "3"],
+    ["candidates", "--genus", "3", "--spec", "my_norms.json"],
+    ["penner"],
+    ["penner", "--input", "system.json"],
+    ["sutured", "chi", "--base-chi", "-1"],
+    ["sutured", "chi", "--base-chi", "1", "--convex", "4", "--concave", "2"],
+    ["sutured", "core-disk", "--wraps", "3"],
+    ["sutured", "core-disk", "--wraps", "3", "--sutures", "4", "--format", "json"],
+    ["sutured", "pairing", "--input", "tangencies.json"],
+    ["sutured", "witness", "--k", "-24", "--m", "3"],
+    ["holonomy", "tau", "--case", "a"],
+    ["holonomy", "tau", "--case", "f", "--samples", "64", "--tiles", "3", "--u", "u.json", "--v", "v.json"],
+]
+
+
+def _fields(args):
+    return {name: (type(value), value) for name, value in vars(args).items()}
+
+
+@pytest.mark.parametrize("argv", READER_ACCEPTS, ids=" ".join)
+def test_reader_builds_argparse_namespace(argv):
+    read = cli._read(list(argv))
+    assert read is not None
+    assert _fields(read) == _fields(cli.build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv", [*ARGPARSE_ANSWERS, ["vmatrix", "--genus", 6], ["vmatrix", b"--genus", "6"]],
+                         ids=lambda argv: " ".join(map(str, argv)))
+def test_reader_leaves_help_and_errors_to_argparse(argv):
+    assert cli._read(list(argv)) is None
 
 
 @pytest.mark.parametrize("argv", [["vmatrix", "--gen", "6"], ["vmatrix", "--genus=6"]])

@@ -1,11 +1,15 @@
 """Each input rule is checked in one place: a map's domain at its public
-`eval`, the report genus cap in one `penner` function, and each CLI default
-in the library signature or type it belongs to."""
+`eval`, the report genus cap in one `penner` function, each CLI default
+in the library signature or type it belongs to, and the command line in
+`cli.build_parser`."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import tautcalc
+from tautcalc import cli
 
 
 def _names(node):
@@ -51,3 +55,42 @@ def test_each_input_rule_has_one_owner():
     assert raising == [], raising
     assert len(capping) == 1, capping
     assert literal == [], literal
+
+
+def test_command_line_written_only_in_build_parser():
+    # `cli.main` reads well-formed argv off the parser's own actions, so an
+    # option string, argument or default written anywhere else would be a
+    # second definition of the command line
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(tautcalc.__file__).parent.glob("*.py")]
+    parsers = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    inside = {id(n) for f in parsers for n in ast.walk(f)}
+    outside = [n for tree in trees for n in ast.walk(tree) if id(n) not in inside]
+    options = [n.value for n in outside
+               if isinstance(n, ast.Constant) and isinstance(n.value, str) and re.fullmatch(r"--?[a-z][a-z-]*", n.value)]
+    calls = [ast.unparse(n) for n in outside if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr in ("add_argument", "set_defaults")]
+    # the reader fills in `func` alone from the leaf, so no other key is set
+    keys = [kw.arg for f in parsers for n in ast.walk(f) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "set_defaults" for kw in n.keywords]
+    assert len(parsers) == 1
+    assert options == [], options
+    assert calls == [], calls
+    assert set(keys) == {"func"} and len(keys) >= 8, keys
+
+
+def _parsers(parser, route=()):
+    """(route tokens, parser) for parser and each parser below it."""
+    yield route, parser
+    for action in parser._actions:
+        if action.nargs == argparse.PARSER:
+            for name, child in action.choices.items():
+                yield from _parsers(child, route + (name,))
+
+
+def test_each_leaf_parser_has_its_own_func():
+    # a group's default would reach argparse's Namespace but not the reader's
+    parsers = {" ".join(route): p for route, p in _parsers(cli.build_parser())}
+    leaves = {route for route, p in parsers.items() if all(a.nargs != argparse.PARSER for a in p._actions)}
+    with_func = {route for route, p in parsers.items() if callable(p.get_default("func"))}
+    assert with_func == leaves and len(leaves) == 8
