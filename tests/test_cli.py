@@ -808,3 +808,28 @@ def test_imports_only_the_standard_library():
     assert "tautcalc" in loaded
     extra = loaded - set(sys.stdlib_module_names) - {"tautcalc", "__main__"}
     assert not extra, f"non-stdlib modules imported: {sorted(extra)}"
+
+
+@pytest.mark.parametrize("index", [0, 6])
+def test_penner_unknown_label_at_either_end(tmp_path, capsys, index):
+    doc = _bundled_penner_doc()
+    assert len(doc["word"]) == 7
+    doc["word"][index].update(label="z9")
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "penner", "--input", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: input.word[{index}]: unknown curve label 'z9'\n")
+
+
+def test_penner_unknown_label_reported_before_genus_cap(tmp_path, capsys):
+    # a document above the genus cap whose word also names an unknown curve:
+    # the labels are checked first
+    genus = MAX_CHAIN_GENUS + 1
+    curve = {"label": "c", "coords": ["1"] + ["0"] * (2 * genus - 1), "family": "A"}
+    doc = {"genus": genus, "curves": [curve], "geo_int": [[]],
+           "word": [{"label": "c", "exp": -1}, {"label": "z9", "exp": 1}]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "penner", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: input.word[1]: unknown curve label 'z9'\n")

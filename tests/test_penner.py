@@ -11,7 +11,7 @@ from tautcalc.homology import (
     mapping_torus,
     word_action,
 )
-from tautcalc.jsonio import curve_system_from_json
+from tautcalc.jsonio import curve_system_from_json, curve_system_to_json, penner_input_from_json, word_to_json
 from tautcalc.penner import (
     MAX_CHAIN_GENUS,
     CurveSystem,
@@ -354,3 +354,44 @@ def test_chain_intersection_graph_is_path():
             degrees[j] += 1
         assert sorted(degrees)[:2] == [1, 1]
         assert all(d == 2 for d in sorted(degrees)[2:])
+
+
+def test_crossing_messages_pinned():
+    # one fault per system, after a valid first crossing where there is room for one
+    space = SymplecticSpace(2)
+    curves = (
+        TwistGenerator("a1", basis_r(space, 1), Family.A),
+        TwistGenerator("b1", basis_s(space, 1), Family.B),
+        TwistGenerator("a2", basis_r(space, 2), Family.A),
+    )
+    shape = "crossings[1] must be an (i, j, count) triple of integers"
+    order = ": need 0 <= j < i < 3, in increasing order of (i, j)"
+    for bad, message in (
+        ([(1, 0, 1)], "crossings must be a tuple of (i, j, count) triples"),
+        (((1, 0, 1), (2, 1)), shape),
+        (((1, 0, 1), (2, 1, 1, 1)), shape),
+        (((1, 0, 1), [2, 1, 1]), shape),
+        (((1, 0, 1), (2, 1, True)), shape),
+        (((1, 0, 1), (2.0, 1, 1)), shape),
+        (((1, 0, 1), (2, 1, "1")), shape),
+        (((3, 0, 1),), "crossings[0]" + order),
+        (((1, 0, 1), (1, 0, 1)), "crossings[1]" + order),
+        (((2, 1, 1), (1, 0, 1)), "crossings[1]" + order),
+        (((1, 0, 1), (2, 1, 0)), "crossings[1]: count must be positive"),
+        (((1, 0, 1), (2, 1, -2)), "crossings[1]: count must be positive"),
+        (((1, 0, 1), (2, 0, 1)), "curves 'a1' and 'a2' are in the same family but intersect"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            CurveSystem(2, curves, bad)
+        assert str(exc.value) == message, bad
+
+
+def test_unknown_label_raised_by_each_entry_point():
+    system, word = chain_system(2)
+    bad = TwistWord(word.letters + (("z9", 1),))
+    doc = {**curve_system_to_json(system), "word": word_to_json(bad)}
+    for call in (lambda: word_action(bad, system.generator_map()),
+                 lambda: validate_word(bad, system),
+                 lambda: penner_input_from_json(doc)):
+        with pytest.raises(ValueError, match="'z9'"):
+            call()
