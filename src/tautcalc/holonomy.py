@@ -399,11 +399,14 @@ class ConjugacyWitness:
     order, and the verdict at each point."""
 
     case: str
-    expression: str
     numerators: Tuple[int, ...]
     denominators: Tuple[int, ...]
     verdicts: Tuple[bool, ...]
     tiles_per_side: int
+
+    @property
+    def expression(self) -> str:
+        return EXPRESSIONS[self.case]
 
     @property
     def checks(self) -> Tuple[SampleCheck, ...]:
@@ -488,9 +491,7 @@ def solve_conjugacy(
         ra, rd = expr_at(*h_at(a, d), memo)
         # both denominators are positive, so this is lhs == rhs
         passed(la * rd == ra * ld)
-    witness = ConjugacyWitness(
-        case, EXPRESSIONS[case], tuple(nums), tuple(dens), tuple(verdicts), tiles_per_side
-    )
+    witness = ConjugacyWitness(case, tuple(nums), tuple(dens), tuple(verdicts), tiles_per_side)
     return tiled, witness
 
 

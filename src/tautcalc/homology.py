@@ -164,6 +164,14 @@ class TwistWord:
         return len(self.letters)
 
 
+def check_labels(word: TwistWord, gens: Mapping[str, TwistGenerator], field: str = "word") -> None:
+    """The one unknown-label rule: refuse the first letter whose label is not
+    a key of gens, naming it by its index under field."""
+    for i, (label, _) in enumerate(word):
+        if label not in gens:
+            raise ValueError(f"{field}[{i}]: unknown curve label {label!r}")
+
+
 def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatrix:
     """Product of transvection matrices in the word's composition order.
 
@@ -180,7 +188,8 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     those rows, so a word over curves of bounded support costs in proportion
     to the nonzeros it reaches, not to n^2.
 
-    Raises ValueError when an entry of the product is longer than
+    Raises ValueError on a label that `check_labels` refuses, before any
+    letter is applied, and when an entry of the product is longer than
     MAX_ACTION_BITS bits, which one pass over the nonzeros finds.
     """
     spaces = {g.cls.space for g in gens.values()}
@@ -189,12 +198,11 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     if len(spaces) > 1:
         raise ValueError("generators live in different spaces")
     (space,) = spaces
+    check_labels(word, gens)
     n = space.dimension
     rows = [{i: 1} for i in range(n)]
     holders = [{i} for i in range(n)]
     for label, exp in word:
-        if label not in gens:
-            raise ValueError(f"unknown twist label {label!r}")
         support = gens[label].cls.nonzeros
         # row += f * e (c^T J), f = row . c, with (c^T J)_{2i+1} = c_{2i}
         # and (c^T J)_{2i} = -c_{2i+1}

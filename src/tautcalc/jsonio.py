@@ -2,10 +2,12 @@
 
 All integers and rationals travel as decimal strings ("p/q" for
 non-integral rationals) so consumers never lose precision; matrices are
-row-major arrays of such strings.  Parsers check only the JSON shape; the
-domain types check everything else.  Either way a parser raises ValueError
-prefixed with the field path, so the CLI can report where an input file
-went wrong.  A curve system keeps only its nonzeros (class pairs and
+row-major arrays of such strings.  Parsers check only the JSON shape and
+leave every other rule to its one owner: the domain types, `exact` for
+numbers, `homology.check_labels` for the labels of a word and
+`penner.check_genus_cap` for the genus of a penner document.  Either way a
+parser raises ValueError prefixed with the field path, so the CLI can
+report where an input file went wrong.  A curve system keeps only its nonzeros (class pairs and
 crossings).  Its dense coordinates and lower triangle are the schema's
 form, read and written only here: `curve_system_from_json` checks their
 lengths and that the counts are nonnegative, then hands the nonzeros to
@@ -58,9 +60,9 @@ from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import frac, frac_pair, is_int
 from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
-from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
+from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord, check_labels
 from .matrices import IntMatrix
-from .penner import CurveSystem, PennerReport, Region
+from .penner import CurveSystem, PennerReport, Region, check_genus_cap
 from .polytope import CandidatePoint, NormSpec, RatPolytope
 from .sutured import NovikovWitness, Tangency, TangencyKind
 
@@ -463,13 +465,12 @@ def word_from_json(data: Any, field: str = "word") -> TwistWord:
 
 
 def penner_input_from_json(data: Any, field: str = "input") -> Tuple[CurveSystem, TwistWord]:
-    """The penner document: a curve system plus the word over its labels."""
+    """The penner document: a curve system plus the word over its labels,
+    at a genus the report can print."""
     system = curve_system_from_json(data, field)
     word = word_from_json(_get(data, "word", field), f"{field}.word")
-    labels = system.generator_map()
-    for i, (label, _) in enumerate(word):
-        if label not in labels:
-            raise ValueError(f"{field}.word[{i}]: unknown curve label {label!r}")
+    check_labels(word, system.generator_map(), f"{field}.word")
+    _build(f"{field}.genus", check_genus_cap, system.genus)
     return system, word
 
 

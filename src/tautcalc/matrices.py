@@ -23,7 +23,6 @@ minors.  No floating point anywhere.
 
 from __future__ import annotations
 
-from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .exact import is_int
@@ -41,19 +40,21 @@ class IntMatrix:
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = tuple(map(tuple, rows))
-        # one C-level pass over the entry types; the per-entry check only
-        # runs to name the offending entry or to admit an int subclass
-        if not {*map(type, chain.from_iterable(data))} <= {int}:
-            for e in chain.from_iterable(data):
-                if not is_int(e):
-                    raise ValueError(f"entries must be integers, got {e!r}")
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        nonzeros = tuple(dict(zip(compress(range(width), row), filter(None, row))) for row in data)
-        object.__setattr__(self, "nonzeros", nonzeros)
+        nonzeros = []
+        for row in data:
+            if len(row) != width:
+                raise ValueError("ragged rows")
+            line = {}
+            for j, e in enumerate(row):
+                if not is_int(e):
+                    raise ValueError(f"entries must be integers, got {e!r}")
+                if e:
+                    line[j] = e
+            nonzeros.append(line)
+        object.__setattr__(self, "nonzeros", tuple(nonzeros))
         object.__setattr__(self, "n_cols", width)
 
     @classmethod

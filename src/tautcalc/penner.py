@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Tuple
 
 from .exact import is_int
-from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord
+from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord, check_labels
 
 
 class FillingStatus(enum.Enum):
@@ -77,18 +76,11 @@ class CurveSystem:
         crossings = self.crossings
         if type(crossings) is not tuple:
             raise ValueError("crossings must be a tuple of (i, j, count) triples")
-        # the shapes and types in C-level passes; the per-entry test only runs
-        # to name a bad entry or to admit an int subclass
-        if not (
-            {*map(type, crossings)} <= {tuple}
-            and {*map(len, crossings)} <= {3}
-            and {*map(type, chain.from_iterable(crossings))} <= {int}
-        ):
-            for k, entry in enumerate(crossings):
-                if not (type(entry) is tuple and len(entry) == 3 and all(map(is_int, entry))):
-                    raise ValueError(f"crossings[{k}] must be an (i, j, count) triple of integers")
         last = (0, -1)
-        for k, (i, j, count) in enumerate(crossings):
+        for k, entry in enumerate(crossings):
+            if not (type(entry) is tuple and len(entry) == 3 and all(map(is_int, entry))):
+                raise ValueError(f"crossings[{k}] must be an (i, j, count) triple of integers")
+            i, j, count = entry
             if not (0 <= j < i < n and (i, j) > last):
                 raise ValueError(
                     f"crossings[{k}]: need 0 <= j < i < {n}, in increasing order of (i, j)"
@@ -118,11 +110,14 @@ class CurveSystem:
 class PennerReport:
     """Outcome of validating a word over a curve system."""
 
-    word_valid: bool
     all_curves_used: bool
     sign_discipline: bool
     filling_status: FillingStatus
     messages: Tuple[str, ...] = ()
+
+    @property
+    def word_valid(self) -> bool:
+        return self.all_curves_used and self.sign_discipline
 
 
 def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
@@ -192,15 +187,15 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
     Sign discipline: one family appears only with positive exponents and
     the other only with negative ones (either orientation).  All curves of
     both families must occur.  The filling assessment of the system is
-    included in the report.
+    included in the report.  `check_labels` refuses a label that is not a
+    curve of the system.
     """
     table = sys.generator_map()
+    check_labels(word, table)
     used = set()
     signs = {Family.A: set(), Family.B: set()}
     messages = []
     for label, exp in word:
-        if label not in table:
-            raise ValueError(f"word uses unknown curve label {label!r}")
         used.add(label)
         signs[table[label].family].add(1 if exp > 0 else -1)
 
@@ -219,7 +214,6 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 
     filling_status, filling_messages = filling_check(sys)
     return PennerReport(
-        word_valid=all_used and sign_ok,
         all_curves_used=all_used,
         sign_discipline=sign_ok,
         filling_status=filling_status,
@@ -239,7 +233,8 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # from its nonzeros into one zero row, so the Python work is O(g), but the
 # report's bytes are O(g^2) (5 MB of JSON at g = 240).  Until the reports
 # print only the nonzeros, `check_genus_cap` caps the genus of the chain
-# systems and of a `penner --input` system.
+# systems, in `chain_system`, and of a `penner --input` document, where
+# `jsonio.penner_input_from_json` reads it.
 MAX_CHAIN_GENUS = 240
 
 

@@ -1,7 +1,9 @@
 """Each input rule is checked in one place: a map's domain at its public
-`eval`, the report genus cap in one `penner` function, each CLI default
-in the library signature or type it belongs to, and the command line in
-`cli.build_parser`."""
+`eval`, the report genus cap in one `penner` function, the labels of a
+word in one `homology` function, each CLI default in the library
+signature or type it belongs to, and the command line in
+`cli.build_parser`.  Each error message is raised from one function, and
+the library states no `assert`, which would end the CLI in a traceback."""
 
 import argparse
 import ast
@@ -10,6 +12,9 @@ from pathlib import Path
 
 import tautcalc
 from tautcalc import cli
+
+
+SOURCES = sorted(Path(tautcalc.__file__).parent.glob("*.py"))
 
 
 def _names(node):
@@ -94,3 +99,66 @@ def test_each_leaf_parser_has_its_own_func():
     leaves = {route for route, p in parsers.items() if all(a.nargs != argparse.PARSER for a in p._actions)}
     with_func = {route for route, p in parsers.items() if callable(p.get_default("func"))}
     assert with_func == leaves and len(leaves) == 8
+
+
+def _owned(function):
+    """The nodes of function that no function nested in it holds."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _raised_messages():
+    """(message template as written, "module.function") for each raise of an
+    exception built from a string or an f-string."""
+    for path in SOURCES:
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(f, ast.FunctionDef):
+                for node in _owned(f):
+                    if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+                            and isinstance(node.exc.args[0], (ast.Constant, ast.JoinedStr))):
+                        message = node.exc.args[0]
+                        text = message.value if isinstance(message, ast.Constant) else ast.unparse(message)
+                        yield text, f"{path.stem}.{f.name}"
+
+
+# messages that two functions raise on purpose, each for its own rule
+SHARED_MESSAGES = {
+    # a chain word and a surgery family each need two handles, for their own reasons
+    "genus must be an integer >= 2": {"penner.chain_system", "polytope._family_values"},
+    # a curve and a region each carry a label
+    "label must be a string": {"homology.__post_init__", "penner.__post_init__"},
+}
+
+
+def test_each_message_is_raised_from_one_function():
+    raisers = {}
+    for text, function in _raised_messages():
+        raisers.setdefault(text, set()).add(function)
+    shared = {text: functions for text, functions in raisers.items() if len(functions) > 1}
+    assert len(raisers) > 50
+    assert shared == SHARED_MESSAGES, shared
+
+
+def test_unknown_label_rule_has_one_owner():
+    owners = {function for text, function in _raised_messages() if "unknown" in text and "label" in text}
+    assert owners == {"homology.check_labels"}, owners
+
+
+def test_cli_names_only_the_input_field_it_finds():
+    # the document's own fields are named where it is read; `cli` names only
+    # the word, whose action cap only `word_action` can find
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    fields = {n.value for n in ast.walk(tree)
+              if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("input.")}
+    assert {re.match(r"input\.(\w*)", field).group(1) for field in fields} == {"word"}, fields
+
+
+def test_library_states_no_assert():
+    # `python -O` drops an assert, and a failing one ends the CLI in a traceback
+    asserts = [f"{path.name}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert asserts == [], asserts
