@@ -188,9 +188,8 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     those rows, so a word over curves of bounded support costs in proportion
     to the nonzeros it reaches, not to n^2.
 
-    Raises ValueError on a label that `check_labels` refuses, before any
-    letter is applied, and when an entry of the product is longer than
-    MAX_ACTION_BITS bits, which one pass over the nonzeros finds.
+    Raises ValueError on a label `check_labels` refuses, before any letter
+    is applied, and on an entry of the product over MAX_ACTION_BITS bits.
     """
     spaces = {g.cls.space for g in gens.values()}
     if not spaces:

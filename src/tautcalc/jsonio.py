@@ -3,15 +3,14 @@
 All integers and rationals travel as decimal strings ("p/q" for
 non-integral rationals) so consumers never lose precision; matrices are
 row-major arrays of such strings.  Parsers check only the JSON shape and
-leave every other rule to its one owner: the domain types, `exact` for
-numbers, `homology.check_labels` for the labels of a word and
-`penner.check_genus_cap` for the genus of a penner document.  Either way a
-parser raises ValueError prefixed with the field path, so the CLI can
-report where an input file went wrong.  A curve system keeps only its nonzeros (class pairs and
-crossings).  Its dense coordinates and lower triangle are the schema's
-form, read and written only here: `curve_system_from_json` checks their
-lengths and that the counts are nonnegative, then hands the nonzeros to
-`HomologyClass` and `CurveSystem`.
+call the owner of every other rule: the domain types, `exact`,
+`homology.check_labels` and `penner.check_genus_cap`.  Either way a parser
+raises ValueError prefixed with the field path, so the CLI can report
+where an input file went wrong.  A curve system keeps only its nonzeros
+(class pairs and crossings).  Its dense coordinates and lower triangle are
+the schema's form, read and written only here: `curve_system_from_json`
+checks their lengths and that the counts are nonnegative, then hands the
+nonzeros to `HomologyClass` and `CurveSystem`.
 
 Reports are written by `dumps_report`, which returns exactly what
 `json.dumps(report, indent=2)` returns.  A list of strings, such as a

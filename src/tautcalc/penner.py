@@ -187,8 +187,7 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
     Sign discipline: one family appears only with positive exponents and
     the other only with negative ones (either orientation).  All curves of
     both families must occur.  The filling assessment of the system is
-    included in the report.  `check_labels` refuses a label that is not a
-    curve of the system.
+    included in the report.  `check_labels` refuses an unknown label.
     """
     table = sys.generator_map()
     check_labels(word, table)
@@ -233,8 +232,7 @@ def validate_word(word: TwistWord, sys: CurveSystem) -> PennerReport:
 # from its nonzeros into one zero row, so the Python work is O(g), but the
 # report's bytes are O(g^2) (5 MB of JSON at g = 240).  Until the reports
 # print only the nonzeros, `check_genus_cap` caps the genus of the chain
-# systems, in `chain_system`, and of a `penner --input` document, where
-# `jsonio.penner_input_from_json` reads it.
+# systems and, in `jsonio.penner_input_from_json`, of a penner document.
 MAX_CHAIN_GENUS = 240
 
 
