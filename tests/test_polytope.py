@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as Fr
+from itertools import product
 from math import floor
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,6 +163,16 @@ def test_dual_vertices_match_facet_count():
         assert len(d.halfspaces) == len(p.vertices)
 
 
+def representations_agree(p):
+    """Every vertex of p satisfies every halfspace, with equality on exactly
+    two, read on Fractions."""
+    for x, y in p.vertices:
+        values = [a * x + b * y - c for (a, b), c in p.halfspaces]
+        if max(values) > 0 or values.count(0) != 2:
+            return False
+    return True
+
+
 def test_integer_scale_matches_fraction_construction():
     # RatPolytope builds the hull and the halfspaces on the points scaled to
     # one common denominator; they must equal the Fraction construction
@@ -176,11 +188,13 @@ def test_integer_scale_matches_fraction_construction():
             assert str(caught.value) == str(exc)
             continue
         p = RatPolytope(pts)
+        assert representations_agree(p), pts
         assert (p.vertices, p.halfspaces) == expected, pts
         vertical += any(b == 0 for (_, b), _ in p.halfspaces)
         if p.origin_interior:
             facets = [(Fr(a, c), Fr(b, c)) for (a, b), c in p.halfspaces]
             d = polar_dual(p)
+            assert representations_agree(d), pts
             assert (d.vertices, d.halfspaces) == fraction_polygon(facets)
             duals += 1
         else:
@@ -259,6 +273,18 @@ def test_inconsistent_values_rejected():
         NormSpec(1, 1, 3, 1, chi=(-2, -2))  # triangle inequality fails
     with pytest.raises(ValueError):
         norm_ball_from_values(NormSpec(1, 10, 2, 2, chi=(-2, -2)))  # axis point swallowed
+    # if x(S+F) > x(S) + x(F), the point (1, 1)/x(S+F) lies strictly inside
+    # the diamond of the axis points, so no facet of the ball is tight on it;
+    # the same holds for x(S-F) and (-1, 1)/x(S-F)
+    grid = sorted({Fr(n, d) for n in range(1, 6) for d in range(1, 4)})
+    broken = 0
+    for x_f, x_s, x_sum, x_diff in product(grid, repeat=4):
+        if max(x_sum, x_diff) > x_s + x_f:
+            values = SimpleNamespace(x_f=x_f, x_s=x_s, x_sum=x_sum, x_diff=x_diff)
+            with pytest.raises(ValueError, match=r"^norm values are inconsistent \(some value is too large\)$"):
+                norm_ball_from_values(values)
+            broken += 1
+    assert broken > 6000
 
 
 def test_norm_spec_validation():
