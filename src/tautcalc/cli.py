@@ -190,7 +190,7 @@ def cmd_sutured_pairing(args) -> int:
         "tangencies": jsonio.tangencies_to_json(tangencies),
         "euler_pairing": pairing,
         "poincare_hopf_chi": chi,
-        "checks": [{"name": "pairing and chi share parity", "pass": (pairing - chi) % 2 == 0}],
+        "checks": [],
     }
     if all(t.kind is sutured.TangencyKind.SADDLE for t in tangencies):
         report["fully_marked"] = sutured.is_fully_marked(tangencies)
@@ -202,7 +202,7 @@ def cmd_sutured_witness(args) -> int:
     report = {
         "command": "sutured witness",
         "witness": jsonio.witness_to_json(w),
-        "checks": [{"name": "witness terminates at exponent zero", "pass": w.final_exponent == 0}],
+        "checks": [],
     }
     return _emit(report, args)
 

@@ -3,14 +3,15 @@
 The homology rank in play is two, so all polytopes here are convex polygons
 over the rationals.  A polygon carries both representations: the canonical
 vertex list (counter-clockwise, starting at the lexicographically smallest
-vertex) and the facet halfspaces as primitive integer triples; the two are
-cross-validated at construction.
+vertex) and the facet halfspaces as primitive integer triples, one per
+edge of the hull.  The hull turns strictly at every vertex, so each vertex
+is tight on exactly its two edges and strictly inside the others.
 
 A polygon is built on one integer scale: its input points are multiplied
-once by their common denominator d, the hull, the halfspaces and the
-cross-check run on plain ints (a scaled vertex (X, Y) is on the facet
-a*x + b*y <= c when a*X + b*Y == c*d), and only the final vertices become
-Fractions.  Any positive d gives the same primitive halfspaces.
+once by their common denominator d, the hull and the halfspaces run on
+plain ints (a scaled vertex (X, Y) is on the facet a*x + b*y <= c when
+a*X + b*Y == c*d), and only the final vertices become Fractions.  Any
+positive d gives the same primitive halfspaces.
 
 Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
@@ -94,22 +95,6 @@ def _edge_halfspace(p: IntPair, q: IntPair, d: int) -> Halfspace:
     return ((a * (d // k), b * (d // k)), n // k)
 
 
-def _check_representations(vertices: Sequence[IntPair], halfspaces: Sequence[Halfspace], d: int):
-    # every vertex satisfies every halfspace, with equality on exactly two;
-    # the vertices are scaled by d, so a*x + b*y <= c reads a*X + b*Y <= c*d
-    facets = [(a, b, c * d) for (a, b), c in halfspaces]
-    for x, y in vertices:
-        tight = 0
-        for a, b, cd in facets:
-            val = a * x + b * y
-            if val > cd:
-                raise AssertionError("vertex violates a facet halfspace")
-            if val == cd:
-                tight += 1
-        if tight != 2:
-            raise AssertionError("vertex/halfspace representations disagree")
-
-
 class RatPolytope:
     """Convex polygon with exact rational vertices and integer facet data."""
 
@@ -119,7 +104,6 @@ class RatPolytope:
         scaled, d = _scale([_point(p) for p in points])
         hull = _convex_hull(scaled)
         halfspaces = tuple(_edge_halfspace(p, q, d) for p, q in zip(hull, hull[1:] + hull[:1]))
-        _check_representations(hull, halfspaces, d)
         object.__setattr__(self, "vertices", tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull))
         object.__setattr__(self, "halfspaces", halfspaces)
 
@@ -170,9 +154,10 @@ class NormSpec:
 
     Values are the norms of F, S, S+F and S-F, each at most MAX_NORM_VALUE;
     chi records the Euler characteristics (chi(F), chi(S)) that candidate
-    points must match mod 2.  Values that no norm takes and odd chi entries
-    (closed orientable surfaces have even Euler characteristic) are
-    rejected on construction; `ball` is the unit ball built to check them.
+    points must match mod 2.  Values that no norm takes, among them an
+    x(S+-F) above x(S) + x(F), and odd chi entries (closed orientable
+    surfaces have even Euler characteristic) are rejected on construction;
+    `ball` is the unit ball built to check the values.
     """
 
     x_f: Fraction
@@ -190,8 +175,6 @@ class NormSpec:
                 raise ValueError(f"{name} must be positive")
             if v > MAX_NORM_VALUE:
                 raise ValueError(f"{name} must be at most {MAX_NORM_VALUE}")
-        if self.x_sum > self.x_s + self.x_f or self.x_diff > self.x_s + self.x_f:
-            raise ValueError("triangle inequality violated: x(S±F) <= x(S) + x(F)")
         cf, cs = self.chi
         if not (is_int(cf) and is_int(cs)):
             raise ValueError("chi entries must be integers")
@@ -227,7 +210,10 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     The ball is the convex hull of the scaled directions
     +-(1,0)/x(F), +-(0,1)/x(S), +-(1,1)/x(S+F), +-(-1,1)/x(S-F).  Each of
     the eight points must land on the boundary of that hull, otherwise the
-    values are not the values of any norm and a ValueError is raised.
+    values are not the values of any norm and a ValueError is raised.  An
+    x(S+F) above x(S) + x(F) is one such case: (1,1)/x(S+F) then lies
+    strictly inside the diamond of the four axis points, and likewise for
+    x(S-F).
     When x(S+F) and x(S-F) are exactly x(S) + x(F) the diagonal points are
     edge midpoints and the ball is the diamond with vertices
     (+-1/x(F), 0), (0, +-1/x(S)).

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -77,6 +79,84 @@ def test_candidates_point_off_the_boundary_fails(monkeypatch, capsys):
     checks = {c["name"]: c["pass"] for c in doc["checks"]}
     assert checks == {"point (0, -4) flagged as the non-realizable candidate": True,
                       "every listed point has dual norm one": False}
+
+
+def _emitted_check_names():
+    """Each check name `cli` can emit, as written there, with each field of
+    an f-string shown as {}."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and [getattr(k, "value", None) for k in node.keys] == ["name", "pass"]:
+            name = node.values[0]
+            parts = name.values if isinstance(name, ast.JoinedStr) else [name]
+            yield "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+
+
+def _wrong_det(monkeypatch, tmp_path):
+    torus = homology.mapping_torus
+
+    def shifted(m):
+        diff, det, b2 = torus(m)
+        return diff, det + 1, b2
+
+    monkeypatch.setattr(homology, "mapping_torus", shifted)
+    return ["vmatrix", "--genus", "3"]
+
+
+def _tip_unflagged(monkeypatch, tmp_path):
+    candidates = polytope.candidate_points
+
+    def unflagged(spec, genus):
+        ball, dual, points = candidates(spec, genus)
+        return ball, dual, [p._replace(counterexample=False) for p in points]
+
+    monkeypatch.setattr(polytope, "candidate_points", unflagged)
+    return ["candidates", "--genus", "3"]
+
+
+def _dual_norm_two(monkeypatch, tmp_path):
+    monkeypatch.setattr(polytope, "dual_norm_value", lambda ball, points: [Fraction(2)] * len(points))
+    return ["candidates", "--genus", "3"]
+
+
+def _fixed_class_input(monkeypatch, tmp_path):
+    # one a1 twist on the genus-2 chain: not an opposite-twist word, and it
+    # fixes every class that pairs to zero with a1
+    doc = {**jsonio.curve_system_to_json(chain_system(2)[0]), "word": [{"label": "a1", "exp": 1}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return ["penner", "--input", str(path)]
+
+
+def _wrong_conjugator(monkeypatch, tmp_path):
+    # the middle index moved by one, as in test_holonomy's wrong-conjugator test
+    shift = holonomy.TileShiftMap
+    monkeypatch.setattr(holonomy, "TileShiftMap", lambda m, k: shift((m + 1) % k, k))
+    return ["holonomy", "tau", "--case", next(iter(holonomy.EXPRESSIONS))]
+
+
+# for each check `cli` can emit, a committed input or a named fault that
+# makes it FAIL; a check that nothing can fail is no check
+FAILING = {
+    "abs-det-minus-identity-equals-genus-plus-one": _wrong_det,
+    "point (0, {}) flagged as the non-realizable candidate": _tip_unflagged,
+    "every listed point has dual norm one": _dual_norm_two,
+    "word is a valid opposite-twist word": _fixed_class_input,
+    "no nonzero fixed homology class": _fixed_class_input,
+    "conjugacy identity exact at all samples": _wrong_conjugator,
+}
+
+
+def test_every_check_has_an_input_or_fault_that_fails_it():
+    assert sorted(_emitted_check_names()) == sorted(FAILING)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_check_fails_on_its_input_or_fault(monkeypatch, tmp_path, capsys, name):
+    code, doc = run_json(capsys, *FAILING[name](monkeypatch, tmp_path))
+    pattern = "".join(".+" if part == "{}" else re.escape(part) for part in re.split(r"(\{\})", name))
+    verdicts = [c["pass"] for c in doc["checks"] if re.fullmatch(pattern, c["name"])]
+    assert (code, doc["status"], verdicts) == (1, "FAIL", [False])
 
 
 def test_vmatrix_genus_capped(capsys):
@@ -188,6 +268,14 @@ def test_candidates_norm_value_cap(tmp_path, capsys):
     assert err == f"error: genus must be at most {cap // 2}\n"
     code, doc = run_json(capsys, "candidates", "--genus", str(cap // 2))
     assert (code, doc["status"]) == (0, "PASS")
+
+
+def test_candidates_spec_above_the_triangle_inequality(tmp_path, capsys):
+    # x(S+F) > x(S) + x(F) puts (1, 1)/x(S+F) inside the ball, which refuses it
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"x_f": "2", "x_s": "4", "x_sum": "7", "x_diff": "6", "chi": ["-2", "-4"]}))
+    assert run(capsys, "candidates", "--genus", "3", "--spec", str(path)) == (
+        2, "", "error: spec: norm values are inconsistent (some value is too large)\n")
 
 
 def test_candidates_large_genus_with_small_spec(tmp_path, capsys):

@@ -292,6 +292,9 @@ def test_norm_spec_validation():
         NormSpec(0, 1, 1, 1, chi=(-2, -2))
     with pytest.raises(ValueError):
         NormSpec(1, 1, 1, 1, chi=(-2, 0.5))
+    # chi is read before the ball that decides whether a norm takes the values
+    with pytest.raises(ValueError, match="^chi entries must be integers$"):
+        NormSpec(1, 1, 3, 1, chi=(-2, 0.5))
     with pytest.raises(ValueError, match="even"):
         NormSpec(1, 1, 1, 1, chi=(-2, -3))
 

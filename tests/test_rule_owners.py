@@ -157,8 +157,15 @@ def test_cli_names_only_the_input_field_it_finds():
     assert {re.match(r"input\.(\w*)", field).group(1) for field in fields} == {"word"}, fields
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_states_no_assert():
-    # `python -O` drops an assert, and a failing one ends the CLI in a traceback
+    # `python -O` drops an assert, and a failing one, like a raised
+    # AssertionError, ends the CLI in a traceback
     asserts = [f"{path.name}:{node.lineno}" for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert) or isinstance(node, ast.Raise) and _raises_assertion_error(node)]
     assert asserts == [], asserts

@@ -40,12 +40,12 @@ DIGESTS = {
     ("chi", "text"): "4d1e5c5094697e87438e71e72ba23dd6a3c8d2eeca361011eb59f8c5e47e7c4f",
     ("core-disk", "json"): "da285c971242c345558b349fb2876279b43e2dada5d2a3200fef09c5f3604ef0",
     ("core-disk", "text"): "99a38480fe21da093bf346b863a9b2b33b7cf262214c214dbd250c219cb56b7f",
-    ("witness", "json"): "242c8290b1cd6b3847593870ea571f22df1c8b77d7bcb4c315dc0d82ddcbe72c",
-    ("witness", "text"): "35ea68cbb073642467d8f4bf7e0f018db909731585ccf185ff25d2bee01d3fdb",
-    ("mixed", "json"): "badccc71aa07713c295f2fca0fd0b902e299067c06b95e101e5a8be546a36950",
-    ("mixed", "text"): "c928eb473877a9d6190300006541e9af826da36c7866748308450a010ae7d01a",
-    ("saddle-only", "json"): "e231b90bbab2e7a7d948da7c09addf6a3a9ee9eb777921bc858393c0246bf2b3",
-    ("saddle-only", "text"): "d2f4779107ac14aaa42d2f91dca604249c0ecda053282b8cf21cfcffc2a1092b",
+    ("witness", "json"): "aaef834bf20e7e3bf9d82f1d500fab6c5c89acdb8318c117b07d935cabefb7e7",
+    ("witness", "text"): "2013e1e7414e7eac4e198a84673e251cea153904aec71fa23cc6fc81b30711e7",
+    ("mixed", "json"): "9a05814dc7caefe75ca56ecbec4e3e62f60b463a404117e3796ad49ef05ef4e0",
+    ("mixed", "text"): "417e8ca7723dc6a9e98fcbd5a80a38852e6fd71fa30e2d758b69279f5f95f443",
+    ("saddle-only", "json"): "759362be8d8c667176b8b67ba7560a2140b4a33c0482d5dc627928820fa20ab5",
+    ("saddle-only", "text"): "b219afd19839e98e7b905f53c6678782635035c7b751dc30805dc9aba7f1f4b8",
 }
 
 
