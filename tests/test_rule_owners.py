@@ -167,5 +167,5 @@ def test_library_states_no_assert():
     # AssertionError, ends the CLI in a traceback
     asserts = [f"{path.name}:{node.lineno}" for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Assert) or isinstance(node, ast.Raise) and _raises_assertion_error(node)]
+               if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raises_assertion_error(node))]
     assert asserts == [], asserts
