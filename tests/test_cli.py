@@ -271,11 +271,14 @@ def test_candidates_norm_value_cap(tmp_path, capsys):
 
 
 def test_candidates_spec_above_the_triangle_inequality(tmp_path, capsys):
-    # x(S+F) > x(S) + x(F) puts (1, 1)/x(S+F) inside the ball, which refuses it
+    # x(S+F) > x(S) + x(F) puts (1, 1)/x(S+F) inside the ball, which refuses it;
+    # so does x(S+F) + x(S-F) < 2 max(x(F), x(S)), which puts an axis point inside
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"x_f": "2", "x_s": "4", "x_sum": "7", "x_diff": "6", "chi": ["-2", "-4"]}))
-    assert run(capsys, "candidates", "--genus", "3", "--spec", str(path)) == (
-        2, "", "error: spec: norm values are inconsistent (some value is too large)\n")
+    for values in (("2", "4", "7", "6"), ("2", "4", "3", "3"), ("4", "2", "3", "3")):
+        spec = dict(zip(("x_f", "x_s", "x_sum", "x_diff"), values), chi=["-2", "-4"])
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "candidates", "--genus", "3", "--spec", str(path)) == (
+            2, "", "error: spec: norm values are inconsistent (some value is too large)\n"), values
 
 
 def test_candidates_large_genus_with_small_spec(tmp_path, capsys):
