@@ -88,7 +88,7 @@ from math import gcd
 from operator import floordiv, itemgetter, mul, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import frac_pair
+from .exact import frac_pair, is_int
 
 
 # A map is read and inverted in time and memory that grow with its
@@ -456,6 +456,8 @@ def solve_conjugacy(
     points, as many in each of the tiles_per_side outermost tiles per side."""
     if case not in EXPRESSIONS:
         raise ValueError(f"case must be one of {', '.join(EXPRESSIONS)}")
+    if not (is_int(tiles_per_side) and is_int(samples)):
+        raise ValueError("tiles and samples must be integers")
     if tiles_per_side < 1 or samples < 1:
         raise ValueError("need at least one tile and one point per tile")
     if tiles_per_side > MAX_TILES:

@@ -103,11 +103,6 @@ def _parse_int_list(value: Any, field: str) -> List[int]:
         return [parse_int(x, f"{field}[{j}]") for j, x in enumerate(raw)]
 
 
-def parse_frac(value: Any, field: str) -> Fraction:
-    """exact.frac(value), with its error prefixed by the field path."""
-    return _build(field, frac, value)
-
-
 def _expect_list(value: Any, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field}: expected a list")
@@ -514,7 +509,7 @@ def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
     return _build(
         field,
         NormSpec,
-        *(parse_frac(_get(obj, k, field), f"{field}.{k}") for k in ("x_f", "x_s", "x_sum", "x_diff")),
+        *(_build(f"{field}.{k}", frac, _get(obj, k, field)) for k in ("x_f", "x_s", "x_sum", "x_diff")),
         (parse_int(chi_raw[0], f"{field}.chi[0]"), parse_int(chi_raw[1], f"{field}.chi[1]")),
     )
 

@@ -16,9 +16,11 @@ positive d gives the same primitive halfspaces.
 Coordinates throughout are (F, S): the first axis is the class F, the
 second the class S.  Norm balls are built from the four norm values
 x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
-3-manifolds", 1986); their polar duals are the dual-norm balls.  Values
-and coordinates go through `exact.frac`, so a library call rejects a
-bool, float or exponent string just as an input file does.  The dual
+3-manifolds", 1986); their polar duals are the dual-norm balls.  A
+`NormSpec` decides in closed form whether a norm takes its four values,
+and the ball is built from them only where it is used.  Values and
+coordinates go through `exact.frac`, so a library call rejects a bool,
+float or exponent string just as an input file does.  The dual
 norm of a batch of points is read off the ball's vertices, one column of
 integer pairings per vertex.  The integral points of dual norm one are
 found by walking the dual ball's edges, on each of which they form an
@@ -31,7 +33,7 @@ candidates, and for the genus-g surgery family the edge points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -154,10 +156,14 @@ class NormSpec:
 
     Values are the norms of F, S, S+F and S-F, each at most MAX_NORM_VALUE;
     chi records the Euler characteristics (chi(F), chi(S)) that candidate
-    points must match mod 2.  Values that no norm takes, among them an
-    x(S+-F) above x(S) + x(F), and odd chi entries (closed orientable
-    surfaces have even Euler characteristic) are rejected on construction;
-    `ball` is the unit ball built to check the values.
+    points must match mod 2.  The spec owns the rule that a norm takes the
+    four values: the eight points +-(1,0)/x(F), +-(1,1)/x(S+F),
+    +-(0,1)/x(S), +-(-1,1)/x(S-F), in angular order, all lie on the
+    boundary of their hull exactly when each lies on or outside the chord
+    of its two neighbours, which by central symmetry is
+        x(S+-F) <= x(S) + x(F)  and  x(S+F) + x(S-F) >= 2 max(x(F), x(S)).
+    Values that break it and odd chi entries (closed orientable surfaces
+    have even Euler characteristic) are rejected on construction.
     """
 
     x_f: Fraction
@@ -165,7 +171,6 @@ class NormSpec:
     x_sum: Fraction
     x_diff: Fraction
     chi: Tuple[int, int]
-    ball: RatPolytope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_f", "x_s", "x_sum", "x_diff"):
@@ -178,8 +183,9 @@ class NormSpec:
         cf, cs = self.chi
         if not (is_int(cf) and is_int(cs)):
             raise ValueError("chi entries must be integers")
-        # the ball owns the rule that a norm takes these values
-        object.__setattr__(self, "ball", norm_ball_from_values(self))
+        f, s = self.x_f, self.x_s
+        if max(self.x_sum, self.x_diff) > f + s or self.x_sum + self.x_diff < 2 * max(f, s):
+            raise ValueError("norm values are inconsistent (some value is too large)")
         if cf % 2 or cs % 2:
             raise ValueError("chi entries must be even")
 
@@ -208,12 +214,8 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     """Unit ball of the norm matching the four values of the spec.
 
     The ball is the convex hull of the scaled directions
-    +-(1,0)/x(F), +-(0,1)/x(S), +-(1,1)/x(S+F), +-(-1,1)/x(S-F).  Each of
-    the eight points must land on the boundary of that hull, otherwise the
-    values are not the values of any norm and a ValueError is raised.  An
-    x(S+F) above x(S) + x(F) is one such case: (1,1)/x(S+F) then lies
-    strictly inside the diamond of the four axis points, and likewise for
-    x(S-F).
+    +-(1,0)/x(F), +-(0,1)/x(S), +-(1,1)/x(S+F), +-(-1,1)/x(S-F); the spec
+    has checked that all eight points lie on its boundary.
     When x(S+F) and x(S-F) are exactly x(S) + x(F) the diagonal points are
     edge midpoints and the ball is the diamond with vertices
     (+-1/x(F), 0), (0, +-1/x(S)).
@@ -223,14 +225,7 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     for (dx, dy), value in directions:
         r = 1 / value
         pts += [(dx * r, dy * r), (-dx * r, -dy * r)]
-    ball = RatPolytope(pts)
-    # each point lies in the ball, so it is on the boundary iff some facet is tight
-    scaled, d = _scale(pts)
-    facets = [(a, b, c * d) for (a, b), c in ball.halfspaces]
-    for x, y in scaled:
-        if not any(a * x + b * y == cd for a, b, cd in facets):
-            raise ValueError("norm values are inconsistent (some value is too large)")
-    return ball
+    return RatPolytope(pts)
 
 
 def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
@@ -313,7 +308,7 @@ def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolyto
     taut foliation realizes on the surgered manifolds.
     """
     family = spec.is_surgery_family(genus)
-    ball = spec.ball
+    ball = norm_ball_from_values(spec)
     dual = polar_dual(ball)
     cf, cs = spec.chi
     classified = [

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tautcalc import exact, jsonio, penner
-from tautcalc.holonomy import PLHomeo
+from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy
 from tautcalc.homology import HomologyClass, SymplecticSpace, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.polytope import NormSpec
@@ -37,8 +37,8 @@ def test_one_rational_rule_for_library_and_files(value, message):
             make(value)
         assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
-        jsonio.parse_frac(value, "x")
-    assert str(exc.value) == f"x: {message}"
+        jsonio.norm_spec_from_json({"x_f": value, "x_s": "2", "x_sum": "2", "x_diff": "2", "chi": ["0", "0"]})
+    assert str(exc.value) == f"spec.x_f: {message}"
 
 
 class _Int(int):
@@ -138,6 +138,10 @@ INT_FIELDS = [
     ("Tangency.sign", lambda x: Tangency(TangencyKind.SADDLE, x), -1, ("sign must be +1 or -1",) * 3),
     ("novikov_witness k", lambda x: novikov_witness(x, 1), -3, ("k must be a nonzero integer",) * 3),
     ("novikov_witness m", lambda x: novikov_witness(1, x), 5, ("m must be a nonzero integer",) * 3),
+    ("solve_conjugacy tiles_per_side", lambda x: solve_conjugacy(*bundled_shifts(), "a", x, 4)[1], 2,
+     ("tiles and samples must be integers",) * 3),
+    ("solve_conjugacy samples", lambda x: solve_conjugacy(*bundled_shifts(), "a", 1, x)[1], 4,
+     ("tiles and samples must be integers",) * 3),
     ("jsonio.parse_int", lambda x: jsonio.parse_int(x, "f"), 9,
      ("f: expected an integer, got a boolean", "f: expected an integer, got float", None)),
 ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tautcalc import cli, jsonio
+from tautcalc import cli, exact, jsonio
 from tautcalc.holonomy import bundled_shifts
 from tautcalc.homology import word_action
 from tautcalc.matrices import IntMatrix
@@ -16,13 +16,18 @@ from tautcalc.sutured import novikov_witness
 def test_scalar_formats():
     assert jsonio.fmt_frac(Fraction(1, 2)) == "1/2"
     assert jsonio.fmt_frac(Fraction(-4)) == "-4"
-    assert jsonio.parse_frac("1/2", "x") == Fraction(1, 2)
-    assert jsonio.parse_frac("-4", "x") == Fraction(-4)
+    assert read_x_f("1/2").x_f == Fraction(1, 2)
+    assert exact.frac("-4") == Fraction(-4)  # the rule read_x_f applies; a norm value is positive
     assert jsonio.parse_int("12", "x") == 12
     with pytest.raises(ValueError):
-        jsonio.parse_frac(0.5, "x")
+        read_x_f(0.5)
     with pytest.raises(ValueError):
         jsonio.parse_int("1/2", "x")
+
+
+def read_x_f(value):
+    """The spec whose x_f is value, read as a spec file carries it."""
+    return jsonio.norm_spec_from_json({"x_f": value, "x_s": "1", "x_sum": "1", "x_diff": "1", "chi": ["0", "0"]})
 
 
 def test_matrix_roundtrip():
@@ -88,14 +93,14 @@ def test_geo_int_lower_triangle_shape():
 @pytest.mark.parametrize("value", ["1e-3000000", "1E5", "2.5e0", "1/2e3"])
 def test_parse_frac_rejects_exponent_notation(value):
     with pytest.raises(ValueError) as exc:
-        jsonio.parse_frac(value, "x")
-    assert str(exc.value) == f"x: not a rational 'p/q' string: {value!r}"
+        read_x_f(value)
+    assert str(exc.value) == f"spec.x_f: not a rational 'p/q' string: {value!r}"
 
 
 def test_parse_frac_accepts_fractions_decimals_and_long_digits():
-    assert jsonio.parse_frac("1.5", "x") == Fraction(3, 2)
+    assert read_x_f("0.5").x_f == Fraction(1, 2)
     p, q = 10**3999 + 1, 10**3999 + 3
-    assert jsonio.parse_frac(f"{p}/{q}", "x") == Fraction(p, q)
+    assert read_x_f(f"{p}/{q}").x_f == Fraction(p, q)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as Fr
 from itertools import product
 from math import floor
-from types import SimpleNamespace
 
 import pytest
 
@@ -268,23 +267,42 @@ def test_ball_gauge_matches_pl_norm_oracle(values):
             assert gauge(ball, (p, q)) == pl_norm_oracle(spec, p, q)
 
 
+def facet_tight_ball(x_f, x_s, x_sum, x_diff):
+    """The hull of the eight scaled directions when some facet of it is
+    tight on each of them, else None: a reference for NormSpec's rule."""
+    pts = []
+    for (dx, dy), value in (((1, 0), x_f), ((0, 1), x_s), ((1, 1), x_sum), ((-1, 1), x_diff)):
+        pts += [(dx / value, dy / value), (-dx / value, -dy / value)]
+    ball = RatPolytope(pts)
+    scaled, d = polytope._scale(pts)
+    facets = [(a, b, c * d) for (a, b), c in ball.halfspaces]
+    if all(any(a * x + b * y == cd for a, b, cd in facets) for x, y in scaled):
+        return ball
+    return None
+
+
 def test_inconsistent_values_rejected():
     with pytest.raises(ValueError):
         NormSpec(1, 1, 3, 1, chi=(-2, -2))  # triangle inequality fails
     with pytest.raises(ValueError):
-        norm_ball_from_values(NormSpec(1, 10, 2, 2, chi=(-2, -2)))  # axis point swallowed
-    # if x(S+F) > x(S) + x(F), the point (1, 1)/x(S+F) lies strictly inside
-    # the diamond of the axis points, so no facet of the ball is tight on it;
-    # the same holds for x(S-F) and (-1, 1)/x(S-F)
-    grid = sorted({Fr(n, d) for n in range(1, 6) for d in range(1, 4)})
-    broken = 0
-    for x_f, x_s, x_sum, x_diff in product(grid, repeat=4):
-        if max(x_sum, x_diff) > x_s + x_f:
-            values = SimpleNamespace(x_f=x_f, x_s=x_s, x_sum=x_sum, x_diff=x_diff)
+        NormSpec(1, 10, 2, 2, chi=(-2, -2))  # axis point swallowed
+    # NormSpec refuses exactly the specs whose hull swallows one of the eight
+    # points, and norm_ball_from_values builds the reference's ball for the others
+    grid = sorted({Fr(n, d) for n in range(1, 7) for d in range(1, 4)})
+    above, swallowed = 0, 0
+    for values in product(grid, repeat=4):
+        ball = facet_tight_ball(*values)
+        if ball is None:
             with pytest.raises(ValueError, match=r"^norm values are inconsistent \(some value is too large\)$"):
-                norm_ball_from_values(values)
-            broken += 1
-    assert broken > 6000
+                NormSpec(*values, chi=(0, 0))
+            x_f, x_s, x_sum, x_diff = values
+            if max(x_sum, x_diff) > x_s + x_f:
+                above += 1
+            else:
+                swallowed += 1
+        else:
+            assert norm_ball_from_values(NormSpec(*values, chi=(0, 0))).vertices == ball.vertices, values
+    assert len(grid) ** 4 == 28561 and (above, swallowed) == (9247, 17412)
 
 
 def test_norm_spec_validation():
@@ -446,9 +464,9 @@ def test_walk_on_extreme_specs():
     rational = NormSpec(Fr(4095, 4096), Fr(4094, 4095), Fr(4093, 2047), Fr(4093, 2047), chi=(0, 0))
     thin = NormSpec(Fr(1, 10**1000), 1, 1, 1, chi=(0, 0))
     for spec in (rational, thin):
-        dual = polar_dual(spec.ball)
+        dual = polar_dual(norm_ball_from_values(spec))
         assert walked(dual) == boundary_points_by_scan(dual)
-    assert [p.coords for p in integral_boundary_points(polar_dual(thin.ball))] == [(0, -1), (0, 1)]
+    assert [p.coords for p in integral_boundary_points(polar_dual(norm_ball_from_values(thin)))] == [(0, -1), (0, 1)]
 
 
 def test_genus4_tip_is_nonvertex():
@@ -571,9 +589,10 @@ def test_norm_spec_keeps_its_validated_ball(monkeypatch):
 
     monkeypatch.setattr(polytope, "RatPolytope", Counted)
     spec = NormSpec(2, 4, 6, 6, chi=(-2, -4))
+    assert made == []  # the spec checks its values in closed form
     ball, dual, _ = candidate_points(spec, 3)
     assert len(made) == 2  # the spec's ball and its dual
-    assert ball is spec.ball and ball == norm_ball_from_values(spec)
+    assert ball == norm_ball_from_values(spec)
     twin = NormSpec(2, 4, 6, 6, chi=(-2, -4))
     assert twin == spec and hash(twin) == hash(spec)
     assert "ball" not in repr(spec)
