@@ -36,9 +36,9 @@ from oracles import (
 )
 
 
-def random_class(space, rng, allow_zero=False):
+def random_class(space, rng, allow_zero=False, bound=3):
     while True:
-        coords = [rng.randint(-3, 3) for _ in range(space.dimension)]
+        coords = [rng.randint(-bound, bound) for _ in range(space.dimension)]
         cls = dense_class(space, coords)
         if cls.is_zero:
             if allow_zero:
@@ -342,14 +342,30 @@ def _chain(genus):
     return system.generator_map(), word
 
 
+def _seeded_word(rng, labels, length):
+    return TwistWord(tuple((rng.choice(labels), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(length)))
+
+
 @pytest.mark.parametrize("genus", [*range(2, 13), 20, 30])
 def test_word_action_matches_dense_product(genus):
     gens, chain_word = _chain(genus)
+    space = gens["a1"].cls.space
     rng = random.Random(genus)
     labels = sorted(gens)
-    words = [chain_word] + [
-        TwistWord(tuple((rng.choice(labels), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3 * genus)))
-        for _ in range(3)
+    words = [chain_word] + [_seeded_word(rng, labels, 3 * genus) for _ in range(3)]
+    # r_1 + s_1 holds both coordinates of one handle, so its letters read a
+    # row that they also rewrite, which no chain class does
+    gens["d"] = TwistGenerator("d", HomologyClass(space, ((0, 1), (1, 1))), Family.A)
+    gens["z"] = TwistGenerator("z", zero_class(space), Family.B)
+    for label in ("x0", "x1"):
+        gens[label] = TwistGenerator(label, random_class(space, rng, bound=2), Family.A)
+    half = _seeded_word(rng, sorted(gens), genus)
+    words += [
+        _seeded_word(rng, ["a1", "b1", "d"], 3 * genus),
+        _seeded_word(rng, ["x0", "x1", "z"], 6),
+        # every entry the first half creates cancels in the second
+        TwistWord(half.letters + tuple((label, -exp) for label, exp in reversed(half.letters))),
+        TwistWord(()),
     ]
     for word in words:
         assert word_action(word, gens) == _dense_word_action(word, gens)
