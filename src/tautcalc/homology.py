@@ -18,7 +18,8 @@ build, to pair and to twist along.
 
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
-derived from its twist word by `word_action`; none is stored.
+derived from its twist word by `word_action`, which applies each letter on
+the left, to the rows on its curve's support; none is stored.
 """
 
 from __future__ import annotations
@@ -177,15 +178,12 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
 
     Letters are written outermost first, so the matrix is the product of the
     letter matrices in written order (the rightmost letter acts first on
-    column vectors).  The letter c^e is the matrix I - e c (c^T J), so
-    multiplying by it on the right is the rank-one update
-    rows -= e (rows c)(c^T J), which changes only the rows with a nonzero on
-    the support of c, and in them only the columns of c^T J.
-
-    The rows are dicts of their nonzeros, and `holders[k]` is the set of
-    rows with a nonzero in column k, kept up to date as entries appear and
-    cancel.  Each letter reads the holders of its support and rewrites only
-    those rows, so a word over curves of bounded support costs in proportion
+    column vectors).  The letter c^e is the matrix I - e c (c^T J), so the
+    letters are taken from the last written to the first and each multiplies
+    the product so far on the left: the rank-one update
+    M -= e c (c^T J M), which changes only the rows on the support of c and
+    reads only the rows paired with it.  The rows are dicts of their
+    nonzeros, so a word over curves of bounded support costs in proportion
     to the nonzeros it reaches, not to n^2.
 
     Raises ValueError on a label `check_labels` refuses, before any letter
@@ -200,31 +198,25 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     check_labels(word, gens)
     n = space.dimension
     rows = [{i: 1} for i in range(n)]
-    holders = [{i} for i in range(n)]
-    for label, exp in word:
+    for label, exp in reversed(word.letters):
         support = gens[label].cls.nonzeros
-        # row += f * e (c^T J), f = row . c, with (c^T J)_{2i+1} = c_{2i}
-        # and (c^T J)_{2i} = -c_{2i+1}
-        update = [(k ^ 1, exp * ck if k & 1 else -exp * ck) for k, ck in support]
-        for i in set().union(*[holders[k] for k, _ in support]):
+        # row i += c_i u for i on the support, u = -e (c^T J) M, which sums
+        # -e c_k (row k^1) for even k and +e c_k (row k^1) for odd k, since
+        # (c^T J)_{2i+1} = c_{2i} and (c^T J)_{2i} = -c_{2i+1}.  A class can
+        # hold both k and k^1, so u is read in full before any row is written.
+        u = {}
+        for k, ck in support:
+            f = exp * ck if k & 1 else -exp * ck
+            for j, v in rows[k ^ 1].items():
+                u[j] = u.get(j, 0) + f * v
+        for i, ci in support:
             row = rows[i]
-            f = 0
-            for k, ck in support:
-                if k in row:
-                    f += row[k] * ck
-            if not f:
-                continue
-            for j, v in update:
-                if j in row:
-                    x = row[j] + f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        holders[j].discard(i)
-                else:
-                    row[j] = f * v
-                    holders[j].add(i)
+            for j, v in u.items():
+                x = row.get(j, 0) + ci * v
+                if x:
+                    row[j] = x
+                elif j in row:
+                    del row[j]
     if max(map(abs, chain.from_iterable(map(dict.values, rows)))).bit_length() > MAX_ACTION_BITS:
         raise ValueError(f"action entries must be at most {MAX_ACTION_BITS} bits long")
     return IntMatrix._from_nonzeros(rows, n)
