@@ -127,6 +127,8 @@ class TwistGenerator:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
+        if not isinstance(self.family, Family):
+            raise ValueError(f"curve {self.label!r}: family must be a Family")
         if not self.cls.is_zero and not self.cls.is_primitive:
             raise ValueError(
                 f"curve {self.label!r}: class must be primitive or zero, got nonzeros {self.cls.nonzeros}"

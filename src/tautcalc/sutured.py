@@ -85,6 +85,8 @@ class Tangency:
     sign: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, TangencyKind):
+            raise ValueError("kind must be a TangencyKind")
         if not is_int(self.sign) or self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 

@@ -248,6 +248,11 @@ def test_field_types_validated():
         Region(1)
     with pytest.raises(ValueError, match="label must be a string"):
         TwistGenerator(5, basis_r(space, 1), Family.A)
+    # a family given by its value would be a third family to CurveSystem's
+    # same-family rule, and unknown to validate_word
+    for family in ("A", "B", None):
+        with pytest.raises(ValueError, match="^curve 'a1': family must be a Family$"):
+            TwistGenerator("a1", basis_r(space, 1), family)
     with pytest.raises(ValueError, match="at least one curve"):
         CurveSystem(2, (), ())
 

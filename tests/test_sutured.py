@@ -144,6 +144,12 @@ def test_fully_marked_rejects_centers():
         is_fully_marked([Tangency(CENTER, 1)])
 
 
+def test_tangency_kind_validation():
+    for kind in ("saddle", "center", -1, None):
+        with pytest.raises(ValueError, match="^kind must be a TangencyKind$"):
+            Tangency(kind, 1)
+
+
 def test_tangency_sign_validation():
     for sign in (2, 0, 1.0, -1.0, True, Fraction(1), "1", None):
         with pytest.raises(ValueError, match="sign must be"):
