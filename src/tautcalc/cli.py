@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Subcommands wrap the library modules one-to-one and emit either a
-human-readable text report or deterministic JSON (choose with --format or
-the TAUTCALC_FORMAT environment variable).  `main` reads the variable on
-every call, and --format takes precedence over it; a value other than
-text or json is bad input.  A subcommand builds the report and `jsonio`
-writes it: `jsonio.render_text` as text, and `jsonio.dumps_report` as
-JSON, byte for byte `json.dumps(report, indent=2)`.
+Subcommands wrap the library modules one-to-one.  Each returns its report,
+and `main` writes it as text (`jsonio.render_text`) or as deterministic
+JSON (`jsonio.dumps_report`, byte for byte `json.dumps(report, indent=2)`),
+as --format or else the TAUTCALC_FORMAT environment variable chooses.
+`main` reads the variable on every call; a value other than text or json
+is bad input.
 Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
@@ -19,7 +18,9 @@ Namespace argparse would.  Every other argv, including -h and every usage
 error, goes to argparse, which stays the one definition of the command
 line and the only producer of help, usage and error text.  The routes,
 each leaf parser with the subcommand words that reach it, are kept on the
-cached parser as `routes`, and every leaf parser sets its own `func`.
+cached parser as `routes`.  `leaf` gives each leaf parser the common
+options and a `func` that heads its report with the leaf's command words,
+read off the parser's own `prog`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def _emit(report: dict, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _report(command: str, build, args) -> dict:
+    """The report build(args) makes, under the subcommand words command."""
+    return {"command": command, **build(args)}
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -89,11 +95,10 @@ def _twist_action(system, word) -> tuple:
     return (m, *homology.mapping_torus(m))
 
 
-def cmd_vmatrix(args) -> int:
+def cmd_vmatrix(args) -> dict:
     m, diff, det, _ = _twist_action(*penner.chain_system(args.genus))
     target = args.genus + 1
-    report = {
-        "command": "vmatrix",
+    return {
         "genus": args.genus,
         "matrix": m,
         "matrix_minus_identity": diff,
@@ -103,10 +108,9 @@ def cmd_vmatrix(args) -> int:
             {"name": "abs-det-minus-identity-equals-genus-plus-one", "pass": abs(det) == target}
         ],
     }
-    return _emit(report, args)
 
 
-def cmd_candidates(args) -> int:
+def cmd_candidates(args) -> dict:
     if args.spec:
         spec = _load(args.spec, "spec", jsonio.norm_spec_from_json)
     else:
@@ -120,8 +124,7 @@ def cmd_candidates(args) -> int:
         flagged = any(p.counterexample and p.coords == (0, -tip) for p in classified)
         checks.append({"name": f"point (0, {-tip}) flagged as the non-realizable candidate", "pass": flagged})
     checks.append({"name": "every listed point has dual norm one", "pass": all(x == 1 for x in norms)})
-    report = {
-        "command": "candidates",
+    return {
         "genus": args.genus,
         "norm_spec": jsonio.norm_spec_to_json(spec),
         "ball": jsonio.polytope_to_json(ball),
@@ -129,10 +132,9 @@ def cmd_candidates(args) -> int:
         "candidates": jsonio.candidates_to_json(classified),
         "checks": checks,
     }
-    return _emit(report, args)
 
 
-def cmd_penner(args) -> int:
+def cmd_penner(args) -> dict:
     if args.input is not None:
         system, word = _load(args.input, "input", jsonio.penner_input_from_json)
     else:
@@ -140,8 +142,7 @@ def cmd_penner(args) -> int:
     report_obj = penner.validate_word(word, system)
     action, _, _, b2 = _twist_action(system, word)
     trivial = b2 == 1
-    report = {
-        "command": "penner",
+    return {
         "genus": system.genus,
         "report": jsonio.penner_report_to_json(report_obj),
         "action_matrix": action,
@@ -152,41 +153,35 @@ def cmd_penner(args) -> int:
             {"name": "no nonzero fixed homology class", "pass": trivial},
         ],
     }
-    return _emit(report, args)
 
 
-def cmd_sutured_chi(args) -> int:
+def cmd_sutured_chi(args) -> dict:
     s = sutured.CorneredSurface(args.base_chi, args.convex, args.concave)
-    report = {
-        "command": "sutured chi",
+    return {
         "base_chi": args.base_chi,
         "convex": args.convex,
         "concave": args.concave,
         "chi": jsonio.fmt_frac(sutured.sutured_chi(s)),
         "checks": [],
     }
-    return _emit(report, args)
 
 
-def cmd_sutured_core_disk(args) -> int:
+def cmd_sutured_core_disk(args) -> dict:
     disk = sutured.core_disk(sutured.SuturedSolidTorus(args.wraps, args.sutures))
-    report = {
-        "command": "sutured core-disk",
+    return {
         "longitude_wraps": args.wraps,
         "suture_count": args.sutures,
         "convex_corners": disk.convex,
         "chi": jsonio.fmt_frac(sutured.sutured_chi(disk)),
         "checks": [],
     }
-    return _emit(report, args)
 
 
-def cmd_sutured_pairing(args) -> int:
+def cmd_sutured_pairing(args) -> dict:
     tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
     pairing = sutured.euler_pairing(tangencies)
     chi = sutured.poincare_hopf_chi(tangencies)
     report = {
-        "command": "sutured pairing",
         "tangencies": jsonio.tangencies_to_json(tangencies),
         "euler_pairing": pairing,
         "poincare_hopf_chi": chi,
@@ -194,20 +189,18 @@ def cmd_sutured_pairing(args) -> int:
     }
     if all(t.kind is sutured.TangencyKind.SADDLE for t in tangencies):
         report["fully_marked"] = sutured.is_fully_marked(tangencies)
-    return _emit(report, args)
+    return report
 
 
-def cmd_sutured_witness(args) -> int:
+def cmd_sutured_witness(args) -> dict:
     w = sutured.novikov_witness(args.k, args.m)
-    report = {
-        "command": "sutured witness",
+    return {
         "witness": jsonio.witness_to_json(w),
         "checks": [],
     }
-    return _emit(report, args)
 
 
-def cmd_holonomy(args) -> int:
+def cmd_holonomy(args) -> dict:
     if args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
             raise ValueError("provide both --u and --v, or neither")
@@ -216,8 +209,7 @@ def cmd_holonomy(args) -> int:
     else:
         u, v = holonomy.bundled_shifts()
     _, witness = holonomy.solve_conjugacy(u, v, args.case, args.tiles, args.samples)
-    report = {
-        "command": "holonomy tau",
+    return {
         "case": witness.case,
         "expression": witness.expression,
         "u": jsonio.pl_to_json(u),
@@ -226,7 +218,6 @@ def cmd_holonomy(args) -> int:
         "samples": jsonio.conjugacy_samples_to_json(witness),
         "checks": [{"name": "conjugacy identity exact at all samples", "pass": witness.all_passed}],
     }
-    return _emit(report, args)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -246,47 +237,44 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, help="report format (default: TAUTCALC_FORMAT, else text)")
     common.add_argument("--output", help="write the report to this path instead of stdout")
 
-    p = sub.add_parser("vmatrix", parents=[common], help="action of the genus-g chain word and its determinant law")
-    p.add_argument("--genus", type=int, required=True)
-    p.set_defaults(func=cmd_vmatrix)
+    def leaf(sub, name, build, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=functools.partial(_report, p.prog.split(" ", 1)[1], build))
+        return p
 
-    p = sub.add_parser("candidates", parents=[common], help="dual-ball integral points and realizability")
+    p = leaf(sub, "vmatrix", cmd_vmatrix, help="action of the genus-g chain word and its determinant law")
+    p.add_argument("--genus", type=int, required=True)
+
+    p = leaf(sub, "candidates", cmd_candidates, help="dual-ball integral points and realizability")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--spec", help="JSON file with norm values and chi (default: the genus-g family)")
-    p.set_defaults(func=cmd_candidates)
 
-    p = sub.add_parser("penner", parents=[common], help="validate a twist word over a curve system")
+    p = leaf(sub, "penner", cmd_penner, help="validate a twist word over a curve system")
     p.add_argument("--input", help="JSON file with the curve system and word (default: the genus-3 chain system)")
-    p.set_defaults(func=cmd_penner)
 
     p = sub.add_parser("sutured", parents=[], help="sutured Euler characteristic and witnesses")
     ssub = p.add_subparsers(dest="sutured_command", required=True)
-    q = ssub.add_parser("chi", parents=[common])
+    q = leaf(ssub, "chi", cmd_sutured_chi)
     q.add_argument("--base-chi", type=int, required=True, dest="base_chi")
     q.add_argument("--convex", type=int, default=sutured.CorneredSurface.convex)
     q.add_argument("--concave", type=int, default=sutured.CorneredSurface.concave)
-    q.set_defaults(func=cmd_sutured_chi)
-    q = ssub.add_parser("core-disk", parents=[common])
+    q = leaf(ssub, "core-disk", cmd_sutured_core_disk)
     q.add_argument("--wraps", type=int, required=True, help="longitudinal wraps of each suture")
     q.add_argument("--sutures", type=int, default=sutured.SuturedSolidTorus.suture_count)
-    q.set_defaults(func=cmd_sutured_core_disk)
-    q = ssub.add_parser("pairing", parents=[common])
+    q = leaf(ssub, "pairing", cmd_sutured_pairing)
     q.add_argument("--input", required=True, help="JSON file with a tangency list")
-    q.set_defaults(func=cmd_sutured_pairing)
-    q = ssub.add_parser("witness", parents=[common])
+    q = leaf(ssub, "witness", cmd_sutured_witness)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_sutured_witness)
 
     p = sub.add_parser("holonomy", parents=[], help="interval holonomy constructions")
     hsub = p.add_subparsers(dest="holonomy_command", required=True)
-    q = hsub.add_parser("tau", parents=[common])
+    q = leaf(hsub, "tau", cmd_holonomy)
     q.add_argument("--case", choices=tuple(holonomy.EXPRESSIONS), required=True)
     q.add_argument("--samples", type=int, default=holonomy.DEFAULT_SAMPLES, help="minimum number of sample points")
     q.add_argument("--tiles", type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across")
     q.add_argument("--u", help="JSON file for the first map (default: bundled shift)")
     q.add_argument("--v", help="JSON file for the second map (default: bundled shift)")
-    q.set_defaults(func=cmd_holonomy)
 
     parser.routes = dict(_routes(parser))
     return parser
@@ -362,7 +350,7 @@ def main(argv=None) -> int:
     try:
         if args.format is None:
             args.format = _env_format()
-        return args.func(args)
+        return _emit(args.func(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -2,13 +2,15 @@
 renamed export or option fails here rather than in the docs."""
 
 import argparse
+import itertools
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from tautcalc import cli
+from tautcalc import cli, jsonio, penner, polytope
 from tautcalc.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,3 +53,31 @@ def test_usage_line_read_as_argparse_reads_it(line):
 def test_usage_lines_found():
     # every subcommand has a usage line that test_usage_line_runs runs
     assert {line.split()[1] for line in _usage_lines()} == {"vmatrix", "candidates", "penner", "sutured", "holonomy"}
+
+
+def _input_files():
+    """A document for each input file the usage lines name."""
+    system, word = penner.chain_system(3)
+    return {
+        "my_norms.json": jsonio.norm_spec_to_json(polytope.NormSpec.surgery_family(3)),
+        "system.json": {**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)},
+        "tangencies.json": [{"kind": "saddle", "sign": 1}, {"kind": "center", "sign": 1}],
+    }
+
+
+def test_leaf_func_returns_its_report(monkeypatch, tmp_path, capsys):
+    # `main` writes every report, so a leaf's func returns it under the leaf's own words
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _input_files().items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    reached = set()
+    for line in _usage_lines(with_files=True):
+        argv = shlex.split(line)[1:]
+        words = " ".join(itertools.takewhile(lambda token: not token.startswith("-"), argv))
+        args = cli.build_parser().parse_args(argv)
+        report = args.func(args)
+        assert isinstance(report, dict) and list(report)[0] == "command", line
+        assert report["command"] == words and "status" not in report, line
+        reached.add(words)
+    assert capsys.readouterr().out == ""
+    assert reached == {" ".join(route) for route in cli.build_parser().routes}
