@@ -313,6 +313,8 @@ class Concatenation:
     _count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("a concatenation needs one or more pieces")
         object.__setattr__(self, "_count", len(self.pieces))
 
     def eval(self, q) -> Fraction:

@@ -71,6 +71,8 @@ class HomologyClass:
     nonzeros: tuple
 
     def __post_init__(self):
+        if not isinstance(self.space, SymplecticSpace):
+            raise ValueError("space must be a SymplecticSpace")
         if type(self.nonzeros) is not tuple:
             raise ValueError("nonzeros must be a tuple of (index, value) pairs")
         n, last = self.space.dimension, -1
@@ -129,6 +131,8 @@ class TwistGenerator:
             raise ValueError("label must be a string")
         if not isinstance(self.family, Family):
             raise ValueError(f"curve {self.label!r}: family must be a Family")
+        if not isinstance(self.cls, HomologyClass):
+            raise ValueError(f"curve {self.label!r}: class must be a HomologyClass")
         if not self.cls.is_zero and not self.cls.is_primitive:
             raise ValueError(
                 f"curve {self.label!r}: class must be primitive or zero, got nonzeros {self.cls.nonzeros}"
@@ -151,7 +155,11 @@ class TwistWord:
     letters: tuple
 
     def __post_init__(self):
+        if type(self.letters) is not tuple:
+            raise ValueError("letters must be a tuple of (label, exponent) pairs")
         for letter in self.letters:
+            if type(letter) is not tuple or len(letter) != 2:
+                raise ValueError("letters must be a tuple of (label, exponent) pairs")
             label, exp = letter
             if not isinstance(label, str):
                 raise ValueError("letter labels must be strings")

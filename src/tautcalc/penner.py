@@ -60,6 +60,11 @@ class CurveSystem:
     regions: Optional[Tuple[Region, ...]] = None
 
     def __post_init__(self):
+        if type(self.curves) is not tuple or not all(isinstance(c, TwistGenerator) for c in self.curves):
+            raise ValueError("curves must be a tuple of TwistGenerators")
+        if self.regions is not None and (type(self.regions) is not tuple
+                                         or not all(isinstance(r, Region) for r in self.regions)):
+            raise ValueError("regions must be None or a tuple of Regions")
         n = len(self.curves)
         if n == 0:
             raise ValueError("need at least one curve")

@@ -180,6 +180,8 @@ class NormSpec:
                 raise ValueError(f"{name} must be positive")
             if v > MAX_NORM_VALUE:
                 raise ValueError(f"{name} must be at most {MAX_NORM_VALUE}")
+        if type(self.chi) is not tuple or len(self.chi) != 2:
+            raise ValueError("chi must be a tuple of two entries")
         cf, cs = self.chi
         if not (is_int(cf) and is_int(cs)):
             raise ValueError("chi entries must be integers")

@@ -736,6 +736,17 @@ def test_witness_samples_match_reference():
             assert list(zip(witness.numerators, witness.denominators)) == [(q.numerator, q.denominator) for q in points]
 
 
+def test_empty_sides_and_concatenations_refused():
+    # an empty tuple would end in an IndexError at the first eval
+    u, v = bundled_shifts()
+    with pytest.raises(ValueError, match=r"^each side needs one or more maps of \[-1, 1\]$"):
+        TiledHomeo((), (v,))
+    with pytest.raises(ValueError, match="^a concatenation needs one or more pieces$"):
+        Concatenation(())
+    one = Concatenation((u,))
+    assert one.eval(Fr(1, 3)) == ref_eval(one, Fr(1, 3))
+
+
 def test_unit_maps_take_endpoints_and_reject_beyond():
     u, v = bundled_shifts()
     past = Fr(10**30 + 1, 10**30)

@@ -294,6 +294,17 @@ def test_word_rejects_zero_exponent():
         TwistWord((("a", 0),))
 
 
+def test_object_fields_validated():
+    # a wrong type is refused where it is passed in, not where it is first used
+    with pytest.raises(ValueError, match="^space must be a SymplecticSpace$"):
+        HomologyClass("x", ())
+    with pytest.raises(ValueError, match="^curve 'a': class must be a HomologyClass$"):
+        TwistGenerator("a", (0, 1), Family.A)
+    for letters in ((5,), ("a1",), (("a", 1, 2),), [("a", 1)], (["a", 1],), "a1"):
+        with pytest.raises(ValueError, match=r"^letters must be a tuple of \(label, exponent\) pairs$"):
+            TwistWord(letters)
+
+
 def test_word_exponent_capped():
     TwistWord((("a", MAX_TWIST_EXPONENT), ("b", -MAX_TWIST_EXPONENT)))
     for exp in (MAX_TWIST_EXPONENT + 1, -MAX_TWIST_EXPONENT - 1):

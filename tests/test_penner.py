@@ -257,6 +257,19 @@ def test_field_types_validated():
         CurveSystem(2, (), ())
 
 
+def test_curve_system_containers_validated():
+    # a list would make the system unhashable, and a stray entry fail far from its cause
+    base, _ = chain_system(2)
+    for curves in (("a1",), list(base.curves), base.curves + (None,)):
+        with pytest.raises(ValueError, match="^curves must be a tuple of TwistGenerators$"):
+            CurveSystem(2, curves, base.crossings)
+    for regions in ([Region(True)], (Region(True), "disk"), "r"):
+        with pytest.raises(ValueError, match="^regions must be None or a tuple of Regions$"):
+            CurveSystem(2, base.curves, base.crossings, regions)
+    system = CurveSystem(2, base.curves, base.crossings, (Region(True),))
+    assert hash(system) == hash(CurveSystem(2, base.curves, base.crossings, (Region(True),)))
+
+
 # -- chain systems ---------------------------------------------------------------
 
 

@@ -317,6 +317,15 @@ def test_norm_spec_validation():
         NormSpec(1, 1, 1, 1, chi=(-2, -3))
 
 
+def test_norm_spec_chi_is_a_pair():
+    # a list would never equal the family's tuple, and would make the spec unhashable
+    for chi in ([-2, -4], None, (0,), (0, 0, 0), "ab"):
+        with pytest.raises(ValueError, match="^chi must be a tuple of two entries$"):
+            NormSpec(2, 4, 6, 6, chi)
+    spec = NormSpec(2, 4, 6, 6, (-2, -4))
+    assert spec.is_surgery_family(3) and hash(spec) == hash(NormSpec.surgery_family(3))
+
+
 def test_norm_values_capped():
     cap = MAX_NORM_VALUE
     NormSpec(cap, cap, cap, cap, chi=(-2, -2))
