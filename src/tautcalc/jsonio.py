@@ -515,8 +515,8 @@ def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
 
 
 def candidates_to_json(points: Sequence[CandidatePoint]) -> Table:
-    # every listed point lies on the dual ball's boundary and passed parity;
-    # the vertices are the realizable ones
+    # every listed point lies on the dual ball's boundary and, being in 2Z^2,
+    # matches the even chi mod 2; the vertices are the realizable ones
     vertex = [p.vertex for p in points]
     return Table({
         "coords": [(str(x), str(y)) for (x, y), _, _ in points],

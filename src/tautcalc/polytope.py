@@ -22,17 +22,20 @@ and the ball is built from them only where it is used.  Values and
 coordinates go through `exact.frac`, so a library call rejects a bool,
 float or exponent string just as an input file does.  The dual
 norm of a batch of points is read off the ball's vertices, one column of
-integer pairings per vertex.  The integral points of dual norm one are
-found by walking the dual ball's edges, on each of which they form an
-arithmetic progression, and each is one `CandidatePoint`, a named tuple.
-A point whose coordinates match the Euler characteristics mod 2 is kept
-with one flag: vertices are realizable as Euler classes, other points are
-candidates, and for the genus-g surgery family the edge points
-(0, +-(2g-2)) are flagged as the known non-realizable ones.
+integer pairings per vertex.  The points of dual norm one on a lattice
+spacing*Z^2 are found by walking the dual ball's edges, on each of which
+they form an arithmetic progression, and each is one `CandidatePoint`, a
+named tuple.  The Euler characteristics are even, so the candidates, the
+points matching them mod 2, are the boundary points of 2Z^2, and one walk
+at spacing 2 lists them directly.  Each carries one flag: vertices are
+realizable as Euler classes, other points are candidates, and for the
+genus-g surgery family the edge points (0, +-(2g-2)) are flagged as the
+known non-realizable ones.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -146,7 +149,7 @@ def polar_dual(p: RatPolytope) -> RatPolytope:
 # -- norm balls ---------------------------------------------------------------
 
 # The dual ball lies in the box |x| <= x(F), |y| <= x(S), and a report lists
-# every integral point on its boundary, so the values are capped.
+# every point of 2Z^2 on its boundary, so the values are capped.
 MAX_NORM_VALUE = 4096
 
 
@@ -261,63 +264,71 @@ class CandidatePoint(NamedTuple):
 _new_point = partial(tuple.__new__, CandidatePoint)
 
 
-def _open_range(lo: Fraction, hi: Fraction) -> range:
-    """The integers strictly between lo and hi."""
-    return range(floor(lo) + 1, ceil(hi))
+def integral_boundary_points(dual_ball: RatPolytope, spacing: int = 1) -> List[CandidatePoint]:
+    """The points of the lattice spacing*Z^2 of dual norm exactly one,
+    sorted by (x, y); spacing 1 lists every integral boundary point.
 
-
-def integral_boundary_points(dual_ball: RatPolytope) -> List[CandidatePoint]:
-    """All integer points of dual norm exactly one, sorted by (x, y).
-
-    The integral vertices are listed once each.  Inside each edge
-    a*x + b*y = c the lattice points form an arithmetic progression: none
-    when gcd(a, b) does not divide c, otherwise x steps by |b| / gcd(a, b)
-    from the least solution of a*x = c mod |b| past the edge's left end; a
-    vertical edge (b == 0) steps over integer y instead.  Each edge is one
-    ascending run, so the final sort only merges runs.
+    The points of spacing*Z^2 on an edge a*x + b*y = c are spacing times
+    the integer points on a*X + b*Y = c/spacing, so the walk runs on that
+    scaled edge.  A vertex is listed once, when both its coordinates are
+    multiples of spacing.  Inside each edge the points form an
+    arithmetic progression: none when gcd(a, b) * spacing does not divide
+    c, otherwise X steps by |b| / gcd(a, b) from the least solution of
+    a*X = c/spacing mod |b| past the edge's left end; a vertical edge
+    (b == 0) steps over Y instead.  Each edge is one ascending run, so the
+    final sort only merges runs.
     """
+    if not is_int(spacing) or spacing < 1:
+        raise ValueError("spacing must be a positive integer")
+    s = spacing
     vertices = dual_ball.vertices
-    corners = {(int(x), int(y)) for x, y in vertices if x.denominator == y.denominator == 1}
+    corners = {
+        (int(x), int(y)) for x, y in vertices
+        if x.denominator == y.denominator == 1 and x.numerator % s == y.numerator % s == 0
+    }
     found = list(corners)
     for p, q, ((a, b), c) in zip(vertices, vertices[1:] + vertices[:1], dual_ball.halfspaces):
+        # X (Y on a vertical edge) strictly between the ends, divided by s;
+        # floor(t / s) == floor(t) // s for every rational t
+        lo, hi = sorted((p[0], q[0]) if b else (p[1], q[1]))
+        inside = range(floor(lo) // s + 1, -(-ceil(hi) // s))
         if b == 0:
-            x, r = divmod(c, a)
+            x, r = divmod(c, a * s)
             if r == 0:
-                found += zip(repeat(x), _open_range(*sorted((p[1], q[1]))))
+                found += zip(repeat(s * x), range(s * inside.start, s * inside.stop, s))
             continue
         g = gcd(a, b)
-        if c % g:
+        if c % (g * s):
             continue
-        a, b, c = a // g, b // g, c // g
+        a, b, c = a // g, b // g, c // (g * s)
         step = abs(b)
-        inside = _open_range(*sorted((p[0], q[0])))
         first = inside.start + (c * pow(a, -1, step) - inside.start) % step
-        xs = range(first, inside.stop, step)
-        y = (c - a * first) // b
-        dy = -a if b > 0 else a
+        xs = range(s * first, s * inside.stop, s * step)
+        y = s * ((c - a * first) // b)
+        dy = s * (-a if b > 0 else a)
         found += zip(xs, range(y, y + dy * len(xs), dy) if dy else repeat(y))
     found.sort()
     return list(map(_new_point, zip(found, map(corners.__contains__, found), repeat(False))))
 
 
 def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolytope, List[CandidatePoint]]:
-    """Ball, dual ball, and the integral boundary points of the dual ball
-    whose coordinates match (chi(F), chi(S)) mod 2.
+    """Ball, dual ball, and the points of 2Z^2 on the boundary of the dual
+    ball: chi is even, so these are the points whose coordinates match
+    (chi(F), chi(S)) mod 2, and the walk lists them directly.
 
     Vertices are realizable as Euler classes of taut foliations; every
     other point is a candidate.  Only when the spec is the genus-g surgery
     family are its points (0, +-(2g-2)) flagged, being the points that no
-    taut foliation realizes on the surgered manifolds.
+    taut foliation realizes on the surgered manifolds; each is found by
+    bisecting the sorted list.
     """
     family = spec.is_surgery_family(genus)
     ball = norm_ball_from_values(spec)
     dual = polar_dual(ball)
-    cf, cs = spec.chi
-    classified = [
-        p for p in integral_boundary_points(dual)
-        if (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
-    ]
+    points = integral_boundary_points(dual, 2)
     if family:
-        tips = ((0, 2 * genus - 2), (0, 2 - 2 * genus))
-        classified = [p._replace(counterexample=True) if p.coords in tips else p for p in classified]
-    return ball, dual, classified
+        for tip in ((0, 2 - 2 * genus), (0, 2 * genus - 2)):
+            i = bisect_left(points, (tip,))
+            if i < len(points) and points[i].coords == tip:
+                points[i] = points[i]._replace(counterexample=True)
+    return ball, dual, points

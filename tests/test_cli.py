@@ -72,7 +72,7 @@ def test_candidates_point_off_the_boundary_fails(monkeypatch, capsys):
     # the dual-norm check reads the ball, not the walk that lists the points
     walk = polytope.integral_boundary_points
     monkeypatch.setattr(polytope, "integral_boundary_points",
-                        lambda dual: walk(dual) + [polytope.CandidatePoint((0, 0), False)])
+                        lambda dual, spacing=1: walk(dual, spacing) + [polytope.CandidatePoint((0, 0), False)])
     code, doc = run_json(capsys, "candidates", "--genus", "3")
     assert code == 1
     assert ["0", "0"] in [c["coords"] for c in doc["candidates"]]
@@ -211,7 +211,7 @@ def test_candidates_genus3(capsys):
     vertices = [c for c in doc["candidates"] if c["location"] == "boundary-vertex"]
     assert len(vertices) == 4
     assert all(c["realizability"] == "realizable-vertex" for c in vertices)
-    # parity filter leaves only even coordinates
+    # chi is even, so only even coordinates are listed
     assert all(int(x) % 2 == 0 and int(y) % 2 == 0 for x, y in (c["coords"] for c in doc["candidates"]))
 
 

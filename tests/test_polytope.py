@@ -469,13 +469,72 @@ def test_walk_edge_cases(pts, facet):
     assert walked(polygon) == boundary_points_by_scan(polygon)
 
 
+# a dual ball with rational vertices near the unit square, and one of width 2*10^-1000
+EXTREME_SPECS = (
+    NormSpec(Fr(4095, 4096), Fr(4094, 4095), Fr(4093, 2047), Fr(4093, 2047), chi=(0, 0)),
+    NormSpec(Fr(1, 10**1000), 1, 1, 1, chi=(0, 0)),
+)
+
+
 def test_walk_on_extreme_specs():
-    rational = NormSpec(Fr(4095, 4096), Fr(4094, 4095), Fr(4093, 2047), Fr(4093, 2047), chi=(0, 0))
-    thin = NormSpec(Fr(1, 10**1000), 1, 1, 1, chi=(0, 0))
-    for spec in (rational, thin):
+    for spec in EXTREME_SPECS:
         dual = polar_dual(norm_ball_from_values(spec))
         assert walked(dual) == boundary_points_by_scan(dual)
+    thin = EXTREME_SPECS[1]
     assert [p.coords for p in integral_boundary_points(polar_dual(norm_ball_from_values(thin)))] == [(0, -1), (0, 1)]
+
+
+def random_norm_spec(rng, tight):
+    """Valid integer or rational norm values with even chi.  With
+    lo = max(x(F), x(S)) and hi = x(F) + x(S) one diagonal value is lo - t
+    and the other at least lo + t, for some 0 <= t < hi - lo; a tight spec
+    meets the rule x(S+F) + x(S-F) >= 2 lo with equality."""
+    den = rng.choice((1, 1, 2, 3, 7))
+    x_f, x_s = Fr(rng.randint(1, 80), den), Fr(rng.randint(1, 80), den)
+    lo, hi = max(x_f, x_s), x_f + x_s
+    t = (hi - lo) * Fr(rng.randint(0, 9), 10)
+    far = lo + t if tight else lo + t + (hi - lo - t) * Fr(rng.randint(1, 10), 10)
+    diagonals = [lo - t, far]
+    rng.shuffle(diagonals)
+    return NormSpec(x_f, x_s, *diagonals, chi=(-2 * rng.randint(0, 9), -2 * rng.randint(0, 9)))
+
+
+def test_even_walk_matches_parity_rule():
+    # the reference rule: scan every boundary point, keep those matching chi
+    # mod 2, and flag the family tips
+    rng = random.Random(149)
+    specs = [random_norm_spec(rng, tight) for tight in (True, False) for _ in range(60)]
+    cases = [(spec, 2) for spec in (*specs, *EXTREME_SPECS)]
+    cases += [(NormSpec.surgery_family(genus), genus) for genus in (3, 8)]
+    for spec, genus in cases:
+        tips = {(0, 2 * genus - 2), (0, 2 - 2 * genus)} if spec.is_surgery_family(genus) else set()
+        _, dual, classified = candidate_points(spec, genus)
+        cf, cs = spec.chi
+        scanned = boundary_points_by_scan(dual)
+        kept = [(pt, v, pt in tips) for pt, v in scanned if (pt[0] - cf) % 2 == 0 and (pt[1] - cs) % 2 == 0]
+        assert classified == kept, spec
+        even = [(pt, v) for pt, v in scanned if pt[0] % 2 == 0 and pt[1] % 2 == 0]
+        assert [(p.coords, p.vertex) for p in integral_boundary_points(dual, 2)] == even, spec
+    assert sum(1 for spec in specs if any(Fr(v).denominator > 1 for v in (spec.x_f, spec.x_s))) >= 30
+
+
+def test_walk_spacing_must_be_positive_int():
+    dual = polar_dual(norm_ball_from_values(NormSpec.surgery_family(3)))
+    for spacing in (0, -2, True, 2.0, Fr(2)):
+        with pytest.raises(ValueError, match="spacing must be a positive integer"):
+            integral_boundary_points(dual, spacing)
+
+
+@pytest.mark.parametrize("genera", [range(2, 301), [MAX_NORM_VALUE // 2]])
+def test_surgery_family_lists_4g_points(genera):
+    # the dual ball is the box with vertices (+-2, +-(2g-2)): its even
+    # boundary points are (+-2, y) for the 2g - 1 even y from 2-2g to 2g-2,
+    # and (0, +-(2g-2))
+    for genus in genera:
+        _, _, classified = candidate_points(NormSpec.surgery_family(genus), genus)
+        assert len(classified) == 4 * genus
+        assert sum(p.vertex for p in classified) == 4
+        assert [p.coords for p in classified if p.counterexample] == [(0, 2 - 2 * genus), (0, 2 * genus - 2)]
 
 
 def test_genus4_tip_is_nonvertex():
