@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -762,6 +763,95 @@ def test_parser_built_once_and_not_poisoned(tmp_path, monkeypatch, capsys):
     assert path.read_text() == fresh[1]
     assert run(capsys, *argv) == fresh
     assert cli.build_parser.cache_info().misses == 1
+
+
+_HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, False, None, "show this help message and exit")
+_COMMON = [
+    (("--format",), "format", None, None, False, ("text", "json"), "report format (default: TAUTCALC_FORMAT, else text)"),
+    (("--output",), "output", None, None, False, None, "write the report to this path instead of stdout"),
+]
+
+# each parser below build_parser(): (prog, the help its parent lists it with,
+# or SUPPRESS when the parent lists no line for it, and each action's
+# (option strings, dest, type, default, required, choices, help))
+DECLARATION = {
+    "": ("tautcalc", None, [
+        _HELP,
+        ((), "command", None, None, True, ("vmatrix", "candidates", "penner", "sutured", "holonomy"), None),
+    ]),
+    "vmatrix": ("tautcalc vmatrix", "action of the genus-g chain word and its determinant law", [
+        _HELP, *_COMMON,
+        (("--genus",), "genus", int, None, True, None, None),
+    ]),
+    "candidates": ("tautcalc candidates", "dual-ball integral points and realizability", [
+        _HELP, *_COMMON,
+        (("--genus",), "genus", int, None, True, None, None),
+        (("--spec",), "spec", None, None, False, None, "JSON file with norm values and chi (default: the genus-g family)"),
+    ]),
+    "penner": ("tautcalc penner", "validate a twist word over a curve system", [
+        _HELP, *_COMMON,
+        (("--input",), "input", None, None, False, None,
+         "JSON file with the curve system and word (default: the genus-3 chain system)"),
+    ]),
+    "sutured": ("tautcalc sutured", "sutured Euler characteristic and witnesses", [
+        _HELP,
+        ((), "sutured_command", None, None, True, ("chi", "core-disk", "pairing", "witness"), None),
+    ]),
+    "sutured chi": ("tautcalc sutured chi", argparse.SUPPRESS, [
+        _HELP, *_COMMON,
+        (("--base-chi",), "base_chi", int, None, True, None, None),
+        (("--convex",), "convex", int, 0, False, None, None),
+        (("--concave",), "concave", int, 0, False, None, None),
+    ]),
+    "sutured core-disk": ("tautcalc sutured core-disk", argparse.SUPPRESS, [
+        _HELP, *_COMMON,
+        (("--wraps",), "wraps", int, None, True, None, "longitudinal wraps of each suture"),
+        (("--sutures",), "sutures", int, 2, False, None, None),
+    ]),
+    "sutured pairing": ("tautcalc sutured pairing", argparse.SUPPRESS, [
+        _HELP, *_COMMON,
+        (("--input",), "input", None, None, True, None, "JSON file with a tangency list"),
+    ]),
+    "sutured witness": ("tautcalc sutured witness", argparse.SUPPRESS, [
+        _HELP, *_COMMON,
+        (("--k",), "k", int, None, True, None, None),
+        (("--m",), "m", int, None, True, None, None),
+    ]),
+    "holonomy": ("tautcalc holonomy", "interval holonomy constructions", [
+        _HELP,
+        ((), "holonomy_command", None, None, True, ("tau",), None),
+    ]),
+    "holonomy tau": ("tautcalc holonomy tau", argparse.SUPPRESS, [
+        _HELP, *_COMMON,
+        (("--case",), "case", None, None, True, ("a", "b", "c", "d", "e", "f"), None),
+        (("--samples",), "samples", int, 64, False, None, "minimum number of sample points"),
+        (("--tiles",), "tiles", int, 8, False, None, "tiles per side to sample across"),
+        (("--u",), "u", None, None, False, None, "JSON file for the first map (default: bundled shift)"),
+        (("--v",), "v", None, None, False, None, "JSON file for the second map (default: bundled shift)"),
+    ]),
+}
+
+
+def _declared(parser, route=(), help=None):
+    """(route, (prog, help, actions)) for parser and each parser below it, in
+    the fields of DECLARATION; a subparsers action's choices are its words."""
+    actions, children = [], []
+    for action in parser._actions:
+        choices = action.choices
+        if action.nargs == argparse.PARSER:
+            listed = {choice.dest: choice.help for choice in action._choices_actions}
+            children = [(name, child, listed.get(name, argparse.SUPPRESS)) for name, child in choices.items()]
+            choices = tuple(choices)
+        actions.append((tuple(action.option_strings), action.dest, action.type, action.default,
+                        action.required, choices, action.help))
+    yield " ".join(route), (parser.prog, help, actions)
+    for name, child, child_help in children:
+        yield from _declared(child, (*route, name), child_help)
+
+
+def test_command_line_declaration_pinned():
+    # help bytes differ between Python versions; these fields do not
+    assert dict(_declared(cli.build_parser())) == DECLARATION
 
 
 # argv that argparse answers with help (exit 0) or a usage error (exit 2)
