@@ -10,17 +10,16 @@ Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
 
-The argument parser is built once per process, on the first `main` call,
-and reused by every later call; it holds no per-call state.  `main` reads
-a well-formed argv -- the route to one leaf parser, then pairs of an exact
-option string and its value -- off that leaf's own actions, and builds the
-Namespace argparse would.  Every other argv, including -h and every usage
-error, goes to argparse, which stays the one definition of the command
-line and the only producer of help, usage and error text.  The routes,
-each leaf parser with the subcommand words that reach it, are kept on the
-cached parser as `routes`.  `leaf` gives each leaf parser the common
-options and a `func` that heads its report with the leaf's command words,
-read off the parser's own `prog`.
+The command line is declared once, as data: COMMANDS holds each leaf
+subcommand's route words, `cmd_*` builder, help and options as argparse
+keywords, beside the common options and the two groups' help.  LEAVES
+derives from it, at import, each leaf's `func` (its report under its route
+words), option dests, defaults and required options.  `main` reads a
+well-formed argv -- a route, then pairs of an exact option string and its
+value -- against LEAVES into the Namespace argparse would build.  Every
+other argv, including -h and every usage error, goes to the argparse parser
+`build_parser` builds from the table, the only producer of help, usage and
+error text.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import holonomy, homology, jsonio, penner, polytope, sutured
 
@@ -220,125 +220,122 @@ def cmd_holonomy(args) -> dict:
     }
 
 
-# -- parser ----------------------------------------------------------------------
+# -- command line ----------------------------------------------------------------
+
+# The command line, declared once.  An option is its long option string and
+# its argparse keywords, among type, required, default, choices and help.
+COMMON_OPTIONS = {
+    "--format": dict(choices=FORMATS, help="report format (default: TAUTCALC_FORMAT, else text)"),
+    "--output": dict(help="write the report to this path instead of stdout"),
+}
+GROUP_HELP = {"sutured": "sutured Euler characteristic and witnesses", "holonomy": "interval holonomy constructions"}
+# (route words, builder, help, options) of each leaf; no leaf of a group has help
+COMMANDS = (
+    (("vmatrix",), cmd_vmatrix, "action of the genus-g chain word and its determinant law",
+     {"--genus": dict(type=int, required=True)}),
+    (("candidates",), cmd_candidates, "dual-ball integral points and realizability",
+     {"--genus": dict(type=int, required=True),
+      "--spec": dict(help="JSON file with norm values and chi (default: the genus-g family)")}),
+    (("penner",), cmd_penner, "validate a twist word over a curve system",
+     {"--input": dict(help="JSON file with the curve system and word (default: the genus-3 chain system)")}),
+    (("sutured", "chi"), cmd_sutured_chi, None,
+     {"--base-chi": dict(type=int, required=True),
+      "--convex": dict(type=int, default=sutured.CorneredSurface.convex),
+      "--concave": dict(type=int, default=sutured.CorneredSurface.concave)}),
+    (("sutured", "core-disk"), cmd_sutured_core_disk, None,
+     {"--wraps": dict(type=int, required=True, help="longitudinal wraps of each suture"),
+      "--sutures": dict(type=int, default=sutured.SuturedSolidTorus.suture_count)}),
+    (("sutured", "pairing"), cmd_sutured_pairing, None,
+     {"--input": dict(required=True, help="JSON file with a tangency list")}),
+    (("sutured", "witness"), cmd_sutured_witness, None,
+     {"--k": dict(type=int, required=True), "--m": dict(type=int, required=True)}),
+    (("holonomy", "tau"), cmd_holonomy, None,
+     {"--case": dict(choices=tuple(holonomy.EXPRESSIONS), required=True),
+      "--samples": dict(type=int, default=holonomy.DEFAULT_SAMPLES, help="minimum number of sample points"),
+      "--tiles": dict(type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across"),
+      "--u": dict(help="JSON file for the first map (default: bundled shift)"),
+      "--v": dict(help="JSON file for the second map (default: bundled shift)")}),
+)
+
+
+def _subcommand_dest(words) -> str:
+    """The Namespace field that names the subcommand chosen after words."""
+    return "_".join((*words, "command"))
+
+
+class Leaf(NamedTuple):
+    """What `_read` needs of one leaf of COMMANDS, derived once."""
+
+    fields: dict  # option string -> (dest, type, choices)
+    defaults: dict  # the Namespace before any option is read, `func` included
+    required: frozenset  # the option strings argv must give
+
+
+def _derive(route, build, options) -> Leaf:
+    """The Leaf of the route whose report build makes, taking the common options and options."""
+    options = {**COMMON_OPTIONS, **options}
+    # argparse's dest for a long option: --base-chi is read into base_chi
+    fields = {option: (option[2:].replace("-", "_"), kw.get("type"), kw.get("choices"))
+              for option, kw in options.items()}
+    defaults = {_subcommand_dest(route[:i]): word for i, word in enumerate(route)}
+    defaults.update({fields[option][0]: kw.get("default") for option, kw in options.items()},
+                    func=functools.partial(_report, " ".join(route), build))
+    return Leaf(fields, defaults, frozenset(option for option, kw in options.items() if kw.get("required")))
+
+
+LEAVES = {route: _derive(route, build, options) for route, build, _, options in COMMANDS}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call; --format defaults to
-    None so that `main` resolves TAUTCALC_FORMAT when it parses."""
+    """argparse's parser for the command line, built on the first call; `main`
+    calls it only for help and usage errors.  --format defaults to None so
+    that `main` resolves TAUTCALC_FORMAT."""
     parser = argparse.ArgumentParser(
-        prog="tautcalc",
-        description="Exact twist-action, norm-polytope, sutured and holonomy calculators",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, help="report format (default: TAUTCALC_FORMAT, else text)")
-    common.add_argument("--output", help="write the report to this path instead of stdout")
-
-    def leaf(sub, name, build, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(func=functools.partial(_report, p.prog.split(" ", 1)[1], build))
-        return p
-
-    p = leaf(sub, "vmatrix", cmd_vmatrix, help="action of the genus-g chain word and its determinant law")
-    p.add_argument("--genus", type=int, required=True)
-
-    p = leaf(sub, "candidates", cmd_candidates, help="dual-ball integral points and realizability")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--spec", help="JSON file with norm values and chi (default: the genus-g family)")
-
-    p = leaf(sub, "penner", cmd_penner, help="validate a twist word over a curve system")
-    p.add_argument("--input", help="JSON file with the curve system and word (default: the genus-3 chain system)")
-
-    p = sub.add_parser("sutured", parents=[], help="sutured Euler characteristic and witnesses")
-    ssub = p.add_subparsers(dest="sutured_command", required=True)
-    q = leaf(ssub, "chi", cmd_sutured_chi)
-    q.add_argument("--base-chi", type=int, required=True, dest="base_chi")
-    q.add_argument("--convex", type=int, default=sutured.CorneredSurface.convex)
-    q.add_argument("--concave", type=int, default=sutured.CorneredSurface.concave)
-    q = leaf(ssub, "core-disk", cmd_sutured_core_disk)
-    q.add_argument("--wraps", type=int, required=True, help="longitudinal wraps of each suture")
-    q.add_argument("--sutures", type=int, default=sutured.SuturedSolidTorus.suture_count)
-    q = leaf(ssub, "pairing", cmd_sutured_pairing)
-    q.add_argument("--input", required=True, help="JSON file with a tangency list")
-    q = leaf(ssub, "witness", cmd_sutured_witness)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("holonomy", parents=[], help="interval holonomy constructions")
-    hsub = p.add_subparsers(dest="holonomy_command", required=True)
-    q = leaf(hsub, "tau", cmd_holonomy)
-    q.add_argument("--case", choices=tuple(holonomy.EXPRESSIONS), required=True)
-    q.add_argument("--samples", type=int, default=holonomy.DEFAULT_SAMPLES, help="minimum number of sample points")
-    q.add_argument("--tiles", type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across")
-    q.add_argument("--u", help="JSON file for the first map (default: bundled shift)")
-    q.add_argument("--v", help="JSON file for the second map (default: bundled shift)")
-
-    parser.routes = dict(_routes(parser))
+        prog="tautcalc", description="Exact twist-action, norm-polytope, sutured and holonomy calculators")
+    subparsers = {(): parser.add_subparsers(dest=_subcommand_dest(()), required=True)}
+    for route, _, leaf_help, options in COMMANDS:
+        group = route[:-1]
+        if group not in subparsers:
+            p = subparsers[()].add_parser(group[0], help=GROUP_HELP[group[0]])
+            subparsers[group] = p.add_subparsers(dest=_subcommand_dest(group), required=True)
+        # argparse lists a subcommand in its parent's help only when it has a help
+        p = subparsers[group].add_parser(route[-1], **({} if leaf_help is None else {"help": leaf_help}))
+        for option, keywords in {**COMMON_OPTIONS, **options}.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=LEAVES[route].defaults["func"])
     return parser
 
 
-# `_routes` and `_read` read argparse's private names `_actions`,
-# `_option_string_actions`, `_StoreAction`, `_negative_number_matcher` and
-# `_has_negative_number_optionals`; the tests that compare `_read` with
-# `parse_args` on every supported Python fail if one of them changes.
-
-
-def _routes(parser, tokens=(), dests=()):
-    """(route tokens, (leaf parser, the dests the route sets)) for each leaf
-    below parser, read off its subparser actions."""
-    for action in parser._actions:
-        if action.nargs == argparse.PARSER:
-            for name, child in action.choices.items():
-                yield from _routes(child, (*tokens, name), (*dests, (action.dest, name)))
-            return
-    yield tokens, (parser, dict(dests))
-
-
 def _read(argv):
-    """The Namespace `build_parser().parse_args(argv)` returns when argv is a
-    route followed by (exact option string, value) pairs; None otherwise."""
+    """The Namespace `build_parser().parse_args(argv)` returns when argv is the
+    route of a leaf followed by (exact option string, value) pairs; None
+    otherwise."""
     if not all(type(token) is str for token in argv):
         return None
-    routes = build_parser().routes
-    for n in range(1, len(argv) + 1):
-        if (route := routes.get(tuple(argv[:n]))) is not None:
-            break
-    else:
+    n = 1 if tuple(argv[:1]) in LEAVES else 2
+    leaf, pairs = LEAVES.get(tuple(argv[:n])), argv[n:]
+    if leaf is None or len(pairs) % 2:
         return None
-    leaf, dests = route
-    pairs = argv[n:]
-    if len(pairs) % 2:
-        return None
-    values, seen = {}, set()
+    args, given = dict(leaf.defaults), set()
     for option, value in zip(pairs[::2], pairs[1::2]):
-        action = leaf._option_string_actions.get(option)
-        if type(action) is not argparse._StoreAction or action.nargs is not None:
+        field = leaf.fields.get(option)
+        # every argparse reads "-" and ASCII digits as a value, a negative
+        # number, since no option string looks like one
+        if field is None or (value.startswith("-") and not (value[1:].isdigit() and value.isascii())):
             return None
-        # a value starting with "-" is one only if argparse reads it as a negative number
-        if value.startswith("-") and (leaf._has_negative_number_optionals
-                                      or not leaf._negative_number_matcher.match(value)):
-            return None
-        if action.type is not None:
+        dest, convert, choices = field
+        if convert is not None:
             try:
-                value = action.type(value)
+                value = convert(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
-    args = dict(dests, func=leaf.get_default("func"))
-    for action in leaf._actions:
-        if action.required and action not in seen:
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            if isinstance(action.default, str):
-                return None  # argparse would convert it with action.type
-            args.setdefault(action.dest, action.default)
-    args.update(values)
+        args[dest] = value
+        given.add(option)
+    if not leaf.required <= given:
+        return None
     return argparse.Namespace(**args)
 
 

@@ -953,6 +953,39 @@ def test_reader_leaves_help_and_errors_to_argparse(argv):
     assert cli._read(list(argv)) is None
 
 
+def test_table_options_are_what_the_reader_reads():
+    options = {option: keywords for *_, options in cli.COMMANDS for option, keywords in options.items()}
+    options.update(cli.COMMON_OPTIONS)
+    assert len(options) >= 15
+    for option, keywords in options.items():
+        # so that every argparse reads "-" and digits after an option as a value
+        assert option.startswith("--") and not re.fullmatch(r"-\d+|-\d*\.\d+", option), option
+        # `_read` applies these keywords alone; a str default argparse would convert with type
+        assert set(keywords) <= {"type", "required", "default", "choices", "help"}, option
+        assert not isinstance(keywords.get("default"), str), option
+
+
+# argv whose value argparse reads as a negative number, though it is not "-"
+# and ASCII digits, each with its twin written in ASCII
+NEGATIVE_TWINS = [
+    (["vmatrix", "--genus", "6", "--output", "-1.5"], ["vmatrix", "--genus", "6", "--output", "r.txt"]),
+    (["sutured", "chi", "--base-chi", "-٣"], ["sutured", "chi", "--base-chi", "-3"]),
+    (["sutured", "witness", "--k", "-٢", "--m", "3"], ["sutured", "witness", "--k", "-2", "--m", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv, twin", NEGATIVE_TWINS, ids=lambda argv: " ".join(argv))
+def test_negative_numbers_the_reader_leaves_to_argparse(monkeypatch, tmp_path, capsys, argv, twin):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+    assert cli._read(argv) is None and cli._read(twin) is not None
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed == {**vars(cli._read(twin)), "output": parsed["output"]}
+    assert run(capsys, *argv) == run(capsys, *twin)
+    if parsed["output"] is not None:
+        assert (tmp_path / parsed["output"]).read_bytes() == (tmp_path / twin[-1]).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["vmatrix", "--gen", "6"], ["vmatrix", "--genus=6"]])
 def test_option_spellings_argparse_accepts(monkeypatch, capsys, argv):
     monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)

@@ -12,6 +12,7 @@ import pytest
 
 from tautcalc import cli, jsonio, penner, polytope
 from tautcalc.cli import main
+from test_cli import READER_ACCEPTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -80,4 +81,21 @@ def test_leaf_func_returns_its_report(monkeypatch, tmp_path, capsys):
         assert report["command"] == words and "status" not in report, line
         reached.add(words)
     assert capsys.readouterr().out == ""
-    assert reached == {" ".join(route) for route in cli.build_parser().routes}
+    assert reached == {" ".join(route) for route in cli.LEAVES}
+
+
+def test_well_formed_argv_never_builds_argparse(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+    for name, doc in _input_files().items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    cli.build_parser.cache_clear()
+    for line in _usage_lines(with_files=True):
+        assert main(shlex.split(line)[1:]) == 0, line
+    for argv in READER_ACCEPTS:
+        assert cli._read(list(argv)) is not None, argv
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 0
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert cli.build_parser.cache_info().misses == 1

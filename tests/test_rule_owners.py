@@ -1,9 +1,9 @@
 """Each input rule is checked in one place: a map's domain at its public
 `eval`, the report genus cap in one `penner` function, the labels of a
 word in one `homology` function, each CLI default in the library
-signature or type it belongs to, and the command line in
-`cli.build_parser`.  Each error message is raised from one function, and
-the library states no `assert`, which would end the CLI in a traceback."""
+signature or type it belongs to, and the command line in `cli`'s table.
+Each error message is raised from one function, and the library states no
+`assert`, which would end the CLI in a traceback."""
 
 import argparse
 import ast
@@ -35,6 +35,7 @@ def test_each_input_rule_has_one_owner():
     ]
     kernels = [(module, f) for module, f in functions if f.name == "_eval_pair"]
     parsers = [f for _, f in functions if f.name == "build_parser"]
+    options = [option for *_, options in cli.COMMANDS for option in options]
     # the kernels take points that `eval` has checked or that
     # `solve_conjugacy` laid out inside each domain, so none refuses one
     raising = [f"{module}:{f.lineno}" for module, f in kernels if any(isinstance(n, ast.Raise) for n in ast.walk(f))]
@@ -43,43 +44,45 @@ def test_each_input_rule_has_one_owner():
         for module, f in functions
         if any(isinstance(n, ast.Compare) and "MAX_CHAIN_GENUS" in _names(n) for n in ast.walk(f))
     ]
-    arguments = [
-        call
-        for f in parsers
-        for call in ast.walk(f)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument"
+    # a default is read from the library, never written again as a number,
+    # whether as a keyword or as a dict key
+    cli_nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))))
+    defaults = [node.value for node in cli_nodes if isinstance(node, ast.keyword) and node.arg == "default"] + [
+        value
+        for node in cli_nodes
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "default"
     ]
-    # a default is read from the library, never written again as a number
-    literal = [
-        ast.unparse(call)
-        for call in arguments
-        for kw in call.keywords
-        if kw.arg == "default" and isinstance(kw.value, ast.Constant) and type(kw.value.value) is int
-    ]
-    assert len(kernels) == 4 and len(parsers) == 1 and len(arguments) >= 15
+    literal = [ast.unparse(value) for value in defaults if isinstance(value, ast.Constant) and type(value.value) is int]
+    assert len(kernels) == 4 and len(parsers) == 1 and len(options) >= 15
     assert raising == [], raising
     assert len(capping) == 1, capping
     assert literal == [], literal
 
 
 def test_command_line_written_only_in_build_parser():
-    # `cli.main` reads well-formed argv off the parser's own actions, so an
-    # option string, argument or default written anywhere else would be a
+    # `cli._read` reads well-formed argv off the table and `build_parser`
+    # builds argparse from it, so an option string written outside the table,
+    # or an argument or default added outside `build_parser`, would be a
     # second definition of the command line
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(tautcalc.__file__).parent.glob("*.py")]
+    table = [node for tree in trees for node in tree.body if isinstance(node, ast.Assign)
+             and [ast.unparse(target) for target in node.targets] in (["COMMON_OPTIONS"], ["COMMANDS"])]
     parsers = [node for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
-    inside = {id(n) for f in parsers for n in ast.walk(f)}
-    outside = [n for tree in trees for n in ast.walk(tree) if id(n) not in inside]
-    options = [n.value for n in outside
-               if isinstance(n, ast.Constant) and isinstance(n.value, str) and re.fullmatch(r"--?[a-z][a-z-]*", n.value)]
-    calls = [ast.unparse(n) for n in outside if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-             and n.func.attr in ("add_argument", "set_defaults")]
-    # the reader fills in `func` alone from the leaf, so no other key is set,
-    # and `leaf` sets it for every leaf parser
+    in_table = {id(n) for assign in table for n in ast.walk(assign)}
+    in_parser = {id(n) for f in parsers for n in ast.walk(f)}
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    options = [n.value for n in nodes if id(n) not in in_table
+               and isinstance(n, ast.Constant) and isinstance(n.value, str) and re.fullmatch(r"--?[a-z][a-z-]*", n.value)]
+    calls = [ast.unparse(n) for n in nodes if id(n) not in in_parser and isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr in ("add_argument", "set_defaults")]
+    # the reader fills in `func` alone from the table, so no other key is set,
+    # and one call sets it for every leaf parser
     keys = [kw.arg for f in parsers for n in ast.walk(f) if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Attribute) and n.func.attr == "set_defaults" for kw in n.keywords]
-    assert len(parsers) == 1
+    assert len(table) == 2 and len(parsers) == 1
     assert options == [], options
     assert calls == [], calls
     assert keys == ["func"], keys
