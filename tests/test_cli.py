@@ -954,10 +954,9 @@ def test_reader_leaves_help_and_errors_to_argparse(argv):
 
 
 def test_table_options_are_what_the_reader_reads():
-    options = {option: keywords for *_, options in cli.COMMANDS for option, keywords in options.items()}
-    options.update(cli.COMMON_OPTIONS)
+    options = [*cli.COMMON_OPTIONS.items(), *(item for *_, options in cli.COMMANDS for item in options.items())]
     assert len(options) >= 15
-    for option, keywords in options.items():
+    for option, keywords in options:
         # so that every argparse reads "-" and digits after an option as a value
         assert option.startswith("--") and not re.fullmatch(r"-\d+|-\d*\.\d+", option), option
         # `_read` applies these keywords alone; a str default argparse would convert with type
