@@ -112,6 +112,24 @@ def test_collinear_breakpoints_normalized():
     assert f.breakpoints == (Fr(-1), Fr(1))
 
 
+def test_value_semantics():
+    # equal maps from any constructor are equal with equal hashes, a
+    # collinear breakpoint included; no field or other name can be set
+    f = PLHomeo([-1, 0, 1], [-1, Fr(1, 2), 1])
+    for g in (PLHomeo.from_pairs([(-1, 1), (0, 1), (1, 1)], [(-1, 1), (1, 2), (1, 1)]),
+              PLHomeo([-1, Fr(-1, 2), 0, 1], [-1, Fr(-1, 4), Fr(1, 2), 1]),
+              f.inverse().inverse()):
+        assert g == f and hash(g) == hash(f)
+    assert PLHomeo.identity() == PLHomeo([-1, 1], [-1, 1])
+    assert hash(PLHomeo.identity()) == hash(PLHomeo([-1, 1], [-1, 1]))
+    assert f != PLHomeo.identity() and f != f.inverse()
+    assert (f == object()) is False
+    for name in ("_cuts", "_cut_values", "_segments", "breakpoints", "values", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+    assert repr(f) == "PLHomeo(-1->-1, 0->1/2, 1->1)"
+
+
 PRIMES = (2, 3, 7, 97, 10_007, 65_537, 998_244_353, 999_999_937, 1_000_000_007)
 
 

@@ -324,3 +324,19 @@ def test_immutability():
     m = identity(2)
     with pytest.raises(AttributeError):
         m.rows = ()
+    # the stored fields, a derived view and a name the class never defines
+    for name in ("nonzeros", "n_cols", "n_rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+
+
+def test_value_semantics():
+    # equal data from either constructor gives equal matrices with equal
+    # hashes; the shape counts even where no entry is stored
+    dense = IntMatrix([[0, 2], [-1, 0]])
+    wrapped = IntMatrix._from_nonzeros([{1: 2}, {0: -1}], 2)
+    assert dense == wrapped and hash(dense) == hash(wrapped)
+    assert dense != IntMatrix([[0, 2], [1, 0]])
+    assert IntMatrix([[0, 0]]) != IntMatrix([[0, 0, 0]])
+    assert (dense == object()) is False
+    assert repr(dense) == "IntMatrix([[0, 2], [-1, 0]])"

@@ -103,6 +103,20 @@ def test_hull_drops_interior_and_collinear_points():
     assert set(p.vertices) == {(1, 1), (-1, 1), (-1, -1), (1, -1)}
 
 
+def test_value_semantics():
+    # the same hull from other points, in another order, is an equal polygon
+    # with an equal hash; no field or other name can be set
+    p = RatPolytope([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    q = RatPolytope([(0, -1), (Fr(1, 2), Fr(1, 2)), (0, 0), (-1, 0), (0, 1), (1, 0)])
+    assert p == q and hash(p) == hash(q)
+    assert p != RatPolytope([(2, 0), (0, 2), (-2, 0), (0, -2)])
+    assert (p == object()) is False
+    for name in ("vertices", "halfspaces", "origin_interior", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert repr(p) == "RatPolytope([('-1', '0'), ('0', '-1'), ('1', '0'), ('0', '1')])"
+
+
 def test_degenerate_polygon_rejected():
     with pytest.raises(ValueError):
         RatPolytope([(0, 0), (1, 1), (2, 2)])
