@@ -126,6 +126,19 @@ def test_integer_lists_name_the_bad_entry(entry, message):
     assert str(exc.value) == f"sys.geo_int[3][1]: {message}"
 
 
+@pytest.mark.parametrize("raw", ["C", "a", "SADDLE", 1, None, ["A"], {"kind": "saddle"}])
+def test_enum_fields_name_their_values(raw):
+    system, _ = chain_system(3)
+    doc = jsonio.curve_system_to_json(system)
+    doc["curves"][1]["family"] = raw
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == "sys.curves[1].family: expected 'A' or 'B'"
+    with pytest.raises(ValueError) as exc:
+        jsonio.tangencies_from_json([{"kind": "saddle", "sign": 1}, {"kind": raw, "sign": 1}])
+    assert str(exc.value) == "tangencies[1].kind: expected 'saddle' or 'center'"
+
+
 def test_integer_lists_take_json_numbers():
     system, _ = chain_system(3)
     doc = jsonio.curve_system_to_json(system)
