@@ -68,7 +68,7 @@ def _emit(report: dict, args) -> int:
         text = jsonio.dumps_report(report)
     else:
         text = jsonio.render_text(report)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             # two writes, since text + "\n" would copy the whole report
             fh.write(text)
@@ -111,7 +111,7 @@ def cmd_vmatrix(args) -> dict:
 
 
 def cmd_candidates(args) -> dict:
-    if args.spec:
+    if args.spec is not None:
         spec = _load(args.spec, "spec", jsonio.norm_spec_from_json)
     else:
         spec = polytope.NormSpec.surgery_family(args.genus)

@@ -110,6 +110,7 @@ def _unit_pair(q) -> Tuple[int, int]:
     return a, d
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PLHomeo:
     """Increasing piecewise-linear homeomorphism of [-1, 1].
 
@@ -128,7 +129,9 @@ class PLHomeo:
     triples.  `inverse` reads its data off the stored segments.
     """
 
-    __slots__ = ("_cuts", "_cut_values", "_segments")
+    _cuts: Tuple[Tuple[int, int], ...]
+    _cut_values: Tuple[Tuple[int, int], ...]
+    _segments: Tuple[Tuple[int, int, int], ...]
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         check_breakpoint_count(max(len(breakpoints), len(values)))
@@ -143,9 +146,6 @@ class PLHomeo:
         f = object.__new__(cls)
         _setup(f, breakpoints, values)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLHomeo is immutable")
 
     @property
     def breakpoint_pairs(self) -> Tuple[Tuple[int, int], ...]:
@@ -162,16 +162,6 @@ class PLHomeo:
     @property
     def values(self) -> Tuple[Fraction, ...]:
         return tuple(starmap(Fraction, self.value_pairs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PLHomeo)
-            and self._cuts == other._cuts
-            and self._cut_values == other._cut_values
-        )
-
-    def __hash__(self):
-        return hash((self._cuts, self._cut_values))
 
     def __repr__(self):
         pairs = ", ".join(f"{b}->{v}" for b, v in zip(self.breakpoints, self.values))

@@ -51,11 +51,12 @@ encoder when it does not, which is the same rule a list of strings takes.
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
-from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from .exact import frac, frac_pair, is_int
 from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
@@ -119,6 +120,16 @@ def _get(mapping: Mapping, key: str, field: str) -> Any:
     if key not in mapping:
         raise ValueError(f"{field}: missing key {key!r}")
     return mapping[key]
+
+
+def _get_enum(mapping: Mapping, key: str, field: str, kind: Type[Enum]) -> Enum:
+    """The member of kind whose value is mapping[key]."""
+    raw = _get(mapping, key, field)
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = " or ".join(repr(member.value) for member in kind)
+        raise ValueError(f"{field}.{key}: expected {expected}") from None
 
 
 def _build(field: str, make: Callable, *args):
@@ -413,11 +424,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
         e = _expect_map(entry, at)
         label = _get(e, "label", at)
         coords = _parse_int_list(_get(e, "coords", at), f"{at}.coords")
-        family_raw = _get(e, "family", at)
-        try:
-            family = Family(family_raw)
-        except ValueError:
-            raise ValueError(f"{at}.family: expected 'A' or 'B'") from None
+        family = _get_enum(e, "family", at, Family)
         if len(coords) != n:
             raise ValueError(f"{at}.coords: coordinate length must equal 2*genus")
         cls = HomologyClass(space, tuple(zip(compress(range(n), coords), filter(None, coords))))
@@ -535,11 +542,7 @@ def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]
     for i, entry in enumerate(_expect_list(data, field)):
         at = f"{field}[{i}]"
         e = _expect_map(entry, at)
-        kind_raw = _get(e, "kind", at)
-        try:
-            kind = TangencyKind(kind_raw)
-        except ValueError:
-            raise ValueError(f"{at}.kind: expected 'saddle' or 'center'") from None
+        kind = _get_enum(e, "kind", at, TangencyKind)
         out.append(_build(at, Tangency, kind, parse_int(_get(e, "sign", at), f"{at}.sign")))
     return out
 

@@ -23,11 +23,13 @@ minors.  No floating point anywhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Tuple
 
 from .exact import is_int
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
     """Immutable matrix with arbitrary-precision integer entries.
 
@@ -36,7 +38,8 @@ class IntMatrix:
     each access.
     """
 
-    __slots__ = ("nonzeros", "n_cols")
+    nonzeros: Tuple[dict, ...]
+    n_cols: int
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = tuple(map(tuple, rows))
@@ -66,9 +69,6 @@ class IntMatrix:
         object.__setattr__(m, "n_cols", n_cols)
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
     # -- shape ------------------------------------------------------------
 
     @property
@@ -89,9 +89,7 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.n_cols == other.n_cols and self.nonzeros == other.nonzeros
-
+    # written out, since the rows are dicts and cannot be hashed
     def __hash__(self):
         return hash((self.n_cols, tuple(frozenset(row.items()) for row in self.nonzeros)))
 

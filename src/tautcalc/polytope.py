@@ -100,10 +100,12 @@ def _edge_halfspace(p: IntPair, q: IntPair, d: int) -> Halfspace:
     return ((a * (d // k), b * (d // k)), n // k)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RatPolytope:
     """Convex polygon with exact rational vertices and integer facet data."""
 
-    __slots__ = ("vertices", "halfspaces")
+    vertices: Tuple[Tuple[Fraction, Fraction], ...]
+    halfspaces: Tuple[Halfspace, ...]
 
     def __init__(self, points: Sequence):
         scaled, d = _scale([_point(p) for p in points])
@@ -111,15 +113,6 @@ class RatPolytope:
         halfspaces = tuple(_edge_halfspace(p, q, d) for p, q in zip(hull, hull[1:] + hull[:1]))
         object.__setattr__(self, "vertices", tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull))
         object.__setattr__(self, "halfspaces", halfspaces)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPolytope is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RatPolytope) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return f"RatPolytope({[tuple(map(str, v)) for v in self.vertices]})"

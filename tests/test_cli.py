@@ -394,6 +394,21 @@ def test_penner_deeply_nested_json(tmp_path, capsys):
     assert err.startswith("error: input: ")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["candidates", "--genus", "3", "--spec", ""], "error: spec: "),
+    (["candidates", "--genus", "3", "--output", ""], "error: "),
+    (["vmatrix", "--genus", "6", "--output", ""], "error: "),
+    (["penner", "--input", ""], "error: input: "),
+    (["sutured", "pairing", "--input", ""], "error: input: "),
+    (["holonomy", "tau", "--case", "a", "--u", "", "--v", ""], "error: u: "),
+])
+def test_empty_path_is_bad_input(capsys, argv, prefix):
+    # an empty path names no file, as for any other path that cannot be opened
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1016,7 +1031,7 @@ def test_imports_only_the_standard_library():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import tautcalc, tautcalc.cli; "
             "print(*{m.partition('.')[0] for m in sys.modules})")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     loaded = set(out.stdout.split())
     assert "tautcalc" in loaded
     extra = loaded - set(sys.stdlib_module_names) - {"tautcalc", "__main__"}
