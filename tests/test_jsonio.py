@@ -314,3 +314,37 @@ def test_table_rejects_ragged_or_mixed_columns():
     for column in (["1", True], [("1",), ("2", "3")], [1, 2], [("1",), "2"]):
         with pytest.raises(TypeError):
             jsonio.dumps_report({"k": jsonio.Table({"a": column})})
+
+
+def _int_paths(value, path=""):
+    """The paths in a parsed JSON document that hold an int, not a bool; the
+    items of a list share the path "name[]"."""
+    if isinstance(value, dict):
+        return set().union(*(_int_paths(v, f"{path}.{k}" if path else k) for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(*(_int_paths(v, path + "[]") for v in value))
+    return {path} if type(value) is int else set()
+
+
+# each leaf's stock argv and the fields its JSON report writes as bare
+# numbers, not decimal strings; the README and the jsonio docstring name them
+BARE_NUMBERS = {
+    ("vmatrix",): (["--genus", "6"], {"genus"}),
+    ("candidates",): (["--genus", "3"], {"genus"}),
+    ("penner",): ([], {"genus", "mapping_torus_b2"}),
+    ("sutured", "chi"): (["--base-chi", "-1"], {"base_chi", "convex", "concave"}),
+    ("sutured", "core-disk"): (["--wraps", "3"], {"longitude_wraps", "suture_count", "convex_corners"}),
+    ("sutured", "pairing"): (["--input", "tangencies.json"],
+                             {"euler_pairing", "poincare_hopf_chi", "tangencies[].sign"}),
+    ("sutured", "witness"): (["--k", "-24", "--m", "3"], set()),
+    ("holonomy", "tau"): (["--case", "a"], {"tiles_per_side"}),
+}
+
+
+def test_json_reports_write_only_the_named_fields_as_bare_numbers(monkeypatch, tmp_path, capsys):
+    assert set(BARE_NUMBERS) == set(cli.LEAVES)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tangencies.json").write_text('[{"kind": "saddle", "sign": 1}, {"kind": "center", "sign": 1}]')
+    for route, (options, paths) in BARE_NUMBERS.items():
+        assert cli.main([*route, *options, "--format", "json"]) == 0, route
+        assert _int_paths(json.loads(capsys.readouterr().out)) == paths, route
