@@ -1,9 +1,13 @@
 """JSON encoding and decoding for the domain types, and the report writers.
 
-All integers and rationals travel as decimal strings ("p/q" for
-non-integral rationals) so consumers never lose precision; matrices are
-row-major arrays of such strings.  Parsers check only the JSON shape and
-call the owner of every other rule: the domain types, `exact`,
+Integers and rationals travel as decimal strings ("p/q" for non-integral
+rationals) so consumers never lose precision, and matrices are row-major
+arrays of such strings, but twelve report fields are bare JSON numbers,
+which a reader that parses numbers as doubles may round past 2**53: `genus`,
+`mapping_torus_b2`, `tiles_per_side`, `base_chi`, `convex`, `concave`,
+`longitude_wraps`, `suture_count`, `convex_corners`, `euler_pairing`,
+`poincare_hopf_chi` and `tangencies[].sign`.  Parsers check only the JSON
+shape and call the owner of every other rule: the domain types, `exact`,
 `homology.check_labels` and `penner.check_genus_cap`.  Either way a parser
 raises ValueError prefixed with the field path, so the CLI can report
 where an input file went wrong.  A curve system keeps only its nonzeros

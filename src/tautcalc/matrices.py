@@ -130,9 +130,10 @@ class IntMatrix:
         """Sparse Bareiss (fraction-free) elimination over a copy of the
         stored row dicts.
 
-        Returns (rank, sign, pivot): the rank, the sign of the order in which
-        rows became pivots, and the last pivot.  For a square matrix of full
-        rank sign * pivot is the determinant.
+        Returns (order, pivot): the rows in the order they became pivots,
+        so the rank is len(order), and the last pivot.  For a square matrix
+        of full rank, the sign of that order times the pivot is the
+        determinant.
 
         Each row is a copy of its stored dict, and `holders[c]` is the set of
         rows not yet used as a pivot that have a nonzero in column c.  Columns
@@ -199,25 +200,24 @@ class IntMatrix:
             order.append(r)
             if len(order) == n_rows:
                 break
-        return len(order), _order_sign(order, n_rows), P[-1]
+        return order, P[-1]
 
     def det(self) -> int:
         """Exact determinant by fraction-free elimination."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        rank, sign, pivot = self._echelon()
-        return sign * pivot if rank == self.n_rows else 0
+        order, pivot = self._echelon()
+        return _order_sign(order) * pivot if len(order) == self.n_rows else 0
 
     def rank(self) -> int:
         """Rank over the rationals, from the same elimination as det()."""
-        return self._echelon()[0]
+        return len(self._echelon()[0])
 
 
-def _order_sign(order: list, n: int) -> int:
-    """Sign of the permutation of range(n) that lists `order` first and the
-    other rows after it in increasing order: (-1) ** (n - number of cycles)."""
-    seen = set(order)
-    perm = order + [i for i in range(n) if i not in seen]
+def _order_sign(perm: list) -> int:
+    """Sign of a permutation of range(n) given as a list: (-1) ** (n - number
+    of cycles)."""
+    n = len(perm)
     visited = [False] * n
     cycles = 0
     for start in range(n):

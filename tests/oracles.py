@@ -64,7 +64,8 @@ def to_lists(a):
 
 
 def echelon_dense(rows):
-    """Dense Bareiss oracle: (rank, sign, pivot) as IntMatrix._echelon returns.
+    """Dense Bareiss oracle: (rank, sign, pivot), with sign that of the row
+    swaps; for a square matrix of full rank sign * pivot is the determinant.
 
     Takes the first nonzero row at each column and rescales every row below
     the pivot, so it costs O(n^3) whatever the sparsity.

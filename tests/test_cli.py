@@ -1038,6 +1038,24 @@ def test_imports_only_the_standard_library():
     assert not extra, f"non-stdlib modules imported: {sorted(extra)}"
 
 
+@pytest.mark.parametrize("module, expected", [
+    ("tautcalc", {"tautcalc"}),
+    ("tautcalc.holonomy", {"tautcalc", "tautcalc.exact", "tautcalc.holonomy"}),
+    ("tautcalc.penner", {"tautcalc", "tautcalc.exact", "tautcalc.matrices", "tautcalc.homology", "tautcalc.penner"}),
+    ("tautcalc.cli", {"tautcalc", "tautcalc.cli", "tautcalc.exact", "tautcalc.holonomy", "tautcalc.homology",
+                      "tautcalc.jsonio", "tautcalc.matrices", "tautcalc.penner", "tautcalc.polytope",
+                      "tautcalc.sutured"}),
+])
+def test_importing_a_module_loads_only_what_it_needs(module, expected):
+    # the package root re-exports nothing, so a library module pulls in only
+    # its own imports; -B keeps bytecode out of src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            "print(*(m for m in sys.modules if m.partition('.')[0] == 'tautcalc'))")
+    out = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert set(out.stdout.split()) == expected
+
+
 @pytest.mark.parametrize("index", [0, 6])
 def test_penner_unknown_label_at_either_end(tmp_path, capsys, index):
     doc = _bundled_penner_doc()
