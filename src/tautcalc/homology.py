@@ -237,9 +237,9 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
 
 def mapping_torus(f_star: IntMatrix) -> tuple:
     """(f_star - Id, its signed determinant, b2) for a map acting as f_star
-    on H_1.  b2 = 1 + dim ker(f_star - Id) is 1 exactly when the determinant
-    is nonzero; only otherwise does a second elimination find the rank.
+    on H_1, from one elimination of f_star - Id.  b2 = 1 + dim ker(f_star - Id)
+    is 1 exactly when the determinant is nonzero.
     """
     diff = f_star.minus_identity()
-    det = diff.det()
-    return diff, det, 1 if det else 1 + diff.n_rows - diff.rank()
+    rank, det = diff._echelon()
+    return diff, det, 1 + diff.n_rows - rank

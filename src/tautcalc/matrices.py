@@ -130,10 +130,10 @@ class IntMatrix:
         """Sparse Bareiss (fraction-free) elimination over a copy of the
         stored row dicts.
 
-        Returns (order, pivot): the rows in the order they became pivots,
-        so the rank is len(order), and the last pivot.  For a square matrix
-        of full rank, the sign of that order times the pivot is the
-        determinant.
+        Returns (rank, det): the number of pivots, and the signed
+        determinant, which is 0 unless the matrix is square and of full rank.
+        Then every row became a pivot, and the determinant is the last pivot
+        times the sign of the order in which the rows did.
 
         Each row is a copy of its stored dict, and `holders[c]` is the set of
         rows not yet used as a pivot that have a nonzero in column c.  Columns
@@ -200,31 +200,24 @@ class IntMatrix:
             order.append(r)
             if len(order) == n_rows:
                 break
-        return order, P[-1]
+        rank = len(order)
+        if not rank == n_rows == n_cols:
+            return rank, 0
+        # the sign of the order: each swap puts one row in its place
+        sign = 1
+        for i in range(rank):
+            while order[i] != i:
+                j = order[i]
+                order[i], order[j] = order[j], j
+                sign = -sign
+        return rank, sign * P[-1]
 
     def det(self) -> int:
-        """Exact determinant by fraction-free elimination."""
+        """Exact determinant, from the one elimination."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        order, pivot = self._echelon()
-        return _order_sign(order) * pivot if len(order) == self.n_rows else 0
+        return self._echelon()[1]
 
     def rank(self) -> int:
-        """Rank over the rationals, from the same elimination as det()."""
-        return len(self._echelon()[0])
-
-
-def _order_sign(perm: list) -> int:
-    """Sign of a permutation of range(n) given as a list: (-1) ** (n - number
-    of cycles)."""
-    n = len(perm)
-    visited = [False] * n
-    cycles = 0
-    for start in range(n):
-        if not visited[start]:
-            cycles += 1
-            i = start
-            while not visited[i]:
-                visited[i] = True
-                i = perm[i]
-    return -1 if (n - cycles) % 2 else 1
+        """Rank over the rationals, from the one elimination."""
+        return self._echelon()[0]

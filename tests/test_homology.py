@@ -469,6 +469,18 @@ def test_fixed_homology_trivial():
         mapping_torus(IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
+def test_singular_mapping_torus_matches_dense_oracle():
+    # det(M - Id) = 0, so b2 comes from the rank of the same elimination: the
+    # empty word leaves M - Id = 0, and one twist leaves a kernel of rank 2g - 1
+    for genus in range(2, 7):
+        gens = chain_system(genus)[0].generator_map()
+        for letters in [()] + [((label, exp),) for label in gens for exp in (1, -2)]:
+            m = word_action(TwistWord(letters), gens)
+            torus = mapping_torus(m)
+            assert torus == mapping_torus_dense(m), letters
+            assert torus[1:] == (0, 2 * genus if letters else 2 * genus + 1), letters
+
+
 def test_b2_at_least_one_iff_trivial_kernel():
     rng = random.Random(37)
     for _ in range(30):

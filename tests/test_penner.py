@@ -183,7 +183,7 @@ def test_geo_int_validation():
     def read(curves, geo_int):
         return curve_system_from_json({"genus": 2, "curves": curves, "geo_int": geo_int})
 
-    assert read(curves, [[], [2]]).total_intersections == 2
+    assert read(curves, [[], [3]]).total_intersections == 3
     with pytest.raises(ValueError, match=r"^system: geo_int must have length 2, one row per curve$"):
         read(curves, [[]])
     with pytest.raises(ValueError, match=r"^system: geo_int\[1\] must have length 1 \(strict lower triangle\)$"):
@@ -199,7 +199,7 @@ def test_geo_int_validation():
             read(curves, [[], [bad]])
     assert read(curves, [[], ["1"]]).total_intersections == 1
     same = curves + [{"label": "a2", "coords": ["0", "0", "1", "0"], "family": "A"}]
-    assert read(same, [[], [1], [0, 1]]).total_intersections == 2
+    assert read(same, [[], [1], [0, 2]]).total_intersections == 3
     with pytest.raises(ValueError, match="^system: curves 'a1' and 'a2' are in the same family but intersect$"):
         read(same, [[], [1], [1, 1]])
 
@@ -211,7 +211,7 @@ def test_crossings_validation():
         TwistGenerator("b1", basis_s(space, 1), Family.B),
         TwistGenerator("a2", basis_r(space, 2), Family.A),
     )
-    assert CurveSystem(2, curves, ((1, 0, 2), (2, 1, 1))).total_intersections == 3
+    assert CurveSystem(2, curves, ((1, 0, 1), (2, 1, 2))).total_intersections == 3
     shape = r"^crossings\[0\] must be an \(i, j, count\) triple of integers$"
     order = r": need 0 <= j < i < 3, in increasing order of \(i, j\)$"
     for bad, message in (
@@ -228,6 +228,30 @@ def test_crossings_validation():
     ):
         with pytest.raises(ValueError, match=message):
             CurveSystem(2, curves, bad)
+
+
+def test_crossings_agree_with_pairings():
+    # |pairing| <= count and pairing = count (mod 2) for every pair, so a pair
+    # that does not cross, within a family or not, pairs to 0
+    space = SymplecticSpace(2)
+
+    def curve(label, coords):
+        return TwistGenerator(label, dense_class(space, coords), Family[label[0].upper()])
+
+    a1, b1 = curve("a1", [1, 0, 0, 0]), curve("b1", [0, 1, 0, 0])
+    a2, b2 = curve("a2", [1, 0, 1, 0]), curve("b2", [1, 0, 0, 3])
+    assert CurveSystem(2, (a1, b1, a2), ((1, 0, 3), (2, 1, 1))).total_intersections == 4
+    for curves, crossings, message in (
+        ((a1, b1), ((1, 0, 2),), "'a1' and 'b1' pair to 1 but cross 2 times"),
+        ((a1, b1, a2), ((1, 0, 1),), "'b1' and 'a2' pair to -1 but cross 0 times"),
+        ((a1, b1, a2), ((1, 0, 1), (2, 1, 2)), "'b1' and 'a2' pair to -1 but cross 2 times"),
+        ((a1, b2), ((1, 0, 3),), "'a1' and 'b2' pair to 0 but cross 3 times"),
+        ((a2, b2), ((1, 0, 1),), "'a2' and 'b2' pair to 3 but cross 1 times"),
+        # two curves of one family never cross
+        ((curve("a1", [1, 2, 0, 0]), b1, a2), ((1, 0, 1), (2, 1, 1)), "'a1' and 'a2' pair to -2 but cross 0 times"),
+    ):
+        with pytest.raises(ValueError, match=f"^curves {message}$"):
+            CurveSystem(2, curves, crossings)
 
 
 def test_curves_from_another_genus_rejected():

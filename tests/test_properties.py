@@ -18,12 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from tautcalc import jsonio
 from tautcalc.cli import main
 from tautcalc.holonomy import PLHomeo, bundled_shifts
-from tautcalc.homology import Family, SymplecticSpace, TwistGenerator, TwistWord
+from tautcalc.homology import Family, SymplecticSpace, TwistGenerator, TwistWord, algebraic_intersection
 from tautcalc.matrices import IntMatrix
-from tautcalc.penner import CurveSystem, Region
+from tautcalc.penner import CurveSystem, Region, chain_system
 from tautcalc.polytope import NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
-from oracles import dense_class
+from oracles import dense_class, dense_coords
 from test_matrices import assert_matches_dense
 from test_polytope import boundary_points_by_scan
 
@@ -35,20 +35,27 @@ PROPS = settings(derandomize=True, database=None, max_examples=40, deadline=None
 
 @st.composite
 def penner_inputs(draw):
-    """A curve system of genus 1..3 with up to five curves, and a word over it."""
+    """A curve system of genus 1..3 with up to five curves, and a word over it.
+
+    Family A classes lie in the span of the r_i and family B classes in that
+    of the s_i, so two curves of one family pair to 0, and each count is the
+    absolute pairing plus 0 or 2, as CurveSystem requires."""
     genus = draw(st.integers(1, 3))
     space = SymplecticSpace(genus)
     n = draw(st.integers(1, 5))
     labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
     curves = []
     for label in labels:
-        coords = draw(st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus))
-        g = gcd(*coords) or 1
-        curves.append(TwistGenerator(label, dense_class(space, [c // g for c in coords]), draw(st.sampled_from(Family))))
+        family = draw(st.sampled_from(Family))
+        half = draw(st.lists(st.integers(-3, 3), min_size=genus, max_size=genus))
+        g = gcd(*half) or 1
+        coords = [0] * (2 * genus)
+        coords[family is Family.B::2] = [c // g for c in half]
+        curves.append(TwistGenerator(label, dense_class(space, coords), family))
     crossings = []
     for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:
-            count = draw(st.integers(0, 3))
+            count = abs(algebraic_intersection(curves[j].cls, curves[i].cls)) + 2 * draw(st.integers(0, 1))
             if count:
                 crossings.append((i, j, count))
     regions = draw(st.none() | st.lists(st.builds(Region, st.booleans(), st.text(max_size=3)), max_size=3).map(tuple))
@@ -300,6 +307,7 @@ def _rejects(workdir, text, argv):
     lines = err.getvalue().splitlines()
     assert (code, out.getvalue()) == (2, ""), text
     assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (lines, text)
+    return lines[0]
 
 
 FUZZ = settings(PROPS, max_examples=120)
@@ -309,6 +317,37 @@ FUZZ = settings(PROPS, max_examples=120)
 @given(corrupted(penner_inputs().map(penner_doc), _penner_semantic))
 def test_malformed_penner_file(workdir, text):
     _rejects(workdir, text, ["penner", "--input", "bad.json"])
+
+
+@st.composite
+def moved_chain_docs(draw):
+    """The document of a chain system of genus 2..8 with one zero coordinate
+    of one curve moved by 2, and that curve's label.
+
+    Moving x_k by t moves <x, y> by t y_{k^1} for even k and by -t y_{k^1}
+    for odd k.  Every count of the chain equals its pairing's absolute value,
+    so t is signed to take the pairing with a curve y holding k ^ 1 away from
+    0, past its count; the class stays primitive, since it holds a 1."""
+    genus = draw(st.integers(2, 8))
+    system, word = chain_system(genus)
+    doc = penner_doc((system, word))
+    coords = [dense_coords(c.cls) for c in system.curves]
+    moves = [(c, k, d) for c, x in enumerate(coords) for k in range(2 * genus) if not x[k]
+             for d, y in enumerate(coords) if d != c and y[k ^ 1]]
+    c, k, d = draw(st.sampled_from(moves))
+    step = -coords[d][k ^ 1] if k & 1 else coords[d][k ^ 1]
+    old = algebraic_intersection(system.curves[c].cls, system.curves[d].cls)
+    doc["curves"][c]["coords"][k] = "2" if step * old >= 0 else "-2"
+    return json.dumps(doc), system.curves[c].label
+
+
+@PROPS
+@given(moved_chain_docs())
+def test_penner_file_with_a_coordinate_moved_by_two(workdir, moved):
+    text, label = moved
+    line = _rejects(workdir, text, ["penner", "--input", "bad.json"])
+    match = re.fullmatch(r"error: input: curves '(\w+)' and '(\w+)' pair to -?\d+ but cross \d+ times", line)
+    assert match and label in match.groups(), line
 
 
 @FUZZ

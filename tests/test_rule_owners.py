@@ -152,6 +152,12 @@ def test_unknown_label_rule_has_one_owner():
     assert owners == {"homology.check_labels"}, owners
 
 
+def test_crossing_pairing_rule_has_one_owner():
+    # a curve system's counts agree with its classes in `CurveSystem` alone
+    owners = {function for text, function in _raised_messages() if "pair to" in text}
+    assert owners == {"penner.__post_init__"}, owners
+
+
 def test_cli_names_only_the_input_field_it_finds():
     # the document's own fields are named where it is read; `cli` names only
     # the word, whose action cap only `word_action` can find
