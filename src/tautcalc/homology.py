@@ -102,8 +102,9 @@ def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
     """Symplectic pairing <x, y> = x^T J y.
 
     J pairs coordinate k with k ^ 1, with sign + for even k, so the sum
-    runs over the nonzeros of x against those of y."""
-    if x.space != y.space:
+    runs over the nonzeros of x against those of y.  A space is its genus,
+    and comparing genera is cheaper than comparing the dataclasses."""
+    if x.space.genus != y.space.genus:
         raise ValueError("classes live in different spaces")
     other = dict(y.nonzeros)
     total = 0
