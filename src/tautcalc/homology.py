@@ -12,9 +12,10 @@ actions computed as exact integer matrices.  The mapping torus of a map
 acting as M on H_1 has b2 = 1 + dim ker(M - Id), which is 1 (M fixes no
 nonzero class) exactly when det(M - Id) != 0.
 
-A class is stored by its nonzero coordinates, as sorted (index, value)
-pairs, so a curve of bounded support costs the same at every genus, to
-build, to pair and to twist along.
+A class is stored by its genus, which alone fixes that basis, and by its
+nonzero coordinates, as sorted (index, value) pairs, so a curve of
+bounded support costs the same at every genus, to build, to pair and to
+twist along.
 
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
@@ -41,24 +42,17 @@ class Family(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    """H_1 of a closed genus-g surface with its intersection form."""
-
-    genus: int
-
-    def __post_init__(self):
-        if not is_int(self.genus) or self.genus < 1:
-            raise ValueError("genus must be a positive integer")
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.genus
+def check_genus(genus: int) -> None:
+    """The one genus rule of a class: refuse a genus that is not a positive
+    integer."""
+    if not is_int(genus) or genus < 1:
+        raise ValueError("genus must be a positive integer")
 
 
 @dataclass(frozen=True)
 class HomologyClass:
-    """Integer homology class in the symplectic basis of its space.
+    """Integer homology class of a closed genus-g surface, in the symplectic
+    basis r_1, s_1, ..., r_g, s_g that g alone fixes.
 
     `nonzeros` is the one stored copy: the (index, value) pairs of the
     nonzero coordinates, in increasing index order, so equal classes have
@@ -67,15 +61,14 @@ class HomologyClass:
     proportion to the pairs.
     """
 
-    space: SymplecticSpace
+    genus: int
     nonzeros: tuple
 
     def __post_init__(self):
-        if not isinstance(self.space, SymplecticSpace):
-            raise ValueError("space must be a SymplecticSpace")
+        check_genus(self.genus)
         if type(self.nonzeros) is not tuple:
             raise ValueError("nonzeros must be a tuple of (index, value) pairs")
-        n, last = self.space.dimension, -1
+        n, last = 2 * self.genus, -1
         for pair in self.nonzeros:
             if type(pair) is not tuple or len(pair) != 2:
                 raise ValueError("nonzeros must be a tuple of (index, value) pairs")
@@ -102,9 +95,9 @@ def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
     """Symplectic pairing <x, y> = x^T J y.
 
     J pairs coordinate k with k ^ 1, with sign + for even k, so the sum
-    runs over the nonzeros of x against those of y.  A space is its genus,
-    and comparing genera is cheaper than comparing the dataclasses."""
-    if x.space.genus != y.space.genus:
+    runs over the nonzeros of x against those of y, which must share a
+    genus."""
+    if x.genus != y.genus:
         raise ValueError("classes live in different spaces")
     other = dict(y.nonzeros)
     total = 0
@@ -200,14 +193,13 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
     Raises ValueError on a label `check_labels` refuses, before any letter
     is applied, and on an entry of the product over MAX_ACTION_BITS bits.
     """
-    spaces = {g.cls.space for g in gens.values()}
-    if not spaces:
+    genera = {g.cls.genus for g in gens.values()}
+    if not genera:
         raise ValueError("empty generator set")
-    if len(spaces) > 1:
+    if len(genera) > 1:
         raise ValueError("generators live in different spaces")
-    (space,) = spaces
     check_labels(word, gens)
-    n = space.dimension
+    n = 2 * genera.pop()
     rows = [{i: 1} for i in range(n)]
     for label, exp in reversed(word.letters):
         support = gens[label].cls.nonzeros

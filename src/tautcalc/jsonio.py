@@ -8,13 +8,14 @@ which a reader that parses numbers as doubles may round past 2**53: `genus`,
 `longitude_wraps`, `suture_count`, `convex_corners`, `euler_pairing`,
 `poincare_hopf_chi` and `tangencies[].sign`.  Parsers check only the JSON
 shape and call the owner of every other rule: the domain types, `exact`,
-`homology.check_labels` and `penner.check_genus_cap`.  Either way a parser
-raises ValueError prefixed with the field path, so the CLI can report
-where an input file went wrong.  A curve system keeps only its nonzeros
-(class pairs and crossings).  Its dense coordinates and lower triangle are
-the schema's form, read and written only here: `curve_system_from_json`
-checks their lengths and that the counts are nonnegative, then hands the
-nonzeros to `HomologyClass` and `CurveSystem`.
+`homology.check_genus`, `homology.check_labels` and
+`penner.check_genus_cap`.  Either way a parser raises ValueError prefixed
+with the field path, so the CLI can report where an input file went wrong.
+A curve system keeps only its nonzeros (class pairs and crossings).  Its
+dense coordinates and lower triangle are the schema's form, read and
+written only here: `curve_system_from_json` checks their lengths and that
+the counts are nonnegative, then hands the nonzeros to `HomologyClass` and
+`CurveSystem`.
 
 Reports are written by `dumps_report`, which returns exactly what
 `json.dumps(report, indent=2)` returns.  A list of strings, such as a
@@ -64,7 +65,7 @@ from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from .exact import frac, frac_pair, is_int
 from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
-from .homology import Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord, check_labels
+from .homology import Family, HomologyClass, TwistGenerator, TwistWord, check_genus, check_labels
 from .matrices import IntMatrix
 from .penner import CurveSystem, PennerReport, Region, check_genus_cap
 from .polytope import CandidatePoint, NormSpec, RatPolytope
@@ -389,7 +390,7 @@ def _render_table(table: Table, pad: str) -> str:
 
 
 def curve_system_to_json(sys: CurveSystem) -> dict:
-    n = sys.space.dimension
+    n = 2 * sys.genus
     return {
         "genus": sys.genus,
         "curves": [
@@ -420,8 +421,8 @@ def word_to_json(word: TwistWord) -> List[dict]:
 def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
     obj = _expect_map(data, field)
     genus = parse_int(_get(obj, "genus", field), f"{field}.genus")
-    space = _build(f"{field}.genus", SymplecticSpace, genus)
-    n = space.dimension
+    _build(f"{field}.genus", check_genus, genus)
+    n = 2 * genus
     curves = []
     for i, entry in enumerate(_expect_list(_get(obj, "curves", field), f"{field}.curves")):
         at = f"{field}.curves[{i}]"
@@ -431,7 +432,7 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
         family = _get_enum(e, "family", at, Family)
         if len(coords) != n:
             raise ValueError(f"{at}.coords: coordinate length must equal 2*genus")
-        cls = HomologyClass(space, tuple(zip(compress(range(n), coords), filter(None, coords))))
+        cls = HomologyClass(genus, tuple(zip(compress(range(n), coords), filter(None, coords))))
         curves.append(_build(at, TwistGenerator, label, cls, family))
     geo = [
         _parse_int_list(row, f"{field}.geo_int[{i}]")

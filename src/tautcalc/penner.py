@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from .exact import is_int
 from .homology import (
-    Family, HomologyClass, SymplecticSpace, TwistGenerator, TwistWord, algebraic_intersection, check_labels,
+    Family, HomologyClass, TwistGenerator, TwistWord, algebraic_intersection, check_genus, check_labels,
 )
 
 
@@ -72,13 +72,11 @@ class CurveSystem:
         n = len(self.curves)
         if n == 0:
             raise ValueError("need at least one curve")
-        space = self.space
+        check_genus(self.genus)
         seen = set()
         for c in self.curves:
-            if c.cls.space != space:
-                raise ValueError(
-                    f"curve {c.label!r}: class lies in genus {c.cls.space.genus}, not {self.genus}"
-                )
+            if c.cls.genus != self.genus:
+                raise ValueError(f"curve {c.label!r}: class lies in genus {c.cls.genus}, not {self.genus}")
             if c.label in seen:
                 raise ValueError(f"duplicate curve label {c.label!r}")
             seen.add(c.label)
@@ -127,10 +125,6 @@ class CurveSystem:
     @property
     def total_intersections(self) -> int:
         return sum(count for _, _, count in self.crossings)
-
-    @property
-    def space(self) -> SymplecticSpace:
-        return SymplecticSpace(self.genus)
 
     def generator_map(self):
         return {c.label: c for c in self.curves}
@@ -281,16 +275,15 @@ def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:
     if not is_int(genus) or genus < 2:
         raise ValueError("genus must be an integer >= 2")
     check_genus_cap(genus)
-    space = SymplecticSpace(genus)
     # a_i = r_{i-1} + r_i, at coordinates 2i - 4 and 2i - 2, and b_i = s_i, at
     # 2i - 1; a_1 and a_{g+1} each have one of the two
     supports = [((0, 1),)] + [((2 * i - 4, 1), (2 * i - 2, 1)) for i in range(2, genus + 1)]
     supports.append(((2 * genus - 2, 1),))
     curves = []
     for i, support in enumerate(supports, 1):
-        curves.append(TwistGenerator(f"a{i}", HomologyClass(space, support), Family.A))
+        curves.append(TwistGenerator(f"a{i}", HomologyClass(genus, support), Family.A))
         if i <= genus:
-            curves.append(TwistGenerator(f"b{i}", HomologyClass(space, ((2 * i - 1, 1),)), Family.B))
+            curves.append(TwistGenerator(f"b{i}", HomologyClass(genus, ((2 * i - 1, 1),)), Family.B))
     crossings = tuple((i, i - 1, 1) for i in range(1, len(curves)))  # curve i meets curve i - 1 only
 
     applied = [(f"a{i}", -1) for i in range(genus + 1, 3, -1)]  # first applied first

@@ -115,56 +115,56 @@ def intersection_matrix(genus):
     return IntMatrix(m)
 
 
-def dense_class(space, coords):
+def dense_class(genus, coords):
     """The class with these 2g dense coordinates."""
-    if len(coords) != space.dimension:
+    if len(coords) != 2 * genus:
         raise ValueError("coordinate length must equal 2*genus")
-    return HomologyClass(space, tuple((k, v) for k, v in enumerate(coords) if v))
+    return HomologyClass(genus, tuple((k, v) for k, v in enumerate(coords) if v))
 
 
 def dense_coords(x):
     """The 2g dense coordinates of a class."""
-    dense = [0] * x.space.dimension
+    dense = [0] * (2 * x.genus)
     for k, v in x.nonzeros:
         dense[k] = v
     return tuple(dense)
 
 
-def basis_r(space, i):
+def basis_r(genus, i):
     """The class r_i, 1-based."""
-    if not 1 <= i <= space.genus:
+    if not 1 <= i <= genus:
         raise ValueError("basis index out of range")
-    return HomologyClass(space, ((2 * i - 2, 1),))
+    return HomologyClass(genus, ((2 * i - 2, 1),))
 
 
-def basis_s(space, i):
+def basis_s(genus, i):
     """The class s_i, 1-based."""
-    if not 1 <= i <= space.genus:
+    if not 1 <= i <= genus:
         raise ValueError("basis index out of range")
-    return HomologyClass(space, ((2 * i - 1, 1),))
+    return HomologyClass(genus, ((2 * i - 1, 1),))
 
 
 def class_sum(x, y):
-    _same_space(x, y)
-    return dense_class(x.space, [a + b for a, b in zip(dense_coords(x), dense_coords(y))])
+    _same_genus(x, y)
+    return dense_class(x.genus, [a + b for a, b in zip(dense_coords(x), dense_coords(y))])
 
 
 def class_difference(x, y):
-    _same_space(x, y)
-    return dense_class(x.space, [a - b for a, b in zip(dense_coords(x), dense_coords(y))])
+    _same_genus(x, y)
+    return dense_class(x.genus, [a - b for a, b in zip(dense_coords(x), dense_coords(y))])
 
 
 def class_negation(x):
-    return dense_class(x.space, [-a for a in dense_coords(x)])
+    return dense_class(x.genus, [-a for a in dense_coords(x)])
 
 
-def _same_space(x, y):
-    if x.space != y.space:
+def _same_genus(x, y):
+    if x.genus != y.genus:
         raise ValueError("classes live in different spaces")
 
 
-def zero_class(space):
-    return HomologyClass(space, ())
+def zero_class(genus):
+    return HomologyClass(genus, ())
 
 
 def twist_word(*letters):

@@ -19,7 +19,6 @@ from tautcalc.cli import main
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy
 from tautcalc.homology import (
     Family,
-    SymplecticSpace,
     TwistGenerator,
     algebraic_intersection,
     mapping_torus,
@@ -184,33 +183,33 @@ def test_parity_property_exhaustive():
                     assert (euler_pairing(ts) - poincare_hopf_chi(ts)) % 2 == 0
 
 
-def _random_generator(space, rng):
+def _random_generator(genus, rng):
     while True:
-        coords = [rng.randint(-4, 4) for _ in range(space.dimension)]
+        coords = [rng.randint(-4, 4) for _ in range(2 * genus)]
         g = 0
         for c in coords:
             g = math.gcd(g, c)
         if g == 0:
             continue
-        return TwistGenerator("c", dense_class(space, [c // g for c in coords]), Family.A)
+        return TwistGenerator("c", dense_class(genus, [c // g for c in coords]), Family.A)
 
 
 def test_symplectic_property_suite():
     with Criterion("1000 random transvections are symplectic and unimodular; commutation iff zero pairing", 5.0):
         rng = random.Random(2024)
         for _ in range(1000):
-            space = SymplecticSpace(rng.randint(2, 8))
-            c = _random_generator(space, rng)
+            genus = rng.randint(2, 8)
+            c = _random_generator(genus, rng)
             sign = rng.choice((1, -1))
             t = transvection_matrix(c, sign)
-            J = intersection_matrix(space.genus)
+            J = intersection_matrix(genus)
             assert transpose(t) @ J @ t == J
             assert t.det() == 1
-            assert t @ transvection_matrix(c, -sign) == identity(space.dimension)
+            assert t @ transvection_matrix(c, -sign) == identity(2 * genus)
         for _ in range(1000):
-            space = SymplecticSpace(rng.randint(2, 5))
-            c1 = _random_generator(space, rng)
-            c2 = _random_generator(space, rng)
+            genus = rng.randint(2, 5)
+            c1 = _random_generator(genus, rng)
+            c2 = _random_generator(genus, rng)
             t1 = transvection_matrix(c1, 1)
             t2 = transvection_matrix(c2, 1)
             assert (t1 @ t2 == t2 @ t1) == (algebraic_intersection(c1.cls, c2.cls) == 0)

@@ -7,7 +7,7 @@ import pytest
 
 from tautcalc import exact, jsonio, penner
 from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy
-from tautcalc.homology import HomologyClass, SymplecticSpace, TwistWord
+from tautcalc.homology import HomologyClass, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.polytope import NormSpec
 from tautcalc.sutured import CorneredSurface, SuturedSolidTorus, Tangency, TangencyKind, novikov_witness
@@ -110,10 +110,10 @@ def _crossing_count(x):
 # Every integer field: how to build it from x, a value the field accepts, and
 # the outcome of True, 1.0 and "1" in turn, a message or None for accepted.
 INT_FIELDS = [
-    ("SymplecticSpace.genus", SymplecticSpace, 2, ("genus must be a positive integer",) * 3),
-    ("HomologyClass index", lambda x: HomologyClass(SymplecticSpace(2), ((x, 5),)), 1,
+    ("HomologyClass genus", lambda x: HomologyClass(x, ()), 2, ("genus must be a positive integer",) * 3),
+    ("HomologyClass index", lambda x: HomologyClass(2, ((x, 5),)), 1,
      ("nonzero indices must increase within range(2*genus)",) * 3),
-    ("HomologyClass coordinate", lambda x: HomologyClass(SymplecticSpace(2), ((0, x),)), -2,
+    ("HomologyClass coordinate", lambda x: HomologyClass(2, ((0, x),)), -2,
      ("coordinates must be integers",) * 3),
     ("TwistWord exponent", lambda x: TwistWord((("a", x),)), -3,
      ("letter 'a': exponent must be a nonzero integer",) * 3),

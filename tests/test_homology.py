@@ -6,7 +6,6 @@ from tautcalc.homology import (
     MAX_TWIST_EXPONENT,
     Family,
     HomologyClass,
-    SymplecticSpace,
     TwistGenerator,
     TwistWord,
     algebraic_intersection,
@@ -36,10 +35,10 @@ from oracles import (
 )
 
 
-def random_class(space, rng, allow_zero=False, bound=3):
+def random_class(genus, rng, allow_zero=False, bound=3):
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(space.dimension)]
-        cls = dense_class(space, coords)
+        coords = [rng.randint(-bound, bound) for _ in range(2 * genus)]
+        cls = dense_class(genus, coords)
         if cls.is_zero:
             if allow_zero:
                 return cls
@@ -47,20 +46,20 @@ def random_class(space, rng, allow_zero=False, bound=3):
         g = 0
         for c in coords:
             g = __import__("math").gcd(g, c)
-        return dense_class(space, [c // g for c in coords])
+        return dense_class(genus, [c // g for c in coords])
 
 
 def test_intersection_form_shape():
-    space = SymplecticSpace(3)
-    J = intersection_matrix(space.genus)
+    genus = 3
+    J = intersection_matrix(genus)
     assert transpose(J) == neg(J)
     assert J @ J == neg(identity(6))
 
 
 def test_basis_pairings():
-    space = SymplecticSpace(2)
-    r1, s1 = basis_r(space, 1), basis_s(space, 1)
-    r2 = basis_r(space, 2)
+    genus = 2
+    r1, s1 = basis_r(genus, 1), basis_s(genus, 1)
+    r2 = basis_r(genus, 2)
     assert algebraic_intersection(r1, s1) == 1
     assert algebraic_intersection(s1, r1) == -1
     assert algebraic_intersection(r1, r2) == 0
@@ -68,11 +67,11 @@ def test_basis_pairings():
 
 def test_pairing_antisymmetric_and_bilinear():
     rng = random.Random(11)
-    space = SymplecticSpace(4)
+    genus = 4
     for _ in range(50):
-        x = random_class(space, rng)
-        y = random_class(space, rng)
-        z = random_class(space, rng)
+        x = random_class(genus, rng)
+        y = random_class(genus, rng)
+        z = random_class(genus, rng)
         assert algebraic_intersection(x, x) == 0
         assert algebraic_intersection(x, y) == -algebraic_intersection(y, x)
         assert algebraic_intersection(class_sum(x, y), z) == algebraic_intersection(
@@ -82,12 +81,12 @@ def test_pairing_antisymmetric_and_bilinear():
 
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
-        algebraic_intersection(basis_r(SymplecticSpace(2), 1), basis_r(SymplecticSpace(3), 1))
+        algebraic_intersection(basis_r(2, 1), basis_r(3, 1))
 
 
 def test_null_homologous_twist_is_identity():
-    space = SymplecticSpace(2)
-    c = TwistGenerator("sep", zero_class(space), Family.A)
+    genus = 2
+    c = TwistGenerator("sep", zero_class(genus), Family.A)
     assert c.cls.is_zero
     assert transvection_matrix(c, 1) == identity(4)
     assert transvection_matrix(c, -1) == identity(4)
@@ -113,12 +112,12 @@ def test_class_coordinates_are_not_coerced():
 
 
 def test_class_stores_its_nonzeros():
-    space = SymplecticSpace(2)
-    x = dense_class(space, (3, 0, -1, 0))
+    genus = 2
+    x = dense_class(genus, (3, 0, -1, 0))
     assert x.nonzeros == ((0, 3), (2, -1))
-    same = HomologyClass(space, ((0, 3), (2, -1)))
+    same = HomologyClass(genus, ((0, 3), (2, -1)))
     assert x == same and hash(x) == hash(same)
-    assert zero_class(space).nonzeros == () and zero_class(space).is_zero
+    assert zero_class(genus).nonzeros == () and zero_class(genus).is_zero
     for bad, message in (
         ([(0, 3)], "^nonzeros must be a tuple of"),
         (((0, 3, 1),), "^nonzeros must be a tuple of"),
@@ -133,62 +132,61 @@ def test_class_stores_its_nonzeros():
         (((0, 0),), "^nonzeros must not hold a zero coordinate$"),
     ):
         with pytest.raises(ValueError, match=message):
-            HomologyClass(space, bad)
+            HomologyClass(genus, bad)
 
 
 def test_class_costs_its_nonzeros_at_any_genus():
     # a dense view of 2 * 10**12 coordinates could not be built, so each of
     # these reads only the stored pairs
     genus = 10**12
-    space = SymplecticSpace(genus)
-    r1, s1 = HomologyClass(space, ((0, 1),)), basis_s(space, 1)
-    c = TwistGenerator("c", HomologyClass(space, ((0, 1), (2 * genus - 1, -1))), Family.A)
+    r1, s1 = HomologyClass(genus, ((0, 1),)), basis_s(genus, 1)
+    c = TwistGenerator("c", HomologyClass(genus, ((0, 1), (2 * genus - 1, -1))), Family.A)
     assert algebraic_intersection(r1, s1) == 1
     assert algebraic_intersection(s1, c.cls) == -1
-    assert algebraic_intersection(c.cls, basis_s(space, genus)) == 0
+    assert algebraic_intersection(c.cls, basis_s(genus, genus)) == 0
     assert c.cls.is_primitive and not c.cls.is_zero
     # the rejection names the class by its pairs, not by 2 * 10**12 coordinates
     with pytest.raises(ValueError, match=r"^curve 'x': class must be primitive or zero, got nonzeros \(\(0, 2\),\)$"):
-        TwistGenerator("x", HomologyClass(space, ((0, 2),)), Family.A)
+        TwistGenerator("x", HomologyClass(genus, ((0, 2),)), Family.A)
 
 
 def test_genus_must_be_a_positive_int():
     for genus in (True, False, 0, -1, 2.0, "2"):
         with pytest.raises(ValueError, match="genus must be a positive integer"):
-            SymplecticSpace(genus)
+            HomologyClass(genus, ())
 
 
 def test_non_primitive_class_rejected():
-    space = SymplecticSpace(2)
+    genus = 2
     with pytest.raises(ValueError):
-        TwistGenerator("bad", dense_class(space, [2, 0, 0, 0]), Family.A)
+        TwistGenerator("bad", dense_class(genus, [2, 0, 0, 0]), Family.A)
 
 
 def test_transvection_along_r1():
-    space = SymplecticSpace(2)
-    c = TwistGenerator("a1", basis_r(space, 1), Family.A)
+    genus = 2
+    c = TwistGenerator("a1", basis_r(genus, 1), Family.A)
     t = transvection_matrix(c, 1)
-    r1, s1 = basis_r(space, 1), basis_s(space, 1)
+    r1, s1 = basis_r(genus, 1), basis_s(genus, 1)
     assert apply(t, dense_coords(r1)) == dense_coords(r1)
     # s1 maps to s1 + <s1, r1> r1 = s1 - r1
     assert apply(t, dense_coords(s1)) == dense_coords(class_difference(s1, r1))
 
 
 def test_transvection_sign_independence_of_orientation():
-    space = SymplecticSpace(3)
+    genus = 3
     rng = random.Random(3)
     for _ in range(20):
-        cls = random_class(space, rng)
+        cls = random_class(genus, rng)
         a = TwistGenerator("c", cls, Family.A)
         b = TwistGenerator("c", class_negation(cls), Family.A)
         assert transvection_matrix(a, 1) == transvection_matrix(b, 1)
 
 
 def test_transvection_inverse_pair():
-    space = SymplecticSpace(3)
+    genus = 3
     rng = random.Random(5)
     for _ in range(20):
-        c = TwistGenerator("c", random_class(space, rng), Family.A)
+        c = TwistGenerator("c", random_class(genus, rng), Family.A)
         t_plus = transvection_matrix(c, 1)
         t_minus = transvection_matrix(c, -1)
         assert t_plus @ t_minus == identity(6)
@@ -197,10 +195,10 @@ def test_transvection_inverse_pair():
 def test_transvection_symplectic_and_unimodular():
     rng = random.Random(17)
     for _ in range(50):
-        space = SymplecticSpace(rng.randint(2, 5))
-        c = TwistGenerator("c", random_class(space, rng), Family.A)
+        genus = rng.randint(2, 5)
+        c = TwistGenerator("c", random_class(genus, rng), Family.A)
         t = transvection_matrix(c, rng.choice((1, -1)))
-        J = intersection_matrix(space.genus)
+        J = intersection_matrix(genus)
         assert transpose(t) @ J @ t == J
         assert t.det() == 1
 
@@ -208,38 +206,38 @@ def test_transvection_symplectic_and_unimodular():
 def test_commutation_iff_pairing_vanishes():
     rng = random.Random(23)
     for _ in range(100):
-        space = SymplecticSpace(rng.randint(2, 4))
-        c1 = TwistGenerator("c1", random_class(space, rng), Family.A)
-        c2 = TwistGenerator("c2", random_class(space, rng), Family.B)
+        genus = rng.randint(2, 4)
+        c1 = TwistGenerator("c1", random_class(genus, rng), Family.A)
+        c2 = TwistGenerator("c2", random_class(genus, rng), Family.B)
         t1 = transvection_matrix(c1, 1)
         t2 = transvection_matrix(c2, 1)
         commute = t1 @ t2 == t2 @ t1
         assert commute == (algebraic_intersection(c1.cls, c2.cls) == 0)
 
 
-def _generators(space):
+def _generators(genus):
     return {
-        "a": TwistGenerator("a", basis_r(space, 1), Family.A),
-        "b": TwistGenerator("b", basis_s(space, 1), Family.B),
-        "c": TwistGenerator("c", basis_r(space, 2), Family.A),
+        "a": TwistGenerator("a", basis_r(genus, 1), Family.A),
+        "b": TwistGenerator("b", basis_s(genus, 1), Family.B),
+        "c": TwistGenerator("c", basis_r(genus, 2), Family.A),
     }
 
 
 def test_word_action_empty_is_identity():
-    space = SymplecticSpace(2)
-    assert word_action(TwistWord(()), _generators(space)) == identity(4)
+    genus = 2
+    assert word_action(TwistWord(()), _generators(genus)) == identity(4)
 
 
 def test_word_action_single_letter():
-    space = SymplecticSpace(2)
-    gens = _generators(space)
+    genus = 2
+    gens = _generators(genus)
     word = TwistWord((("a", 1),))
     assert word_action(word, gens) == transvection_matrix(gens["a"], 1)
 
 
 def test_word_action_exponent_collapse():
-    space = SymplecticSpace(2)
-    gens = _generators(space)
+    genus = 2
+    gens = _generators(genus)
     threefold = word_action(TwistWord((("a", 3),)), gens)
     repeated = word_action(TwistWord((("a", 1),) * 3), gens)
     assert threefold == repeated
@@ -247,8 +245,8 @@ def test_word_action_exponent_collapse():
 
 def test_word_action_cancelled_word_is_the_dense_identity():
     # c c^-1 creates off-diagonal entries and cancels them; none may stay stored
-    space = SymplecticSpace(3)
-    c = TwistGenerator("c", dense_class(space, (1, -2, 0, 1, 1, 0)), Family.A)
+    genus = 3
+    c = TwistGenerator("c", dense_class(genus, (1, -2, 0, 1, 1, 0)), Family.A)
     m = word_action(TwistWord((("c", 1), ("c", -1))), {c.label: c})
     dense = IntMatrix([[int(i == j) for j in range(6)] for i in range(6)])
     assert m == dense and hash(m) == hash(dense)
@@ -256,8 +254,8 @@ def test_word_action_cancelled_word_is_the_dense_identity():
 
 
 def test_word_action_concatenation_is_product():
-    space = SymplecticSpace(2)
-    gens = _generators(space)
+    genus = 2
+    gens = _generators(genus)
     rng = random.Random(29)
     labels = list(gens)
     for _ in range(20):
@@ -268,13 +266,13 @@ def test_word_action_concatenation_is_product():
 
 
 def test_word_action_determinant_one():
-    space = SymplecticSpace(3)
+    genus = 3
     gens = {
         lbl: TwistGenerator(lbl, cls, fam)
         for lbl, cls, fam in (
-            ("a", basis_r(space, 1), Family.A),
-            ("b", basis_s(space, 2), Family.B),
-            ("c", class_sum(basis_r(space, 3), basis_r(space, 2)), Family.A),
+            ("a", basis_r(genus, 1), Family.A),
+            ("b", basis_s(genus, 2), Family.B),
+            ("c", class_sum(basis_r(genus, 3), basis_r(genus, 2)), Family.A),
         )
     }
     rng = random.Random(31)
@@ -284,9 +282,9 @@ def test_word_action_determinant_one():
 
 
 def test_word_action_unknown_label():
-    space = SymplecticSpace(2)
+    genus = 2
     with pytest.raises(ValueError):
-        word_action(TwistWord((("zz", 1),)), _generators(space))
+        word_action(TwistWord((("zz", 1),)), _generators(genus))
 
 
 def test_word_rejects_zero_exponent():
@@ -296,7 +294,7 @@ def test_word_rejects_zero_exponent():
 
 def test_object_fields_validated():
     # a wrong type is refused where it is passed in, not where it is first used
-    with pytest.raises(ValueError, match="^space must be a SymplecticSpace$"):
+    with pytest.raises(ValueError, match="^genus must be a positive integer$"):
         HomologyClass("x", ())
     with pytest.raises(ValueError, match="^curve 'a': class must be a HomologyClass$"):
         TwistGenerator("a", (0, 1), Family.A)
@@ -314,22 +312,24 @@ def test_word_exponent_capped():
 
 def test_word_action_rejects_mixed_spaces():
     gens = {
-        "a": TwistGenerator("a", basis_r(SymplecticSpace(2), 1), Family.A),
-        "b": TwistGenerator("b", basis_s(SymplecticSpace(3), 1), Family.B),
+        "a": TwistGenerator("a", basis_r(2, 1), Family.A),
+        "b": TwistGenerator("b", basis_s(3, 1), Family.B),
     }
     with pytest.raises(ValueError, match="different spaces"):
         word_action(TwistWord((("a", 1), ("b", -1))), gens)
+    with pytest.raises(ValueError, match="^empty generator set$"):
+        word_action(TwistWord(()), {})
 
 
 # -- differential oracle: the dense product of transvections ---------------------
 
 
-def _twist_power(space, coords, amount):
+def _twist_power(genus, coords, amount):
     """Dense matrix of x |-> x + amount * <x, c> c, i.e. the amount-th twist power."""
-    n = space.dimension
+    n = 2 * genus
     # row vector c^T J in the block basis
     ctj = [0] * n
-    for i in range(space.genus):
+    for i in range(genus):
         ctj[2 * i + 1] = coords[2 * i]
         ctj[2 * i] = -coords[2 * i + 1]
     return IntMatrix(
@@ -341,10 +341,10 @@ def _twist_power(space, coords, amount):
 
 
 def _dense_word_action(word, gens):
-    space = next(iter(gens.values())).cls.space
-    result = identity(space.dimension)
+    genus = next(iter(gens.values())).cls.genus
+    result = identity(2 * genus)
     for label, exp in word:
-        result = result @ _twist_power(space, dense_coords(gens[label].cls), exp)
+        result = result @ _twist_power(genus, dense_coords(gens[label].cls), exp)
     return result
 
 
@@ -360,16 +360,15 @@ def _seeded_word(rng, labels, length):
 @pytest.mark.parametrize("genus", [*range(2, 13), 20, 30])
 def test_word_action_matches_dense_product(genus):
     gens, chain_word = _chain(genus)
-    space = gens["a1"].cls.space
     rng = random.Random(genus)
     labels = sorted(gens)
     words = [chain_word] + [_seeded_word(rng, labels, 3 * genus) for _ in range(3)]
     # r_1 + s_1 holds both coordinates of one handle, so its letters read a
     # row that they also rewrite, which no chain class does
-    gens["d"] = TwistGenerator("d", HomologyClass(space, ((0, 1), (1, 1))), Family.A)
-    gens["z"] = TwistGenerator("z", zero_class(space), Family.B)
+    gens["d"] = TwistGenerator("d", HomologyClass(genus, ((0, 1), (1, 1))), Family.A)
+    gens["z"] = TwistGenerator("z", zero_class(genus), Family.B)
     for label in ("x0", "x1"):
-        gens[label] = TwistGenerator(label, random_class(space, rng, bound=2), Family.A)
+        gens[label] = TwistGenerator(label, random_class(genus, rng, bound=2), Family.A)
     half = _seeded_word(rng, sorted(gens), genus)
     words += [
         _seeded_word(rng, ["a1", "b1", "d"], 3 * genus),
@@ -447,8 +446,8 @@ def test_mapping_torus_b2_identity():
 
 
 def test_mapping_torus_b2_single_transvection():
-    space = SymplecticSpace(3)
-    c = TwistGenerator("c", basis_r(space, 2), Family.A)
+    genus = 3
+    c = TwistGenerator("c", basis_r(genus, 2), Family.A)
     assert mapping_torus(transvection_matrix(c, 1))[1:] == (0, 6)
 
 
@@ -484,8 +483,8 @@ def test_singular_mapping_torus_matches_dense_oracle():
 def test_b2_at_least_one_iff_trivial_kernel():
     rng = random.Random(37)
     for _ in range(30):
-        space = SymplecticSpace(rng.randint(2, 4))
-        c = TwistGenerator("c", random_class(space, rng), Family.A)
+        genus = rng.randint(2, 4)
+        c = TwistGenerator("c", random_class(genus, rng), Family.A)
         m = transvection_matrix(c, rng.choice((1, -1)))
         torus = mapping_torus(m)
         assert torus == mapping_torus_dense(m)
@@ -495,20 +494,20 @@ def test_b2_at_least_one_iff_trivial_kernel():
 
 
 def test_image_check_identity():
-    space = SymplecticSpace(2)
-    alpha = basis_r(space, 1)
+    genus = 2
+    alpha = basis_r(genus, 1)
     assert apply(identity(4), dense_coords(alpha)) == dense_coords(alpha)
-    beta = basis_s(space, 1)
+    beta = basis_s(genus, 1)
     assert apply(identity(4), dense_coords(alpha)) != dense_coords(beta)
     assert not class_difference(alpha, beta).is_zero
 
 
 def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
     rng = random.Random(41)
-    space = SymplecticSpace(3)
+    genus = 3
     for _ in range(40):
-        gamma = random_class(space, rng)
-        alpha = random_class(space, rng)
+        gamma = random_class(genus, rng)
+        alpha = random_class(genus, rng)
         if algebraic_intersection(alpha, gamma) != -1:
             continue
         t = transvection_matrix(TwistGenerator("g", gamma, Family.A), 1)
@@ -517,4 +516,4 @@ def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
 
 def test_image_check_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply(identity(4), dense_coords(basis_r(SymplecticSpace(3), 1)))
+        apply(identity(4), dense_coords(basis_r(3, 1)))

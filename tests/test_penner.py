@@ -5,7 +5,6 @@ import pytest
 
 from tautcalc.homology import (
     Family,
-    SymplecticSpace,
     TwistGenerator,
     TwistWord,
     mapping_torus,
@@ -42,13 +41,13 @@ def path_system(genus, curves):
 
 def genus2_example():
     """Five-curve chain on a genus-2 surface: a1, b1, a2, b2, a3."""
-    space = SymplecticSpace(2)
+    genus = 2
     curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", basis_s(space, 1), Family.B),
-        TwistGenerator("a2", class_sum(basis_r(space, 1), basis_r(space, 2)), Family.A),
-        TwistGenerator("b2", basis_s(space, 2), Family.B),
-        TwistGenerator("a3", basis_r(space, 2), Family.A),
+        TwistGenerator("a1", basis_r(genus, 1), Family.A),
+        TwistGenerator("b1", basis_s(genus, 1), Family.B),
+        TwistGenerator("a2", class_sum(basis_r(genus, 1), basis_r(genus, 2)), Family.A),
+        TwistGenerator("b2", basis_s(genus, 2), Family.B),
+        TwistGenerator("a3", basis_r(genus, 2), Family.A),
     )
     return path_system(2, curves)
 
@@ -126,11 +125,11 @@ def test_chain_passes_necessary_conditions():
 
 
 def test_isolated_curve_fails():
-    space = SymplecticSpace(2)
+    genus = 2
     curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", basis_s(space, 1), Family.B),
-        TwistGenerator("a2", basis_r(space, 2), Family.A),
+        TwistGenerator("a1", basis_r(genus, 1), Family.A),
+        TwistGenerator("b1", basis_s(genus, 1), Family.B),
+        TwistGenerator("a2", basis_r(genus, 2), Family.A),
     )
     system = CurveSystem(2, curves, ((1, 0, 1),))
     status, messages = filling_check(system)
@@ -165,10 +164,10 @@ def test_miscounted_certificate_fails():
 
 
 def test_same_family_intersection_rejected():
-    space = SymplecticSpace(2)
+    genus = 2
     curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("a2", basis_s(space, 1), Family.A),
+        TwistGenerator("a1", basis_r(genus, 1), Family.A),
+        TwistGenerator("a2", basis_s(genus, 1), Family.A),
     )
     with pytest.raises(ValueError):
         CurveSystem(2, curves, ((1, 0, 1),))
@@ -205,11 +204,11 @@ def test_geo_int_validation():
 
 
 def test_crossings_validation():
-    space = SymplecticSpace(2)
+    genus = 2
     curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", basis_s(space, 1), Family.B),
-        TwistGenerator("a2", basis_r(space, 2), Family.A),
+        TwistGenerator("a1", basis_r(genus, 1), Family.A),
+        TwistGenerator("b1", basis_s(genus, 1), Family.B),
+        TwistGenerator("a2", basis_r(genus, 2), Family.A),
     )
     assert CurveSystem(2, curves, ((1, 0, 1), (2, 1, 2))).total_intersections == 3
     shape = r"^crossings\[0\] must be an \(i, j, count\) triple of integers$"
@@ -233,10 +232,10 @@ def test_crossings_validation():
 def test_crossings_agree_with_pairings():
     # |pairing| <= count and pairing = count (mod 2) for every pair, so a pair
     # that does not cross, within a family or not, pairs to 0
-    space = SymplecticSpace(2)
+    genus = 2
 
     def curve(label, coords):
-        return TwistGenerator(label, dense_class(space, coords), Family[label[0].upper()])
+        return TwistGenerator(label, dense_class(genus, coords), Family[label[0].upper()])
 
     a1, b1 = curve("a1", [1, 0, 0, 0]), curve("b1", [0, 1, 0, 0])
     a2, b2 = curve("a2", [1, 0, 1, 0]), curve("b2", [1, 0, 0, 3])
@@ -258,25 +257,24 @@ def test_curves_from_another_genus_rejected():
     base = genus2_example()
     with pytest.raises(ValueError, match="curve 'a1': class lies in genus 2, not 3"):
         CurveSystem(3, base.curves, base.crossings)
-    space = SymplecticSpace(3)
-    mixed = (TwistGenerator("r", basis_r(space, 1), Family.A),) + base.curves[1:]
+    mixed = (TwistGenerator("r", basis_r(3, 1), Family.A),) + base.curves[1:]
     with pytest.raises(ValueError, match="curve 'b1': class lies in genus 2, not 3"):
         CurveSystem(3, mixed, base.crossings)
 
 
 def test_field_types_validated():
-    space = SymplecticSpace(2)
+    genus = 2
     with pytest.raises(ValueError, match="label must be a string"):
         Region(True, 5)
     with pytest.raises(ValueError, match="disk must be a boolean"):
         Region(1)
     with pytest.raises(ValueError, match="label must be a string"):
-        TwistGenerator(5, basis_r(space, 1), Family.A)
+        TwistGenerator(5, basis_r(genus, 1), Family.A)
     # a family given by its value would be a third family to CurveSystem's
     # same-family rule, and unknown to validate_word
     for family in ("A", "B", None):
         with pytest.raises(ValueError, match="^curve 'a1': family must be a Family$"):
-            TwistGenerator("a1", basis_r(space, 1), family)
+            TwistGenerator("a1", basis_r(genus, 1), family)
     with pytest.raises(ValueError, match="at least one curve"):
         CurveSystem(2, (), ())
 
@@ -319,9 +317,9 @@ def test_genus3_action_has_trivial_fixed_homology():
 def test_genus3_marked_classes_carried_by_action():
     system, word = chain_system(3)
     action = word_action(word, system.generator_map())
-    space = SymplecticSpace(3)
-    alpha = dense_class(space, [0, 0, 0, 1, 0, 0])
-    gamma = dense_class(space, [-1, 0, -2, -2, -1, 0])
+    genus = 3
+    alpha = dense_class(genus, [0, 0, 0, 1, 0, 0])
+    gamma = dense_class(genus, [-1, 0, -2, -2, -1, 0])
     beta = class_difference(alpha, gamma)
     assert dense_coords(beta) == (1, 0, 2, 3, 1, 0)
     assert alpha.is_primitive and beta.is_primitive and gamma.is_primitive
@@ -400,11 +398,11 @@ def test_chain_intersection_graph_is_path():
 
 def test_crossing_messages_pinned():
     # one fault per system, after a valid first crossing where there is room for one
-    space = SymplecticSpace(2)
+    genus = 2
     curves = (
-        TwistGenerator("a1", basis_r(space, 1), Family.A),
-        TwistGenerator("b1", basis_s(space, 1), Family.B),
-        TwistGenerator("a2", basis_r(space, 2), Family.A),
+        TwistGenerator("a1", basis_r(genus, 1), Family.A),
+        TwistGenerator("b1", basis_s(genus, 1), Family.B),
+        TwistGenerator("a2", basis_r(genus, 2), Family.A),
     )
     shape = "crossings[1] must be an (i, j, count) triple of integers"
     order = ": need 0 <= j < i < 3, in increasing order of (i, j)"

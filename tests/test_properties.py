@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tautcalc import jsonio
 from tautcalc.cli import main
 from tautcalc.holonomy import PLHomeo, bundled_shifts
-from tautcalc.homology import Family, SymplecticSpace, TwistGenerator, TwistWord, algebraic_intersection
+from tautcalc.homology import Family, TwistGenerator, TwistWord, algebraic_intersection
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region, chain_system
 from tautcalc.polytope import NormSpec, candidate_points
@@ -41,7 +41,6 @@ def penner_inputs(draw):
     of the s_i, so two curves of one family pair to 0, and each count is the
     absolute pairing plus 0 or 2, as CurveSystem requires."""
     genus = draw(st.integers(1, 3))
-    space = SymplecticSpace(genus)
     n = draw(st.integers(1, 5))
     labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
     curves = []
@@ -51,7 +50,7 @@ def penner_inputs(draw):
         g = gcd(*half) or 1
         coords = [0] * (2 * genus)
         coords[family is Family.B::2] = [c // g for c in half]
-        curves.append(TwistGenerator(label, dense_class(space, coords), family))
+        curves.append(TwistGenerator(label, dense_class(genus, coords), family))
     crossings = []
     for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:

@@ -1,14 +1,17 @@
 """Each input rule is checked in one place: a map's domain at its public
 `eval`, the report genus cap in one `penner` function, the labels of a
-word in one `homology` function, each CLI default in the library
-signature or type it belongs to, and the command line in `cli`'s table.
-Each error message is raised from one function, and the library states no
-`assert`, which would end the CLI in a traceback."""
+word and the genus of a class each in one `homology` function, each CLI
+default in the library signature or type it belongs to, and the command
+line in `cli`'s table.  Each error message is raised from one function,
+and the library states no `assert`, which would end the CLI in a
+traceback."""
 
 import argparse
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import tautcalc
 from tautcalc import cli
@@ -147,9 +150,18 @@ def test_each_message_is_raised_from_one_function():
     assert shared == SHARED_MESSAGES, shared
 
 
-def test_unknown_label_rule_has_one_owner():
-    owners = {function for text, function in _raised_messages() if "unknown" in text and "label" in text}
-    assert owners == {"homology.check_labels"}, owners
+# (words every message of the rule holds, the one function that raises it)
+RULE_OWNERS = {
+    "unknown-label": (("unknown", "label"), "homology.check_labels"),
+    "genus": (("genus must be a positive integer",), "homology.check_genus"),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_OWNERS)
+def test_rule_has_one_owner(rule):
+    words, owner = RULE_OWNERS[rule]
+    owners = {function for text, function in _raised_messages() if all(word in text for word in words)}
+    assert owners == {owner}, owners
 
 
 def test_crossing_pairing_rule_has_one_owner():
