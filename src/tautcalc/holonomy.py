@@ -38,36 +38,42 @@ k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q = a/d is
 n = d // |a|.  Piece i of a concatenation is [i, i + 1], with k = 2 and
 m = 2i + 1.
 
-Each map evaluates in one kernel, `_eval_pair`, on an unreduced integer
-pair a/d with d > 0 in its domain, which no kernel checks: the public
-`eval` refuses a point outside it, and `solve_conjugacy` lays its samples
-out in [-1, 1], where each chart and map sends its domain into the next
-by construction.  The chart in is (k*a - m*d, d), the chart out
-(m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
-not change when a and d are scaled, so no chart reduces its pair.  The
-one reduction is at a `PLHomeo`: its kernel divides the point by
-gcd(a, d) and looks it up in `memo`, a dict keyed on (id of the map,
-numerator, denominator) of the point in lowest terms, with the map's value
-there as a pair; only on a miss does it search the segments and store the
-result.  A `PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of
-its own, computed from the cross products of its ends and reduced by
-gcd(A, C, D), and the segment search compares a/d with each breakpoint by
-cross-multiplying.  The inverse segment is x = (D*y - C)/A.  `TiledHomeo`
-and `Concatenation` pass `memo` down to their maps; `TileShiftMap` holds
-no map and takes none; it computes its chart constants from its two
-fields once, when it is built.
+Each map evaluates through one kernel, a closure that `_kernel(kernels)`
+builds and that takes an unreduced integer pair a/d with d > 0 in the
+map's domain to a pair for its value there.  No kernel checks the point:
+the public `eval` refuses a point outside the domain, and
+`solve_conjugacy` lays its samples out in [-1, 1], where each chart and map
+sends its domain into the next by construction.  The builder binds the
+map's constants once: a `PLHomeo`'s cuts and segments, `TileShiftMap`'s
+chart constants (computed from its two fields when it is built), and the
+kernels of the maps and pieces that `TiledHomeo` and `Concatenation` hold.
+The chart in is (k*a - m*d, d), the chart out (m*d' + a', k*d'), and the
+tile and piece indices d // |a| and a // d do not change when a and d are
+scaled, so no chart reduces its pair.  A `PLHomeo` segment is
+y = (A*x + C)/D with integers A, C, D of its own, computed from the cross
+products of its ends and reduced by gcd(A, C, D); the segment search
+compares a/d with each breakpoint by cross-multiplying, and the inverse
+segment is x = (D*y - C)/A.  A `PLHomeo` with no interior cut, such as
+the identity, has one segment to apply, and its kernel does only that.
+Any other `PLHomeo` kernel owns a memo: a dict keyed on the point in lowest
+terms, (numerator, denominator), with the map's value there as a pair.  It
+divides the point by gcd(a, d) and looks it up, and only on a miss does it
+search the segments and store the result.
 
-The caller owns `memo` and sets its scope: each public `eval` passes a
-new one and reduces the kernel's pair to one Fraction, and
-`solve_conjugacy` makes one per call, drops it on return, and compares
-both sides of the identity as pairs.  The chart of tile n sends the j-th
-sample point of that tile to -1 + 2j/(per_tile + 1), for every n and on
-both sides, and h sends it to the same chart point of tile n - 1 in the
-middle piece.  So in one solve each tile map is searched at about
-per_tile + 2 points, however many tiles there are; the memo holds one
-entry per map and distinct point, and every id in it names a map that the
-call keeps alive.  A layout that repeats no chart point (one tile per
-side) pays for the lookups and gains nothing.
+`kernels` maps the id of each `PLHomeo` whose kernel a call has built to
+that kernel, and the caller owns it: each public `eval` passes a new one
+and reduces the kernel's pair to one Fraction, and `solve_conjugacy` makes
+one per call, builds the kernels of t, h and the concatenation once, drops
+them on return, and compares both sides of the identity as pairs.  So a map
+that is both one of t's tile maps and a piece of the concatenation has one
+kernel and one memo in a solve, and no memo outlives its call.  The chart
+of tile n sends the j-th sample point of that tile to
+-1 + 2j/(per_tile + 1), for every n and on both sides, and h sends it to
+the same chart point of tile n - 1 in the middle piece.  So in one solve
+each tile map is searched at about per_tile + 2 points, however many tiles
+there are, and its memo holds one entry per distinct point.  A layout that
+repeats no chart point (one tile per side) pays for the lookups and gains
+nothing.
 
 The sample layout is integer columns: tile n holds per_tile numerators
 over the one denominator n(n + 1)(per_tile + 1), reduced by gcd in one
@@ -86,7 +92,7 @@ from fractions import Fraction
 from itertools import compress, repeat, starmap
 from math import gcd
 from operator import floordiv, itemgetter, mul, ne, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import frac_pair, is_int
 
@@ -94,6 +100,10 @@ from .exact import frac_pair, is_int
 # A map is read and inverted in time and memory that grow with its
 # breakpoints, so their number is capped.
 MAX_BREAKPOINTS = 4096
+
+# a map's kernel: an integer pair a/d with d > 0 in the map's domain to a
+# pair for its value there, with a positive denominator
+Kernel = Callable[[int, int], Tuple[int, int]]
 
 
 def check_breakpoint_count(count: int) -> None:
@@ -176,34 +186,52 @@ class PLHomeo:
         return f
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*_unit_pair(q), {}))
+        return Fraction(*self._kernel({})(*_unit_pair(q)))
 
-    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
-        """The value at a/d in [-1, 1], d > 0, as a pair whose denominator
-        is D times that of a/d in lowest terms.  memo holds the values found
-        so far, keyed on (id(self), numerator, denominator) of the point in
-        lowest terms; the caller owns it and keeps the maps alive while it
-        does."""
-        g = gcd(a, d)
-        a, d = a // g, d // g
-        key = (id(self), a, d)
-        y = memo.get(key)
-        if y is not None:
-            return y
-        # the last segment whose left breakpoint is <= a/d; the right
-        # endpoint 1 takes the last segment
-        cuts = self._cuts
-        lo, hi = 0, len(cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            bn, bd = cuts[mid]
-            if a * bd < bn * d:
-                hi = mid
-            else:
-                lo = mid + 1
-        A, C, D = self._segments[lo]
-        y = memo[key] = A * a + C * d, D * d
-        return y
+    def _kernel(self, kernels: dict) -> Kernel:
+        """This map's kernel: the value at a/d in [-1, 1], d > 0, as a pair.
+        kernels maps the id of each map whose kernel this call has built to
+        that kernel; the caller owns it and keeps the maps alive while it
+        does, so a map reached twice gets one kernel and one memo."""
+        at = kernels.get(id(self))
+        if at is not None:
+            return at
+        cuts, segments = self._cuts, self._segments
+        if not cuts:
+            # one segment: nothing to search, so nothing to reduce or store
+            [(A, C, D)] = segments
+
+            def at(a, d):
+                return A * a + C * d, D * d
+        else:
+            # the values found so far, keyed on the point in lowest terms;
+            # each has a denominator D times that of the point
+            memo = {}
+            lookup = memo.get
+            count = len(cuts)
+
+            def at(a, d):
+                g = gcd(a, d)
+                a, d = a // g, d // g
+                y = lookup((a, d))
+                if y is not None:
+                    return y
+                # the last segment whose left breakpoint is <= a/d; the
+                # right endpoint 1 takes the last segment
+                lo, hi = 0, count
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    bn, bd = cuts[mid]
+                    if a * bd < bn * d:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                A, C, D = segments[lo]
+                y = memo[a, d] = A * a + C * d, D * d
+                return y
+
+        kernels[id(self)] = at
+        return at
 
     def inverse(self) -> "PLHomeo":
         """The inverse map, from the stored data: y = (A*x + C)/D inverts to
@@ -275,20 +303,27 @@ class TiledHomeo:
             raise ValueError("each side needs one or more maps of [-1, 1]")
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*_unit_pair(q), {}))
+        return Fraction(*self._kernel({})(*_unit_pair(q)))
 
-    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
-        if a < 0:
-            n = d // -a
-            maps, m = self.negative, -(2 * n + 1)
-        elif a:
-            n = d // a
-            maps, m = self.positive, 2 * n + 1
-        else:
-            return a, d
-        k = 2 * n * (n + 1)
-        ya, yd = maps[(n - 1) % len(maps)]._eval_pair(k * a - m * d, d, memo)
-        return m * yd + ya, k * yd
+    def _kernel(self, kernels: dict) -> Kernel:
+        negative = tuple(f._kernel(kernels) for f in self.negative)
+        positive = tuple(f._kernel(kernels) for f in self.positive)
+        neg_count, pos_count = len(negative), len(positive)
+
+        def at(a, d):
+            if a < 0:
+                n = d // -a
+                f, m = negative[(n - 1) % neg_count], -(2 * n + 1)
+            elif a:
+                n = d // a
+                f, m = positive[(n - 1) % pos_count], 2 * n + 1
+            else:
+                return a, d
+            k = 2 * n * (n + 1)
+            ya, yd = f(k * a - m * d, d)
+            return m * yd + ya, k * yd
+
+        return at
 
 
 # -- concatenations and the conjugacy witness -------------------------------------
@@ -311,16 +346,21 @@ class Concatenation:
         a, d = frac_pair(q)
         if not 0 <= a <= self._count * d:
             raise ValueError(f"{Fraction(a, d)} outside [0, {self._count}]")
-        return Fraction(*self._eval_pair(a, d, {}))
+        return Fraction(*self._kernel({})(a, d))
 
-    def _eval_pair(self, a: int, d: int, memo: dict) -> Tuple[int, int]:
-        k = self._count
-        i = a // d
-        if i == k:
-            i -= 1
-        m = 2 * i + 1
-        ya, yd = self.pieces[i]._eval_pair(2 * a - m * d, d, memo)
-        return m * yd + ya, 2 * yd
+    def _kernel(self, kernels: dict) -> Kernel:
+        pieces = tuple(f._kernel(kernels) for f in self.pieces)
+        last = self._count - 1
+
+        def at(a, d):
+            i = a // d
+            if i > last:
+                i = last
+            m = 2 * i + 1
+            ya, yd = pieces[i](2 * a - m * d, d)
+            return m * yd + ya, 2 * yd
+
+        return at
 
 
 @dataclass(frozen=True)
@@ -349,21 +389,28 @@ class TileShiftMap:
             object.__setattr__(self, name, 2 * end + 1 if 0 <= end < self.piece_count else None)
 
     def eval(self, q) -> Fraction:
-        return Fraction(*self._eval_pair(*_unit_pair(q)))
+        return Fraction(*self._kernel({})(*_unit_pair(q)))
 
-    def _eval_pair(self, a: int, d: int) -> Tuple[int, int]:
-        side, end = (-1, self._negative_end) if a < 0 else (1, self._positive_end)
-        m = self._middle
-        if a == 0 or end is None:
-            return m * d + a, 2 * d
-        n = d // (side * a)
-        if n == 1:
-            # the chart of tile 1 onto [-1, 1], y = 4x - 3*side, then onto the end piece
-            return end * d + 4 * a - 3 * side * d, 2 * d
-        # tile n onto tile n - 1 is x -> (n(n + 1)x - side)/(n(n - 1)), then
-        # the middle piece's chart y -> (m + y)/2; over 2n(n - 1)d that is
-        p = n * (n - 1)
-        return m * p * d + n * (n + 1) * a - side * d, 2 * p * d
+    def _kernel(self, kernels: dict) -> Kernel:
+        m, negative_end, positive_end = self._middle, self._negative_end, self._positive_end
+
+        def at(a, d):
+            if a < 0:
+                side, end = -1, negative_end
+            else:
+                side, end = 1, positive_end
+            if a == 0 or end is None:
+                return m * d + a, 2 * d
+            n = d // (side * a)
+            if n == 1:
+                # the chart of tile 1 onto [-1, 1], y = 4x - 3*side, then onto the end piece
+                return end * d + 4 * a - 3 * side * d, 2 * d
+            # tile n onto tile n - 1 is x -> (n(n + 1)x - side)/(n(n - 1)), then
+            # the middle piece's chart y -> (m + y)/2; over 2n(n - 1)d that is
+            p = n * (n - 1)
+            return m * p * d + n * (n + 1) * a - side * d, 2 * p * d
+
+        return at
 
 
 # The six cases and the concatenation each makes t conjugate to;
@@ -475,14 +522,16 @@ def solve_conjugacy(
     h = TileShiftMap(letters.index("t^-1" if inverse_middle else "t"), len(pieces))
 
     nums, dens = _sample_layout(tiles_per_side, per_tile)
-    t_at, h_at, expr_at = tiled._eval_pair, h._eval_pair, expr._eval_pair
-    # the tile maps' values at the chart points seen so far in this call
-    memo = {}
+    # one kernel per map for this call, so each tile map has one memo
+    kernels = {}
+    t_at, h_at, expr_at = tiled._kernel(kernels), h._kernel(kernels), expr._kernel(kernels)
     verdicts = []
     passed = verdicts.append
     for a, d in zip(nums, dens):
-        la, ld = h_at(*t_at(a, d, memo))
-        ra, rd = expr_at(*h_at(a, d), memo)
+        ta, td = t_at(a, d)
+        la, ld = h_at(ta, td)
+        ha, hd = h_at(a, d)
+        ra, rd = expr_at(ha, hd)
         # both denominators are positive, so this is lhs == rhs
         passed(la * rd == ra * ld)
     witness = ConjugacyWitness(case, tuple(nums), tuple(dens), tuple(verdicts), tiles_per_side)

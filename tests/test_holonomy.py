@@ -1,4 +1,5 @@
 import functools
+import inspect
 import random
 import time
 import tracemalloc
@@ -548,39 +549,65 @@ def test_verdicts_match_reference(monkeypatch, case, shift):
             assert all(expected) or shift
 
 
+def memo_of(kernel):
+    """The memo a `PLHomeo` kernel owns, or None for one that holds none."""
+    return inspect.getclosurevars(kernel).nonlocals.get("memo")
+
+
+def spy_on_plhomeo_kernels(monkeypatch):
+    """A list that each `PLHomeo` kernel built from now on joins, as (map,
+    kernel, memo); holding each keeps its ids from being reused."""
+    built = []
+    kernel = PLHomeo._kernel
+
+    def spy(self, kernels):
+        new = id(self) not in kernels
+        at = kernel(self, kernels)
+        if new:
+            built.append((self, at, memo_of(at)))
+        return at
+
+    monkeypatch.setattr(PLHomeo, "_kernel", spy)
+    return built
+
+
 def test_memo_scoped_to_one_solve(monkeypatch):
-    # a solve reuses only values it found itself: its memo is new and empty,
-    # no other solve sees it, it holds exact integer pairs, one per map and
-    # distinct chart point, and the tiled map it returns still evaluates as
-    # the reference does after the solve
-    memos = {}  # id -> memo; holding each memo keeps its id from being reused
-    kernel = PLHomeo._eval_pair
-
-    def spy(self, a, d, memo):
-        if id(memo) not in memos:
-            assert memo == {}
-            memos[id(memo)] = memo
-        return kernel(self, a, d, memo)
-
-    monkeypatch.setattr(PLHomeo, "_eval_pair", spy)
+    # a solve reuses only values it found itself: each of its memos is new
+    # and empty, no other solve sees it, it holds exact integer pairs, one
+    # per distinct chart point, and the identity's kernel holds none; the
+    # tiled map it returns still evaluates as the reference does after the
+    # solve
+    built = spy_on_plhomeo_kernels(monkeypatch)
     rng = random.Random(2701)
     fresh = [Fr(j, 211) for j in range(-211, 212, 5)]
     for case in EXPRESSIONS:
         u, v = grid_plhomeo(rng, 6), grid_plhomeo(rng, 9)
         maps, ref_tiled, _, _ = build(case, u, v)
         for tiles, samples in LAYOUTS:
-            count = len(memos)
+            count = len(built)
             tiled, witness = solve_conjugacy(u, v, case, tiles, samples)
-            assert len(memos) == count + 1 and witness.all_passed, (case, tiles)
-            memo = list(memos.values())[-1]
-            assert all(type(x) is int for key, y in memo.items() for x in key + y)
+            assert witness.all_passed, (case, tiles)
+            mine = built[count:]
+            # one kernel per map, each built in this solve
+            assert mine and len({id(f) for f, _, _ in mine}) == len(mine)
+            assert {id(at) for _, at, _ in mine}.isdisjoint(id(at) for _, at, _ in built[:count])
             per_tile = -(-samples // (2 * tiles))
             points = {(-1, 1), (1, 1)} | {(q.numerator, q.denominator) for q in SAMPLE_GRID
                                           if (q * (per_tile + 1)).denominator == 1}
-            assert {key[1:] for key in memo} <= points
-            assert len(memo) <= (len(maps) + 1) * len(points)
+            for f, at, memo in mine:
+                if not f._cuts:
+                    assert memo is None, f
+                    continue
+                assert not any(memo is other for _, _, other in built[:count])
+                assert all(type(x) is int for key, y in memo.items() for x in key + y)
+                assert set(memo) <= points
             assert tiled == ref_tiled
             assert [tiled.eval(q) for q in fresh] == [ref_eval(ref_tiled, q) for q in fresh]
+        # each memo was empty when its kernel was built: a later eval of the
+        # same map builds a new kernel whose memo starts empty
+        count = len(built)
+        u.eval(Fr(1, 3))
+        assert len(built) == count + 1 and list(built[-1][2]) == [(1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -822,15 +849,75 @@ def test_eval_pair_is_scale_invariant(case):
     k = len(expr.pieces)
     domain = [Fr(i, 4) for i in range(4 * k + 1)] + [ref_eval(h, q) for q in unit]
     for f, points in [(f, unit) for f in maps + (tiled, h)] + [(expr, domain)]:
-        # the conjugator takes no memo; every other kernel shares one memo
-        # over all scales, so each scale after the first may read a stored value
-        memo = () if f is h else ({},)
+        # one kernel per map over all scales, so each scale after the first
+        # may read a value its memo stored
+        at = f._kernel({})
         for q in points:
             a, d = q.numerator, q.denominator
             y = f.eval(q)
             for s in (2, 3, 77, 10**20 + 1):
-                ya, yd = f._eval_pair(a * s, d * s, *memo)
+                ya, yd = at(a * s, d * s)
                 assert yd > 0 and Fr(ya, yd) == y, (f, q, s)
+
+
+def test_one_segment_kernel_is_exact():
+    # a map with no interior breakpoint is the identity; its kernel applies
+    # the one segment y = x to the pair as given, with no gcd and no memo
+    maps = [PLHomeo.identity(), PLHomeo.from_pairs([(-1, 1), (1, 1)], [(-1, 1), (1, 1)]),
+            PLHomeo([-1, 0, 1], [-1, 0, 1])]
+    for f in maps:
+        assert f == maps[0] and f._cuts == ()
+        at = f._kernel({})
+        assert memo_of(at) is None
+        for q in (Fr(-1), Fr(0), Fr(1), Fr(-1, 3), Fr(5, 7)):
+            assert f.eval(q) == q
+            a, d = q.numerator, q.denominator
+            for s in (1, 2, 3, 77, 10**20 + 1):
+                assert at(a * s, d * s) == (a * s, d * s)
+
+
+@pytest.mark.parametrize("case", "cdef")
+def test_absent_side_leaves_no_memo_entry(monkeypatch, case):
+    # cases c to f leave one side's map out of the expression, so t holds
+    # the identity there; a solve evaluates it at every sample on that side
+    # and stores nothing for it
+    built = spy_on_plhomeo_kernels(monkeypatch)
+    u, v = bundled_shifts()
+    _, witness = solve_conjugacy(u, v, case, 8, 64)
+    assert witness.all_passed
+    identities = [(f, memo) for f, _, memo in built if not f._cuts]
+    assert len(identities) == 1 and identities[0][1] is None
+    # 8 tiles and 64 samples put 4 points in each tile: at most those 4
+    # chart points and the ends +-1 per memo
+    memos = [memo for f, _, memo in built if f._cuts]
+    assert memos and all(0 < len(memo) <= 6 for memo in memos)
+
+
+def test_eval_and_solve_run_one_kernel(monkeypatch):
+    # a fault in the `PLHomeo` kernel shows both in `eval` and in a solve:
+    # there is no second evaluation path for either to take.  The identity
+    # h(t(x)) = expr(h(x)) holds at the samples for any tile maps that send
+    # [-1, 1] into itself, so the fault moves the value at 1 past 1
+    u, v = bundled_shifts()
+    q = Fr(1, 2)
+    assert u.eval(q) == ref_eval(u, q)
+    assert all(all(solve_conjugacy(u, v, case)[1].verdicts) for case in EXPRESSIONS)
+
+    def faulty(self, kernels):
+        # the last segment's C off by one, and no memo
+        *rest, (A, C, D) = self._segments
+        segments, cuts = [*rest, (A, C + 1, D)], self._cuts
+
+        def at(a, d):
+            A, C, D = segments[sum(a * bd >= bn * d for bn, bd in cuts)]
+            return A * a + C * d, D * d
+
+        return at
+
+    monkeypatch.setattr(PLHomeo, "_kernel", faulty)
+    assert u.eval(q) != ref_eval(u, q)
+    for case in EXPRESSIONS:
+        assert not all(solve_conjugacy(u, v, case)[1].verdicts), case
 
 
 def primes_from(lo, count):

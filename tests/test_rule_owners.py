@@ -36,11 +36,12 @@ def test_each_input_rule_has_one_owner():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef)
     ]
-    kernels = [(module, f) for module, f in functions if f.name == "_eval_pair"]
+    kernels = [(module, f) for module, f in functions if f.name == "_kernel"]
     parsers = [f for _, f in functions if f.name == "build_parser"]
     options = [option for *_, options in cli.COMMANDS for option in options]
     # the kernels take points that `eval` has checked or that
-    # `solve_conjugacy` laid out inside each domain, so none refuses one
+    # `solve_conjugacy` laid out inside each domain, so no `_kernel` refuses
+    # one, nor does any closure it returns: ast.walk enters nested functions
     raising = [f"{module}:{f.lineno}" for module, f in kernels if any(isinstance(n, ast.Raise) for n in ast.walk(f))]
     capping = [
         f"{module}:{f.name}"
@@ -59,6 +60,7 @@ def test_each_input_rule_has_one_owner():
     ]
     literal = [ast.unparse(value) for value in defaults if isinstance(value, ast.Constant) and type(value.value) is int]
     assert len(kernels) == 4 and len(parsers) == 1 and len(options) >= 15
+    assert all(any(isinstance(n, ast.FunctionDef) for n in ast.walk(f) if n is not f) for _, f in kernels)
     assert raising == [], raising
     assert len(capping) == 1, capping
     assert literal == [], literal
