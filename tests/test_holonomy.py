@@ -564,7 +564,9 @@ def spy_on_plhomeo_kernels(monkeypatch):
         new = id(self) not in kernels
         at = kernel(self, kernels)
         if new:
-            built.append((self, at, memo_of(at)))
+            memo = memo_of(at)
+            assert not memo  # None, or a new empty dict
+            built.append((self, at, memo))
         return at
 
     monkeypatch.setattr(PLHomeo, "_kernel", spy)
