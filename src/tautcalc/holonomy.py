@@ -45,7 +45,7 @@ the public `eval` refuses a point outside the domain, and
 `solve_conjugacy` lays its samples out in [-1, 1], where each chart and map
 sends its domain into the next by construction.  The builder binds the
 map's constants once: a `PLHomeo`'s cuts and segments, `TileShiftMap`'s
-chart constants (computed from its two fields when it is built), and the
+chart constants (read off its two fields on each build), and the
 kernels of the maps and pieces that `TiledHomeo` and `Concatenation` hold.
 The chart in is (k*a - m*d, d), the chart out (m*d' + a', k*d'), and the
 tile and piece indices d // |a| and a // d do not change when a and d are
@@ -87,12 +87,12 @@ at most MAX_BREAKPOINTS breakpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat, starmap
 from math import gcd
 from operator import floordiv, itemgetter, mul, ne, sub
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .exact import frac_pair, is_int
 
@@ -335,22 +335,20 @@ class Concatenation:
     own domain [-1, 1]."""
 
     pieces: tuple
-    _count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a concatenation needs one or more pieces")
-        object.__setattr__(self, "_count", len(self.pieces))
 
     def eval(self, q) -> Fraction:
         a, d = frac_pair(q)
-        if not 0 <= a <= self._count * d:
-            raise ValueError(f"{Fraction(a, d)} outside [0, {self._count}]")
+        if not 0 <= a <= len(self.pieces) * d:
+            raise ValueError(f"{Fraction(a, d)} outside [0, {len(self.pieces)}]")
         return Fraction(*self._kernel({})(a, d))
 
     def _kernel(self, kernels: dict) -> Kernel:
         pieces = tuple(f._kernel(kernels) for f in self.pieces)
-        last = self._count - 1
+        last = len(pieces) - 1
 
         def at(a, d):
             i = a // d
@@ -376,23 +374,17 @@ class TileShiftMap:
 
     middle_index: int
     piece_count: int
-    # read off the two fields once: the middle piece's chart constant
-    # 2*middle_index + 1, and per side the chart constant 2*end + 1 of its
-    # end piece, or None where that side has none
-    _middle: int = field(init=False, repr=False, compare=False)
-    _negative_end: Optional[int] = field(init=False, repr=False, compare=False)
-    _positive_end: Optional[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_middle", 2 * self.middle_index + 1)
-        for name, end in (("_negative_end", self.middle_index - 1), ("_positive_end", self.middle_index + 1)):
-            object.__setattr__(self, name, 2 * end + 1 if 0 <= end < self.piece_count else None)
 
     def eval(self, q) -> Fraction:
         return Fraction(*self._kernel({})(*_unit_pair(q)))
 
     def _kernel(self, kernels: dict) -> Kernel:
-        m, negative_end, positive_end = self._middle, self._negative_end, self._positive_end
+        # read off the two fields per build: the middle piece's chart constant
+        # 2*middle_index + 1, and per side the chart constant 2*end + 1 of its
+        # end piece, or None where that side has none
+        middle, count = self.middle_index, self.piece_count
+        m = 2 * middle + 1
+        negative_end, positive_end = (2 * end + 1 if 0 <= end < count else None for end in (middle - 1, middle + 1))
 
         def at(a, d):
             if a < 0:

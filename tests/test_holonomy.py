@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import random
@@ -129,6 +130,18 @@ def test_value_semantics():
         with pytest.raises(AttributeError):
             setattr(f, name, ())
     assert repr(f) == "PLHomeo(-1->-1, 0->1/2, 1->1)"
+
+
+def test_composite_maps_hold_only_their_defining_fields():
+    # the chart constants and the piece count are derived where each kernel
+    # is built, so neither type stores a second copy of its fields
+    assert [f.name for f in dataclasses.fields(TileShiftMap)] == ["middle_index", "piece_count"]
+    assert [f.name for f in dataclasses.fields(Concatenation)] == ["pieces"]
+    assert repr(TileShiftMap(1, 3)) == "TileShiftMap(middle_index=1, piece_count=3)"
+    u, v = bundled_shifts()
+    for make in (lambda: TileShiftMap(1, 3), lambda: Concatenation((u, v.inverse()))):
+        first, second = make(), make()
+        assert first is not second and first == second and hash(first) == hash(second)
 
 
 PRIMES = (2, 3, 7, 97, 10_007, 65_537, 998_244_353, 999_999_937, 1_000_000_007)
