@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands wrap the library modules one-to-one.  Each returns its report,
-and `main` writes it as text (`jsonio.render_text`) or as deterministic
-JSON (`jsonio.dumps_report`, byte for byte `json.dumps(report, indent=2)`),
-as --format or else the TAUTCALC_FORMAT environment variable chooses.
+and `main` writes it as text (`jsonio.text_pieces`) or as deterministic
+JSON (`jsonio.json_pieces`, byte for byte `json.dumps(report, indent=2)`),
+as --format or else the TAUTCALC_FORMAT environment variable chooses,
+BLOCK_PIECES pieces per write, so a matrix report is held once.
 `main` reads the variable on every call; a value other than text or json
 is bad input.
 Exit codes: 0 when every check in the report passes, 1 when some check
@@ -60,22 +61,34 @@ def _load(path, root: str, parse):
     return parse(doc, root)
 
 
+# Pieces joined per write.  Most small reports have fewer pieces than this
+# and go out in one join and one write, as a whole string would; a larger
+# one pays about 1 us per extra block.  A matrix report, one piece per row,
+# is held once, plus one block and that block's UTF-8 copy: 64 JSON rows
+# are 0.37 MB at genus 240, beside a 5 MB report, and 128 would push the
+# peak past 1.3 times the report's bytes (test_cli.py pins that bound).
+BLOCK_PIECES = 64
+
+
 def _emit(report: dict, args) -> int:
     checks = report.get("checks", [])
     ok = all(c["pass"] for c in checks)
     report["status"] = "PASS" if ok else "FAIL"
-    if args.format == "json":
-        text = jsonio.dumps_report(report)
-    else:
-        text = jsonio.render_text(report)
+    # every piece is built before --output is opened, so a report that fails leaves no file
+    pieces = (jsonio.json_pieces if args.format == "json" else jsonio.text_pieces)(report)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
-            # two writes, since text + "\n" would copy the whole report
-            fh.write(text)
-            fh.write("\n")
+            _write_blocks(fh, pieces)
     else:
-        print(text)
+        _write_blocks(sys.stdout, pieces)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _write_blocks(fh, pieces) -> None:
+    """Write the join of each BLOCK_PIECES consecutive pieces, then the final newline."""
+    for start in range(0, len(pieces), BLOCK_PIECES):
+        fh.write("".join(pieces[start:start + BLOCK_PIECES]))
+    fh.write("\n")
 
 
 def _report(command: str, build, args) -> dict:

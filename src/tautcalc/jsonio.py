@@ -15,11 +15,15 @@ A curve system keeps only its nonzeros (class pairs and crossings).  Its
 dense coordinates and lower triangle are the schema's form, read and
 written only here: `curve_system_from_json` checks their lengths and that
 the counts are nonnegative, then hands the nonzeros to `HomologyClass` and
-`CurveSystem`.
+`CurveSystem`; a "0" entry is skipped unparsed.
 
-Reports are written by `dumps_report`, which returns exactly what
-`json.dumps(report, indent=2)` returns.  A list of strings, such as a
-matrix row, is written in one join.  When the items joined with no
+Reports are written as lists of pieces: `json_pieces` gives the pieces
+whose join is exactly what `json.dumps(report, indent=2)` returns, and
+`text_pieces` those of the text report.  `dumps_report` and `render_text`
+return those joins; `cli._emit` writes the join of each block of
+consecutive pieces instead, so a large report is held once, as its
+pieces, and never also as one string and that string's UTF-8 copy.  A
+list of strings, such as a coordinate pair, is written in one join.  When the items joined with no
 separator are ASCII, printable and hold no '"' or '\\', no item needs an
 escape, and the row is the items joined by '",', newline, indent and '"',
 inside one pair of quotes.  That test is exact: the stdlib's ASCII string
@@ -29,14 +33,15 @@ strings made of ' ' to '~'.  Any other row goes through that encoder item
 by item.
 
 A matrix reaches the writers as the `IntMatrix` itself and is written as
-its rows, straight from its nonzeros, by one routine, `_write_rows`.  A
+its rows, one piece per row, straight from its nonzeros, by one routine,
+`_write_rows`.  A
 decimal string always passes the clean test, so a JSON row of n entries
 is n cells joined by '",', newline, indent and '"', and those separators
 depend on the indent alone.  `_write_rows` builds that row once with
 every cell "0"; cell j then starts at j times the separator's length plus
 one, and a row is the template's slices between its nonzero columns, in
 increasing order, with str(v) in place of each "0" cell.  The text
-report, which `render_text` writes, takes the same call with cells of
+report, one piece per line, takes the same call with cells of
 "    0" joined by " " and f"{v:>5}" in place of a cell, so an entry wider
 than five characters widens only its own cell.  Python work per row
 grows with its nonzeros; the rest is C-level slicing.
@@ -60,7 +65,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from .exact import frac, frac_pair, is_int
@@ -98,15 +103,19 @@ def parse_int(value: Any, field: str) -> int:
     raise ValueError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
-def _parse_int_list(value: Any, field: str) -> List[int]:
-    """parse_int of every entry of a list, in one C-level pass when every
-    entry is a decimal string; otherwise the per-entry walk, which either
-    returns the same list or raises with the bad entry's path."""
+def _parse_int_list(value: Any, field: str) -> Tuple[int, List[Tuple[int, int]]]:
+    """The length of a list and the (index, parse_int) pairs of its nonzero
+    entries.  An entry that is the string "0" is skipped unparsed; the rest
+    go through int(x, 10) in one C-level pass when they are all decimal
+    strings, and otherwise through the per-entry walk, which either gives
+    the same values or raises with the bad entry's own index."""
     raw = _expect_list(value, field)
+    at = list(compress(range(len(raw)), map(ne, raw, repeat("0"))))
     try:
-        return list(map(int, raw, repeat(10)))
+        values = list(map(int, map(raw.__getitem__, at), repeat(10)))
     except (TypeError, ValueError):
-        return [parse_int(x, f"{field}[{j}]") for j, x in enumerate(raw)]
+        values = [parse_int(raw[j], f"{field}[{j}]") for j in at]
+    return len(raw), [(j, v) for j, v in zip(at, values) if v]
 
 
 def _expect_list(value: Any, field: str) -> list:
@@ -176,16 +185,22 @@ def dumps_report(report: dict) -> str:
     """json.dumps(report, indent=2), byte for byte, for a tree of dicts with
     str keys, lists, strings, ints, bools, None, `Table`s and `IntMatrix`es,
     a Table being written as its list of records and a matrix as its rows
-    of decimal strings.
+    of decimal strings: the join of `json_pieces(report)`."""
+    return "".join(json_pieces(report))
+
+
+def json_pieces(report: dict) -> List[str]:
+    """The pieces whose join is `dumps_report(report)`.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
     Here a string or bool in a dict is written inline with its key, a list
     of strings (a coordinate pair) or a Table is written in one join and a
-    matrix row by row into one template, by the rules in the module
-    docstring; every other string goes through the C string encoder."""
+    matrix row by row into one template, one piece per row, by the rules in
+    the module docstring; every other string goes through the C string
+    encoder."""
     parts: List[str] = []
     _write(report, "\n", parts)
-    return "".join(parts)
+    return parts
 
 
 def _clean(flat: str) -> bool:
@@ -316,20 +331,22 @@ def _dense_row(nonzeros, n: int) -> List[str]:
 
 def _write_rows(parts: List[str], m: IntMatrix, zero: str, sep: str, fmt: Callable[[int], str],
                 lead: str, between: str, end: str) -> None:
-    """Append m's rows to parts, lead before the first, between two rows
-    and end after the last.  A row is m.n_cols cells of `zero` joined by
-    sep, written as that template's slices with fmt(v) in place of the
-    cell of each nonzero v, which starts at j * (len(sep) + len(zero)) for
-    column j; the columns are taken in increasing order."""
+    """Append m's rows to parts, one piece per row, lead before the first,
+    between two rows and end after the last, as a piece of its own.  A row
+    is m.n_cols cells of `zero` joined by sep, written as that template's
+    slices with fmt(v) in place of the cell of each nonzero v, which starts
+    at j * (len(sep) + len(zero)) for column j; the columns are taken in
+    increasing order."""
     template, stride, width = sep.join(repeat(zero, m.n_cols)), len(sep) + len(zero), len(zero)
     for row in m.nonzeros:
-        parts.append(lead)
+        piece = [lead]
         at = 0
         for j in sorted(row):
             start = j * stride
-            parts += (template[at:start], fmt(row[j]))
+            piece += (template[at:start], fmt(row[j]))
             at = start + width
-        parts.append(template[at:])
+        piece.append(template[at:])
+        parts.append("".join(piece))
         lead = between
     parts.append(end)
 
@@ -337,53 +354,70 @@ def _write_rows(parts: List[str], m: IntMatrix, zero: str, sep: str, fmt: Callab
 # -- text reports ----------------------------------------------------------------
 
 
-def render_text(report: dict, indent: int = 0) -> str:
+def render_text(report: dict) -> str:
     """The text report: one "key: value" line per entry, a nested dict or a
     list of records indented under its key, a check as a "[PASS]" or
-    "[FAIL]" line, and a matrix as its rows of five-character cells."""
-    lines = []
-    pad = "  " * indent
+    "[FAIL]" line, and a matrix as its rows of five-character cells; the
+    join of `text_pieces(report)`."""
+    return "".join(text_pieces(report))
+
+
+def text_pieces(report: dict) -> List[str]:
+    """The pieces whose join is `render_text(report)`: one per line, one
+    per matrix row, and a Table's records in one piece."""
+    parts: List[str] = []
+    _text(report, "", parts)
+    if parts:
+        parts[0] = parts[0][1:]  # each piece opens with the newline before its line
+    return parts
+
+
+def _text(report: dict, pad: str, parts: List[str]) -> None:
+    """Append the lines of report, indented by pad, each after a newline."""
     for key, value in report.items():
         if key == "checks":
-            for c in value:
-                mark = "PASS" if c["pass"] else "FAIL"
-                lines.append(f"{pad}[{mark}] {c['name']}")
+            parts += [f"\n{pad}[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in value]
         elif isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(render_text(value, indent + 1))
+            parts.append(f"\n{pad}{key}:")
+            _text_section(value, pad + "  ", parts)
         elif isinstance(value, Table) and len(value):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_table(value, pad + "  "))
+            parts += (f"\n{pad}{key}:", _render_table(value, pad + "  "))
         elif isinstance(value, Table):
-            lines.append(f"{pad}{key}: []")
+            parts.append(f"\n{pad}{key}: []")
         elif isinstance(value, IntMatrix):
-            rows: List[str] = []
-            _write_rows(rows, value, "    0", " ", "{:>5}".format, f"{pad}{key}:\n{pad}  ", f"\n{pad}  ", "")
-            lines.append("".join(rows))
+            parts.append(f"\n{pad}{key}:")
+            _write_rows(parts, value, "    0", " ", "{:>5}".format, f"\n{pad}  ", f"\n{pad}  ", "")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{pad}{key}:")
-            for item in value:
-                lines.append(render_text(item, indent + 1))
-                lines.append(f"{pad}  -")
-            lines.pop()
+            parts.append(f"\n{pad}{key}:")
+            for i, item in enumerate(value):
+                if i:
+                    parts.append(f"\n{pad}  -")
+                _text_section(item, pad + "  ", parts)
         elif isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{pad}{key}:")
-            for row in value:
-                lines.append(f"{pad}  " + " ".join(f"{e:>5}" for e in row))
+            parts.append(f"\n{pad}{key}:")
+            parts += [f"\n{pad}  " + " ".join(f"{e:>5}" for e in row) for row in value]
         else:
-            lines.append(f"{pad}{key}: {value}")
-    return "\n".join(lines)
+            parts.append(f"\n{pad}{key}: {value}")
+
+
+def _text_section(report: dict, pad: str, parts: List[str]) -> None:
+    """`_text` of a nested dict; one that has no line still leaves an empty one."""
+    count = len(parts)
+    _text(report, pad, parts)
+    if len(parts) == count:
+        parts.append("\n")
 
 
 def _render_table(table: Table, pad: str) -> str:
-    """The lines `render_text` gives the table's list of records, one
-    "key: value" line per cell and a "-" line between records, in one join."""
+    """The lines `render_text` gives the table's list of records, each after
+    a newline: one "key: value" line per cell and a "-" line between
+    records, in one join."""
     columns = table.columns
     seps = [f"\n{pad}{key}: " for key in columns]
     seps[0] = f"\n{pad}-" + seps[0]
     # a tuple shows as the list it stands for; a str or bool as itself
     cells = [map(str, map(list, c) if isinstance(c[0], tuple) else c) for c in columns.values()]
-    return _interleave(seps + [""], cells, len(table))[len(pad) + 3:]
+    return _interleave(seps + [""], cells, len(table))[len(pad) + 2:]
 
 
 # -- curve systems and words ---------------------------------------------------
@@ -428,11 +462,11 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
         at = f"{field}.curves[{i}]"
         e = _expect_map(entry, at)
         label = _get(e, "label", at)
-        coords = _parse_int_list(_get(e, "coords", at), f"{at}.coords")
+        length, nonzeros = _parse_int_list(_get(e, "coords", at), f"{at}.coords")
         family = _get_enum(e, "family", at, Family)
-        if len(coords) != n:
+        if length != n:
             raise ValueError(f"{at}.coords: coordinate length must equal 2*genus")
-        cls = HomologyClass(genus, tuple(zip(compress(range(n), coords), filter(None, coords))))
+        cls = HomologyClass(genus, tuple(nonzeros))
         curves.append(_build(at, TwistGenerator, label, cls, family))
     geo = [
         _parse_int_list(row, f"{field}.geo_int[{i}]")
@@ -451,13 +485,13 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
     if len(geo) != len(curves):
         raise ValueError(f"{field}: geo_int must have length {len(curves)}, one row per curve")
     crossings = []
-    for i, row in enumerate(geo):
-        if len(row) != i:
+    for i, (length, nonzeros) in enumerate(geo):
+        if length != i:
             raise ValueError(f"{field}: geo_int[{i}] must have length {i} (strict lower triangle)")
-        for j in compress(range(i), row):
-            if row[j] < 0:
+        for j, count in nonzeros:
+            if count < 0:
                 raise ValueError(f"{field}: geo_int[{i}][{j}] must be a nonnegative integer")
-            crossings.append((i, j, row[j]))
+            crossings.append((i, j, count))
     return _build(field, CurveSystem, genus, tuple(curves), tuple(crossings), regions)
 
 
