@@ -84,10 +84,15 @@ def _emit(report: dict, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _write_blocks(fh, pieces) -> None:
-    """Write the join of each BLOCK_PIECES consecutive pieces, then the final newline."""
-    for start in range(0, len(pieces), BLOCK_PIECES):
-        fh.write("".join(pieces[start:start + BLOCK_PIECES]))
+def _write_blocks(fh, pieces: list) -> None:
+    """Write the join of each BLOCK_PIECES consecutive pieces, then the final
+    newline, emptying the list: a block's pieces are dropped before its
+    write, so none is held beside the block's join and its UTF-8 copy."""
+    pieces.reverse()  # so each block comes off the end of the list
+    while pieces:
+        block = "".join(reversed(pieces[-BLOCK_PIECES:]))
+        del pieces[-BLOCK_PIECES:]
+        fh.write(block)
     fh.write("\n")
 
 

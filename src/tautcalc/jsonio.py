@@ -22,29 +22,29 @@ whose join is exactly what `json.dumps(report, indent=2)` returns, and
 `text_pieces` those of the text report.  `dumps_report` and `render_text`
 return those joins; `cli._emit` writes the join of each block of
 consecutive pieces instead, so a large report is held once, as its
-pieces, and never also as one string and that string's UTF-8 copy.  A
-list of strings, such as a coordinate pair, is written in one join.  When the items joined with no
-separator are ASCII, printable and hold no '"' or '\\', no item needs an
-escape, and the row is the items joined by '",', newline, indent and '"',
-inside one pair of quotes.  That test is exact: the stdlib's ASCII string
-encoder leaves alone precisely the characters ' ' to '~' other than '"'
-and '\\', and `isascii() and isprintable()` holds for precisely the
-strings made of ' ' to '~'.  Any other row goes through that encoder item
-by item.
+pieces, and never also as one string and that string's UTF-8 copy.
+
+A list of strings, such as a coordinate pair, is written in one join.
+When the items joined with no separator are ASCII, printable and hold no
+'"' or '\\', no item needs an escape, and the list is the items joined by
+'",', newline, indent and '"', inside one pair of quotes.  That test is
+exact: the stdlib's ASCII string encoder leaves alone precisely the
+characters ' ' to '~' other than '"' and '\\', and `isascii() and
+isprintable()` holds for precisely the strings made of ' ' to '~'.  Any
+other list goes through that encoder item by item.
 
 A matrix reaches the writers as the `IntMatrix` itself and is written as
 its rows, one piece per row, straight from its nonzeros, by one routine,
-`_write_rows`.  A
-decimal string always passes the clean test, so a JSON row of n entries
-is n cells joined by '",', newline, indent and '"', and those separators
-depend on the indent alone.  `_write_rows` builds that row once with
-every cell "0"; cell j then starts at j times the separator's length plus
-one, and a row is the template's slices between its nonzero columns, in
-increasing order, with str(v) in place of each "0" cell.  The text
-report, one piece per line, takes the same call with cells of
-"    0" joined by " " and f"{v:>5}" in place of a cell, so an entry wider
-than five characters widens only its own cell.  Python work per row
-grows with its nonzeros; the rest is C-level slicing.
+`_write_rows`.  A decimal string always passes the clean test, so a JSON
+row of n entries is n cells joined by '",', newline, indent and '"', and
+those separators depend on the indent alone.  `_write_rows` builds that
+row once with every cell "0"; cell j then starts at j times the
+separator's length plus one, and a row is the template's slices between
+its nonzero columns, in increasing order, with str(v) in place of each
+"0" cell.  The text report, one piece per line, takes the same call with
+cells of "    0" joined by " " and f"{v:>5}" in place of a cell, so an
+entry wider than five characters widens only its own cell.  Python work
+per row grows with its nonzeros; the rest is C-level slicing.
 
 A record list that grows with the input (the holonomy samples, the
 candidate points) travels as a `Table`, one column per key, so no dict is

@@ -204,6 +204,22 @@ def test_report_sizes_capped(capsys, argv, message):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_largest_matrix_report_held_once(tmp_path, fmt):
+    # the report is held as its pieces, plus one block of them and that
+    # block's UTF-8 copy; one whole string and its copy would double it
+    path = tmp_path / "report"
+    argv = ["vmatrix", "--genus", str(MAX_CHAIN_GENUS), "--format", fmt, "--output", str(path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.3 * path.stat().st_size
+
+
 def test_candidates_genus3(capsys):
     code, doc = run_json(capsys, "candidates", "--genus", "3")
     assert code == 0
@@ -748,6 +764,53 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["status"] == "PASS"
+
+
+# the bundled penner, a small vmatrix, candidates (more pieces than one
+# block holds, as JSON) and the bundled holonomy cases
+_STOCK_REPORTS = [("penner",), ("vmatrix", "--genus", "6"), ("candidates", "--genus", "3"),
+                  *(("holonomy", "tau", "--case", case) for case in "abcdef")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", _STOCK_REPORTS, ids=" ".join)
+def test_both_sinks_write_the_joined_report(monkeypatch, tmp_path, capsys, argv, fmt):
+    writer = "json_pieces" if fmt == "json" else "text_pieces"
+    pieces, reports = getattr(jsonio, writer), []
+    monkeypatch.setattr(jsonio, writer, lambda report: reports.append(report) or pieces(report))
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(path)) == (0, "", "")
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    joined = (jsonio.dumps_report if fmt == "json" else jsonio.render_text)(reports[0])
+    assert path.read_bytes() == out.encode() == (joined + "\n").encode()
+
+
+def test_each_block_is_dropped_before_its_write():
+    pieces = [f"{i} " for i in range(2 * cli.BLOCK_PIECES + 3)]
+    text, writes = "".join(pieces), []
+
+    class Sink:
+        def write(self, block):
+            writes.append((block, len(pieces)))  # the pieces still held
+
+    cli._write_blocks(Sink(), pieces)
+    assert "".join(block for block, _ in writes) == text + "\n"
+    assert [held for _, held in writes] == [cli.BLOCK_PIECES + 3, 3, 0, 0]
+
+
+def test_failed_report_leaves_output_untouched(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise ValueError("row refused")
+
+    monkeypatch.setattr(jsonio, "_write_rows", refuse)
+    path = tmp_path / "p"
+    argv = ("vmatrix", "--genus", "6", "--format", "json", "--output", str(path))
+    assert run(capsys, *argv) == (2, "", "error: row refused\n")
+    assert not path.exists()
+    path.write_bytes(b"an earlier report\n")
+    assert run(capsys, *argv) == (2, "", "error: row refused\n")
+    assert path.read_bytes() == b"an earlier report\n"
 
 
 def test_format_env_read_per_call(monkeypatch, capsys):

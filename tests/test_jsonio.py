@@ -126,6 +126,44 @@ def test_integer_lists_name_the_bad_entry(entry, message):
     assert str(exc.value) == f"sys.geo_int[3][1]: {message}"
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ([], (0, [])),
+        (["0", "0", "0"], (3, [])),
+        (["0", "0", "7", "0", "-12"], (5, [(2, 7), (4, -12)])),
+        # int(x, 10)'s own rules: signs, spaces and underscores
+        (["00", "-0", "+2", " 3", "1_0"], (5, [(2, 2), (3, 3), (4, 10)])),
+        ([0, 5, "0", -3], (4, [(1, 5), (3, -3)])),  # JSON numbers
+        # a bad entry after a run of "0"s is named by its own index
+        (["0", "0", "0", "x"], "[3]: not an integer: 'x'"),
+        (["0", "0", "1/2", "0"], "[2]: not an integer: '1/2'"),
+        (["1", "0", ""], "[2]: not an integer: ''"),
+        (["0", "0", True], "[2]: expected an integer, got a boolean"),
+        (["0", 0.0], "[1]: expected an integer, got float"),
+        ([0, "0", None], "[2]: expected an integer, got NoneType"),
+        ("0", ": expected a list"),
+    ],
+)
+def test_integer_lists_parse_only_their_nonzeros(raw, expected):
+    if isinstance(expected, tuple):
+        assert jsonio._parse_int_list(raw, "f") == expected
+        return
+    with pytest.raises(ValueError) as exc:
+        jsonio._parse_int_list(raw, "f")
+    assert str(exc.value) == f"f{expected}"
+    doc = jsonio.curve_system_to_json(chain_system(3)[0])
+    doc["curves"][1]["coords"] = raw
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == f"sys.curves[1].coords{expected}"
+    doc = jsonio.curve_system_to_json(chain_system(3)[0])
+    doc["geo_int"][2] = raw
+    with pytest.raises(ValueError) as exc:
+        jsonio.curve_system_from_json(doc, "sys")
+    assert str(exc.value) == f"sys.geo_int[2]{expected}"
+
+
 @pytest.mark.parametrize("raw", ["C", "a", "SADDLE", 1, None, ["A"], {"kind": "saddle"}])
 def test_enum_fields_name_their_values(raw):
     system, _ = chain_system(3)
