@@ -90,7 +90,7 @@ def _write_blocks(fh, pieces: list) -> None:
     write, so none is held beside the block's join and its UTF-8 copy."""
     pieces.reverse()  # so each block comes off the end of the list
     while pieces:
-        block = "".join(reversed(pieces[-BLOCK_PIECES:]))
+        block = "".join(pieces[:-BLOCK_PIECES - 1:-1])  # the last BLOCK_PIECES, back in order
         del pieces[-BLOCK_PIECES:]
         fh.write(block)
     fh.write("\n")
