@@ -61,12 +61,13 @@ def _load(path, root: str, parse):
     return parse(doc, root)
 
 
-# Pieces joined per write.  Most small reports have fewer pieces than this
-# and go out in one join and one write, as a whole string would; a larger
-# one pays about 1 us per extra block.  A matrix report, one piece per row,
-# is held once, plus one block and that block's UTF-8 copy: 64 JSON rows
-# are 0.37 MB at genus 240, beside a 5 MB report, and 128 would push the
-# peak past 1.3 times the report's bytes (test_cli.py pins that bound).
+# Pieces joined per write.  A matrix report, one piece per row, is held
+# once, plus one block's join and that join's UTF-8 copy: 64 JSON rows are
+# 0.37 MB at genus 240, beside a 5 MB report; 256 would push the peak past
+# the 1.3 times the report's bytes that test_cli.py pins.  Most small
+# reports have fewer pieces and go out in one join and one write, as one
+# string would; a further block costs about 0.5 us, so a smaller block's
+# lower peak comes almost free.
 BLOCK_PIECES = 64
 
 
