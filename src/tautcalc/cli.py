@@ -1,12 +1,10 @@
 """Command-line interface.
 
 Subcommands wrap the library modules one-to-one.  Each returns its report,
-and `main` writes it as text (`jsonio.text_pieces`) or as deterministic
-JSON (`jsonio.json_pieces`, byte for byte `json.dumps(report, indent=2)`),
-as --format or else the TAUTCALC_FORMAT environment variable chooses,
-BLOCK_PIECES pieces per write, so a matrix report is held once.
-`main` reads the variable on every call; a value other than text or json
-is bad input.
+and `main` writes it as text (`jsonio.text_pieces`) or, with --format json,
+as deterministic JSON (`jsonio.json_pieces`, byte for byte
+`json.dumps(report, indent=2)`), BLOCK_PIECES pieces per write, so a matrix
+report is held once.  A report depends only on the argv and the input files.
 Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import NamedTuple
 
@@ -37,17 +34,6 @@ from . import holonomy, homology, jsonio, penner, polytope, sutured
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-FORMATS = ("text", "json")
-
-
-def _env_format() -> str:
-    """The report format TAUTCALC_FORMAT names; text when it is unset or empty."""
-    fmt = os.environ.get("TAUTCALC_FORMAT") or "text"
-    if fmt not in FORMATS:
-        raise ValueError(f"TAUTCALC_FORMAT must be text or json, got {fmt!r}")
-    return fmt
 
 
 def _load(path, root: str, parse):
@@ -136,13 +122,13 @@ def cmd_candidates(args) -> dict:
         spec = polytope.NormSpec.surgery_family(args.genus)
     ball, dual, classified = polytope.candidate_points(spec, args.genus)
     # from the ball's vertices, which the edge walk that lists the points never reads
-    norms = polytope.dual_norm_value(ball, [p.coords for p in classified])
+    norm_one = polytope.dual_norm_is_one(ball, [p.coords for p in classified])
     checks = []
     if spec.is_surgery_family(args.genus):
         tip = 2 * args.genus - 2
         flagged = any(p.counterexample and p.coords == (0, -tip) for p in classified)
         checks.append({"name": f"point (0, {-tip}) flagged as the non-realizable candidate", "pass": flagged})
-    checks.append({"name": "every listed point has dual norm one", "pass": all(x == 1 for x in norms)})
+    checks.append({"name": "every listed point has dual norm one", "pass": norm_one})
     return {
         "genus": args.genus,
         "norm_spec": jsonio.norm_spec_to_json(spec),
@@ -244,7 +230,8 @@ def cmd_holonomy(args) -> dict:
 # The command line, declared once.  An option is its long option string and
 # its argparse keywords, among type, required, default, choices and help.
 COMMON_OPTIONS = {
-    "--format": dict(choices=FORMATS, help="report format (default: TAUTCALC_FORMAT, else text)"),
+    # no default: an absent --format reads None, which `_emit` writes as text
+    "--format": dict(choices=("text", "json"), help="report format (default: text)"),
     "--output": dict(help="write the report to this path instead of stdout"),
 }
 GROUP_HELP = {"sutured": "sutured Euler characteristic and witnesses", "holonomy": "interval holonomy constructions"}
@@ -308,8 +295,7 @@ LEAVES = {route: _derive(route, build, options) for route, build, _, options in 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """argparse's parser for the command line, built on the first call; `main`
-    calls it only for help and usage errors.  --format defaults to None so
-    that `main` resolves TAUTCALC_FORMAT."""
+    calls it only for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="tautcalc", description="Exact twist-action, norm-polytope, sutured and holonomy calculators")
     subparsers = {(): parser.add_subparsers(dest=_subcommand_dest(()), required=True)}
@@ -364,8 +350,6 @@ def main(argv=None) -> int:
     if args is None:  # help, or a usage error
         args = build_parser().parse_args(argv)
     try:
-        if args.format is None:
-            args.format = _env_format()
         return _emit(args.func(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

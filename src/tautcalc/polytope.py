@@ -226,18 +226,30 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     return RatPolytope(pts)
 
 
-def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
-    """Dual norm x*(u) = max over vertices v of the ball of <u, v>, for each
-    point u.  The vertices are scaled to their common denominator d once per
-    call and the pairings are taken one vertex (one column) at a time, so an
-    integral point costs only integer arithmetic, and each distinct value
-    becomes a Fraction once."""
+def _dual_norm_maxima(ball: RatPolytope, points: Iterable) -> Tuple[list, int]:
+    """(d * x*(u) for each point u, d), with d the common denominator of the
+    ball's vertices.  The vertices are scaled by d once per call and the
+    pairings are taken one vertex (one column) at a time, so an integral
+    point costs only integer arithmetic and gets an int."""
     scaled, d = _scale(ball.vertices)
     pts = [p if type(p[0]) is int and type(p[1]) is int else _point(p) for p in points]
     columns = [[x * a + y * b for x, y in pts] for a, b in scaled]
-    maxima = list(map(max, *columns))
+    return list(map(max, *columns)), d
+
+
+def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
+    """Dual norm x*(u) = max over vertices v of the ball of <u, v>, for each
+    point u; each distinct value becomes a Fraction once."""
+    maxima, d = _dual_norm_maxima(ball, points)
     value = {n: Fraction(n, d) for n in set(maxima)}
     return [value[n] for n in maxima]
+
+
+def dual_norm_is_one(ball: RatPolytope, points: Iterable) -> bool:
+    """True when every point has dual norm exactly one: each maximum equals
+    d, compared with no Fraction."""
+    maxima, d = _dual_norm_maxima(ball, points)
+    return maxima.count(d) == len(maxima)
 
 
 # -- integral points and realizability ----------------------------------------

@@ -116,7 +116,13 @@ def _tip_unflagged(monkeypatch, tmp_path):
 
 
 def _dual_norm_two(monkeypatch, tmp_path):
-    monkeypatch.setattr(polytope, "dual_norm_value", lambda ball, points: [Fraction(2)] * len(points))
+    maxima = polytope._dual_norm_maxima
+
+    def doubled(ball, points):
+        values, d = maxima(ball, points)
+        return [2 * n for n in values], d
+
+    monkeypatch.setattr(polytope, "_dual_norm_maxima", doubled)
     return ["candidates", "--genus", "3"]
 
 
@@ -202,6 +208,41 @@ def test_report_sizes_capped(capsys, argv, message):
         tracemalloc.stop()
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert peak < 1_000_000
+
+
+# Seconds a report at its route's caps may take.  The slowest below took
+# 0.10 to 0.16 s in process (holonomy tau) on a shared 2-core machine with
+# Python 3.11, whose speed swings about twofold from run to run.
+REPORT_BUDGET_S = 2.0
+
+# each route's largest allowed input; penner --input and long holonomy map
+# entries are not bounded at the caps yet, so they have no row
+LARGEST_INPUTS = {
+    "candidates-genus": ["candidates", "--genus", str(MAX_NORM_VALUE // 2)],
+    "candidates-spec": ["candidates", "--genus", "3", "--spec", "spec.json"],
+    "vmatrix": ["vmatrix", "--genus", str(MAX_CHAIN_GENUS)],
+    "sutured-chi": ["sutured", "chi", "--base-chi", str(-MAX_SURFACE_COUNT),
+                    "--convex", str(MAX_SURFACE_COUNT), "--concave", str(MAX_SURFACE_COUNT)],
+    "sutured-core-disk": ["sutured", "core-disk", "--wraps", str(MAX_TORUS_COUNT), "--sutures", str(MAX_TORUS_COUNT)],
+    "sutured-witness": ["sutured", "witness", "--k", str(MAX_WITNESS_K), "--m", str(MAX_WITNESS_M)],
+    # one tile fewer than the cap gives the most points: 3 in each of 8190 tiles
+    "holonomy-tau": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1), "--samples", str(MAX_SAMPLES)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("route", list(LARGEST_INPUTS))
+def test_largest_inputs_end_within_budget(monkeypatch, tmp_path, route, fmt):
+    # no hang: every route's largest allowed input ends in a report
+    monkeypatch.chdir(tmp_path)
+    value = str(MAX_NORM_VALUE)
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"x_f": value, "x_s": value, "x_sum": value, "x_diff": value, "chi": ["0", "0"]}))
+    start = time.perf_counter()
+    code = main([*LARGEST_INPUTS[route], "--format", fmt, "--output", "report"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and (tmp_path / "report").stat().st_size > 0
+    assert elapsed < REPORT_BUDGET_S, f"{route} --format {fmt}: {elapsed:.3f} s"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -813,23 +854,22 @@ def test_failed_report_leaves_output_untouched(monkeypatch, tmp_path, capsys):
     assert path.read_bytes() == b"an earlier report\n"
 
 
-def test_format_env_read_per_call(monkeypatch, capsys):
+def test_environment_sets_no_option(monkeypatch, tmp_path, capsys):
+    # a report depends only on its argv and input files: no TAUTCALC_<OPTION>
+    # variable sets a common option, not even to a value --format refuses
+    monkeypatch.chdir(tmp_path)
     argv = ("sutured", "chi", "--base-chi", "1", "--convex", "4")
-    monkeypatch.setenv("TAUTCALC_FORMAT", "json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(out)["command"] == "sutured chi"
-    monkeypatch.setenv("TAUTCALC_FORMAT", "text")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.startswith("command: sutured chi\n")
-    monkeypatch.setenv("TAUTCALC_FORMAT", "xml")
-    assert run(capsys, *argv) == (2, "", "error: TAUTCALC_FORMAT must be text or json, got 'xml'\n")
-    monkeypatch.setenv("TAUTCALC_FORMAT", "json")
-    code, out, _ = run(capsys, *argv, "--format", "text")
-    assert code == 0 and out.startswith("command: sutured chi\n")
+    for value in ("json", "xml"):
+        for option in cli.COMMON_OPTIONS:
+            monkeypatch.setenv("TAUTCALC_" + option[2:].upper(), value)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("command: sutured chi\n")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["command"] == "sutured chi"
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_parser_built_once_and_not_poisoned(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+def test_parser_built_once_and_not_poisoned(tmp_path, capsys):
     argv = ("sutured", "chi", "--base-chi", "1", "--convex", "4")
     cli.build_parser.cache_clear()
     fresh = run(capsys, *argv)
@@ -848,7 +888,7 @@ def test_parser_built_once_and_not_poisoned(tmp_path, monkeypatch, capsys):
 
 _HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, False, None, "show this help message and exit")
 _COMMON = [
-    (("--format",), "format", None, None, False, ("text", "json"), "report format (default: TAUTCALC_FORMAT, else text)"),
+    (("--format",), "format", None, None, False, ("text", "json"), "report format (default: text)"),
     (("--output",), "output", None, None, False, None, "write the report to this path instead of stdout"),
 ]
 
@@ -1057,7 +1097,6 @@ NEGATIVE_TWINS = [
 @pytest.mark.parametrize("argv, twin", NEGATIVE_TWINS, ids=lambda argv: " ".join(argv))
 def test_negative_numbers_the_reader_leaves_to_argparse(monkeypatch, tmp_path, capsys, argv, twin):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
     assert cli._read(argv) is None and cli._read(twin) is not None
     parsed = vars(cli.build_parser().parse_args(argv))
     assert parsed == {**vars(cli._read(twin)), "output": parsed["output"]}
@@ -1067,8 +1106,7 @@ def test_negative_numbers_the_reader_leaves_to_argparse(monkeypatch, tmp_path, c
 
 
 @pytest.mark.parametrize("argv", [["vmatrix", "--gen", "6"], ["vmatrix", "--genus=6"]])
-def test_option_spellings_argparse_accepts(monkeypatch, capsys, argv):
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+def test_option_spellings_argparse_accepts(capsys, argv):
     assert run(capsys, *argv) == run(capsys, "vmatrix", "--genus", "6")
 
 
@@ -1082,8 +1120,7 @@ def test_option_spellings_argparse_accepts(monkeypatch, capsys, argv):
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_in_process_report_matches_subprocess(monkeypatch, capsys, argv, fmt):
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
+def test_in_process_report_matches_subprocess(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "tautcalc.cli", *argv, "--format", fmt],

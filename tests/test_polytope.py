@@ -11,6 +11,7 @@ from tautcalc.polytope import (
     NormSpec,
     RatPolytope,
     candidate_points,
+    dual_norm_is_one,
     dual_norm_value,
     integral_boundary_points,
     norm_ball_from_values,
@@ -413,6 +414,21 @@ def test_boundary_iff_dual_norm_one():
         grid = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
         norm_one = [p for p, value in zip(grid, dual_norm_value(ball, grid)) if value == 1]
         assert [p.coords for p in integral_boundary_points(dual)] == norm_one
+
+
+def test_dual_norm_is_one_reads_the_values():
+    # the integer test agrees with the Fraction values, point by point and in a batch
+    rng = random.Random(113)
+    for spec in (NormSpec.surgery_family(3), NormSpec(Fr(3, 2), Fr(5, 2), 3, Fr(7, 2), chi=(-2, -2))):
+        ball = norm_ball_from_values(spec)
+        pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(100)]
+        pts += [(Fr(rng.randint(-6, 6), rng.randint(1, 3)), Fr(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(100)]
+        values = dual_norm_value(ball, pts)
+        assert [dual_norm_is_one(ball, [p]) for p in pts] == [value == 1 for value in values]
+        norm_one = [p for p, value in zip(pts, values) if value == 1]
+        assert norm_one and dual_norm_is_one(ball, norm_one)
+        assert not dual_norm_is_one(ball, norm_one + [(0, 0)])
+        assert dual_norm_is_one(ball, [])
 
 
 # -- integral points and classification --------------------------------------------------

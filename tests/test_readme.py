@@ -34,7 +34,6 @@ def test_library_example_runs():
 
 @pytest.mark.parametrize("line", _usage_lines())
 def test_usage_line_runs(monkeypatch, capsys, line):
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"argparse parsed {line!r}, which main reads itself")
@@ -86,7 +85,6 @@ def test_leaf_func_returns_its_report(monkeypatch, tmp_path, capsys):
 
 def test_well_formed_argv_never_builds_argparse(monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TAUTCALC_FORMAT", raising=False)
     for name, doc in _input_files().items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     cli.build_parser.cache_clear()
