@@ -82,24 +82,30 @@ per-point kernels and keeps the pairs and the verdicts as columns in
 `ConjugacyWitness`, so no Fraction, `SampleCheck` or other per-sample
 object is built between a sample point and its verdict;
 `ConjugacyWitness.checks` builds its `SampleCheck`s on demand.  A map has
-at most MAX_BREAKPOINTS breakpoints.
+at most MAX_BREAKPOINTS breakpoints, and the numerators and denominators
+of its breakpoints and values have at most MAX_ENTRY_BITS bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from math import gcd
 from operator import floordiv, itemgetter, mul, ne, sub
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .exact import frac_pair, is_int
 
 
 # A map is read and inverted in time and memory that grow with its
-# breakpoints, so their number is capped.
+# breakpoints, so their number is capped.  A solve's arithmetic grows with
+# the length of their parts, so that is capped too: a report at the largest
+# layout (4095 tiles, 16384 samples) over two 4096-breakpoint maps took 0.3
+# to 0.6 s in process with 256-bit parts, and 1.4 to 2.2 s with 1024-bit
+# parts, on a shared 2-core host.
 MAX_BREAKPOINTS = 4096
+MAX_ENTRY_BITS = 256
 
 # a map's kernel: an integer pair a/d with d > 0 in the map's domain to a
 # pair for its value there, with a positive denominator
@@ -110,6 +116,13 @@ def check_breakpoint_count(count: int) -> None:
     """Refuse a map with more than MAX_BREAKPOINTS breakpoints or values."""
     if count > MAX_BREAKPOINTS:
         raise ValueError(f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {count}")
+
+
+def check_entry_bits(parts: Iterable[int]) -> None:
+    """Refuse a numerator or denominator of a breakpoint or value that is
+    over MAX_ENTRY_BITS bits long."""
+    if max(map(int.bit_length, parts)) > MAX_ENTRY_BITS:
+        raise ValueError(f"breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long")
 
 
 def _unit_pair(q) -> Tuple[int, int]:
@@ -246,6 +259,7 @@ def _setup(f: PLHomeo, bps: List[Tuple[int, int]], vals: List[Tuple[int, int]]) 
         raise ValueError("need matching breakpoint/value sequences of length >= 2")
     bn, bd = list(map(itemgetter(0), bps)), list(map(itemgetter(1), bps))
     vn, vd = list(map(itemgetter(0), vals)), list(map(itemgetter(1), vals))
+    check_entry_bits(chain(bn, bd, vn, vd))
     # segment i runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0
     # to y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
     # y = (A*x + C)/D with D = (a1*b0 - a0*b1)*e0*e1,

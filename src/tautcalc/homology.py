@@ -15,7 +15,9 @@ nonzero class) exactly when det(M - Id) != 0.
 A class is stored by its genus, which alone fixes that basis, and by its
 nonzero coordinates, as sorted (index, value) pairs, so a curve of
 bounded support costs the same at every genus, to build, to pair and to
-twist along.
+twist along.  J's rule, that coordinate k pairs with k ^ 1, is written
+only in `pairings`, which pairs a curve system's classes in one pass, and
+in the twist kernel of `word_action`.
 
 Convention: matrices computed here act on coordinate column vectors, so
 column k holds the image of the k-th basis vector.  Every action matrix is
@@ -29,7 +31,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .exact import is_int
 from .matrices import IntMatrix
@@ -91,20 +93,30 @@ class HomologyClass:
         return gcd(*[v for _, v in self.nonzeros]) == 1
 
 
-def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
-    """Symplectic pairing <x, y> = x^T J y.
+def pairings(classes: Sequence[HomologyClass]) -> dict:
+    """The nonzero symplectic pairings <c_j, c_i> = c_j^T J c_i with i > j,
+    keyed (i, j), of classes that share one genus.
 
-    J pairs coordinate k with k ^ 1, with sign + for even k, so the sum
-    runs over the nonzeros of x against those of y, which must share a
-    genus."""
-    if x.genus != y.genus:
+    J pairs coordinate k with k ^ 1, with sign + for even k, so class i
+    pairs only with the earlier classes that hold the partner of one of its
+    coordinates.  One pass over the nonzeros looks each one's partner up
+    among those of the classes before it, then files the class's own."""
+    if len({c.genus for c in classes}) > 1:
         raise ValueError("classes live in different spaces")
-    other = dict(y.nonzeros)
-    total = 0
-    for k, v in x.nonzeros:
-        w = other.get(k ^ 1, 0)
-        total += -v * w if k & 1 else v * w
-    return total
+    holders, total = {}, {}
+    for i, c in enumerate(classes):
+        for k, v in c.nonzeros:
+            for j, w in holders.get(k ^ 1, ()):
+                total[i, j] = total.get((i, j), 0) + (w * v if k & 1 else -w * v)
+        for k, v in c.nonzeros:
+            holders.setdefault(k, []).append((i, v))
+    return {key: p for key, p in total.items() if p}
+
+
+def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
+    """Symplectic pairing <x, y> = x^T J y, the two-class case of
+    `pairings`."""
+    return pairings((x, y)).get((1, 0), 0)
 
 
 @dataclass(frozen=True)

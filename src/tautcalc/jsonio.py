@@ -63,9 +63,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from .exact import frac, frac_pair, is_int
@@ -105,17 +105,9 @@ def parse_int(value: Any, field: str) -> int:
 
 def _parse_int_list(value: Any, field: str) -> Tuple[int, List[Tuple[int, int]]]:
     """The length of a list and the (index, parse_int) pairs of its nonzero
-    entries.  An entry that is the string "0" is skipped unparsed; the rest
-    go through int(x, 10) in one C-level pass when they are all decimal
-    strings, and otherwise through the per-entry walk, which either gives
-    the same values or raises with the bad entry's own index."""
+    entries; an entry that is the string "0" is skipped unparsed."""
     raw = _expect_list(value, field)
-    at = list(compress(range(len(raw)), map(ne, raw, repeat("0"))))
-    try:
-        values = list(map(int, map(raw.__getitem__, at), repeat(10)))
-    except (TypeError, ValueError):
-        values = [parse_int(raw[j], f"{field}[{j}]") for j in at]
-    return len(raw), [(j, v) for j, v in zip(at, values) if v]
+    return len(raw), [(j, v) for j, x in enumerate(raw) if x != "0" and (v := parse_int(x, f"{field}[{j}]"))]
 
 
 def _expect_list(value: Any, field: str) -> list:

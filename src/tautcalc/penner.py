@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .exact import is_int
-from .homology import (
-    Family, HomologyClass, TwistGenerator, TwistWord, algebraic_intersection, check_genus, check_labels,
-)
+from .homology import Family, HomologyClass, TwistGenerator, TwistWord, check_genus, check_labels, pairings
 
 
 class FillingStatus(enum.Enum):
@@ -53,9 +51,10 @@ class CurveSystem:
     not listed are disjoint, so the chain of 2g + 1 curves stores 2g
     triples.  Curves within one family must be disjoint (that is what makes
     each family a multicurve), and the counts must agree with the classes:
-    each pair's algebraic intersection î and count i have |î| <= i and
-    î = i (mod 2), so disjoint curves pair to 0.  `regions` is an optional
-    certificate describing the complementary regions.
+    each pair's algebraic intersection î, from `homology.pairings`, and
+    count i have |î| <= i and î = i (mod 2), so disjoint curves pair to 0.
+    `regions` is an optional certificate describing the complementary
+    regions.
     """
 
     genus: int
@@ -100,26 +99,14 @@ class CurveSystem:
                     "the same family but intersect"
                 )
             last = (i, j)
-        # the counts agree with the classes (Farb-Margalit, Primer 1.2); only
-        # curves holding k and k ^ 1 can pair to nonzero, so only those pairs
-        # and the listed ones are paired
-        holders = {}
-        for index, c in enumerate(self.curves):
-            for k, _ in c.cls.nonzeros:
-                holders.setdefault(k, []).append(index)
+        # the counts agree with the classes (Farb-Margalit, Primer 1.2), over
+        # the listed pairs and those that pair to nonzero
         counts = {(i, j): count for i, j, count in crossings}
-        pairs = set(counts)
-        for k, held in holders.items():
-            if k & 1:
-                continue
-            for b in holders.get(k ^ 1, ()):
-                for a in held:
-                    if a != b:
-                        pairs.add((a, b) if a > b else (b, a))
-        for i, j in sorted(pairs):
-            a, b = self.curves[j], self.curves[i]
-            hat, count = algebraic_intersection(a.cls, b.cls), counts.get((i, j), 0)
+        hats = pairings([c.cls for c in self.curves])
+        for i, j in sorted(hats.keys() | counts.keys()):
+            hat, count = hats.get((i, j), 0), counts.get((i, j), 0)
             if abs(hat) > count or (hat - count) % 2:
+                a, b = self.curves[j], self.curves[i]
                 raise ValueError(f"curves {a.label!r} and {b.label!r} pair to {hat} but cross {count} times")
 
     @property

@@ -5,7 +5,9 @@ over sparse rows, and classes by their nonzeros.  These helpers rebuild
 the rest from the dense `rows` view, the dense coordinates of
 `dense_coords` and the public constructors, so the tests can state
 identities such as t^T J t = J and <x + y, z> = <x, z> + <y, z> without
-the library carrying code no report runs.
+the library carrying code no report runs.  `pairing_dense` is x^T J y from
+the dense coordinates and `intersection_matrix`, so the library's sparse
+pairing is checked against J itself, not against its own k ^ 1 rule.
 
 The polygon helpers keep the Fraction construction of a polygon, from
 before `RatPolytope` moved to one integer scale, and the Minkowski gauge,
@@ -128,6 +130,12 @@ def dense_coords(x):
     for k, v in x.nonzeros:
         dense[k] = v
     return tuple(dense)
+
+
+def pairing_dense(x, y):
+    """<x, y> = x^T J y, as a dense product with J."""
+    _same_genus(x, y)
+    return sum(a * b for a, b in zip(dense_coords(x), apply(intersection_matrix(x.genus), dense_coords(y))))
 
 
 def basis_r(genus, i):

@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from tautcalc import cli, holonomy, homology, jsonio, polytope
 from tautcalc.cli import main
 from tautcalc.homology import MAX_ACTION_BITS, MAX_TWIST_EXPONENT
-from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_SAMPLES, MAX_TILES
+from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_ENTRY_BITS, MAX_SAMPLES, MAX_TILES
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_VALUE
@@ -215,8 +216,8 @@ def test_report_sizes_capped(capsys, argv, message):
 # Python 3.11, whose speed swings about twofold from run to run.
 REPORT_BUDGET_S = 2.0
 
-# each route's largest allowed input; penner --input and long holonomy map
-# entries are not bounded at the caps yet, so they have no row
+# each route's largest allowed input; penner --input is not bounded at the
+# caps yet, so it has no row
 LARGEST_INPUTS = {
     "candidates-genus": ["candidates", "--genus", str(MAX_NORM_VALUE // 2)],
     "candidates-spec": ["candidates", "--genus", "3", "--spec", "spec.json"],
@@ -227,7 +228,28 @@ LARGEST_INPUTS = {
     "sutured-witness": ["sutured", "witness", "--k", str(MAX_WITNESS_K), "--m", str(MAX_WITNESS_M)],
     # one tile fewer than the cap gives the most points: 3 in each of 8190 tiles
     "holonomy-tau": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1), "--samples", str(MAX_SAMPLES)],
+    # the same layout over two maps of the most breakpoints, with parts of the most bits
+    "holonomy-tau-long-entries": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1),
+                                  "--samples", str(MAX_SAMPLES), "--u", "u.json", "--v", "v.json"],
 }
+
+
+def _map_at_entry_cap(shift):
+    """A map of MAX_BREAKPOINTS breakpoints whose interior breakpoints and
+    values have MAX_ENTRY_BITS-bit denominators, each its own, in lowest terms."""
+    n = MAX_BREAKPOINTS - 2
+
+    def entries(shift):
+        out = []
+        for i in range(1, n + 1):
+            d = 2 ** MAX_ENTRY_BITS - 2 * i - shift
+            a = (2 * i - n - 1) * d // (n + 1)
+            while math.gcd(a, d) != 1:
+                a += 1
+            out.append(f"{a}/{d}")
+        return ["-1", *out, "1"]
+
+    return {"breakpoints": entries(shift), "values": entries(shift + 2 * n + 1)}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -238,6 +260,8 @@ def test_largest_inputs_end_within_budget(monkeypatch, tmp_path, route, fmt):
     value = str(MAX_NORM_VALUE)
     (tmp_path / "spec.json").write_text(json.dumps(
         {"x_f": value, "x_s": value, "x_sum": value, "x_diff": value, "chi": ["0", "0"]}))
+    for name, shift in (("u", 1), ("v", 3)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(_map_at_entry_cap(shift)))
     start = time.perf_counter()
     code = main([*LARGEST_INPUTS[route], "--format", fmt, "--output", "report"])
     elapsed = time.perf_counter() - start
@@ -671,9 +695,6 @@ ACCEPTED_ENTRIES = [
                  "923537b951202e02de4d5d6738ae3c60dc53cfb6f051e24c904f44f3cf00e9e0", id="leading-zeros"),
     pytest.param({"breakpoints": ["-2/2", "1/7", "1"], "values": ["-2/2", "1/5", "1"]},
                  "f35a82bc559f52213fd3a270d265ac11b2396871d7ad446196ee88dfe9925a7a", id="minus-two-halves"),
-    # a denominator of 4299 digits, one under int()'s default limit
-    pytest.param(_map_with("1/1" + "0" * 4298),
-                 "6660a3fc433b7b89c4f162acc249745bd74b7c1f8433910860ef8dbc372d0c87", id="4299-digit-denominator"),
 ]
 
 
@@ -731,6 +752,12 @@ def test_holonomy_map_entries_accepted(tmp_path, capsys, u, sha):
     # a denominator of 4301 digits is past int()'s default limit on string conversion
     pytest.param({**GOOD_MAP, "breakpoints": ["-1", "0", LONG_ENTRY, "1"]}, GOOD_MAP,
                  f"u.breakpoints[2]: not a rational 'p/q' string: {LONG_ENTRY!r}", id="4301-digit-denominator"),
+    # a denominator of 4299 digits parses, one under int()'s default limit,
+    # but the solve's arithmetic grows with it, so parts are capped in bits
+    pytest.param(_map_with("1/1" + "0" * 4298), GOOD_MAP,
+                 f"u: breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long", id="4299-digit-denominator"),
+    pytest.param(GOOD_MAP, {**GOOD_MAP, "values": ["-1", f"1/{2 ** MAX_ENTRY_BITS}", "1/2", "1"]},
+                 f"v: breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long", id="one-bit-past-the-cap"),
 ])
 def test_holonomy_map_error_messages(tmp_path, capsys, u, v, message):
     for name, doc in (("u", u), ("v", v)):

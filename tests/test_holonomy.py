@@ -15,6 +15,7 @@ from tautcalc.exact import frac, frac_pair
 from tautcalc.holonomy import (
     EXPRESSIONS,
     MAX_BREAKPOINTS,
+    MAX_ENTRY_BITS,
     MAX_SAMPLES,
     MAX_TILES,
     Concatenation,
@@ -46,6 +47,9 @@ BREAKPOINTS = "breakpoints must be strictly increasing"
 VALUES = "values must be strictly increasing"
 ENDPOINTS = "endpoints must be fixed"
 DOMAIN = "must be a homeomorphism of [-1, 1]"
+BITS = f"breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long"
+# the first integer one bit longer than the entry cap
+LONG = 2 ** MAX_ENTRY_BITS
 
 
 VALIDATION_CASES = [
@@ -67,6 +71,8 @@ VALIDATION_CASES = [
     ([-1, 0.5, 1], [-1, 0, 1], "expected an exact rational, got 0.5"),
     ([-1, True, 1], [-1, 0, 1], "expected an exact rational, got True"),
     ([-1, [0], 1], [-1, 0, 1], "expected an exact rational, got list"),
+    ([-1, Fr(1, LONG), 1], [-1, 0, 1], BITS),
+    ([-1, 0, 1], [-1, Fr(-1, LONG), 1], BITS),
     # two rules broken: the one listed first in the constructor wins
     ([0.0, 1.0], [0.0, 1.0], "expected an exact rational, got 0.0"),
     ([-1, "x", 1], [-1, "y", 1], "not a rational 'p/q' string: 'x'"),
@@ -80,6 +86,9 @@ VALIDATION_CASES = [
     ([0, 1], [1, 0], VALUES),
     ([0, 1], [0, 2], ENDPOINTS),
     ([-2, 2], [-1, 2], ENDPOINTS),
+    ([-1, 1], [-1, Fr(1, LONG), 0, 1], LENGTHS),
+    ([-1, 0, 0, 1], [-1, 0, Fr(1, LONG), 1], BITS),
+    ([-1, LONG, 1], [-1, 0, 1], BITS),
 ]
 
 
@@ -88,6 +97,15 @@ def test_validation():
         with pytest.raises(ValueError) as exc:
             PLHomeo(bps, vals)
         assert str(exc.value) == message, (bps, vals)
+
+
+def test_entry_parts_at_the_cap_are_accepted():
+    # LONG - 1 has MAX_ENTRY_BITS bits, one fewer than LONG
+    for make in (PLHomeo, lambda bps, vals: PLHomeo.from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))):
+        f = make([-1, Fr(1, LONG - 1), 1], [-1, Fr(2 - LONG, LONG - 1), 1])
+        assert f.breakpoints[1] == Fr(1, LONG - 1) and f.values[1] == Fr(2 - LONG, LONG - 1)
+        with pytest.raises(ValueError, match=f"^{BITS}$"):
+            make([-1, Fr(1, LONG), 1], [-1, 0, 1])
 
 
 def test_eval_interpolates():

@@ -10,6 +10,7 @@ from tautcalc.homology import (
     TwistWord,
     algebraic_intersection,
     mapping_torus,
+    pairings,
     word_action,
 )
 from tautcalc.jsonio import curve_system_from_json, curve_system_to_json
@@ -29,6 +30,7 @@ from oracles import (
     intersection_matrix,
     mapping_torus_dense,
     neg,
+    pairing_dense,
     transpose,
     transvection_matrix,
     zero_class,
@@ -82,6 +84,49 @@ def test_pairing_antisymmetric_and_bilinear():
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
         algebraic_intersection(basis_r(2, 1), basis_r(3, 1))
+
+
+def _sparse_class(genus, rng):
+    """A class on up to three coordinates, half the time with both
+    coordinates of one handle (k and k ^ 1) set, and zero when none is."""
+    coords = [0] * (2 * genus)
+    for k in rng.sample(range(2 * genus), rng.randint(0, min(3, 2 * genus))):
+        coords[k] = rng.choice((-2, -1, 1, 3))
+    if rng.random() < 0.5:
+        k = 2 * rng.randrange(genus)
+        coords[k], coords[k + 1] = rng.choice((-1, 2)), rng.choice((1, -3))
+    return dense_class(genus, coords)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 5])
+def test_pairings_match_dense_oracle(genus):
+    # every nonzero <c_j, c_i> with i > j and no other key, against x^T J y
+    # from J's dense matrix; algebraic_intersection is the two-class case
+    rng = random.Random(47 + genus)
+    seen = {"zero": 0, "handle": 0, "nonzero": 0}
+    for _ in range(40):
+        classes = [_sparse_class(genus, rng) for _ in range(rng.randint(0, 7))]
+        expected = {(i, j): pairing_dense(classes[j], classes[i]) for i in range(len(classes)) for j in range(i)}
+        assert pairings(classes) == {key: p for key, p in expected.items() if p}
+        for (i, j), p in expected.items():
+            assert algebraic_intersection(classes[j], classes[i]) == p
+            assert algebraic_intersection(classes[i], classes[j]) == -p
+        seen["zero"] += sum(c.is_zero for c in classes)
+        seen["handle"] += sum({k ^ 1 for k, _ in c.nonzeros} & {k for k, _ in c.nonzeros} != set() for c in classes)
+        seen["nonzero"] += sum(map(bool, expected.values()))
+    assert min(seen.values()) > 5, seen
+
+
+@pytest.mark.parametrize("classes", [
+    (basis_r(2, 1), basis_r(3, 1)),
+    (zero_class(1), zero_class(2)),
+    (basis_r(2, 1), basis_s(2, 1), zero_class(3)),
+])
+def test_pairings_refuse_mixed_genera(classes):
+    with pytest.raises(ValueError, match="^classes live in different spaces$"):
+        pairings(classes)
+    with pytest.raises(ValueError, match="^classes live in different spaces$"):
+        algebraic_intersection(classes[0], classes[-1])
 
 
 def test_null_homologous_twist_is_identity():

@@ -18,12 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from tautcalc import jsonio
 from tautcalc.cli import main
 from tautcalc.holonomy import PLHomeo, bundled_shifts
-from tautcalc.homology import Family, TwistGenerator, TwistWord, algebraic_intersection
+from tautcalc.homology import Family, TwistGenerator, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region, chain_system
 from tautcalc.polytope import NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
-from oracles import dense_class, dense_coords
+from oracles import dense_class, dense_coords, pairing_dense
 from test_matrices import assert_matches_dense
 from test_polytope import boundary_points_by_scan
 
@@ -54,7 +54,7 @@ def penner_inputs(draw):
     crossings = []
     for j, i in itertools.combinations(range(n), 2):
         if curves[i].family != curves[j].family:
-            count = abs(algebraic_intersection(curves[j].cls, curves[i].cls)) + 2 * draw(st.integers(0, 1))
+            count = abs(pairing_dense(curves[j].cls, curves[i].cls)) + 2 * draw(st.integers(0, 1))
             if count:
                 crossings.append((i, j, count))
     regions = draw(st.none() | st.lists(st.builds(Region, st.booleans(), st.text(max_size=3)), max_size=3).map(tuple))
@@ -335,7 +335,7 @@ def moved_chain_docs(draw):
              for d, y in enumerate(coords) if d != c and y[k ^ 1]]
     c, k, d = draw(st.sampled_from(moves))
     step = -coords[d][k ^ 1] if k & 1 else coords[d][k ^ 1]
-    old = algebraic_intersection(system.curves[c].cls, system.curves[d].cls)
+    old = pairing_dense(system.curves[c].cls, system.curves[d].cls)
     doc["curves"][c]["coords"][k] = "2" if step * old >= 0 else "-2"
     return json.dumps(doc), system.curves[c].label
 

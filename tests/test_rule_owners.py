@@ -172,6 +172,16 @@ def test_crossing_pairing_rule_has_one_owner():
     assert owners == {"penner.__post_init__"}, owners
 
 
+def test_symplectic_partner_computed_only_in_homology():
+    # J pairs coordinate k with k ^ 1; `homology.pairings` pairs a curve
+    # system's classes by that rule, so no other module writes it again
+    partners = [f"{path.stem}:{node.lineno}" for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor)
+                and any(isinstance(side, ast.Constant) and side.value == 1 for side in (node.left, node.right))]
+    assert {partner.split(":")[0] for partner in partners} == {"homology"}, partners
+
+
 def test_cli_names_only_the_input_field_it_finds():
     # the document's own fields are named where it is read; `cli` names only
     # the word, whose action cap only `word_action` can find
