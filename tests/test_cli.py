@@ -239,10 +239,10 @@ def _map_at_entry_cap(shift):
     values have MAX_ENTRY_BITS-bit denominators, each its own, in lowest terms."""
     n = MAX_BREAKPOINTS - 2
 
-    def entries(shift):
+    def entries(offset):
         out = []
         for i in range(1, n + 1):
-            d = 2 ** MAX_ENTRY_BITS - 2 * i - shift
+            d = 2 ** MAX_ENTRY_BITS - 2 * i - offset
             a = (2 * i - n - 1) * d // (n + 1)
             while math.gcd(a, d) != 1:
                 a += 1
@@ -669,6 +669,7 @@ def test_holonomy_rejects_bad_map(tmp_path, capsys):
 
 GOOD_MAP = {"breakpoints": ["-1", "0", "1/2", "1"], "values": ["-1", "1/3", "1/2", "1"]}
 LONG_ENTRY = "1/1" + "0" * 4300
+ENTRY_BITS = f"breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long"
 
 
 def _map_with(entry):
@@ -754,10 +755,9 @@ def test_holonomy_map_entries_accepted(tmp_path, capsys, u, sha):
                  f"u.breakpoints[2]: not a rational 'p/q' string: {LONG_ENTRY!r}", id="4301-digit-denominator"),
     # a denominator of 4299 digits parses, one under int()'s default limit,
     # but the solve's arithmetic grows with it, so parts are capped in bits
-    pytest.param(_map_with("1/1" + "0" * 4298), GOOD_MAP,
-                 f"u: breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long", id="4299-digit-denominator"),
+    pytest.param(_map_with("1/1" + "0" * 4298), GOOD_MAP, f"u: {ENTRY_BITS}", id="4299-digit-denominator"),
     pytest.param(GOOD_MAP, {**GOOD_MAP, "values": ["-1", f"1/{2 ** MAX_ENTRY_BITS}", "1/2", "1"]},
-                 f"v: breakpoint and value parts must be at most {MAX_ENTRY_BITS} bits long", id="one-bit-past-the-cap"),
+                 f"v: {ENTRY_BITS}", id="one-bit-past-the-cap"),
 ])
 def test_holonomy_map_error_messages(tmp_path, capsys, u, v, message):
     for name, doc in (("u", u), ("v", v)):
