@@ -90,9 +90,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, repeat, starmap
 from math import gcd
-from operator import floordiv, itemgetter, mul, ne, sub
+from operator import floordiv
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .exact import frac_pair, is_int
@@ -145,11 +145,12 @@ class PLHomeo:
     y = (A*x + C)/D as integers (A, C, D) with D > 0 and gcd(A, C, D) = 1,
     the one such triple of its line.
 
-    Set-up runs on the pairs of the inputs (`exact.frac_pair`): the order
-    and endpoint checks cross-multiply, each input segment's triple comes
-    from the four cross products of its ends, and a breakpoint is collinear
-    with its neighbours exactly when the segments on either side have equal
-    triples.  `inverse` reads its data off the stored segments.
+    Set-up is one pass over the input segments, on the pairs of their ends
+    (`exact.frac_pair`): the order checks cross-multiply each segment's
+    ends, and while they hold, its triple comes from the four cross
+    products of its ends.  The endpoint checks follow, and a breakpoint is
+    collinear with its neighbours exactly when the segments on either side
+    have equal triples.  `inverse` reads its data off the stored segments.
     """
 
     _cuts: Tuple[Tuple[int, int], ...]
@@ -161,10 +162,11 @@ class PLHomeo:
         _setup(self, list(map(frac_pair, breakpoints)), list(map(frac_pair, values)))
 
     @classmethod
-    def from_pairs(cls, breakpoints: List[Tuple[int, int]], values: List[Tuple[int, int]]) -> "PLHomeo":
+    def _from_pairs(cls, breakpoints: List[Tuple[int, int]], values: List[Tuple[int, int]]) -> "PLHomeo":
         """The map through breakpoints and values given as lowest-terms
         (numerator, denominator) pairs with positive denominators, as
-        `exact.frac_pair` returns them."""
+        `exact.frac_pair` returns them.  Nothing checks that they are: the
+        caller passes `frac_pair` output."""
         check_breakpoint_count(max(len(breakpoints), len(values)))
         f = object.__new__(cls)
         _setup(f, breakpoints, values)
@@ -257,38 +259,35 @@ class PLHomeo:
 def _setup(f: PLHomeo, bps: List[Tuple[int, int]], vals: List[Tuple[int, int]]) -> None:
     if len(bps) != len(vals) or len(bps) < 2:
         raise ValueError("need matching breakpoint/value sequences of length >= 2")
-    bn, bd = list(map(itemgetter(0), bps)), list(map(itemgetter(1), bps))
-    vn, vd = list(map(itemgetter(0), vals)), list(map(itemgetter(1), vals))
-    check_entry_bits(chain(bn, bd, vn, vd))
-    # segment i runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0
-    # to y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
-    # y = (A*x + C)/D with D = (a1*b0 - a0*b1)*e0*e1,
-    # A = (c1*e0 - c0*e1)*b0*b1 and C = c0*e1*a1*b0 - c1*e0*a0*b1
-    ab, ba = list(map(mul, bn[1:], bd)), list(map(mul, bn, bd[1:]))
-    ce, ec = list(map(mul, vn[1:], vd)), list(map(mul, vn, vd[1:]))
-    dx, dy = list(map(sub, ab, ba)), list(map(sub, ce, ec))
-    if min(dx) <= 0:
+    check_entry_bits(chain(*bps, *vals))
+    # a segment runs from x0 = a0/b0 to x1 = a1/b1, and from y0 = c0/e0 to
+    # y1 = c1/e1; over the denominators b0*b1*e0*e1 its line is
+    # y = (A*x + C)/D with D = dx*e0*e1, A = dy*b0*b1 and
+    # C = c0*e1*a1*b0 - c1*e0*a0*b1.  It is reduced only while both order
+    # rules hold, so that A and D are positive and gcd(A, C, D) is not 0
+    bps_rise = vals_rise = True
+    lines = []
+    for (a0, b0), (a1, b1), (c0, e0), (c1, e1) in zip(bps, bps[1:], vals, vals[1:]):
+        ab, ba, ce, ec = a1 * b0, a0 * b1, c1 * e0, c0 * e1
+        dx, dy = ab - ba, ce - ec
+        bps_rise = bps_rise and dx > 0
+        vals_rise = vals_rise and dy > 0
+        if bps_rise and vals_rise:
+            A, C, D = dy * b0 * b1, ec * ab - ce * ba, dx * e0 * e1
+            g = gcd(A, C, D)
+            lines.append((A // g, C // g, D // g))
+    if not bps_rise:
         raise ValueError("breakpoints must be strictly increasing")
-    if min(dy) <= 0:
+    if not vals_rise:
         raise ValueError("values must be strictly increasing")
-    ends = (bn[0], bd[0], bn[-1], bd[-1])
-    if (vn[0], vd[0], vn[-1], vd[-1]) != ends:
+    ends = (*bps[0], *bps[-1])
+    if (*vals[0], *vals[-1]) != ends:
         raise ValueError("endpoints must be fixed")
     if ends != (-1, 1, 1, 1):
         raise ValueError("must be a homeomorphism of [-1, 1]")
-    A = list(map(mul, dy, map(mul, bd, bd[1:])))
-    C = list(map(sub, map(mul, ec, ab), map(mul, ce, ba)))
-    D = list(map(mul, dx, map(mul, vd, vd[1:])))
-    g = list(map(gcd, A, C, D))
-    lines = list(zip(map(floordiv, A, g), map(floordiv, C, g), map(floordiv, D, g)))
     # interior breakpoint i is kept when segments i - 1 and i differ
-    kept = list(map(ne, lines, lines[1:]))
-    _fill(
-        f,
-        tuple(compress(bps[1:-1], kept)),
-        tuple(compress(vals[1:-1], kept)),
-        (lines[0], *compress(lines[1:], kept)),
-    )
+    kept = [i for i in range(1, len(lines)) if lines[i] != lines[i - 1]]
+    _fill(f, tuple(bps[i] for i in kept), tuple(vals[i] for i in kept), (lines[0], *(lines[i] for i in kept)))
 
 
 def _fill(f: PLHomeo, cuts: tuple, cut_values: tuple, segments: tuple) -> None:

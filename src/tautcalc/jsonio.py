@@ -609,7 +609,7 @@ def pl_to_json(f: PLHomeo) -> dict:
 def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
     obj = _expect_map(data, field)
     bps, vals = (_rational_list(obj, key, field) for key in ("breakpoints", "values"))
-    return _build(field, PLHomeo.from_pairs, bps, vals)
+    return _build(field, PLHomeo._from_pairs, bps, vals)
 
 
 def _rational_list(obj: Mapping, key: str, field: str) -> List[Tuple[int, int]]:

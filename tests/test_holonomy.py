@@ -59,6 +59,9 @@ VALIDATION_CASES = [
     ([], [], LENGTHS),
     ([-1, 0, 0, 1], [-1, 0, Fr(1, 2), 1], BREAKPOINTS),
     ([-1, Fr(1, 2), Fr(1, 3), 1], [-1, 0, Fr(1, 2), 1], BREAKPOINTS),
+    # a repeated point with a repeated value: its segment's line would be
+    # reduced by gcd(0, 0, 0) = 0 were it reduced before the order rules
+    ([-1, 0, 0, 1], [-1, 0, 0, 1], BREAKPOINTS),
     ([-1, 0, 1], [-1, Fr(1, 2), Fr(1, 2)], VALUES),
     ([-1, 0, 1], [-1, 0, Fr(1, 2)], ENDPOINTS),
     ([-1, 0, 1], [Fr(-1, 2), 0, 1], ENDPOINTS),
@@ -81,6 +84,8 @@ VALIDATION_CASES = [
                                                  f"got {MAX_BREAKPOINTS + 2}"),
     ([1, -1], [0, 1, 2], LENGTHS),
     ([1, -1], [1, 0], BREAKPOINTS),
+    # values fail on an earlier segment than breakpoints, and breakpoints win
+    ([-1, 0, 0, 1], [-1, -1, Fr(1, 2), 1], BREAKPOINTS),
     ([0, 1, 1], [0, Fr(1, 2), 1], BREAKPOINTS),
     ([-1, 0, 1], [-1, 1, 0], VALUES),
     ([0, 1], [1, 0], VALUES),
@@ -101,7 +106,7 @@ def test_validation():
 
 def test_entry_parts_at_the_cap_are_accepted():
     # LONG - 1 has MAX_ENTRY_BITS bits, one fewer than LONG
-    for make in (PLHomeo, lambda bps, vals: PLHomeo.from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))):
+    for make in (PLHomeo, lambda bps, vals: PLHomeo._from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))):
         f = make([-1, Fr(1, LONG - 1), 1], [-1, Fr(2 - LONG, LONG - 1), 1])
         assert f.breakpoints[1] == Fr(1, LONG - 1) and f.values[1] == Fr(2 - LONG, LONG - 1)
         with pytest.raises(ValueError, match=f"^{BITS}$"):
@@ -136,7 +141,7 @@ def test_value_semantics():
     # equal maps from any constructor are equal with equal hashes, a
     # collinear breakpoint included; no field or other name can be set
     f = PLHomeo([-1, 0, 1], [-1, Fr(1, 2), 1])
-    for g in (PLHomeo.from_pairs([(-1, 1), (0, 1), (1, 1)], [(-1, 1), (1, 2), (1, 1)]),
+    for g in (PLHomeo._from_pairs([(-1, 1), (0, 1), (1, 1)], [(-1, 1), (1, 2), (1, 1)]),
               PLHomeo([-1, Fr(-1, 2), 0, 1], [-1, Fr(-1, 4), Fr(1, 2), 1]),
               f.inverse().inverse()):
         assert g == f and hash(g) == hash(f)
@@ -238,19 +243,19 @@ def test_integer_setup_matches_fraction_construction():
 
 
 def test_pairs_setup_matches_constructor():
-    # from_pairs takes the pairs exact.frac_pair returns and builds the map
+    # _from_pairs takes the pairs exact.frac_pair returns and builds the map
     # the constructor builds; identity() is built directly, with the same data
     rng = random.Random(2205)
     for bps, vals in [seeded_map_data(rng) for _ in range(200)]:
         f = PLHomeo(bps, vals)
-        g = PLHomeo.from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))
+        g = PLHomeo._from_pairs(list(map(frac_pair, bps)), list(map(frac_pair, vals)))
         assert fields(g) == fields(f) and g == f and hash(g) == hash(f)
         assert f.breakpoint_pairs == tuple((q.numerator, q.denominator) for q in f.breakpoints)
         assert f.value_pairs == tuple((q.numerator, q.denominator) for q in f.values)
     assert fields(PLHomeo.identity()) == fields(PLHomeo([-1, 1], [-1, 1]))
     longer = [(-1, 1)] * (MAX_BREAKPOINTS + 1)
     with pytest.raises(ValueError) as exc:
-        PLHomeo.from_pairs(longer, longer)
+        PLHomeo._from_pairs(longer, longer)
     assert str(exc.value) == f"a map has at most {MAX_BREAKPOINTS} breakpoints, got {MAX_BREAKPOINTS + 1}"
 
 
@@ -896,7 +901,7 @@ def test_eval_pair_is_scale_invariant(case):
 def test_one_segment_kernel_is_exact():
     # a map with no interior breakpoint is the identity; its kernel applies
     # the one segment y = x to the pair as given, with no gcd and no memo
-    maps = [PLHomeo.identity(), PLHomeo.from_pairs([(-1, 1), (1, 1)], [(-1, 1), (1, 1)]),
+    maps = [PLHomeo.identity(), PLHomeo._from_pairs([(-1, 1), (1, 1)], [(-1, 1), (1, 1)]),
             PLHomeo([-1, 0, 1], [-1, 0, 1])]
     for f in maps:
         assert f == maps[0] and f._cuts == ()
