@@ -12,13 +12,22 @@ file it names the field path.
 The command line is declared once, as data: COMMANDS holds each leaf
 subcommand's route words, `cmd_*` builder, help and options as argparse
 keywords, beside the common options and the two groups' help.  LEAVES
-derives from it, at import, each leaf's `func` (its report under its route
-words), option dests, defaults and required options.  `main` reads a
-well-formed argv -- a route, then pairs of an exact option string and its
-value -- against LEAVES into the Namespace argparse would build.  Every
-other argv, including -h and every usage error, goes to the argparse parser
-`build_parser` builds from the table, the only producer of help, usage and
-error text.
+keys each leaf's builder and options by its route words, and `_leaf`
+derives from them, on a route's first read, its `func` (its report under
+its route words), option dests, defaults and required options.  `main`
+reads a well-formed argv -- a route, then pairs of an exact option string
+and its value -- against that Leaf into the Namespace argparse would
+build.  Every other argv, including -h and every usage error, goes to the
+argparse parser `build_parser` builds from the table, the only producer
+of help, usage and error text.
+
+Importing `cli` loads only `jsonio`, which writes every report, and the two
+modules it needs, `matrices` and `exact`.  Each builder imports the
+library modules it calls, so they load when its route is first
+dispatched, and a report process loads only its own route's modules.  A value the library owns -- the
+--case choices and the sutured and holonomy defaults -- stands in the
+table as a `Lib`, where to find it, and is read from its module when
+`_leaf` first derives its route or `build_parser` builds the parser.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from . import holonomy, homology, jsonio, penner, polytope, sutured
+from . import jsonio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,6 +102,8 @@ def _report(command: str, build, args) -> dict:
 
 def _twist_action(system, word) -> tuple:
     """(M, M - Id, det(M - Id), b2) for the action M of the word on H_1."""
+    from . import homology
+
     try:
         m = homology.word_action(word, system.generator_map())
     except ValueError as exc:  # the action-size cap; only an input word can reach it
@@ -101,6 +112,8 @@ def _twist_action(system, word) -> tuple:
 
 
 def cmd_vmatrix(args) -> dict:
+    from . import penner
+
     m, diff, det, _ = _twist_action(*penner.chain_system(args.genus))
     target = args.genus + 1
     return {
@@ -116,6 +129,8 @@ def cmd_vmatrix(args) -> dict:
 
 
 def cmd_candidates(args) -> dict:
+    from . import polytope
+
     if args.spec is not None:
         spec = _load(args.spec, "spec", jsonio.norm_spec_from_json)
     else:
@@ -140,6 +155,8 @@ def cmd_candidates(args) -> dict:
 
 
 def cmd_penner(args) -> dict:
+    from . import penner
+
     if args.input is not None:
         system, word = _load(args.input, "input", jsonio.penner_input_from_json)
     else:
@@ -161,6 +178,8 @@ def cmd_penner(args) -> dict:
 
 
 def cmd_sutured_chi(args) -> dict:
+    from . import sutured
+
     s = sutured.CorneredSurface(args.base_chi, args.convex, args.concave)
     return {
         "base_chi": args.base_chi,
@@ -172,6 +191,8 @@ def cmd_sutured_chi(args) -> dict:
 
 
 def cmd_sutured_core_disk(args) -> dict:
+    from . import sutured
+
     disk = sutured.core_disk(sutured.SuturedSolidTorus(args.wraps, args.sutures))
     return {
         "longitude_wraps": args.wraps,
@@ -183,6 +204,8 @@ def cmd_sutured_core_disk(args) -> dict:
 
 
 def cmd_sutured_pairing(args) -> dict:
+    from . import sutured
+
     tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
     pairing = sutured.euler_pairing(tangencies)
     chi = sutured.poincare_hopf_chi(tangencies)
@@ -198,6 +221,8 @@ def cmd_sutured_pairing(args) -> dict:
 
 
 def cmd_sutured_witness(args) -> dict:
+    from . import sutured
+
     w = sutured.novikov_witness(args.k, args.m)
     return {
         "witness": jsonio.witness_to_json(w),
@@ -206,6 +231,8 @@ def cmd_sutured_witness(args) -> dict:
 
 
 def cmd_holonomy(args) -> dict:
+    from . import holonomy
+
     if args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
             raise ValueError("provide both --u and --v, or neither")
@@ -227,8 +254,23 @@ def cmd_holonomy(args) -> dict:
 
 # -- command line ----------------------------------------------------------------
 
+
+class Lib(NamedTuple):
+    """A keyword value that a library module owns, written in the table as
+    where to find it, so that no route's module is imported to build the
+    table: attribute path `path` of tautcalc module `module`."""
+
+    module: str
+    path: str
+
+    def read(self):
+        """The value; the package's `__getattr__` imports the module on first use."""
+        return functools.reduce(getattr, (self.module, *self.path.split(".")), sys.modules[__package__])
+
+
 # The command line, declared once.  An option is its long option string and
-# its argparse keywords, among type, required, default, choices and help.
+# its argparse keywords, among type, required, default, choices and help; a
+# library-owned value is a Lib, and a Lib's choices are read as a tuple.
 COMMON_OPTIONS = {
     # no default: an absent --format reads None, which `_emit` writes as text
     "--format": dict(choices=("text", "json"), help="report format (default: text)"),
@@ -246,27 +288,42 @@ COMMANDS = (
      {"--input": dict(help="JSON file with the curve system and word (default: the genus-3 chain system)")}),
     (("sutured", "chi"), cmd_sutured_chi, None,
      {"--base-chi": dict(type=int, required=True),
-      "--convex": dict(type=int, default=sutured.CorneredSurface.convex),
-      "--concave": dict(type=int, default=sutured.CorneredSurface.concave)}),
+      "--convex": dict(type=int, default=Lib("sutured", "CorneredSurface.convex")),
+      "--concave": dict(type=int, default=Lib("sutured", "CorneredSurface.concave"))}),
     (("sutured", "core-disk"), cmd_sutured_core_disk, None,
      {"--wraps": dict(type=int, required=True, help="longitudinal wraps of each suture"),
-      "--sutures": dict(type=int, default=sutured.SuturedSolidTorus.suture_count)}),
+      "--sutures": dict(type=int, default=Lib("sutured", "SuturedSolidTorus.suture_count"))}),
     (("sutured", "pairing"), cmd_sutured_pairing, None,
      {"--input": dict(required=True, help="JSON file with a tangency list")}),
     (("sutured", "witness"), cmd_sutured_witness, None,
      {"--k": dict(type=int, required=True), "--m": dict(type=int, required=True)}),
     (("holonomy", "tau"), cmd_holonomy, None,
-     {"--case": dict(choices=tuple(holonomy.EXPRESSIONS), required=True),
-      "--samples": dict(type=int, default=holonomy.DEFAULT_SAMPLES, help="minimum number of sample points"),
-      "--tiles": dict(type=int, default=holonomy.DEFAULT_TILES, help="tiles per side to sample across"),
+     {"--case": dict(choices=Lib("holonomy", "EXPRESSIONS"), required=True),
+      "--samples": dict(type=int, default=Lib("holonomy", "DEFAULT_SAMPLES"), help="minimum number of sample points"),
+      "--tiles": dict(type=int, default=Lib("holonomy", "DEFAULT_TILES"), help="tiles per side to sample across"),
       "--u": dict(help="JSON file for the first map (default: bundled shift)"),
       "--v": dict(help="JSON file for the second map (default: bundled shift)")}),
 )
+# each leaf's route words -> (builder, options); `_leaf` derives the rest
+LEAVES = {route: (build, options) for route, build, _, options in COMMANDS}
 
 
 def _subcommand_dest(words) -> str:
     """The Namespace field that names the subcommand chosen after words."""
     return "_".join((*words, "command"))
+
+
+def _keywords(options: dict) -> dict:
+    """The argparse keywords of the common options and options, each Lib read."""
+    return {option: {key: _keyword(key, value) for key, value in keywords.items()}
+            for option, keywords in {**COMMON_OPTIONS, **options}.items()}
+
+
+def _keyword(key: str, value):
+    """The value of one keyword: a Lib read, as a tuple for choices; any other value as is."""
+    if not isinstance(value, Lib):
+        return value
+    return tuple(value.read()) if key == "choices" else value.read()
 
 
 class Leaf(NamedTuple):
@@ -277,9 +334,11 @@ class Leaf(NamedTuple):
     required: frozenset  # the option strings argv must give
 
 
-def _derive(route, build, options) -> Leaf:
-    """The Leaf of the route whose report build makes, taking the common options and options."""
-    options = {**COMMON_OPTIONS, **options}
+@functools.cache
+def _leaf(route) -> Leaf:
+    """The Leaf of a route of LEAVES, derived on its first read, which reads its Lib values."""
+    build, options = LEAVES[route]
+    options = _keywords(options)
     # argparse's dest for a long option: --base-chi is read into base_chi
     fields = {option: (option[2:].replace("-", "_"), kw.get("type"), kw.get("choices"))
               for option, kw in options.items()}
@@ -287,9 +346,6 @@ def _derive(route, build, options) -> Leaf:
     defaults.update({fields[option][0]: kw.get("default") for option, kw in options.items()},
                     func=functools.partial(_report, " ".join(route), build))
     return Leaf(fields, defaults, frozenset(option for option, kw in options.items() if kw.get("required")))
-
-
-LEAVES = {route: _derive(route, build, options) for route, build, _, options in COMMANDS}
 
 
 @functools.cache
@@ -306,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
             subparsers[group] = p.add_subparsers(dest=_subcommand_dest(group), required=True)
         # argparse lists a subcommand in its parent's help only when it has a help
         p = subparsers[group].add_parser(route[-1], **({} if leaf_help is None else {"help": leaf_help}))
-        for option, keywords in {**COMMON_OPTIONS, **options}.items():
+        for option, keywords in _keywords(options).items():
             p.add_argument(option, **keywords)
-        p.set_defaults(func=LEAVES[route].defaults["func"])
+        p.set_defaults(func=_leaf(route).defaults["func"])
     return parser
 
 
@@ -319,9 +375,10 @@ def _read(argv):
     if not all(type(token) is str for token in argv):
         return None
     n = 1 if tuple(argv[:1]) in LEAVES else 2
-    leaf, pairs = LEAVES.get(tuple(argv[:n])), argv[n:]
-    if leaf is None or len(pairs) % 2:
+    route, pairs = tuple(argv[:n]), argv[n:]
+    if route not in LEAVES or len(pairs) % 2:
         return None
+    leaf = _leaf(route)
     args, given = dict(leaf.defaults), set()
     for option, value in zip(pairs[::2], pairs[1::2]):
         field = leaf.fields.get(option)

@@ -15,7 +15,10 @@ A curve system keeps only its nonzeros (class pairs and crossings).  Its
 dense coordinates and lower triangle are the schema's form, read and
 written only here: `curve_system_from_json` checks their lengths and that
 the counts are nonnegative, then hands the nonzeros to `HomologyClass` and
-`CurveSystem`; a "0" entry is skipped unparsed.
+`CurveSystem`; a "0" entry is skipped unparsed.  At module level `jsonio`
+imports only `exact` and `matrices` (the writers test for an `IntMatrix`);
+each schema function imports the domain types it builds or checks when it
+runs, so importing `jsonio`, and `cli` with it, loads no route's module.
 
 Reports are written as lists of pieces: `json_pieces` gives the pieces
 whose join is exactly what `json.dumps(report, indent=2)` returns, and
@@ -66,15 +69,17 @@ from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
-from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from .exact import frac, frac_pair, is_int
-from .holonomy import ConjugacyWitness, PLHomeo, check_breakpoint_count
-from .homology import Family, HomologyClass, TwistGenerator, TwistWord, check_genus, check_labels
 from .matrices import IntMatrix
-from .penner import CurveSystem, PennerReport, Region, check_genus_cap
-from .polytope import CandidatePoint, NormSpec, RatPolytope
-from .sutured import NovikovWitness, Tangency, TangencyKind
+
+if TYPE_CHECKING:  # each schema function imports the types it builds
+    from .holonomy import ConjugacyWitness, PLHomeo
+    from .homology import TwistWord
+    from .penner import CurveSystem, PennerReport
+    from .polytope import CandidatePoint, NormSpec, RatPolytope
+    from .sutured import NovikovWitness, Tangency
 
 
 # -- scalar encoding -----------------------------------------------------------
@@ -445,6 +450,9 @@ def word_to_json(word: TwistWord) -> List[dict]:
 
 
 def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
+    from .homology import Family, HomologyClass, TwistGenerator, check_genus
+    from .penner import CurveSystem, Region
+
     obj = _expect_map(data, field)
     genus = parse_int(_get(obj, "genus", field), f"{field}.genus")
     _build(f"{field}.genus", check_genus, genus)
@@ -488,6 +496,8 @@ def curve_system_from_json(data: Any, field: str = "system") -> CurveSystem:
 
 
 def word_from_json(data: Any, field: str = "word") -> TwistWord:
+    from .homology import TwistWord
+
     letters = []
     for i, entry in enumerate(_expect_list(data, field)):
         at = f"{field}[{i}]"
@@ -499,6 +509,9 @@ def word_from_json(data: Any, field: str = "word") -> TwistWord:
 def penner_input_from_json(data: Any, field: str = "input") -> Tuple[CurveSystem, TwistWord]:
     """The penner document: a curve system plus the word over its labels,
     at a genus the report can print."""
+    from .homology import check_labels
+    from .penner import check_genus_cap
+
     system = curve_system_from_json(data, field)
     word = word_from_json(_get(data, "word", field), f"{field}.word")
     check_labels(word, system.generator_map(), f"{field}.word")
@@ -540,6 +553,8 @@ def norm_spec_to_json(spec: NormSpec) -> dict:
 
 
 def norm_spec_from_json(data: Any, field: str = "spec") -> NormSpec:
+    from .polytope import NormSpec
+
     obj = _expect_map(data, field)
     chi_raw = _expect_list(_get(obj, "chi", field), f"{field}.chi")
     if len(chi_raw) != 2:
@@ -569,6 +584,8 @@ def candidates_to_json(points: Sequence[CandidatePoint]) -> Table:
 
 
 def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]:
+    from .sutured import Tangency, TangencyKind
+
     out = []
     for i, entry in enumerate(_expect_list(data, field)):
         at = f"{field}[{i}]"
@@ -607,6 +624,8 @@ def pl_to_json(f: PLHomeo) -> dict:
 
 
 def pl_from_json(data: Any, field: str = "map") -> PLHomeo:
+    from .holonomy import PLHomeo
+
     obj = _expect_map(data, field)
     bps, vals = (_rational_list(obj, key, field) for key in ("breakpoints", "values"))
     return _build(field, PLHomeo._from_pairs, bps, vals)
@@ -616,6 +635,8 @@ def _rational_list(obj: Mapping, key: str, field: str) -> List[Tuple[int, int]]:
     """The lowest-terms pairs of a map's breakpoints or values, in one pass
     of frac_pair; their count is checked before any of them is parsed, and
     a bad entry is found again by the per-entry walk, which names its path."""
+    from .holonomy import check_breakpoint_count
+
     at = f"{field}.{key}"
     raw = _expect_list(_get(obj, key, field), at)
     _build(field, check_breakpoint_count, len(raw))

@@ -1168,22 +1168,80 @@ def test_imports_only_the_standard_library():
     assert not extra, f"non-stdlib modules imported: {sorted(extra)}"
 
 
+def _tautcalc_modules(code, cwd=None):
+    """The tautcalc modules loaded after code runs in a fresh interpreter
+    that imports from src/; -B keeps bytecode out of src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+            "print(*(m for m in sys.modules if m.partition('.')[0] == 'tautcalc'))")
+    out = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, check=True,
+                         cwd=cwd)
+    return set(out.stdout.split())
+
+
+# what `import tautcalc.cli` loads: the package, the CLI, and the report
+# writers with the two modules they need; a route's own modules wait for it
+CLI_MODULES = {"tautcalc", "tautcalc.cli", "tautcalc.exact", "tautcalc.jsonio", "tautcalc.matrices"}
+
+
 @pytest.mark.parametrize("module, expected", [
     ("tautcalc", {"tautcalc"}),
     ("tautcalc.holonomy", {"tautcalc", "tautcalc.exact", "tautcalc.holonomy"}),
     ("tautcalc.penner", {"tautcalc", "tautcalc.exact", "tautcalc.matrices", "tautcalc.homology", "tautcalc.penner"}),
-    ("tautcalc.cli", {"tautcalc", "tautcalc.cli", "tautcalc.exact", "tautcalc.holonomy", "tautcalc.homology",
-                      "tautcalc.jsonio", "tautcalc.matrices", "tautcalc.penner", "tautcalc.polytope",
-                      "tautcalc.sutured"}),
+    ("tautcalc.cli", CLI_MODULES),
+    ("tautcalc.jsonio", {"tautcalc", "tautcalc.jsonio", "tautcalc.exact", "tautcalc.matrices"}),
 ])
 def test_importing_a_module_loads_only_what_it_needs(module, expected):
     # the package root re-exports nothing, so a library module pulls in only
-    # its own imports; -B keeps bytecode out of src/
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-            "print(*(m for m in sys.modules if m.partition('.')[0] == 'tautcalc'))")
-    out = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert set(out.stdout.split()) == expected
+    # its own imports
+    assert _tautcalc_modules(f"import {module}") == expected
+
+
+# (route words, options, the modules the route loads beyond CLI_MODULES)
+ROUTE_MODULES = [
+    (("vmatrix",), ["--genus", "6"], {"penner", "homology"}),
+    (("candidates",), ["--genus", "3"], {"polytope"}),
+    (("penner",), [], {"penner", "homology"}),
+    (("sutured", "chi"), ["--base-chi", "1"], {"sutured"}),
+    (("sutured", "core-disk"), ["--wraps", "3"], {"sutured"}),
+    (("sutured", "pairing"), ["--input", "tangencies.json"], {"sutured"}),
+    (("sutured", "witness"), ["--k", "2", "--m", "3"], {"sutured"}),
+    (("holonomy", "tau"), ["--case", "a", "--tiles", "1", "--samples", "4"], {"holonomy"}),
+]
+
+
+def test_route_modules_name_every_route():
+    assert [route for route, *_ in ROUTE_MODULES] == list(cli.LEAVES)
+
+
+@pytest.mark.parametrize("route, options, modules", ROUTE_MODULES, ids=[" ".join(route) for route, *_ in ROUTE_MODULES])
+def test_a_report_loads_only_its_route_modules(tmp_path, route, options, modules):
+    (tmp_path / "tangencies.json").write_text(json.dumps([{"kind": "saddle", "sign": 1}]))
+    argv = [*route, *options, "--output", "report.txt"]
+    code = f"from tautcalc import cli\nassert cli.main({argv!r}) == 0"
+    assert _tautcalc_modules(code, cwd=tmp_path) == CLI_MODULES | {f"tautcalc.{m}" for m in modules}
+    assert (tmp_path / "report.txt").stat().st_size > 0
+
+
+def test_package_root_imports_a_submodule_on_first_access():
+    code = """
+import tautcalc
+assert [m for m in sys.modules if m.partition(".")[0] == "tautcalc"] == ["tautcalc"]
+assert tautcalc.holonomy.PLHomeo.__module__ == "tautcalc.holonomy"
+try:
+    from tautcalc import PLHomeo
+except ImportError:
+    pass
+else:
+    raise SystemExit("from tautcalc import PLHomeo succeeded")
+try:
+    tautcalc.nosuch
+except AttributeError as exc:
+    assert str(exc) == "module 'tautcalc' has no attribute 'nosuch'", exc
+else:
+    raise SystemExit("tautcalc.nosuch resolved")
+"""
+    assert _tautcalc_modules(code) == {"tautcalc", "tautcalc.exact", "tautcalc.holonomy"}
 
 
 @pytest.mark.parametrize("index", [0, 6])
