@@ -14,7 +14,7 @@ subcommand's route words, `cmd_*` builder, help and options as argparse
 keywords, beside the common options and the two groups' help.  LEAVES
 keys each leaf's builder and options by its route words, and `_leaf`
 derives from them, on a route's first read, its `func` (its report under
-its route words), option dests, defaults and required options.  `main`
+its route words), option dests and required options.  `main`
 reads a well-formed argv -- a route, then pairs of an exact option string
 and its value -- against that Leaf into the Namespace argparse would
 build.  Every other argv, including -h and every usage error, goes to the
@@ -24,10 +24,12 @@ of help, usage and error text.
 Importing `cli` loads only `jsonio`, which writes every report, and the two
 modules it needs, `matrices` and `exact`.  Each builder imports the
 library modules it calls, so they load when its route is first
-dispatched, and a report process loads only its own route's modules.  A value the library owns -- the
---case choices and the sutured and holonomy defaults -- stands in the
-table as a `Lib`, where to find it, and is read from its module when
-`_leaf` first derives its route or `build_parser` builds the parser.
+dispatched, and a report process loads only its own route's modules.  No
+option declares a default: a builder passes the library only the options
+argv gave (`_given`), so the library's own signatures set the rest.  The
+--case choices, the one library value argparse prints, stand in the table
+as a `Lib`, read from `holonomy` when `_leaf` first derives its route or
+`build_parser` builds the parser.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ def _write_blocks(fh, pieces: list) -> None:
 def _report(command: str, build, args) -> dict:
     """The report build(args) makes, under the subcommand words command."""
     return {"command": command, **build(args)}
+
+
+def _given(**options) -> dict:
+    """The options argv gave, by keyword: each one that is not None."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -180,11 +187,9 @@ def cmd_penner(args) -> dict:
 def cmd_sutured_chi(args) -> dict:
     from . import sutured
 
-    s = sutured.CorneredSurface(args.base_chi, args.convex, args.concave)
+    s = sutured.CorneredSurface(args.base_chi, **_given(convex=args.convex, concave=args.concave))
     return {
-        "base_chi": args.base_chi,
-        "convex": args.convex,
-        "concave": args.concave,
+        **vars(s),
         "chi": jsonio.fmt_frac(sutured.sutured_chi(s)),
         "checks": [],
     }
@@ -193,10 +198,10 @@ def cmd_sutured_chi(args) -> dict:
 def cmd_sutured_core_disk(args) -> dict:
     from . import sutured
 
-    disk = sutured.core_disk(sutured.SuturedSolidTorus(args.wraps, args.sutures))
+    torus = sutured.SuturedSolidTorus(args.wraps, **_given(suture_count=args.sutures))
+    disk = sutured.core_disk(torus)
     return {
-        "longitude_wraps": args.wraps,
-        "suture_count": args.sutures,
+        **vars(torus),
         "convex_corners": disk.convex,
         "chi": jsonio.fmt_frac(sutured.sutured_chi(disk)),
         "checks": [],
@@ -240,7 +245,7 @@ def cmd_holonomy(args) -> dict:
         v = _load(args.v, "v", jsonio.pl_from_json)
     else:
         u, v = holonomy.bundled_shifts()
-    _, witness = holonomy.solve_conjugacy(u, v, args.case, args.tiles, args.samples)
+    _, witness = holonomy.solve_conjugacy(u, v, args.case, **_given(tiles_per_side=args.tiles, samples=args.samples))
     return {
         "case": witness.case,
         "expression": witness.expression,
@@ -258,21 +263,22 @@ def cmd_holonomy(args) -> dict:
 class Lib(NamedTuple):
     """A keyword value that a library module owns, written in the table as
     where to find it, so that no route's module is imported to build the
-    table: attribute path `path` of tautcalc module `module`."""
+    table: attribute `name` of tautcalc module `module`."""
 
     module: str
-    path: str
+    name: str
 
     def read(self):
         """The value; the package's `__getattr__` imports the module on first use."""
-        return functools.reduce(getattr, (self.module, *self.path.split(".")), sys.modules[__package__])
+        return getattr(getattr(sys.modules[__package__], self.module), self.name)
 
 
 # The command line, declared once.  An option is its long option string and
-# its argparse keywords, among type, required, default, choices and help; a
-# library-owned value is a Lib, and a Lib's choices are read as a tuple.
+# its argparse keywords, among type, required, choices and help; a
+# library-owned value is a Lib.  No option declares a default, so an absent
+# option reads None: `_emit` writes a None --format as text, and a builder
+# leaves a None option to the library's own default.
 COMMON_OPTIONS = {
-    # no default: an absent --format reads None, which `_emit` writes as text
     "--format": dict(choices=("text", "json"), help="report format (default: text)"),
     "--output": dict(help="write the report to this path instead of stdout"),
 }
@@ -287,20 +293,17 @@ COMMANDS = (
     (("penner",), cmd_penner, "validate a twist word over a curve system",
      {"--input": dict(help="JSON file with the curve system and word (default: the genus-3 chain system)")}),
     (("sutured", "chi"), cmd_sutured_chi, None,
-     {"--base-chi": dict(type=int, required=True),
-      "--convex": dict(type=int, default=Lib("sutured", "CorneredSurface.convex")),
-      "--concave": dict(type=int, default=Lib("sutured", "CorneredSurface.concave"))}),
+     {"--base-chi": dict(type=int, required=True), "--convex": dict(type=int), "--concave": dict(type=int)}),
     (("sutured", "core-disk"), cmd_sutured_core_disk, None,
-     {"--wraps": dict(type=int, required=True, help="longitudinal wraps of each suture"),
-      "--sutures": dict(type=int, default=Lib("sutured", "SuturedSolidTorus.suture_count"))}),
+     {"--wraps": dict(type=int, required=True, help="longitudinal wraps of each suture"), "--sutures": dict(type=int)}),
     (("sutured", "pairing"), cmd_sutured_pairing, None,
      {"--input": dict(required=True, help="JSON file with a tangency list")}),
     (("sutured", "witness"), cmd_sutured_witness, None,
      {"--k": dict(type=int, required=True), "--m": dict(type=int, required=True)}),
     (("holonomy", "tau"), cmd_holonomy, None,
      {"--case": dict(choices=Lib("holonomy", "EXPRESSIONS"), required=True),
-      "--samples": dict(type=int, default=Lib("holonomy", "DEFAULT_SAMPLES"), help="minimum number of sample points"),
-      "--tiles": dict(type=int, default=Lib("holonomy", "DEFAULT_TILES"), help="tiles per side to sample across"),
+      "--samples": dict(type=int, help="minimum number of sample points"),
+      "--tiles": dict(type=int, help="tiles per side to sample across"),
       "--u": dict(help="JSON file for the first map (default: bundled shift)"),
       "--v": dict(help="JSON file for the second map (default: bundled shift)")}),
 )
@@ -315,22 +318,15 @@ def _subcommand_dest(words) -> str:
 
 def _keywords(options: dict) -> dict:
     """The argparse keywords of the common options and options, each Lib read."""
-    return {option: {key: _keyword(key, value) for key, value in keywords.items()}
+    return {option: {key: value.read() if isinstance(value, Lib) else value for key, value in keywords.items()}
             for option, keywords in {**COMMON_OPTIONS, **options}.items()}
-
-
-def _keyword(key: str, value):
-    """The value of one keyword: a Lib read, as a tuple for choices; any other value as is."""
-    if not isinstance(value, Lib):
-        return value
-    return tuple(value.read()) if key == "choices" else value.read()
 
 
 class Leaf(NamedTuple):
     """What `_read` needs of one leaf of COMMANDS, derived once."""
 
     fields: dict  # option string -> (dest, type, choices)
-    defaults: dict  # the Namespace before any option is read, `func` included
+    defaults: dict  # the Namespace before any option is read: every option None, `func` included
     required: frozenset  # the option strings argv must give
 
 
@@ -343,7 +339,7 @@ def _leaf(route) -> Leaf:
     fields = {option: (option[2:].replace("-", "_"), kw.get("type"), kw.get("choices"))
               for option, kw in options.items()}
     defaults = {_subcommand_dest(route[:i]): word for i, word in enumerate(route)}
-    defaults.update({fields[option][0]: kw.get("default") for option, kw in options.items()},
+    defaults.update(dict.fromkeys(dest for dest, *_ in fields.values()),
                     func=functools.partial(_report, " ".join(route), build))
     return Leaf(fields, defaults, frozenset(option for option, kw in options.items() if kw.get("required")))
 

@@ -921,7 +921,8 @@ _COMMON = [
 
 # each parser below build_parser(): (prog, the help its parent lists it with,
 # or SUPPRESS when the parent lists no line for it, and each action's
-# (option strings, dest, type, default, required, choices, help))
+# (option strings, dest, type, default, required, choices, help)); no table
+# option declares a default, so each option's default is None
 DECLARATION = {
     "": ("tautcalc", None, [
         _HELP,
@@ -948,13 +949,13 @@ DECLARATION = {
     "sutured chi": ("tautcalc sutured chi", argparse.SUPPRESS, [
         _HELP, *_COMMON,
         (("--base-chi",), "base_chi", int, None, True, None, None),
-        (("--convex",), "convex", int, 0, False, None, None),
-        (("--concave",), "concave", int, 0, False, None, None),
+        (("--convex",), "convex", int, None, False, None, None),
+        (("--concave",), "concave", int, None, False, None, None),
     ]),
     "sutured core-disk": ("tautcalc sutured core-disk", argparse.SUPPRESS, [
         _HELP, *_COMMON,
         (("--wraps",), "wraps", int, None, True, None, "longitudinal wraps of each suture"),
-        (("--sutures",), "sutures", int, 2, False, None, None),
+        (("--sutures",), "sutures", int, None, False, None, None),
     ]),
     "sutured pairing": ("tautcalc sutured pairing", argparse.SUPPRESS, [
         _HELP, *_COMMON,
@@ -972,8 +973,8 @@ DECLARATION = {
     "holonomy tau": ("tautcalc holonomy tau", argparse.SUPPRESS, [
         _HELP, *_COMMON,
         (("--case",), "case", None, None, True, ("a", "b", "c", "d", "e", "f"), None),
-        (("--samples",), "samples", int, 64, False, None, "minimum number of sample points"),
-        (("--tiles",), "tiles", int, 8, False, None, "tiles per side to sample across"),
+        (("--samples",), "samples", int, None, False, None, "minimum number of sample points"),
+        (("--tiles",), "tiles", int, None, False, None, "tiles per side to sample across"),
         (("--u",), "u", None, None, False, None, "JSON file for the first map (default: bundled shift)"),
         (("--v",), "v", None, None, False, None, "JSON file for the second map (default: bundled shift)"),
     ]),
@@ -982,14 +983,14 @@ DECLARATION = {
 
 def _declared(parser, route=(), help=None):
     """(route, (prog, help, actions)) for parser and each parser below it, in
-    the fields of DECLARATION; a subparsers action's choices are its words."""
+    the fields of DECLARATION; an action's choices are read as a tuple, so a
+    subparsers action's are its words and --case's the keys of its mapping."""
     actions, children = [], []
     for action in parser._actions:
-        choices = action.choices
         if action.nargs == argparse.PARSER:
             listed = {choice.dest: choice.help for choice in action._choices_actions}
-            children = [(name, child, listed.get(name, argparse.SUPPRESS)) for name, child in choices.items()]
-            choices = tuple(choices)
+            children = [(name, child, listed.get(name, argparse.SUPPRESS)) for name, child in action.choices.items()]
+        choices = None if action.choices is None else tuple(action.choices)
         actions.append((tuple(action.option_strings), action.dest, action.type, action.default,
                         action.required, choices, action.help))
     yield " ".join(route), (parser.prog, help, actions)
@@ -1107,9 +1108,10 @@ def test_table_options_are_what_the_reader_reads():
     for option, keywords in options:
         # so that every argparse reads "-" and digits after an option as a value
         assert option.startswith("--") and not re.fullmatch(r"-\d+|-\d*\.\d+", option), option
-        # `_read` applies these keywords alone; a str default argparse would convert with type
-        assert set(keywords) <= {"type", "required", "default", "choices", "help"}, option
-        assert not isinstance(keywords.get("default"), str), option
+        # `_read` applies these keywords alone; no option declares a default,
+        # so an absent option reads None in both readers and each default is
+        # written once, in the library signature or type it belongs to
+        assert set(keywords) <= {"type", "required", "choices", "help"}, option
 
 
 # argv whose value argparse reads as a negative number, though it is not "-"
@@ -1135,6 +1137,32 @@ def test_negative_numbers_the_reader_leaves_to_argparse(monkeypatch, tmp_path, c
 @pytest.mark.parametrize("argv", [["vmatrix", "--gen", "6"], ["vmatrix", "--genus=6"]])
 def test_option_spellings_argparse_accepts(capsys, argv):
     assert run(capsys, *argv) == run(capsys, "vmatrix", "--genus", "6")
+
+
+# argv that leaves options out, and the values the library gives them in the report
+LIBRARY_DEFAULTS = [
+    (["sutured", "chi", "--base-chi", "1"], {"convex": 0, "concave": 0}),
+    (["sutured", "core-disk", "--wraps", "3"], {"suture_count": 2}),
+    (["holonomy", "tau", "--case", "a"], {"tiles_per_side": holonomy.DEFAULT_TILES}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, values", LIBRARY_DEFAULTS, ids=[" ".join(argv) for argv, _ in LIBRARY_DEFAULTS])
+def test_absent_options_take_library_defaults_in_both_readers(capsys, argv, values, fmt):
+    # `_read` reads "--opt value" and argparse alone reads "--opt=value"; an
+    # absent option is None in both Namespaces, and the library fills it in
+    argv = [*argv, "--format", fmt]
+    joined = [*argv[:2], *(f"{option}={value}" for option, value in zip(argv[2::2], argv[3::2]))]
+    assert cli._read(argv) is not None and cli._read(joined) is None
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined) == (code, out, err)
+    if fmt == "json":
+        report = json.loads(out)
+        assert {key: report[key] for key in values} == values
+    else:
+        assert all(f"\n{key}: {value}\n" in out for key, value in values.items()), out
 
 
 @pytest.mark.parametrize(
@@ -1221,6 +1249,25 @@ def test_a_report_loads_only_its_route_modules(tmp_path, route, options, modules
     code = f"from tautcalc import cli\nassert cli.main({argv!r}) == 0"
     assert _tautcalc_modules(code, cwd=tmp_path) == CLI_MODULES | {f"tautcalc.{m}" for m in modules}
     assert (tmp_path / "report.txt").stat().st_size > 0
+
+
+# help and usage errors build the whole parser, which prints one library
+# value, the --case choices; so they load `holonomy` and no other route's module
+@pytest.mark.parametrize("argv, exit_code", [(["sutured", "chi", "-h"], 0),
+                                             (["sutured", "core-disk", "--wraps", "x"], 2)], ids=["help", "usage error"])
+def test_help_and_usage_errors_load_only_holonomy(argv, exit_code):
+    code = f"""
+import contextlib, io
+from tautcalc import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main({argv!r})
+    except SystemExit as exc:
+        assert exc.code == {exit_code}, exc.code
+    else:
+        raise AssertionError("argparse did not answer")
+"""
+    assert _tautcalc_modules(code) == CLI_MODULES | {"tautcalc.holonomy"}
 
 
 def test_package_root_imports_a_submodule_on_first_access():
