@@ -18,9 +18,11 @@ second the class S.  Norm balls are built from the four norm values
 x(F), x(S), x(S+F), x(S-F) (Thurston, "A norm for the homology of
 3-manifolds", 1986); their polar duals are the dual-norm balls.  A
 `NormSpec` decides in closed form whether a norm takes its four values,
-and the ball is built from them only where it is used.  Values and
-coordinates go through `exact.frac`, so a library call rejects a bool,
-float or exponent string just as an input file does.  The dual
+and the ball is built from them only where it is used.  It caps each
+value at MAX_NORM_VALUE, and each value's numerator and denominator at
+MAX_NORM_BITS bits, since a report writes the balls' vertices in decimal.
+Values and coordinates go through `exact.frac`, so a library call rejects
+a bool, float or exponent string just as an input file does.  The dual
 norm of a batch of points is read off the ball's vertices, one column of
 integer pairings per vertex.  The points of dual norm one on a lattice
 spacing*Z^2 are found by walking the dual ball's edges, on each of which
@@ -142,15 +144,21 @@ def polar_dual(p: RatPolytope) -> RatPolytope:
 # -- norm balls ---------------------------------------------------------------
 
 # The dual ball lies in the box |x| <= x(F), |y| <= x(S), and a report lists
-# every point of 2Z^2 on its boundary, so the values are capped.
+# every point of 2Z^2 on its boundary, so the values are capped.  A report
+# writes the balls' vertices in decimal, and their parts are products of the
+# values' parts, so each value's numerator and denominator is capped too:
+# with 4096-bit parts the longest integer a report prints has about 2500
+# digits, within int()'s default limit of 4300 on string conversion.
 MAX_NORM_VALUE = 4096
+MAX_NORM_BITS = 4096
 
 
 @dataclass(frozen=True)
 class NormSpec:
     """Norm data on the rank-two lattice spanned by F and S.
 
-    Values are the norms of F, S, S+F and S-F, each at most MAX_NORM_VALUE;
+    Values are the norms of F, S, S+F and S-F, each at most MAX_NORM_VALUE
+    with numerator and denominator of at most MAX_NORM_BITS bits;
     chi records the Euler characteristics (chi(F), chi(S)) that candidate
     points must match mod 2.  The spec owns the rule that a norm takes the
     four values: the eight points +-(1,0)/x(F), +-(1,1)/x(S+F),
@@ -176,6 +184,8 @@ class NormSpec:
                 raise ValueError(f"{name} must be positive")
             if v > MAX_NORM_VALUE:
                 raise ValueError(f"{name} must be at most {MAX_NORM_VALUE}")
+            if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_NORM_BITS:
+                raise ValueError(f"{name} parts must be at most {MAX_NORM_BITS} bits long")
         if type(self.chi) is not tuple or len(self.chi) != 2:
             raise ValueError("chi must be a tuple of two entries")
         cf, cs = self.chi

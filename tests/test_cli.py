@@ -20,7 +20,7 @@ from tautcalc.homology import MAX_ACTION_BITS, MAX_TWIST_EXPONENT
 from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_ENTRY_BITS, MAX_SAMPLES, MAX_TILES
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
-from tautcalc.polytope import MAX_NORM_VALUE
+from tautcalc.polytope import MAX_NORM_BITS, MAX_NORM_VALUE
 from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
 
 
@@ -35,9 +35,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def _bundled_penner_doc():
-    """The input document of the genus-3 chain system that `penner` reports on by default."""
-    system, word = chain_system(3)
+def _bundled_penner_doc(genus=3):
+    """The input document of the genus-g chain system; `penner` reports on
+    the genus-3 one by default."""
+    system, word = chain_system(genus)
     return {**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)}
 
 
@@ -221,6 +222,8 @@ REPORT_BUDGET_S = 2.0
 LARGEST_INPUTS = {
     "candidates-genus": ["candidates", "--genus", str(MAX_NORM_VALUE // 2)],
     "candidates-spec": ["candidates", "--genus", "3", "--spec", "spec.json"],
+    # values whose numerators and denominators all have MAX_NORM_BITS bits
+    "candidates-spec-long-parts": ["candidates", "--genus", "3", "--spec", "long-parts.json"],
     "vmatrix": ["vmatrix", "--genus", str(MAX_CHAIN_GENUS)],
     "sutured-chi": ["sutured", "chi", "--base-chi", str(-MAX_SURFACE_COUNT),
                     "--convex", str(MAX_SURFACE_COUNT), "--concave", str(MAX_SURFACE_COUNT)],
@@ -228,6 +231,8 @@ LARGEST_INPUTS = {
     "sutured-witness": ["sutured", "witness", "--k", str(MAX_WITNESS_K), "--m", str(MAX_WITNESS_M)],
     # one tile fewer than the cap gives the most points: 3 in each of 8190 tiles
     "holonomy-tau": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1), "--samples", str(MAX_SAMPLES)],
+    # one tile per side repeats no chart point, so no tile map's memo is hit
+    "holonomy-tau-one-tile": ["holonomy", "tau", "--case", "a", "--tiles", "1", "--samples", str(MAX_SAMPLES)],
     # the same layout over two maps of the most breakpoints, with parts of the most bits
     "holonomy-tau-long-entries": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1),
                                   "--samples", str(MAX_SAMPLES), "--u", "u.json", "--v", "v.json"],
@@ -252,6 +257,14 @@ def _map_at_entry_cap(shift):
     return {"breakpoints": entries(shift), "values": entries(shift + 2 * n + 1)}
 
 
+def _spec_at_part_cap():
+    """A valid spec whose eight value parts have MAX_NORM_BITS bits, each its
+    own: x(F) and x(S) just under 1, x(S+F) and x(S-F) just over."""
+    d = 2 ** MAX_NORM_BITS - 3
+    values = [f"{d - 1}/{d}", f"{d - 3}/{d - 2}", f"{d - 4}/{d - 5}", f"{d - 6}/{d - 7}"]
+    return {**dict(zip(("x_f", "x_s", "x_sum", "x_diff"), values)), "chi": ["0", "0"]}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("route", list(LARGEST_INPUTS))
 def test_largest_inputs_end_within_budget(monkeypatch, tmp_path, route, fmt):
@@ -260,6 +273,7 @@ def test_largest_inputs_end_within_budget(monkeypatch, tmp_path, route, fmt):
     value = str(MAX_NORM_VALUE)
     (tmp_path / "spec.json").write_text(json.dumps(
         {"x_f": value, "x_s": value, "x_sum": value, "x_diff": value, "chi": ["0", "0"]}))
+    (tmp_path / "long-parts.json").write_text(json.dumps(_spec_at_part_cap()))
     for name, shift in (("u", 1), ("v", 3)):
         (tmp_path / f"{name}.json").write_text(json.dumps(_map_at_entry_cap(shift)))
     start = time.perf_counter()
@@ -345,6 +359,14 @@ def test_candidates_norm_value_cap(tmp_path, capsys):
     code, out, err = run(capsys, "candidates", "--genus", "3", "--spec", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: spec: x_s must be at most {cap}\n"
+    # unit fractions of 2200 digits: their report would write integers past
+    # the 4300 digits int() converts to a string
+    a, b = 10**2199 + 1, 10**2199 + 3
+    path.write_text(json.dumps({"x_f": f"1/{a}", "x_s": f"1/{b}", "x_sum": f"1/{a}", "x_diff": f"1/{a}",
+                                "chi": ["0", "0"]}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "candidates", "--genus", "3", "--spec", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: spec: x_f parts must be at most {MAX_NORM_BITS} bits long\n")
     code, out, err = run(capsys, "candidates", "--genus", str(cap // 2 + 1))
     assert (code, out) == (2, "")
     assert err == f"error: genus must be at most {cap // 2}\n"
@@ -834,15 +856,38 @@ def test_output_file(tmp_path, capsys):
     assert doc["status"] == "PASS"
 
 
+def _map_doc(grow):
+    """The map taking 2i/15 - 1 to grow(i)/225 - 1 for i = 0..15: 16
+    breakpoints, the most a benchmark map has."""
+    return {"breakpoints": [jsonio.fmt_frac(Fraction(2 * i, 15) - 1) for i in range(16)],
+            "values": [jsonio.fmt_frac(Fraction(grow(i), 225) - 1) for i in range(16)]}
+
+
+# input files the reports below read, each written where the test runs
+_SINK_FILES = {
+    "chain.json": lambda: _bundled_penner_doc(MAX_CHAIN_GENUS),
+    "u.json": lambda: _map_doc(lambda i: i * (i + 15)),
+    "v.json": lambda: _map_doc(lambda i: i * (45 - i)),
+}
+
 # the bundled penner, a small vmatrix, candidates (more pieces than one
-# block holds, as JSON) and the bundled holonomy cases
+# block holds, as JSON) and the bundled holonomy cases; then the largest
+# eliminations a report runs, vmatrix and penner --input at the genus cap,
+# the latter the largest document the curve-system pairing reads; and
+# holonomy tau over two map files, where case e also sets up their inverses
 _STOCK_REPORTS = [("penner",), ("vmatrix", "--genus", "6"), ("candidates", "--genus", "3"),
-                  *(("holonomy", "tau", "--case", case) for case in "abcdef")]
+                  *(("holonomy", "tau", "--case", case) for case in "abcdef"),
+                  ("vmatrix", "--genus", str(MAX_CHAIN_GENUS)), ("penner", "--input", "chain.json"),
+                  *(("holonomy", "tau", "--case", case, "--tiles", "256", "--samples", "4096",
+                     "--u", "u.json", "--v", "v.json") for case in "ae")]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("argv", _STOCK_REPORTS, ids=" ".join)
 def test_both_sinks_write_the_joined_report(monkeypatch, tmp_path, capsys, argv, fmt):
+    monkeypatch.chdir(tmp_path)
+    for name in _SINK_FILES.keys() & set(argv):
+        (tmp_path / name).write_text(json.dumps(_SINK_FILES[name]()))
     writer = "json_pieces" if fmt == "json" else "text_pieces"
     pieces, reports = getattr(jsonio, writer), []
     monkeypatch.setattr(jsonio, writer, lambda report: reports.append(report) or pieces(report))

@@ -9,7 +9,7 @@ from tautcalc.holonomy import bundled_shifts
 from tautcalc.homology import word_action
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import chain_system
-from tautcalc.polytope import NormSpec, norm_ball_from_values
+from tautcalc.polytope import MAX_NORM_BITS, NormSpec, norm_ball_from_values
 from tautcalc.sutured import novikov_witness
 
 
@@ -99,8 +99,14 @@ def test_parse_frac_rejects_exponent_notation(value):
 
 def test_parse_frac_accepts_fractions_decimals_and_long_digits():
     assert read_x_f("0.5").x_f == Fraction(1, 2)
-    p, q = 10**3999 + 1, 10**3999 + 3
+    # parts of 1233 digits, 4093 bits, within the cap on a spec value's parts
+    p, q = 10**1232 + 1, 10**1232 + 3
     assert read_x_f(f"{p}/{q}").x_f == Fraction(p, q)
+    # 4000 digits parse, but are past the spec's cap on a value's parts
+    p, q = 10**3999 + 1, 10**3999 + 3
+    with pytest.raises(ValueError) as exc:
+        read_x_f(f"{p}/{q}")
+    assert str(exc.value) == f"spec: x_f parts must be at most {MAX_NORM_BITS} bits long"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Property tests: every JSON schema round-trips, every malformed input
-file ends in exit 2 with one error line that names its field path, the
+file ends in exit 2 with one error line that names its field path, valid
+norm specs and maps at the caps end in a report within the budget, the
 dual ball's edge walk finds the points of a box scan, and the sparse
 elimination agrees with dense Bareiss on banded matrices."""
 
@@ -9,21 +10,23 @@ import io
 import itertools
 import json
 import re
+import time
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tautcalc import jsonio
 from tautcalc.cli import main
-from tautcalc.holonomy import PLHomeo, bundled_shifts
+from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_ENTRY_BITS, PLHomeo, bundled_shifts
 from tautcalc.homology import Family, TwistGenerator, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region, chain_system
-from tautcalc.polytope import NormSpec, candidate_points
+from tautcalc.polytope import MAX_NORM_BITS, MAX_NORM_VALUE, NormSpec, candidate_points
 from tautcalc.sutured import Tangency, TangencyKind
 from oracles import dense_class, dense_coords, pairing_dense
+from test_cli import REPORT_BUDGET_S, _map_at_entry_cap
 from test_matrices import assert_matches_dense
 from test_polytope import boundary_points_by_scan
 
@@ -366,3 +369,96 @@ def test_malformed_tangency_file(workdir, text):
 def test_malformed_pl_file(workdir, text, bad_is_u):
     u, v = ("bad.json", "good.json") if bad_is_u else ("good.json", "bad.json")
     _rejects(workdir, text, ["holonomy", "tau", "--case", "a", "--u", u, "--v", v])
+
+
+# -- valid documents at the caps -----------------------------------------------------
+
+
+def _report_or_field_error(workdir, argv):
+    """Run argv: it ends in a report (exit 0 or 1) within REPORT_BUDGET_S, or
+    in exit 2 with one error line that names its field path."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(workdir / a) if a.endswith(".json") else a for a in argv])
+    elapsed = time.perf_counter() - start
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 1 and ERROR_LINE.match(lines[0]), lines
+    else:
+        assert code in (0, 1) and out.getvalue() and not lines, (code, lines)
+        assert elapsed < REPORT_BUDGET_S, elapsed
+
+
+NORM_PART = 2 ** MAX_NORM_BITS - 1  # the largest numerator or denominator of a spec value
+
+
+def _norm_value(draw, lo, hi, fallback):
+    """A rational in [lo, hi] with numerator and denominator in 1..NORM_PART;
+    fallback, such a rational in [lo, hi], when none has the drawn denominator."""
+    bits = draw(st.integers(1, MAX_NORM_BITS))
+    q = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    p_lo, p_hi = max(ceil(lo * q), 1), min(floor(hi * q), NORM_PART)
+    return Fraction(draw(st.integers(p_lo, p_hi)), q) if p_lo <= p_hi else fallback
+
+
+@st.composite
+def specs_at_the_caps(draw):
+    """A valid spec document whose values reach MAX_NORM_VALUE and whose parts
+    reach MAX_NORM_BITS bits.  With m = max(x(F), x(S)) and hi the smaller
+    of x(F) + x(S) and MAX_NORM_VALUE, the larger diagonal value lies in
+    [m, hi] and the other in [2m - larger, hi], which is every pair the rule
+    takes."""
+    x_f, x_s = (_norm_value(draw, 0, MAX_NORM_VALUE, MAX_NORM_VALUE) for _ in range(2))
+    m, hi = max(x_f, x_s), min(x_f + x_s, MAX_NORM_VALUE)
+    larger = _norm_value(draw, m, hi, m)
+    other = _norm_value(draw, 2 * m - larger, hi, m)
+    diagonals = (larger, other) if draw(st.booleans()) else (other, larger)
+    chi = (2 * draw(st.integers(-5, 1)), 2 * draw(st.integers(-5, 1)))
+    return jsonio.norm_spec_to_json(NormSpec(x_f, x_s, *diagonals, chi))
+
+
+@settings(PROPS, max_examples=60)
+@given(specs_at_the_caps())
+# unit fractions at the cap: unbounded, such a spec's report wrote integers
+# past the 4300 digits int() converts to a string
+@example({"x_f": f"1/{NORM_PART}", "x_s": f"1/{NORM_PART - 2}", "x_sum": f"1/{NORM_PART - 2}",
+          "x_diff": f"1/{NORM_PART - 2}", "chi": ["0", "0"]})
+def test_spec_at_the_caps_ends_in_a_report(workdir, doc):
+    (workdir / "spec.json").write_text(json.dumps(doc))
+    _report_or_field_error(workdir, ["candidates", "--genus", "3", "--spec", "spec.json"])
+
+
+@st.composite
+def maps_at_the_caps(draw):
+    """A valid map document of up to MAX_BREAKPOINTS breakpoints, whose
+    interior breakpoints and values have parts of up to MAX_ENTRY_BITS bits;
+    the entries come from a seeded Random, as so many would not fit in one
+    example's draws."""
+    count = draw(st.integers(0, MAX_BREAKPOINTS - 2))
+    bits = draw(st.integers(2, MAX_ENTRY_BITS))
+    rng = draw(st.randoms(use_true_random=True))
+
+    def interior():
+        points = set()
+        for _ in range(count):
+            d = rng.randrange(2, 2 ** bits)
+            points.add(Fraction(rng.randrange(1 - d, d), d))
+        return sorted(points)
+
+    breakpoints, values = interior(), interior()
+    n = min(len(breakpoints), len(values))
+    return {"breakpoints": ["-1", *map(jsonio.fmt_frac, breakpoints[:n]), "1"],
+            "values": ["-1", *map(jsonio.fmt_frac, values[:n]), "1"]}
+
+
+@settings(PROPS, max_examples=20)
+@given(maps_at_the_caps(), maps_at_the_caps(), st.sampled_from("abcdef"), st.integers(1, 8), st.integers(1, 64))
+# two maps of MAX_BREAKPOINTS breakpoints and MAX_ENTRY_BITS-bit parts, and
+# the case that also sets up their inverses
+@example(_map_at_entry_cap(1), _map_at_entry_cap(3), "e", 8, 64)
+def test_maps_at_the_caps_end_in_a_report(workdir, u, v, case, tiles, samples):
+    for name, doc in (("u", u), ("v", v)):
+        (workdir / f"{name}.json").write_text(json.dumps(doc))
+    _report_or_field_error(workdir, ["holonomy", "tau", "--case", case, "--tiles", str(tiles),
+                                     "--samples", str(samples), "--u", "u.json", "--v", "v.json"])
