@@ -875,7 +875,7 @@ _SINK_FILES = {
 # eliminations a report runs, vmatrix and penner --input at the genus cap,
 # the latter the largest document the curve-system pairing reads; and
 # holonomy tau over two map files, where case e also sets up their inverses
-_STOCK_REPORTS = [("penner",), ("vmatrix", "--genus", "6"), ("candidates", "--genus", "3"),
+_SINK_REPORTS = [("penner",), ("vmatrix", "--genus", "6"), ("candidates", "--genus", "3"),
                   *(("holonomy", "tau", "--case", case) for case in "abcdef"),
                   ("vmatrix", "--genus", str(MAX_CHAIN_GENUS)), ("penner", "--input", "chain.json"),
                   *(("holonomy", "tau", "--case", case, "--tiles", "256", "--samples", "4096",
@@ -883,7 +883,7 @@ _STOCK_REPORTS = [("penner",), ("vmatrix", "--genus", "6"), ("candidates", "--ge
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("argv", _STOCK_REPORTS, ids=" ".join)
+@pytest.mark.parametrize("argv", _SINK_REPORTS, ids=" ".join)
 def test_both_sinks_write_the_joined_report(monkeypatch, tmp_path, capsys, argv, fmt):
     monkeypatch.chdir(tmp_path)
     for name in _SINK_FILES.keys() & set(argv):

@@ -7,6 +7,7 @@ import pytest
 
 from tautcalc import polytope
 from tautcalc.polytope import (
+    MAX_NORM_BITS,
     MAX_NORM_VALUE,
     NormSpec,
     RatPolytope,
@@ -351,6 +352,15 @@ def test_norm_values_capped():
             NormSpec(*values, chi=(-2, -2))
     with pytest.raises(ValueError, match=f"at most {cap}"):
         NormSpec(1, Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), Fr(2 * cap + 1, 2), chi=(-2, -2))
+    # each value's numerator and denominator are capped in bits
+    top = 2 ** MAX_NORM_BITS
+    NormSpec(*[Fr(top - 2, top - 1)] * 4, chi=(0, 0))
+    for i, name in enumerate(("x_f", "x_s", "x_sum", "x_diff")):
+        for long in (Fr(top + 1, top - 1), Fr(1, top + 1)):
+            values = [Fr(top - 2, top - 1)] * 4
+            values[i] = long
+            with pytest.raises(ValueError, match=f"^{name} parts must be at most {MAX_NORM_BITS} bits long$"):
+                NormSpec(*values, chi=(0, 0))
 
 
 def test_surgery_family_genus_capped():

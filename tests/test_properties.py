@@ -301,13 +301,20 @@ def workdir(tmp_path_factory):
     return path
 
 
-def _rejects(workdir, text, argv):
-    (workdir / "bad.json").write_text(text)
+def _run(workdir, argv):
+    """(exit code, stdout, stderr lines, seconds) of main(argv), each .json
+    argument read from workdir."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(workdir / a) if a.endswith(".json") else a for a in argv])
-    lines = err.getvalue().splitlines()
-    assert (code, out.getvalue()) == (2, ""), text
+    return code, out.getvalue(), err.getvalue().splitlines(), time.perf_counter() - start
+
+
+def _rejects(workdir, text, argv):
+    (workdir / "bad.json").write_text(text)
+    code, out, lines, _ = _run(workdir, argv)
+    assert (code, out) == (2, ""), text
     assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (lines, text)
     return lines[0]
 
@@ -377,16 +384,11 @@ def test_malformed_pl_file(workdir, text, bad_is_u):
 def _report_or_field_error(workdir, argv):
     """Run argv: it ends in a report (exit 0 or 1) within REPORT_BUDGET_S, or
     in exit 2 with one error line that names its field path."""
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(workdir / a) if a.endswith(".json") else a for a in argv])
-    elapsed = time.perf_counter() - start
-    lines = err.getvalue().splitlines()
+    code, out, lines, elapsed = _run(workdir, argv)
     if code == 2:
-        assert out.getvalue() == "" and len(lines) == 1 and ERROR_LINE.match(lines[0]), lines
+        assert out == "" and len(lines) == 1 and ERROR_LINE.match(lines[0]), lines
     else:
-        assert code in (0, 1) and out.getvalue() and not lines, (code, lines)
+        assert code in (0, 1) and out and not lines, (code, lines)
         assert elapsed < REPORT_BUDGET_S, elapsed
 
 
