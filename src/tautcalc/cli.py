@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands wrap the library modules one-to-one.  Each returns its report,
-and `main` writes it as text (`jsonio.text_pieces`) or, with --format json,
-as deterministic JSON (`jsonio.json_pieces`, byte for byte
-`json.dumps(report, indent=2)`), BLOCK_PIECES pieces per write, so a matrix
-report is held once.  A report depends only on the argv and the input files.
+every integer in it a decimal string, and `main` writes it as text
+(`jsonio.text_pieces`) or, with --format json, as deterministic JSON
+(`jsonio.json_pieces`, byte for byte `json.dumps(report, indent=2)`),
+BLOCK_PIECES pieces per write, so a matrix report is held once.  A report depends only on the argv and the input files.
 Exit codes: 0 when every check in the report passes, 1 when some check
 fails, 2 for bad input.  Bad input is reported in one line; for an input
 file it names the field path.
@@ -124,7 +124,7 @@ def cmd_vmatrix(args) -> dict:
     m, diff, det, _ = _twist_action(*penner.chain_system(args.genus))
     target = args.genus + 1
     return {
-        "genus": args.genus,
+        "genus": str(args.genus),
         "matrix": m,
         "matrix_minus_identity": diff,
         "det_abs": str(abs(det)),
@@ -152,7 +152,7 @@ def cmd_candidates(args) -> dict:
         checks.append({"name": f"point (0, {-tip}) flagged as the non-realizable candidate", "pass": flagged})
     checks.append({"name": "every listed point has dual norm one", "pass": norm_one})
     return {
-        "genus": args.genus,
+        "genus": str(args.genus),
         "norm_spec": jsonio.norm_spec_to_json(spec),
         "ball": jsonio.polytope_to_json(ball),
         "dual_ball": jsonio.polytope_to_json(dual),
@@ -172,10 +172,10 @@ def cmd_penner(args) -> dict:
     action, _, _, b2 = _twist_action(system, word)
     trivial = b2 == 1
     return {
-        "genus": system.genus,
+        "genus": str(system.genus),
         "report": jsonio.penner_report_to_json(report_obj),
         "action_matrix": action,
-        "mapping_torus_b2": b2,
+        "mapping_torus_b2": str(b2),
         "fixed_homology_trivial": trivial,
         "checks": [
             {"name": "word is a valid opposite-twist word", "pass": report_obj.word_valid},
@@ -189,7 +189,7 @@ def cmd_sutured_chi(args) -> dict:
 
     s = sutured.CorneredSurface(args.base_chi, **_given(convex=args.convex, concave=args.concave))
     return {
-        **vars(s),
+        **{name: str(value) for name, value in vars(s).items()},
         "chi": jsonio.fmt_frac(sutured.sutured_chi(s)),
         "checks": [],
     }
@@ -201,8 +201,8 @@ def cmd_sutured_core_disk(args) -> dict:
     torus = sutured.SuturedSolidTorus(args.wraps, **_given(suture_count=args.sutures))
     disk = sutured.core_disk(torus)
     return {
-        **vars(torus),
-        "convex_corners": disk.convex,
+        **{name: str(value) for name, value in vars(torus).items()},
+        "convex_corners": str(disk.convex),
         "chi": jsonio.fmt_frac(sutured.sutured_chi(disk)),
         "checks": [],
     }
@@ -212,12 +212,10 @@ def cmd_sutured_pairing(args) -> dict:
     from . import sutured
 
     tangencies = _load(args.input, "input", jsonio.tangencies_from_json)
-    pairing = sutured.euler_pairing(tangencies)
-    chi = sutured.poincare_hopf_chi(tangencies)
     report = {
         "tangencies": jsonio.tangencies_to_json(tangencies),
-        "euler_pairing": pairing,
-        "poincare_hopf_chi": chi,
+        "euler_pairing": str(sutured.euler_pairing(tangencies)),
+        "poincare_hopf_chi": str(sutured.poincare_hopf_chi(tangencies)),
         "checks": [],
     }
     if all(t.kind is sutured.TangencyKind.SADDLE for t in tangencies):
@@ -251,7 +249,7 @@ def cmd_holonomy(args) -> dict:
         "expression": witness.expression,
         "u": jsonio.pl_to_json(u),
         "v": jsonio.pl_to_json(v),
-        "tiles_per_side": witness.tiles_per_side,
+        "tiles_per_side": str(witness.tiles_per_side),
         "samples": jsonio.conjugacy_samples_to_json(witness),
         "checks": [{"name": "conjugacy identity exact at all samples", "pass": witness.all_passed}],
     }

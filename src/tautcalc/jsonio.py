@@ -2,15 +2,15 @@
 
 Integers and rationals travel as decimal strings ("p/q" for non-integral
 rationals) so consumers never lose precision, and matrices are row-major
-arrays of such strings, but twelve report fields are bare JSON numbers,
-which a reader that parses numbers as doubles may round past 2**53: `genus`,
-`mapping_torus_b2`, `tiles_per_side`, `base_chi`, `convex`, `concave`,
-`longitude_wraps`, `suture_count`, `convex_corners`, `euler_pairing`,
-`poincare_hopf_chi` and `tangencies[].sign`.  Parsers check only the JSON
-shape and call the owner of every other rule: the domain types, `exact`,
-`homology.check_genus`, `homology.check_labels` and
-`penner.check_genus_cap`.  Either way a parser raises ValueError prefixed
-with the field path, so the CLI can report where an input file went wrong.
+arrays of such strings.  The report writer has no path for a bare number
+or a null and raises TypeError on one, so a report prints every integer
+as a decimal string.  Parsers also take a bare integer for an integer.
+They check only the JSON shape and call the owner of every other rule:
+the domain types, `exact`, `homology.check_genus`, `homology.check_labels`,
+`penner.check_genus_cap`, `holonomy.check_breakpoint_count` and
+`sutured.check_tangency_count`.  Either way a parser raises ValueError
+prefixed with the field path, so the CLI can report where an input file
+went wrong.
 A curve system keeps only its nonzeros (class pairs and crossings).  Its
 dense coordinates and lower triangle are the schema's form, read and
 written only here: `curve_system_from_json` checks their lengths and that
@@ -22,9 +22,8 @@ runs, so importing `jsonio`, and `cli` with it, loads no route's module.
 
 Reports are written as lists of pieces: `json_pieces` gives the pieces
 whose join is exactly what `json.dumps(report, indent=2)` returns, and
-`text_pieces` those of the text report.  `dumps_report` and `render_text`
-return those joins; `cli._emit` writes the join of each block of
-consecutive pieces instead, so a large report is held once, as its
+`text_pieces` those of the text report.  `cli._emit` writes the join of
+each block of consecutive pieces, so a large report is held once, as its
 pieces, and never also as one string and that string's UTF-8 copy.
 
 A list of strings, such as a coordinate pair, is written in one join.
@@ -155,7 +154,7 @@ def _build(field: str, make: Callable, *args):
 
 
 class Table:
-    """A list of records stored by column, for `dumps_report`: record i is
+    """A list of records stored by column, for `json_pieces`: record i is
     {key: column[i] for each key}, in key order.  A column holds strs,
     bools, or tuples of strs that all have one length."""
 
@@ -178,16 +177,12 @@ def _interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int
     return "".join(chain.from_iterable(zip(*cells, repeat(seps[-1], rows))))
 
 
-def dumps_report(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte, for a tree of dicts with
-    str keys, lists, strings, ints, bools, None, `Table`s and `IntMatrix`es,
-    a Table being written as its list of records and a matrix as its rows
-    of decimal strings: the join of `json_pieces(report)`."""
-    return "".join(json_pieces(report))
-
-
 def json_pieces(report: dict) -> List[str]:
-    """The pieces whose join is `dumps_report(report)`.
+    """The pieces whose join is json.dumps(report, indent=2), byte for byte,
+    for a tree of dicts with str keys, lists, strings, bools, `Table`s and
+    `IntMatrix`es, a Table being written as its list of records and a
+    matrix as its rows of decimal strings; any other value, an int or None
+    among them, raises TypeError.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
     Here a string or bool in a dict is written inline with its key, a list
@@ -259,10 +254,6 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         parts.append("true")
     elif o is False:
         parts.append("false")
-    elif o is None:
-        parts.append("null")
-    elif isinstance(o, int):
-        parts.append(int.__repr__(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -351,17 +342,12 @@ def _write_rows(parts: List[str], m: IntMatrix, zero: str, sep: str, fmt: Callab
 # -- text reports ----------------------------------------------------------------
 
 
-def render_text(report: dict) -> str:
-    """The text report: one "key: value" line per entry, a nested dict or a
-    list of records indented under its key, a check as a "[PASS]" or
-    "[FAIL]" line, and a matrix as its rows of five-character cells; the
-    join of `text_pieces(report)`."""
-    return "".join(text_pieces(report))
-
-
 def text_pieces(report: dict) -> List[str]:
-    """The pieces whose join is `render_text(report)`: one per line, one
-    per matrix row, and a Table's records in one piece."""
+    """The pieces of the text report, one per line, one per matrix row, and
+    a Table's records in one piece.  The report is one "key: value" line per
+    entry, a nested dict or a list of records indented under its key, a
+    check as a "[PASS]" or "[FAIL]" line, and a matrix as its rows of
+    five-character cells."""
     parts: List[str] = []
     _text(report, "", parts)
     if parts:
@@ -406,7 +392,7 @@ def _text_section(report: dict, pad: str, parts: List[str]) -> None:
 
 
 def _render_table(table: Table, pad: str) -> str:
-    """The lines `render_text` gives the table's list of records, each after
+    """The lines `text_pieces` gives the table's list of records, each after
     a newline: one "key: value" line per cell and a "-" line between
     records, in one join."""
     columns = table.columns
@@ -584,10 +570,12 @@ def candidates_to_json(points: Sequence[CandidatePoint]) -> Table:
 
 
 def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]:
-    from .sutured import Tangency, TangencyKind
+    from .sutured import Tangency, TangencyKind, check_tangency_count
 
+    raw = _expect_list(data, field)
+    _build(field, check_tangency_count, len(raw))  # before any entry is parsed
     out = []
-    for i, entry in enumerate(_expect_list(data, field)):
+    for i, entry in enumerate(raw):
         at = f"{field}[{i}]"
         e = _expect_map(entry, at)
         kind = _get_enum(e, "kind", at, TangencyKind)
@@ -596,7 +584,7 @@ def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]
 
 
 def tangencies_to_json(tangencies: Sequence[Tangency]) -> List[dict]:
-    return [{"kind": t.kind.value, "sign": t.sign} for t in tangencies]
+    return [{"kind": t.kind.value, "sign": str(t.sign)} for t in tangencies]
 
 
 def witness_to_json(w: NovikovWitness) -> dict:

@@ -95,6 +95,18 @@ class Tangency:
         return _INDEX[self.kind]
 
 
+# A pairing report lists every tangency, and its time grows with their
+# count: 10**5 of them took about 0.5 s as a report in either format, a
+# quarter of the two seconds a report at its caps is given.
+MAX_TANGENCIES = 100_000
+
+
+def check_tangency_count(count: int) -> None:
+    """Refuse a tangency list of more than MAX_TANGENCIES entries."""
+    if count > MAX_TANGENCIES:
+        raise ValueError(f"a tangency list has at most {MAX_TANGENCIES} entries, got {count}")
+
+
 def euler_pairing(tangencies: Iterable[Tangency]) -> int:
     """Signed index sum: the Euler-class pairing with the surface."""
     return sum(t.sign * t.index for t in tangencies)

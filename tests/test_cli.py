@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from golden import assert_pinned
 
 from tautcalc import cli, holonomy, homology, jsonio, polytope
 from tautcalc.cli import main
@@ -21,7 +22,7 @@ from tautcalc.holonomy import MAX_BREAKPOINTS, MAX_ENTRY_BITS, MAX_SAMPLES, MAX_
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import MAX_CHAIN_GENUS, chain_system
 from tautcalc.polytope import MAX_NORM_BITS, MAX_NORM_VALUE
-from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
+from tautcalc.sutured import MAX_SURFACE_COUNT, MAX_TANGENCIES, MAX_TORUS_COUNT, MAX_WITNESS_K, MAX_WITNESS_M
 
 
 def run(capsys, *argv):
@@ -229,6 +230,7 @@ LARGEST_INPUTS = {
                     "--convex", str(MAX_SURFACE_COUNT), "--concave", str(MAX_SURFACE_COUNT)],
     "sutured-core-disk": ["sutured", "core-disk", "--wraps", str(MAX_TORUS_COUNT), "--sutures", str(MAX_TORUS_COUNT)],
     "sutured-witness": ["sutured", "witness", "--k", str(MAX_WITNESS_K), "--m", str(MAX_WITNESS_M)],
+    "sutured-pairing": ["sutured", "pairing", "--input", "tangencies.json"],
     # one tile fewer than the cap gives the most points: 3 in each of 8190 tiles
     "holonomy-tau": ["holonomy", "tau", "--case", "a", "--tiles", str(MAX_TILES - 1), "--samples", str(MAX_SAMPLES)],
     # one tile per side repeats no chart point, so no tile map's memo is hit
@@ -265,22 +267,45 @@ def _spec_at_part_cap():
     return {**dict(zip(("x_f", "x_s", "x_sum", "x_diff"), values)), "chi": ["0", "0"]}
 
 
+def _saddles(count):
+    """count saddles of alternating signs, so the list is not fully marked."""
+    return [{"kind": "saddle", "sign": "-1" if i % 2 else "1"} for i in range(count)]
+
+
+# the input files of LARGEST_INPUTS, each written where its test runs
+_LARGEST_FILES = {
+    "spec.json": lambda: {**dict.fromkeys(("x_f", "x_s", "x_sum", "x_diff"), str(MAX_NORM_VALUE)), "chi": ["0", "0"]},
+    "long-parts.json": _spec_at_part_cap,
+    "u.json": lambda: _map_at_entry_cap(1),
+    "v.json": lambda: _map_at_entry_cap(3),
+    "tangencies.json": lambda: _saddles(MAX_TANGENCIES),
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("route", list(LARGEST_INPUTS))
 def test_largest_inputs_end_within_budget(monkeypatch, tmp_path, route, fmt):
     # no hang: every route's largest allowed input ends in a report
     monkeypatch.chdir(tmp_path)
-    value = str(MAX_NORM_VALUE)
-    (tmp_path / "spec.json").write_text(json.dumps(
-        {"x_f": value, "x_s": value, "x_sum": value, "x_diff": value, "chi": ["0", "0"]}))
-    (tmp_path / "long-parts.json").write_text(json.dumps(_spec_at_part_cap()))
-    for name, shift in (("u", 1), ("v", 3)):
-        (tmp_path / f"{name}.json").write_text(json.dumps(_map_at_entry_cap(shift)))
+    for name in _LARGEST_FILES.keys() & set(LARGEST_INPUTS[route]):
+        (tmp_path / name).write_text(json.dumps(_LARGEST_FILES[name]()))
     start = time.perf_counter()
     code = main([*LARGEST_INPUTS[route], "--format", fmt, "--output", "report"])
     elapsed = time.perf_counter() - start
     assert code == 0 and (tmp_path / "report").stat().st_size > 0
     assert elapsed < REPORT_BUDGET_S, f"{route} --format {fmt}: {elapsed:.3f} s"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_tangency_list_length_capped(tmp_path, capsys, fmt):
+    # the length is refused before any entry is parsed, so a list of bad
+    # entries one past the cap names its length, not its first entry
+    path = tmp_path / "tangencies.json"
+    path.write_text(json.dumps([None] * (MAX_TANGENCIES + 1)))
+    error = f"error: input: a tangency list has at most {MAX_TANGENCIES} entries, got {MAX_TANGENCIES + 1}\n"
+    assert run(capsys, "sutured", "pairing", "--input", str(path), "--format", fmt) == (2, "", error)
+    path.write_text(json.dumps(_saddles(MAX_TANGENCIES + 1)))
+    assert run(capsys, "sutured", "pairing", "--input", str(path), "--format", fmt) == (2, "", error)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -399,7 +424,7 @@ def test_penner_bundled_fixture(capsys):
     code, doc = run_json(capsys, "penner")
     assert code == 0
     assert doc["report"]["word_valid"] is True
-    assert doc["mapping_torus_b2"] == 1
+    assert doc["mapping_torus_b2"] == "1"
     assert doc["fixed_homology_trivial"] is True
 
 
@@ -419,7 +444,7 @@ def test_penner_fixed_class_fails(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, doc = run_json(capsys, "penner", "--input", str(path))
     assert code == 1
-    assert doc["mapping_torus_b2"] == 4
+    assert doc["mapping_torus_b2"] == "4"
     assert doc["fixed_homology_trivial"] is False
     checks = {c["name"]: c["pass"] for c in doc["checks"]}
     assert checks["no nonzero fixed homology class"] is False
@@ -457,7 +482,7 @@ def test_penner_input_genus_capped(tmp_path, monkeypatch, capsys):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(one_curve(MAX_CHAIN_GENUS)))
     code, doc = run_json(capsys, "penner", "--input", str(path))
-    assert (code, doc["genus"], len(doc["action_matrix"])) == (1, MAX_CHAIN_GENUS, 2 * MAX_CHAIN_GENUS)
+    assert (code, doc["genus"], len(doc["action_matrix"])) == (1, str(MAX_CHAIN_GENUS), 2 * MAX_CHAIN_GENUS)
 
     def refuse(*args):
         raise AssertionError("action built above the genus cap")
@@ -612,8 +637,8 @@ def test_sutured_pairing(tmp_path, capsys):
     )
     code, doc = run_json(capsys, "sutured", "pairing", "--input", str(path))
     assert code == 0
-    assert doc["euler_pairing"] == 1
-    assert doc["poincare_hopf_chi"] == -1
+    assert doc["euler_pairing"] == "1"
+    assert doc["poincare_hopf_chi"] == "-1"
 
 
 def test_holonomy_tau(capsys):
@@ -627,7 +652,7 @@ def test_holonomy_tau(capsys):
 def test_holonomy_tiles_used_as_given(capsys):
     code, doc = run_json(capsys, "holonomy", "tau", "--case", "a", "--tiles", "3", "--samples", "4")
     assert code == 0
-    assert doc["tiles_per_side"] == 3
+    assert doc["tiles_per_side"] == "3"
     assert len(doc["samples"]) == 3 + 2 * 3
 
 
@@ -700,24 +725,25 @@ def _map_with(entry):
 
 # entries that a map file may hold besides plain 'p/q' and 'p', each with
 # the sha256 of the JSON report; the digests were taken when every entry
-# was still parsed by Fraction(str)
+# was still parsed by Fraction(str), and re-pinned through
+# `golden.assert_pinned` when every integer in a report became a string
 ACCEPTED_ENTRIES = [
     pytest.param(_map_with(" 0 "),
-                 "f5f1d2fd172187d9948fac948f2af01e5f79c64600ebc3fd27540edd3dc3da69", id="spaces"),
+                 "852fe85d00ef7660fc824b2f32e1f23b85a769231cf6612718b75b0522051688", id="spaces"),
     pytest.param(_map_with("\t1/2\n"),
-                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="tab-newline"),
+                 "1f72063a81b8bb558409f74d73f2a91091110e5fdb25e89628c7aa6fb918fe57", id="tab-newline"),
     pytest.param(_map_with("1_0/2_0"),
-                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="underscores"),
+                 "1f72063a81b8bb558409f74d73f2a91091110e5fdb25e89628c7aa6fb918fe57", id="underscores"),
     pytest.param(_map_with(".5"),
-                 "4e6b690fa84209fcd729e26976b6dc379da4922301797f390fe09decf6747b55", id="decimal"),
+                 "1f72063a81b8bb558409f74d73f2a91091110e5fdb25e89628c7aa6fb918fe57", id="decimal"),
     pytest.param(_map_with("+1/3"),
-                 "00dae8b4d9963efeed488846a838a28f4c534503635312cda54f2737b27bbee2", id="plus-sign"),
+                 "7aab2abc74e6decbd473c467010a43e8269f419ffb9807c6a5d8416bbc401509", id="plus-sign"),
     pytest.param(_map_with("٣/4"),
-                 "ade28439f1ed41f350c3f7fff295462412ea68de4c9608c63f6dd7c9737d10fe", id="arabic-indic-digit"),
+                 "882702830bfe6b81bdd3e676792d981d1dd5484b65c503ab7b13c5231e4f7d57", id="arabic-indic-digit"),
     pytest.param(_map_with("007/8"),
-                 "923537b951202e02de4d5d6738ae3c60dc53cfb6f051e24c904f44f3cf00e9e0", id="leading-zeros"),
+                 "94cc7422aed4ddc3986ee246b5f30a2e56ddf892806c5ea7d6deec11e9c1badd", id="leading-zeros"),
     pytest.param({"breakpoints": ["-2/2", "1/7", "1"], "values": ["-2/2", "1/5", "1"]},
-                 "f35a82bc559f52213fd3a270d265ac11b2396871d7ad446196ee88dfe9925a7a", id="minus-two-halves"),
+                 "1093dcb36db5e9e9c548046cc05bd57bdba89609b51652da7384768132e4c787", id="minus-two-halves"),
 ]
 
 
@@ -728,7 +754,7 @@ def test_holonomy_map_entries_accepted(tmp_path, capsys, u, sha):
     code, out, err = run(capsys, "holonomy", "tau", "--case", "a", "--tiles", "2", "--samples", "8",
                          "--u", str(tmp_path / "u.json"), "--v", str(tmp_path / "v.json"), "--format", "json")
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    assert_pinned(out, sha)
 
 
 @pytest.mark.parametrize("u, v, message", [
@@ -848,6 +874,30 @@ def test_json_report_is_stdlib_indent_2(tmp_path, capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+# a JSON report that echoes its input document, and the option that reads it
+_ECHOES = [
+    (["candidates", "--genus", "3"], "norm_spec", "--spec"),
+    (["candidates", "--genus", "29", "--spec", "@rational"], "norm_spec", "--spec"),
+    (["sutured", "pairing", "--input", "@tangencies"], "tangencies", "--input"),
+]
+
+
+@pytest.mark.parametrize("argv, echo, option", _ECHOES, ids=[" ".join(argv) for argv, _, _ in _ECHOES])
+def test_report_echoes_are_valid_inputs(tmp_path, capsys, argv, echo, option):
+    # the echo, read back as the input it stands for, gives the same report
+    inputs = {**_REPORT_INPUTS, "rational": {"x_f": "16", "x_s": "56", "x_sum": "287/4", "x_diff": "283/4",
+                                             "chi": ["-2", "-2"]}}
+    for name, doc in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(json.loads(out)[echo]))
+    given = argv[:argv.index(option)] if option in argv else argv
+    assert run(capsys, *given, option, str(path), "--format", "json") == (code, out, err)
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["vmatrix", "--genus", "6", "--format", "json", "--output", str(path)])
@@ -895,8 +945,7 @@ def test_both_sinks_write_the_joined_report(monkeypatch, tmp_path, capsys, argv,
     assert run(capsys, *argv, "--format", fmt, "--output", str(path)) == (0, "", "")
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
-    joined = (jsonio.dumps_report if fmt == "json" else jsonio.render_text)(reports[0])
-    assert path.read_bytes() == out.encode() == (joined + "\n").encode()
+    assert path.read_bytes() == out.encode() == ("".join(pieces(reports[0])) + "\n").encode()
 
 
 def test_each_block_is_dropped_before_its_write():
@@ -1186,9 +1235,9 @@ def test_option_spellings_argparse_accepts(capsys, argv):
 
 # argv that leaves options out, and the values the library gives them in the report
 LIBRARY_DEFAULTS = [
-    (["sutured", "chi", "--base-chi", "1"], {"convex": 0, "concave": 0}),
-    (["sutured", "core-disk", "--wraps", "3"], {"suture_count": 2}),
-    (["holonomy", "tau", "--case", "a"], {"tiles_per_side": holonomy.DEFAULT_TILES}),
+    (["sutured", "chi", "--base-chi", "1"], {"convex": "0", "concave": "0"}),
+    (["sutured", "core-disk", "--wraps", "3"], {"suture_count": "2"}),
+    (["holonomy", "tau", "--case", "a"], {"tiles_per_side": str(holonomy.DEFAULT_TILES)}),
 ]
 
 

@@ -33,7 +33,7 @@ def read_x_f(value):
 def test_matrix_roundtrip():
     system, word = chain_system(3)
     m = word_action(word, system.generator_map())
-    data = json.loads(jsonio.dumps_report({"m": m}))["m"]
+    data = json.loads(_joined({"m": m}))["m"]
     assert data[0] == ["2", "3", "0", "1", "0", "0"]
     assert IntMatrix([[int(e) for e in row] for row in data]) == m
 
@@ -197,46 +197,20 @@ def test_integer_lists_take_json_numbers():
     assert str(exc.value) == "sys.geo_int[4][2]: expected an integer, got a boolean"
 
 
-# -- the report writer against the stdlib oracle --------------------------------
+# -- the report writer -------------------------------------------------------------
 
 _specials = st.sampled_from(
     ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800", "/"]
 )
 _text = st.text(st.characters(exclude_categories=()) | _specials, max_size=8)
-_scalars = (
-    _text
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.booleans()
-    | st.none()
-)
-# a list of strings takes the one-join path; the recursion mixes them with other values
-_reports = st.recursive(
-    _scalars | st.lists(_text, max_size=4),
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(_text, children, max_size=5),
-    max_leaves=40,
-)
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_reports)
-# a matrix row of decimal strings takes the unescaped join; a row in which
-# one item needs an escape, or is empty, must match too
-@example({"matrix": [[str(7919 * k - 10**6) for k in range(240)]] * 2})
-@example({"row": ["12", "-3", '"', "0"]})
-@example({"row": ["12", "-3", "\\", "0"]})
-@example({"row": ["12", "-3", "\n", "0"]})
-@example({"row": ["12", "-3", "\x7f", "0"]})
-@example({"row": ["12", "-3", "\u00e9", "0"]})
-@example({"row": ["12", "-3", "\u2028", "0"]})
-@example({"row": ["12", "-3", "", "0"]})
-def test_dumps_report_matches_stdlib_indent_2(report):
-    assert jsonio.dumps_report(report) == json.dumps(report, indent=2)
+def _joined(report) -> str:
+    return "".join(jsonio.json_pieces(report))
 
 
-def test_dumps_report_rejects_inexact_values():
-    with pytest.raises(TypeError):
-        jsonio.dumps_report({"x": [0.5]})
+def _rendered(report) -> str:
+    return "".join(jsonio.text_pieces(report))
 
 
 # -- matrices ----------------------------------------------------------------------
@@ -265,12 +239,17 @@ def _nest(report, depth):
     return report
 
 
-def _dense(report):
-    """The report with every IntMatrix as its rows of decimal strings."""
+def _plain(report):
+    """The report with every IntMatrix as its rows of decimal strings and
+    every Table as its list of records."""
     if isinstance(report, IntMatrix):
         return [list(map(str, row)) for row in report.rows]
+    if isinstance(report, jsonio.Table):
+        return _records(report.columns)
     if isinstance(report, dict):
-        return {key: _dense(value) for key, value in report.items()}
+        return {key: _plain(value) for key, value in report.items()}
+    if isinstance(report, list):
+        return list(map(_plain, report))
     return report
 
 
@@ -282,8 +261,8 @@ def _dense(report):
 @example(IntMatrix([[-99999], [100000], [0]]), 0)
 def test_matrix_writes_as_its_dense_rows(m, depth):
     report = _nest({"m": m, "n": m, "after": "1"}, depth)
-    assert jsonio.dumps_report(report) == json.dumps(_dense(report), indent=2)
-    assert jsonio.render_text(report) == jsonio.render_text(_dense(report))
+    assert _joined(report) == json.dumps(_plain(report), indent=2)
+    assert _rendered(report) == _rendered(_plain(report))
 
 
 def test_matrix_reports_never_build_dense_rows(monkeypatch, tmp_path):
@@ -348,8 +327,8 @@ def test_table_writes_as_its_records(columns):
     table = jsonio.Table(columns)
     records = _records(columns)
     assert len(table) == len(records)
-    assert jsonio.dumps_report({"k": table}) == json.dumps({"k": records}, indent=2)
-    assert jsonio.render_text({"k": table}) == jsonio.render_text({"k": records})
+    assert _joined({"k": table}) == json.dumps({"k": records}, indent=2)
+    assert _rendered({"k": table}) == _rendered({"k": records})
 
 
 def test_table_rejects_ragged_or_mixed_columns():
@@ -357,38 +336,78 @@ def test_table_rejects_ragged_or_mixed_columns():
         jsonio.Table({"a": ["1", "2"], "b": [True]})
     for column in (["1", True], [("1",), ("2", "3")], [1, 2], [("1",), "2"]):
         with pytest.raises(TypeError):
-            jsonio.dumps_report({"k": jsonio.Table({"a": column})})
+            _joined({"k": jsonio.Table({"a": column})})
 
 
-def _int_paths(value, path=""):
-    """The paths in a parsed JSON document that hold an int, not a bool; the
+# -- whole reports against the stdlib oracle ---------------------------------------
+
+# a report holds strings, bools, dicts, lists, Tables and matrices; an
+# integer is a decimal string, and a list of strings takes the one-join path
+_reports = st.recursive(
+    _text | st.integers().map(str) | st.booleans() | st.lists(_text, max_size=4)
+    | _sparse_matrices() | _table_columns().map(jsonio.Table),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_text, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_reports)
+# a matrix row of decimal strings takes the unescaped join; a row in which
+# one item needs an escape, or is empty, must match too
+@example({"matrix": [[str(7919 * k - 10**6) for k in range(240)]] * 2})
+@example({"row": ["12", "-3", '"', "0"]})
+@example({"row": ["12", "-3", "\\", "0"]})
+@example({"row": ["12", "-3", "\n", "0"]})
+@example({"row": ["12", "-3", "\x7f", "0"]})
+@example({"row": ["12", "-3", "\u00e9", "0"]})
+@example({"row": ["12", "-3", "\u2028", "0"]})
+@example({"row": ["12", "-3", "", "0"]})
+def test_json_pieces_match_stdlib_indent_2(report):
+    assert _joined(report) == json.dumps(_plain(report), indent=2)
+
+
+@pytest.mark.parametrize("value", [0, -(10**30), None, 0.5], ids=["int", "long-int", "null", "float"])
+def test_json_pieces_reject_numbers_and_null(value):
+    # the writer has no path for a bare number or a null, in any position
+    for report in ({"x": value}, {"x": [value]}, {"x": ["1", value]}, {"x": {"y": value}}, [value]):
+        with pytest.raises(TypeError):
+            jsonio.json_pieces(report)
+
+
+def _number_paths(value, path=""):
+    """The paths in a parsed JSON document that hold a number or a null; the
     items of a list share the path "name[]"."""
     if isinstance(value, dict):
-        return set().union(*(_int_paths(v, f"{path}.{k}" if path else k) for k, v in value.items()))
+        return set().union(*(_number_paths(v, f"{path}.{k}" if path else k) for k, v in value.items()))
     if isinstance(value, list):
-        return set().union(*(_int_paths(v, path + "[]") for v in value))
-    return {path} if type(value) is int else set()
+        return set().union(*(_number_paths(v, path + "[]") for v in value))
+    return set() if isinstance(value, (str, bool)) else {path}
 
 
-# each leaf's stock argv and the fields its JSON report writes as bare
-# numbers, not decimal strings; the README and the jsonio docstring name them
-BARE_NUMBERS = {
-    ("vmatrix",): (["--genus", "6"], {"genus"}),
-    ("candidates",): (["--genus", "3"], {"genus"}),
-    ("penner",): ([], {"genus", "mapping_torus_b2"}),
-    ("sutured", "chi"): (["--base-chi", "-1"], {"base_chi", "convex", "concave"}),
-    ("sutured", "core-disk"): (["--wraps", "3"], {"longitude_wraps", "suture_count", "convex_corners"}),
-    ("sutured", "pairing"): (["--input", "tangencies.json"],
-                             {"euler_pairing", "poincare_hopf_chi", "tangencies[].sign"}),
-    ("sutured", "witness"): (["--k", "-24", "--m", "3"], set()),
-    ("holonomy", "tau"): (["--case", "a"], {"tiles_per_side"}),
+# each leaf's stock argv
+STOCK_ARGV = {
+    ("vmatrix",): ["--genus", "6"],
+    ("candidates",): ["--genus", "3"],
+    ("penner",): [],
+    ("sutured", "chi"): ["--base-chi", "-1"],
+    ("sutured", "core-disk"): ["--wraps", "3"],
+    ("sutured", "pairing"): ["--input", "tangencies.json"],
+    ("sutured", "witness"): ["--k", "-24", "--m", "3"],
+    ("holonomy", "tau"): ["--case", "a"],
 }
 
 
-def test_json_reports_write_only_the_named_fields_as_bare_numbers(monkeypatch, tmp_path, capsys):
-    assert set(BARE_NUMBERS) == set(cli.LEAVES)
+def test_json_reports_hold_no_bare_number(monkeypatch, tmp_path, capsys):
+    assert set(STOCK_ARGV) == set(cli.LEAVES)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tangencies.json").write_text('[{"kind": "saddle", "sign": 1}, {"kind": "center", "sign": 1}]')
-    for route, (options, paths) in BARE_NUMBERS.items():
+    for route, options in STOCK_ARGV.items():
         assert cli.main([*route, *options, "--format", "json"]) == 0, route
-        assert _int_paths(json.loads(capsys.readouterr().out)) == paths, route
+        assert _number_paths(json.loads(capsys.readouterr().out)) == set(), route
+    # 999999998000000001 convex corners, past 2**53: a reader that parses
+    # numbers as doubles still gets the count back exactly
+    assert cli.main(["sutured", "core-disk", "--wraps", "999999999", "--sutures", "999999999", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_int=float)
+    assert report["convex_corners"] == "999999998000000001"
+    assert int(report["convex_corners"]) == 999999999**2 != float(999999999**2)
