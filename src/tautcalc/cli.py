@@ -4,10 +4,10 @@ Subcommands wrap the library modules one-to-one.  Each returns its report,
 every integer in it a decimal string, and `main` writes it as text
 (`jsonio.text_pieces`) or, with --format json, as deterministic JSON
 (`jsonio.json_pieces`, byte for byte `json.dumps(report, indent=2)`),
-BLOCK_PIECES pieces per write, so a matrix report is held once.  A report depends only on the argv and the input files.
-Exit codes: 0 when every check in the report passes, 1 when some check
-fails, 2 for bad input.  Bad input is reported in one line; for an input
-file it names the field path.
+BLOCK_PIECES pieces per write, so a matrix report is held once.  A report
+depends only on the argv and the input files.  Exit codes: 0 when every
+check in the report passes, 1 when some check fails, 2 for bad input.  Bad
+input is reported in one line; for an input file it names the field path.
 
 The command line is declared once, as data: COMMANDS holds each leaf
 subcommand's route words, `cmd_*` builder, help and options as argparse

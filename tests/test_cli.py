@@ -1,6 +1,5 @@
 import argparse
 import ast
-import hashlib
 import json
 import math
 import os
