@@ -113,12 +113,6 @@ def pairings(classes: Sequence[HomologyClass]) -> dict:
     return {key: p for key, p in total.items() if p}
 
 
-def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
-    """Symplectic pairing <x, y> = x^T J y, the two-class case of
-    `pairings`."""
-    return pairings((x, y)).get((1, 0), 0)
-
-
 @dataclass(frozen=True)
 class TwistGenerator:
     """A simple closed curve we twist along, together with its class.

@@ -2,9 +2,10 @@
 
 Integers and rationals travel as decimal strings ("p/q" for non-integral
 rationals) so consumers never lose precision, and matrices are row-major
-arrays of such strings.  The report writer has no path for a bare number
-or a null and raises TypeError on one, so a report prints every integer
-as a decimal string.  Parsers also take a bare integer for an integer.
+arrays of such strings.  The report writer raises TypeError on a bare
+number or a null, so a report prints every integer as a decimal string,
+and on a string or bool that is not a dict's value or an item of a list
+of strings.  Parsers also take a bare integer for an integer.
 They check only the JSON shape and call the owner of every other rule:
 the domain types, `exact`, `homology.check_genus`, `homology.check_labels`,
 `penner.check_genus_cap`, `holonomy.check_breakpoint_count` and
@@ -181,8 +182,9 @@ def json_pieces(report: dict) -> List[str]:
     """The pieces whose join is json.dumps(report, indent=2), byte for byte,
     for a tree of dicts with str keys, lists, strings, bools, `Table`s and
     `IntMatrix`es, a Table being written as its list of records and a
-    matrix as its rows of decimal strings; any other value, an int or None
-    among them, raises TypeError.
+    matrix as its rows of decimal strings.  A string or bool stands only as
+    a dict's value, or a string in a list of strings; any other value, an
+    int or None among them, raises TypeError.
 
     The stdlib falls back to its pure-Python encoder when indent is set.
     Here a string or bool in a dict is written inline with its key, a list
@@ -248,12 +250,6 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         item = inner + "  "
         _write_rows(parts, o, "0", f'",{item}"', str, f'[{inner}[{item}"', f'"{inner}],{inner}[{item}"',
                     f'"{inner}]{nl}]')
-    elif isinstance(o, str):
-        parts.append(_encode_str(o))
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -362,7 +358,7 @@ def _text(report: dict, pad: str, parts: List[str]) -> None:
             parts += [f"\n{pad}[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in value]
         elif isinstance(value, dict):
             parts.append(f"\n{pad}{key}:")
-            _text_section(value, pad + "  ", parts)
+            _text(value, pad + "  ", parts)
         elif isinstance(value, Table) and len(value):
             parts += (f"\n{pad}{key}:", _render_table(value, pad + "  "))
         elif isinstance(value, Table):
@@ -375,20 +371,12 @@ def _text(report: dict, pad: str, parts: List[str]) -> None:
             for i, item in enumerate(value):
                 if i:
                     parts.append(f"\n{pad}  -")
-                _text_section(item, pad + "  ", parts)
+                _text(item, pad + "  ", parts)
         elif isinstance(value, list) and value and isinstance(value[0], list):
             parts.append(f"\n{pad}{key}:")
             parts += [f"\n{pad}  " + " ".join(f"{e:>5}" for e in row) for row in value]
         else:
             parts.append(f"\n{pad}{key}: {value}")
-
-
-def _text_section(report: dict, pad: str, parts: List[str]) -> None:
-    """`_text` of a nested dict; one that has no line still leaves an empty one."""
-    count = len(parts)
-    _text(report, pad, parts)
-    if len(parts) == count:
-        parts.append("\n")
 
 
 def _render_table(table: Table, pad: str) -> str:

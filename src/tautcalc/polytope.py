@@ -22,8 +22,8 @@ and the ball is built from them only where it is used.  It caps each
 value at MAX_NORM_VALUE, and each value's numerator and denominator at
 MAX_NORM_BITS bits, since a report writes the balls' vertices in decimal.
 Values and coordinates go through `exact.frac`, so a library call rejects
-a bool, float or exponent string just as an input file does.  The dual
-norm of a batch of points is read off the ball's vertices, one column of
+a bool, float or exponent string just as an input file does.  Whether
+points have dual norm one is read off the ball's vertices, one column of
 integer pairings per vertex.  The points of dual norm one on a lattice
 spacing*Z^2 are found by walking the dual ball's edges, on each of which
 they form an arithmetic progression, and each is one `CandidatePoint`, a
@@ -236,30 +236,15 @@ def norm_ball_from_values(spec: NormSpec) -> RatPolytope:
     return RatPolytope(pts)
 
 
-def _dual_norm_maxima(ball: RatPolytope, points: Iterable) -> Tuple[list, int]:
-    """(d * x*(u) for each point u, d), with d the common denominator of the
-    ball's vertices.  The vertices are scaled by d once per call and the
-    pairings are taken one vertex (one column) at a time, so an integral
-    point costs only integer arithmetic and gets an int."""
+def dual_norm_is_one(ball: RatPolytope, points: Iterable) -> bool:
+    """True when every point u has dual norm x*(u) = max over vertices v of
+    the ball of <u, v> exactly one.  The vertices are scaled once by their
+    common denominator d and paired one vertex (one column) at a time, so
+    an integral point costs only ints, and each maximum is compared with d."""
     scaled, d = _scale(ball.vertices)
     pts = [p if type(p[0]) is int and type(p[1]) is int else _point(p) for p in points]
     columns = [[x * a + y * b for x, y in pts] for a, b in scaled]
-    return list(map(max, *columns)), d
-
-
-def dual_norm_value(ball: RatPolytope, points: Iterable) -> List[Fraction]:
-    """Dual norm x*(u) = max over vertices v of the ball of <u, v>, for each
-    point u; each distinct value becomes a Fraction once."""
-    maxima, d = _dual_norm_maxima(ball, points)
-    value = {n: Fraction(n, d) for n in set(maxima)}
-    return [value[n] for n in maxima]
-
-
-def dual_norm_is_one(ball: RatPolytope, points: Iterable) -> bool:
-    """True when every point has dual norm exactly one: each maximum equals
-    d, compared with no Fraction."""
-    maxima, d = _dual_norm_maxima(ball, points)
-    return maxima.count(d) == len(maxima)
+    return set(map(max, *columns)) <= {d}
 
 
 # -- integral points and realizability ----------------------------------------

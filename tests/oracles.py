@@ -8,6 +8,9 @@ identities such as t^T J t = J and <x + y, z> = <x, z> + <y, z> without
 the library carrying code no report runs.  `pairing_dense` is x^T J y from
 the dense coordinates and `intersection_matrix`, so the library's sparse
 pairing is checked against J itself, not against its own k ^ 1 rule.
+Likewise `transvection_matrix` is the dense I + e c (Jc)^T of a twist,
+built from J, so `word_action`'s sparse rank-one updates are checked
+against the transvection itself.
 
 The polygon helpers keep the Fraction construction of a polygon, from
 before `RatPolytope` moved to one integer scale, and the Minkowski gauge,
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from tautcalc.exact import frac
-from tautcalc.homology import HomologyClass, TwistGenerator, TwistWord, word_action
+from tautcalc.homology import HomologyClass, TwistGenerator, TwistWord
 from tautcalc.matrices import IntMatrix
 
 
@@ -181,8 +184,13 @@ def twist_word(*letters):
 
 
 def transvection_matrix(c: TwistGenerator, sign=1):
-    """Homology action of the sign-handed Dehn twist along c: the one-letter word."""
-    return word_action(twist_word((c.label, sign)), {c.label: c})
+    """Homology action x -> x + sign <x, c> c of the sign-handed Dehn twist
+    along c, as the dense matrix I + sign c (Jc)^T, since <x, c> = (Jc)^T x
+    with J from `intersection_matrix`; sign may be any integer, the power
+    of the twist."""
+    v = dense_coords(c.cls)
+    jc = apply(intersection_matrix(c.cls.genus), v)
+    return IntMatrix([[int(i == j) + sign * a * b for j, b in enumerate(jc)] for i, a in enumerate(v)])
 
 
 # -- polygons -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from tautcalc.holonomy import PLHomeo, bundled_shifts, solve_conjugacy
 from tautcalc.homology import (
     Family,
     TwistGenerator,
-    algebraic_intersection,
+    TwistWord,
     mapping_torus,
     word_action,
 )
@@ -29,7 +29,7 @@ from tautcalc.polytope import (
     NormSpec,
     RatPolytope,
     candidate_points,
-    dual_norm_value,
+    dual_norm_is_one,
     norm_ball_from_values,
     polar_dual,
 )
@@ -51,6 +51,7 @@ from oracles import (
     identity,
     intersection_matrix,
     mapping_torus_dense,
+    pairing_dense,
     transpose,
     transvection_matrix,
 )
@@ -156,7 +157,7 @@ def test_dual_ball_pipeline_genus3():
         }
         for x, y in dual.vertices:
             assert x.denominator == 1 and y.denominator == 1
-        assert dual_norm_value(ball, [(0, -4)]) == [1]
+        assert gauge(dual, (0, -4)) == 1 and dual_norm_is_one(ball, [(0, -4)])
         table = {p.coords: p for p in classified}
         tip = table[(0, -4)]
         assert not tip.vertex
@@ -194,6 +195,11 @@ def _random_generator(genus, rng):
         return TwistGenerator("c", dense_class(genus, [c // g for c in coords]), Family.A)
 
 
+def _letter(c, sign):
+    """The library's action of the one-letter word c^sign."""
+    return word_action(TwistWord(((c.label, sign),)), {c.label: c})
+
+
 def test_symplectic_property_suite():
     with Criterion("1000 random transvections are symplectic and unimodular; commutation iff zero pairing", 5.0):
         rng = random.Random(2024)
@@ -201,18 +207,19 @@ def test_symplectic_property_suite():
             genus = rng.randint(2, 8)
             c = _random_generator(genus, rng)
             sign = rng.choice((1, -1))
-            t = transvection_matrix(c, sign)
+            t = _letter(c, sign)
             J = intersection_matrix(genus)
+            assert t == transvection_matrix(c, sign)
             assert transpose(t) @ J @ t == J
             assert t.det() == 1
-            assert t @ transvection_matrix(c, -sign) == identity(2 * genus)
+            assert t @ _letter(c, -sign) == identity(2 * genus)
         for _ in range(1000):
             genus = rng.randint(2, 5)
             c1 = _random_generator(genus, rng)
             c2 = _random_generator(genus, rng)
-            t1 = transvection_matrix(c1, 1)
-            t2 = transvection_matrix(c2, 1)
-            assert (t1 @ t2 == t2 @ t1) == (algebraic_intersection(c1.cls, c2.cls) == 0)
+            t1 = _letter(c1, 1)
+            t2 = _letter(c2, 1)
+            assert (t1 @ t2 == t2 @ t1) == (pairing_dense(c1.cls, c2.cls) == 0)
 
 
 def _random_symmetric_polygon(rng):
@@ -230,7 +237,7 @@ def _random_symmetric_polygon(rng):
 
 
 def test_polar_duality_involution_and_dual_norm():
-    with Criterion("polar duality is an involution on 200 random symmetric polygons; dual norm equals vertex maximum at 1000 points"):
+    with Criterion("polar duality is an involution on 200 random symmetric polygons; dual norm one iff vertex maximum one at 1000 points and their rescalings"):
         rng = random.Random(4096)
         for _ in range(200):
             p = _random_symmetric_polygon(rng)
@@ -243,8 +250,10 @@ def test_polar_duality_involution_and_dual_norm():
                 Fr(rng.randint(-24, 24), rng.randint(1, 6)),
             )
             brute = max(u[0] * vx + u[1] * vy for vx, vy in ball.vertices)
-            assert dual_norm_value(ball, [u]) == [brute]
             assert gauge(dual, u) == brute
+            assert dual_norm_is_one(ball, [u]) == (brute == 1)
+            if brute:  # u scaled onto the dual unit sphere
+                assert dual_norm_is_one(ball, [(u[0] / brute, u[1] / brute)])
 
 
 def test_holonomy_conjugacy_witnesses():

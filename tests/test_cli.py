@@ -118,13 +118,13 @@ def _tip_unflagged(monkeypatch, tmp_path):
 
 
 def _dual_norm_two(monkeypatch, tmp_path):
-    maxima = polytope._dual_norm_maxima
+    # the check sees the ball scaled by 2, so every point's dual norm doubles
+    is_one = polytope.dual_norm_is_one
 
     def doubled(ball, points):
-        values, d = maxima(ball, points)
-        return [2 * n for n in values], d
+        return is_one(polytope.RatPolytope([(2 * x, 2 * y) for x, y in ball.vertices]), points)
 
-    monkeypatch.setattr(polytope, "_dual_norm_maxima", doubled)
+    monkeypatch.setattr(polytope, "dual_norm_is_one", doubled)
     return ["candidates", "--genus", "3"]
 
 

@@ -8,7 +8,6 @@ from tautcalc.homology import (
     HomologyClass,
     TwistGenerator,
     TwistWord,
-    algebraic_intersection,
     mapping_torus,
     pairings,
     word_action,
@@ -58,13 +57,18 @@ def test_intersection_form_shape():
     assert J @ J == neg(identity(6))
 
 
+def _pair(x, y):
+    """<x, y>, the two-class case of `pairings`."""
+    return pairings((x, y)).get((1, 0), 0)
+
+
 def test_basis_pairings():
     genus = 2
     r1, s1 = basis_r(genus, 1), basis_s(genus, 1)
     r2 = basis_r(genus, 2)
-    assert algebraic_intersection(r1, s1) == 1
-    assert algebraic_intersection(s1, r1) == -1
-    assert algebraic_intersection(r1, r2) == 0
+    assert pairings((r1, s1)) == {(1, 0): 1}
+    assert pairings((s1, r1)) == {(1, 0): -1}
+    assert pairings((r1, r2)) == {}
 
 
 def test_pairing_antisymmetric_and_bilinear():
@@ -74,16 +78,14 @@ def test_pairing_antisymmetric_and_bilinear():
         x = random_class(genus, rng)
         y = random_class(genus, rng)
         z = random_class(genus, rng)
-        assert algebraic_intersection(x, x) == 0
-        assert algebraic_intersection(x, y) == -algebraic_intersection(y, x)
-        assert algebraic_intersection(class_sum(x, y), z) == algebraic_intersection(
-            x, z
-        ) + algebraic_intersection(y, z)
+        assert _pair(x, x) == 0
+        assert _pair(x, y) == -_pair(y, x)
+        assert _pair(class_sum(x, y), z) == _pair(x, z) + _pair(y, z)
 
 
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
-        algebraic_intersection(basis_r(2, 1), basis_r(3, 1))
+        pairings((basis_r(2, 1), basis_r(3, 1)))
 
 
 def _sparse_class(genus, rng):
@@ -101,7 +103,7 @@ def _sparse_class(genus, rng):
 @pytest.mark.parametrize("genus", [1, 2, 5])
 def test_pairings_match_dense_oracle(genus):
     # every nonzero <c_j, c_i> with i > j and no other key, against x^T J y
-    # from J's dense matrix; algebraic_intersection is the two-class case
+    # from J's dense matrix, for the whole list and for each two of it
     rng = random.Random(47 + genus)
     seen = {"zero": 0, "handle": 0, "nonzero": 0}
     for _ in range(40):
@@ -109,8 +111,8 @@ def test_pairings_match_dense_oracle(genus):
         expected = {(i, j): pairing_dense(classes[j], classes[i]) for i in range(len(classes)) for j in range(i)}
         assert pairings(classes) == {key: p for key, p in expected.items() if p}
         for (i, j), p in expected.items():
-            assert algebraic_intersection(classes[j], classes[i]) == p
-            assert algebraic_intersection(classes[i], classes[j]) == -p
+            assert _pair(classes[j], classes[i]) == p
+            assert _pair(classes[i], classes[j]) == -p
         seen["zero"] += sum(c.is_zero for c in classes)
         seen["handle"] += sum(bool({k ^ 1 for k, _ in c.nonzeros} & {k for k, _ in c.nonzeros}) for c in classes)
         seen["nonzero"] += sum(map(bool, expected.values()))
@@ -126,15 +128,15 @@ def test_pairings_refuse_mixed_genera(classes):
     with pytest.raises(ValueError, match="^classes live in different spaces$"):
         pairings(classes)
     with pytest.raises(ValueError, match="^classes live in different spaces$"):
-        algebraic_intersection(classes[0], classes[-1])
+        pairings((classes[0], classes[-1]))
 
 
 def test_null_homologous_twist_is_identity():
     genus = 2
     c = TwistGenerator("sep", zero_class(genus), Family.A)
     assert c.cls.is_zero
-    assert transvection_matrix(c, 1) == identity(4)
-    assert transvection_matrix(c, -1) == identity(4)
+    assert _letter(c, 1) == identity(4)
+    assert _letter(c, -1) == identity(4)
 
 
 def test_class_coordinates_are_not_coerced():
@@ -186,9 +188,7 @@ def test_class_costs_its_nonzeros_at_any_genus():
     genus = 10**12
     r1, s1 = HomologyClass(genus, ((0, 1),)), basis_s(genus, 1)
     c = TwistGenerator("c", HomologyClass(genus, ((0, 1), (2 * genus - 1, -1))), Family.A)
-    assert algebraic_intersection(r1, s1) == 1
-    assert algebraic_intersection(s1, c.cls) == -1
-    assert algebraic_intersection(c.cls, basis_s(genus, genus)) == 0
+    assert pairings((r1, s1, c.cls, basis_s(genus, genus))) == {(1, 0): 1, (2, 1): -1}
     assert c.cls.is_primitive and not c.cls.is_zero
     # the rejection names the class by its pairs, not by 2 * 10**12 coordinates
     with pytest.raises(ValueError, match=r"^curve 'x': class must be primitive or zero, got nonzeros \(\(0, 2\),\)$"):
@@ -207,10 +207,17 @@ def test_non_primitive_class_rejected():
         TwistGenerator("bad", dense_class(genus, [2, 0, 0, 0]), Family.A)
 
 
+def _letter(c, sign):
+    """The library's action of the one-letter word c^sign."""
+    return word_action(TwistWord(((c.label, sign),)), {c.label: c})
+
+
 def test_transvection_along_r1():
+    # the oracle's letter by hand, and the library's against it
     genus = 2
     c = TwistGenerator("a1", basis_r(genus, 1), Family.A)
     t = transvection_matrix(c, 1)
+    assert _letter(c, 1) == t
     r1, s1 = basis_r(genus, 1), basis_s(genus, 1)
     assert apply(t, dense_coords(r1)) == dense_coords(r1)
     # s1 maps to s1 + <s1, r1> r1 = s1 - r1
@@ -224,7 +231,7 @@ def test_transvection_sign_independence_of_orientation():
         cls = random_class(genus, rng)
         a = TwistGenerator("c", cls, Family.A)
         b = TwistGenerator("c", class_negation(cls), Family.A)
-        assert transvection_matrix(a, 1) == transvection_matrix(b, 1)
+        assert _letter(a, 1) == _letter(b, 1)
 
 
 def test_transvection_inverse_pair():
@@ -232,8 +239,8 @@ def test_transvection_inverse_pair():
     rng = random.Random(5)
     for _ in range(20):
         c = TwistGenerator("c", random_class(genus, rng), Family.A)
-        t_plus = transvection_matrix(c, 1)
-        t_minus = transvection_matrix(c, -1)
+        t_plus = _letter(c, 1)
+        t_minus = _letter(c, -1)
         assert t_plus @ t_minus == identity(6)
 
 
@@ -242,7 +249,7 @@ def test_transvection_symplectic_and_unimodular():
     for _ in range(50):
         genus = rng.randint(2, 5)
         c = TwistGenerator("c", random_class(genus, rng), Family.A)
-        t = transvection_matrix(c, rng.choice((1, -1)))
+        t = _letter(c, rng.choice((1, -1)))
         J = intersection_matrix(genus)
         assert transpose(t) @ J @ t == J
         assert t.det() == 1
@@ -254,10 +261,10 @@ def test_commutation_iff_pairing_vanishes():
         genus = rng.randint(2, 4)
         c1 = TwistGenerator("c1", random_class(genus, rng), Family.A)
         c2 = TwistGenerator("c2", random_class(genus, rng), Family.B)
-        t1 = transvection_matrix(c1, 1)
-        t2 = transvection_matrix(c2, 1)
+        t1 = _letter(c1, 1)
+        t2 = _letter(c2, 1)
         commute = t1 @ t2 == t2 @ t1
-        assert commute == (algebraic_intersection(c1.cls, c2.cls) == 0)
+        assert commute == (pairing_dense(c1.cls, c2.cls) == 0)
 
 
 def _generators(genus):
@@ -278,6 +285,20 @@ def test_word_action_single_letter():
     gens = _generators(genus)
     word = TwistWord((("a", 1),))
     assert word_action(word, gens) == transvection_matrix(gens["a"], 1)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 6])
+def test_word_action_matches_oracle_letters(genus):
+    # seeded words over the chain curves: the product of the oracle's dense
+    # letter matrices I + e c (Jc)^T, in written order
+    gens = chain_system(genus)[0].generator_map()
+    rng = random.Random(61 + genus)
+    for _ in range(20):
+        letters = tuple((rng.choice(sorted(gens)), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 12)))
+        expected = identity(2 * genus)
+        for label, exp in letters:
+            expected = expected @ transvection_matrix(gens[label], exp)
+        assert word_action(TwistWord(letters), gens) == expected, letters
 
 
 def test_word_action_exponent_collapse():
@@ -553,7 +574,7 @@ def test_image_check_transvection_sends_alpha_to_alpha_minus_gamma():
     for _ in range(40):
         gamma = random_class(genus, rng)
         alpha = random_class(genus, rng)
-        if algebraic_intersection(alpha, gamma) != -1:
+        if pairing_dense(alpha, gamma) != -1:
             continue
         t = transvection_matrix(TwistGenerator("g", gamma, Family.A), 1)
         assert apply(t, dense_coords(alpha)) == dense_coords(class_difference(alpha, gamma))

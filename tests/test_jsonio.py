@@ -341,14 +341,17 @@ def test_table_rejects_ragged_or_mixed_columns():
 
 # -- whole reports against the stdlib oracle ---------------------------------------
 
-# a report holds strings, bools, dicts, lists, Tables and matrices; an
-# integer is a decimal string, and a list of strings takes the one-join path
+# a report is a dict whose values are strings, bools, dicts, Tables,
+# matrices and lists; a list holds strings (and takes the one-join path),
+# lists of strings, or dicts, and an integer is a decimal string
+_strings = st.lists(_text | st.integers().map(str), max_size=4)
 _reports = st.recursive(
-    _text | st.integers().map(str) | st.booleans() | st.lists(_text, max_size=4)
+    _text | st.integers().map(str) | st.booleans() | _strings | st.lists(_strings, max_size=4)
     | _sparse_matrices() | _table_columns().map(jsonio.Table),
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(_text, children, max_size=5),
+    lambda children: st.lists(st.dictionaries(_text, children, max_size=5), max_size=5)
+    | st.dictionaries(_text, children, max_size=5),
     max_leaves=40,
-)
+).map(lambda value: {"report": value})
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -367,10 +370,19 @@ def test_json_pieces_match_stdlib_indent_2(report):
     assert _joined(report) == json.dumps(_plain(report), indent=2)
 
 
-@pytest.mark.parametrize("value", [0, -(10**30), None, 0.5], ids=["int", "long-int", "null", "float"])
+@pytest.mark.parametrize(
+    "value", [0, -(10**30), None, 0.5, True, False, "1"], ids=["int", "long-int", "null", "float", "true", "false", "str"]
+)
 def test_json_pieces_reject_numbers_and_null(value):
-    # the writer has no path for a bare number or a null, in any position
-    for report in ({"x": value}, {"x": [value]}, {"x": ["1", value]}, {"x": {"y": value}}, [value]):
+    # the writer has no path for a bare number or a null in any position, nor
+    # for a string or bool anywhere but as a dict's value or an item of a list
+    # of strings: at the root, or in a list with an item that is not a string
+    reports = [value, {"x": [["1"], value]}, {"x": [{"y": "1"}, value]}]
+    if not isinstance(value, str):
+        reports += [[value], {"x": [value]}, {"x": ["1", value]}]
+    if not isinstance(value, (str, bool)):
+        reports += [{"x": value}, {"x": {"y": value}}]
+    for report in reports:
         with pytest.raises(TypeError):
             jsonio.json_pieces(report)
 

@@ -29,7 +29,7 @@ from oracles import (
     class_sum,
     dense_class,
     dense_coords,
-    transvection_matrix,
+    pairing_dense,
     twist_word,
 )
 
@@ -371,15 +371,14 @@ def test_chain_system_stores_its_nonzeros():
 
 
 def test_bundled_generators_commute_iff_disjoint():
-    from tautcalc.homology import algebraic_intersection
-
     system, _ = chain_system(3)
     curves = system.curves
-    mats = [transvection_matrix(c, 1) for c in curves]
+    gens = system.generator_map()
+    mats = [word_action(TwistWord(((c.label, 1),)), gens) for c in curves]
     for i in range(len(curves)):
         for j in range(len(curves)):
             commute = mats[i] @ mats[j] == mats[j] @ mats[i]
-            pairing = algebraic_intersection(curves[i].cls, curves[j].cls)
+            pairing = pairing_dense(curves[i].cls, curves[j].cls)
             assert commute == (pairing == 0)
             # chain adjacency: consecutive curves pair to +-1, others to 0
             assert abs(pairing) == (1 if abs(i - j) == 1 else 0)

@@ -13,7 +13,6 @@ from tautcalc.polytope import (
     RatPolytope,
     candidate_points,
     dual_norm_is_one,
-    dual_norm_value,
     integral_boundary_points,
     norm_ball_from_values,
     polar_dual,
@@ -379,33 +378,53 @@ def test_surgery_family_genus_capped():
 
 
 def test_dual_norm_examples():
+    # the gauge of the dual ball reads 0, 1, 1 and 1/2 at these points; the
+    # check takes a rational point, an empty batch and no float
     ball = norm_ball_from_values(NormSpec.surgery_family(3))
-    assert dual_norm_value(ball, [(0, 0), (0, -4), (2, 4), (Fr(1, 3), 2)]) == [0, 1, 1, Fr(1, 2)]
-    assert dual_norm_value(ball, []) == []
+    pts = [(0, 0), (0, -4), (2, 4), (Fr(1, 3), 2)]
+    assert [gauge(polar_dual(ball), u) for u in pts] == [0, 1, 1, Fr(1, 2)]
+    assert [dual_norm_is_one(ball, [u]) for u in pts] == [False, True, True, False]
+    assert dual_norm_is_one(ball, [(0, -4), (2, 4), (Fr(2, 3), 4)])
+    assert dual_norm_is_one(ball, [])
     with pytest.raises(ValueError):
-        dual_norm_value(ball, [(0.5, 0)])
+        dual_norm_is_one(ball, [(0.5, 0)])
+
+
+def _on_sphere(dual, pts):
+    """Each point of nonzero gauge scaled by it onto the dual unit sphere."""
+    return [(x / value, y / value) for x, y in pts if (value := gauge(dual, (x, y)))]
 
 
 def test_dual_norm_batch_matches_pointwise():
-    # the batch scales the vertices to a common denominator; each value must
-    # equal the max of <u, v> taken over the Fraction vertices
+    # the batch scales the vertices to a common denominator; its verdict must
+    # be that of the max of <u, v> over the Fraction vertices, point by point
     rng = random.Random(131)
     for spec in (NormSpec.surgery_family(7), NormSpec(Fr(3, 2), Fr(5, 2), 3, Fr(7, 2), chi=(-2, -2))):
         ball = norm_ball_from_values(spec)
         pts = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(100)]
         pts += [(Fr(rng.randint(-30, 30), rng.randint(1, 7)), rng.randint(-5, 5)) for _ in range(100)]
         expected = [max(x * vx + y * vy for vx, vy in ball.vertices) for x, y in pts]
-        assert dual_norm_value(ball, pts) == expected
+        pts += [(x / m, y / m) for (x, y), m in zip(pts, expected) if m]  # each of dual norm one
+        expected += [1] * (len(pts) - len(expected))
+        assert [dual_norm_is_one(ball, [u]) for u in pts] == [m == 1 for m in expected]
+        ones = [u for u, m in zip(pts, expected) if m == 1]
+        off = [u for u, m in zip(pts, expected) if m != 1]
+        assert len(ones) > 150 and dual_norm_is_one(ball, ones)
+        assert not dual_norm_is_one(ball, ones + off[:1])
 
 
 def test_dual_norm_homogeneous():
+    # a point of dual norm one stays on the sphere under u -> -u and leaves
+    # it under every other scaling
     ball = norm_ball_from_values(NormSpec.surgery_family(4))
+    dual = polar_dual(ball)
     rng = random.Random(107)
     for _ in range(50):
         u = (Fr(rng.randint(-9, 9), rng.randint(1, 4)), Fr(rng.randint(-9, 9), rng.randint(1, 4)))
         lam = Fr(rng.randint(-6, 6), rng.randint(1, 3))
-        scaled, value = dual_norm_value(ball, [(lam * u[0], lam * u[1]), u])
-        assert scaled == abs(lam) * value
+        for w in _on_sphere(dual, [u]):
+            assert dual_norm_is_one(ball, [w, (-w[0], -w[1])])
+            assert dual_norm_is_one(ball, [(lam * w[0], lam * w[1])]) == (abs(lam) == 1)
 
 
 def test_dual_norm_agrees_with_polar_gauge():
@@ -413,7 +432,8 @@ def test_dual_norm_agrees_with_polar_gauge():
     ball = norm_ball_from_values(NormSpec.surgery_family(5))
     dual = polar_dual(ball)
     pts = [(Fr(rng.randint(-20, 20), rng.randint(1, 5)), Fr(rng.randint(-20, 20), rng.randint(1, 5))) for _ in range(200)]
-    assert dual_norm_value(ball, pts) == [gauge(dual, u) for u in pts]
+    pts += _on_sphere(dual, pts)
+    assert [dual_norm_is_one(ball, [u]) for u in pts] == [gauge(dual, u) == 1 for u in pts]
 
 
 def test_boundary_iff_dual_norm_one():
@@ -422,18 +442,20 @@ def test_boundary_iff_dual_norm_one():
         dual = polar_dual(ball)
         x0, x1, y0, y1 = dual.bounding_box()
         grid = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
-        norm_one = [p for p, value in zip(grid, dual_norm_value(ball, grid)) if value == 1]
+        norm_one = [p for p in grid if gauge(dual, p) == 1]
         assert [p.coords for p in integral_boundary_points(dual)] == norm_one
+        assert [p for p in grid if dual_norm_is_one(ball, [p])] == norm_one
 
 
 def test_dual_norm_is_one_reads_the_values():
-    # the integer test agrees with the Fraction values, point by point and in a batch
+    # the integer test agrees with the gauge, point by point and in a batch
     rng = random.Random(113)
     for spec in (NormSpec.surgery_family(3), NormSpec(Fr(3, 2), Fr(5, 2), 3, Fr(7, 2), chi=(-2, -2))):
         ball = norm_ball_from_values(spec)
+        dual = polar_dual(ball)
         pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(100)]
         pts += [(Fr(rng.randint(-6, 6), rng.randint(1, 3)), Fr(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(100)]
-        values = dual_norm_value(ball, pts)
+        values = [gauge(dual, u) for u in pts]
         assert [dual_norm_is_one(ball, [p]) for p in pts] == [value == 1 for value in values]
         norm_one = [p for p, value in zip(pts, values) if value == 1]
         assert norm_one and dual_norm_is_one(ball, norm_one)
@@ -637,7 +659,8 @@ def test_classify_requires_parity_on_boundary():
         spec = NormSpec.surgery_family(genus)
         ball, dual, classified = candidate_points(spec, genus)
         cf, cs = spec.chi
-        assert set(dual_norm_value(ball, [p.coords for p in classified])) == {1}
+        assert {gauge(dual, p.coords) for p in classified} == {1}
+        assert dual_norm_is_one(ball, [p.coords for p in classified])
         for p in classified:
             assert (p.coords[0] - cf) % 2 == 0 and (p.coords[1] - cs) % 2 == 0
             assert p.vertex == (p.coords in dual.vertices)
@@ -684,7 +707,12 @@ def test_covering_rescale_property():
     scaled_ball = norm_ball_from_values(scaled)
     rng = random.Random(113)
     pts = [(Fr(rng.randint(-9, 9), rng.randint(1, 3)), Fr(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(50)]
-    assert dual_norm_value(scaled_ball, [(degree * x, degree * y) for x, y in pts]) == dual_norm_value(ball, pts)
+    dual, scaled_dual = polar_dual(ball), polar_dual(scaled_ball)
+    assert [gauge(scaled_dual, (degree * x, degree * y)) for x, y in pts] == [gauge(dual, u) for u in pts]
+    ones = _on_sphere(dual, pts)
+    assert len(ones) > 40 and dual_norm_is_one(ball, ones)
+    assert dual_norm_is_one(scaled_ball, [(degree * x, degree * y) for x, y in ones])
+    assert not dual_norm_is_one(scaled_ball, ones[:1])
 
 
 def test_norm_spec_keeps_its_validated_ball(monkeypatch):

@@ -3,8 +3,9 @@
 word and the genus of a class each in one `homology` function, and the
 command line in `cli`'s table, which declares no default (test_cli.py
 pins that), so each CLI default is in the library signature or type it
-belongs to.  Each error message is raised from one function, and the
-library states no `assert`, which would end the CLI in a traceback."""
+belongs to.  Each error message is raised from one function, the
+library states no `assert`, which would end the CLI in a traceback, and
+each function is named somewhere else in the library or kept by name."""
 
 import argparse
 import ast
@@ -191,3 +192,26 @@ def test_library_states_no_assert():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raises_assertion_error(node))]
     assert asserts == [], asserts
+
+
+# functions that no library line names, each kept for its reason
+KEPT = {
+    "curve_system_to_json": "writes the README's curve-system input schema",
+    "word_to_json": "writes the README's twist-word input schema",
+    "bounding_box": "bench/spans.py reads it, until that harness moves off it",
+}
+
+
+def test_every_function_is_named_in_src():
+    # a function no other line names is code no report runs; a dunder counts
+    # as named, since the language calls it from its syntax
+    lines = [(path, i, line) for path in SOURCES for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
+    unnamed = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            name = re.compile(rf"(?<!\w){node.name}(?!\w)")
+            if not any(name.search(line) for p, i, line in lines if (p, i) != (path, node.lineno)):
+                unnamed.append(node.name)
+    assert sorted(unnamed) == sorted(KEPT), unnamed
