@@ -198,17 +198,18 @@ def test_library_states_no_assert():
 KEPT = {
     "curve_system_to_json": "writes the README's curve-system input schema",
     "word_to_json": "writes the README's twist-word input schema",
-    "bounding_box": "bench/spans.py reads it, until that harness moves off it",
+    "bounding_box": "bench/spans.py counts the points scanned with it, until ROADMAP item 4",
 }
 
 
 def test_every_function_is_named_in_src():
     # a function no other line names is code no report runs; a dunder counts
     # as named, since the language calls it from its syntax
-    lines = [(path, i, line) for path in SOURCES for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
+    texts = {path: path.read_text(encoding="utf-8") for path in SOURCES}
+    lines = [(path, i, line) for path, text in texts.items() for i, line in enumerate(text.splitlines(), 1)]
     unnamed = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
             if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
                 continue
             name = re.compile(rf"(?<!\w){node.name}(?!\w)")
