@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands wrap the library modules one-to-one.  Each returns its report,
-every integer in it a decimal string, and `main` writes it as text
-(`jsonio.text_pieces`) or, with --format json, as deterministic JSON
-(`jsonio.json_pieces`, byte for byte `json.dumps(report, indent=2)`),
-BLOCK_PIECES pieces per write, so a matrix report is held once.  A report
+every integer in it a decimal string and every check the `exact.Check`
+that the library function deciding it returns.  `main` writes it as text
+(`jsonio.text_pieces`) or as JSON (`jsonio.json_pieces`, byte for byte
+`json.dumps(report, indent=2)`), BLOCK_PIECES pieces per write.  A report
 depends only on the argv and the input files.  Exit codes: 0 when every
-check in the report passes, 1 when some check fails, 2 for bad input.  Bad
-input is reported in one line; for an input file it names the field path.
+check passes, 1 when one fails, 2 for bad input, in one line that names
+the field path in an input file.
 
 The command line is declared once, as data: COMMANDS holds each leaf
 subcommand's route words, `cmd_*` builder, help and options as argparse
@@ -69,8 +69,7 @@ BLOCK_PIECES = 64
 
 
 def _emit(report: dict, args) -> int:
-    checks = report.get("checks", [])
-    ok = all(c["pass"] for c in checks)
+    ok = all(c.passed for c in report["checks"])
     report["status"] = "PASS" if ok else "FAIL"
     # every piece is built before --output is opened, so a report that fails leaves no file
     pieces = (jsonio.json_pieces if args.format == "json" else jsonio.text_pieces)(report)
@@ -122,16 +121,14 @@ def cmd_vmatrix(args) -> dict:
     from . import penner
 
     m, diff, det, _ = _twist_action(*penner.chain_system(args.genus))
-    target = args.genus + 1
+    target, det_law = penner.chain_det_law(args.genus, det)
     return {
         "genus": str(args.genus),
         "matrix": m,
         "matrix_minus_identity": diff,
         "det_abs": str(abs(det)),
         "target": str(target),
-        "checks": [
-            {"name": "abs-det-minus-identity-equals-genus-plus-one", "pass": abs(det) == target}
-        ],
+        "checks": [det_law],
     }
 
 
@@ -143,44 +140,31 @@ def cmd_candidates(args) -> dict:
     else:
         spec = polytope.NormSpec.surgery_family(args.genus)
     ball, dual, classified = polytope.candidate_points(spec, args.genus)
-    # from the ball's vertices, which the edge walk that lists the points never reads
-    norm_one = polytope.dual_norm_is_one(ball, [p.coords for p in classified])
-    checks = []
-    if spec.is_surgery_family(args.genus):
-        tip = 2 * args.genus - 2
-        flagged = any(p.counterexample and p.coords == (0, -tip) for p in classified)
-        checks.append({"name": f"point (0, {-tip}) flagged as the non-realizable candidate", "pass": flagged})
-    checks.append({"name": "every listed point has dual norm one", "pass": norm_one})
     return {
         "genus": str(args.genus),
         "norm_spec": jsonio.norm_spec_to_json(spec),
         "ball": jsonio.polytope_to_json(ball),
         "dual_ball": jsonio.polytope_to_json(dual),
         "candidates": jsonio.candidates_to_json(classified),
-        "checks": checks,
+        "checks": polytope.candidate_checks(spec, args.genus, ball, classified),
     }
 
 
 def cmd_penner(args) -> dict:
-    from . import penner
+    from . import homology, penner
 
-    if args.input is not None:
-        system, word = _load(args.input, "input", jsonio.penner_input_from_json)
-    else:
-        system, word = penner.chain_system(3)
+    system, word = (penner.chain_system(3) if args.input is None
+                    else _load(args.input, "input", jsonio.penner_input_from_json))
     report_obj = penner.validate_word(word, system)
     action, _, _, b2 = _twist_action(system, word)
-    trivial = b2 == 1
+    fixed = homology.fixed_class_check(b2)
     return {
         "genus": str(system.genus),
         "report": jsonio.penner_report_to_json(report_obj),
         "action_matrix": action,
         "mapping_torus_b2": str(b2),
-        "fixed_homology_trivial": trivial,
-        "checks": [
-            {"name": "word is a valid opposite-twist word", "pass": report_obj.word_valid},
-            {"name": "no nonzero fixed homology class", "pass": trivial},
-        ],
+        "fixed_homology_trivial": fixed.passed,
+        "checks": [report_obj.check, fixed],
     }
 
 
@@ -251,7 +235,7 @@ def cmd_holonomy(args) -> dict:
         "v": jsonio.pl_to_json(v),
         "tiles_per_side": str(witness.tiles_per_side),
         "samples": jsonio.conjugacy_samples_to_json(witness),
-        "checks": [{"name": "conjugacy identity exact at all samples", "pass": witness.all_passed}],
+        "checks": [witness.check],
     }
 
 

@@ -20,9 +20,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+class Check(NamedTuple):
+    """A report check, from the function that decides it; only `jsonio` writes it."""
+
+    name: str
+    passed: bool
 
 
 def is_int(x) -> bool:

@@ -81,9 +81,9 @@ pass over the columns.  `solve_conjugacy` feeds each reduced pair to the
 per-point kernels and keeps the pairs and the verdicts as columns in
 `ConjugacyWitness`, so no Fraction, `SampleCheck` or other per-sample
 object is built between a sample point and its verdict;
-`ConjugacyWitness.checks` builds its `SampleCheck`s on demand.  A map has
-at most MAX_BREAKPOINTS breakpoints, and the numerators and denominators
-of its breakpoints and values have at most MAX_ENTRY_BITS bits.
+`ConjugacyWitness.checks` builds its `SampleCheck`s on demand; its `check`
+is the report's check.  A map has at most MAX_BREAKPOINTS breakpoints, and
+the parts of its breakpoints and values have at most MAX_ENTRY_BITS bits.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ from math import gcd
 from operator import floordiv
 from typing import Callable, Iterable, List, Sequence, Tuple
 
-from .exact import frac_pair, is_int
+from .exact import Check, frac_pair, is_int
 
 
 # A map is read and inverted in time and memory that grow with its
@@ -458,8 +458,8 @@ class ConjugacyWitness:
         return tuple(map(SampleCheck, map(Fraction, self.numerators, self.denominators), self.verdicts))
 
     @property
-    def all_passed(self) -> bool:
-        return all(self.verdicts)
+    def check(self) -> Check:
+        return Check("conjugacy identity exact at all samples", all(self.verdicts))
 
 
 def _sample_layout(tiles_per_side: int, per_tile: int) -> Tuple[List[int], List[int]]:

@@ -33,7 +33,7 @@ from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
-from .exact import is_int
+from .exact import Check, is_int
 from .matrices import IntMatrix
 
 
@@ -237,8 +237,12 @@ def word_action(word: TwistWord, gens: Mapping[str, TwistGenerator]) -> IntMatri
 def mapping_torus(f_star: IntMatrix) -> tuple:
     """(f_star - Id, its signed determinant, b2) for a map acting as f_star
     on H_1, from one elimination of f_star - Id.  b2 = 1 + dim ker(f_star - Id)
-    is 1 exactly when the determinant is nonzero.
-    """
+    is 1 exactly when the determinant is nonzero."""
     diff = f_star.minus_identity()
     rank, det = diff._echelon()
     return diff, det, 1 + diff.n_rows - rank
+
+
+def fixed_class_check(b2: int) -> Check:
+    """That the map fixes no nonzero class, from `mapping_torus`' b2."""
+    return Check("no nonzero fixed homology class", b2 == 1)

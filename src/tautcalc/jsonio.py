@@ -23,9 +23,10 @@ runs, so importing `jsonio`, and `cli` with it, loads no route's module.
 
 Reports are written as lists of pieces: `json_pieces` gives the pieces
 whose join is exactly what `json.dumps(report, indent=2)` returns, and
-`text_pieces` those of the text report.  `cli._emit` writes the join of
-each block of consecutive pieces, so a large report is held once, as its
-pieces, and never also as one string and that string's UTF-8 copy.
+`text_pieces` those of the text report, each writing an `exact.Check` in
+one branch.  `cli._emit` writes the join of each block of consecutive
+pieces, so a large report is held once, as its pieces, and never also as
+one string and that string's UTF-8 copy.
 
 A list of strings, such as a coordinate pair, is written in one join.
 When the items joined with no separator are ASCII, printable and hold no
@@ -71,7 +72,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Type
 
-from .exact import frac, frac_pair, is_int
+from .exact import Check, frac, frac_pair, is_int
 from .matrices import IntMatrix
 
 if TYPE_CHECKING:  # each schema function imports the types it builds
@@ -180,9 +181,10 @@ def _interleave(seps: Sequence[str], columns: Sequence[Iterable[str]], rows: int
 
 def json_pieces(report: dict) -> List[str]:
     """The pieces whose join is json.dumps(report, indent=2), byte for byte,
-    for a tree of dicts with str keys, lists, strings, bools, `Table`s and
-    `IntMatrix`es, a Table being written as its list of records and a
-    matrix as its rows of decimal strings.  A string or bool stands only as
+    for a tree of dicts with str keys, lists, strings, bools, `Table`s,
+    `Check`s and `IntMatrix`es, a Table being written as its list of
+    records, a Check as its {"name", "pass"} dict and a matrix as its rows
+    of decimal strings.  A string or bool stands only as
     a dict's value, or a string in a list of strings; any other value, an
     int or None among them, raises TypeError.
 
@@ -245,6 +247,8 @@ def _write(o: Any, nl: str, parts: List[str]) -> None:
         parts.append(nl + "]")
     elif isinstance(o, Table):
         _write_table(o, nl, parts)
+    elif isinstance(o, Check):
+        _write({"name": o.name, "pass": o.passed}, nl, parts)
     elif isinstance(o, IntMatrix):
         inner = nl + "  "
         item = inner + "  "
@@ -342,7 +346,7 @@ def text_pieces(report: dict) -> List[str]:
     """The pieces of the text report, one per line, one per matrix row, and
     a Table's records in one piece.  The report is one "key: value" line per
     entry, a nested dict or a list of records indented under its key, a
-    check as a "[PASS]" or "[FAIL]" line, and a matrix as its rows of
+    Check as a "[PASS]" or "[FAIL]" line, and a matrix as its rows of
     five-character cells."""
     parts: List[str] = []
     _text(report, "", parts)
@@ -355,7 +359,7 @@ def _text(report: dict, pad: str, parts: List[str]) -> None:
     """Append the lines of report, indented by pad, each after a newline."""
     for key, value in report.items():
         if key == "checks":
-            parts += [f"\n{pad}[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in value]
+            parts += [f"\n{pad}[{'PASS' if c.passed else 'FAIL'}] {c.name}" for c in value]
         elif isinstance(value, dict):
             parts.append(f"\n{pad}{key}:")
             _text(value, pad + "  ", parts)

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exact import is_int
+from .exact import Check, is_int
 from .homology import Family, HomologyClass, TwistGenerator, TwistWord, check_genus, check_labels, pairings
 
 
@@ -130,20 +130,24 @@ class PennerReport:
     def word_valid(self) -> bool:
         return self.all_curves_used and self.sign_discipline
 
+    @property
+    def check(self) -> Check:
+        return Check("word is a valid opposite-twist word", self.word_valid)
+
 
 def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
     """Check the filling conditions decidable from the given data, returning
     the status and the messages that explain it.
 
-    Necessary conditions: the intersection graph is connected, and every
-    curve meets the opposite family.  With a region certificate (every
-    complementary region flagged as a disk or not), filling is decided:
-    all-disk regions whose count matches the Euler count chi + I verify
-    filling; anything else fails.
+    Necessary conditions: the intersection graph is connected, every curve
+    meets the opposite family, and the Euler count chi + I is at least 1,
+    since filling curves in minimal position cut the surface into chi + I
+    disks.  With a region certificate (every complementary region flagged
+    as a disk or not), filling is decided: chi + I regions, all disks,
+    verify filling; anything else fails.
     """
     n = len(sys.curves)
-    messages = []
-    ok = True
+    messages = []  # each one a failed condition, until the status is set
 
     # the intersection graph; every edge joins opposite families, since a
     # CurveSystem rejects intersecting curves of one family
@@ -154,39 +158,35 @@ def filling_check(sys: CurveSystem) -> Tuple[FillingStatus, Tuple[str, ...]]:
 
     for c, near in zip(sys.curves, neighbours):
         if not near:
-            ok = False
             messages.append(f"curve {c.label!r} does not meet the opposite family")
 
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         for j in neighbours[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
     if len(seen) != n:
-        ok = False
         isolated = [sys.curves[i].label for i in range(n) if i not in seen]
         messages.append(f"intersection graph is disconnected (unreached: {isolated})")
 
-    if not ok:
+    disks = 2 - 2 * sys.genus + sys.total_intersections
+    if not messages and disks < 1:
+        messages.append(f"Euler count chi + I = {disks} < 1: filling curves cut the surface into chi + I disks")
+    if messages:
         status = FillingStatus.FAILED
     elif sys.regions is None:
         status = FillingStatus.NECESSARY_ONLY
         messages.append("no region certificate supplied; filling not fully verified")
     else:
         non_disks = [r for r in sys.regions if not r.disk]
-        chi = 2 - 2 * sys.genus
-        expected = chi + sys.total_intersections
         if non_disks:
             status = FillingStatus.FAILED
             messages.append(f"{len(non_disks)} complementary region(s) are not disks")
-        elif len(sys.regions) != expected:
+        elif len(sys.regions) != disks:
             status = FillingStatus.FAILED
-            messages.append(
-                f"region certificate inconsistent: {len(sys.regions)} regions, "
-                f"Euler count requires {expected}"
-            )
+            messages.append(f"region certificate inconsistent: {len(sys.regions)} regions, "
+                            f"Euler count requires {disks}")
         else:
             status = FillingStatus.VERIFIED
     return status, tuple(messages)
@@ -251,6 +251,12 @@ def check_genus_cap(genus: int) -> None:
     """Refuse a genus above MAX_CHAIN_GENUS."""
     if genus > MAX_CHAIN_GENUS:
         raise ValueError(f"genus must be at most {MAX_CHAIN_GENUS}")
+
+
+def chain_det_law(genus: int, det: int) -> Tuple[int, Check]:
+    """g + 1, and the check of det = det(M - Id) for the action M of `chain_system(genus)`: |det| = g + 1."""
+    target = genus + 1
+    return target, Check("abs-det-minus-identity-equals-genus-plus-one", abs(det) == target)
 
 
 def chain_system(genus: int) -> Tuple[CurveSystem, TwistWord]:

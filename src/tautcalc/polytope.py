@@ -45,7 +45,7 @@ from itertools import repeat
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .exact import frac, is_int
+from .exact import Check, frac, is_int
 
 Vec2 = Tuple[Fraction, Fraction]
 IntPair = Tuple[int, int]
@@ -327,8 +327,23 @@ def candidate_points(spec: NormSpec, genus: int) -> Tuple[RatPolytope, RatPolyto
     dual = polar_dual(ball)
     points = integral_boundary_points(dual, 2)
     if family:
-        for tip in ((0, 2 - 2 * genus), (0, 2 * genus - 2)):
+        for tip in _family_tips(genus):
             i = bisect_left(points, (tip,))
             if i < len(points) and points[i].coords == tip:
                 points[i] = points[i]._replace(counterexample=True)
     return ball, dual, points
+
+
+def _family_tips(genus: int) -> Tuple[IntPair, IntPair]:
+    return (0, 2 - 2 * genus), (0, 2 * genus - 2)  # (0, -(2g-2)) and (0, 2g-2)
+
+
+def candidate_checks(spec: NormSpec, genus: int, ball: RatPolytope, points: Sequence[CandidatePoint]) -> List[Check]:
+    """`candidate_points`' checks: the genus-g family's point (0, -(2g-2)) is flagged, and
+    every point has dual norm one by the ball's vertices, which the edge walk never reads."""
+    norm_one = Check("every listed point has dual norm one", dual_norm_is_one(ball, [p.coords for p in points]))
+    if not spec.is_surgery_family(genus):
+        return [norm_one]
+    tip = _family_tips(genus)[0]
+    flagged = any(p.counterexample and p.coords == tip for p in points)
+    return [Check(f"point (0, {tip[1]}) flagged as the non-realizable candidate", flagged), norm_one]

@@ -264,11 +264,11 @@ def test_holonomy_conjugacy_witnesses():
             _, witness = solve_conjugacy(u, v, case)
             assert len(witness.verdicts) >= 64
             assert witness.tiles_per_side >= 8
-            assert witness.all_passed
+            assert witness.check.passed
         ident = PLHomeo.identity()
         # 10 tiles per side, 4 points in each
         tiled, witness = solve_conjugacy(ident, ident, "a", 10, 80)
-        assert witness.all_passed
+        assert witness.check.passed
         assert all(tiled.eval(Fr(a, d)) == Fr(a, d) for a, d in zip(witness.numerators, witness.denominators))
 
 
@@ -278,7 +278,7 @@ def test_holonomy_witnesses_at_256_tiles():
         for case in "abcdef":
             _, witness = solve_conjugacy(u, v, case, 256, 4096)
             assert len(witness.verdicts) == 4096 + 3
-            assert witness.all_passed, case
+            assert witness.check.passed, case
 
 
 def _seeded_map_doc(rng, count=16):

@@ -85,14 +85,14 @@ def test_candidates_point_off_the_boundary_fails(monkeypatch, capsys):
 
 
 def _emitted_check_names():
-    """Each check name `cli` can emit, as written there, with each field of
-    an f-string shown as {}."""
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict) and [getattr(k, "value", None) for k in node.keys] == ["name", "pass"]:
-            name = node.values[0]
-            parts = name.values if isinstance(name, ast.JoinedStr) else [name]
-            yield "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+    """The name of each `Check` the library builds, as written there, with
+    each field of an f-string shown as {}."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Check":
+                name = node.args[0]
+                parts = name.values if isinstance(name, ast.JoinedStr) else [name]
+                yield "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
 
 
 def _wrong_det(monkeypatch, tmp_path):
@@ -144,7 +144,7 @@ def _wrong_conjugator(monkeypatch, tmp_path):
     return ["holonomy", "tau", "--case", next(iter(holonomy.EXPRESSIONS))]
 
 
-# for each check `cli` can emit, a committed input or a named fault that
+# for each check a report can emit, a committed input or a named fault that
 # makes it FAIL; a check that nothing can fail is no check
 FAILING = {
     "abs-det-minus-identity-equals-genus-plus-one": _wrong_det,
@@ -447,6 +447,25 @@ def test_penner_fixed_class_fails(tmp_path, capsys):
     assert doc["fixed_homology_trivial"] is False
     checks = {c["name"]: c["pass"] for c in doc["checks"]}
     assert checks["no nonzero fixed homology class"] is False
+
+
+def test_penner_five_chain_curves_do_not_fill(tmp_path, capsys):
+    # a1, b1, a2, b2, a3 on genus 3 leave an annulus, whose core is a fixed
+    # class, so b2 = 2; an empty region list certifies nothing
+    system = chain_system(3)[0]
+    doc = jsonio.curve_system_to_json(system)
+    doc["curves"] = doc["curves"][:5]
+    doc["geo_int"] = [row[:i] for i, row in enumerate(doc["geo_int"][:5])]
+    doc["regions"] = []
+    doc["word"] = [{"label": c["label"], "exp": 1 if c["family"] == "B" else -1} for c in doc["curves"]]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, doc = run_json(capsys, "penner", "--input", str(path))
+    assert (code, doc["mapping_torus_b2"], doc["report"]["filling_status"]) == (1, "2", "failed")
+    assert doc["report"]["messages"] == [
+        "Euler count chi + I = 0 < 1: filling curves cut the surface into chi + I disks"]
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [
+        ("word is a valid opposite-twist word", True), ("no nonzero fixed homology class", False)]
 
 
 def test_twist_action_built_once_per_report(tmp_path, monkeypatch, capsys):

@@ -461,7 +461,7 @@ def test_all_cases_verify_exactly():
     u, v = bundled_shifts()
     for case in "abcdef":
         tiled, witness = solve_conjugacy(u, v, case)
-        assert witness.all_passed, case
+        assert witness.check.passed, case
         assert len(witness.checks) >= 64
         assert witness.tiles_per_side >= 8
         assert witness.case == case
@@ -491,14 +491,14 @@ def test_each_map_inverted_once(monkeypatch):
     for case in EXPRESSIONS:
         calls.clear()
         _, witness = solve_conjugacy(u, v, case, 8, 64)
-        assert witness.all_passed, case
+        assert witness.check.passed, case
         assert calls == expected[case], (case, len(calls))
 
 
 def test_identity_degenerate_case():
     ident = PLHomeo.identity()
     tiled, witness = solve_conjugacy(ident, ident, "a")
-    assert witness.all_passed
+    assert witness.check.passed
     for q in ref_samples(9, 4):
         assert tiled.eval(q) == q
 
@@ -506,7 +506,7 @@ def test_identity_degenerate_case():
 def test_case_c_with_identity_u():
     _, v = bundled_shifts()
     tiled, witness = solve_conjugacy(PLHomeo.identity(), v, "c")
-    assert witness.all_passed
+    assert witness.check.passed
     for q in ref_samples(6, 3):
         assert tiled.eval(q) == q
 
@@ -517,7 +517,7 @@ def test_random_maps_verify():
         u = random_plhomeo(rng)
         v = random_plhomeo(rng)
         _, witness = solve_conjugacy(u, v, case, tiles_per_side=5, samples=20)
-        assert witness.all_passed, case
+        assert witness.check.passed, case
 
 
 def test_invalid_case_rejected():
@@ -624,7 +624,7 @@ def test_memo_scoped_to_one_solve(monkeypatch):
         for tiles, samples in LAYOUTS:
             count = len(built)
             tiled, witness = solve_conjugacy(u, v, case, tiles, samples)
-            assert witness.all_passed, (case, tiles)
+            assert witness.check.passed, (case, tiles)
             mine = built[count:]
             # one kernel per map, each built in this solve
             assert mine and len({id(f) for f, _, _ in mine}) == len(mine)
@@ -877,7 +877,7 @@ def test_verdicts_fail_with_a_wrong_conjugator(monkeypatch):
         _, witness = solve_conjugacy(u, v, case)
         assert not all(c.passed for c in witness.checks), case
         _, witness = solve_conjugacy(ident, ident, case)
-        assert witness.all_passed, case
+        assert witness.check.passed, case
 
 
 @pytest.mark.parametrize("case", list(EXPRESSIONS))
@@ -922,7 +922,7 @@ def test_absent_side_leaves_no_memo_entry(monkeypatch, case):
     built = spy_on_plhomeo_kernels(monkeypatch)
     u, v = bundled_shifts()
     _, witness = solve_conjugacy(u, v, case, 8, 64)
-    assert witness.all_passed
+    assert witness.check.passed
     identities = [(f, memo) for f, _, memo in built if not f._cuts]
     assert len(identities) == 1 and identities[0][1] is None
     # 8 tiles and 64 samples put 4 points in each tile: at most those 4

@@ -240,8 +240,10 @@ def _nest(report, depth):
 
 
 def _plain(report):
-    """The report with every IntMatrix as its rows of decimal strings and
-    every Table as its list of records."""
+    """The report with every IntMatrix as its rows of decimal strings, every
+    Table as its list of records and every Check as its dict."""
+    if isinstance(report, exact.Check):
+        return {"name": report.name, "pass": report.passed}
     if isinstance(report, IntMatrix):
         return [list(map(str, row)) for row in report.rows]
     if isinstance(report, jsonio.Table):
@@ -343,10 +345,11 @@ def test_table_rejects_ragged_or_mixed_columns():
 
 # a report is a dict whose values are strings, bools, dicts, Tables,
 # matrices and lists; a list holds strings (and takes the one-join path),
-# lists of strings, or dicts, and an integer is a decimal string
+# lists of strings, dicts, or Checks, and an integer is a decimal string
 _strings = st.lists(_text | st.integers().map(str), max_size=4)
+_checks = st.lists(st.builds(exact.Check, _text, st.booleans()), max_size=4)
 _reports = st.recursive(
-    _text | st.integers().map(str) | st.booleans() | _strings | st.lists(_strings, max_size=4)
+    _text | st.integers().map(str) | st.booleans() | _strings | st.lists(_strings, max_size=4) | _checks
     | _sparse_matrices() | _table_columns().map(jsonio.Table),
     lambda children: st.lists(st.dictionaries(_text, children, max_size=5), max_size=5)
     | st.dictionaries(_text, children, max_size=5),
@@ -368,6 +371,18 @@ _reports = st.recursive(
 @example({"row": ["12", "-3", "", "0"]})
 def test_json_pieces_match_stdlib_indent_2(report):
     assert _joined(report) == json.dumps(_plain(report), indent=2)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_checks, st.sampled_from(["", "  "]))
+@example([exact.Check("a", True), exact.Check('b "c"', False)], "")
+def test_checks_write_as_their_dicts_and_lines(checks, pad):
+    # a report's "checks" list: {"name", "pass"} records in JSON, and one
+    # [PASS] or [FAIL] line per record in text, at the list's own indent
+    report = {"checks": checks} if not pad else {"k": {"checks": checks}}
+    assert _joined(report) == json.dumps(_plain(report), indent=2)
+    lines = [f"\n{pad}[{'PASS' if c.passed else 'FAIL'}] {c.name}" for c in checks]
+    assert _rendered(report) == ("k:" if pad else "") + "".join(lines)[0 if pad else 1:]
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,24 @@ def test_miscounted_certificate_fails():
     assert any("inconsistent" in m for m in messages)
 
 
+def five_chain_curves(regions=None):
+    """a1, b1, a2, b2, a3 of the genus-3 chain.  Their neighbourhood has
+    genus 2 and two boundary circles, so they do not fill: the complement
+    is an annulus, and chi + I = -4 + 4 = 0."""
+    base, _ = chain_system(3)
+    return CurveSystem(3, base.curves[:5], base.crossings[:4], regions)
+
+
+@pytest.mark.parametrize("regions", [None, (), (Region(True),) * 2], ids=["no-certificate", "no-regions", "two-disks"])
+def test_euler_count_below_one_fails(regions):
+    # filling curves in minimal position cut the surface into chi + I disks,
+    # so chi + I < 1 rules filling out, whatever the certificate says
+    assert filling_check(five_chain_curves(regions)) == (
+        FillingStatus.FAILED,
+        ("Euler count chi + I = 0 < 1: filling curves cut the surface into chi + I disks",),
+    )
+
+
 def test_same_family_intersection_rejected():
     genus = 2
     curves = (

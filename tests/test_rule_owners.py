@@ -5,7 +5,9 @@ command line in `cli`'s table, which declares no default (test_cli.py
 pins that), so each CLI default is in the library signature or type it
 belongs to.  Each error message is raised from one function, the
 library states no `assert`, which would end the CLI in a traceback, and
-each function is named somewhere else in the library or kept by name."""
+each function is named somewhere else in the library or kept by name.
+Each report check is decided by the library function that returns its
+`Check`, never by `cli`, and one `jsonio` branch per format writes it."""
 
 import argparse
 import ast
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import tautcalc
-from tautcalc import cli
+from tautcalc import cli, jsonio
 
 
 SOURCES = sorted(Path(tautcalc.__file__).parent.glob("*.py"))
@@ -178,6 +180,53 @@ def test_cli_names_only_the_input_field_it_finds():
     fields = {n.value for n in ast.walk(tree)
               if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("input.")}
     assert {re.match(r"input\.(\w*)", field).group(1) for field in fields} == {"word"}, fields
+
+
+def _values_under(tree, key):
+    """The value of each dict entry under the string key in tree."""
+    return [v for n in ast.walk(tree) if isinstance(n, ast.Dict)
+            for k, v in zip(n.keys, n.values) if isinstance(k, ast.Constant) and k.value == key]
+
+
+def _decides(node):
+    """Whether node holds a comparison, a boolean operator, or a call of any or all."""
+    return any(isinstance(n, (ast.Compare, ast.BoolOp)) or (isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not))
+               or (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("any", "all")) for n in ast.walk(node))
+
+
+def test_cli_decides_no_check():
+    # each check's record comes from the library function that decides it, so
+    # `cli` builds no Check, writes no "pass" key, and computes nothing that a
+    # "checks" list holds: neither its items nor the values of the names they read
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    built = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "Check"]
+    passes = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "pass"]
+    deciding = []
+    for f in tree.body:
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        bound = {}
+        for n in ast.walk(f):
+            if isinstance(n, ast.Assign):
+                for name in (m for target in n.targets for m in ast.walk(target) if isinstance(m, ast.Name)):
+                    bound.setdefault(name.id, []).append(n.value)
+        for checks in _values_under(f, "checks"):
+            read = {n.id for n in ast.walk(checks) if isinstance(n, ast.Name)}
+            feeding = [checks] + [value for name in sorted(read) for value in bound.get(name, ())]
+            deciding += [f"{f.name}:{node.lineno}" for node in feeding if _decides(node)]
+    assert len(_values_under(tree, "checks")) == 8
+    assert (built, passes, deciding) == ([], [], [])
+
+
+def test_one_jsonio_branch_writes_a_check():
+    # JSON writes a record in one `_write` branch, text in `_text`'s "checks"
+    # branch, and no other jsonio line reads a verdict
+    tree = ast.parse(Path(jsonio.__file__).read_text(encoding="utf-8"))
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    tests = [f.name for f in functions for n in _owned(f) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) == "isinstance" and "Check" in _names(n.args[1])]
+    reads = [f.name for f in functions for n in _owned(f) if isinstance(n, ast.Attribute) and n.attr == "passed"]
+    assert tests == ["_write"] and sorted(reads) == ["_text", "_write"], (tests, reads)
 
 
 def _raises_assertion_error(node):
