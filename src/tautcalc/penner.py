@@ -254,7 +254,7 @@ def check_genus_cap(genus: int) -> None:
 
 
 def chain_det_law(genus: int, det: int) -> Tuple[int, Check]:
-    """g + 1, and the check of det = det(M - Id) for the action M of `chain_system(genus)`: |det| = g + 1."""
+    """The target g + 1, and the check that |det| equals it, for det(M - Id) of `chain_system(genus)`'s M."""
     target = genus + 1
     return target, Check("abs-det-minus-identity-equals-genus-plus-one", abs(det) == target)
 
