@@ -50,10 +50,10 @@ cells of "    0" joined by " " and f"{v:>5}" in place of a cell, so an
 entry wider than five characters widens only its own cell.  Python work
 per row grows with its nonzeros; the rest is C-level slicing.
 
-A record list that grows with the input (the holonomy samples, the
-candidate points) travels as a `Table`, one column per key, so no dict is
-built per record.  A column holds strs, bools, or tuples of strs of one
-width.  In `json.dumps(records, indent=2)` everything between two cells is
+Every list of records in a report (the holonomy samples, the candidate
+points, halfspaces, tangencies and witness steps) travels as a `Table`,
+one column per key, so no dict is built per record.  A column holds
+strs, bools, or tuples of strs of one width.  In `json.dumps(records, indent=2)` everything between two cells is
 fixed by the indent and the keys alone: a comma, a newline, spaces, a
 brace, a key, and the quotes around a string cell.  So the whole list is
 those literals interleaved with the cells, in one join.  A bool cell is
@@ -156,9 +156,9 @@ def _build(field: str, make: Callable, *args):
 
 
 class Table:
-    """A list of records stored by column, for `json_pieces`: record i is
-    {key: column[i] for each key}, in key order.  A column holds strs,
-    bools, or tuples of strs that all have one length."""
+    """A list of records stored by column, the one form a report's record
+    lists take: record i is {key: column[i] for each key}, in key order.  A
+    column holds strs, bools, or tuples of strs that all have one length."""
 
     __slots__ = ("columns",)
 
@@ -345,9 +345,9 @@ def _write_rows(parts: List[str], m: IntMatrix, zero: str, sep: str, fmt: Callab
 def text_pieces(report: dict) -> List[str]:
     """The pieces of the text report, one per line, one per matrix row, and
     a Table's records in one piece.  The report is one "key: value" line per
-    entry, a nested dict or a list of records indented under its key, a
-    Check as a "[PASS]" or "[FAIL]" line, and a matrix as its rows of
-    five-character cells."""
+    entry, a nested dict or a Table indented under its key, a Check as a
+    "[PASS]" or "[FAIL]" line, and a matrix as its rows of five-character
+    cells."""
     parts: List[str] = []
     _text(report, "", parts)
     if parts:
@@ -370,12 +370,6 @@ def _text(report: dict, pad: str, parts: List[str]) -> None:
         elif isinstance(value, IntMatrix):
             parts.append(f"\n{pad}{key}:")
             _write_rows(parts, value, "    0", " ", "{:>5}".format, f"\n{pad}  ", f"\n{pad}  ", "")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            parts.append(f"\n{pad}{key}:")
-            for i, item in enumerate(value):
-                if i:
-                    parts.append(f"\n{pad}  -")
-                _text(item, pad + "  ", parts)
         elif isinstance(value, list) and value and isinstance(value[0], list):
             parts.append(f"\n{pad}{key}:")
             parts += [f"\n{pad}  " + " ".join(f"{e:>5}" for e in row) for row in value]
@@ -513,10 +507,10 @@ def penner_report_to_json(report: PennerReport) -> dict:
 def polytope_to_json(p: RatPolytope) -> dict:
     return {
         "vertices": [[fmt_frac(x), fmt_frac(y)] for x, y in p.vertices],
-        "halfspaces": [
-            {"normal": [str(a), str(b)], "offset": str(c)}
-            for (a, b), c in p.halfspaces
-        ],
+        "halfspaces": Table({
+            "normal": [(str(a), str(b)) for (a, b), _ in p.halfspaces],
+            "offset": [str(c) for _, c in p.halfspaces],
+        }),
     }
 
 
@@ -575,8 +569,8 @@ def tangencies_from_json(data: Any, field: str = "tangencies") -> List[Tangency]
     return out
 
 
-def tangencies_to_json(tangencies: Sequence[Tangency]) -> List[dict]:
-    return [{"kind": t.kind.value, "sign": str(t.sign)} for t in tangencies]
+def tangencies_to_json(tangencies: Sequence[Tangency]) -> Table:
+    return Table({"kind": [t.kind.value for t in tangencies], "sign": [str(t.sign) for t in tangencies]})
 
 
 def witness_to_json(w: NovikovWitness) -> dict:
@@ -584,14 +578,11 @@ def witness_to_json(w: NovikovWitness) -> dict:
         "k": str(w.k),
         "m": str(w.m),
         "initial_exponent": str(w.initial_exponent),
-        "steps": [
-            {
-                "op": s.op,
-                "exponent_added": str(s.exponent_added),
-                "running_total": str(s.running_total),
-            }
-            for s in w.steps
-        ],
+        "steps": Table({
+            "op": [s.op for s in w.steps],
+            "exponent_added": [str(s.exponent_added) for s in w.steps],
+            "running_total": [str(s.running_total) for s in w.steps],
+        }),
         "final_exponent": str(w.final_exponent),
     }
 

@@ -16,6 +16,10 @@ The polygon helpers keep the Fraction construction of a polygon, from
 before `RatPolytope` moved to one integer scale, and the Minkowski gauge,
 which no report reads.  `fraction_plhomeo` keeps the Fraction set-up of a
 `PLHomeo`, from before it moved to integer pairs.
+
+`records_text` keeps the record-by-record text layout of a list of
+records, from before every such list in a report became a `jsonio.Table`,
+so the Table's text writer is checked against the layout, not itself.
 """
 
 from fractions import Fraction
@@ -278,3 +282,14 @@ def fraction_plhomeo(breakpoints, values):
         ))
     cuts = tuple((b.numerator, b.denominator) for b in out_b[1:-1])
     return tuple(out_b), tuple(out_v), cuts, tuple(segments)
+
+
+def records_text(key, records):
+    """The text report of {key: records}, record by record: "key:", then
+    each record's "name: value" lines indented two spaces, with a "  -" line
+    between two records; "key: []" when there is none.  A value shows as
+    its str, so a list of strings as its Python repr."""
+    if not records:
+        return f"{key}: []"
+    blocks = ("".join(f"\n  {name}: {value}" for name, value in record.items()) for record in records)
+    return f"{key}:" + "\n  -".join(blocks)

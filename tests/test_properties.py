@@ -1,14 +1,15 @@
 """Property tests: every JSON schema round-trips, every malformed input
 file ends in exit 2 with one error line that names its field path, valid
-norm specs and maps at the caps end in a report within the budget, the
-dual ball's edge walk finds the points of a box scan, and the sparse
-elimination agrees with dense Bareiss on banded matrices."""
+norm specs, maps and tangency lists at the caps end in a report within
+the budget, the dual ball's edge walk finds the points of a box scan, and
+the sparse elimination agrees with dense Bareiss on banded matrices."""
 
 import contextlib
 import copy
 import io
 import itertools
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -24,7 +25,7 @@ from tautcalc.homology import Family, TwistGenerator, TwistWord
 from tautcalc.matrices import IntMatrix
 from tautcalc.penner import CurveSystem, Region, chain_system
 from tautcalc.polytope import MAX_NORM_BITS, MAX_NORM_VALUE, NormSpec, candidate_points
-from tautcalc.sutured import Tangency, TangencyKind
+from tautcalc.sutured import MAX_TANGENCIES, Tangency, TangencyKind
 from oracles import dense_class, dense_coords, pairing_dense
 from test_cli import REPORT_BUDGET_S, _map_at_entry_cap
 from test_matrices import assert_matches_dense
@@ -107,6 +108,11 @@ def _through_text(doc):
     return json.loads(json.dumps(doc))
 
 
+def _written(value):
+    """value as a JSON report writes it, read back."""
+    return json.loads("".join(jsonio.json_pieces({"value": value})))["value"]
+
+
 def penner_doc(pair):
     system, word = pair
     return {**jsonio.curve_system_to_json(system), "word": jsonio.word_to_json(word)}
@@ -144,7 +150,7 @@ def test_norm_spec_roundtrip(spec):
 @PROPS
 @given(tangency_lists)
 def test_tangencies_roundtrip(ts):
-    assert jsonio.tangencies_from_json(_through_text(jsonio.tangencies_to_json(ts))) == ts
+    assert jsonio.tangencies_from_json(_written(jsonio.tangencies_to_json(ts))) == ts
 
 
 @PROPS
@@ -366,7 +372,7 @@ def test_malformed_spec_file(workdir, text):
 
 
 @FUZZ
-@given(corrupted(tangency_lists.map(jsonio.tangencies_to_json), _tangency_semantic))
+@given(corrupted(tangency_lists.map(jsonio.tangencies_to_json).map(_written), _tangency_semantic))
 def test_malformed_tangency_file(workdir, text):
     _rejects(workdir, text, ["sutured", "pairing", "--input", "bad.json"])
 
@@ -464,3 +470,30 @@ def test_maps_at_the_caps_end_in_a_report(workdir, u, v, case, tiles, samples):
         (workdir / f"{name}.json").write_text(json.dumps(doc))
     _report_or_field_error(workdir, ["holonomy", "tau", "--case", case, "--tiles", str(tiles),
                                      "--samples", str(samples), "--u", "u.json", "--v", "v.json"])
+
+
+@st.composite
+def tangencies_up_to_the_cap(draw):
+    """A valid tangency list of 0, 1, 12 or MAX_TANGENCIES entries, each sign
+    a bare number or a decimal string; the entries come from a drawn seed,
+    so hypothesis never shrinks a list of the cap's length."""
+    size = draw(st.sampled_from((0, 1, 12, MAX_TANGENCIES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = [kind.value for kind in TangencyKind]
+    return [{"kind": rng.choice(kinds), "sign": rng.choice((1, -1, "1", "-1"))} for _ in range(size)]
+
+
+@settings(PROPS, max_examples=8)
+@given(tangencies_up_to_the_cap())
+def test_tangencies_up_to_the_cap_echo_their_report(workdir, doc):
+    # each format's report within the budget, and the README's echo: the
+    # report's tangencies, read back as the input, give the same report
+    (workdir / "tangencies.json").write_text(json.dumps(doc))
+    reports = {}
+    for fmt in ("json", "text"):
+        code, out, lines, elapsed = _run(workdir, ["sutured", "pairing", "--input", "tangencies.json", "--format", fmt])
+        assert (code, lines) == (0, []) and elapsed < REPORT_BUDGET_S, (len(doc), fmt, code, lines, elapsed)
+        reports[fmt] = out
+    (workdir / "echo.json").write_text(json.dumps(json.loads(reports["json"])["tangencies"]))
+    for fmt, out in reports.items():
+        assert _run(workdir, ["sutured", "pairing", "--input", "echo.json", "--format", fmt])[1] == out, (len(doc), fmt)

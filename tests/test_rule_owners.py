@@ -7,7 +7,8 @@ belongs to.  Each error message is raised from one function, the
 library states no `assert`, which would end the CLI in a traceback, and
 each function is named somewhere else in the library or kept by name.
 Each report check is decided by the library function that returns its
-`Check`, never by `cli`, and one `jsonio` branch per format writes it."""
+`Check`, never by `cli`, and one `jsonio` branch per format writes it.
+Every list of records in a report is a `jsonio.Table`."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ import pytest
 
 import tautcalc
 from tautcalc import cli, jsonio
+from test_jsonio import STOCK_ARGV
 
 
 SOURCES = sorted(Path(tautcalc.__file__).parent.glob("*.py"))
@@ -227,6 +229,32 @@ def test_one_jsonio_branch_writes_a_check():
              and getattr(n.func, "id", None) == "isinstance" and "Check" in _names(n.args[1])]
     reads = [f.name for f in functions for n in _owned(f) if isinstance(n, ast.Attribute) and n.attr == "passed"]
     assert tests == ["_write"] and sorted(reads) == ["_text", "_write"], (tests, reads)
+
+
+def _lists_of_dicts(value, path):
+    """The path of each list under value that holds a dict."""
+    if isinstance(value, dict):
+        return [p for key, v in value.items() for p in _lists_of_dicts(v, f"{path}.{key}")]
+    if isinstance(value, list):
+        found = [path] if any(isinstance(x, dict) for x in value) else []
+        return found + [p for i, x in enumerate(value) for p in _lists_of_dicts(x, f"{path}[{i}]")]
+    return []
+
+
+def test_every_record_list_is_a_table(monkeypatch, tmp_path):
+    # a list of records reaches the writers only as a Table, their one record
+    # path: no report, built by its leaf's builder, holds a list of dicts
+    assert set(STOCK_ARGV) == set(cli.LEAVES)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tangencies.json").write_text('[{"kind": "saddle", "sign": 1}, {"kind": "center", "sign": -1}]')
+    (tmp_path / "spec.json").write_text('{"x_f": "2", "x_s": "4", "x_sum": "6", "x_diff": "6", "chi": ["-2", "-4"]}')
+    argvs = [[*route, *options] for route, options in STOCK_ARGV.items()]
+    argvs.append(["candidates", "--genus", "3", "--spec", "spec.json"])
+    found = []
+    for argv in argvs:
+        args = cli._read(argv)
+        found += [f"{' '.join(argv)}: {path[1:]}" for path in _lists_of_dicts(args.func(args), "")]
+    assert found == [], found
 
 
 def _raises_assertion_error(node):
