@@ -50,17 +50,18 @@ cells of "    0" joined by " " and f"{v:>5}" in place of a cell, so an
 entry wider than five characters widens only its own cell.  Python work
 per row grows with its nonzeros; the rest is C-level slicing.
 
-Every list of records in a report (the holonomy samples, the candidate
-points, halfspaces, tangencies and witness steps) travels as a `Table`,
-one column per key, so no dict is built per record.  A column holds
-strs, bools, or tuples of strs of one width.  In `json.dumps(records, indent=2)` everything between two cells is
-fixed by the indent and the keys alone: a comma, a newline, spaces, a
-brace, a key, and the quotes around a string cell.  So the whole list is
-those literals interleaved with the cells, in one join.  A bool cell is
-"true" or "false", a tuple cell spreads into one string cell per
-position, and a string column is written bare inside its literal quotes
-when it passes the clean test above, or item by item through the string
-encoder when it does not, which is the same rule a list of strings takes.
+Every record list in a report (holonomy samples, candidate points,
+halfspaces, tangencies, witness steps) travels as a `Table`, one column
+per key, so no dict is built per record.  A column holds strs, bools, or
+tuples of strs of one width.  In `json.dumps(records, indent=2)`
+everything between two cells is fixed by the indent and the keys alone: a
+comma, a newline, spaces, a brace, a key, and the quotes around a string
+cell.  So the whole list is those literals interleaved with the cells, in
+one join.  A bool cell is "true" or "false", a tuple cell spreads into one
+string cell per position, and a string column is written bare inside its
+literal quotes when it passes the clean test above, or item by item
+through the string encoder when it does not, which is the same rule a list
+of strings takes.
 """
 
 from __future__ import annotations

@@ -96,8 +96,8 @@ class Tangency:
 
 
 # A pairing report lists every tangency, and its time grows with their
-# count: 10**5 of them took about 0.5 s as a report in either format, a
-# quarter of the two seconds a report at its caps is given.
+# count: 10**5 of them took 0.32 to 0.43 s as a report in either format,
+# about a fifth of the two seconds a report at its caps is given.
 MAX_TANGENCIES = 100_000
 
 
