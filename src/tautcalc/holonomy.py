@@ -36,7 +36,13 @@ onto [-1, 1] with integers k and m, and its inverse q = (m + y)/k.  Tile n
 on side s (s = +-1) is [1/(n + 1), 1/n], mirrored for s = -1, with
 k = 2n(n + 1) and m = s(2n + 1); the tile of a nonzero q = a/d is
 n = d // |a|.  Piece i of a concatenation is [i, i + 1], with k = 2 and
-m = 2i + 1.
+m = 2i + 1.  Each rule has one owner, which the kernels and the solve
+both read: `TiledHomeo._tiles` gives tile n's map and chart constants,
+`_piece_chart` a piece's m, `TileShiftMap.end_piece` the end piece on each
+side (middle_index + s, where that piece exists), and `TileShiftMap._forms`
+h on tile n as integers (alpha, beta, gamma), sending a/d to
+(alpha*d + beta*a)/(gamma*d), with the tile of the middle piece it lands
+in.
 
 Each map evaluates through one kernel, a closure that `_kernel(kernels)`
 builds and that takes an unreduced integer pair a/d with d > 0 in the
@@ -44,16 +50,16 @@ map's domain to a pair for its value there.  No kernel checks the point:
 the public `eval` refuses a point outside the domain, and
 `solve_conjugacy` lays its samples out in [-1, 1], where each chart and map
 sends its domain into the next by construction.  The builder binds the
-map's constants once: a `PLHomeo`'s cuts and segments, `TileShiftMap`'s
-chart constants (read off its two fields on each build), and the
-kernels of the maps and pieces that `TiledHomeo` and `Concatenation` hold.
-The chart in is (k*a - m*d, d), the chart out (m*d' + a', k*d'), and the
-tile and piece indices d // |a| and a // d do not change when a and d are
-scaled, so no chart reduces its pair.  A `PLHomeo` segment is
-y = (A*x + C)/D with integers A, C, D of its own, computed from the cross
-products of its ends and reduced by gcd(A, C, D); the segment search
-compares a/d with each breakpoint by cross-multiplying, and the inverse
-segment is x = (D*y - C)/A.  A `PLHomeo` with no interior cut, such as
+map's constants once: a `PLHomeo`'s cuts and segments, and the rules above
+with the kernels of the maps and pieces that `TiledHomeo` and
+`Concatenation` hold; the composite kernels look up the tile, form or
+piece of each point.  The chart in is (k*a - m*d, d), the chart out
+(m*d' + a', k*d'), and the tile and piece indices d // |a| and a // d do
+not change when a and d are scaled, so no chart reduces its pair.  A
+`PLHomeo` segment is y = (A*x + C)/D with integers A, C, D of its own,
+computed from the cross products of its ends and reduced by
+gcd(A, C, D); the segment search compares a/d with each breakpoint by
+cross-multiplying, and the inverse segment is x = (D*y - C)/A.  A `PLHomeo` with no interior cut, such as
 the identity, has one segment to apply, and its kernel does only that.
 Any other `PLHomeo` kernel owns a memo: a dict keyed on the point in lowest
 terms, (numerator, denominator), with the map's value there as a pair.  It
@@ -77,10 +83,20 @@ nothing.
 
 The sample layout is integer columns: tile n holds per_tile numerators
 over the one denominator n(n + 1)(per_tile + 1), reduced by gcd in one
-pass over the columns.  `solve_conjugacy` feeds each reduced pair to the
-per-point kernels and keeps the pairs and the verdicts as columns in
-`ConjugacyWitness`, so no Fraction, `SampleCheck` or other per-sample
-object is built between a sample point and its verdict;
+pass over the columns.  `solve_conjugacy` walks it one tile at a time.  For
+tile n on side s it binds once t's tile map and chart, h's form, and,
+where h sends the tile into the middle piece and that piece is the tiled
+map, the middle piece's map and chart on the tile it lands in; each sample
+then does its own arithmetic and calls the two `PLHomeo` kernels.  A bound
+step is taken only where the per-point kernel's own dispatch would take
+it: h's form applies to t(x) only when t(x) = ta/td lies in tile n on side
+s (td // (s*ta) == n), and the middle piece's step to h(x) only when h(x)
+lies in that piece and its chart point in the tile bound for it.  The ends
+and the centre, tile 1 beside an end piece, a middle piece that is not the
+tiled map, and any point a faulty tile map moves out of its tile go to the
+per-point kernels, so every verdict is theirs.  The pairs and the verdicts
+are kept as columns in `ConjugacyWitness`, so no Fraction, `SampleCheck` or
+other per-sample object is built between a sample point and its verdict;
 `ConjugacyWitness.checks` builds its `SampleCheck`s on demand; its `check`
 is the report's check.  A map has at most MAX_BREAKPOINTS breakpoints, and
 the parts of its breakpoints and values have at most MAX_ENTRY_BITS bits.
@@ -90,10 +106,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from math import gcd
 from operator import floordiv
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import Check, frac_pair, is_int
 
@@ -318,21 +334,28 @@ class TiledHomeo:
     def eval(self, q) -> Fraction:
         return Fraction(*self._kernel({})(*_unit_pair(q)))
 
-    def _kernel(self, kernels: dict) -> Kernel:
+    def _tiles(self, kernels: dict) -> Callable[[int, int], Tuple[Kernel, int, int]]:
+        """The tiles' rule: a function taking the sign `side` of a side and
+        a tile n >= 1 to the kernel of the map tile n on that side carries
+        and the constants k = 2n(n + 1) and m = side(2n + 1) of its chart
+        y = k*q - m onto [-1, 1]."""
         negative = tuple(f._kernel(kernels) for f in self.negative)
         positive = tuple(f._kernel(kernels) for f in self.positive)
-        neg_count, pos_count = len(negative), len(positive)
+
+        def tile(side, n):
+            maps = negative if side < 0 else positive
+            return maps[(n - 1) % len(maps)], 2 * n * (n + 1), side * (2 * n + 1)
+
+        return tile
+
+    def _kernel(self, kernels: dict) -> Kernel:
+        tile = self._tiles(kernels)
 
         def at(a, d):
-            if a < 0:
-                n = d // -a
-                f, m = negative[(n - 1) % neg_count], -(2 * n + 1)
-            elif a:
-                n = d // a
-                f, m = positive[(n - 1) % pos_count], 2 * n + 1
-            else:
+            if not a:
                 return a, d
-            k = 2 * n * (n + 1)
+            side = -1 if a < 0 else 1
+            f, k, m = tile(side, d // (side * a))
             ya, yd = f(k * a - m * d, d)
             return m * yd + ya, k * yd
 
@@ -340,6 +363,12 @@ class TiledHomeo:
 
 
 # -- concatenations and the conjugacy witness -------------------------------------
+
+
+def _piece_chart(i: int) -> int:
+    """The constant m = 2i + 1 of the chart y = 2*q - m of piece i of a
+    concatenation, [i, i + 1], onto [-1, 1]."""
+    return 2 * i + 1
 
 
 @dataclass(frozen=True)
@@ -360,15 +389,15 @@ class Concatenation:
         return Fraction(*self._kernel({})(a, d))
 
     def _kernel(self, kernels: dict) -> Kernel:
-        pieces = tuple(f._kernel(kernels) for f in self.pieces)
+        pieces = tuple((f._kernel(kernels), _piece_chart(i)) for i, f in enumerate(self.pieces))
         last = len(pieces) - 1
 
         def at(a, d):
             i = a // d
             if i > last:
                 i = last
-            m = 2 * i + 1
-            ya, yd = pieces[i](2 * a - m * d, d)
+            f, m = pieces[i]
+            ya, yd = f(2 * a - m * d, d)
             return m * yd + ya, 2 * yd
 
         return at
@@ -391,29 +420,45 @@ class TileShiftMap:
     def eval(self, q) -> Fraction:
         return Fraction(*self._kernel({})(*_unit_pair(q)))
 
-    def _kernel(self, kernels: dict) -> Kernel:
-        # read off the two fields per build: the middle piece's chart constant
-        # 2*middle_index + 1, and per side the chart constant 2*end + 1 of its
-        # end piece, or None where that side has none
-        middle, count = self.middle_index, self.piece_count
-        m = 2 * middle + 1
-        negative_end, positive_end = (2 * end + 1 if 0 <= end < count else None for end in (middle - 1, middle + 1))
+    def end_piece(self, side: int) -> Optional[int]:
+        """The index of the end piece on the side of sign `side`, piece
+        middle_index + side, or None where the concatenation has no such
+        piece."""
+        end = self.middle_index + side
+        return end if 0 <= end < self.piece_count else None
 
-        def at(a, d):
-            if a < 0:
-                side, end = -1, negative_end
-            else:
-                side, end = 1, positive_end
-            if a == 0 or end is None:
-                return m * d + a, 2 * d
-            n = d // (side * a)
+    def _forms(self) -> Callable[[int, int], Tuple[int, int, int, int]]:
+        """h's rule: a function taking the sign `side` of a side and a tile
+        n >= 1 on it, or n = 0 for the point 0, to integers (alpha, beta,
+        gamma, target) such that h sends a/d there to
+        (alpha*d + beta*a)/(gamma*d), in the chart image of tile `target`
+        on that side of the middle piece, or for target = 0 in the end
+        piece or at the chart image of 0."""
+        m = _piece_chart(self.middle_index)
+        ends = {side: self.end_piece(side) for side in (-1, 1)}
+
+        def form(side, n):
+            end = ends[side]
+            if not n or end is None:
+                # the middle piece's chart y -> (m + y)/2
+                return m, 1, 2, n
             if n == 1:
                 # the chart of tile 1 onto [-1, 1], y = 4x - 3*side, then onto the end piece
-                return end * d + 4 * a - 3 * side * d, 2 * d
+                return _piece_chart(end) - 3 * side, 4, 2, 0
             # tile n onto tile n - 1 is x -> (n(n + 1)x - side)/(n(n - 1)), then
-            # the middle piece's chart y -> (m + y)/2; over 2n(n - 1)d that is
+            # the middle piece's chart; over 2n(n - 1)d that is
             p = n * (n - 1)
-            return m * p * d + n * (n + 1) * a - side * d, 2 * p * d
+            return m * p - side, n * (n + 1), 2 * p, n - 1
+
+        return form
+
+    def _kernel(self, kernels: dict) -> Kernel:
+        form = self._forms()
+
+        def at(a, d):
+            side = -1 if a < 0 else 1
+            alpha, beta, gamma, _ = form(side, d // (side * a) if a else 0)
+            return alpha * d + beta * a, gamma * d
 
         return at
 
@@ -530,15 +575,50 @@ def solve_conjugacy(
     # one kernel per map for this call, so each tile map has one memo
     kernels = {}
     t_at, h_at, expr_at = tiled._kernel(kernels), h._kernel(kernels), expr._kernel(kernels)
+    mid = h.middle_index
+    # expr's middle piece is bound per tile only where it is the tiled map;
+    # mid_m is its chart constant
+    mid_m = _piece_chart(mid) if pieces[mid] is middle else None
+    points = zip(nums, dens)
     verdicts = []
     passed = verdicts.append
-    for a, d in zip(nums, dens):
-        ta, td = t_at(a, d)
-        la, ld = h_at(ta, td)
-        ha, hd = h_at(a, d)
-        ra, rd = expr_at(ha, hd)
-        # both denominators are positive, so this is lhs == rhs
+    # the ends and the centre, through the per-point kernels
+    for a, d in islice(points, 3):
+        la, ld = h_at(*t_at(a, d))
+        ra, rd = expr_at(*h_at(a, d))
         passed(la * rd == ra * ld)
+    # then per_tile points in each tile, in layout order; each step bound for
+    # the tile holds only where the per-point kernel's own dispatch would take
+    # it, and every other point goes to that kernel
+    t_tile, h_form, middle_tile = tiled._tiles(kernels), h._forms(), middle._tiles(kernels)
+    for n in range(1, tiles_per_side + 1):
+        for side in (-1, 1):
+            f, k, m = t_tile(side, n)
+            alpha, beta, gamma, target = h_form(side, n)
+            # td // (side*ta) == n, and likewise for the middle piece's tile
+            lo, hi = n * side, (n + 1) * side
+            bound = target and mid_m
+            if bound:
+                g, k2, m2 = middle_tile(side, target)
+                lo2, hi2 = target * side, (target + 1) * side
+            for a, d in islice(points, per_tile):
+                ya, yd = f(k * a - m * d, d)
+                ta, td = m * yd + ya, k * yd
+                # t(x) in tile n on this side
+                if lo * ta <= td < hi * ta:
+                    la, ld = alpha * td + beta * ta, gamma * td
+                else:
+                    la, ld = h_at(ta, td)
+                ha, hd = alpha * d + beta * a, gamma * d
+                # h(x) in the middle piece, and its point ia/hd there in tile target
+                if bound and ha // hd == mid and lo2 * (ia := 2 * ha - mid_m * hd) <= hd < hi2 * ia:
+                    ya, yd = g(k2 * ia - m2 * hd, hd)
+                    ra, rd = m2 * yd + ya, k2 * yd
+                    ra, rd = mid_m * rd + ra, 2 * rd
+                else:
+                    ra, rd = expr_at(ha, hd)
+                # both denominators are positive, so this is lhs == rhs
+                passed(la * rd == ra * ld)
     witness = ConjugacyWitness(case, tuple(nums), tuple(dens), tuple(verdicts), tiles_per_side)
     return tiled, witness
 

@@ -549,12 +549,12 @@ def test_sample_layout_owned_by_solve():
         assert len(witness.checks) == len(witness.verdicts) == count >= samples
 
 
-# (tiles, samples) with 3, 4 and 20 points per tile: each chart point comes
-# back in every one of 5 or 32 tiles per side, or in one tile only
-LAYOUTS = ((5, 30), (32, 256), (1, 40))
+# (tiles, samples) with 3, 4, 20 and 1 points per tile: each chart point
+# comes back in every one of 5, 32 or 8 tiles per side, or in one tile only
+LAYOUTS = ((5, 30), (32, 256), (1, 40), (8, 16))
 
 # the chart points of those layouts, -1 + 2j/(per_tile + 1)
-SAMPLE_GRID = sorted({Fr(2 * j, p + 1) - 1 for p in (3, 4, 20) for j in range(1, p + 1)})
+SAMPLE_GRID = sorted({Fr(2 * j, p + 1) - 1 for p in (3, 4, 20, 1) for j in range(1, p + 1)})
 
 
 def grid_plhomeo(rng, breaks):
@@ -583,6 +583,143 @@ def test_verdicts_match_reference(monkeypatch, case, shift):
             ]
             assert list(witness.verdicts) == expected, (tiles, samples)
             assert all(expected) or shift
+
+
+# from one point per side to the largest layout; (8, 16) puts one point in
+# each tile
+SOLVE_LAYOUTS = ((1, 1), (3, 4), (8, 16), (8, 64), (256, 4096), (MAX_TILES - 1, MAX_SAMPLES))
+
+
+def capture_solve_maps(monkeypatch, move=0):
+    """A dict holding the h and the concatenation that the latest solve from
+    now on built, with h's middle piece moved by `move`."""
+    latest = {}
+    shift, concatenation = TileShiftMap, Concatenation
+
+    def tile_shift(m, k):
+        latest["h"] = shift((m + move) % k, k)
+        return latest["h"]
+
+    def concatenate(pieces):
+        latest["expr"] = concatenation(pieces)
+        return latest["expr"]
+
+    monkeypatch.setattr(holonomy, "TileShiftMap", tile_shift)
+    monkeypatch.setattr(holonomy, "Concatenation", concatenate)
+    return latest
+
+
+def per_point_verdicts(tiled, h, expr, witness):
+    """Each verdict of witness, decided by the per-point kernels of the maps
+    the solve built: h(t(x)) against expr(h(x)), one kernel per map."""
+    kernels = {}
+    t_at, h_at, expr_at = tiled._kernel(kernels), h._kernel(kernels), expr._kernel(kernels)
+    verdicts = []
+    for a, d in zip(witness.numerators, witness.denominators):
+        la, ld = h_at(*t_at(a, d))
+        ra, rd = expr_at(*h_at(a, d))
+        verdicts.append(la * rd == ra * ld)
+    return verdicts
+
+
+@pytest.mark.parametrize("variant", ["kernels", "faulty kernel", "moved middle piece"])
+def test_solve_verdicts_are_the_per_point_kernels(monkeypatch, variant):
+    # the tile walk binds each tile's steps once and falls back to the
+    # per-point kernels wherever their own dispatch would go elsewhere, so
+    # each verdict is theirs: for sound maps, under a `PLHomeo` kernel fault
+    # that moves values out of their tiles, and with h's middle piece moved
+    # onto an end piece.  The two largest layouts take one map pair per case
+    # and the largest two cases per variant, to bound the run time
+    if variant == "faulty kernel":
+        monkeypatch.setattr(PLHomeo, "_kernel", faulty_kernel)
+    latest = capture_solve_maps(monkeypatch, move=int(variant == "moved middle piece"))
+    rng = random.Random(5901)
+    ident = PLHomeo.identity()
+    variant_index = ["kernels", "faulty kernel", "moved middle piece"].index(variant)
+    falses = 0
+    for case_index, case in enumerate(EXPRESSIONS):
+        pairs = [construction(case)[0][:2], (grid_plhomeo(rng, 6), grid_plhomeo(rng, 9)), bundled_shifts(),
+                 (ident, ident)]
+        for tiles, samples in SOLVE_LAYOUTS:
+            if tiles == MAX_TILES - 1 and case_index // 2 != variant_index:
+                continue
+            for u, v in pairs if tiles < 256 else pairs[case_index % 4:][:1]:
+                tiled, witness = solve_conjugacy(u, v, case, tiles, samples)
+                expected = per_point_verdicts(tiled, latest["h"], latest["expr"], witness)
+                assert list(witness.verdicts) == expected, (case, tiles)
+                falses += witness.verdicts.count(False)
+    # sound maps pass everywhere; the fault and the moved piece fail somewhere
+    assert (falses == 0) == (variant == "kernels"), falses
+
+
+def test_tile_walk_leaves_the_kernels_only_the_ends_and_end_pieces(monkeypatch):
+    # for sound maps every guard of the tile walk holds, so h's kernel runs
+    # only at the ends and the centre, and the concatenation's there and on
+    # tile 1 of each side with an end piece, which h sends out of the middle
+    calls = []
+
+    def counting(kernel):
+        def build(self, kernels):
+            at = kernel(self, kernels)
+            return lambda a, d: calls.append(type(self)) or at(a, d)
+        return build
+
+    for cls in (TileShiftMap, Concatenation):
+        monkeypatch.setattr(cls, "_kernel", counting(cls._kernel))
+    u, v = bundled_shifts()
+    for case in EXPRESSIONS:
+        end_pieces = len(EXPRESSIONS[case].split()) - 1
+        for tiles, samples in ((1, 1), (3, 4), (8, 64)):
+            calls.clear()
+            _, witness = solve_conjugacy(u, v, case, tiles, samples)
+            per_tile = -(-samples // (2 * tiles))
+            assert witness.check.passed
+            assert calls.count(TileShiftMap) == 6, (case, tiles)
+            assert calls.count(Concatenation) == 3 + per_tile * end_pieces, (case, tiles)
+
+
+@pytest.mark.parametrize("case", list(EXPRESSIONS))
+def test_tile_rules_match_the_kernels(case):
+    # the rules the tile walk binds per tile, and that each `_kernel` reads:
+    # t's map and chart on tile n, and h's form there with the tile of the
+    # middle piece it lands in, agree with each map's kernel and with the
+    # Fraction reference at every chart point of tiles 1..8 on both sides,
+    # at two scales of the point
+    maps, tiled, h, expr = construction(case)
+    middle = expr.pieces[h.middle_index]
+    kernels = {}
+    forms = h._forms()
+    for f in {id(f): f for f in (tiled, middle)}.values():
+        tile, at = f._tiles(kernels), f._kernel(kernels)
+        for side in (-1, 1):
+            for n in range(1, 9):
+                g, k, m = tile(side, n)
+                lo, hi = ref_tile(side, n)
+                for q in (ref_chart_out(y, lo, hi) for y in SAMPLE_GRID):
+                    for s in (1, 10**20 + 1):
+                        a, d = q.numerator * s, q.denominator * s
+                        ya, yd = g(k * a - m * d, d)
+                        assert Fr(m * yd + ya, k * yd) == Fr(*at(a, d)) == ref_eval(f, q), (side, n, q)
+    h_at = h._kernel(kernels)
+    for side in (-1, 1):
+        end = h.end_piece(side)
+        for n in range(1, 9):
+            alpha, beta, gamma, target = forms(side, n)
+            lo, hi = ref_tile(side, n)
+            for q in (ref_chart_out(y, lo, hi) for y in SAMPLE_GRID):
+                for s in (1, 10**20 + 1):
+                    a, d = q.numerator * s, q.denominator * s
+                    y = Fr(alpha * d + beta * a, gamma * d)
+                    assert y == Fr(*h_at(a, d)) == ref_eval(h, q), (side, n, q)
+                    if target:
+                        # in tile `target` of the middle piece's chart on this side
+                        inner = 2 * y - (2 * h.middle_index + 1)
+                        assert int(y) == h.middle_index and ref_tile_index(inner) == (side, target)
+                    else:
+                        assert end is not None and n == 1 and int(y) == end
+            assert (target == 0) == (n == 1 and end is not None)
+    # the point 0 goes to the chart image of 0 in the middle piece
+    assert forms(-1, 0) == forms(1, 0) == (2 * h.middle_index + 1, 1, 2, 0)
 
 
 def memo_of(kernel):
@@ -931,6 +1068,18 @@ def test_absent_side_leaves_no_memo_entry(monkeypatch, case):
     assert memos and all(0 < len(memo) <= 6 for memo in memos)
 
 
+def faulty_kernel(self, kernels):
+    """A `PLHomeo._kernel` with the last segment's C off by one, and no memo."""
+    *rest, (A, C, D) = self._segments
+    segments, cuts = [*rest, (A, C + 1, D)], self._cuts
+
+    def at(a, d):
+        A, C, D = segments[sum(a * bd >= bn * d for bn, bd in cuts)]
+        return A * a + C * d, D * d
+
+    return at
+
+
 def test_eval_and_solve_run_one_kernel(monkeypatch):
     # a fault in the `PLHomeo` kernel shows both in `eval` and in a solve:
     # there is no second evaluation path for either to take.  The identity
@@ -941,18 +1090,7 @@ def test_eval_and_solve_run_one_kernel(monkeypatch):
     assert u.eval(q) == ref_eval(u, q)
     assert all(all(solve_conjugacy(u, v, case)[1].verdicts) for case in EXPRESSIONS)
 
-    def faulty(self, kernels):
-        # the last segment's C off by one, and no memo
-        *rest, (A, C, D) = self._segments
-        segments, cuts = [*rest, (A, C + 1, D)], self._cuts
-
-        def at(a, d):
-            A, C, D = segments[sum(a * bd >= bn * d for bn, bd in cuts)]
-            return A * a + C * d, D * d
-
-        return at
-
-    monkeypatch.setattr(PLHomeo, "_kernel", faulty)
+    monkeypatch.setattr(PLHomeo, "_kernel", faulty_kernel)
     assert u.eval(q) != ref_eval(u, q)
     for case in EXPRESSIONS:
         assert not all(solve_conjugacy(u, v, case)[1].verdicts), case

@@ -8,7 +8,9 @@ library states no `assert`, which would end the CLI in a traceback, and
 each function is named somewhere else in the library or kept by name.
 Each report check is decided by the library function that returns its
 `Check`, never by `cli`, and one `jsonio` branch per format writes it.
-Every list of records in a report is a `jsonio.Table`."""
+Every list of records in a report is a `jsonio.Table`.  The conjugator's
+end piece, next to its middle piece, is found in one `TileShiftMap`
+method."""
 
 import argparse
 import ast
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import tautcalc
-from tautcalc import cli, jsonio
+from tautcalc import cli, holonomy, jsonio
 from test_jsonio import STOCK_ARGV
 
 
@@ -57,6 +59,40 @@ def test_each_input_rule_has_one_owner():
     assert all(any(isinstance(n, ast.FunctionDef) for n in ast.walk(f) if n is not f) for _, f in kernels)
     assert raising == [], raising
     assert len(capping) == 1, capping
+
+
+def _aliases(function, name):
+    """name and the local names that function binds to an expression reading it."""
+    found = {name}
+    for node in _owned(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+                found.update(t.id for t, value in pairs
+                             if isinstance(t, ast.Name) and name in set(_names(value)))
+    return found
+
+
+def test_end_piece_rule_has_one_owner():
+    # the end piece on a side is piece middle_index +- 1 where that piece
+    # exists; `TileShiftMap.end_piece` alone adds to or subtracts from the
+    # middle index, directly or through a local name for it, and h's
+    # per-tile form, its kernel and the tile walk read it from there
+    owners = []
+    for path in SOURCES:
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(f, ast.FunctionDef):
+                names = _aliases(f, "middle_index")
+                owners += [f"{path.stem}.{f.name}" for n in _owned(f) if isinstance(n, ast.BinOp)
+                           and isinstance(n.op, (ast.Add, ast.Sub)) and any(
+                               isinstance(side, ast.Name) and side.id in names
+                               or isinstance(side, ast.Attribute) and side.attr in names
+                               for side in (n.left, n.right))]
+    tree = ast.parse(Path(holonomy.__file__).read_text(encoding="utf-8"))
+    kernels = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_kernel"]
+    assert owners == ["holonomy.end_piece"], owners
+    assert len(kernels) == 4
 
 
 def test_command_line_written_only_in_build_parser():
