@@ -117,8 +117,8 @@ from .exact import Check, frac_pair, is_int
 # A map is read and inverted in time and memory that grow with its
 # breakpoints, so their number is capped.  A solve's arithmetic grows with
 # the length of their parts, so that is capped too: a report at the largest
-# layout (4095 tiles, 16384 samples) over two 4096-breakpoint maps took 0.3
-# to 0.6 s in process with 256-bit parts, and 1.4 to 2.2 s with 1024-bit
+# layout (4095 tiles, 16384 samples) over two 4096-breakpoint maps took 0.27
+# to 0.48 s in process with 256-bit parts, and 1.4 to 2.3 s with 1024-bit
 # parts, on a shared 2-core host.
 MAX_BREAKPOINTS = 4096
 MAX_ENTRY_BITS = 256
@@ -407,8 +407,9 @@ class Concatenation:
 class TileShiftMap:
     """The conjugator h: [-1, 1] -> concatenation domain.
 
-    The end piece on the negative (positive) side is piece middle_index - 1
-    (middle_index + 1).  Where it exists, tile 1 on that side is carried
+    The end piece on each side, `end_piece`, is piece middle_index - 1 on
+    the negative side and middle_index + 1 on the positive, where the
+    concatenation has it.  Where it exists, tile 1 on that side is carried
     onto it and tile n onto the chart image of tile n-1 in the middle
     piece; on a side without one, h is the affine chart onto the middle
     piece.  Affine on every tile, with h(0) at the chart image of 0.
